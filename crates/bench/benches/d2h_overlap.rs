@@ -42,7 +42,7 @@ const KERNEL_REPS: usize = 16;
 /// paid identically by both variants; only the placement of the drain
 /// differs.
 fn drain_stall(field: &CcVariable<f64>, async_d2h: bool) -> Duration {
-    let dw = GpuDataWarehouse::with_options(GpuDevice::k20x(), true, async_d2h);
+    let dw = GpuDataWarehouse::with_fleet_full(DeviceFleet::k20x(1), true, async_d2h, true, true);
     let p = PatchId(0);
     dw.put_patch(BENCH_DIVQ, p, FieldData::F64(field.clone()))
         .expect("6 GB device fits one patch");
@@ -60,7 +60,7 @@ fn drain_stall(field: &CcVariable<f64>, async_d2h: bool) -> Duration {
     std::hint::black_box(acc);
     let (data, _drain, blocked) = pending.wait_timed();
     std::hint::black_box(data.as_f64().as_slice()[0]);
-    dw.device().sync_d2h();
+    dw.sync_d2h_all();
     blocked
 }
 

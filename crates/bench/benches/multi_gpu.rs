@@ -11,7 +11,7 @@
 //!   setup pass prints the table).
 //! * **Per-device peak memory stays within each device's capacity
 //!   meter** — spreading patches divides the resident footprint; no
-//!   device may ever exceed its 6 GB meter (`try_reserve` would have
+//!   device may ever exceed its 6 GB meter (the allocation would have
 //!   failed the run).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

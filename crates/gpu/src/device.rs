@@ -4,12 +4,13 @@
 //! device→host drain of one patch overlap the kernels (and host→device
 //! staging) of others. [`GpuDevice`] models each direction as a *timeline*:
 //! a FIFO of transfers with measured per-engine occupancy (`busy_ns`), an
-//! in-flight count, and a real worker thread per direction that drains
-//! posted transfers asynchronously ([`GpuDevice::post_d2h`] /
-//! [`GpuDevice::post_h2d`] — the upload twin added for the prefetch
-//! pipeline). Every in-flight transfer is tagged with the [`Stream`] it was
-//! issued on, mirroring how Uintah pins one CUDA stream per resident patch
-//! task.
+//! in-flight count, and a real worker thread that drains posted transfers
+//! asynchronously. Both directions are the *same* mechanism — one
+//! `CopyEngine` instantiated per [`Dir`] — driven through
+//! [`GpuDevice::submit`], which either posts a transfer to the engine
+//! thread or runs it inline with identical bookkeeping ([`Mode`]). Every
+//! in-flight transfer is tagged with the [`Stream`] it was issued on,
+//! mirroring how Uintah pins one CUDA stream per resident patch task.
 //!
 //! Device memory is no longer a bytes-only meter: every reservation is
 //! carved from a [`SubAllocator`] free list over `[0, capacity)`, so the
@@ -57,25 +58,102 @@ impl fmt::Display for GpuError {
 
 impl std::error::Error for GpuError {}
 
-/// Counters for one copy engine (the K20X has two: one per direction, which
-/// is what lets transfers for some patches overlap kernels of others).
+/// PCIe direction — which of the device's two copy engines a transfer uses.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Dir {
+    /// Host→device: copy engine 0.
+    H2D,
+    /// Device→host: copy engine 1.
+    D2H,
+}
+
+/// How [`GpuDevice::submit`] executes a transfer.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Mode {
+    /// Queue the transfer on the engine's worker thread and return at once.
+    Posted,
+    /// Run the transfer on the caller's thread before returning — the
+    /// synchronous fallback, with the posted path's exact bookkeeping.
+    Inline,
+}
+
+/// A transfer job executed on a copy-engine timeline: the memcpy plus
+/// completion signalling, boxed by [`GpuDevice::submit`].
+type TransferJob = (Stream, Box<dyn FnOnce() + Send + 'static>);
+
+/// The meters and stream tags of one copy engine — the part its worker
+/// thread shares with the device.
 ///
 /// `busy_ns` is the engine's measured *occupancy*: wall time it spent
 /// actually moving bytes (the drain memcpy for D2H, the staging window for
-/// H2D). `inflight` counts transfers posted to the engine timeline but not
-/// yet drained — nonzero only on the asynchronous D2H path.
+/// H2D). `inflight` counts transfers submitted to the timeline but not yet
+/// retired. `wait_ns` / `overlap_ns` are the consumer-side view: stall
+/// materializing posted transfers, and engine time hidden behind other work.
 #[derive(Debug, Default)]
-pub struct CopyEngineStats {
-    pub transfers: AtomicU64,
-    pub bytes: AtomicU64,
-    pub busy_ns: AtomicU64,
-    pub inflight: AtomicU64,
+struct Timeline {
+    transfers: AtomicU64,
+    bytes: AtomicU64,
+    busy_ns: AtomicU64,
+    inflight: AtomicU64,
+    wait_ns: AtomicU64,
+    overlap_ns: AtomicU64,
+    /// Streams of transfers currently in flight — one entry per transfer
+    /// (stream ids recycle round-robin, so an id may appear more than once).
+    streams: Mutex<Vec<Stream>>,
 }
 
-/// A transfer job executed by a copy-engine worker: the memcpy plus
-/// completion signalling, boxed by [`GpuDevice::post_d2h`] /
-/// [`GpuDevice::post_h2d`].
-type TransferJob = (Stream, Box<dyn FnOnce() + Send + 'static>);
+impl Timeline {
+    /// Execute one transfer and retire it: occupancy metered around `job`,
+    /// then exactly this transfer's stream tag (ids recycle, so one
+    /// occurrence, not all) and its in-flight count.
+    fn run(&self, stream: Stream, job: impl FnOnce()) {
+        let t0 = Instant::now();
+        job();
+        self.busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let mut streams = self.streams.lock().unwrap();
+        if let Some(i) = streams.iter().position(|s| *s == stream) {
+            streams.remove(i);
+        }
+        drop(streams);
+        self.inflight.fetch_sub(1, Ordering::Release);
+    }
+}
+
+/// One copy engine: a [`Timeline`] plus its FIFO worker thread, spawned
+/// lazily on the first posted transfer. Jobs execute in post order (one
+/// engine serializes its transfers, exactly like the hardware). The worker
+/// holds only the timeline Arc — holding the device would keep the sender
+/// alive forever — so it exits when the last device handle drops and the
+/// channel closes. A device holds one engine per [`Dir`].
+#[derive(Debug, Default)]
+struct CopyEngine {
+    line: Arc<Timeline>,
+    queue: Mutex<Option<mpsc::Sender<TransferJob>>>,
+}
+
+impl CopyEngine {
+    fn post(&self, dir: Dir, job: TransferJob) {
+        let mut q = self.queue.lock().unwrap();
+        let tx = q.get_or_insert_with(|| {
+            let (tx, rx) = mpsc::channel::<TransferJob>();
+            let line = Arc::clone(&self.line);
+            let name = match dir {
+                Dir::H2D => "h2d-copy-engine",
+                Dir::D2H => "d2h-copy-engine",
+            };
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn(move || {
+                    while let Ok((stream, job)) = rx.recv() {
+                        line.run(stream, job);
+                    }
+                })
+                .expect("spawn copy-engine worker");
+            tx
+        });
+        tx.send(job).expect("copy-engine worker alive while device handles exist");
+    }
+}
 
 /// A CUDA-stream-like handle. Operations issued on different streams may
 /// interleave; the Uintah infrastructure assigns each GPU patch task its own
@@ -164,13 +242,8 @@ struct DeviceInner {
     /// `align = 1` keeps `used` bit-exact with the sum of requested bytes,
     /// which the accounting tests and the divQ bit-identity gate rely on.
     suballoc: Mutex<SubAllocator>,
-    /// Blocks reserved through the legacy `try_reserve`/`release` pair,
-    /// which has no offset in its signature: `(bytes, offset)` in
-    /// reservation order. `release(b)` pops the most recent entry of `b`
-    /// bytes; a release with no matching entry is an underflow.
-    reserve_ledger: Mutex<Vec<(usize, u64)>>,
-    h2d: Arc<CopyEngineStats>,
-    d2h: Arc<CopyEngineStats>,
+    /// The two copy engines, indexed by [`Dir`].
+    engines: [CopyEngine; 2],
     kernels: AtomicU64,
     num_streams: u32,
     next_stream: AtomicU64,
@@ -183,27 +256,12 @@ struct DeviceInner {
     spilled_bytes: AtomicU64,
     reuploads: AtomicU64,
     reuploads_bytes: AtomicU64,
-    /// Consumer stall materializing posted H2D uploads (see
-    /// [`DeviceCounters::h2d_wait_ns`]).
-    h2d_wait_ns: AtomicU64,
-    /// Posted-upload engine time hidden behind other work (see
-    /// [`DeviceCounters::h2d_overlap_ns`]).
-    h2d_overlap_ns: AtomicU64,
-    /// The D2H copy-engine timeline: a FIFO worker thread, spawned lazily
-    /// on the first posted transfer. Jobs execute in post order (one
-    /// engine serializes its transfers, exactly like the hardware). The
-    /// worker holds only the engine-stats Arc, so it exits when the last
-    /// device handle drops and the channel closes.
-    d2h_queue: Mutex<Option<mpsc::Sender<TransferJob>>>,
-    /// Streams of transfers currently in flight on the D2H engine — one
-    /// entry per transfer (stream ids recycle round-robin, so the same id
-    /// may appear more than once).
-    d2h_streams: Mutex<Vec<Stream>>,
-    /// The H2D copy-engine timeline: same lazy-worker FIFO design as the
-    /// D2H queue, draining posted uploads (copy engine 0).
-    h2d_queue: Mutex<Option<mpsc::Sender<TransferJob>>>,
-    /// Streams of transfers currently in flight on the H2D engine.
-    h2d_streams: Mutex<Vec<Stream>>,
+}
+
+/// Bump an event counter and its byte total together.
+fn count_bytes(events: &AtomicU64, total: &AtomicU64, bytes: usize) {
+    events.fetch_add(1, Ordering::Relaxed);
+    total.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
 /// A simulated GPU. Cheap to clone (shared accounting).
@@ -281,9 +339,7 @@ impl GpuDevice {
                     FitPolicy::FirstFit,
                     SMALL_CLASS,
                 )),
-                reserve_ledger: Mutex::new(Vec::new()),
-                h2d: Arc::new(CopyEngineStats::default()),
-                d2h: Arc::new(CopyEngineStats::default()),
+                engines: Default::default(),
                 kernels: AtomicU64::new(0),
                 num_streams: 16,
                 next_stream: AtomicU64::new(0),
@@ -296,12 +352,6 @@ impl GpuDevice {
                 spilled_bytes: AtomicU64::new(0),
                 reuploads: AtomicU64::new(0),
                 reuploads_bytes: AtomicU64::new(0),
-                h2d_wait_ns: AtomicU64::new(0),
-                h2d_overlap_ns: AtomicU64::new(0),
-                d2h_queue: Mutex::new(None),
-                d2h_streams: Mutex::new(Vec::new()),
-                h2d_queue: Mutex::new(None),
-                h2d_streams: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -342,13 +392,19 @@ impl GpuDevice {
         self.inner.suballoc.lock().unwrap().largest_free() as usize
     }
 
-    /// Carve `bytes` from the device free list; returns the block offset.
-    /// Any failure — capacity, fragmentation, or a request so large the
-    /// internal arithmetic would overflow — is a clean `OutOfMemory`, never
-    /// a wrap.
-    pub(crate) fn alloc_raw(&self, bytes: usize) -> Result<u64, GpuError> {
+    /// Reserve `bytes` as an owned [`DeviceBlock`] carved from the device
+    /// free list; its drop is the one legal free, so the meter is immune to
+    /// double-release. Any failure — capacity, fragmentation, or a request
+    /// so large the internal arithmetic would overflow — is a clean
+    /// `OutOfMemory`, never a wrap.
+    pub(crate) fn alloc_block(&self, bytes: usize) -> Result<DeviceBlock, GpuError> {
+        let block = |offset| DeviceBlock {
+            device: self.clone(),
+            offset,
+            bytes,
+        };
         if bytes == 0 {
-            return Ok(ZERO_SENTINEL);
+            return Ok(block(ZERO_SENTINEL));
         }
         let mut sa = self.inner.suballoc.lock().unwrap();
         match sa.alloc(bytes as u64) {
@@ -356,7 +412,7 @@ impl GpuDevice {
                 let used = sa.used() as usize;
                 self.inner.used.store(used, Ordering::Relaxed);
                 self.inner.peak.fetch_max(used, Ordering::Relaxed);
-                Ok(offset)
+                Ok(block(offset))
             }
             Err(e) => {
                 self.inner.alloc_failures.fetch_add(1, Ordering::Relaxed);
@@ -390,311 +446,90 @@ impl GpuDevice {
         }
     }
 
-    /// Reserve `bytes` as an owned [`DeviceBlock`] whose drop is the one
-    /// legal free — the warehouse path, immune to double-release.
-    pub(crate) fn alloc_block(&self, bytes: usize) -> Result<DeviceBlock, GpuError> {
-        let offset = self.alloc_raw(bytes)?;
-        Ok(DeviceBlock {
-            device: self.clone(),
-            offset,
-            bytes,
-        })
+    #[inline]
+    fn line(&self, dir: Dir) -> &Timeline {
+        &self.inner.engines[dir as usize].line
     }
 
-    /// Reserve `bytes` of device memory (fails cleanly at capacity or
-    /// fragmentation). Legacy offset-less API: the block is remembered in
-    /// an internal ledger so [`release`](Self::release) can find it.
-    pub fn try_reserve(&self, bytes: usize) -> Result<(), GpuError> {
-        let offset = self.alloc_raw(bytes)?;
-        if bytes > 0 {
-            self.inner.reserve_ledger.lock().unwrap().push((bytes, offset));
-        }
-        Ok(())
+    /// Meter one transfer of `bytes` on `dir`'s copy engine.
+    pub fn record_transfer(&self, dir: Dir, bytes: usize) {
+        let line = self.line(dir);
+        count_bytes(&line.transfers, &line.bytes, bytes);
     }
 
-    /// Release a reservation made with [`try_reserve`](Self::try_reserve).
-    /// A release with no matching live reservation — the double-release
-    /// that used to wrap `used` to ~2^64 via unchecked `fetch_sub` — is
-    /// rejected and counted in `release_underflows`.
-    pub fn release(&self, bytes: usize) {
-        if bytes == 0 {
-            return;
-        }
-        let popped = {
-            let mut ledger = self.inner.reserve_ledger.lock().unwrap();
-            let at = ledger.iter().rposition(|&(b, _)| b == bytes);
-            at.map(|i| ledger.remove(i))
-        };
-        match popped {
-            Some((b, offset)) => self.free_raw(offset, b),
-            None => {
-                self.inner
-                    .release_underflows
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    /// Meter engine occupancy directly: wall time `dir`'s engine spent
+    /// moving bytes outside [`submit`](Self::submit) (the host-side staging
+    /// window, a spill memcpy under the store lock).
+    pub fn record_busy(&self, dir: Dir, busy: Duration) {
+        self.line(dir).busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Meter a host→device transfer on copy engine 0.
-    pub fn record_h2d(&self, bytes: usize) {
-        self.inner.h2d.transfers.fetch_add(1, Ordering::Relaxed);
-        self.inner.h2d.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Meter a device→host transfer on copy engine 1.
-    pub fn record_d2h(&self, bytes: usize) {
-        self.inner.d2h.transfers.fetch_add(1, Ordering::Relaxed);
-        self.inner.d2h.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Meter H2D engine occupancy: wall time copy engine 0 spent staging.
-    pub fn record_h2d_busy(&self, busy: Duration) {
-        self.inner
-            .h2d
-            .busy_ns
-            .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Meter D2H engine occupancy directly (used by the synchronous
-    /// fallback path, which drains inline on the calling thread).
-    pub fn record_d2h_busy(&self, busy: Duration) {
-        self.inner
-            .d2h
-            .busy_ns
-            .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
+    /// Meter the consumer side of a submitted transfer: `wait` is how long
+    /// a first use blocked (posted mode) or the full transfer wall paid at
+    /// submit (inline mode); `overlap` is the engine time that had already
+    /// landed behind other work when the consumer asked.
+    pub fn record_wait(&self, dir: Dir, wait: Duration, overlap: Duration) {
+        let line = self.line(dir);
+        line.wait_ns.fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
+        line.overlap_ns.fetch_add(overlap.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Meter an LRU eviction that recovered `bytes` of device memory.
     pub fn record_eviction(&self, bytes: usize) {
-        self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .evicted_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        count_bytes(&self.inner.evictions, &self.inner.evicted_bytes, bytes);
     }
 
     /// Meter a spill-to-host of an evicted patch variable. The transfer
-    /// itself is additionally metered via [`record_d2h`](Self::record_d2h)
-    /// by the caller — this counts the *policy* event.
+    /// itself is additionally metered via
+    /// [`record_transfer`](Self::record_transfer) by the caller — this
+    /// counts the *policy* event.
     pub fn record_spill(&self, bytes: usize) {
-        self.inner.spills.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .spilled_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        count_bytes(&self.inner.spills, &self.inner.spilled_bytes, bytes);
     }
 
     /// Meter a transparent re-upload of a previously spilled variable.
     pub fn record_reupload(&self, bytes: usize) {
-        self.inner.reuploads.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .reuploads_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        count_bytes(&self.inner.reuploads, &self.inner.reuploads_bytes, bytes);
     }
 
-    /// Meter consumer stall materializing a posted H2D upload: how long a
-    /// first-use `wait` blocked (async mode), or the full inline upload
-    /// wall in the synchronous fallback, where the stall is paid at post.
-    pub fn record_h2d_wait(&self, wait: Duration) {
-        self.inner
-            .h2d_wait_ns
-            .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Meter posted-upload engine time hidden behind other work: the part
-    /// of a staged burst that had already landed when its first consumer
-    /// asked for it.
-    pub fn record_h2d_overlap(&self, overlap: Duration) {
-        self.inner
-            .h2d_overlap_ns
-            .fetch_add(overlap.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Open an *inline* (synchronous-fallback) D2H transfer: meters the
-    /// transfer, bumps `inflight`, and tags a stream on the engine timeline
-    /// exactly like [`post_d2h`](Self::post_d2h) — so `sync_d2h` /
-    /// [`inflight_d2h_streams`](Self::inflight_d2h_streams) accounting is
-    /// identical whether the async engine is on or off. Pair with
-    /// [`end_inline_d2h`](Self::end_inline_d2h) after the drain memcpy.
-    pub fn begin_inline_d2h(&self, bytes: usize) -> Stream {
-        self.record_d2h(bytes);
-        self.inner.d2h.inflight.fetch_add(1, Ordering::Relaxed);
+    /// Submit a transfer of `bytes` to `dir`'s copy-engine timeline and
+    /// return the stream it was tagged with. `job` is the memcpy plus
+    /// completion signalling. In [`Mode::Posted`] the engine worker (a real
+    /// thread) executes it in FIFO order and the caller returns
+    /// immediately — exactly the overlap the two-copy-engine K20X provides:
+    /// the scheduler keeps launching kernels while a drain proceeds, and
+    /// next-step prefetch uploads land while current-step CPU tasks run.
+    /// In [`Mode::Inline`] the same timeline step runs on the calling
+    /// thread before returning. Either way the transfer is metered, counted
+    /// in flight, stream-tagged for its duration and timed into `busy_ns`,
+    /// so [`sync`](Self::sync) / [`inflight_streams`](Self::inflight_streams)
+    /// accounting is mode-independent.
+    pub fn submit(&self, dir: Dir, bytes: usize, mode: Mode, job: impl FnOnce() + Send + 'static) -> Stream {
+        self.record_transfer(dir, bytes);
+        let engine = &self.inner.engines[dir as usize];
+        engine.line.inflight.fetch_add(1, Ordering::Relaxed);
         let stream = self.next_stream();
-        self.inner.d2h_streams.lock().unwrap().push(stream);
+        engine.line.streams.lock().unwrap().push(stream);
+        match mode {
+            Mode::Posted => engine.post(dir, (stream, Box::new(job))),
+            Mode::Inline => engine.line.run(stream, job),
+        }
         stream
     }
 
-    /// Close an inline D2H transfer opened with
-    /// [`begin_inline_d2h`](Self::begin_inline_d2h): meters the drain
-    /// occupancy and retires the stream tag and in-flight count.
-    pub fn end_inline_d2h(&self, stream: Stream, busy: Duration) {
-        self.record_d2h_busy(busy);
-        let mut streams = self.inner.d2h_streams.lock().unwrap();
-        if let Some(i) = streams.iter().rposition(|s| *s == stream) {
-            streams.remove(i);
-        }
-        drop(streams);
-        self.inner.d2h.inflight.fetch_sub(1, Ordering::Release);
-    }
-
-    /// Post a device→host transfer to copy engine 1's timeline and return
-    /// the stream it was tagged with. The engine worker (a real thread,
-    /// spawned lazily on first use) executes `job` — the drain memcpy plus
-    /// completion signalling — in FIFO order, timing it into the engine's
-    /// `busy_ns` occupancy counter. The caller returns immediately, which
-    /// is exactly the overlap the two-copy-engine K20X provides: the
-    /// scheduler keeps launching kernels while the drain proceeds.
-    pub fn post_d2h(&self, bytes: usize, job: impl FnOnce() + Send + 'static) -> Stream {
-        self.record_d2h(bytes);
-        self.inner.d2h.inflight.fetch_add(1, Ordering::Relaxed);
-        let stream = self.next_stream();
-        self.inner.d2h_streams.lock().unwrap().push(stream);
-        let mut q = self.inner.d2h_queue.lock().unwrap();
-        if q.is_none() {
-            let (tx, rx) = mpsc::channel::<TransferJob>();
-            // The worker captures only the engine-stats Arc — holding the
-            // full DeviceInner would keep the sender alive forever and the
-            // thread could never observe channel close.
-            let stats = Arc::clone(&self.inner.d2h);
-            std::thread::Builder::new()
-                .name("d2h-copy-engine".into())
-                .spawn(move || {
-                    while let Ok((_stream, job)) = rx.recv() {
-                        let t0 = Instant::now();
-                        job();
-                        stats
-                            .busy_ns
-                            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        stats.inflight.fetch_sub(1, Ordering::Relaxed);
-                    }
-                })
-                .expect("spawn d2h copy-engine worker");
-            *q = Some(tx);
-        }
-        let this = self.clone();
-        q.as_ref()
-            .expect("d2h engine queue just initialized")
-            .send((
-                stream,
-                Box::new(move || {
-                    job();
-                    // Retire exactly this transfer's tag: stream ids
-                    // recycle, so remove one occurrence, not all.
-                    let mut streams = this.inner.d2h_streams.lock().unwrap();
-                    if let Some(i) = streams.iter().position(|s| *s == stream) {
-                        streams.remove(i);
-                    }
-                }),
-            ))
-            .expect("d2h copy-engine worker alive while device handles exist");
-        stream
-    }
-
-    /// Streams with transfers currently in flight on the D2H engine
+    /// Streams with transfers currently in flight on `dir`'s engine
     /// (snapshot; the engine drains them in FIFO order).
-    pub fn inflight_d2h_streams(&self) -> Vec<Stream> {
-        self.inner.d2h_streams.lock().unwrap().clone()
+    pub fn inflight_streams(&self, dir: Dir) -> Vec<Stream> {
+        self.line(dir).streams.lock().unwrap().clone()
     }
 
-    /// Block until the D2H engine timeline is empty — the
-    /// `cudaDeviceSynchronize` analogue the scheduler calls at the end of a
-    /// timestep so counters are coherent at step boundaries.
-    pub fn sync_d2h(&self) {
-        while self.inner.d2h.inflight.load(Ordering::Acquire) != 0 {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Open an *inline* (synchronous-fallback) H2D transfer: meters the
-    /// transfer, bumps `inflight`, and tags a stream on the engine timeline
-    /// exactly like [`post_h2d`](Self::post_h2d) — so `sync_h2d` /
-    /// [`inflight_h2d_streams`](Self::inflight_h2d_streams) accounting is
-    /// identical whether the async engine is on or off. Pair with
-    /// [`end_inline_h2d`](Self::end_inline_h2d) after the staging memcpy.
-    pub fn begin_inline_h2d(&self, bytes: usize) -> Stream {
-        self.record_h2d(bytes);
-        self.inner.h2d.inflight.fetch_add(1, Ordering::Relaxed);
-        let stream = self.next_stream();
-        self.inner.h2d_streams.lock().unwrap().push(stream);
-        stream
-    }
-
-    /// Close an inline H2D transfer opened with
-    /// [`begin_inline_h2d`](Self::begin_inline_h2d): meters the staging
-    /// occupancy and retires the stream tag and in-flight count.
-    pub fn end_inline_h2d(&self, stream: Stream, busy: Duration) {
-        self.record_h2d_busy(busy);
-        let mut streams = self.inner.h2d_streams.lock().unwrap();
-        if let Some(i) = streams.iter().rposition(|s| *s == stream) {
-            streams.remove(i);
-        }
-        drop(streams);
-        self.inner.h2d.inflight.fetch_sub(1, Ordering::Release);
-    }
-
-    /// Post a host→device transfer to copy engine 0's timeline and return
-    /// the stream it was tagged with — the upload twin of
-    /// [`post_d2h`](Self::post_d2h). The engine worker (a real thread,
-    /// spawned lazily on first use) executes `job` — the staged upload plus
-    /// completion signalling — in FIFO order, timing it into the engine's
-    /// `busy_ns` occupancy counter. The caller returns immediately: this is
-    /// what lets next-step prefetch uploads proceed while current-step CPU
-    /// tasks drain.
-    pub fn post_h2d(&self, bytes: usize, job: impl FnOnce() + Send + 'static) -> Stream {
-        self.record_h2d(bytes);
-        self.inner.h2d.inflight.fetch_add(1, Ordering::Relaxed);
-        let stream = self.next_stream();
-        self.inner.h2d_streams.lock().unwrap().push(stream);
-        let mut q = self.inner.h2d_queue.lock().unwrap();
-        if q.is_none() {
-            let (tx, rx) = mpsc::channel::<TransferJob>();
-            // The worker captures only the engine-stats Arc — holding the
-            // full DeviceInner would keep the sender alive forever and the
-            // thread could never observe channel close.
-            let stats = Arc::clone(&self.inner.h2d);
-            std::thread::Builder::new()
-                .name("h2d-copy-engine".into())
-                .spawn(move || {
-                    while let Ok((_stream, job)) = rx.recv() {
-                        let t0 = Instant::now();
-                        job();
-                        stats
-                            .busy_ns
-                            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        stats.inflight.fetch_sub(1, Ordering::Relaxed);
-                    }
-                })
-                .expect("spawn h2d copy-engine worker");
-            *q = Some(tx);
-        }
-        let this = self.clone();
-        q.as_ref()
-            .expect("h2d engine queue just initialized")
-            .send((
-                stream,
-                Box::new(move || {
-                    job();
-                    // Retire exactly this transfer's tag: stream ids
-                    // recycle, so remove one occurrence, not all.
-                    let mut streams = this.inner.h2d_streams.lock().unwrap();
-                    if let Some(i) = streams.iter().position(|s| *s == stream) {
-                        streams.remove(i);
-                    }
-                }),
-            ))
-            .expect("h2d copy-engine worker alive while device handles exist");
-        stream
-    }
-
-    /// Streams with transfers currently in flight on the H2D engine
-    /// (snapshot; the engine drains them in FIFO order).
-    pub fn inflight_h2d_streams(&self) -> Vec<Stream> {
-        self.inner.h2d_streams.lock().unwrap().clone()
-    }
-
-    /// Block until the H2D engine timeline is empty — uploads posted for
-    /// prefetch are either installed or cancelled past this point, so
-    /// regrid/eviction can re-key residency safely.
-    pub fn sync_h2d(&self) {
-        while self.inner.h2d.inflight.load(Ordering::Acquire) != 0 {
+    /// Block until `dir`'s engine timeline is empty — the
+    /// `cudaDeviceSynchronize` analogue. The scheduler syncs D2H at the end
+    /// of a timestep so counters are coherent at step boundaries; past an
+    /// H2D sync every posted upload has landed (installed or cancellable),
+    /// so regrid/eviction can re-key residency safely.
+    pub fn sync(&self, dir: Dir) {
+        while self.line(dir).inflight.load(Ordering::Acquire) != 0 {
             std::thread::yield_now();
         }
     }
@@ -721,12 +556,6 @@ impl GpuDevice {
     /// Structural self-check: the free list's invariants hold and the
     /// lock-free `used` mirror agrees with the allocator. Used by the
     /// oversubscription gate to prove zero meter drift at exit.
-    /// One-line arena map (live/free extents in address order) for OOM
-    /// diagnostics.
-    pub fn dump_allocator(&self) -> String {
-        self.inner.suballoc.lock().unwrap().dump()
-    }
-
     pub fn validate_allocator(&self) -> Result<(), String> {
         let sa = self.inner.suballoc.lock().unwrap();
         sa.check_invariants()?;
@@ -747,16 +576,17 @@ impl GpuDevice {
             let sa = self.inner.suballoc.lock().unwrap();
             (sa.free_blocks() as u64, sa.largest_free())
         };
+        let (h2d, d2h) = (self.line(Dir::H2D), self.line(Dir::D2H));
         DeviceCounters {
             kernels: self.inner.kernels.load(Ordering::Relaxed),
-            h2d_bytes: self.inner.h2d.bytes.load(Ordering::Relaxed),
-            h2d_transfers: self.inner.h2d.transfers.load(Ordering::Relaxed),
-            d2h_bytes: self.inner.d2h.bytes.load(Ordering::Relaxed),
-            d2h_transfers: self.inner.d2h.transfers.load(Ordering::Relaxed),
-            h2d_busy_ns: self.inner.h2d.busy_ns.load(Ordering::Relaxed),
-            d2h_busy_ns: self.inner.d2h.busy_ns.load(Ordering::Relaxed),
-            h2d_inflight: self.inner.h2d.inflight.load(Ordering::Relaxed),
-            d2h_inflight: self.inner.d2h.inflight.load(Ordering::Relaxed),
+            h2d_bytes: h2d.bytes.load(Ordering::Relaxed),
+            h2d_transfers: h2d.transfers.load(Ordering::Relaxed),
+            d2h_bytes: d2h.bytes.load(Ordering::Relaxed),
+            d2h_transfers: d2h.transfers.load(Ordering::Relaxed),
+            h2d_busy_ns: h2d.busy_ns.load(Ordering::Relaxed),
+            d2h_busy_ns: d2h.busy_ns.load(Ordering::Relaxed),
+            h2d_inflight: h2d.inflight.load(Ordering::Relaxed),
+            d2h_inflight: d2h.inflight.load(Ordering::Relaxed),
             alloc_failures: self.inner.alloc_failures.load(Ordering::Relaxed),
             frag_failures: self.inner.frag_failures.load(Ordering::Relaxed),
             release_underflows: self.inner.release_underflows.load(Ordering::Relaxed),
@@ -766,8 +596,8 @@ impl GpuDevice {
             spilled_bytes: self.inner.spilled_bytes.load(Ordering::Relaxed),
             reuploads: self.inner.reuploads.load(Ordering::Relaxed),
             reuploads_bytes: self.inner.reuploads_bytes.load(Ordering::Relaxed),
-            h2d_wait_ns: self.inner.h2d_wait_ns.load(Ordering::Relaxed),
-            h2d_overlap_ns: self.inner.h2d_overlap_ns.load(Ordering::Relaxed),
+            h2d_wait_ns: h2d.wait_ns.load(Ordering::Relaxed),
+            h2d_overlap_ns: h2d.overlap_ns.load(Ordering::Relaxed),
             free_blocks,
             largest_free,
             used: self.inner.used.load(Ordering::Relaxed) as u64,
@@ -788,11 +618,11 @@ mod tests {
     }
 
     #[test]
-    fn reserve_release_accounting() {
+    fn alloc_free_accounting() {
         let d = GpuDevice::with_capacity("test", 1000);
-        d.try_reserve(600).unwrap();
+        let b = d.alloc_block(600).unwrap();
         assert_eq!(d.used(), 600);
-        let err = d.try_reserve(500).unwrap_err();
+        let err = d.alloc_block(500).unwrap_err();
         assert_eq!(
             err,
             GpuError::OutOfMemory {
@@ -801,7 +631,7 @@ mod tests {
                 capacity: 1000
             }
         );
-        d.release(600);
+        drop(b);
         assert_eq!(d.used(), 0);
         assert_eq!(d.peak(), 600);
         assert_eq!(d.counters().alloc_failures, 1);
@@ -809,34 +639,35 @@ mod tests {
     }
 
     #[test]
-    fn double_release_is_rejected_not_wrapped() {
+    fn unknown_offset_free_is_rejected_not_wrapped() {
         // Regression: release used to be an unchecked fetch_sub — a
         // double-release wrapped `used` to ~2^64 and every subsequent
-        // try_reserve reported spurious OOM.
+        // allocation reported spurious OOM.
         let d = GpuDevice::with_capacity("test", 1000);
-        d.try_reserve(400).unwrap();
-        d.release(400);
+        let b = d.alloc_block(400).unwrap();
+        let offset = b.offset();
+        drop(b);
         assert_eq!(d.used(), 0);
-        d.release(400); // double-release: rejected, counted, meter intact
+        d.free_raw(offset, 400); // double-free: rejected, counted, meter intact
         assert_eq!(d.used(), 0, "used must not wrap");
         assert_eq!(d.counters().release_underflows, 1);
-        d.release(123); // never-reserved size: same treatment
+        d.free_raw(123, 77); // never-allocated offset: same treatment
         assert_eq!(d.counters().release_underflows, 2);
-        // The meter still works after the bad releases.
-        d.try_reserve(1000).unwrap();
+        // The meter still works after the bad frees.
+        let b = d.alloc_block(1000).unwrap();
         assert_eq!(d.used(), 1000);
-        d.release(1000);
+        drop(b);
         assert_eq!(d.used(), 0);
         d.validate_allocator().unwrap();
     }
 
     #[test]
     fn huge_request_fails_cleanly_instead_of_overflowing() {
-        // Regression: try_reserve computed `used + bytes` unchecked — a
+        // Regression: the reserve path computed `used + bytes` unchecked — a
         // huge request wrapped past the capacity test.
         let d = GpuDevice::with_capacity("test", 1000);
-        d.try_reserve(600).unwrap();
-        let err = d.try_reserve(usize::MAX).unwrap_err();
+        let _b = d.alloc_block(600).unwrap();
+        let err = d.alloc_block(usize::MAX).unwrap_err();
         assert!(matches!(err, GpuError::OutOfMemory { requested, .. } if requested == usize::MAX));
         assert_eq!(d.used(), 600, "failed reserve must not touch the meter");
         assert_eq!(d.counters().alloc_failures, 1);
@@ -888,9 +719,9 @@ mod tests {
     #[test]
     fn copy_engines_are_per_direction() {
         let d = GpuDevice::k20x();
-        d.record_h2d(100);
-        d.record_h2d(50);
-        d.record_d2h(7);
+        d.record_transfer(Dir::H2D, 100);
+        d.record_transfer(Dir::H2D, 50);
+        d.record_transfer(Dir::D2H, 7);
         let c = d.counters();
         assert_eq!(c.h2d_transfers, 2);
         assert_eq!(c.h2d_bytes, 150);
@@ -901,8 +732,8 @@ mod tests {
     #[test]
     fn counter_snapshot_is_complete() {
         let d = GpuDevice::with_capacity("test", 1000);
-        d.try_reserve(300).unwrap();
-        d.record_h2d(300);
+        let _b = d.alloc_block(300).unwrap();
+        d.record_transfer(Dir::H2D, 300);
         d.launch_kernel();
         let c = d.counters();
         assert_eq!(
@@ -952,244 +783,178 @@ mod tests {
         assert_eq!(c.reuploads_bytes, 128);
     }
 
-    #[test]
-    fn inline_d2h_matches_posted_bookkeeping() {
-        // Regression: the sync-fallback path used to burn a stream without
-        // tagging it in d2h_streams, so inflight accounting depended on
-        // the async mode. begin/end must mirror post_d2h exactly.
-        let d = GpuDevice::k20x();
-        let s = d.begin_inline_d2h(4096);
-        assert_eq!(d.counters().d2h_inflight, 1);
-        assert!(d.inflight_d2h_streams().contains(&s));
-        d.end_inline_d2h(s, Duration::from_micros(3));
-        let c = d.counters();
-        assert_eq!(c.d2h_inflight, 0);
-        assert!(d.inflight_d2h_streams().is_empty());
-        assert_eq!(c.d2h_transfers, 1);
-        assert_eq!(c.d2h_bytes, 4096);
-        assert_eq!(c.d2h_busy_ns, 3_000);
-        d.sync_d2h(); // must not hang: inline transfers fully retire
-    }
+    const DIRS: [Dir; 2] = [Dir::D2H, Dir::H2D];
 
-    #[test]
-    fn inline_d2h_retires_one_tag_when_stream_ids_recycle() {
-        let d = GpuDevice::k20x();
-        // Drive the round-robin so two inline transfers share a stream id.
-        let s0 = d.begin_inline_d2h(10);
-        for _ in 0..15 {
-            d.next_stream();
+    /// `dir`'s `(transfers, bytes, busy_ns, inflight)` out of the flat snapshot.
+    fn engine_counters(d: &GpuDevice, dir: Dir) -> (u64, u64, u64, u64) {
+        let c = d.counters();
+        match dir {
+            Dir::H2D => (c.h2d_transfers, c.h2d_bytes, c.h2d_busy_ns, c.h2d_inflight),
+            Dir::D2H => (c.d2h_transfers, c.d2h_bytes, c.d2h_busy_ns, c.d2h_inflight),
         }
-        let s1 = d.begin_inline_d2h(10);
-        assert_eq!(s0, s1, "16-stream round robin recycled the id");
-        assert_eq!(d.inflight_d2h_streams().len(), 2);
-        d.end_inline_d2h(s0, Duration::ZERO);
-        assert_eq!(d.inflight_d2h_streams().len(), 1, "only one tag retired");
-        d.end_inline_d2h(s1, Duration::ZERO);
-        assert!(d.inflight_d2h_streams().is_empty());
     }
 
     #[test]
-    fn posted_d2h_drains_on_the_engine_thread_and_meters_occupancy() {
-        let d = GpuDevice::k20x();
-        let (tx, rx) = mpsc::channel();
-        let s = d.post_d2h(4096, move || {
-            // A drain long enough that busy_ns is observably nonzero.
-            std::thread::sleep(Duration::from_millis(2));
-            tx.send(std::thread::current().name().map(String::from)).unwrap();
-        });
-        let worker = rx.recv().unwrap();
-        assert_eq!(worker.as_deref(), Some("d2h-copy-engine"));
-        d.sync_d2h();
-        let c = d.counters();
-        assert_eq!(c.d2h_transfers, 1);
-        assert_eq!(c.d2h_bytes, 4096);
-        assert_eq!(c.d2h_inflight, 0);
-        assert!(c.d2h_busy_ns >= 1_000_000, "busy_ns {} too small", c.d2h_busy_ns);
-        assert!(
-            !d.inflight_d2h_streams().contains(&s) || d.inflight_d2h_streams().is_empty()
-        );
+    fn inline_submit_matches_posted_bookkeeping() {
+        // Regression: the sync-fallback path used to burn a stream without
+        // tagging it in flight, so inflight accounting depended on the
+        // async mode. Inline must mirror the posted path exactly.
+        for dir in DIRS {
+            for mode in [Mode::Inline, Mode::Posted] {
+                let d = GpuDevice::k20x();
+                let (tx, rx) = mpsc::channel();
+                let seen = d.clone();
+                let s = d.submit(dir, 4096, mode, move || {
+                    std::thread::sleep(Duration::from_millis(1));
+                    let inflight = engine_counters(&seen, dir).3;
+                    tx.send((inflight, seen.inflight_streams(dir))).unwrap();
+                });
+                // While the job runs the transfer is counted and tagged.
+                assert_eq!(rx.recv().unwrap(), (1, vec![s]), "{dir:?} {mode:?}");
+                d.sync(dir); // must not hang: inline transfers fully retire
+                let (transfers, bytes, busy_ns, inflight) = engine_counters(&d, dir);
+                assert_eq!((transfers, bytes, inflight), (1, 4096, 0), "{dir:?} {mode:?}");
+                assert!(busy_ns >= 1_000_000, "busy_ns {busy_ns} too small");
+                assert!(d.inflight_streams(dir).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn inline_submit_retires_one_tag_when_stream_ids_recycle() {
+        for dir in DIRS {
+            let d = GpuDevice::k20x();
+            let outer = d.clone();
+            // Nest a second inline transfer inside the first, 16 streams
+            // later, so both are in flight under the same stream id.
+            let s0 = d.submit(dir, 10, Mode::Inline, move || {
+                for _ in 0..15 {
+                    outer.next_stream();
+                }
+                let inner = outer.clone();
+                let s1 = outer.submit(dir, 10, Mode::Inline, move || {
+                    assert_eq!(inner.inflight_streams(dir).len(), 2);
+                });
+                assert_eq!(s1, Stream(0), "16-stream round robin recycled the id");
+                assert_eq!(outer.inflight_streams(dir), vec![s1], "only one tag retired");
+            });
+            assert_eq!(s0, Stream(0));
+            assert!(d.inflight_streams(dir).is_empty());
+        }
+    }
+
+    #[test]
+    fn posted_transfer_drains_on_the_engine_thread() {
+        for (dir, name) in [(Dir::D2H, "d2h-copy-engine"), (Dir::H2D, "h2d-copy-engine")] {
+            let d = GpuDevice::k20x();
+            let (tx, rx) = mpsc::channel();
+            d.submit(dir, 4096, Mode::Posted, move || {
+                tx.send(std::thread::current().name().map(String::from)).unwrap();
+            });
+            assert_eq!(rx.recv().unwrap().as_deref(), Some(name));
+            d.sync(dir);
+        }
     }
 
     #[test]
     fn inflight_transfers_are_stream_tagged_and_fifo() {
-        let d = GpuDevice::k20x();
-        let gate = Arc::new(Mutex::new(()));
-        let hold = gate.lock().unwrap();
-        // First job blocks the engine; the rest queue behind it.
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let mut streams = Vec::new();
-        for i in 0..3 {
-            let gate = Arc::clone(&gate);
-            let order = Arc::clone(&order);
-            streams.push(d.post_d2h(100, move || {
-                if i == 0 {
-                    drop(gate.lock().unwrap());
-                }
-                order.lock().unwrap().push(i);
-            }));
+        for dir in DIRS {
+            let d = GpuDevice::k20x();
+            let gate = Arc::new(Mutex::new(()));
+            let hold = gate.lock().unwrap();
+            // First job blocks the engine; the rest queue behind it.
+            let order = Arc::new(Mutex::new(Vec::new()));
+            let mut streams = Vec::new();
+            for i in 0..3 {
+                let gate = Arc::clone(&gate);
+                let order = Arc::clone(&order);
+                streams.push(d.submit(dir, 100, Mode::Posted, move || {
+                    if i == 0 {
+                        drop(gate.lock().unwrap());
+                    }
+                    order.lock().unwrap().push(i);
+                }));
+            }
+            // All three posted transfers are tagged in flight while the
+            // engine is stalled on the first.
+            assert_eq!(d.inflight_streams(dir), streams);
+            assert_eq!(engine_counters(&d, dir).3, 3);
+            drop(hold);
+            d.sync(dir);
+            assert_eq!(*order.lock().unwrap(), vec![0, 1, 2], "engine is FIFO");
+            assert!(d.inflight_streams(dir).is_empty());
+            let (transfers, bytes, _, inflight) = engine_counters(&d, dir);
+            assert_eq!((transfers, bytes, inflight), (3, 300, 0));
         }
-        // All three posted transfers are tagged in flight while the engine
-        // is stalled on the first.
-        let inflight = d.inflight_d2h_streams();
-        for s in &streams {
-            assert!(inflight.contains(s), "stream {s:?} not tagged in flight");
-        }
-        assert_eq!(d.counters().d2h_inflight, 3);
-        drop(hold);
-        d.sync_d2h();
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2], "engine is FIFO");
-        assert!(d.inflight_d2h_streams().is_empty());
-        assert_eq!(d.counters().d2h_transfers, 3);
-        assert_eq!(d.counters().d2h_bytes, 300);
     }
 
     #[test]
     fn engine_worker_exits_when_last_device_handle_drops() {
-        let d = GpuDevice::with_capacity("test", 1000);
-        let (tx, rx) = mpsc::channel();
-        d.post_d2h(10, move || {
-            tx.send(std::thread::current().id()).unwrap();
-        });
-        let tid = rx.recv().unwrap();
-        d.sync_d2h();
-        drop(d);
-        // The worker held only the stats Arc; with the sender gone its recv
-        // errors and it exits. Spin briefly until the thread is no longer
-        // findable — we can't join a detached thread, so assert indirectly:
-        // a fresh device spawns a fresh worker with a different thread id.
-        let d2 = GpuDevice::with_capacity("test2", 1000);
-        let (tx2, rx2) = mpsc::channel();
-        d2.post_d2h(10, move || {
-            tx2.send(std::thread::current().id()).unwrap();
-        });
-        assert_ne!(rx2.recv().unwrap(), tid);
-        d2.sync_d2h();
-    }
-
-    #[test]
-    fn inline_h2d_matches_posted_bookkeeping() {
-        // The upload twin of the inline-D2H regression: the sync-fallback
-        // upload path must tag its stream and bump inflight exactly like
-        // post_h2d, so accounting is mode-independent.
-        let d = GpuDevice::k20x();
-        let s = d.begin_inline_h2d(4096);
-        assert_eq!(d.counters().h2d_inflight, 1);
-        assert!(d.inflight_h2d_streams().contains(&s));
-        d.end_inline_h2d(s, Duration::from_micros(3));
-        let c = d.counters();
-        assert_eq!(c.h2d_inflight, 0);
-        assert!(d.inflight_h2d_streams().is_empty());
-        assert_eq!(c.h2d_transfers, 1);
-        assert_eq!(c.h2d_bytes, 4096);
-        assert_eq!(c.h2d_busy_ns, 3_000);
-        d.sync_h2d(); // must not hang: inline transfers fully retire
-    }
-
-    #[test]
-    fn inline_h2d_retires_one_tag_when_stream_ids_recycle() {
-        let d = GpuDevice::k20x();
-        let s0 = d.begin_inline_h2d(10);
-        for _ in 0..15 {
-            d.next_stream();
+        for dir in DIRS {
+            let d = GpuDevice::with_capacity("test", 1000);
+            let (tx, rx) = mpsc::channel();
+            d.submit(dir, 10, Mode::Posted, move || {
+                tx.send(std::thread::current().id()).unwrap();
+            });
+            let tid = rx.recv().unwrap();
+            d.sync(dir);
+            drop(d);
+            // The worker held only the timeline Arc; with the sender gone
+            // its recv errors and it exits. We can't join a detached thread,
+            // so assert indirectly: a fresh device spawns a fresh worker
+            // with a different thread id.
+            let d2 = GpuDevice::with_capacity("test2", 1000);
+            let (tx2, rx2) = mpsc::channel();
+            d2.submit(dir, 10, Mode::Posted, move || {
+                tx2.send(std::thread::current().id()).unwrap();
+            });
+            assert_ne!(rx2.recv().unwrap(), tid);
+            d2.sync(dir);
         }
-        let s1 = d.begin_inline_h2d(10);
-        assert_eq!(s0, s1, "16-stream round robin recycled the id");
-        assert_eq!(d.inflight_h2d_streams().len(), 2);
-        d.end_inline_h2d(s0, Duration::ZERO);
-        assert_eq!(d.inflight_h2d_streams().len(), 1, "only one tag retired");
-        d.end_inline_h2d(s1, Duration::ZERO);
-        assert!(d.inflight_h2d_streams().is_empty());
     }
 
     #[test]
-    fn posted_h2d_drains_on_the_engine_thread_and_meters_occupancy() {
-        let d = GpuDevice::k20x();
-        let (tx, rx) = mpsc::channel();
-        let s = d.post_h2d(4096, move || {
-            std::thread::sleep(Duration::from_millis(2));
-            tx.send(std::thread::current().name().map(String::from)).unwrap();
-        });
-        let worker = rx.recv().unwrap();
-        assert_eq!(worker.as_deref(), Some("h2d-copy-engine"));
-        d.sync_h2d();
-        let c = d.counters();
-        assert_eq!(c.h2d_transfers, 1);
-        assert_eq!(c.h2d_bytes, 4096);
-        assert_eq!(c.h2d_inflight, 0);
-        assert!(c.h2d_busy_ns >= 1_000_000, "busy_ns {} too small", c.h2d_busy_ns);
-        assert!(
-            !d.inflight_h2d_streams().contains(&s) || d.inflight_h2d_streams().is_empty()
-        );
-    }
-
-    #[test]
-    fn inflight_h2d_transfers_are_stream_tagged_and_fifo() {
-        let d = GpuDevice::k20x();
-        let gate = Arc::new(Mutex::new(()));
-        let hold = gate.lock().unwrap();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let mut streams = Vec::new();
-        for i in 0..3 {
-            let gate = Arc::clone(&gate);
-            let order = Arc::clone(&order);
-            streams.push(d.post_h2d(100, move || {
-                if i == 0 {
-                    drop(gate.lock().unwrap());
-                }
-                order.lock().unwrap().push(i);
-            }));
-        }
-        let inflight = d.inflight_h2d_streams();
-        for s in &streams {
-            assert!(inflight.contains(s), "stream {s:?} not tagged in flight");
-        }
-        assert_eq!(d.counters().h2d_inflight, 3);
-        drop(hold);
-        d.sync_h2d();
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2], "engine is FIFO");
-        assert!(d.inflight_h2d_streams().is_empty());
-        assert_eq!(d.counters().h2d_transfers, 3);
-        assert_eq!(d.counters().h2d_bytes, 300);
-    }
-
-    #[test]
-    fn h2d_and_d2h_engines_are_independent_timelines() {
+    fn the_two_engines_are_independent_timelines() {
         // Two copy engines: a stalled upload must not delay drains (and
         // vice versa) — the K20X duplex-overlap property the prefetch
         // pipeline depends on.
-        let d = GpuDevice::k20x();
-        let gate = Arc::new(Mutex::new(()));
-        let hold = gate.lock().unwrap();
-        {
-            let gate = Arc::clone(&gate);
-            d.post_h2d(64, move || {
-                drop(gate.lock().unwrap());
+        for (stalled, free) in [(Dir::H2D, Dir::D2H), (Dir::D2H, Dir::H2D)] {
+            let d = GpuDevice::k20x();
+            let gate = Arc::new(Mutex::new(()));
+            let hold = gate.lock().unwrap();
+            {
+                let gate = Arc::clone(&gate);
+                d.submit(stalled, 64, Mode::Posted, move || {
+                    drop(gate.lock().unwrap());
+                });
+            }
+            let (tx, rx) = mpsc::channel();
+            d.submit(free, 64, Mode::Posted, move || {
+                tx.send(()).unwrap();
             });
+            // The free engine completes while the other is still stalled.
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("one engine blocked behind the other's stalled transfer");
+            assert_eq!(engine_counters(&d, stalled).3, 1);
+            drop(hold);
+            d.sync(stalled);
+            d.sync(free);
+            assert_eq!(engine_counters(&d, stalled).3, 0);
+            assert_eq!(engine_counters(&d, free).3, 0);
         }
-        let (tx, rx) = mpsc::channel();
-        d.post_d2h(64, move || {
-            tx.send(()).unwrap();
-        });
-        // The drain completes while the upload engine is still stalled.
-        rx.recv_timeout(Duration::from_secs(5))
-            .expect("d2h engine blocked behind a stalled h2d upload");
-        assert_eq!(d.counters().h2d_inflight, 1);
-        drop(hold);
-        d.sync_h2d();
-        d.sync_d2h();
-        assert_eq!(d.counters().h2d_inflight, 0);
-        assert_eq!(d.counters().d2h_inflight, 0);
     }
 
     #[test]
-    fn busy_helpers_accumulate_occupancy() {
+    fn busy_and_wait_helpers_accumulate() {
         let d = GpuDevice::k20x();
-        d.record_h2d_busy(Duration::from_micros(5));
-        d.record_h2d_busy(Duration::from_micros(7));
-        d.record_d2h_busy(Duration::from_micros(3));
+        d.record_busy(Dir::H2D, Duration::from_micros(5));
+        d.record_busy(Dir::H2D, Duration::from_micros(7));
+        d.record_busy(Dir::D2H, Duration::from_micros(3));
+        d.record_wait(Dir::H2D, Duration::from_micros(4), Duration::from_micros(2));
         let c = d.counters();
         assert_eq!(c.h2d_busy_ns, 12_000);
         assert_eq!(c.d2h_busy_ns, 3_000);
+        assert_eq!((c.h2d_wait_ns, c.h2d_overlap_ns), (4_000, 2_000));
     }
 
     #[test]
@@ -1213,9 +978,9 @@ mod tests {
                 let d = d.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        if d.try_reserve(100).is_ok() {
+                        if let Ok(b) = d.alloc_block(100) {
                             assert!(d.used() <= d.capacity());
-                            d.release(100);
+                            drop(b);
                         }
                     }
                 });

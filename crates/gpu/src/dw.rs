@@ -38,20 +38,25 @@
 //! non-evicting run) and only visible in the eviction/spill/re-upload
 //! counters and in wall time.
 //!
-//! **Upload pipeline.** The H2D direction is asynchronous too: posted
-//! uploads ([`GpuDataWarehouse::put_patch_async`] and the prefetch entry
-//! points) snapshot host bytes into a recycled pinned-staging pool at post
-//! time, carve their device block immediately, and run the staged burst on
-//! the home device's H2D engine thread — coalesced per device into one
-//! metered transfer per batch. The first consumer *materializes* the
-//! finished upload into the database instead of uploading inline; regrid
-//! invalidation, wholesale clears, superseding writes and allocator
-//! pressure *cancel* unconsumed uploads rather than installing stale
-//! bytes. `async_h2d == false` keeps a bit-identical synchronous fallback
-//! with the same engine bookkeeping (the inline-H2D pair), zero overlap by
-//! construction.
+//! **Transfers.** Both PCIe directions go through one mechanism: a job
+//! submitted to the home device's copy engine for that direction
+//! ([`GpuDevice::submit`]) fills one completion slot, observed through one
+//! handle type, [`Pending`] ([`PendingD2H`] moves the drained host data out
+//! once; [`PendingH2D`] clones the finished device variable out). Drains
+//! ([`GpuDataWarehouse::take_patch_to_host_async`]) keep their device
+//! block reserved until the copy lands. Posted uploads
+//! ([`GpuDataWarehouse::put_patch_async`] and the prefetch entry points)
+//! snapshot host bytes into a recycled pinned-staging pool at post time,
+//! carve their device block immediately, and ride one coalesced burst per
+//! device; the first consumer *materializes* the finished upload into the
+//! database instead of uploading inline, while regrid invalidation,
+//! wholesale clears, superseding writes and allocator pressure *cancel*
+//! unconsumed uploads rather than installing stale bytes. `async_d2h` /
+//! `async_h2d == false` select the bit-identical synchronous fallback: the
+//! same job runs inline at submit with the same engine bookkeeping
+//! ([`Mode::Inline`]), zero overlap by construction.
 
-use crate::device::{DeviceBlock, DeviceCounters, GpuDevice, GpuError, Stream};
+use crate::device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError, Mode, Stream};
 use crate::fleet::{DeviceFleet, DeviceId};
 use parking_lot::{Mutex as StateMutex, RwLock};
 use std::collections::HashMap;
@@ -88,156 +93,84 @@ impl DeviceVar {
 type PatchKey = (VarLabel, PatchId);
 type LevelKey = (VarLabel, LevelIndex);
 
-/// Shared completion state between a [`PendingD2H`] handle and the copy
-/// engine draining it: the materialized host data plus the measured drain
-/// duration, posted under the mutex and announced on the condvar.
-#[derive(Default)]
-struct PendingShared {
-    slot: Mutex<Option<(DeviceData, Duration)>>,
+/// Completion slot shared between a [`Pending`] handle (or a pending-map
+/// entry in a device store) and the engine job filling it: the transferred
+/// payload plus the engine wall time the transfer took, posted under the
+/// mutex and announced on the condvar.
+struct Completion<T> {
+    slot: Mutex<Option<(T, Duration)>>,
     done: Condvar,
 }
 
-/// Completion handle for an asynchronous device→host transfer posted by
-/// [`GpuDataWarehouse::take_patch_to_host_async`].
-///
-/// The drain (the PCIe memcpy — here the real `clone` of the device bytes)
-/// proceeds on the D2H copy-engine thread while the scheduler keeps
-/// executing ready tasks; the host data materializes on first use via
-/// [`Self::wait`] / [`Self::wait_timed`]. Device memory for the variable is
-/// released when the drain completes, not when the handle is created —
-/// exactly the lifetime a `cudaMemcpyAsync` imposes.
-pub struct PendingD2H {
-    shared: Arc<PendingShared>,
-    bytes: usize,
-    stream: Stream,
-    /// True when the warehouse is in synchronous-fallback mode and the
-    /// drain completed inline at post time: the caller is charged the full
-    /// drain as blocked time (overlap is zero by construction).
-    inline: bool,
-}
+/// How a waiter takes the payload out of a filled slot: moved (`take`) by
+/// a sole consumer, cloned when several may observe it.
+type Claim<T> = fn(&mut Option<(T, Duration)>) -> Option<(T, Duration)>;
 
-impl std::fmt::Debug for PendingD2H {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingD2H")
-            .field("bytes", &self.bytes)
-            .field("stream", &self.stream)
-            .field("inline", &self.inline)
-            .field("complete", &self.is_complete())
-            .finish()
-    }
-}
-
-impl PendingD2H {
-    /// Transfer size in bytes.
-    #[inline]
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// The stream the transfer was posted on.
-    #[inline]
-    pub fn stream(&self) -> Stream {
-        self.stream
-    }
-
-    /// Whether the drain has already completed (non-blocking).
-    pub fn is_complete(&self) -> bool {
-        self.shared.slot.lock().unwrap().is_some()
-    }
-
-    /// Block until the drain completes and take the host data.
-    pub fn wait(self) -> DeviceData {
-        self.wait_timed().0
-    }
-
-    /// Block until the drain completes; returns `(data, drain, blocked)`
-    /// where `drain` is the wall time the copy engine spent moving the
-    /// bytes and `blocked` is how long *this call* stalled the consumer.
-    /// A transfer that finished before first use reports `blocked ≈ 0`, so
-    /// `drain - blocked` is the wall time hidden behind compute — the
-    /// overlap the two-copy-engine pipeline exists to win.
-    pub fn wait_timed(self) -> (DeviceData, Duration, Duration) {
-        let t0 = Instant::now();
-        let mut slot = self.shared.slot.lock().unwrap();
-        while slot.is_none() {
-            slot = self.shared.done.wait(slot).unwrap();
-        }
-        let (data, drain) = slot.take().expect("slot filled above");
-        let blocked = if self.inline { drain } else { t0.elapsed() };
-        (data, drain, blocked)
-    }
-
-    /// A handle whose "drain" already happened — used when a take is served
-    /// from the host spill map (the bytes left the device at eviction time,
-    /// so there is nothing in flight).
-    fn complete(data: DeviceData, stream: Stream) -> Self {
-        let shared = Arc::new(PendingShared::default());
-        *shared.slot.lock().unwrap() = Some((data, Duration::ZERO));
-        PendingD2H {
-            shared,
-            bytes: 0,
-            stream,
-            inline: true,
+impl<T> Default for Completion<T> {
+    fn default() -> Self {
+        Completion {
+            slot: Mutex::new(None),
+            done: Condvar::new(),
         }
     }
 }
 
-/// Shared completion state between a [`PendingH2D`] handle (or a pending
-/// slot in a device store) and the H2D engine filling it: the finished
-/// device-resident variable plus the measured burst duration and whether
-/// the upload completed inline (synchronous fallback).
-#[derive(Default)]
-struct PendingUploadShared {
-    slot: Mutex<Option<(Arc<DeviceVar>, Duration, bool)>>,
-    done: Condvar,
-}
-
-impl PendingUploadShared {
-    fn fill(&self, var: Arc<DeviceVar>, upload: Duration, inline: bool) {
-        *self.slot.lock().unwrap() = Some((var, upload, inline));
+impl<T> Completion<T> {
+    fn fill(&self, payload: T, busy: Duration) {
+        *self.slot.lock().unwrap() = Some((payload, busy));
         self.done.notify_all();
     }
 
-    fn is_complete(&self) -> bool {
-        self.slot.lock().unwrap().is_some()
-    }
-
-    /// Block until the burst lands. Clones the finished handle out instead
-    /// of taking it so racing consumers can all observe it — the
-    /// pending-map entry, not this slot, elects the single installer.
-    fn wait(&self) -> (Arc<DeviceVar>, Duration, bool) {
+    /// Block until the transfer lands, then let `claim` move or clone the
+    /// payload out of the filled slot.
+    fn wait(&self, claim: Claim<T>) -> (T, Duration) {
         let mut slot = self.slot.lock().unwrap();
         while slot.is_none() {
             slot = self.done.wait(slot).unwrap();
         }
-        let (var, upload, inline) = slot.as_ref().expect("slot filled above");
-        (Arc::clone(var), *upload, *inline)
+        claim(&mut slot).expect("slot filled above")
     }
 }
 
-/// Completion handle for an asynchronous host→device upload posted by
-/// [`GpuDataWarehouse::put_patch_async`] — the upload twin of
-/// [`PendingD2H`].
+/// Completion handle for a transfer submitted to a copy engine: the one
+/// handle type behind [`PendingD2H`] and [`PendingH2D`].
 ///
-/// The burst (the PCIe memcpy — here the real `clone` of the staged bytes)
-/// proceeds on the H2D copy-engine thread while the poster keeps running;
-/// the device-resident variable materializes on first use via
-/// [`Self::wait`] / [`Self::wait_timed`]. Consumers that go through
-/// [`GpuDataWarehouse::get_patch`] never need to touch the handle: the
-/// warehouse installs the finished upload on their behalf.
-pub struct PendingH2D {
-    shared: Arc<PendingUploadShared>,
+/// The transfer (the PCIe memcpy — here a real `clone` of the bytes)
+/// proceeds on the engine thread while the poster keeps running; the
+/// payload materializes on first use via [`Self::wait`] /
+/// [`Self::wait_timed`].
+pub struct Pending<T> {
+    shared: Arc<Completion<T>>,
+    claim: Claim<T>,
     bytes: usize,
     stream: Stream,
-    /// True when the warehouse is in synchronous-fallback mode and the
-    /// burst completed inline at post time: the poster was charged the full
-    /// upload as stall (overlap is zero by construction).
+    /// True when the transfer completed inline at submit time (synchronous
+    /// fallback, or served from the spill map): the full transfer wall was
+    /// paid by the poster, so overlap is zero by construction.
     inline: bool,
 }
 
-impl std::fmt::Debug for PendingH2D {
+/// Handle for an asynchronous device→host drain posted by
+/// [`GpuDataWarehouse::take_patch_to_host_async`]. The host data is
+/// *moved* out once — this handle is the drain's only consumer, and a
+/// clone would be a second memcpy. Device memory for the variable is
+/// released when the drain completes, not when the handle is created —
+/// exactly the lifetime a `cudaMemcpyAsync` imposes.
+pub type PendingD2H = Pending<DeviceData>;
+
+/// Handle for an asynchronous host→device upload posted by
+/// [`GpuDataWarehouse::put_patch_async`]. The finished variable is
+/// *cloned* out so racing consumers can all observe it — the pending-map
+/// entry, not the slot, elects the single installer. Consumers that go
+/// through [`GpuDataWarehouse::get_patch`] never need to touch the handle:
+/// the warehouse installs the finished upload on their behalf.
+pub type PendingH2D = Pending<Arc<DeviceVar>>;
+
+type UploadSlot = Completion<Arc<DeviceVar>>;
+
+impl<T> std::fmt::Debug for Pending<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingH2D")
+        f.debug_struct("Pending")
             .field("bytes", &self.bytes)
             .field("stream", &self.stream)
             .field("inline", &self.inline)
@@ -246,7 +179,7 @@ impl std::fmt::Debug for PendingH2D {
     }
 }
 
-impl PendingH2D {
+impl<T> Pending<T> {
     /// Transfer size in bytes.
     #[inline]
     pub fn bytes(&self) -> usize {
@@ -259,26 +192,27 @@ impl PendingH2D {
         self.stream
     }
 
-    /// Whether the burst has already landed (non-blocking).
+    /// Whether the transfer has already landed (non-blocking).
     pub fn is_complete(&self) -> bool {
-        self.shared.is_complete()
+        self.shared.slot.lock().unwrap().is_some()
     }
 
-    /// Block until the burst lands and take the device variable.
-    pub fn wait(self) -> Arc<DeviceVar> {
+    /// Block until the transfer lands and return its payload.
+    pub fn wait(self) -> T {
         self.wait_timed().0
     }
 
-    /// Block until the burst lands; returns `(var, upload, blocked)` where
-    /// `upload` is the wall time the copy engine spent moving the bytes
-    /// and `blocked` is how long *this call* stalled the consumer. An
-    /// upload that finished before first use reports `blocked ≈ 0`, so
-    /// `upload - blocked` is the wall hidden behind other work.
-    pub fn wait_timed(self) -> (Arc<DeviceVar>, Duration, Duration) {
+    /// Block until the transfer lands; returns `(payload, busy, blocked)`
+    /// where `busy` is the wall time the copy engine spent moving the
+    /// bytes and `blocked` is how long *this call* stalled the consumer.
+    /// A transfer that finished before first use reports `blocked ≈ 0`, so
+    /// `busy - blocked` is the wall time hidden behind other work — the
+    /// overlap the two-copy-engine pipeline exists to win.
+    pub fn wait_timed(self) -> (T, Duration, Duration) {
         let t0 = Instant::now();
-        let (var, upload, inline) = self.shared.wait();
-        let blocked = if inline { upload } else { t0.elapsed() };
-        (var, upload, blocked)
+        let (payload, busy) = self.shared.wait(self.claim);
+        let blocked = if self.inline { busy } else { t0.elapsed() };
+        (payload, busy, blocked)
     }
 }
 
@@ -331,10 +265,6 @@ impl StagingPool {
     fn hits(&self) -> u64 {
         self.f64.hits() + self.u8.hits()
     }
-
-    fn pooled_bytes(&self) -> u64 {
-        self.f64.pooled_bytes() + self.u8.pooled_bytes()
-    }
 }
 
 /// A patch-database slot: the device-resident variable plus its LRU stamp.
@@ -351,16 +281,10 @@ struct LevelEntry {
     last_use: u64,
 }
 
-/// An eviction candidate, ordered worst-victim-first: oldest `last_use`,
-/// then patch entries before level replicas (a spilled patch round-trips
-/// its exact bytes; a dropped replica costs a full re-upload), then a
-/// deterministic key tiebreak so concurrent runs pick identical victims.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct VictimRank {
-    last_use: u64,
-    kind: u8,
-    label: u8,
-    index: u64,
+/// An eviction victim chosen by [`GpuDataWarehouse::evict_one`].
+enum Victim {
+    Patch(PatchKey),
+    Level(LevelKey),
 }
 
 /// One device's mutable store: patch database, level database, and the
@@ -380,8 +304,8 @@ struct StoreState {
     /// slot is still the mapped one before installing. Pending entries are
     /// never eviction victims (they are not in the databases yet), so
     /// their blocks stay pinned until consumed or canceled.
-    pending_patch: HashMap<PatchKey, Arc<PendingUploadShared>>,
-    pending_level: HashMap<LevelKey, Arc<PendingUploadShared>>,
+    pending_patch: HashMap<PatchKey, Arc<UploadSlot>>,
+    pending_level: HashMap<LevelKey, Arc<UploadSlot>>,
     /// LRU clock: bumped on every access; entries stamp their `last_use`
     /// from it.
     clock: u64,
@@ -393,13 +317,19 @@ impl StoreState {
         self.clock += 1;
         self.clock
     }
-}
 
-/// One device's variable stores. The owning [`GpuDevice`] lives in the
-/// fleet at the same index.
-#[derive(Default)]
-struct DeviceStore {
-    state: StateMutex<StoreState>,
+    /// Register `var` in the patch database, stamped most-recently-used.
+    fn install_patch(&mut self, key: PatchKey, var: &Arc<DeviceVar>) {
+        let last_use = self.tick();
+        let var = Arc::clone(var);
+        self.patch_db.insert(key, PatchEntry { var, last_use });
+    }
+
+    /// Register `var` in the level database as validated at `epoch`.
+    fn install_level(&mut self, key: LevelKey, var: &Arc<DeviceVar>, epoch: u64, last_use: u64) {
+        let var = Arc::clone(var);
+        self.level_db.insert(key, LevelEntry { var, epoch, last_use });
+    }
 }
 
 /// Fleet-aware variable store: per-device patch databases + per-device
@@ -414,16 +344,18 @@ struct DeviceStore {
 /// let dw = GpuDataWarehouse::new(GpuDevice::k20x());
 /// // Two concurrent patch tasks requesting the same coarse replica share
 /// // one upload and one device copy (the level database).
-/// let a = dw.ensure_level(ABSKG, 0, || {
+/// let a = dw.ensure_level_on(0, ABSKG, 0, || {
 ///     FieldData::F64(CcVariable::filled(Region::cube(8), 0.9))
 /// }).unwrap();
-/// let b = dw.ensure_level(ABSKG, 0, || unreachable!("already resident")).unwrap();
+/// let b = dw.ensure_level_on(0, ABSKG, 0, || unreachable!("already resident")).unwrap();
 /// assert!(std::sync::Arc::ptr_eq(&a, &b));
 /// assert_eq!(dw.device().counters().h2d_transfers, 1);
 /// ```
 pub struct GpuDataWarehouse {
     fleet: DeviceFleet,
-    stores: Vec<DeviceStore>,
+    /// One store per device; the owning [`GpuDevice`] lives in the fleet
+    /// at the same index.
+    stores: Vec<StateMutex<StoreState>>,
     /// Patch→device overrides installed by the cost-balanced affinity
     /// policy; patches absent here fall back to the sticky hash.
     affinity: RwLock<HashMap<PatchId, DeviceId>>,
@@ -455,43 +387,19 @@ pub struct GpuDataWarehouse {
 }
 
 impl GpuDataWarehouse {
-    /// A single-device warehouse with the level database enabled (the
-    /// paper's Titan configuration).
+    /// A single-device warehouse with every feature on: level database,
+    /// both async copy engines, LRU eviction (the paper's Titan
+    /// configuration).
     pub fn new(device: GpuDevice) -> Self {
-        Self::with_level_db(device, true)
+        Self::with_fleet_full(DeviceFleet::single(device), true, true, true, true)
     }
 
-    /// Control the level database explicitly (the E4 ablation disables it).
-    pub fn with_level_db(device: GpuDevice, level_db_enabled: bool) -> Self {
-        Self::with_options(device, level_db_enabled, true)
-    }
-
-    /// Full single-device construction: level database and async-D2H flags.
-    pub fn with_options(device: GpuDevice, level_db_enabled: bool, async_d2h: bool) -> Self {
-        Self::with_fleet(DeviceFleet::single(device), level_db_enabled, async_d2h)
-    }
-
-    /// Fleet construction: one patch DB + one level DB per device, LRU
-    /// eviction enabled.
-    pub fn with_fleet(fleet: DeviceFleet, level_db_enabled: bool, async_d2h: bool) -> Self {
-        Self::with_fleet_opts(fleet, level_db_enabled, async_d2h, true)
-    }
-
-    /// Fleet construction with explicit eviction control: `eviction: false`
-    /// restores hard-OOM-at-capacity (the ablation baseline for the
-    /// oversubscription gate).
-    pub fn with_fleet_opts(
-        fleet: DeviceFleet,
-        level_db_enabled: bool,
-        async_d2h: bool,
-        eviction: bool,
-    ) -> Self {
-        Self::with_fleet_full(fleet, level_db_enabled, async_d2h, true, eviction)
-    }
-
-    /// Full fleet construction: every flag explicit. `async_h2d: false`
-    /// selects the bit-identical synchronous upload fallback (posted
-    /// uploads complete inline with the same engine bookkeeping).
+    /// Fleet construction, every flag explicit: one patch DB + one level DB
+    /// per device. `level_db_enabled: false` is the E4 ablation;
+    /// `async_d2h` / `async_h2d: false` select the bit-identical synchronous
+    /// fallbacks (transfers complete inline with the same engine
+    /// bookkeeping); `eviction: false` restores hard-OOM-at-capacity (the
+    /// ablation baseline for the oversubscription gate).
     pub fn with_fleet_full(
         fleet: DeviceFleet,
         level_db_enabled: bool,
@@ -499,7 +407,7 @@ impl GpuDataWarehouse {
         async_h2d: bool,
         eviction: bool,
     ) -> Self {
-        let stores = (0..fleet.num_devices()).map(|_| DeviceStore::default()).collect();
+        let stores = (0..fleet.num_devices()).map(|_| Default::default()).collect();
         Self {
             fleet,
             stores,
@@ -551,21 +459,10 @@ impl GpuDataWarehouse {
         self.fleet.num_devices()
     }
 
-    #[inline]
-    pub fn level_db_enabled(&self) -> bool {
-        self.level_db_enabled
-    }
-
     /// Whether D2H drains are posted asynchronously to the copy engine.
     #[inline]
     pub fn async_d2h(&self) -> bool {
         self.async_d2h
-    }
-
-    /// Whether posted uploads run asynchronously on the H2D copy engine.
-    #[inline]
-    pub fn async_h2d(&self) -> bool {
-        self.async_h2d
     }
 
     /// Whether memory pressure evicts LRU entries instead of failing.
@@ -601,76 +498,57 @@ impl GpuDataWarehouse {
         }
     }
 
-    /// Number of installed affinity overrides.
-    pub fn affinity_overrides(&self) -> usize {
-        self.affinity.read().len()
-    }
-
     /// Evict the best victim from `st`'s databases: the least-recently-used
     /// entry with no handle outside the database (a task still holding the
     /// `Arc` pins the bytes — evicting under a running kernel would be a
-    /// stale serve). Patch victims spill their bytes to the host map over
-    /// the D2H engine; level victims are dropped outright (regenerable from
-    /// host data at the next `ensure_level*`). Returns false when nothing
-    /// is evictable.
+    /// stale serve). Candidates rank worst-victim-first by oldest
+    /// `last_use`, then patch entries before level replicas (a spilled
+    /// patch round-trips its exact bytes; a dropped replica costs a full
+    /// re-upload), then a deterministic key tiebreak so concurrent runs pick
+    /// identical victims. Patch victims spill their bytes to the host map
+    /// over the D2H engine; level victims are dropped outright (regenerable
+    /// from host data at the next `ensure_level*`). Returns false when
+    /// nothing is evictable.
     fn evict_one(device: &GpuDevice, st: &mut StoreState) -> bool {
-        let patch_victim = st
+        let patches = st
             .patch_db
             .iter()
-            .filter(|(_, e)| Arc::strong_count(&e.var) == 1 && e.var.size_bytes() > 0)
-            .map(|(k, e)| {
-                (
-                    VictimRank {
-                        last_use: e.last_use,
-                        kind: 0,
-                        label: k.0.id(),
-                        index: k.1 .0 as u64,
-                    },
-                    *k,
-                )
-            })
-            .min_by(|a, b| a.0.cmp(&b.0));
-        let level_victim = st
+            .map(|(k, e)| (&e.var, (e.last_use, 0u8, k.0.id(), k.1 .0 as u64), Victim::Patch(*k)));
+        let levels = st
             .level_db
             .iter()
-            .filter(|(_, e)| Arc::strong_count(&e.var) == 1 && e.var.size_bytes() > 0)
-            .map(|(k, e)| {
-                (
-                    VictimRank {
-                        last_use: e.last_use,
-                        kind: 1,
-                        label: k.0.id(),
-                        index: k.1 as u64,
-                    },
-                    *k,
-                )
-            })
-            .min_by(|a, b| a.0.cmp(&b.0));
-        match (patch_victim, level_victim) {
-            (Some((pr, pk)), Some((lr, _))) if pr <= lr => Self::evict_patch(device, st, pk),
-            (Some((_, pk)), None) => Self::evict_patch(device, st, pk),
-            (_, Some((_, lk))) => {
-                let e = st.level_db.remove(&lk).expect("victim chosen under lock");
-                device.record_eviction(e.var.size_bytes());
-                true
+            .map(|(k, e)| (&e.var, (e.last_use, 1u8, k.0.id(), k.1 as u64), Victim::Level(*k)));
+        let victim = patches
+            .chain(levels)
+            .filter(|(var, _, _)| Arc::strong_count(var) == 1 && var.size_bytes() > 0)
+            .min_by_key(|&(_, rank, _)| rank)
+            .map(|(_, _, victim)| victim);
+        match victim {
+            Some(Victim::Patch(key)) => {
+                let e = st.patch_db.remove(&key).expect("victim chosen under lock");
+                Self::spill_to_host(device, st, key, &e.var);
             }
-            (None, None) => false,
+            Some(Victim::Level(key)) => {
+                let e = st.level_db.remove(&key).expect("victim chosen under lock");
+                device.record_eviction(e.var.size_bytes());
+            }
+            None => return false,
         }
+        true
     }
 
-    fn evict_patch(device: &GpuDevice, st: &mut StoreState, key: PatchKey) -> bool {
-        let e = st.patch_db.remove(&key).expect("victim chosen under lock");
-        let bytes = e.var.size_bytes();
-        // Spill: the bytes cross PCIe device→host on the D2H engine (the
-        // clone below is the drain memcpy), then the device copy drops.
-        device.record_d2h(bytes);
+    /// Spill an evicted (or canceled-pending) patch variable to the host
+    /// map: the bytes cross PCIe device→host on the D2H engine (the clone
+    /// is the drain memcpy); the device copy drops with `var`'s last handle.
+    fn spill_to_host(device: &GpuDevice, st: &mut StoreState, key: PatchKey, var: &DeviceVar) {
+        let bytes = var.size_bytes();
+        device.record_transfer(Dir::D2H, bytes);
         let t0 = Instant::now();
-        let data = e.var.data().clone();
-        device.record_d2h_busy(t0.elapsed());
+        let data = var.data().clone();
+        device.record_busy(Dir::D2H, t0.elapsed());
         device.record_spill(bytes);
         device.record_eviction(bytes);
         st.spill.insert(key, data);
-        true
     }
 
     /// Carve `bytes` from `dev`'s sub-allocator, evicting LRU entries and
@@ -707,7 +585,7 @@ impl GpuDataWarehouse {
                         // Safe under the store lock: drain jobs touch only
                         // the allocator mutex and their own pending slots,
                         // never this store's state.
-                        device.sync_d2h();
+                        device.sync(Dir::D2H);
                         drained = true;
                         continue;
                     }
@@ -716,25 +594,20 @@ impl GpuDataWarehouse {
                     if !canceled_h2d && has_pending {
                         // Last escalation: cancel unconsumed prefetch
                         // uploads — demand allocations outrank predictions.
-                        // The engine is drained first (upload jobs, like
-                        // drains, never take store locks) so every slot is
-                        // filled; patch bytes spill back to the host (the
-                        // posted copy may be the only one — a re-posted
+                        // A pending entry is published only after its burst
+                        // was submitted, so draining the engine (upload
+                        // jobs, like drains, never take store locks) fills
+                        // every slot. Patch bytes spill back to the host
+                        // (the posted copy may be the only one — a re-posted
                         // spill entry), level predictions drop outright
                         // (regenerable from host data).
-                        device.sync_h2d();
-                        let patch_keys: Vec<PatchKey> = st.pending_patch.keys().copied().collect();
-                        for key in patch_keys {
-                            let shared =
-                                st.pending_patch.remove(&key).expect("key listed under lock");
-                            let (var, _, _) = shared.wait();
-                            Self::evict_pending_to_spill(device, st, key, var);
+                        device.sync(Dir::H2D);
+                        for (key, shared) in std::mem::take(&mut st.pending_patch) {
+                            let (var, _) = shared.wait(|s| s.clone());
+                            Self::spill_to_host(device, st, key, &var);
                         }
-                        let level_keys: Vec<LevelKey> = st.pending_level.keys().copied().collect();
-                        for key in level_keys {
-                            let shared =
-                                st.pending_level.remove(&key).expect("key listed under lock");
-                            let (var, _, _) = shared.wait();
+                        for (_, shared) in std::mem::take(&mut st.pending_level) {
+                            let (var, _) = shared.wait(|s| s.clone());
                             device.record_eviction(var.size_bytes());
                         }
                         canceled_h2d = true;
@@ -744,25 +617,6 @@ impl GpuDataWarehouse {
                 }
             }
         }
-    }
-
-    /// Spill a canceled pending-upload patch back to the host: the same
-    /// metering as [`Self::evict_patch`] (the bytes cross PCIe device→host,
-    /// then the device copy drops when the last slot handle goes).
-    fn evict_pending_to_spill(
-        device: &GpuDevice,
-        st: &mut StoreState,
-        key: PatchKey,
-        var: Arc<DeviceVar>,
-    ) {
-        let bytes = var.size_bytes();
-        device.record_d2h(bytes);
-        let t0 = Instant::now();
-        let data = var.data().clone();
-        device.record_d2h_busy(t0.elapsed());
-        device.record_spill(bytes);
-        device.record_eviction(bytes);
-        st.spill.insert(key, data);
     }
 
     /// Upload `data` to `dev` under an already-held store lock: reserve (with
@@ -775,12 +629,12 @@ impl GpuDataWarehouse {
     ) -> Result<Arc<DeviceVar>, GpuError> {
         let bytes = data.size_bytes();
         let block = self.alloc_with_evict(dev, st, bytes)?;
-        self.fleet.device(dev).record_h2d(bytes);
+        self.fleet.device(dev).record_transfer(Dir::H2D, bytes);
         Ok(Arc::new(DeviceVar { data, block }))
     }
 
     fn upload_on(&self, dev: DeviceId, data: DeviceData) -> Result<Arc<DeviceVar>, GpuError> {
-        let mut st = self.stores[dev].state.lock();
+        let mut st = self.stores[dev].lock();
         self.upload_locked(dev, &mut st, data)
     }
 
@@ -790,76 +644,72 @@ impl GpuDataWarehouse {
     fn produce_timed_on(&self, dev: DeviceId, producer: impl FnOnce() -> DeviceData) -> DeviceData {
         let t0 = Instant::now();
         let data = producer();
-        self.fleet.device(dev).record_h2d_busy(t0.elapsed());
+        self.fleet.device(dev).record_busy(Dir::H2D, t0.elapsed());
         data
     }
 
-    /// Run one coalesced staged burst on `dev`'s H2D engine: every entry's
-    /// staging buffer is copied into its device variable (the PCIe burst),
-    /// retired back to the pool, and its completion slot filled with the
-    /// whole burst's wall time — one metered transfer regardless of how
-    /// many variables rode it. In the synchronous fallback the burst
-    /// completes inline with identical transfer/stream/in-flight
-    /// bookkeeping and the full wall charged as consumer stall.
-    fn post_upload(
+    /// Submit one coalesced staged burst to `dev`'s H2D engine and publish
+    /// its entries in `pending` (one of the held store's pending maps):
+    /// every entry's staging buffer is copied into its device variable (the
+    /// PCIe burst), retired back to the pool, and its completion slot filled
+    /// with the whole burst's wall time — one metered transfer regardless of
+    /// how many variables rode it. Publishing *after* submitting means a
+    /// pending entry is only ever visible once its burst is on the engine,
+    /// so the allocator's cancel escalation can wait on any slot it finds;
+    /// submitting under the store lock is safe because engine jobs never
+    /// take store locks. In the synchronous fallback the burst completes
+    /// inline with the full wall charged as consumer stall. Returns the
+    /// burst's stream, `None` for an empty batch.
+    fn post_upload<K: Eq + std::hash::Hash>(
         &self,
         dev: DeviceId,
-        batch: Vec<(DeviceData, DeviceBlock, Arc<PendingUploadShared>)>,
-    ) -> (Stream, bool) {
-        let device = self.fleet.device(dev);
-        let total: usize = batch.iter().map(|(d, _, _)| d.size_bytes()).sum();
-        let pool = Arc::clone(&self.staging);
-        if !self.async_h2d {
-            let stream = device.begin_inline_h2d(total);
-            let t0 = Instant::now();
-            let done: Vec<_> = batch
-                .into_iter()
-                .map(|(staged, block, shared)| {
-                    let data = staged.clone();
-                    pool.retire(staged);
-                    (Arc::new(DeviceVar { data, block }), shared)
-                })
-                .collect();
-            let upload = t0.elapsed();
-            device.end_inline_h2d(stream, upload);
-            // The inline burst ran on the poster's thread: the stall is
-            // paid here, so it is metered here; nothing was overlapped.
-            device.record_h2d_wait(upload);
-            for (var, shared) in done {
-                shared.fill(var, upload, true);
-            }
-            return (stream, true);
+        pending: &mut HashMap<K, Arc<UploadSlot>>,
+        batch: Vec<(K, DeviceData, DeviceBlock)>,
+    ) -> Option<Stream> {
+        if batch.is_empty() {
+            return None;
         }
-        let stream = device.post_h2d(total, move || {
+        let total: usize = batch.iter().map(|(_, d, _)| d.size_bytes()).sum();
+        let (keys, staged): (Vec<K>, Vec<_>) = batch.into_iter().map(|(k, d, b)| (k, (d, b))).unzip();
+        let slots: Vec<Arc<UploadSlot>> = keys.iter().map(|_| Arc::default()).collect();
+        let (fills, pool, inline) = (slots.clone(), Arc::clone(&self.staging), !self.async_h2d);
+        let device = self.fleet.device(dev);
+        let meter = device.clone();
+        let mode = if inline { Mode::Inline } else { Mode::Posted };
+        let stream = device.submit(Dir::H2D, total, mode, move || {
             let t0 = Instant::now();
-            let done: Vec<_> = batch
+            let vars: Vec<_> = staged
                 .into_iter()
-                .map(|(staged, block, shared)| {
+                .map(|(staged, block)| {
                     let data = staged.clone();
                     pool.retire(staged);
-                    (Arc::new(DeviceVar { data, block }), shared)
+                    Arc::new(DeviceVar { data, block })
                 })
                 .collect();
             let upload = t0.elapsed();
-            for (var, shared) in done {
-                shared.fill(var, upload, false);
+            if inline {
+                // The burst ran on the poster's thread: the stall is paid
+                // here, so it is metered here; nothing was overlapped.
+                meter.record_wait(Dir::H2D, upload, Duration::ZERO);
+            }
+            for (var, slot) in vars.into_iter().zip(fills) {
+                slot.fill(var, upload);
             }
         });
-        (stream, false)
+        pending.extend(keys.into_iter().zip(slots));
+        Some(stream)
     }
 
     /// Wait out a posted upload, metering the consumer-visible stall and
     /// the engine wall hidden behind other work. Inline (synchronous
     /// fallback) uploads were fully charged at post time, so the consumer
     /// side meters nothing.
-    fn settle_upload(&self, dev: DeviceId, shared: &PendingUploadShared) -> Arc<DeviceVar> {
+    fn settle_upload(&self, dev: DeviceId, shared: &UploadSlot) -> Arc<DeviceVar> {
         let t0 = Instant::now();
-        let (var, upload, inline) = shared.wait();
-        if !inline {
+        let (var, upload) = shared.wait(|s| s.clone());
+        if self.async_h2d {
             let blocked = t0.elapsed();
-            let device = self.fleet.device(dev);
-            device.record_h2d_wait(blocked);
-            device.record_h2d_overlap(upload.saturating_sub(blocked));
+            self.fleet.device(dev).record_wait(Dir::H2D, blocked, upload.saturating_sub(blocked));
         }
         var
     }
@@ -873,21 +723,13 @@ impl GpuDataWarehouse {
         data: DeviceData,
     ) -> Result<Arc<DeviceVar>, GpuError> {
         let dev = self.device_for_patch(patch);
-        let mut st = self.stores[dev].state.lock();
+        let mut st = self.stores[dev].lock();
         st.spill.remove(&(label, patch));
         // A kernel output supersedes (cancels) any posted upload in flight.
         st.pending_patch.remove(&(label, patch));
-        let bytes = data.size_bytes();
-        let block = self.alloc_with_evict(dev, &mut st, bytes)?;
+        let block = self.alloc_with_evict(dev, &mut st, data.size_bytes())?;
         let var = Arc::new(DeviceVar { data, block });
-        let clock = st.tick();
-        st.patch_db.insert(
-            (label, patch),
-            PatchEntry {
-                var: Arc::clone(&var),
-                last_use: clock,
-            },
-        );
+        st.install_patch((label, patch), &var);
         Ok(var)
     }
 
@@ -900,20 +742,13 @@ impl GpuDataWarehouse {
         data: DeviceData,
     ) -> Result<Arc<DeviceVar>, GpuError> {
         let dev = self.device_for_patch(patch);
-        let mut st = self.stores[dev].state.lock();
+        let mut st = self.stores[dev].lock();
         // Fresh data supersedes any spilled copy of this variable — and
         // cancels any posted upload still in flight.
         st.spill.remove(&(label, patch));
         st.pending_patch.remove(&(label, patch));
         let var = self.upload_locked(dev, &mut st, data)?;
-        let clock = st.tick();
-        st.patch_db.insert(
-            (label, patch),
-            PatchEntry {
-                var: Arc::clone(&var),
-                last_use: clock,
-            },
-        );
+        st.install_patch((label, patch), &var);
         Ok(var)
     }
 
@@ -930,8 +765,8 @@ impl GpuDataWarehouse {
     ///
     /// In synchronous-fallback mode (`async_h2d == false`) the burst
     /// completes inline before returning — identical data, identical
-    /// transfer/stream/in-flight bookkeeping via the device's inline-H2D
-    /// pair, the full upload wall metered as consumer stall.
+    /// transfer/stream/in-flight bookkeeping ([`Mode::Inline`]), the full
+    /// upload wall metered as consumer stall.
     pub fn put_patch_async(
         &self,
         label: VarLabel,
@@ -941,7 +776,7 @@ impl GpuDataWarehouse {
         let dev = self.device_for_patch(patch);
         let key = (label, patch);
         let bytes = data.size_bytes();
-        let mut st = self.stores[dev].state.lock();
+        let mut st = self.stores[dev].lock();
         // The posted bytes are the variable's new truth: drop every older
         // copy (resident, spilled, or a prior in-flight post — which is
         // thereby canceled, never installed).
@@ -949,17 +784,11 @@ impl GpuDataWarehouse {
         st.spill.remove(&key);
         st.pending_patch.remove(&key);
         let block = self.alloc_with_evict(dev, &mut st, bytes)?;
-        let staged = self.staging.snapshot(data);
-        let shared = Arc::new(PendingUploadShared::default());
-        st.pending_patch.insert(key, Arc::clone(&shared));
-        drop(st);
-        let (stream, inline) = self.post_upload(dev, vec![(staged, block, Arc::clone(&shared))]);
-        Ok(PendingH2D {
-            shared,
-            bytes,
-            stream,
-            inline,
-        })
+        let burst = vec![(key, self.staging.snapshot(data), block)];
+        let stream = self.post_upload(dev, &mut st.pending_patch, burst).expect("non-empty burst");
+        let shared = Arc::clone(&st.pending_patch[&key]);
+        let inline = !self.async_h2d;
+        Ok(Pending { shared, claim: |s| s.clone(), bytes, stream, inline })
     }
 
     /// Device-side handle for a per-patch variable. A posted upload in
@@ -975,10 +804,11 @@ impl GpuDataWarehouse {
     pub fn get_patch(&self, label: VarLabel, patch: PatchId) -> Option<Arc<DeviceVar>> {
         let dev = self.device_for_patch(patch);
         let device = self.fleet.device(dev);
+        let key = (label, patch);
         loop {
-            let mut st = self.stores[dev].state.lock();
+            let mut st = self.stores[dev].lock();
             let clock = st.tick();
-            if let Some(e) = st.patch_db.get_mut(&(label, patch)) {
+            if let Some(e) = st.patch_db.get_mut(&key) {
                 e.last_use = clock;
                 return Some(Arc::clone(&e.var));
             }
@@ -986,151 +816,89 @@ impl GpuDataWarehouse {
             // confirm the pending entry is still *this* slot — a regrid
             // clear or a superseding write while we waited cancels the
             // install and we retry against whatever is current.
-            if let Some(shared) = st.pending_patch.get(&(label, patch)).map(Arc::clone) {
+            if let Some(shared) = st.pending_patch.get(&key).map(Arc::clone) {
                 drop(st);
                 let var = self.settle_upload(dev, &shared);
-                let mut st = self.stores[dev].state.lock();
-                match st.pending_patch.get(&(label, patch)) {
-                    Some(cur) if Arc::ptr_eq(cur, &shared) => {
-                        st.pending_patch.remove(&(label, patch));
-                        let clock = st.tick();
-                        st.patch_db.insert(
-                            (label, patch),
-                            PatchEntry {
-                                var: Arc::clone(&var),
-                                last_use: clock,
-                            },
-                        );
-                        return Some(var);
-                    }
-                    _ => continue,
+                let mut st = self.stores[dev].lock();
+                if st.pending_patch.get(&key).is_some_and(|cur| Arc::ptr_eq(cur, &shared)) {
+                    st.pending_patch.remove(&key);
+                    st.install_patch(key, &var);
+                    return Some(var);
                 }
+                continue;
             }
             // Transparent re-upload from the host spill map.
-            let data = st.spill.remove(&(label, patch))?;
+            let data = st.spill.remove(&key)?;
             let bytes = data.size_bytes();
             let block = match self.alloc_with_evict(dev, &mut st, bytes) {
                 Ok(b) => b,
                 Err(_) => {
-                    st.spill.insert((label, patch), data);
+                    st.spill.insert(key, data);
                     return None;
                 }
             };
-            device.record_h2d(bytes);
+            device.record_transfer(Dir::H2D, bytes);
             device.record_reupload(bytes);
             let var = Arc::new(DeviceVar { data, block });
-            st.patch_db.insert(
-                (label, patch),
-                PatchEntry {
-                    var: Arc::clone(&var),
-                    last_use: clock,
-                },
-            );
+            st.install_patch(key, &var);
             return Some(var);
         }
     }
 
-    /// Copy a per-patch variable device→host and drop it from the device
-    /// (the task-output path: e.g. `divQ` after the RMCRT kernel). Blocks
-    /// the calling thread for the whole drain; prefer
-    /// [`Self::take_patch_to_host_async`] from task bodies. A variable that
-    /// was evicted is served from the spill map with no further transfer —
-    /// its bytes already crossed PCIe at eviction time.
-    pub fn take_patch_to_host(&self, label: VarLabel, patch: PatchId) -> Option<DeviceData> {
-        let dev = self.device_for_patch(patch);
-        let device = self.fleet.device(dev);
-        let mut st = self.stores[dev].state.lock();
-        if let Some(e) = st.patch_db.remove(&(label, patch)) {
-            drop(st);
-            device.record_d2h(e.var.size_bytes());
-            let t0 = Instant::now();
-            let data = e.var.data().clone();
-            device.record_d2h_busy(t0.elapsed());
-            return Some(data);
-        }
-        if st.pending_patch.contains_key(&(label, patch)) {
-            // A posted upload is the variable's current truth: materialize
-            // it into the DB, then take through the normal D2H path.
-            drop(st);
-            self.get_patch(label, patch)?;
-            return self.take_patch_to_host(label, patch);
-        }
-        st.spill.remove(&(label, patch))
-    }
-
     /// Post the device→host copy of a per-patch variable to its home
     /// device's D2H copy engine and return a [`PendingD2H`] completion
-    /// handle; the entry is removed from the patch DB immediately (the task
-    /// is done with it) but its device memory stays reserved until the
-    /// drain completes. The drain — the actual memcpy of the bytes — runs
-    /// on that device's engine thread, overlapping whatever the scheduler
-    /// executes next (including kernels and drains on *other* devices); the
-    /// first consumer to `wait()` blocks only for the part of the drain not
+    /// handle (the task-output path: e.g. `divQ` after the RMCRT kernel);
+    /// the entry is removed from the patch DB immediately (the task is done
+    /// with it) but its device memory stays reserved until the drain
+    /// completes. The drain — the actual memcpy of the bytes — runs on that
+    /// device's engine thread, overlapping whatever the scheduler executes
+    /// next (including kernels and drains on *other* devices); the first
+    /// consumer to `wait()` blocks only for the part of the drain not
     /// already hidden.
     ///
     /// In synchronous-fallback mode (`async_d2h == false`) the drain
     /// completes inline before returning — identical data, identical
-    /// transfer/stream/in-flight bookkeeping (via the device's inline-D2H
-    /// pair), `blocked == drain` so the reported overlap is zero. A variable
+    /// transfer/stream/in-flight bookkeeping ([`Mode::Inline`]),
+    /// `blocked == drain` so the reported overlap is zero. A variable
     /// already evicted to the spill map returns an already-complete handle
-    /// with no new transfer in either mode.
+    /// with no new transfer in either mode — its bytes crossed PCIe at
+    /// eviction time.
     pub fn take_patch_to_host_async(&self, label: VarLabel, patch: PatchId) -> Option<PendingD2H> {
         let dev = self.device_for_patch(patch);
         let device = self.fleet.device(dev);
-        let mut st = self.stores[dev].state.lock();
-        if !st.patch_db.contains_key(&(label, patch)) && st.pending_patch.contains_key(&(label, patch))
-        {
+        let key = (label, patch);
+        let mut st = self.stores[dev].lock();
+        if !st.patch_db.contains_key(&key) && st.pending_patch.contains_key(&key) {
             // A posted upload is the variable's current truth: materialize
             // it into the DB first, then post the drain as usual.
             drop(st);
             self.get_patch(label, patch)?;
             return self.take_patch_to_host_async(label, patch);
         }
-        let Some(e) = st.patch_db.remove(&(label, patch)) else {
-            let data = st.spill.remove(&(label, patch))?;
-            drop(st);
-            return Some(PendingD2H::complete(data, device.next_stream()));
+        let shared = Arc::new(Completion::default());
+        let claim: Claim<DeviceData> = Option::take;
+        let Some(e) = st.patch_db.remove(&key) else {
+            // Nothing in flight: the "drain" happened at eviction time.
+            shared.fill(st.spill.remove(&key)?, Duration::ZERO);
+            let stream = device.next_stream();
+            return Some(Pending { shared, claim, bytes: 0, stream, inline: true });
         };
         drop(st);
         let var = e.var;
         let bytes = var.size_bytes();
-        let shared = Arc::new(PendingShared::default());
-        if !self.async_d2h {
-            // Inline fallback: same engine bookkeeping as the posted path —
-            // the transfer is metered, counted in flight, and stream-tagged
-            // for the duration of the drain, so sync_d2h/inflight accounting
-            // is mode-independent.
-            let stream = device.begin_inline_d2h(bytes);
+        let slot = Arc::clone(&shared);
+        let inline = !self.async_d2h;
+        let mode = if inline { Mode::Inline } else { Mode::Posted };
+        let stream = device.submit(Dir::D2H, bytes, mode, move || {
             let t0 = Instant::now();
             let data = var.data().clone();
             let drain = t0.elapsed();
+            // Device memory is released here, when the drain finishes — not
+            // at post time.
             drop(var);
-            device.end_inline_d2h(stream, drain);
-            *shared.slot.lock().unwrap() = Some((data, drain));
-            return Some(PendingD2H {
-                shared,
-                bytes,
-                stream,
-                inline: true,
-            });
-        }
-        let sh = Arc::clone(&shared);
-        let stream = device.post_d2h(bytes, move || {
-            let t0 = Instant::now();
-            let data = var.data().clone();
-            let drain = t0.elapsed();
-            // Device memory is released here, when the engine finishes the
-            // drain — not at post time.
-            drop(var);
-            *sh.slot.lock().unwrap() = Some((data, drain));
-            sh.done.notify_all();
+            slot.fill(data, drain);
         });
-        Some(PendingD2H {
-            shared,
-            bytes,
-            stream,
-            inline: false,
-        })
+        Some(Pending { shared, claim, bytes, stream, inline })
     }
 
     /// Drop a per-patch input without a device→host transfer (inputs are
@@ -1138,21 +906,10 @@ impl GpuDataWarehouse {
     /// any spilled copy too, and cancels a posted upload still in flight.
     pub fn drop_patch(&self, label: VarLabel, patch: PatchId) {
         let dev = self.device_for_patch(patch);
-        let mut st = self.stores[dev].state.lock();
+        let mut st = self.stores[dev].lock();
         st.patch_db.remove(&(label, patch));
         st.spill.remove(&(label, patch));
         st.pending_patch.remove(&(label, patch));
-    }
-
-    /// Obtain the shared per-level variable on device 0, uploading it at
-    /// most once. See [`Self::ensure_level_on`] for the fleet form.
-    pub fn ensure_level(
-        &self,
-        label: VarLabel,
-        level: LevelIndex,
-        producer: impl FnOnce() -> DeviceData,
-    ) -> Result<Arc<DeviceVar>, GpuError> {
-        self.ensure_level_on(0, label, level, producer)
     }
 
     /// Obtain the shared per-level variable *on a specific device*,
@@ -1175,7 +932,7 @@ impl GpuDataWarehouse {
         // One mutex guards the whole store, so holding it across the
         // check-and-upload is what prevents duplicate uploads under
         // contention (uploads are rare: once per level variable per step).
-        let mut st = self.stores[dev].state.lock();
+        let mut st = self.stores[dev].lock();
         let clock = st.tick();
         if let Some(e) = st.level_db.get_mut(&(label, level)) {
             e.last_use = clock;
@@ -1183,19 +940,11 @@ impl GpuDataWarehouse {
         }
         let host = self.produce_timed_on(dev, producer);
         let var = self.upload_locked(dev, &mut st, host)?;
-        st.level_db.insert(
-            (label, level),
-            LevelEntry {
-                var: Arc::clone(&var),
-                epoch: self.epoch(),
-                last_use: clock,
-            },
-        );
+        st.install_level((label, level), &var, self.epoch(), clock);
         Ok(var)
     }
 
-    /// Epoch-aware [`Self::ensure_level`] on device 0. See
-    /// [`Self::ensure_level_fresh_on`] for the fleet form.
+    /// [`Self::ensure_level_fresh_on`] on device 0.
     pub fn ensure_level_fresh(
         &self,
         label: VarLabel,
@@ -1235,7 +984,7 @@ impl GpuDataWarehouse {
         }
         let now = self.epoch();
         let key = (label, level);
-        let mut st = self.stores[dev].state.lock();
+        let mut st = self.stores[dev].lock();
         let clock = st.tick();
         let fresh = st.level_db.get_mut(&key).and_then(|e| {
             if e.epoch == now {
@@ -1259,27 +1008,17 @@ impl GpuDataWarehouse {
             drop(st);
             let pvar = self.settle_upload(dev, &shared);
             let host = self.produce_timed_on(dev, producer);
-            let mut st = self.stores[dev].state.lock();
+            let mut st = self.stores[dev].lock();
             let clock = st.tick();
-            let ours = match st.pending_level.get(&key) {
-                Some(cur) if Arc::ptr_eq(cur, &shared) => {
-                    st.pending_level.remove(&key);
-                    true
+            // Canceled or superseded while waiting → not ours: revalidate
+            // whatever is current instead.
+            let ours = st.pending_level.get(&key).is_some_and(|cur| Arc::ptr_eq(cur, &shared));
+            if ours {
+                st.pending_level.remove(&key);
+                if pvar.data().diff_bytes(&host) == 0 {
+                    st.install_level(key, &pvar, now, clock);
+                    return Ok(pvar);
                 }
-                // Canceled or superseded while waiting: revalidate
-                // whatever is current instead.
-                _ => false,
-            };
-            if ours && pvar.data().diff_bytes(&host) == 0 {
-                st.level_db.insert(
-                    key,
-                    LevelEntry {
-                        var: Arc::clone(&pvar),
-                        epoch: now,
-                        last_use: clock,
-                    },
-                );
-                return Ok(pvar);
             }
             // Mispredicted (the wasted burst was already metered as engine
             // traffic) or canceled: release the predicted bytes and fall
@@ -1305,67 +1044,59 @@ impl GpuDataWarehouse {
         host: DeviceData,
     ) -> Result<Arc<DeviceVar>, GpuError> {
         let device = self.fleet.device(dev);
-        match st.level_db.get(&key).map(|e| Arc::clone(&e.var)) {
-            Some(var) => {
-                // Stale resident replica: revalidate against host data.
-                let changed = var.data().diff_bytes(&host);
-                let same_size = host.size_bytes() == var.size_bytes();
-                // Drop the probe handle so the DB entry can observe a
-                // unique Arc (the in-place condition) under the held lock.
-                drop(var);
-                if changed == 0 {
-                    let e = st.level_db.get_mut(&key).expect("entry present: lock held");
-                    e.epoch = now;
-                    e.last_use = clock;
-                    return Ok(Arc::clone(&e.var));
-                }
-                if same_size {
-                    let e = st.level_db.get_mut(&key).expect("entry present: lock held");
-                    if let Some(v) = Arc::get_mut(&mut e.var) {
-                        // Overwrite in place: this DB holds the only handle,
-                        // so the update happens device-side and only the
-                        // changed bytes cross PCIe.
-                        device.record_h2d(changed);
-                        v.data = host;
-                        e.epoch = now;
-                        e.last_use = clock;
-                        return Ok(Arc::clone(&e.var));
-                    }
-                }
-                // Replace: concurrent holders keep the old bytes alive
-                // until they drop, so the *whole* new buffer crosses PCIe
-                // into a fresh allocation. Reserve first — an OOM here must
-                // leave the counters and the stale epoch untouched — then
-                // meter the full replacement buffer, not just the diff.
-                // (Eviction may reclaim the unreferenced old entry itself,
-                // which is fine: it is superseded by the insert below.)
-                let bytes = host.size_bytes();
-                let block = self.alloc_with_evict(dev, st, bytes)?;
-                device.record_h2d(bytes);
-                let var = Arc::new(DeviceVar { data: host, block });
-                st.level_db.insert(
-                    key,
-                    LevelEntry {
-                        var: Arc::clone(&var),
-                        epoch: now,
-                        last_use: clock,
-                    },
-                );
-                Ok(var)
+        if let Some(var) = st.level_db.get(&key).map(|e| Arc::clone(&e.var)) {
+            // Stale resident replica: revalidate against host data.
+            let changed = var.data().diff_bytes(&host);
+            let same_size = host.size_bytes() == var.size_bytes();
+            // Drop the probe handle so the DB entry can observe a unique
+            // Arc (the in-place condition) under the held lock.
+            drop(var);
+            let e = st.level_db.get_mut(&key).expect("entry present: lock held");
+            if changed == 0 {
+                e.epoch = now;
+                e.last_use = clock;
+                return Ok(Arc::clone(&e.var));
             }
-            None => {
-                let var = self.upload_locked(dev, st, host)?;
-                st.level_db.insert(
-                    key,
-                    LevelEntry {
-                        var: Arc::clone(&var),
-                        epoch: now,
-                        last_use: clock,
-                    },
-                );
-                Ok(var)
+            if let Some(v) = Arc::get_mut(&mut e.var).filter(|_| same_size) {
+                // Overwrite in place: this DB holds the only handle, so the
+                // update happens device-side and only the changed bytes
+                // cross PCIe.
+                device.record_transfer(Dir::H2D, changed);
+                v.data = host;
+                e.epoch = now;
+                e.last_use = clock;
+                return Ok(Arc::clone(&e.var));
             }
+            // Replace: concurrent holders keep the old bytes alive until
+            // they drop, so the *whole* new buffer crosses PCIe into a fresh
+            // allocation. The upload reserves first — an OOM here must leave
+            // the counters and the stale epoch untouched — then meters the
+            // full replacement buffer, not just the diff. (Eviction may
+            // reclaim the unreferenced old entry itself, which is fine: it
+            // is superseded by the install below.)
         }
+        let var = self.upload_locked(dev, st, host)?;
+        st.install_level(key, &var, now, clock);
+        Ok(var)
+    }
+
+    /// Stage one predicted level replica under the held store lock: `None`
+    /// when a prediction is already in flight, the resident replica already
+    /// matches `host` bit for bit, or no block can be carved even after
+    /// eviction (the step will upload inline instead).
+    fn stage_level_prediction(
+        &self,
+        dev: DeviceId,
+        st: &mut StoreState,
+        key: LevelKey,
+        host: &DeviceData,
+    ) -> Option<(LevelKey, DeviceData, DeviceBlock)> {
+        let resident_matches = st.level_db.get(&key).is_some_and(|e| e.var.data().diff_bytes(host) == 0);
+        if resident_matches || st.pending_level.contains_key(&key) {
+            return None; // nothing to move, or one prediction in flight is enough
+        }
+        let block = self.alloc_with_evict(dev, st, host.size_bytes()).ok()?;
+        Some((key, self.staging.snapshot(host), block))
     }
 
     /// Post one predicted level-replica revalidation on `dev` without
@@ -1388,27 +1119,9 @@ impl GpuDataWarehouse {
         if !self.level_db_enabled {
             return false;
         }
-        let key = (label, level);
-        let mut st = self.stores[dev].state.lock();
-        if st.pending_level.contains_key(&key) {
-            return false; // one prediction in flight is enough
-        }
-        let resident_matches = st
-            .level_db
-            .get(&key)
-            .is_some_and(|e| e.var.data().diff_bytes(host) == 0);
-        if resident_matches {
-            return false;
-        }
-        let Ok(block) = self.alloc_with_evict(dev, &mut st, host.size_bytes()) else {
-            return false; // capacity says no: the step will upload inline
-        };
-        let staged = self.staging.snapshot(host);
-        let shared = Arc::new(PendingUploadShared::default());
-        st.pending_level.insert(key, Arc::clone(&shared));
-        drop(st);
-        self.post_upload(dev, vec![(staged, block, shared)]);
-        true
+        let mut st = self.stores[dev].lock();
+        let burst = Vec::from_iter(self.stage_level_prediction(dev, &mut st, (label, level), host));
+        self.post_upload(dev, &mut st.pending_level, burst).is_some()
     }
 
     /// Cross-step prefetch: post predicted revalidations for every level
@@ -1417,8 +1130,10 @@ impl GpuDataWarehouse {
     /// `(label, level)` — typically the current step's sealed level fields,
     /// posted at step close so the bursts overlap the inter-step CPU work.
     /// Replicas whose resident bytes already match the prediction post
-    /// nothing; capacity pressure skips (never evicts for) a prediction.
-    /// Returns the number of uploads posted.
+    /// nothing. A prediction allocates like any upload — under pressure it
+    /// evicts LRU entries and may cancel *earlier* posted uploads to fit —
+    /// and is skipped only when that still fails. Returns the number of
+    /// uploads posted.
     pub fn prefetch_resident_levels(
         &self,
         source: impl Fn(VarLabel, LevelIndex) -> Option<Arc<DeviceData>>,
@@ -1428,36 +1143,15 @@ impl GpuDataWarehouse {
         }
         let mut posted = 0;
         for dev in 0..self.num_devices() {
-            let mut st = self.stores[dev].state.lock();
+            let mut st = self.stores[dev].lock();
             let keys: Vec<LevelKey> = st.level_db.keys().copied().collect();
-            let mut batch = Vec::new();
+            let mut burst = Vec::new();
             for key in keys {
-                if st.pending_level.contains_key(&key) {
-                    continue;
-                }
-                let Some(host) = source(key.0, key.1) else {
-                    continue;
-                };
-                let matches = st
-                    .level_db
-                    .get(&key)
-                    .is_some_and(|e| e.var.data().diff_bytes(&host) == 0);
-                if matches {
-                    continue;
-                }
-                let Ok(block) = self.alloc_with_evict(dev, &mut st, host.size_bytes()) else {
-                    continue;
-                };
-                let staged = self.staging.snapshot(&host);
-                let shared = Arc::new(PendingUploadShared::default());
-                st.pending_level.insert(key, Arc::clone(&shared));
-                batch.push((staged, block, shared));
-                posted += 1;
+                let host = source(key.0, key.1);
+                burst.extend(host.and_then(|h| self.stage_level_prediction(dev, &mut st, key, &h)));
             }
-            drop(st);
-            if !batch.is_empty() {
-                self.post_upload(dev, batch);
-            }
+            posted += burst.len();
+            self.post_upload(dev, &mut st.pending_level, burst);
         }
         posted
     }
@@ -1475,33 +1169,26 @@ impl GpuDataWarehouse {
         let mut posted = 0;
         for dev in 0..self.num_devices() {
             let device = self.fleet.device(dev);
-            let mut st = self.stores[dev].state.lock();
+            let mut st = self.stores[dev].lock();
             let keys: Vec<PatchKey> = st.spill.keys().copied().collect();
-            let mut batch = Vec::new();
+            let mut burst = Vec::new();
             for key in keys {
                 let data = st.spill.remove(&key).expect("key listed under lock");
                 let bytes = data.size_bytes();
-                let Ok(block) = self.alloc_with_evict(dev, &mut st, bytes) else {
-                    st.spill.insert(key, data);
-                    continue;
-                };
-                device.record_reupload(bytes);
-                let shared = Arc::new(PendingUploadShared::default());
-                st.pending_patch.insert(key, Arc::clone(&shared));
-                batch.push((data, block, shared));
-                posted += 1;
+                match self.alloc_with_evict(dev, &mut st, bytes) {
+                    Ok(block) => {
+                        device.record_reupload(bytes);
+                        burst.push((key, data, block));
+                    }
+                    Err(_) => {
+                        st.spill.insert(key, data);
+                    }
+                }
             }
-            drop(st);
-            if !batch.is_empty() {
-                self.post_upload(dev, batch);
-            }
+            posted += burst.len();
+            self.post_upload(dev, &mut st.pending_patch, burst);
         }
         posted
-    }
-
-    /// Look up a level variable on device 0 without uploading.
-    pub fn get_level(&self, label: VarLabel, level: LevelIndex) -> Option<Arc<DeviceVar>> {
-        self.get_level_on(0, label, level)
     }
 
     /// Look up a level variable on a device without uploading (ignores
@@ -1512,17 +1199,8 @@ impl GpuDataWarehouse {
         label: VarLabel,
         level: LevelIndex,
     ) -> Option<Arc<DeviceVar>> {
-        self.stores[dev]
-            .state
-            .lock()
-            .level_db
-            .get(&(label, level))
-            .map(|e| Arc::clone(&e.var))
-    }
-
-    /// The epoch a device-0 level entry was last validated at, if resident.
-    pub fn level_entry_epoch(&self, label: VarLabel, level: LevelIndex) -> Option<u64> {
-        self.level_entry_epoch_on(0, label, level)
+        let st = self.stores[dev].lock();
+        st.level_db.get(&(label, level)).map(|e| Arc::clone(&e.var))
     }
 
     /// The epoch a level entry was last validated at on a device.
@@ -1532,18 +1210,18 @@ impl GpuDataWarehouse {
         label: VarLabel,
         level: LevelIndex,
     ) -> Option<u64> {
-        self.stores[dev].state.lock().level_db.get(&(label, level)).map(|e| e.epoch)
+        self.stores[dev].lock().level_db.get(&(label, level)).map(|e| e.epoch)
     }
 
     /// Drop every per-level entry on every device (end of radiation
     /// timestep).
     pub fn clear_level_db(&self) {
         for (i, s) in self.stores.iter().enumerate() {
-            let mut st = s.state.lock();
+            let mut st = s.lock();
             if !st.pending_level.is_empty() {
                 // Let in-flight bursts land so canceling below frees their
                 // blocks immediately (engine jobs never take store locks).
-                self.fleet.device(i).sync_h2d();
+                self.fleet.device(i).sync(Dir::H2D);
             }
             st.level_db.clear();
             // Canceled, not installed: the consumer that was going to
@@ -1559,11 +1237,11 @@ impl GpuDataWarehouse {
     /// and canceling there would defeat cross-step prefetch.
     pub fn clear_patch_db(&self) {
         for (i, s) in self.stores.iter().enumerate() {
-            let mut st = s.state.lock();
+            let mut st = s.lock();
             if !st.pending_patch.is_empty() {
                 // Let in-flight bursts land so canceling below frees their
                 // blocks immediately (engine jobs never take store locks).
-                self.fleet.device(i).sync_h2d();
+                self.fleet.device(i).sync(Dir::H2D);
             }
             st.patch_db.clear();
             st.spill.clear();
@@ -1593,14 +1271,14 @@ impl GpuDataWarehouse {
         let mut patches = 0;
         let mut levels = 0;
         for &dev in devices {
-            self.fleet.device(dev).sync_d2h();
+            self.fleet.device(dev).sync(Dir::D2H);
             // Let in-flight upload bursts land before canceling them: the
             // engine never takes store locks, so this cannot deadlock, and
             // afterwards every pending slot is filled — dropping the map
             // entries below releases the uploaded blocks immediately
             // instead of installing pre-regrid bytes.
-            self.fleet.device(dev).sync_h2d();
-            let mut st = self.stores[dev].state.lock();
+            self.fleet.device(dev).sync(Dir::H2D);
+            let mut st = self.stores[dev].lock();
             patches += st.patch_db.len();
             st.patch_db.clear();
             st.spill.clear();
@@ -1614,14 +1292,14 @@ impl GpuDataWarehouse {
 
     /// Block until every device's D2H copy-engine timeline is empty.
     pub fn sync_d2h_all(&self) {
-        self.fleet.sync_d2h_all();
+        self.fleet.sync_all(Dir::D2H);
     }
 
     /// Block until every device's H2D copy-engine timeline is empty.
     /// Pending uploads stay pending (completed, uninstalled) — consumers
     /// still materialize them; this only guarantees no burst is mid-copy.
     pub fn sync_h2d_all(&self) {
-        self.fleet.sync_h2d_all();
+        self.fleet.sync_all(Dir::H2D);
     }
 
     /// One counter snapshot per device, in device order.
@@ -1631,22 +1309,17 @@ impl GpuDataWarehouse {
 
     /// Number of live per-level entries across all devices.
     pub fn level_entries(&self) -> usize {
-        self.stores.iter().map(|s| s.state.lock().level_db.len()).sum()
+        (0..self.num_devices()).map(|d| self.level_entries_on(d)).sum()
     }
 
     /// Number of live per-level entries on one device.
     pub fn level_entries_on(&self, dev: DeviceId) -> usize {
-        self.stores[dev].state.lock().level_db.len()
-    }
-
-    /// Number of live per-patch entries across all devices.
-    pub fn patch_entries(&self) -> usize {
-        self.stores.iter().map(|s| s.state.lock().patch_db.len()).sum()
+        self.stores[dev].lock().level_db.len()
     }
 
     /// Number of live per-patch entries on one device.
     pub fn patch_entries_on(&self, dev: DeviceId) -> usize {
-        self.stores[dev].state.lock().patch_db.len()
+        self.stores[dev].lock().patch_db.len()
     }
 
     /// Bytes registered in one device's databases (patch + level). Excludes
@@ -1654,7 +1327,7 @@ impl GpuDataWarehouse {
     /// disabled-level-DB uploads), which the device meter still counts —
     /// the two reconcile exactly at quiescent points.
     pub fn resident_bytes_on(&self, dev: DeviceId) -> usize {
-        let st = self.stores[dev].state.lock();
+        let st = self.stores[dev].lock();
         st.patch_db.values().map(|e| e.var.size_bytes()).sum::<usize>()
             + st.level_db.values().map(|e| e.var.size_bytes()).sum::<usize>()
     }
@@ -1666,22 +1339,12 @@ impl GpuDataWarehouse {
 
     /// Number of host-spilled patch variables on one device.
     pub fn spill_entries_on(&self, dev: DeviceId) -> usize {
-        self.stores[dev].state.lock().spill.len()
+        self.stores[dev].lock().spill.len()
     }
 
     /// Number of host-spilled patch variables across all devices.
     pub fn spill_entries(&self) -> usize {
         (0..self.num_devices()).map(|d| self.spill_entries_on(d)).sum()
-    }
-
-    /// Host bytes held in one device's spill map.
-    pub fn spill_bytes_on(&self, dev: DeviceId) -> usize {
-        self.stores[dev].state.lock().spill.values().map(|d| d.size_bytes()).sum()
-    }
-
-    /// Host bytes held in every device's spill map.
-    pub fn spill_bytes(&self) -> usize {
-        (0..self.num_devices()).map(|d| self.spill_bytes_on(d)).sum()
     }
 
     /// Posted-but-unconsumed prefetch uploads (patch + level) across all
@@ -1690,15 +1353,10 @@ impl GpuDataWarehouse {
         self.stores
             .iter()
             .map(|s| {
-                let st = s.state.lock();
+                let st = s.lock();
                 st.pending_patch.len() + st.pending_level.len()
             })
             .sum()
-    }
-
-    /// Host bytes parked in the recycled staging pool, ready for reuse.
-    pub fn staging_pooled_bytes(&self) -> u64 {
-        self.staging.pooled_bytes()
     }
 
     /// Staging-buffer acquisitions served from the pool instead of a fresh
@@ -1720,18 +1378,23 @@ mod tests {
         DeviceData::F64(CcVariable::filled(Region::cube(n), value))
     }
 
+    /// A one-device warehouse with eviction on and the given feature flags.
+    fn dw_flags(device: GpuDevice, level_db: bool, async_d2h: bool, async_h2d: bool) -> GpuDataWarehouse {
+        GpuDataWarehouse::with_fleet_full(DeviceFleet::single(device), level_db, async_d2h, async_h2d, true)
+    }
+
     #[test]
     fn patch_put_get_take_roundtrip() {
         let dw = GpuDataWarehouse::new(GpuDevice::k20x());
         let p = PatchId(4);
         dw.put_patch(DIVQ, p, field(8, 1.5)).unwrap();
-        assert_eq!(dw.patch_entries(), 1);
+        assert_eq!(dw.patch_entries_on(0), 1);
         let v = dw.get_patch(DIVQ, p).unwrap();
         assert_eq!(v.data().as_f64()[uintah_grid::IntVector::ZERO], 1.5);
-        let host = dw.take_patch_to_host(DIVQ, p).unwrap();
+        let host = dw.take_patch_to_host_async(DIVQ, p).map(Pending::wait).unwrap();
         assert_eq!(host.as_f64().len(), 512);
-        assert_eq!(dw.patch_entries(), 0);
-        assert!(dw.take_patch_to_host(DIVQ, p).is_none());
+        assert_eq!(dw.patch_entries_on(0), 0);
+        assert!(dw.take_patch_to_host_async(DIVQ, p).map(Pending::wait).is_none());
         // D2H was metered once.
         assert_eq!(dw.device().counters().d2h_transfers, 1);
     }
@@ -1741,12 +1404,12 @@ mod tests {
         let dw = GpuDataWarehouse::new(GpuDevice::k20x());
         let mut calls = 0;
         let a = dw
-            .ensure_level(ABSKG, 0, || {
+            .ensure_level_on(0, ABSKG, 0, || {
                 calls += 1;
                 field(16, 0.9)
             })
             .unwrap();
-        let b = dw.ensure_level(ABSKG, 0, || panic!("second upload")).unwrap();
+        let b = dw.ensure_level_on(0, ABSKG, 0, || panic!("second upload")).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "tasks must share one device copy");
         assert_eq!(calls, 1);
         assert_eq!(dw.device().counters().h2d_transfers, 1);
@@ -1757,9 +1420,9 @@ mod tests {
 
     #[test]
     fn disabled_level_db_duplicates_copies() {
-        let dw = GpuDataWarehouse::with_level_db(GpuDevice::k20x(), false);
-        let a = dw.ensure_level(ABSKG, 0, || field(16, 0.9)).unwrap();
-        let b = dw.ensure_level(ABSKG, 0, || field(16, 0.9)).unwrap();
+        let dw = dw_flags(GpuDevice::k20x(), false, true, true);
+        let a = dw.ensure_level_on(0, ABSKG, 0, || field(16, 0.9)).unwrap();
+        let b = dw.ensure_level_on(0, ABSKG, 0, || field(16, 0.9)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(dw.device().counters().h2d_transfers, 2);
         assert_eq!(dw.device().used(), 2 * 16usize.pow(3) * 8);
@@ -1769,7 +1432,7 @@ mod tests {
     fn memory_released_when_last_handle_drops() {
         let device = GpuDevice::k20x();
         let dw = GpuDataWarehouse::new(device.clone());
-        let v = dw.ensure_level(ABSKG, 1, || field(8, 0.1)).unwrap();
+        let v = dw.ensure_level_on(0, ABSKG, 1, || field(8, 0.1)).unwrap();
         assert!(device.used() > 0);
         dw.clear_level_db();
         assert!(device.used() > 0, "task still holds a handle");
@@ -1784,7 +1447,7 @@ mod tests {
         // nothing to evict, so eviction changes nothing here.
         let device = GpuDevice::with_capacity("tiny", 1024);
         let dw = GpuDataWarehouse::new(device);
-        let err = dw.ensure_level(ABSKG, 0, || field(8, 0.0)).unwrap_err();
+        let err = dw.ensure_level_on(0, ABSKG, 0, || field(8, 0.0)).unwrap_err();
         assert!(matches!(err, GpuError::OutOfMemory { .. }));
     }
 
@@ -1795,12 +1458,12 @@ mod tests {
         // with N — the paper's core argument.
         let field_bytes = 16usize.pow(3) * 8;
         let with = GpuDataWarehouse::new(GpuDevice::k20x());
-        let without = GpuDataWarehouse::with_level_db(GpuDevice::k20x(), false);
+        let without = dw_flags(GpuDevice::k20x(), false, true, true);
         let mut with_handles = Vec::new();
         let mut without_handles = Vec::new();
         for _task in 0..32 {
-            with_handles.push(with.ensure_level(ABSKG, 0, || field(16, 0.9)).unwrap());
-            without_handles.push(without.ensure_level(ABSKG, 0, || field(16, 0.9)).unwrap());
+            with_handles.push(with.ensure_level_on(0, ABSKG, 0, || field(16, 0.9)).unwrap());
+            without_handles.push(without.ensure_level_on(0, ABSKG, 0, || field(16, 0.9)).unwrap());
         }
         assert_eq!(with.device().used(), field_bytes);
         assert_eq!(without.device().used(), 32 * field_bytes);
@@ -1815,7 +1478,7 @@ mod tests {
             for _ in 0..8 {
                 let dw = dw.clone();
                 s.spawn(move || {
-                    let v = dw.ensure_level(ABSKG, 0, || field(16, 0.5)).unwrap();
+                    let v = dw.ensure_level_on(0, ABSKG, 0, || field(16, 0.5)).unwrap();
                     assert_eq!(v.data().as_f64().len(), 4096);
                 });
             }
@@ -1840,11 +1503,11 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         // Next step, identical host data: revalidation, no transfer.
         dw.begin_timestep();
-        assert_eq!(dw.level_entry_epoch(ABSKG, 0), Some(0), "stale until revalidated");
+        assert_eq!(dw.level_entry_epoch_on(0, ABSKG, 0), Some(0), "stale until revalidated");
         let c = dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).unwrap();
         assert!(Arc::ptr_eq(&a, &c), "unchanged replica is kept");
         assert_eq!(dw.device().counters().h2d_transfers, 1, "no second upload");
-        assert_eq!(dw.level_entry_epoch(ABSKG, 0), Some(1));
+        assert_eq!(dw.level_entry_epoch_on(0, ABSKG, 0), Some(1));
         // And within the new step it is trusted without the producer.
         let d = dw.ensure_level_fresh(ABSKG, 0, || panic!("revalidated")).unwrap();
         assert!(Arc::ptr_eq(&a, &d));
@@ -1910,7 +1573,7 @@ mod tests {
         assert_eq!(after.alloc_failures, before.alloc_failures + 1);
         assert_eq!(after.evictions, 0, "nothing evictable: the handle is live");
         assert_eq!(
-            dw.level_entry_epoch(ABSKG, 0),
+            dw.level_entry_epoch_on(0, ABSKG, 0),
             Some(0),
             "entry stays stale after a failed revalidate"
         );
@@ -1950,7 +1613,7 @@ mod tests {
         assert_eq!((patches, levels), (1, 1));
         assert!(pending.is_complete(), "drain synced by invalidate");
         drop(pending.wait());
-        assert_eq!(dw.patch_entries(), 0);
+        assert_eq!(dw.patch_entries_on(0), 0);
         assert_eq!(dw.level_entries(), 0);
         assert_eq!(device.used(), 0, "all device memory released");
         assert_eq!(device.counters().d2h_inflight, 0);
@@ -1967,12 +1630,12 @@ mod tests {
         let p = PatchId(7);
         dw.put_patch(DIVQ, p, field(8, 2.5)).unwrap();
         let pending = dw.take_patch_to_host_async(DIVQ, p).unwrap();
-        assert_eq!(dw.patch_entries(), 0, "entry removed at post time");
+        assert_eq!(dw.patch_entries_on(0), 0, "entry removed at post time");
         assert_eq!(pending.bytes(), 8usize.pow(3) * 8);
         let (data, drain, _blocked) = pending.wait_timed();
         assert_eq!(data.as_f64()[uintah_grid::IntVector::ZERO], 2.5);
         assert!(drain > Duration::ZERO);
-        device.sync_d2h();
+        device.sync(Dir::D2H);
         assert_eq!(device.used(), 0, "device memory released when drain completes");
         let c = device.counters();
         assert_eq!(c.d2h_transfers, 1);
@@ -1983,7 +1646,7 @@ mod tests {
 
     #[test]
     fn sync_fallback_reports_blocked_equals_drain() {
-        let dw = GpuDataWarehouse::with_options(GpuDevice::k20x(), true, false);
+        let dw = dw_flags(GpuDevice::k20x(), true, false, true);
         assert!(!dw.async_d2h());
         let p = PatchId(1);
         dw.put_patch(DIVQ, p, field(8, 1.0)).unwrap();
@@ -2005,7 +1668,7 @@ mod tests {
         // be identical across modes for the same operation sequence.
         let run = |async_d2h: bool| {
             let device = GpuDevice::with_capacity("mode-test", 1 << 20);
-            let dw = GpuDataWarehouse::with_options(device.clone(), true, async_d2h);
+            let dw = dw_flags(device.clone(), true, async_d2h, true);
             for p in 0..4u32 {
                 dw.put_patch(DIVQ, PatchId(p), field(8, p as f64)).unwrap();
                 let pending = dw.take_patch_to_host_async(DIVQ, PatchId(p)).unwrap();
@@ -2023,7 +1686,7 @@ mod tests {
 
     #[test]
     fn disabled_level_db_pays_full_upload_every_step() {
-        let dw = GpuDataWarehouse::with_level_db(GpuDevice::k20x(), false);
+        let dw = dw_flags(GpuDevice::k20x(), false, true, true);
         let a = dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).unwrap();
         dw.begin_timestep();
         let b = dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).unwrap();
@@ -2052,9 +1715,8 @@ mod tests {
         assert_eq!(c.spills, 1);
         assert_eq!(c.spilled_bytes, patch_bytes as u64);
         assert_eq!(dw.spill_entries(), 1);
-        assert_eq!(dw.spill_bytes(), patch_bytes);
         assert!(dw.get_patch(DIVQ, PatchId(0)).is_some(), "recently-used survives");
-        assert_eq!(dw.patch_entries(), 2);
+        assert_eq!(dw.patch_entries_on(0), 2);
         // Accessing the victim re-uploads it transparently — same bytes.
         let v = dw.get_patch(DIVQ, PatchId(1)).expect("spilled patch comes back");
         assert_eq!(v.data().as_f64()[uintah_grid::IntVector::ZERO], 11.0);
@@ -2113,7 +1775,7 @@ mod tests {
     fn eviction_disabled_fails_hard_at_capacity() {
         let patch_bytes = 8usize.pow(3) * 8;
         let fleet = DeviceFleet::with_capacity(1, "small", patch_bytes + 100);
-        let dw = GpuDataWarehouse::with_fleet_opts(fleet, true, true, false);
+        let dw = GpuDataWarehouse::with_fleet_full(fleet, true, true, true, false);
         assert!(!dw.eviction_enabled());
         dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).map(drop).unwrap();
         let err = dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).unwrap_err();
@@ -2132,7 +1794,7 @@ mod tests {
         let d2h_after_spill = device.counters().d2h_transfers;
         assert_eq!(device.counters().spills, 1);
         // Synchronous take: served straight from the spill map.
-        let data = dw.take_patch_to_host(DIVQ, PatchId(0)).expect("spilled data served");
+        let data = dw.take_patch_to_host_async(DIVQ, PatchId(0)).map(Pending::wait).expect("spilled data served");
         assert_eq!(data.as_f64()[uintah_grid::IntVector::ZERO], 5.0);
         assert_eq!(
             device.counters().d2h_transfers,
@@ -2184,7 +1846,7 @@ mod tests {
     #[test]
     fn fleet_routes_patches_to_home_devices() {
         let fleet = DeviceFleet::with_capacity(4, "test", 1 << 30);
-        let dw = GpuDataWarehouse::with_fleet(fleet, true, true);
+        let dw = GpuDataWarehouse::with_fleet_full(fleet, true, true, true, true);
         assert_eq!(dw.num_devices(), 4);
         // Put 32 patches; each must land on its sticky home device and be
         // visible only there.
@@ -2211,7 +1873,7 @@ mod tests {
     #[test]
     fn fleet_level_replicas_are_per_device() {
         let fleet = DeviceFleet::with_capacity(2, "test", 1 << 30);
-        let dw = GpuDataWarehouse::with_fleet(fleet, true, true);
+        let dw = GpuDataWarehouse::with_fleet_full(fleet, true, true, true, true);
         let a0 = dw.ensure_level_fresh_on(0, ABSKG, 0, || field(16, 0.9)).unwrap();
         let a1 = dw.ensure_level_fresh_on(1, ABSKG, 0, || field(16, 0.9)).unwrap();
         assert!(!Arc::ptr_eq(&a0, &a1), "each device holds its own replica");
@@ -2235,7 +1897,7 @@ mod tests {
     #[test]
     fn fleet_targeted_regrid_eviction_spares_other_devices() {
         let fleet = DeviceFleet::with_capacity(3, "test", 1 << 30);
-        let dw = GpuDataWarehouse::with_fleet(fleet, true, true);
+        let dw = GpuDataWarehouse::with_fleet_full(fleet, true, true, true, true);
         for d in 0..3 {
             dw.ensure_level_fresh_on(d, ABSKG, 0, || field(8, 0.5)).map(drop).unwrap();
         }
@@ -2251,7 +1913,7 @@ mod tests {
     #[test]
     fn affinity_override_rehomes_patches() {
         let fleet = DeviceFleet::with_capacity(2, "test", 1 << 30);
-        let dw = GpuDataWarehouse::with_fleet(fleet, true, true);
+        let dw = GpuDataWarehouse::with_fleet_full(fleet, true, true, true, true);
         // Find a patch whose sticky home is device 1, then pin it to 0.
         let p = (0..64u32)
             .map(PatchId)
@@ -2265,19 +1927,18 @@ mod tests {
         assert!(dw.device_at(0).used() > 0);
         assert_eq!(dw.device_at(1).used(), 0);
         // Take routes through the same override → drains device 0's engine.
-        let _ = dw.take_patch_to_host(DIVQ, p).unwrap();
+        let _ = dw.take_patch_to_host_async(DIVQ, p).map(Pending::wait).unwrap();
         assert_eq!(dw.counters_per_device()[0].d2h_transfers, 1);
         assert_eq!(dw.counters_per_device()[1].d2h_transfers, 0);
         // Clearing the overrides restores the sticky home.
         dw.set_affinity(&[]);
-        assert_eq!(dw.affinity_overrides(), 0);
         assert_eq!(dw.device_for_patch(p), 1);
     }
 
     #[test]
     fn fleet_async_drains_use_home_device_engines() {
         let fleet = DeviceFleet::with_capacity(2, "test", 1 << 30);
-        let dw = GpuDataWarehouse::with_fleet(fleet, true, true);
+        let dw = GpuDataWarehouse::with_fleet_full(fleet, true, true, true, true);
         let p0 = (0..64u32).map(PatchId).find(|&p| dw.device_for_patch(p) == 0).unwrap();
         let p1 = (0..64u32).map(PatchId).find(|&p| dw.device_for_patch(p) == 1).unwrap();
         dw.put_patch(DIVQ, p0, field(8, 1.0)).unwrap();
@@ -2296,13 +1957,7 @@ mod tests {
     }
 
     fn dw_with_h2d(async_h2d: bool) -> GpuDataWarehouse {
-        GpuDataWarehouse::with_fleet_full(
-            DeviceFleet::single(GpuDevice::k20x()),
-            true,
-            true,
-            async_h2d,
-            true,
-        )
+        dw_flags(GpuDevice::k20x(), true, true, async_h2d)
     }
 
     #[test]
@@ -2313,13 +1968,13 @@ mod tests {
         let h = dw.put_patch_async(DIVQ, p, &data).unwrap();
         assert_eq!(h.bytes(), 8usize.pow(3) * 8);
         assert_eq!(dw.pending_uploads(), 1);
-        assert_eq!(dw.patch_entries(), 0, "not in the DB until consumed");
+        assert_eq!(dw.patch_entries_on(0), 0, "not in the DB until consumed");
         // The upload was metered at post time, on the engine timeline.
         assert_eq!(dw.device().counters().h2d_transfers, 1);
         let v = dw.get_patch(DIVQ, p).expect("materializes the posted upload");
         assert_eq!(v.data().as_f64()[uintah_grid::IntVector::ZERO], 4.25);
         assert_eq!(dw.pending_uploads(), 0);
-        assert_eq!(dw.patch_entries(), 1);
+        assert_eq!(dw.patch_entries_on(0), 1);
         // No second transfer: the get consumed the posted burst.
         dw.sync_h2d_all();
         let c = dw.device().counters();
@@ -2382,7 +2037,7 @@ mod tests {
         }
         // Force everything out to the host spill map.
         while {
-            let mut st = dw.stores[0].state.lock();
+            let mut st = dw.stores[0].lock();
             GpuDataWarehouse::evict_one(&device, &mut st)
         } {}
         assert_eq!(dw.spill_entries(), 3);
@@ -2405,8 +2060,11 @@ mod tests {
         }
         dw.sync_h2d_all();
         assert_eq!(dw.device().counters().h2d_transfers, before.h2d_transfers + 1);
-        // Burst buffers retired into the staging pool for the next post.
-        assert!(dw.staging_pooled_bytes() > 0);
+        // Burst buffers retired into the staging pool: the next
+        // same-shaped post reuses one instead of allocating.
+        let hits = dw.staging_reuse_hits();
+        dw.put_patch_async(DIVQ, PatchId(9), &field(8, 0.0)).unwrap();
+        assert_eq!(dw.staging_reuse_hits(), hits + 1);
     }
 
     #[test]
@@ -2418,7 +2076,7 @@ mod tests {
         assert_eq!(dw.pending_uploads(), 2);
         dw.invalidate_for_regrid();
         assert_eq!(dw.pending_uploads(), 0, "in-flight uploads canceled");
-        assert_eq!(dw.patch_entries(), 0);
+        assert_eq!(dw.patch_entries_on(0), 0);
         assert_eq!(dw.level_entries(), 0);
         assert!(dw.get_patch(DIVQ, p).is_none(), "canceled upload is never served");
         // The canceled patch burst's block frees once the external handle
@@ -2443,7 +2101,7 @@ mod tests {
         dw.sync_h2d_all();
         assert_eq!(dw.device().counters().h2d_transfers, transfers_after_post);
         assert_eq!(dw.pending_uploads(), 0);
-        assert_eq!(dw.level_entry_epoch(ABSKG, 0), Some(1));
+        assert_eq!(dw.level_entry_epoch_on(0, ABSKG, 0), Some(1));
         // An unchanged resident replica posts nothing at all.
         dw.begin_timestep();
         assert!(!dw.prefetch_level_on(0, ABSKG, 0, &field(16, 1.1)));
@@ -2478,7 +2136,6 @@ mod tests {
         dw.get_patch(DIVQ, PatchId(0)).map(drop).unwrap();
         dw.sync_h2d_all();
         let hits_before = dw.staging_reuse_hits();
-        assert!(dw.staging_pooled_bytes() > 0, "first burst parked its buffer");
         // Same-shaped posts reuse the parked buffer instead of allocating.
         for i in 1..5u32 {
             dw.put_patch_async(DIVQ, PatchId(i), &data).unwrap();
@@ -2495,13 +2152,7 @@ mod tests {
         // copy), level predictions drop. The demand allocation succeeds.
         let field_bytes = 8usize.pow(3) * 8;
         let device = GpuDevice::with_capacity("tiny", field_bytes + 512);
-        let dw = GpuDataWarehouse::with_fleet_full(
-            DeviceFleet::single(device),
-            true,
-            true,
-            true,
-            true,
-        );
+        let dw = GpuDataWarehouse::new(device);
         let h = dw.put_patch_async(DIVQ, PatchId(0), &field(8, 3.5)).unwrap();
         drop(h); // no external pin
         assert_eq!(dw.pending_uploads(), 1);
@@ -2518,51 +2169,72 @@ mod tests {
         let v0 = dw.get_patch(DIVQ, PatchId(0)).unwrap();
         assert_eq!(v0.data().as_f64()[uintah_grid::IntVector::ZERO], 3.5);
     }
-}
-
-#[cfg(test)]
-mod repro_deadlock {
-    use super::*;
-    use crate::device::GpuDevice;
-    use uintah_grid::{CcVariable, IntVector, Region};
-
-    fn field(n: i32, v: f64) -> DeviceData {
-        let r = Region::new(IntVector::ZERO, IntVector::new(n, n, n));
-        DeviceData::F64(CcVariable::filled(r, v))
+    /// Run `f` on its own thread and fail if it has not returned in 5 s —
+    /// the prefetch-under-pressure bugs were deadlocks, not wrong answers.
+    fn within_5s<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(5)).unwrap_or_else(|_| panic!("{what} deadlocked"))
     }
 
     #[test]
     fn prefetch_spill_reuploads_under_pressure_does_not_hang() {
+        // Room for exactly two fields: the third re-upload reaches the
+        // allocator's cancel escalation while this batch's first two
+        // entries are staged. Regression: they used to be published as
+        // pending before their burst was posted, so the escalation waited —
+        // under the store lock — on slots nobody would ever fill.
         let field_bytes = 8usize.pow(3) * 8;
-        // Room for exactly two fields: the third re-upload hits the
-        // allocator cancel path while this batch's first two entries are
-        // pending but not yet posted.
         let device = GpuDevice::with_capacity("tiny", field_bytes * 2 + 256);
-        let dw = GpuDataWarehouse::with_fleet_full(
-            DeviceFleet::single(device.clone()),
-            true,
-            true,
-            true,
-            true,
-        );
+        let dw = Arc::new(GpuDataWarehouse::new(device.clone()));
         for i in 0..3u32 {
-            dw.put_patch(VarLabel::DivQ, PatchId(i), field(8, i as f64)).unwrap();
+            dw.put_patch(DIVQ, PatchId(i), field(8, i as f64)).unwrap();
         }
         while {
-            let mut st = dw.stores[0].state.lock();
+            let mut st = dw.stores[0].lock();
             GpuDataWarehouse::evict_one(&device, &mut st)
         } {}
         assert_eq!(dw.spill_entries(), 3);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let dw2 = std::sync::Arc::new(dw);
-        let dwc = std::sync::Arc::clone(&dw2);
-        std::thread::spawn(move || {
-            let n = dwc.prefetch_spill_reuploads();
-            tx.send(n).unwrap();
+        let dwc = Arc::clone(&dw);
+        let posted = within_5s("prefetch_spill_reuploads", move || dwc.prefetch_spill_reuploads());
+        assert_eq!(posted, 2, "two fit; the third stays spilled");
+        assert_eq!((dw.pending_uploads(), dw.spill_entries()), (2, 1));
+        // Every variable still serves its exact bytes, then drains clean.
+        for i in 0..3u32 {
+            let v = dw.get_patch(DIVQ, PatchId(i)).unwrap();
+            assert_eq!(v.data().as_f64()[uintah_grid::IntVector::ZERO], i as f64);
+        }
+        dw.sync_h2d_all(); // the engine job drops its slot handles before retiring
+        dw.clear_patch_db();
+        assert_eq!(device.used(), 0);
+        device.validate_allocator().unwrap();
+    }
+
+    #[test]
+    fn prefetch_resident_levels_under_pressure_does_not_hang() {
+        // The scheduler's step-close call. Two handle-pinned 32³ replicas
+        // plus room for one prediction: the second prediction's allocation
+        // finds nothing evictable and escalates to cancel pending uploads
+        // while the first is staged in the same batch — the deadlock above,
+        // on the level path.
+        let field_bytes = 32usize.pow(3) * 8;
+        let device = GpuDevice::with_capacity("tiny", field_bytes * 3 + 256);
+        let dw = Arc::new(GpuDataWarehouse::new(device.clone()));
+        let pins: Vec<_> = (0..2)
+            .map(|li| dw.ensure_level_fresh_on(0, ABSKG, li, || field(32, 0.5)).unwrap())
+            .collect();
+        dw.begin_timestep();
+        let dwc = Arc::clone(&dw);
+        let posted = within_5s("prefetch_resident_levels", move || {
+            dwc.prefetch_resident_levels(|_, _| Some(Arc::new(field(32, 0.7))))
         });
-        let n = rx
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("prefetch_spill_reuploads deadlocked");
-        assert!(n <= 3);
+        assert_eq!(posted, 1, "one prediction fits; the other is skipped");
+        dw.sync_h2d_all();
+        drop(pins);
+        dw.clear_level_db();
+        assert_eq!(dw.pending_uploads(), 0);
+        assert_eq!(device.used(), 0, "fleet drains to 0 B");
+        assert_eq!(device.counters().release_underflows, 0);
+        device.validate_allocator().unwrap();
     }
 }

@@ -20,7 +20,7 @@
 //!   the measured per-patch task costs (`ExecStats.per_patch`), mirroring
 //!   the regrid rebalance policies at intra-node scale.
 
-use crate::device::{DeviceCounters, GpuDevice};
+use crate::device::{DeviceCounters, Dir, GpuDevice};
 use std::time::Duration;
 use uintah_grid::PatchId;
 
@@ -91,19 +91,12 @@ impl DeviceFleet {
         sticky_device(patch, self.devices.len())
     }
 
-    /// Block until every device's D2H copy-engine timeline is empty (the
-    /// fleet-wide `cudaDeviceSynchronize` analogue at step boundaries).
-    pub fn sync_d2h_all(&self) {
+    /// Block until every device's `dir` copy-engine timeline is empty (the
+    /// fleet-wide `cudaDeviceSynchronize` analogue at step boundaries):
+    /// every posted transfer has landed, not necessarily been consumed.
+    pub fn sync_all(&self, dir: Dir) {
         for d in &self.devices {
-            d.sync_d2h();
-        }
-    }
-
-    /// Block until every device's H2D copy-engine timeline is empty —
-    /// every posted upload burst has landed (not necessarily consumed).
-    pub fn sync_h2d_all(&self) {
-        for d in &self.devices {
-            d.sync_h2d();
+            d.sync(dir);
         }
     }
 
@@ -174,13 +167,12 @@ mod tests {
     #[test]
     fn fleet_devices_are_independent() {
         let fleet = DeviceFleet::with_capacity(3, "test", 1000);
-        fleet.device(0).try_reserve(800).unwrap();
+        let b0 = fleet.device(0).alloc_block(800).unwrap();
         // Device 1's capacity meter is untouched by device 0's reservation.
-        fleet.device(1).try_reserve(800).unwrap();
-        assert!(fleet.device(0).try_reserve(800).is_err());
+        let b1 = fleet.device(1).alloc_block(800).unwrap();
+        assert!(fleet.device(0).alloc_block(800).is_err());
         assert_eq!(fleet.total_used(), 1600);
-        fleet.device(0).release(800);
-        fleet.device(1).release(800);
+        drop((b0, b1));
         assert_eq!(fleet.total_used(), 0);
         assert_eq!(fleet.counters_per_device().len(), 3);
     }

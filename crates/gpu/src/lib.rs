@@ -11,9 +11,10 @@
 //! device model for CUDA (see DESIGN.md §2):
 //!
 //! * [`GpuDevice`] — device-memory accounting against a byte capacity,
-//!   per-direction copy-engine *timelines* (transfer/byte/occupancy metering
-//!   plus a real worker thread draining posted D2H copies asynchronously),
-//!   kernel-launch counters and stream handles;
+//!   one copy engine per PCIe direction ([`Dir`]) — a *timeline* with
+//!   transfer/byte/occupancy metering and a real worker thread draining
+//!   posted transfers asynchronously — kernel-launch counters and stream
+//!   handles;
 //! * [`GpuDataWarehouse`] — the per-device variable store with a *patch
 //!   database* and the paper's new *level database*, which keeps exactly one
 //!   shared copy of each per-level variable that all concurrent patch tasks
@@ -29,6 +30,6 @@ pub mod device;
 pub mod dw;
 pub mod fleet;
 
-pub use device::{CopyEngineStats, DeviceBlock, DeviceCounters, GpuDevice, GpuError, Stream};
-pub use dw::{DeviceData, DeviceVar, GpuDataWarehouse, PendingD2H, PendingH2D};
+pub use device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError, Mode, Stream};
+pub use dw::{DeviceData, DeviceVar, GpuDataWarehouse, Pending, PendingD2H, PendingH2D};
 pub use fleet::{lpt_assign, sticky_device, DeviceFleet, DeviceId, GpuAffinity};

@@ -757,7 +757,7 @@ mod tests {
         let misses = dw.recycle_misses();
         let _ = dw.alloc_f64(Region::cube(8));
         assert_eq!(dw.recycle_misses(), misses + 1, "stale pool buffer dropped");
-        gpu.device().sync_d2h();
+        gpu.sync_d2h_all();
     }
 
     #[test]

@@ -204,7 +204,7 @@ fn gpu_level_db_concurrent_hammer() {
             s.spawn(move || {
                 for _ in 0..200 {
                     let v = dw
-                        .ensure_level(ABSKG, 0, || {
+                        .ensure_level_on(0, ABSKG, 0, || {
                             FieldData::F64(CcVariable::filled(Region::cube(8), 1.0))
                         })
                         .unwrap();
@@ -286,7 +286,7 @@ fn regrid_racing_async_d2h_drains_without_deadlock_or_leaks() {
             s.spawn(move || {
                 // The executor's regrid prologue, verbatim order.
                 dw.drain_pending_d2h();
-                gpu.device().sync_d2h();
+                gpu.sync_d2h_all();
                 dw.begin_regrid();
                 gpu.invalidate_for_regrid();
             });
@@ -314,7 +314,7 @@ fn regrid_racing_async_d2h_drains_without_deadlock_or_leaks() {
     assert!(dw.get_patch(CELLTYPE, p).is_none(), "stale slot must not serve");
     assert!(dw.stale_hits() > 0, "blocked stale slot is counted");
     assert_eq!(dw.drain_pending_d2h(), 0, "stale slot not drained as current");
-    gpu.device().sync_d2h();
+    gpu.sync_d2h_all();
     assert_eq!(gpu.device().used(), 0, "discarded drain still releases device bytes");
 }
 
@@ -340,7 +340,7 @@ fn fleet_regrid_race_evicts_only_affected_devices_without_leaks() {
     let patches: Vec<_> = grid.fine_level().patches().iter().map(|p| p.id()).collect();
     for _round in 0..10 {
         let dw = Arc::new(DataWarehouse::new(Arc::clone(&grid)));
-        let gpu = Arc::new(GpuDataWarehouse::with_fleet(DeviceFleet::k20x(NDEV), true, true));
+        let gpu = Arc::new(GpuDataWarehouse::with_fleet_full(DeviceFleet::k20x(NDEV), true, true, true, true));
         // Stage a level replica on every device, then park one async drain
         // per patch on its sticky home device's engine.
         for dev in 0..NDEV {

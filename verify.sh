@@ -5,34 +5,14 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test -q
-# The regrid suite is the acceptance gate for mid-run redistribution
-# (bit-identical divQ across a forced ownership flip); run it by name so
-# a filtered `cargo test -q` invocation can never silently skip it.
-cargo test -q -p uintah --test regrid
-# Multi-device gates: the fleet bit-identity matrix (divQ unchanged for
-# 1/2/4/6 devices per rank under any thread count / affinity policy) and
-# the fleet-vs-regrid race (per-device eviction, no stale replicas, no
-# leaked device bytes) — likewise pinned by name.
-cargo test -q -p uintah --test exec_spaces divq_is_bit_identical_across_fleet_sizes_and_thread_counts
-cargo test -q -p uintah --test concurrency fleet_regrid_race_evicts_only_affected_devices_without_leaks
-# Oversubscription pins: the LRU-eviction-vs-regrid race (no stale
-# serves, counters reconcile bit-exactly, no leaked device bytes), the
-# sub-allocator free-list invariant proptests, and the D2H
-# mode-independence pin (inline fallback and async engine produce equal
-# DeviceCounters) — by name, so they can never be silently filtered out.
-cargo test -q -p uintah --test concurrency lru_eviction_racing_regrid_no_stale_serves_no_leaks
-cargo test -q -p uintah --test properties suballoc
-cargo test -q -p uintah-gpu --lib inline_take_matches_async_counters_exactly
-# The measured-calibration pipeline (snapshot round trip bit-identity,
-# run-to-run structural determinism) — pinned by name.
-cargo test -q -p uintah --test calibration
-# Packet ray-engine bit-identity pins: every tracer (region solve, both
-# sampling modes, scattering, wall flux, radiometer) must reproduce the
-# pre-packet scalar results bit for bit in fixed mode, and adaptive mode
-# must match the fixed answer within tolerance — pinned by name.
-cargo test -q -p uintah --test ray_engine
+# The root is a virtual workspace: the unfiltered run above covers every
+# member's unit and integration tests, so no suite needs a by-name re-run.
 cargo test --doc -q
 cargo clippy --workspace --all-targets -- -D warnings
+# The benchmark package lives outside the workspace and builds against
+# these crates' public API: check it here so an API change that would
+# break the benchmark fails tier-1 instead of failing the benchmark.
+cargo check --offline --manifest-path perf_report/Cargo.toml
 # E12 scaling-campaign regression gate: calibrate from a real executor
 # run, sweep the LARGE 16³-patch curve, compare Eq.-3 efficiencies against
 # the checked-in BENCH_scaling.json (tolerance in rmcrt_bench::campaign)
@@ -68,21 +48,6 @@ cargo run --release -q -p rmcrt-bench --bin oversub_gate
 # JSON after intentional changes with:
 #   cargo run --release -p rmcrt-bench --bin h2d_overlap_gate -- --update
 cargo run --release -q -p rmcrt-bench --bin h2d_overlap_gate
-# H2D mode-independence and prefetch-race pins: the inline-upload
-# counter-parity test, the prefetch-vs-regrid-vs-eviction race, and the
-# warm-slot replica-inheritance bit-identity test — by name, so a
-# filtered run can never silently skip them.
-cargo test -q -p uintah-gpu --lib inline_upload_matches_async_counters_exactly
-cargo test -q -p uintah --test concurrency h2d_prefetch_racing_regrid_and_eviction_drains_clean
-cargo test -q -p uintah --test serve warm_slot_with_h2d_prefetch_inherits_replicas_bit_identical
-# Multi-tenant serving pins: the radiation-server battery (concurrent and
-# mixed-config tenants bit-identical to solo runs, attributable summary
-# lines, queued-not-failed admission with typed rejection, priority
-# overtaking, wire round trip + disconnect cancellation) and the
-# submit/cancel storm that must drain the server to zero device bytes
-# with clean allocators — pinned by name.
-cargo test -q -p uintah --test serve
-cargo test -q -p uintah --test concurrency radiation_server_submit_cancel_storm_drains_clean
 # E15 serving gate: a mixed 4-tenant stream on a warm server must beat
 # the cold one-world-per-job serial workflow (floor 0.75 x min(tenants,
 # cores), i.e. the 3x service floor at >= 4 cores, never below 1x), with
