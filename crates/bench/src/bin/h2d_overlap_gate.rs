@@ -31,7 +31,7 @@
 //! cargo run -p rmcrt-bench --release --bin h2d_overlap_gate -- --update
 //! ```
 
-use std::path::{Path, PathBuf};
+use rmcrt_bench::gate::{self, check_meter_drift, divq_checksum};
 use std::process::ExitCode;
 use std::sync::Arc;
 use uintah::gpu::GpuDataWarehouse;
@@ -59,10 +59,6 @@ const GATE_PATCH: VarLabel = VarLabel::new("gate_patch", 93);
 const PIPE_TIMESTEPS: usize = 3;
 const PIPE_REGRID_INTERVAL: usize = 2;
 const OVERSUB: u64 = 2;
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 /// Deterministic inter-step CPU work, well above the posted bursts'
 /// memcpy cost — the stand-in for the task drain the engine overlaps.
@@ -231,23 +227,6 @@ fn pipeline_run(
     )
 }
 
-/// Order-independent bit-exact fingerprint of the fine-level divQ field.
-fn divq_checksum(grid: &Grid, result: &WorldResult) -> u64 {
-    let mut acc = 0u64;
-    for rr in &result.ranks {
-        for &pid in result.dist.owned_by(rr.rank) {
-            if grid.patch(pid).level_index() != grid.fine_level_index() {
-                continue;
-            }
-            let v = rr.dw.get_patch(DIVQ, pid).expect("divQ computed");
-            for &x in v.as_f64().as_slice() {
-                acc = acc.wrapping_add(x.to_bits());
-            }
-        }
-    }
-    acc
-}
-
 /// Summed H2D stall (`h2d_wait_ns`) and per-device peak across a run's
 /// fleet, plus eviction count and underflows.
 fn fleet_h2d(result: &WorldResult) -> (u64, u64, u64, u64) {
@@ -263,36 +242,8 @@ fn fleet_h2d(result: &WorldResult) -> (u64, u64, u64, u64) {
     (wait, peak, ev, uf)
 }
 
-/// Zero-drift contract at exit, shared with the oversubscription gate:
-/// meters agree with the DBs, free lists are coherent, clearing drains
-/// every byte.
-fn check_meter_drift(result: &WorldResult, label: &str, violations: &mut Vec<String>) {
-    for rr in &result.ranks {
-        let g = rr.gpu.as_ref().expect("gpu attached");
-        g.sync_h2d_all();
-        for d in 0..g.num_devices() {
-            let dev = g.device_at(d);
-            if let Err(e) = dev.validate_allocator() {
-                violations.push(format!("{label}: rank {} device {d}: {e}", rr.rank));
-            }
-        }
-        g.clear_patch_db();
-        g.clear_level_db();
-        for d in 0..g.num_devices() {
-            let left = g.device_at(d).used();
-            if left != 0 {
-                violations.push(format!(
-                    "{label}: rank {} device {d}: {left} B leaked after clearing the DBs",
-                    rr.rank
-                ));
-            }
-        }
-    }
-}
-
 fn main() -> ExitCode {
-    let update = std::env::args().any(|a| a == "--update");
-    let report_path = repo_root().join("BENCH_h2d_overlap.json");
+    let report_path = gate::repo_root().join("BENCH_h2d_overlap.json");
     let mut violations = Vec::new();
 
     // --- 1. Stall view ---------------------------------------------------
@@ -406,7 +357,7 @@ fn main() -> ExitCode {
         pipe_wait[1] as f64 / 1e6,
     );
 
-    if update {
+    if gate::update_requested() {
         let json = format!(
             "{{\n  \"group\": \"h2d_overlap\",\n  \"note\": \"Async H2D upload-pipeline gate. Stall view: the pipeline's upload pattern (step-close posts of level revalidations, superseding patch uploads and spill re-uploads; inter-step CPU drain; step-open consume) on B&C-sized 32^3 fields, both gpu_async_h2d modes. Floors checked live (not against this file): >= {MIN_STALL_REDUCTION}x critical-path stall reduction, async overlap >= sync stall / {MIN_OVERLAP_FRACTION}, zero overlap in sync mode, bit-identical served bytes, zero meter drift. Pipeline view: 2-level 16^3 B&C through run_world on 1/2/3/7 threads x 1/2/4/6 devices x both modes (32 runs) — all divQ checksums bit-identical to the reference — plus an oversubscribed pair (capacity = peak / {OVERSUB}, regrid every {PIPE_REGRID_INTERVAL}) that must evict, match, and drain clean. This file records measured values for bookkeeping.\",\n  \"benchmarks\": [\n    {{ \"id\": \"h2d_stall\", \"sync_wait_ms\": {:.3}, \"async_wait_ms\": {:.3}, \"reduction_x\": {reduction:.1}, \"async_overlap_ms\": {:.3} }},\n    {{ \"id\": \"h2d_pipeline_oversub\", \"capacity_bytes\": {capacity}, \"sync_wait_ms\": {:.3}, \"async_wait_ms\": {:.3} }}\n  ]\n}}\n",
             sync_wait as f64 / 1e6,
@@ -415,34 +366,13 @@ fn main() -> ExitCode {
             pipe_wait[0] as f64 / 1e6,
             pipe_wait[1] as f64 / 1e6,
         );
-        std::fs::write(&report_path, json).expect("write BENCH_h2d_overlap.json");
-        println!("wrote {}", report_path.display());
-        return ExitCode::SUCCESS;
+        return gate::write_report(&report_path, &json);
     }
 
-    match std::fs::read_to_string(&report_path) {
-        Err(e) => violations.push(format!("cannot read {}: {e}", report_path.display())),
-        Ok(text) => {
-            for id in ["h2d_stall", "h2d_pipeline_oversub"] {
-                if !text.contains(&format!("\"id\": \"{id}\"")) {
-                    violations.push(format!("BENCH_h2d_overlap.json has no {id} entry"));
-                }
-            }
-        }
-    }
-
-    if violations.is_empty() {
-        println!(
-            "h2d overlap gate PASS (>= {MIN_STALL_REDUCTION}x stall reduction, overlap floor met, \
-             bit-identical divQ across 32 shape runs + oversubscription, zero meter drift)"
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!("h2d overlap gate FAIL:");
-        for v in &violations {
-            println!("  - {v}");
-        }
-        println!("(if the change is intentional, regenerate with: cargo run -p rmcrt-bench --release --bin h2d_overlap_gate -- --update)");
-        ExitCode::FAILURE
-    }
+    gate::require_entries(&report_path, &["h2d_stall", "h2d_pipeline_oversub"], &mut violations);
+    let detail = format!(
+        ">= {MIN_STALL_REDUCTION}x stall reduction, overlap floor met, bit-identical divQ \
+         across 32 shape runs + oversubscription, zero meter drift"
+    );
+    gate::finish(env!("CARGO_BIN_NAME"), &detail, &violations)
 }

@@ -29,7 +29,7 @@
 //! cargo run -p rmcrt-bench --release --bin oversub_gate -- --update
 //! ```
 
-use std::path::{Path, PathBuf};
+use rmcrt_bench::gate::{self, check_meter_drift, divq_checksum};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,10 +47,6 @@ const TIMESTEPS: usize = 4;
 /// Regrid every 2 steps → an ownership flip races the eviction machinery
 /// mid-run.
 const REGRID_INTERVAL: usize = 2;
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 fn run(
     grid: &Arc<Grid>,
@@ -76,24 +72,6 @@ fn run(
     (result, wall_ms)
 }
 
-/// Order-independent bit-exact fingerprint of the fine-level divQ field
-/// across all ranks.
-fn divq_checksum(grid: &Grid, result: &WorldResult) -> u64 {
-    let mut acc = 0u64;
-    for rr in &result.ranks {
-        for &pid in result.dist.owned_by(rr.rank) {
-            if grid.patch(pid).level_index() != grid.fine_level_index() {
-                continue;
-            }
-            let v = rr.dw.get_patch(DIVQ, pid).expect("divQ computed");
-            for &x in v.as_f64().as_slice() {
-                acc = acc.wrapping_add(x.to_bits());
-            }
-        }
-    }
-    acc
-}
-
 /// Fleet-wide totals: (max per-device peak, evictions, spilled bytes,
 /// re-uploaded bytes, release underflows).
 fn fleet_totals(result: &WorldResult) -> (u64, u64, u64, u64, u64) {
@@ -110,50 +88,8 @@ fn fleet_totals(result: &WorldResult) -> (u64, u64, u64, u64, u64) {
     (peak, ev, sp, ru, uf)
 }
 
-/// The zero-drift contract at exit: every device's meter agrees with the
-/// warehouse databases, the allocator free list is coherent, nothing is
-/// stranded in the spill maps, and clearing the DBs drains every byte.
-fn check_meter_drift(result: &WorldResult, label: &str, violations: &mut Vec<String>) {
-    for rr in &result.ranks {
-        let g = rr.gpu.as_ref().expect("gpu attached");
-        for d in 0..g.num_devices() {
-            let dev = g.device_at(d);
-            if let Err(e) = dev.validate_allocator() {
-                violations.push(format!("{label}: rank {} device {d}: {e}", rr.rank));
-            }
-            let used = dev.counters().used;
-            let resident = g.resident_bytes_on(d) as u64;
-            if used != resident {
-                violations.push(format!(
-                    "{label}: rank {} device {d}: meter used {used} B != DB-resident {resident} B",
-                    rr.rank
-                ));
-            }
-        }
-        if g.spill_entries() != 0 {
-            violations.push(format!(
-                "{label}: rank {}: {} variables stranded in host spill at exit",
-                rr.rank,
-                g.spill_entries()
-            ));
-        }
-        g.clear_patch_db();
-        g.clear_level_db();
-        for d in 0..g.num_devices() {
-            let left = g.device_at(d).used();
-            if left != 0 {
-                violations.push(format!(
-                    "{label}: rank {} device {d}: {left} B leaked after clearing the DBs",
-                    rr.rank
-                ));
-            }
-        }
-    }
-}
-
 fn main() -> ExitCode {
-    let update = std::env::args().any(|a| a == "--update");
-    let report_path = repo_root().join("BENCH_oversub.json");
+    let report_path = gate::repo_root().join("BENCH_oversub.json");
     let mut violations = Vec::new();
 
     // LARGE-style problem: 2 levels at RR 4, 32³ fine mesh in 8³ patches
@@ -230,7 +166,7 @@ fn main() -> ExitCode {
         violations.push("reference divQ differs between 1- and 6-device fleets".to_string());
     }
 
-    if update {
+    if gate::update_requested() {
         let mut body = String::new();
         for (i, (devices, ref_ms, capacity, ov_ms, slowdown, ev, sp, ru)) in rows.iter().enumerate() {
             if i > 0 {
@@ -243,33 +179,13 @@ fn main() -> ExitCode {
         let json = format!(
             "{{\n  \"group\": \"oversub\",\n  \"note\": \"Device-memory oversubscription gate: 2-level 32^3 B&C through the full runtime (2 ranks x 2 threads, {TIMESTEPS} steps, regrid every {REGRID_INTERVAL}), per-device capacity = measured reference peak / {OVERSUB}. Floors checked live (not against this file): run completes, divQ bit-identical to the non-evicting reference, evictions > 0, slowdown <= {MAX_SLOWDOWN}x, zero meter drift at exit (used == DB-resident, allocator invariants hold, no underflows, no stranded spill, clearing DBs reaches 0 B). This file records measured values for bookkeeping.\",\n  \"benchmarks\": [\n{body}\n  ]\n}}\n"
         );
-        std::fs::write(&report_path, json).expect("write BENCH_oversub.json");
-        println!("wrote {}", report_path.display());
-        return ExitCode::SUCCESS;
+        return gate::write_report(&report_path, &json);
     }
 
-    match std::fs::read_to_string(&report_path) {
-        Err(e) => violations.push(format!("cannot read {}: {e}", report_path.display())),
-        Ok(text) => {
-            for devices in [1usize, 6] {
-                if !text.contains(&format!("\"id\": \"oversub_{devices}dev\"")) {
-                    violations.push(format!("BENCH_oversub.json has no oversub_{devices}dev entry"));
-                }
-            }
-        }
-    }
-
-    if violations.is_empty() {
-        println!(
-            "oversub gate PASS ({OVERSUB}x oversubscribed, bit-identical divQ, slowdown <= {MAX_SLOWDOWN}x, zero meter drift)"
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!("oversub gate FAIL:");
-        for v in &violations {
-            println!("  - {v}");
-        }
-        println!("(if the change is intentional, regenerate with: cargo run -p rmcrt-bench --release --bin oversub_gate -- --update)");
-        ExitCode::FAILURE
-    }
+    gate::require_entries(&report_path, &["oversub_1dev", "oversub_6dev"], &mut violations);
+    let detail = format!(
+        "{OVERSUB}x oversubscribed, bit-identical divQ, slowdown <= {MAX_SLOWDOWN}x, \
+         zero meter drift"
+    );
+    gate::finish(env!("CARGO_BIN_NAME"), &detail, &violations)
 }

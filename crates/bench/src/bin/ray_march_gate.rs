@@ -25,12 +25,11 @@
 //! cargo run -p rmcrt-bench --release --bin ray_march_gate -- --update # regen
 //! ```
 
-use rmcrt_bench::{median_time, scalar_march, secs};
+use rmcrt_bench::{gate, median_time, scalar_march, secs};
 use rmcrt_core::props::{LevelProps, WALL_CELL};
 use rmcrt_core::solver::{RayCountMode, RmcrtParams};
 use rmcrt_core::trace::TraceLevel;
 use rmcrt_core::{solve_region, solve_region_with_stats, BurnsChriston};
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 use uintah::prelude::ExecSpace;
@@ -54,10 +53,6 @@ const REGRESSION_TOLERANCE: f64 = 0.10;
 const N: i32 = 16;
 const NRAYS: u32 = 100;
 const REPS: usize = 5;
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 /// Minimal extraction of `"throughput_per_sec": <x>` for a benchmark id
 /// from the checked-in report (same hand-rolled style as the rest of the
@@ -130,8 +125,7 @@ fn time_pair(
 }
 
 fn main() -> ExitCode {
-    let update = std::env::args().any(|a| a == "--update");
-    let report_path = repo_root().join("BENCH_ray_march.json");
+    let report_path = gate::repo_root().join("BENCH_ray_march.json");
     let mut violations = Vec::new();
 
     // --- Workload 1: Burns & Christon, fixed mode (bit-identity). -------
@@ -223,7 +217,7 @@ fn main() -> ExitCode {
         mean_rel * 100.0
     );
 
-    if update {
+    if gate::update_requested() {
         let json = format!(
             "{{\n  \"group\": \"ray_march\",\n  \"note\": \"Serial full-region solves, 16^3, median of {REPS}; throughput is cells/s. scalar_* = frozen pre-packet per-ray DDA (crates/bench/src/scalar_march.rs). packet_16cube_100rays is bit-identical to its scalar twin (fixed mode, B&C, 100 rays/cell, threshold 1e-5): the speedup is pure engine-overhead elimination under the pinned-FP contract. packet_16cube_thick_adaptive is the packet path on the optically-thick enclosure (kappa=8, hot walls, threshold 0.05) with adaptive ray counts 16..100 at rel_var_target 0.05 vs the 100-rays/cell scalar baseline; it must stay >= {MIN_ADAPTIVE_SPEEDUP}x scalar with region-mean divQ within {:.0}%. Gate: bit-identity on both workloads, fixed >= {MIN_FIXED_SPEEDUP}x, adaptive >= {MIN_ADAPTIVE_SPEEDUP}x, packet entries within {REGRESSION_TOLERANCE} of this file.\",\n  \"benchmarks\": [\n    {{ \"id\": \"scalar_16cube_100rays\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"packet_16cube_100rays\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"scalar_16cube_thick_100rays\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"packet_16cube_thick_adaptive\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1}, \"rays_per_cell\": {rays_per_cell:.1} }}\n  ]\n}}\n",
             MAX_ADAPTIVE_MEAN_REL * 100.0,
@@ -236,9 +230,7 @@ fn main() -> ExitCode {
             adaptive.packet_ms * 1e6,
             adaptive.packet_cps,
         );
-        std::fs::write(&report_path, json).expect("write BENCH_ray_march.json");
-        println!("wrote {}", report_path.display());
-        return ExitCode::SUCCESS;
+        return gate::write_report(&report_path, &json);
     }
 
     if fixed_speedup < MIN_FIXED_SPEEDUP {
@@ -273,17 +265,9 @@ fn main() -> ExitCode {
         }
     }
 
-    if violations.is_empty() {
-        println!(
-            "ray_march gate PASS (fixed >= {MIN_FIXED_SPEEDUP}x, adaptive >= {MIN_ADAPTIVE_SPEEDUP}x, tolerance {REGRESSION_TOLERANCE})"
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!("ray_march gate FAIL:");
-        for v in &violations {
-            println!("  - {v}");
-        }
-        println!("(if the change is intentional, regenerate with: cargo run -p rmcrt-bench --release --bin ray_march_gate -- --update)");
-        ExitCode::FAILURE
-    }
+    let detail = format!(
+        "fixed >= {MIN_FIXED_SPEEDUP}x, adaptive >= {MIN_ADAPTIVE_SPEEDUP}x, \
+         tolerance {REGRESSION_TOLERANCE}"
+    );
+    gate::finish(env!("CARGO_BIN_NAME"), &detail, &violations)
 }

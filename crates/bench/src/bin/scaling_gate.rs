@@ -20,21 +20,16 @@
 //! Summit projection, gate curve) from a fresh calibration; commit the
 //! result when the model or runtime intentionally changes.
 
+use rmcrt_bench::gate;
 use rmcrt_bench::campaign::{
     self, CampaignReport, GateNumbers, SweepSpec, GATE_TOLERANCE, KNEE_THRESHOLD,
 };
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use uintah_runtime::CalibrationSnapshot;
 
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 fn main() -> ExitCode {
-    let update = std::env::args().any(|a| a == "--update");
-    let report_path = repo_root().join("BENCH_scaling.json");
-    let snapshot_path = repo_root().join("CALIBRATION.snapshot");
+    let report_path = gate::repo_root().join("BENCH_scaling.json");
+    let snapshot_path = gate::repo_root().join("CALIBRATION.snapshot");
 
     let cal = campaign::calibrate_live();
     println!("{}", cal.summary());
@@ -58,7 +53,7 @@ fn main() -> ExitCode {
         }
     );
 
-    if update {
+    if gate::update_requested() {
         let sweeps = vec![
             campaign::strong_scaling(&SweepSpec::fig2_medium(), &cal.titan, "titan", &cal.profile),
             campaign::strong_scaling(&SweepSpec::fig3_large(), &cal.titan, "titan", &cal.profile),
@@ -66,10 +61,8 @@ fn main() -> ExitCode {
             gate_sweep,
         ];
         let report = CampaignReport { sweeps, gate: fresh };
-        std::fs::write(&report_path, report.to_json()).expect("write BENCH_scaling.json");
-        std::fs::write(&snapshot_path, cal.snapshot.to_text()).expect("write CALIBRATION.snapshot");
-        println!("wrote {} and {}", report_path.display(), snapshot_path.display());
-        return ExitCode::SUCCESS;
+        gate::write_report(&snapshot_path, &cal.snapshot.to_text());
+        return gate::write_report(&report_path, &report.to_json());
     }
 
     // Checked-in snapshot must still parse and round-trip bit-exactly.
@@ -93,17 +86,6 @@ fn main() -> ExitCode {
         },
     }
 
-    if violations.is_empty() {
-        println!(
-            "scaling gate PASS (tolerance {GATE_TOLERANCE}, knee threshold {KNEE_THRESHOLD})"
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!("scaling gate FAIL:");
-        for v in &violations {
-            println!("  - {v}");
-        }
-        println!("(if the change is intentional, regenerate with: cargo run -p rmcrt-bench --release --bin scaling_gate -- --update)");
-        ExitCode::FAILURE
-    }
+    let detail = format!("tolerance {GATE_TOLERANCE}, knee threshold {KNEE_THRESHOLD}");
+    gate::finish(env!("CARGO_BIN_NAME"), &detail, &violations)
 }

@@ -39,7 +39,7 @@
 //! cargo run -p rmcrt-bench --release --bin serve_gate -- --update
 //! ```
 
-use std::path::{Path, PathBuf};
+use rmcrt_bench::gate;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -63,10 +63,6 @@ fn min_speedup() -> f64 {
         .unwrap_or(1);
     let ideal = TENANTS.min(cores) as f64;
     (MIN_SPEEDUP_AT_4_CORES / TENANTS as f64 * ideal).max(1.0)
-}
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// The tenant workload: a 24³ two-level Burns & Christon solve in 2³
@@ -157,8 +153,7 @@ fn check_fleet_dry(server: &RadiationServer, label: &str, violations: &mut Vec<S
 }
 
 fn main() -> ExitCode {
-    let update = std::env::args().any(|a| a == "--update");
-    let report_path = repo_root().join("BENCH_serve.json");
+    let report_path = gate::repo_root().join("BENCH_serve.json");
     let mut violations = Vec::new();
 
     let cpu = cpu_cfg();
@@ -374,39 +369,18 @@ fn main() -> ExitCode {
     tiny.shutdown();
     check_fleet_dry(&tiny, "tiny fleet", &mut violations);
 
-    if update {
+    if gate::update_requested() {
         let json = format!(
             "{{\n  \"group\": \"serve\",\n  \"note\": \"Multi-tenant radiation-server gate: a mixed {TENANTS}-tenant stream (CPU+GPU 24^3 two-level B&C, 1 step) on a warm server vs the same jobs serial on cold single-tenant worlds. Floors checked live (not against this file): speedup >= 0.75 x min(tenants, cores) — the {MIN_SPEEDUP_AT_4_CORES}x service floor at >= {TENANTS} cores, never below 1x — per-tenant divQ bit-identical to standalone run_world, a fresh-slot tenant adopts >= 1 shared compiled graph with zero recompiles, oversubscribed admission queues (never fails) and rejects impossible jobs typed, and every fleet drains to 0 B with no meter drift. This file records measured values for bookkeeping.\",\n  \"benchmarks\": [\n    {{ \"id\": \"serve_4tenants\", \"serial_cold_ms\": {serial_ms:.1}, \"warm_concurrent_ms\": {served_ms:.1}, \"speedup\": {speedup:.2}, \"floor_on_host\": {floor:.2}, \"slot_hits\": {}, \"shared_graph_hits\": {}, \"fresh_slot_shared_hits\": {shared_hits}, \"queued_for_capacity\": {queued_for_capacity} }}\n  ]\n}}\n",
             stats.slot_hits, stats.shared_graph_hits
         );
-        std::fs::write(&report_path, json).expect("write BENCH_serve.json");
-        println!("wrote {}", report_path.display());
-        return ExitCode::SUCCESS;
+        return gate::write_report(&report_path, &json);
     }
 
-    match std::fs::read_to_string(&report_path) {
-        Err(e) => violations.push(format!("cannot read {}: {e}", report_path.display())),
-        Ok(text) => {
-            if !text.contains("\"id\": \"serve_4tenants\"") {
-                violations.push("BENCH_serve.json has no serve_4tenants entry".into());
-            }
-        }
-    }
-
-    if violations.is_empty() {
-        println!(
-            "serve gate PASS ({speedup:.2}x >= {floor:.2}x, bit-identical mixed stream, \
-             shared graphs adopted, queued-not-failed admission, fleets dry)"
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!("serve gate FAIL:");
-        for v in &violations {
-            println!("  - {v}");
-        }
-        println!(
-            "(if the change is intentional, regenerate with: cargo run -p rmcrt-bench --release --bin serve_gate -- --update)"
-        );
-        ExitCode::FAILURE
-    }
+    gate::require_entries(&report_path, &["serve_4tenants"], &mut violations);
+    let detail = format!(
+        "{speedup:.2}x >= {floor:.2}x, bit-identical mixed stream, shared graphs adopted, \
+         queued-not-failed admission, fleets dry"
+    );
+    gate::finish(env!("CARGO_BIN_NAME"), &detail, &violations)
 }

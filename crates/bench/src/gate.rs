@@ -1,0 +1,122 @@
+//! What every regression-gate bin (`src/bin/*_gate.rs`) does the same way:
+//! locate its checked-in `BENCH_*.json`, honour `--update`, print the
+//! PASS/FAIL footer, fingerprint divQ and audit the device meters of a
+//! finished [`WorldResult`].
+
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+use uintah::prelude::*;
+use uintah::runtime::WorldResult;
+
+/// The repository root (where the `BENCH_*.json` files live).
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Whether the gate was invoked with `--update` (regenerate the checked-in
+/// report instead of checking against it).
+pub fn update_requested() -> bool {
+    std::env::args().any(|a| a == "--update")
+}
+
+/// `--update` path: write the regenerated report and succeed.
+pub fn write_report(path: &Path, contents: &str) -> ExitCode {
+    std::fs::write(path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+    ExitCode::SUCCESS
+}
+
+/// The checked-in report must still carry an entry for each of `ids`
+/// (gates whose floors are checked live keep the file for bookkeeping only).
+pub fn require_entries(path: &Path, ids: &[&str], violations: &mut Vec<String>) {
+    match std::fs::read_to_string(path) {
+        Err(e) => violations.push(format!("cannot read {}: {e}", path.display())),
+        Ok(text) => {
+            for id in ids {
+                if !text.contains(&format!("\"id\": \"{id}\"")) {
+                    violations.push(format!("{} has no {id} entry", path.display()));
+                }
+            }
+        }
+    }
+}
+
+/// The common footer: PASS with `detail`, or FAIL listing every violation
+/// and how to regenerate the report. `bin` is the gate's
+/// `env!("CARGO_BIN_NAME")`.
+pub fn finish(bin: &str, detail: &str, violations: &[String]) -> ExitCode {
+    if violations.is_empty() {
+        println!("{bin} PASS ({detail})");
+        return ExitCode::SUCCESS;
+    }
+    println!("{bin} FAIL:");
+    for v in violations {
+        println!("  - {v}");
+    }
+    println!(
+        "(if the change is intentional, regenerate with: \
+         cargo run -p rmcrt-bench --release --bin {bin} -- --update)"
+    );
+    ExitCode::FAILURE
+}
+
+/// Order-independent bit-exact fingerprint of the fine-level divQ field
+/// across all ranks.
+pub fn divq_checksum(grid: &Grid, result: &WorldResult) -> u64 {
+    let mut acc = 0u64;
+    for rr in &result.ranks {
+        for &pid in result.dist.owned_by(rr.rank) {
+            if grid.patch(pid).level_index() != grid.fine_level_index() {
+                continue;
+            }
+            let v = rr.dw.get_patch(DIVQ, pid).expect("divQ computed");
+            for &x in v.as_f64().as_slice() {
+                acc = acc.wrapping_add(x.to_bits());
+            }
+        }
+    }
+    acc
+}
+
+/// The zero-drift contract at exit of a GPU run: with the upload engines
+/// settled, every device's meter agrees with the warehouse databases, the
+/// allocator free list is coherent, nothing is stranded in the spill maps,
+/// and clearing the DBs drains every byte.
+pub fn check_meter_drift(result: &WorldResult, label: &str, violations: &mut Vec<String>) {
+    for rr in &result.ranks {
+        let g = rr.gpu.as_ref().expect("gpu attached");
+        g.sync_h2d_all();
+        for d in 0..g.num_devices() {
+            let dev = g.device_at(d);
+            if let Err(e) = dev.validate_allocator() {
+                violations.push(format!("{label}: rank {} device {d}: {e}", rr.rank));
+            }
+            let used = dev.counters().used;
+            let resident = g.resident_bytes_on(d) as u64;
+            if used != resident {
+                violations.push(format!(
+                    "{label}: rank {} device {d}: meter used {used} B != DB-resident {resident} B",
+                    rr.rank
+                ));
+            }
+        }
+        if g.spill_entries() != 0 {
+            violations.push(format!(
+                "{label}: rank {}: {} variables stranded in host spill at exit",
+                rr.rank,
+                g.spill_entries()
+            ));
+        }
+        g.clear_patch_db();
+        g.clear_level_db();
+        for d in 0..g.num_devices() {
+            let left = g.device_at(d).used();
+            if left != 0 {
+                violations.push(format!(
+                    "{label}: rank {} device {d}: {left} B leaked after clearing the DBs",
+                    rr.rank
+                ));
+            }
+        }
+    }
+}

@@ -4,6 +4,7 @@
 //! index and EXPERIMENTS.md for recorded results.
 
 pub mod campaign;
+pub mod gate;
 pub mod scalar_march;
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -9,7 +9,7 @@ use crate::scheduler::{ExecStats, Scheduler, StoreKind};
 use crate::task::TaskDecl;
 use std::sync::Arc;
 use std::time::Instant;
-use uintah_comm::{AllReduceVec, CommWorld};
+use uintah_comm::{AllReduceVec, CommWorld, Communicator};
 use uintah_gpu::{lpt_assign, DeviceFleet, GpuAffinity, GpuDataWarehouse};
 use uintah_grid::{
     DistributionPolicy, Grid, PatchCosts, PatchDistribution, RebalancePolicy, Regridder,
@@ -143,6 +143,169 @@ impl WorldResult {
     }
 }
 
+/// Build one rank's execution state — host warehouse, scheduler, the GPU
+/// warehouse over `fleet` (if any) and the [`PersistentExecutor`] that owns
+/// them — from `cfg`. The single construction site shared by [`run_world`]
+/// (a fresh fleet per rank) and the radiation server's slots (the server's
+/// shared fleet): a runtime option reaches both by being a [`WorldConfig`]
+/// field and nowhere else.
+pub fn build_rank(
+    grid: Arc<Grid>,
+    decls: Arc<Vec<TaskDecl>>,
+    dist: Arc<PatchDistribution>,
+    comm: Communicator,
+    cfg: &WorldConfig,
+    fleet: Option<DeviceFleet>,
+) -> PersistentExecutor {
+    // Per-rank run id: `<job>/r<rank>` keys every summary line.
+    let run_id = cfg.run_id.as_ref().map(|id| Arc::from(format!("{id}/r{}", comm.rank())));
+    let gpu = fleet.map(|fleet| {
+        Arc::new(GpuDataWarehouse::with_fleet_full(
+            fleet,
+            cfg.gpu_level_db,
+            cfg.gpu_async_d2h,
+            cfg.gpu_async_h2d,
+            cfg.gpu_eviction,
+        ))
+    });
+    let mut exec = PersistentExecutor::new(
+        Arc::clone(&grid),
+        decls,
+        dist,
+        Scheduler::new(comm, cfg.nthreads, cfg.store),
+        Arc::new(DataWarehouse::new(grid)),
+        gpu,
+        cfg.aggregate_level_windows,
+    );
+    exec.set_run_id(run_id);
+    exec
+}
+
+/// One rank's timestep loop body: rebalance if due → step → fold the
+/// measured per-patch costs → refresh the cost-balanced device affinity.
+/// The caller drives it (`for ts in 0..timesteps { steps.advance(ts) }`),
+/// so [`run_world`] and a served job run the same steps and differ only in
+/// what they wrap around them.
+pub struct RankSteps<'a> {
+    exec: &'a mut PersistentExecutor,
+    cfg: &'a WorldConfig,
+    /// The pre-rebalance cost exchange: each rank contributes measured
+    /// per-patch task time (zeros for patches it does not own) and reads
+    /// back the identical global vector, so every rank runs the
+    /// deterministic regridder on the same input and all agree on the new
+    /// ownership.
+    cost_reduce: &'a AllReduceVec,
+    regridder: Regridder,
+    /// Measured per-patch cost since the last rebalance (seconds in task
+    /// bodies; zeros for patches this rank does not own).
+    step_cost: Vec<f64>,
+}
+
+impl<'a> RankSteps<'a> {
+    /// `cost_reduce` must be shared by every rank of the world.
+    pub fn new(
+        exec: &'a mut PersistentExecutor,
+        cfg: &'a WorldConfig,
+        cost_reduce: &'a AllReduceVec,
+    ) -> Self {
+        Self {
+            regridder: Regridder::new(cfg.regrid_policy),
+            step_cost: vec![0.0; exec.grid.num_patches()],
+            exec,
+            cfg,
+            cost_reduce,
+        }
+    }
+
+    /// Run timestep `ts`. Collective: every rank of the world calls it
+    /// for the same `ts`, so the rebalance all-reduce cannot skew.
+    pub fn advance(&mut self, ts: usize) -> ExecStats {
+        let current = Arc::clone(self.exec.dist());
+        if let Some(next) = self.agree_on_rebalance(ts, &current) {
+            self.exec.regrid(next);
+        }
+        let s = self.exec.step();
+        self.record(&s);
+        s
+    }
+
+    /// The rebuild-everything control (`persistent: false`): fresh graph,
+    /// cold warehouse and cold GPU level DB every step, bypassing the
+    /// executor's caches. A rebalance here is just a swap of the caller's
+    /// `dist` — no migration, nothing persists.
+    fn advance_rebuilding(&mut self, ts: usize, dist: &mut Arc<PatchDistribution>) -> ExecStats {
+        if let Some(next) = self.agree_on_rebalance(ts, dist) {
+            *dist = next;
+        }
+        let exec = &*self.exec;
+        if ts > 0 {
+            exec.dw().clear();
+            if let Some(g) = exec.gpu() {
+                g.clear_level_db();
+                g.clear_patch_db();
+            }
+        }
+        let t0 = Instant::now();
+        let cg = graph::compile_opts(
+            &exec.grid,
+            dist,
+            &exec.decls,
+            exec.sched.rank(),
+            (ts % 256) as u8,
+            self.cfg.aggregate_level_windows,
+        );
+        let compile_time = t0.elapsed();
+        let gpu = exec.gpu().map(|g| g.as_ref());
+        let mut s = exec.sched.execute(&exec.grid, &exec.decls, &cg, exec.dw(), gpu);
+        s.graph_compile = compile_time;
+        s.run_id = exec.run_id.clone();
+        self.record(&s);
+        s
+    }
+
+    /// The agreed post-exchange distribution for step `ts`, or `None` when
+    /// no rebalance is due.
+    fn agree_on_rebalance(
+        &mut self,
+        ts: usize,
+        current: &PatchDistribution,
+    ) -> Option<Arc<PatchDistribution>> {
+        let k = self.cfg.regrid_interval?;
+        if ts == 0 || !ts.is_multiple_of(k) {
+            return None;
+        }
+        let grid = &self.exec.grid;
+        let global = self.cost_reduce.sum(&self.step_cost);
+        let costs = if global.iter().sum::<f64>() > 0.0 {
+            PatchCosts::from_values((*global).clone())
+        } else {
+            // Degenerate timing (all-zero measurements): fall back to cell
+            // counts so the decision stays sound.
+            PatchCosts::from_cells(grid)
+        };
+        self.step_cost.fill(0.0);
+        Some(Arc::new(self.regridder.rebalance(grid, &costs, current)))
+    }
+
+    /// Fold a finished step's per-patch costs and, under cost-balanced
+    /// affinity, re-home patches to devices with an LPT pass over them (the
+    /// intra-node mirror of the regrid rebalance). Safe between steps only
+    /// — per-patch device state is transient in a step.
+    fn record(&mut self, s: &ExecStats) {
+        for &(pid, d) in &s.per_patch {
+            self.step_cost[pid.index()] += d.as_secs_f64();
+        }
+        if self.cfg.gpu_affinity != GpuAffinity::CostBalanced {
+            return;
+        }
+        if let Some(g) = self.exec.gpu() {
+            if g.num_devices() > 1 && !s.per_patch.is_empty() {
+                g.set_affinity(&lpt_assign(&s.per_patch, g.num_devices()));
+            }
+        }
+    }
+}
+
 /// Run `decls` for `cfg.timesteps` timesteps across `cfg.nranks` ranks.
 ///
 /// Every rank runs on its own OS thread with `cfg.nthreads` workers; the
@@ -150,155 +313,46 @@ impl WorldResult {
 /// computed variables (e.g. `divQ`).
 pub fn run_world(grid: Arc<Grid>, decls: Arc<Vec<TaskDecl>>, cfg: WorldConfig) -> WorldResult {
     let world = CommWorld::new(cfg.nranks);
-    let dist = Arc::new(PatchDistribution::new(&grid, cfg.nranks, cfg.policy));
-    // The pre-rebalance cost exchange: each rank contributes measured
-    // per-patch task time (zeros for patches it does not own) and reads back
-    // the identical global vector, so every rank runs the deterministic
-    // regridder on the same input and all agree on the new ownership.
-    let cost_reduce = cfg.regrid_interval.map(|_| AllReduceVec::new(cfg.nranks));
-
-    let mut handles = Vec::with_capacity(cfg.nranks);
-    for rank in 0..cfg.nranks {
-        let world = world.clone();
-        let grid = Arc::clone(&grid);
-        let decls = Arc::clone(&decls);
-        let dist = Arc::clone(&dist);
-        let cfg = cfg.clone();
-        let cost_reduce = cost_reduce.clone();
-        handles.push(std::thread::spawn(move || {
-            let comm = world.communicator(rank);
-            let dw = Arc::new(DataWarehouse::new(Arc::clone(&grid)));
-            let gpu = cfg.gpu_capacity.map(|cap| {
-                Arc::new(GpuDataWarehouse::with_fleet_full(
-                    DeviceFleet::with_capacity(cfg.gpus_per_rank.max(1), "K20X-sim", cap),
-                    cfg.gpu_level_db,
-                    cfg.gpu_async_d2h,
-                    cfg.gpu_async_h2d,
-                    cfg.gpu_eviction,
-                ))
-            });
-            // Cost-balanced affinity: after each step, re-home patches to
-            // devices with an LPT pass over the measured per-patch costs
-            // (the intra-node mirror of the regrid rebalance). Safe between
-            // steps only — per-patch device state is transient in a step.
-            let refresh_affinity = |s: &ExecStats| {
-                if cfg.gpu_affinity != GpuAffinity::CostBalanced {
-                    return;
-                }
-                if let Some(g) = &gpu {
-                    if g.num_devices() > 1 && !s.per_patch.is_empty() {
-                        g.set_affinity(&lpt_assign(&s.per_patch, g.num_devices()));
-                    }
-                }
-            };
-            let sched = Scheduler::new(comm, cfg.nthreads, cfg.store);
-            let mut stats = Vec::with_capacity(cfg.timesteps);
-            let regridder = Regridder::new(cfg.regrid_policy);
-            // Measured per-patch cost since the last rebalance (seconds in
-            // task bodies; zeros for patches this rank does not own).
-            let mut step_cost = vec![0.0f64; grid.num_patches()];
-            // Returns the agreed post-exchange distribution for step `ts`,
-            // or `None` when no rebalance is due. Collective: every rank
-            // calls it at the same steps, so the all-reduce can't skew.
-            let agree_on_rebalance =
-                |ts: usize, step_cost: &mut Vec<f64>, current: &PatchDistribution| {
-                    let (Some(k), Some(reduce)) = (cfg.regrid_interval, &cost_reduce) else {
-                        return None;
-                    };
-                    if ts == 0 || !ts.is_multiple_of(k) {
-                        return None;
-                    }
-                    let global = reduce.sum(step_cost);
-                    let costs = if global.iter().sum::<f64>() > 0.0 {
-                        PatchCosts::from_values((*global).clone())
-                    } else {
-                        // Degenerate timing (all-zero measurements): fall
-                        // back to cell counts so the decision stays sound.
-                        PatchCosts::from_cells(&grid)
-                    };
-                    step_cost.fill(0.0);
-                    Some(Arc::new(regridder.rebalance(&grid, &costs, current)))
-                };
-            // Per-rank run id: `<job>/r<rank>` keys every summary line.
-            let rank_run_id: Option<Arc<str>> =
-                cfg.run_id.as_ref().map(|id| Arc::from(format!("{id}/r{rank}").as_str()));
-            let final_dist;
-            if cfg.persistent {
-                let mut exec = PersistentExecutor::new(
-                    Arc::clone(&grid),
-                    Arc::clone(&decls),
-                    Arc::clone(&dist),
-                    sched,
-                    Arc::clone(&dw),
-                    gpu.clone(),
-                    cfg.aggregate_level_windows,
-                );
-                exec.set_run_id(rank_run_id.clone());
-                for ts in 0..cfg.timesteps {
-                    if let Some(next) = agree_on_rebalance(ts, &mut step_cost, exec.dist()) {
-                        exec.regrid(next);
-                    }
-                    let s = exec.step();
-                    for &(pid, d) in &s.per_patch {
-                        step_cost[pid.index()] += d.as_secs_f64();
-                    }
-                    refresh_affinity(&s);
-                    stats.push(s);
-                }
-                final_dist = Arc::clone(exec.dist());
-            } else {
-                // Rebuild-everything baseline: fresh graph, cold warehouse
-                // and cold GPU level DB every step. A rebalance here is just
-                // a distribution swap — no migration, nothing persists.
-                let mut dist = dist;
-                for ts in 0..cfg.timesteps {
-                    if let Some(next) = agree_on_rebalance(ts, &mut step_cost, &dist) {
-                        dist = next;
-                    }
-                    if ts > 0 {
-                        dw.clear();
-                        if let Some(g) = &gpu {
-                            g.clear_level_db();
-                            g.clear_patch_db();
-                        }
-                    }
-                    let t0 = Instant::now();
-                    let cg = graph::compile_opts(
-                        &grid,
-                        &dist,
-                        &decls,
-                        rank,
-                        (ts % 256) as u8,
-                        cfg.aggregate_level_windows,
-                    );
-                    let compile_time = t0.elapsed();
-                    let mut s = sched.execute(&grid, &decls, &cg, &dw, gpu.as_deref());
-                    s.graph_compile = compile_time;
-                    s.run_id = rank_run_id.clone();
-                    for &(pid, d) in &s.per_patch {
-                        step_cost[pid.index()] += d.as_secs_f64();
-                    }
-                    refresh_affinity(&s);
-                    stats.push(s);
-                }
-                final_dist = dist;
-            }
-            RankResult {
-                rank,
-                stats,
-                dw,
-                gpu,
-                dist: final_dist,
-            }
-        }));
-    }
-    let ranks: Vec<RankResult> = handles
-        .into_iter()
-        .map(|h| h.join().expect("rank thread panicked"))
-        .collect();
+    let initial = Arc::new(PatchDistribution::new(&grid, cfg.nranks, cfg.policy));
+    let cost_reduce = AllReduceVec::new(cfg.nranks);
+    let run_rank = |rank: usize| {
+        let fleet = cfg
+            .gpu_capacity
+            .map(|cap| DeviceFleet::with_capacity(cfg.gpus_per_rank.max(1), "K20X-sim", cap));
+        let mut exec = build_rank(
+            Arc::clone(&grid),
+            Arc::clone(&decls),
+            Arc::clone(&initial),
+            world.communicator(rank),
+            &cfg,
+            fleet,
+        );
+        let mut steps = RankSteps::new(&mut exec, &cfg, &cost_reduce);
+        let (stats, dist) = if cfg.persistent {
+            let stats = (0..cfg.timesteps).map(|ts| steps.advance(ts)).collect();
+            (stats, Arc::clone(exec.dist()))
+        } else {
+            let mut dist = Arc::clone(&initial);
+            let stats = (0..cfg.timesteps)
+                .map(|ts| steps.advance_rebuilding(ts, &mut dist))
+                .collect();
+            (stats, dist)
+        };
+        RankResult {
+            rank,
+            stats,
+            dw: Arc::clone(exec.dw()),
+            gpu: exec.gpu().cloned(),
+            dist,
+        }
+    };
+    let ranks: Vec<RankResult> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..cfg.nranks).map(|rank| scope.spawn(move || run_rank(rank))).collect();
+        handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
+    });
     // Every rank finishes under the same distribution (the regridder is
     // deterministic on the all-reduced costs); report it as the world's.
-    let dist = ranks.first().map(|r| Arc::clone(&r.dist)).unwrap_or(dist);
+    let dist = ranks.first().map_or(initial, |r| Arc::clone(&r.dist));
     WorldResult { dist, ranks }
 }
 

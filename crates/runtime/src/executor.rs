@@ -39,10 +39,13 @@ use uintah_grid::{Grid, PatchDistribution, PatchId};
 /// residency across timesteps. One instance per rank, stepped in lockstep
 /// with the other ranks of the world.
 pub struct PersistentExecutor {
-    grid: Arc<Grid>,
-    decls: Arc<Vec<TaskDecl>>,
+    // Crate-visible parts: the driver's step routine reads the grid, and
+    // its rebuild-everything control runs the scheduler without the caches
+    // below.
+    pub(crate) grid: Arc<Grid>,
+    pub(crate) decls: Arc<Vec<TaskDecl>>,
     dist: Arc<PatchDistribution>,
-    sched: Scheduler,
+    pub(crate) sched: Scheduler,
     dw: Arc<DataWarehouse>,
     gpu: Option<Arc<GpuDataWarehouse>>,
     aggregate_level_windows: bool,
@@ -56,7 +59,7 @@ pub struct PersistentExecutor {
     shared_graph_hits: u64,
     /// Job/run identifier stamped into every [`ExecStats`] this executor
     /// produces, so interleaved multi-job logs stay attributable.
-    run_id: Option<Arc<str>>,
+    pub(crate) run_id: Option<Arc<str>>,
     step: u64,
     compiles: usize,
     /// Regrid cost accumulated since the last step, folded into the next

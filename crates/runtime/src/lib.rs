@@ -27,7 +27,10 @@
 //! * [`regrid`] — ownership migration after a load-balancer regrid: lost
 //!   patches' warehouse contents move to their new owners over the fabric
 //!   under a reserved tag namespace ([`PersistentExecutor::regrid`]);
-//! * [`driver`] — a harness running all ranks of a world in one process;
+//! * [`driver`] — the one rank builder ([`build_rank`]) and the one
+//!   per-step routine ([`RankSteps`]) every caller steps a rank through,
+//!   plus [`run_world`], the harness running all ranks of a world in one
+//!   process;
 //! * [`calibrate`] — the measured-calibration snapshot: per-step
 //!   [`ExecStats`] fold into one serializable [`CalibrationSnapshot`] that
 //!   `titan-sim` consumes as the single source of machine rates.
@@ -47,7 +50,7 @@ pub mod task;
 
 pub use archive::{ArchiveError, DataArchive};
 pub use calibrate::{CalibrationSnapshot, DeviceCalibration};
-pub use driver::{run_world, WorldConfig, WorldResult};
+pub use driver::{build_rank, run_world, RankSteps, WorldConfig, WorldResult};
 pub use dw::DataWarehouse;
 pub use executor::PersistentExecutor;
 pub use graph::{graph_signature, CompiledGraph, GraphCache, GraphCacheStats, GraphStats};

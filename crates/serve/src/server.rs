@@ -18,7 +18,7 @@
 
 use crate::admission::{self, Admission};
 use crate::job::{DivqField, JobId, JobOutcome, JobReport, JobStats};
-use crate::slot::{shape_signature, JobSpec, Slot};
+use crate::slot::{JobSpec, Slot};
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -420,7 +420,7 @@ impl ServerInner {
                 let key = {
                     let spec = entry.spec.lock().unwrap();
                     let Some(spec) = spec.as_ref() else { continue };
-                    shape_signature(&spec.cfg)
+                    spec.cfg.shape_signature()
                 };
                 let reusable: u64 = st
                     .idle_slots

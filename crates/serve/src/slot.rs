@@ -2,12 +2,11 @@
 //! the server recycles across jobs.
 //!
 //! A slot is everything `run_world` would build from scratch for one job
-//! — a [`CommWorld`], and per rank a [`Scheduler`], a host
-//! [`DataWarehouse`] and (for GPU jobs) a [`GpuDataWarehouse`] over the
-//! *server's shared* [`DeviceFleet`] — wrapped in per-rank
-//! [`PersistentExecutor`]s. Two jobs with the same *shape* (grid
-//! structure, world size, store kind, GPU options) can run back to back
-//! on the same slot: the second job swaps in its own task declarations
+//! — a [`CommWorld`] and one [`build_rank`] executor per rank — except
+//! that GPU warehouses sit on the *server's shared* [`DeviceFleet`]. Two
+//! jobs with the same *shape* ([`RunConfig::shape_signature`]: grid
+//! structure, world size, store kind, GPU options) can run back to back on
+//! the same slot: the second job swaps in its own task declarations
 //! ([`PersistentExecutor::set_decls`]) and inherits
 //!
 //! * the compiled task graph (signature hashes declaration *shape*, not
@@ -22,18 +21,14 @@
 //! declarations and per-step calls.
 
 use crate::job::{JobId, JobStats};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use uintah::config::RunConfig;
 use uintah_comm::{AllReduceVec, CommWorld};
-use uintah_gpu::{lpt_assign, DeviceFleet, GpuAffinity, GpuDataWarehouse};
-use uintah_grid::{
-    DistributionPolicy, Grid, PatchCosts, PatchDistribution, Region, Regridder,
-};
-use uintah_runtime::{DataWarehouse, GraphCache, PersistentExecutor, Scheduler, TaskDecl};
+use uintah_gpu::DeviceFleet;
+use uintah_grid::{Grid, PatchDistribution, Region};
+use uintah_runtime::{build_rank, GraphCache, PersistentExecutor, RankSteps, TaskDecl};
 
 /// Everything the server needs to run one job: identity plus the
 /// materialized problem (grid and declarations are built once, at
@@ -44,27 +39,6 @@ pub(crate) struct JobSpec {
     pub cfg: RunConfig,
     pub grid: Arc<Grid>,
     pub decls: Arc<Vec<TaskDecl>>,
-}
-
-/// The slot-compatibility key: hashes exactly the configuration a slot's
-/// structures bake in at construction. Jobs with equal keys can share a
-/// slot; anything else (ray counts, halos, priorities, timesteps, regrid
-/// schedules) deliberately stays out.
-pub(crate) fn shape_signature(cfg: &RunConfig) -> u64 {
-    let mut h = DefaultHasher::new();
-    cfg.fine_cells.hash(&mut h);
-    cfg.patch_size.hash(&mut h);
-    cfg.levels.hash(&mut h);
-    cfg.refinement_ratio.hash(&mut h);
-    cfg.ranks.hash(&mut h);
-    cfg.threads.hash(&mut h);
-    (cfg.store as u8).hash(&mut h);
-    cfg.gpu.hash(&mut h);
-    cfg.gpu_eviction.hash(&mut h);
-    cfg.gpu_async_h2d.hash(&mut h);
-    (cfg.gpu_affinity == GpuAffinity::CostBalanced).hash(&mut h);
-    cfg.aggregate.hash(&mut h);
-    h.finish()
 }
 
 /// What one job's execution on a slot produced.
@@ -79,6 +53,7 @@ pub(crate) struct JobRun {
 
 /// A warm multi-rank execution world, reusable across same-shape jobs.
 pub(crate) struct Slot {
+    /// [`RunConfig::shape_signature`] of the job the slot was built for.
     pub key: u64,
     grid: Arc<Grid>,
     /// The canonical initial distribution every job starts from; a job
@@ -90,14 +65,16 @@ pub(crate) struct Slot {
     /// the same step boundary or none do (a one-sided abort would strand
     /// the others' receives).
     cancel_reduce: AllReduceVec,
-    /// Cost exchange for mid-run rebalances (same role as in the driver).
+    /// Cost exchange for mid-run rebalances ([`RankSteps`]).
     cost_reduce: AllReduceVec,
     pub jobs_served: u64,
 }
 
 impl Slot {
-    /// Build a cold slot for `cfg`'s shape. GPU warehouses attach to the
-    /// *server's* fleet — every tenant meters against the same devices.
+    /// Build a cold slot for `cfg`'s shape: the ranks `run_world` would
+    /// build for `cfg.world_config()`, except that GPU warehouses attach
+    /// to the *server's* fleet — every tenant meters against the same
+    /// devices.
     pub fn new(
         cfg: &RunConfig,
         grid: Arc<Grid>,
@@ -105,43 +82,30 @@ impl Slot {
         fleet: &DeviceFleet,
         graph_cache: &Arc<GraphCache>,
     ) -> Self {
-        let nranks = cfg.ranks;
-        let world = CommWorld::new(nranks);
-        let initial_dist =
-            Arc::new(PatchDistribution::new(&grid, nranks, DistributionPolicy::MortonSfc));
-        let mut execs = Vec::with_capacity(nranks);
-        for rank in 0..nranks {
-            let comm = world.communicator(rank);
-            let dw = Arc::new(DataWarehouse::new(Arc::clone(&grid)));
-            let gpu = cfg.gpu.then(|| {
-                Arc::new(GpuDataWarehouse::with_fleet_full(
-                    fleet.clone(),
-                    true,
-                    true,
-                    cfg.gpu_async_h2d,
-                    cfg.gpu_eviction,
-                ))
-            });
-            let sched = Scheduler::new(comm, cfg.threads, cfg.store);
-            let mut exec = PersistentExecutor::new(
-                Arc::clone(&grid),
-                Arc::clone(&decls),
-                Arc::clone(&initial_dist),
-                sched,
-                dw,
-                gpu,
-                cfg.aggregate,
-            );
-            exec.set_graph_cache(Arc::clone(graph_cache));
-            execs.push(exec);
-        }
+        let wc = cfg.world_config();
+        let world = CommWorld::new(wc.nranks);
+        let initial_dist = Arc::new(PatchDistribution::new(&grid, wc.nranks, wc.policy));
+        let execs = (0..wc.nranks)
+            .map(|rank| {
+                let mut exec = build_rank(
+                    Arc::clone(&grid),
+                    Arc::clone(&decls),
+                    Arc::clone(&initial_dist),
+                    world.communicator(rank),
+                    &wc,
+                    wc.gpu_capacity.map(|_| fleet.clone()),
+                );
+                exec.set_graph_cache(Arc::clone(graph_cache));
+                exec
+            })
+            .collect();
         Self {
-            key: shape_signature(cfg),
+            key: cfg.shape_signature(),
             grid,
             initial_dist,
             execs,
-            cancel_reduce: AllReduceVec::new(nranks),
-            cost_reduce: AllReduceVec::new(nranks),
+            cancel_reduce: AllReduceVec::new(wc.nranks),
+            cost_reduce: AllReduceVec::new(wc.nranks),
             jobs_served: 0,
         }
     }
@@ -166,46 +130,48 @@ impl Slot {
     }
 
     /// Run one job to completion (or cancellation) on this slot. All
-    /// ranks execute concurrently on scoped threads, exactly like
-    /// `run_world`, but against the slot's persistent state. On return
-    /// the slot is clean for the next tenant: D2H engines drained,
-    /// per-patch device staging cleared (level replicas intentionally
-    /// kept), ownership reset to the canonical initial distribution.
+    /// ranks execute concurrently on scoped threads, stepping through the
+    /// same [`RankSteps`] as `run_world`, but against the slot's
+    /// persistent state. On return the slot is clean for the next tenant:
+    /// D2H engines drained, per-patch device staging cleared (level
+    /// replicas intentionally kept), ownership reset to the canonical
+    /// initial distribution.
     pub fn run_job(&mut self, job: &JobSpec, cancel: &AtomicBool) -> JobRun {
         let t0 = Instant::now();
         let nranks = self.execs.len();
-        let cfg = &job.cfg;
-        let grid = Arc::clone(&self.grid);
-        let initial = Arc::clone(&self.initial_dist);
+        let wc = &job.cfg.world_config();
+        let grid = &self.grid;
+        let initial = &self.initial_dist;
         let cancel_reduce = &self.cancel_reduce;
         let cost_reduce = &self.cost_reduce;
-        let inherited: u64 = self.level_entries();
-        let regridder = Regridder::new(cfg.regrid_policy);
+        let mut run = JobRun {
+            stats: JobStats {
+                level_replicas_inherited: self.level_entries(),
+                ..JobStats::default()
+            },
+            summaries: Vec::new(),
+            divq_pieces: Vec::new(),
+            canceled: false,
+        };
         let per_rank: Vec<RankRun> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(nranks);
             for (rank, exec) in self.execs.iter_mut().enumerate() {
-                let grid = Arc::clone(&grid);
-                let initial = Arc::clone(&initial);
-                let decls = Arc::clone(&job.decls);
-                let regridder = &regridder;
                 handles.push(scope.spawn(move || {
-                    exec.set_decls(decls);
-                    exec.set_run_id(Some(Arc::from(
-                        format!("{}/r{rank}", job.run_id).as_str(),
-                    )));
+                    exec.set_decls(Arc::clone(&job.decls));
+                    exec.set_run_id(Some(Arc::from(format!("{}/r{rank}", job.run_id))));
                     // A previous tenant may have regridded: restore the
                     // canonical ownership so every job sees the same
                     // initial distribution a standalone run would
                     // (collective — every rank takes this branch or none,
                     // since they all compare the same maps).
                     if exec.dist().rank_map() != initial.rank_map() {
-                        exec.regrid(Arc::clone(&initial));
+                        exec.regrid(Arc::clone(initial));
                     }
                     let compiles0 = exec.compiles() as u64;
                     let shared0 = exec.shared_graph_hits();
                     let mut rr = RankRun::default();
-                    let mut step_cost = vec![0.0f64; grid.num_patches()];
-                    for ts in 0..cfg.timesteps {
+                    let mut steps = RankSteps::new(exec, wc, cost_reduce);
+                    for ts in 0..wc.timesteps {
                         // Cancel agreement at the step boundary: the flag
                         // is all-reduced so every rank aborts at the same
                         // step (a lone abort would strand peers' receives).
@@ -219,41 +185,12 @@ impl Slot {
                             rr.canceled = true;
                             break;
                         }
-                        if cfg.regrid_interval > 0 && ts > 0 && ts % cfg.regrid_interval == 0 {
-                            let global = cost_reduce.sum(&step_cost);
-                            let costs = if global.iter().sum::<f64>() > 0.0 {
-                                PatchCosts::from_values((*global).clone())
-                            } else {
-                                PatchCosts::from_cells(&grid)
-                            };
-                            step_cost.fill(0.0);
-                            let next =
-                                Arc::new(regridder.rebalance(&grid, &costs, exec.dist()));
-                            exec.regrid(next);
-                        }
-                        let s = exec.step();
-                        for &(pid, d) in &s.per_patch {
-                            step_cost[pid.index()] += d.as_secs_f64();
-                        }
-                        if cfg.gpu_affinity == GpuAffinity::CostBalanced {
-                            if let Some(g) = exec.gpu() {
-                                if g.num_devices() > 1 && !s.per_patch.is_empty() {
-                                    g.set_affinity(&lpt_assign(&s.per_patch, g.num_devices()));
-                                }
-                            }
-                        }
-                        rr.steps += 1;
-                        rr.tasks += s.tasks_executed as u64;
-                        rr.messages += s.messages_sent as u64;
-                        rr.bytes_sent += s.bytes_sent;
-                        rr.gpu_h2d_bytes += s.gpu_h2d_bytes;
-                        rr.gpu_d2h_bytes += s.gpu_d2h_bytes;
-                        rr.gpu_evictions += s.gpu_evictions;
-                        rr.regrids += s.regrids as u64;
+                        let s = steps.advance(ts);
+                        rr.stats.absorb(&s);
                         rr.summaries.push(s.summary());
                     }
-                    rr.graph_compiles = exec.compiles() as u64 - compiles0;
-                    rr.shared_graph_hits = exec.shared_graph_hits() - shared0;
+                    rr.stats.graph_compiles = exec.compiles() as u64 - compiles0;
+                    rr.stats.shared_graph_hits = exec.shared_graph_hits() - shared0;
                     // End-of-job hygiene: settle in-flight traffic in both
                     // directions and drop per-patch device staging. Level
                     // replicas stay resident — they are the cross-job
@@ -267,7 +204,7 @@ impl Slot {
                         g.sync_d2h_all();
                         g.clear_patch_db();
                     }
-                    if rr.steps > 0 && !rr.canceled {
+                    if rr.stats.steps > 0 && !rr.canceled {
                         let fine = grid.fine_level_index();
                         for &pid in exec.dist().owned_by(rank) {
                             if grid.patch(pid).level_index() != fine {
@@ -287,51 +224,21 @@ impl Slot {
             handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
         });
         self.jobs_served += 1;
-
-        let mut stats = JobStats {
-            level_replicas_inherited: inherited,
-            ..JobStats::default()
-        };
-        let mut summaries = Vec::new();
-        let mut divq_pieces = Vec::new();
-        let mut canceled = false;
         for rr in per_rank {
-            stats.steps = stats.steps.max(rr.steps);
-            stats.tasks += rr.tasks;
-            stats.messages += rr.messages;
-            stats.bytes_sent += rr.bytes_sent;
-            stats.gpu_h2d_bytes += rr.gpu_h2d_bytes;
-            stats.gpu_d2h_bytes += rr.gpu_d2h_bytes;
-            stats.gpu_evictions += rr.gpu_evictions;
-            stats.regrids += rr.regrids;
-            stats.graph_compiles += rr.graph_compiles;
-            stats.shared_graph_hits += rr.shared_graph_hits;
-            canceled |= rr.canceled;
-            summaries.extend(rr.summaries);
-            divq_pieces.extend(rr.divq_pieces);
+            run.stats.merge(&rr.stats);
+            run.canceled |= rr.canceled;
+            run.summaries.extend(rr.summaries);
+            run.divq_pieces.extend(rr.divq_pieces);
         }
-        stats.exec_ns = t0.elapsed().as_nanos() as u64;
-        JobRun {
-            stats,
-            summaries,
-            divq_pieces,
-            canceled,
-        }
+        run.stats.exec_ns = t0.elapsed().as_nanos() as u64;
+        run
     }
 }
 
+/// What one rank contributes to a [`JobRun`].
 #[derive(Default)]
 struct RankRun {
-    steps: u64,
-    tasks: u64,
-    messages: u64,
-    bytes_sent: u64,
-    gpu_h2d_bytes: u64,
-    gpu_d2h_bytes: u64,
-    gpu_evictions: u64,
-    regrids: u64,
-    graph_compiles: u64,
-    shared_graph_hits: u64,
+    stats: JobStats,
     summaries: Vec<String>,
     divq_pieces: Vec<(Region, Vec<f64>)>,
     canceled: bool,
@@ -340,31 +247,66 @@ struct RankRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uintah::config::KEYS;
 
+    /// One row per key of the table: setting a `shape` key to a second
+    /// valid value must change the slot signature (those options are baked
+    /// into the slot's warehouses, schedulers and graphs — e.g. a sync
+    /// `gpu_h2d` tenant must not land on an async slot); setting any other
+    /// key must not (per-job parameters share warm slots).
     #[test]
     fn shape_signature_ignores_per_job_parameters() {
+        let second_value = |key: &str| match key {
+            "problem" => "benchmark",
+            "fine_cells" => "64",
+            "patch_size" => "16",
+            "levels" => "1",
+            "refinement_ratio" => "2",
+            "nrays" => "999",
+            "threshold" => "0.5",
+            "halo" => "2",
+            "ranks" => "4",
+            "threads" => "3",
+            "store" => "mutex",
+            "gpu" => "true",
+            "gpus_per_rank" => "6",
+            "gpu_affinity" => "cost",
+            "gpu_capacity_mb" => "512",
+            "gpu_eviction" => "off",
+            "gpu_h2d" => "sync",
+            "aggregate" => "true",
+            "regrid_interval" => "3",
+            "regrid_policy" => "lpt",
+            "timesteps" => "7",
+            "sampling" => "lhc",
+            "ray_count" => "adaptive",
+            "rays_min" => "8",
+            "rays_max" => "512",
+            "rel_var_target" => "0.02",
+            "priority" => "high",
+            "output" => "/tmp/x.uda",
+            new => panic!("key '{new}' needs a second value in this test"),
+        };
         let a = RunConfig::default();
-        let mut b = a.clone();
-        b.nrays = 999;
-        b.threshold = 0.5;
-        b.halo = 2;
-        b.timesteps = 7;
-        b.regrid_interval = 3;
-        assert_eq!(shape_signature(&a), shape_signature(&b));
-        let mut c = a.clone();
-        c.ranks = 4;
-        assert_ne!(shape_signature(&a), shape_signature(&c));
-        let mut d = a.clone();
-        d.fine_cells = 64;
-        d.patch_size = 16;
-        assert_ne!(shape_signature(&a), shape_signature(&d));
-        let mut e = a.clone();
-        e.gpu = true;
-        assert_ne!(shape_signature(&a), shape_signature(&e));
-        // The upload pipeline is baked into the slot's warehouses: a sync
-        // tenant must not land on an async slot or vice versa.
-        let mut f = a.clone();
-        f.gpu_async_h2d = false;
-        assert_ne!(shape_signature(&a), shape_signature(&f));
+        for key in KEYS {
+            let mut b = a.clone();
+            (key.set)(&mut b, second_value(key.name)).expect("second value is valid");
+            assert_eq!(
+                a.shape_signature() != b.shape_signature(),
+                key.shape,
+                "key '{}' = {}",
+                key.name,
+                second_value(key.name)
+            );
+        }
+        let shape: Vec<&str> = KEYS.iter().filter(|k| k.shape).map(|k| k.name).collect();
+        assert_eq!(
+            shape,
+            [
+                "fine_cells", "patch_size", "levels", "refinement_ratio", "ranks", "threads",
+                "store", "gpu", "gpu_affinity", "gpu_eviction", "gpu_h2d", "aggregate",
+            ],
+            "the set of slot-shape keys is part of the serving contract"
+        );
     }
 }

@@ -15,7 +15,7 @@ fn main() {
     let arg = std::env::args().nth(1);
     let cfg = match arg.as_deref() {
         Some("--print-default-config") => {
-            print_default();
+            print!("{}", RunConfig::default().to_text());
             return;
         }
         Some(path) => {
@@ -104,37 +104,4 @@ fn main() {
         }
         println!("archived {pieces} divQ pieces to {}", out.display());
     }
-}
-
-fn print_default() {
-    println!(
-        "\
-# rmcrt_app configuration (defaults shown)
-problem    = benchmark
-fine_cells = 32
-patch_size = 8
-levels     = 2
-refinement_ratio = 4
-nrays      = 64
-threshold  = 0.05
-halo       = 4
-ranks      = 2
-threads    = 2
-store      = waitfree     # waitfree | mutex | racy
-gpu        = false
-gpus_per_rank = 1         # simulated GPUs per rank (6 = Summit-style)
-gpu_affinity  = sticky    # sticky | cost (LPT from measured per-patch costs)
-gpu_capacity_mb = 6144    # per-device memory budget (6144 = K20X 6 GB)
-gpu_eviction  = lru       # lru (spill-to-host oversubscription) | off (hard OOM)
-gpu_h2d       = async     # async (staged uploads + cross-step prefetch) | sync
-aggregate  = false        # bundle level windows per rank pair
-timesteps  = 1
-sampling   = independent  # independent | lhc
-ray_count  = fixed        # fixed (nrays per cell) | adaptive
-rays_min   = 16           # adaptive: first batch size
-rays_max   = 1024         # adaptive: per-cell ray budget ceiling
-rel_var_target = 0.05     # adaptive: stop when sem(I) <= target * |mean I|
-priority   = normal       # queue tier under uintah-serve: normal | high
-#output    = ./rmcrt.uda"
-    );
 }

@@ -4,26 +4,36 @@
 //! `rmcrt_app` binary uses the same idea at miniature scale with a plain
 //! `key = value` format (one per line, `#` comments):
 //!
-//! ```text
-//! # RMCRT benchmark run
-//! problem    = benchmark
-//! fine_cells = 64
-//! patch_size = 16
-//! levels     = 2
-//! refinement_ratio = 4
-//! nrays      = 100
-//! threshold  = 0.05
-//! halo       = 4
-//! ranks      = 4
-//! threads    = 2
-//! store      = waitfree
-//! gpu        = false
-//! timesteps  = 1
-//! sampling   = independent
-//! output     = ./rmcrt.uda
 //! ```
+//! let cfg = uintah::config::RunConfig::parse(
+//!     "# RMCRT benchmark run
+//!      problem    = benchmark
+//!      fine_cells = 64
+//!      patch_size = 16
+//!      levels     = 2
+//!      refinement_ratio = 4
+//!      nrays      = 100
+//!      threshold  = 0.05
+//!      halo       = 4
+//!      ranks      = 4
+//!      threads    = 2
+//!      store      = waitfree
+//!      gpu        = false
+//!      timesteps  = 1
+//!      sampling   = independent
+//!      output     = ./rmcrt.uda",
+//! )
+//! .unwrap();
+//! assert_eq!((cfg.fine_cells, cfg.nrays, cfg.ranks), (64, 100, 4));
+//! ```
+//!
+//! Every key is declared exactly once, as a row of [`KEYS`]: parsing,
+//! printing ([`RunConfig::to_text`], `rmcrt_app --print-default-config`)
+//! and the serve slot-compatibility hash ([`RunConfig::shape_signature`])
+//! are all derived from that table.
 
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::str::FromStr;
 use uintah_gpu::GpuAffinity;
@@ -152,184 +162,223 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Why a key's `set` refused a value. [`RunConfig::parse`] words the error
+/// with the key's name, so no row spells its own name twice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BadValue {
+    Number,
+    Bool,
+    Choice,
+}
+
+/// One configuration key — the only place its name, help text, parser and
+/// printer are written down.
+pub struct Key {
+    pub name: &'static str,
+    /// Baked into a serve slot's structures at construction (mesh, world
+    /// size, store, GPU warehouse options): jobs share a warm slot only
+    /// when every `shape` key prints the same. Everything else is a
+    /// per-job parameter that flows through declarations and per-step calls.
+    pub shape: bool,
+    pub help: &'static str,
+    pub set: fn(&mut RunConfig, &str) -> Result<(), BadValue>,
+    /// The value as `parse` would accept it; empty = unset (printed
+    /// commented out).
+    pub show: fn(&RunConfig) -> String,
+}
+
+/// The accepted spellings of an enumerated key; the first spelling of a
+/// value is the one `show` prints, later ones are aliases.
+type Choices<T> = &'static [(&'static str, T)];
+
+const PROBLEMS: Choices<Problem> = &[("benchmark", Problem::Benchmark)];
+const STORES: Choices<StoreKind> = &[
+    ("waitfree", StoreKind::WaitFree),
+    ("mutex", StoreKind::Mutex),
+    ("racy", StoreKind::Racy),
+];
+const AFFINITIES: Choices<GpuAffinity> = &[
+    ("sticky", GpuAffinity::Sticky),
+    ("cost", GpuAffinity::CostBalanced),
+    ("cost_balanced", GpuAffinity::CostBalanced),
+];
+const EVICTIONS: Choices<bool> = &[("lru", true), ("off", false)];
+const H2D_MODES: Choices<bool> = &[("async", true), ("sync", false)];
+const REGRID_POLICIES: Choices<RebalancePolicy> = &[
+    ("sfc", RebalancePolicy::CostedSfc),
+    ("lpt", RebalancePolicy::CostedLpt),
+    ("rotate", RebalancePolicy::Rotate(1)),
+];
+const SAMPLINGS: Choices<rmcrt_core::RaySampling> = &[
+    ("independent", rmcrt_core::RaySampling::Independent),
+    ("lhc", rmcrt_core::RaySampling::LatinHypercube),
+    ("latin_hypercube", rmcrt_core::RaySampling::LatinHypercube),
+];
+const RAY_COUNTS: Choices<bool> = &[("fixed", false), ("adaptive", true)];
+const PRIORITIES: Choices<JobPriority> =
+    &[("normal", JobPriority::Normal), ("high", JobPriority::High)];
+
+fn num<T: FromStr>(v: &str) -> Result<T, BadValue> {
+    v.parse().map_err(|_| BadValue::Number)
+}
+
+fn boolean(v: &str) -> Result<bool, BadValue> {
+    match v {
+        "true" | "yes" | "1" => Ok(true),
+        "false" | "no" | "0" => Ok(false),
+        _ => Err(BadValue::Bool),
+    }
+}
+
+fn pick<T: Copy>(choices: Choices<T>, v: &str) -> Result<T, BadValue> {
+    let hit = choices.iter().find(|(name, _)| *name == v);
+    hit.map(|&(_, x)| x).ok_or(BadValue::Choice)
+}
+
+/// The canonical spelling of `x`; a value with no spelling (only a
+/// hand-built `Rotate(k != 1)`) prints as the last choice.
+fn spell<T: PartialEq>(choices: Choices<T>, x: &T) -> String {
+    let hit = choices.iter().find(|(_, y)| y == x).or(choices.last());
+    hit.map_or(String::new(), |(name, _)| name.to_string())
+}
+
+const SHAPE: bool = true;
+const PER_JOB: bool = false;
+
+macro_rules! scalar {
+    ($name:literal, $shape:expr, $field:ident, $parse:ident, $help:literal) => {
+        Key {
+            name: $name,
+            shape: $shape,
+            help: $help,
+            set: |c, v| $parse(v).map(|x| c.$field = x),
+            show: |c| c.$field.to_string(),
+        }
+    };
+}
+macro_rules! choice {
+    ($name:literal, $shape:expr, $field:ident, $choices:ident, $help:literal) => {
+        Key {
+            name: $name,
+            shape: $shape,
+            help: $help,
+            set: |c, v| pick($choices, v).map(|x| c.$field = x),
+            show: |c| spell($choices, &c.$field),
+        }
+    };
+}
+
+/// Every configuration key, in the order `to_text` prints them.
+#[rustfmt::skip]
+pub const KEYS: &[Key] = &[
+    choice!("problem", PER_JOB, problem, PROBLEMS, "benchmark (Burns & Christon)"),
+    scalar!("fine_cells", SHAPE, fine_cells, num, "fine-level cells per side"),
+    scalar!("patch_size", SHAPE, patch_size, num, "fine patch cells per side; must divide fine_cells"),
+    scalar!("levels", SHAPE, levels, num, "AMR levels, 1..=4"),
+    scalar!("refinement_ratio", SHAPE, refinement_ratio, num, "cell ratio between adjacent levels"),
+    scalar!("nrays", PER_JOB, nrays, num, "rays per cell (ray_count = fixed)"),
+    scalar!("threshold", PER_JOB, threshold, num, "ray extinction threshold, in (0, 1)"),
+    scalar!("halo", PER_JOB, halo, num, "fine-level ghost cells around each patch's region of interest"),
+    scalar!("ranks", SHAPE, ranks, num, "simulated MPI ranks"),
+    scalar!("threads", SHAPE, threads, num, "worker threads per rank"),
+    choice!("store", SHAPE, store, STORES, "request store: waitfree | mutex | racy"),
+    scalar!("gpu", SHAPE, gpu, boolean, "run the ray trace as GPU tasks"),
+    scalar!("gpus_per_rank", PER_JOB, gpus_per_rank, num, "simulated GPUs per rank (6 = Summit-style)"),
+    choice!("gpu_affinity", SHAPE, gpu_affinity, AFFINITIES, "sticky | cost (LPT from measured per-patch costs)"),
+    scalar!("gpu_capacity_mb", PER_JOB, gpu_capacity_mb, num, "per-device memory budget (6144 = K20X 6 GB)"),
+    choice!("gpu_eviction", SHAPE, gpu_eviction, EVICTIONS, "lru (spill-to-host oversubscription) | off (hard OOM)"),
+    choice!("gpu_h2d", SHAPE, gpu_async_h2d, H2D_MODES, "async (staged uploads + cross-step prefetch) | sync"),
+    scalar!("aggregate", SHAPE, aggregate, boolean, "bundle level windows per rank pair"),
+    scalar!("regrid_interval", PER_JOB, regrid_interval, num, "rebalance ownership every k timesteps; 0 = never"),
+    choice!("regrid_policy", PER_JOB, regrid_policy, REGRID_POLICIES, "sfc | lpt | rotate"),
+    scalar!("timesteps", PER_JOB, timesteps, num, "radiation solves to run"),
+    choice!("sampling", PER_JOB, sampling, SAMPLINGS, "independent | lhc"),
+    choice!("ray_count", PER_JOB, adaptive_rays, RAY_COUNTS, "fixed (nrays per cell) | adaptive"),
+    scalar!("rays_min", PER_JOB, rays_min, num, "adaptive: first batch size"),
+    scalar!("rays_max", PER_JOB, rays_max, num, "adaptive: per-cell ray budget ceiling"),
+    scalar!("rel_var_target", PER_JOB, rel_var_target, num, "adaptive: stop when sem(I) <= target * |mean I|"),
+    choice!("priority", PER_JOB, priority, PRIORITIES, "queue tier under uintah-serve: normal | high"),
+    Key {
+        name: "output",
+        shape: PER_JOB,
+        help: "archive divQ here, e.g. ./rmcrt.uda",
+        set: |c, v| { c.output = Some(PathBuf::from(v)); Ok(()) },
+        show: |c| c.output.as_ref().map_or(String::new(), |p| p.display().to_string()),
+    },
+];
+
 impl RunConfig {
     /// Parse from `key = value` text. Unknown keys are errors (typos should
     /// not silently change a run).
     pub fn parse(text: &str) -> Result<Self, ConfigError> {
         let mut cfg = RunConfig::default();
-        let mut seen: HashMap<&str, usize> = HashMap::new();
+        // Line each key was first set on (0 = not yet).
+        let mut seen = [0usize; KEYS.len()];
         for (ln, raw) in text.lines().enumerate() {
-            let line_no = ln + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
+            let line = ln + 1;
+            let bad = |message: String| ConfigError { line, message };
+            let content = raw.split('#').next().unwrap_or("").trim();
+            if content.is_empty() {
                 continue;
             }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(ConfigError {
-                    line: line_no,
-                    message: format!("expected 'key = value', got '{line}'"),
-                });
+            let Some((key, value)) = content.split_once('=') else {
+                return Err(bad(format!("expected 'key = value', got '{content}'")));
             };
-            let key = key.trim();
-            let value = value.trim();
-            if let Some(prev) = seen.insert(
-                match key {
-                    "problem" => "problem",
-                    "fine_cells" => "fine_cells",
-                    "patch_size" => "patch_size",
-                    "levels" => "levels",
-                    "refinement_ratio" => "refinement_ratio",
-                    "nrays" => "nrays",
-                    "threshold" => "threshold",
-                    "halo" => "halo",
-                    "ranks" => "ranks",
-                    "threads" => "threads",
-                    "store" => "store",
-                    "gpu" => "gpu",
-                    "gpus_per_rank" => "gpus_per_rank",
-                    "gpu_affinity" => "gpu_affinity",
-                    "gpu_capacity_mb" => "gpu_capacity_mb",
-                    "gpu_eviction" => "gpu_eviction",
-                    "gpu_h2d" => "gpu_h2d",
-                    "aggregate" => "aggregate",
-                    "regrid_interval" => "regrid_interval",
-                    "regrid_policy" => "regrid_policy",
-                    "timesteps" => "timesteps",
-                    "sampling" => "sampling",
-                    "ray_count" => "ray_count",
-                    "rays_min" => "rays_min",
-                    "rays_max" => "rays_max",
-                    "rel_var_target" => "rel_var_target",
-                    "priority" => "priority",
-                    "output" => "output",
-                    other => {
-                        return Err(ConfigError {
-                            line: line_no,
-                            message: format!("unknown key '{other}'"),
-                        })
-                    }
-                },
-                line_no,
-            ) {
-                return Err(ConfigError {
-                    line: line_no,
-                    message: format!("duplicate key '{key}' (first on line {prev})"),
-                });
+            let (key, value) = (key.trim(), value.trim());
+            let Some(i) = KEYS.iter().position(|k| k.name == key) else {
+                return Err(bad(format!("unknown key '{key}'")));
+            };
+            if seen[i] != 0 {
+                return Err(bad(format!(
+                    "duplicate key '{key}' (first on line {})",
+                    seen[i]
+                )));
             }
-            let bad = |message: String| ConfigError {
-                line: line_no,
-                message,
-            };
-            fn num<T: FromStr>(value: &str, key: &str, line: usize) -> Result<T, ConfigError> {
-                value.parse().map_err(|_| ConfigError {
-                    line,
-                    message: format!("invalid value '{value}' for {key}"),
+            seen[i] = line;
+            (KEYS[i].set)(&mut cfg, value).map_err(|why| {
+                bad(match why {
+                    BadValue::Number => format!("invalid value '{value}' for {key}"),
+                    BadValue::Bool => format!("invalid bool '{value}'"),
+                    BadValue::Choice => format!("unknown {key} '{value}'"),
                 })
-            }
-            match key {
-                "problem" => {
-                    cfg.problem = match value {
-                        "benchmark" => Problem::Benchmark,
-                        v => return Err(bad(format!("unknown problem '{v}'"))),
-                    }
-                }
-                "fine_cells" => cfg.fine_cells = num(value, key, line_no)?,
-                "patch_size" => cfg.patch_size = num(value, key, line_no)?,
-                "levels" => cfg.levels = num(value, key, line_no)?,
-                "refinement_ratio" => cfg.refinement_ratio = num(value, key, line_no)?,
-                "nrays" => cfg.nrays = num(value, key, line_no)?,
-                "threshold" => cfg.threshold = num(value, key, line_no)?,
-                "halo" => cfg.halo = num(value, key, line_no)?,
-                "ranks" => cfg.ranks = num(value, key, line_no)?,
-                "threads" => cfg.threads = num(value, key, line_no)?,
-                "timesteps" => cfg.timesteps = num(value, key, line_no)?,
-                "store" => {
-                    cfg.store = match value {
-                        "waitfree" => StoreKind::WaitFree,
-                        "mutex" => StoreKind::Mutex,
-                        "racy" => StoreKind::Racy,
-                        v => return Err(bad(format!("unknown store '{v}'"))),
-                    }
-                }
-                "gpu" => {
-                    cfg.gpu = match value {
-                        "true" | "yes" | "1" => true,
-                        "false" | "no" | "0" => false,
-                        v => return Err(bad(format!("invalid bool '{v}'"))),
-                    }
-                }
-                "gpus_per_rank" => cfg.gpus_per_rank = num(value, key, line_no)?,
-                "gpu_capacity_mb" => cfg.gpu_capacity_mb = num(value, key, line_no)?,
-                "gpu_eviction" => {
-                    cfg.gpu_eviction = match value {
-                        "lru" => true,
-                        "off" => false,
-                        v => return Err(bad(format!("unknown gpu_eviction '{v}'"))),
-                    }
-                }
-                "gpu_affinity" => {
-                    cfg.gpu_affinity = match value {
-                        "sticky" => GpuAffinity::Sticky,
-                        "cost" | "cost_balanced" => GpuAffinity::CostBalanced,
-                        v => return Err(bad(format!("unknown gpu_affinity '{v}'"))),
-                    }
-                }
-                "gpu_h2d" => {
-                    cfg.gpu_async_h2d = match value {
-                        "async" => true,
-                        "sync" => false,
-                        v => return Err(bad(format!("unknown gpu_h2d '{v}'"))),
-                    }
-                }
-                "aggregate" => {
-                    cfg.aggregate = match value {
-                        "true" | "yes" | "1" => true,
-                        "false" | "no" | "0" => false,
-                        v => return Err(bad(format!("invalid bool '{v}'"))),
-                    }
-                }
-                "regrid_interval" => cfg.regrid_interval = num(value, key, line_no)?,
-                "regrid_policy" => {
-                    cfg.regrid_policy = match value {
-                        "sfc" => RebalancePolicy::CostedSfc,
-                        "lpt" => RebalancePolicy::CostedLpt,
-                        "rotate" => RebalancePolicy::Rotate(1),
-                        v => return Err(bad(format!("unknown regrid_policy '{v}'"))),
-                    }
-                }
-                "sampling" => {
-                    cfg.sampling = match value {
-                        "independent" => rmcrt_core::RaySampling::Independent,
-                        "lhc" | "latin_hypercube" => rmcrt_core::RaySampling::LatinHypercube,
-                        v => return Err(bad(format!("unknown sampling '{v}'"))),
-                    }
-                }
-                "ray_count" => {
-                    cfg.adaptive_rays = match value {
-                        "fixed" => false,
-                        "adaptive" => true,
-                        v => return Err(bad(format!("unknown ray_count '{v}'"))),
-                    }
-                }
-                "rays_min" => cfg.rays_min = num(value, key, line_no)?,
-                "rays_max" => cfg.rays_max = num(value, key, line_no)?,
-                "rel_var_target" => cfg.rel_var_target = num(value, key, line_no)?,
-                "priority" => {
-                    cfg.priority = match value {
-                        "normal" => JobPriority::Normal,
-                        "high" => JobPriority::High,
-                        v => return Err(bad(format!("unknown priority '{v}'"))),
-                    }
-                }
-                "output" => cfg.output = Some(PathBuf::from(value)),
-                _ => unreachable!("key validated above"),
-            }
+            })?;
         }
         cfg.validate().map_err(|message| ConfigError { line: 0, message })?;
         Ok(cfg)
     }
 
-    /// Cross-field validation.
+    /// Render as config text that [`Self::parse`] reads back to an equal
+    /// `RunConfig`: every key of [`KEYS`] with its help as a trailing
+    /// comment; unset keys are commented out.
+    pub fn to_text(&self) -> String {
+        let mut out = String::from("# rmcrt_app configuration\n");
+        for key in KEYS {
+            let value = (key.show)(self);
+            let unset = if value.is_empty() { "#" } else { "" };
+            let assignment = format!("{unset}{} = {value}", key.name);
+            out.push_str(&format!("{assignment:<26} # {}\n", key.help));
+        }
+        out
+    }
+
+    /// The slot-compatibility key of the radiation server: hashes what the
+    /// `shape` keys print, i.e. exactly the configuration a slot's
+    /// structures bake in at construction. Jobs with equal signatures can
+    /// share a slot; per-job keys (ray counts, halos, priorities,
+    /// timesteps, regrid schedules) deliberately stay out.
+    pub fn shape_signature(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        for key in KEYS.iter().filter(|k| k.shape) {
+            (key.show)(self).hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// Range and cross-field validation. Everything a hand-built or parsed
+    /// `RunConfig` must satisfy before [`Self::build_problem`] may be
+    /// called on it — config text arrives from outside the program (files,
+    /// the serve wire), so nothing downstream may panic on a value that
+    /// passed here.
     pub fn validate(&self) -> Result<(), String> {
         if self.fine_cells <= 0 || self.patch_size <= 0 {
             return Err("fine_cells and patch_size must be positive".into());
@@ -343,14 +392,28 @@ impl RunConfig {
         if self.levels == 0 || self.levels > 4 {
             return Err("levels must be 1..=4".into());
         }
+        if self.refinement_ratio < 1 {
+            return Err("refinement_ratio must be >= 1".into());
+        }
         if self.levels >= 2 {
-            let span = self.refinement_ratio.pow(self.levels as u32 - 1);
+            let Some(span) = self.refinement_ratio.checked_pow(self.levels as u32 - 1) else {
+                return Err(format!(
+                    "refinement_ratio {}^(levels-1) overflows",
+                    self.refinement_ratio
+                ));
+            };
             if self.fine_cells % span != 0 {
                 return Err(format!(
                     "fine_cells {} not divisible by refinement_ratio^(levels-1) = {span}",
                     self.fine_cells
                 ));
             }
+        }
+        if self.halo < 0 {
+            return Err("halo must be >= 0".into());
+        }
+        if self.timesteps == 0 {
+            return Err("timesteps must be >= 1".into());
         }
         if self.ranks == 0 || self.threads == 0 {
             return Err("ranks and threads must be >= 1".into());
@@ -611,5 +674,35 @@ mod tests {
         assert!(RunConfig::parse("fine_cells = 24\npatch_size = 8\nlevels = 2\nrefinement_ratio = 16").is_err());
         // Valid baseline passes.
         assert!(RunConfig::parse("fine_cells = 32\npatch_size = 8").is_ok());
+    }
+
+    /// Config text arrives from outside the program (files, the serve
+    /// wire): values that used to panic in `parse`, `build_problem` or a
+    /// task body must come back as a `ConfigError` instead.
+    #[test]
+    fn malformed_values_are_errors_not_panics() {
+        for text in [
+            "refinement_ratio = 0",
+            "refinement_ratio = -4",
+            "refinement_ratio = 100000\nlevels = 4",
+            "halo = -1",
+            "timesteps = 0",
+        ] {
+            let err = RunConfig::parse(text).expect_err(text);
+            assert_eq!(err.line, 0, "{text}: a validation error, not a syntax error");
+        }
+        // A single level never reads the ratio's power, but the grid
+        // builder still asserts on the ratio itself.
+        assert!(RunConfig::parse("levels = 1\nrefinement_ratio = 0").is_err());
+    }
+
+    #[test]
+    fn error_text_names_key_value_and_line() {
+        let msg = |text: &str| RunConfig::parse(text).unwrap_err().to_string();
+        assert_eq!(msg("nrays = many"), "config line 1: invalid value 'many' for nrays");
+        assert_eq!(msg("\ngpu = perhaps"), "config line 2: invalid bool 'perhaps'");
+        assert_eq!(msg("store = spinlock"), "config line 1: unknown store 'spinlock'");
+        assert_eq!(msg("nrays = 8\n\nnrays = 9"), "config line 3: duplicate key 'nrays' (first on line 1)");
+        assert_eq!(msg("just words"), "config line 1: expected 'key = value', got 'just words'");
     }
 }

@@ -2,7 +2,10 @@
 //! invariants of the stack.
 
 use proptest::prelude::*;
+use std::path::PathBuf;
+use uintah::config::{JobPriority, RunConfig};
 use uintah::prelude::*;
+use uintah::rmcrt::RaySampling;
 use uintah_grid::distribute::morton3;
 
 fn small_coord() -> impl Strategy<Value = i32> {
@@ -377,6 +380,64 @@ proptest! {
 
     /// Any cost vector under any policy yields a valid distribution: every
     /// patch owned exactly once, by a rank inside the world.
+    /// The config key table is the single source of truth: every valid
+    /// `RunConfig` prints (`to_text`) to text that parses back to itself —
+    /// a key missing from the table, a `show` that prints something its
+    /// `set` does not accept, or an alias printed instead of a canonical
+    /// spelling all break the round trip. (`Rotate(k != 1)` has no
+    /// spelling, so the policy is drawn from the three spellable values;
+    /// f64 keys round-trip through Rust's shortest `Display`.)
+    #[test]
+    fn run_config_text_round_trips(
+        bits in any::<u64>(),
+        patch_size in 1..9i32, refinement_ratio in 1..5i32, levels in 1..5usize, coarse in 1..4i32,
+        nrays in 1..5000u32, threshold in 1e-9..1.0f64, halo in 0..9i32,
+        ranks in 1..9usize, threads in 1..9usize, gpus_per_rank in 1..7usize,
+        gpu_capacity_mb in 1..100_000usize, timesteps in 1..1000usize,
+        rays_min in 1..64u32, rays_extra in 0..2000u32, rel_var_target in 1e-9..1.0f64,
+        regrid_interval in 0..10usize,
+    ) {
+        let bit = |i: u32| bits >> i & 1 == 1;
+        let pick = |i: u32| (bits >> i) as usize % 3;
+        let cfg = RunConfig {
+            problem: uintah::config::Problem::Benchmark,
+            fine_cells: patch_size * refinement_ratio.pow(levels as u32 - 1) * coarse,
+            patch_size,
+            levels,
+            refinement_ratio,
+            nrays,
+            threshold,
+            halo,
+            ranks,
+            threads,
+            store: [StoreKind::WaitFree, StoreKind::Mutex, StoreKind::Racy][pick(8)],
+            gpu: bit(0),
+            gpus_per_rank,
+            gpu_affinity: if bit(1) { GpuAffinity::CostBalanced } else { GpuAffinity::Sticky },
+            gpu_capacity_mb,
+            gpu_eviction: bit(2),
+            gpu_async_h2d: bit(3),
+            timesteps,
+            sampling: [RaySampling::Independent, RaySampling::LatinHypercube][bit(4) as usize],
+            adaptive_rays: bit(5),
+            rays_min,
+            rays_max: rays_min + rays_extra,
+            rel_var_target,
+            aggregate: bit(6),
+            regrid_interval,
+            regrid_policy: [
+                RebalancePolicy::CostedSfc,
+                RebalancePolicy::CostedLpt,
+                RebalancePolicy::Rotate(1),
+            ][pick(16)],
+            priority: if bit(7) { JobPriority::High } else { JobPriority::Normal },
+            output: [None, Some("./rmcrt.uda"), Some("/tmp/out dir/x.uda")][pick(24)]
+                .map(PathBuf::from),
+        };
+        prop_assert_eq!(cfg.validate(), Ok(()));
+        prop_assert_eq!(RunConfig::parse(&cfg.to_text()), Ok(cfg));
+    }
+
     #[test]
     fn rebalance_distribution_valid(
         nranks in 1..6usize,
@@ -511,4 +572,18 @@ fn synth_costs(grid: &Grid, seed: u64) -> Vec<f64> {
             }
         })
         .collect()
+}
+
+/// What `rmcrt_app --print-default-config` prints is `RunConfig::default()`
+/// rendered through the key table, so it can no longer drift from the
+/// defaults it advertises: it parses back to exactly them, and it names
+/// every key.
+#[test]
+fn printed_default_config_parses_to_the_defaults() {
+    let text = RunConfig::default().to_text();
+    assert_eq!(RunConfig::parse(&text), Ok(RunConfig::default()));
+    for key in uintah::config::KEYS {
+        assert!(text.contains(&format!("{} = ", key.name)), "'{}' missing:\n{text}", key.name);
+    }
+    assert_eq!(uintah::config::KEYS.len(), 28);
 }

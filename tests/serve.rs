@@ -12,7 +12,12 @@
 //!   rejects jobs larger than the whole fleet with a typed error;
 //! * the high-priority tier overtakes the normal queue;
 //! * the wire protocol preserves `f64` bits end to end, and a client
-//!   disconnect cancels the jobs it submitted and abandoned.
+//!   disconnect cancels the jobs it submitted and abandoned;
+//! * malformed config text over the wire is a typed rejection on a
+//!   connection that stays usable, never a dead connection thread;
+//! * a served job that regrids and re-homes patches across devices
+//!   mid-run is bit-identical to the same config run solo, and leaves its
+//!   slot in the canonical state for the next tenant.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,12 +25,19 @@ use uintah::config::{JobPriority, RunConfig};
 use uintah::prelude::*;
 use uintah_grid::CcVariable;
 use uintah_serve::{
-    serve_on, JobOutcome, RadiationServer, ServeClient, ServeConfig, SubmitError,
+    serve_on, ClientError, JobOutcome, RadiationServer, RejectCode, ServeClient, ServeConfig,
+    SubmitError,
 };
 
 /// The reference answer: what a standalone single-tenant run of exactly
 /// this config computes for the fine-level divQ.
 fn solo_divq(cfg: &RunConfig) -> Vec<f64> {
+    solo_run(cfg).0
+}
+
+/// [`solo_divq`] plus the regrids the solo run performed, summed over
+/// ranks and timesteps the way `JobStats::regrids` sums them.
+fn solo_run(cfg: &RunConfig) -> (Vec<f64>, u64) {
     let (grid, decls) = cfg.build_problem();
     let result = run_world(Arc::clone(&grid), decls, cfg.world_config());
     let fine = grid.fine_level();
@@ -39,7 +51,8 @@ fn solo_divq(cfg: &RunConfig) -> Vec<f64> {
             out.copy_window(v.as_f64(), &grid.patch(pid).interior());
         }
     }
-    out.into_vec()
+    let regrids = result.ranks.iter().flat_map(|r| &r.stats).map(|s| s.regrids as u64).sum();
+    (out.into_vec(), regrids)
 }
 
 fn assert_bits_equal(got: &[f64], want: &[f64], what: &str) {
@@ -514,4 +527,113 @@ fn wire_roundtrip_preserves_bits_and_disconnect_cancels_owned_jobs() {
     server.shutdown();
     assert_eq!(server.fleet().total_used(), 0);
     assert!(!path.exists(), "socket file must be removed on close");
+}
+
+/// Config text that used to panic inside `parse`/`build_problem` on the
+/// connection thread (killing it before it could cancel the client's jobs)
+/// now comes back as a typed `BadConfig` rejection, and the *same*
+/// connection goes on to submit and complete a good job.
+#[test]
+fn wire_malformed_config_is_rejected_and_connection_survives() {
+    let server = Arc::new(RadiationServer::start(ServeConfig::default()));
+    let path = std::env::temp_dir().join(format!(
+        "rmcrt-serve-test-malformed-{}.sock",
+        std::process::id()
+    ));
+    let socket = serve_on(Arc::clone(&server), &path).unwrap();
+    let mut client = ServeClient::connect(&path).unwrap();
+    for text in [
+        "refinement_ratio = 0",
+        "refinement_ratio = -4",
+        "refinement_ratio = 100000\nlevels = 4",
+        "halo = -1",
+        "timesteps = 0",
+    ] {
+        match client.submit(text) {
+            Err(ClientError::Rejected {
+                code: RejectCode::BadConfig,
+                ..
+            }) => {}
+            other => panic!("'{text}': expected a BadConfig rejection, got {other:?}"),
+        }
+    }
+    let good = "fine_cells = 16\npatch_size = 4\nlevels = 2\nranks = 2\n\
+                threads = 2\nnrays = 8\nhalo = 2\n";
+    let id = client.submit(good).expect("connection still serves");
+    let outcome = client.wait(id).unwrap();
+    let report = outcome.expect_done();
+    assert_bits_equal(
+        &report.divq.data,
+        &solo_divq(&RunConfig::parse(good).unwrap()),
+        "good job after rejections",
+    );
+    assert_eq!(server.stats().rejected, 0, "bad text never reaches admission");
+    drop(client);
+    socket.close();
+    server.drain();
+    server.shutdown();
+}
+
+/// A served GPU job that rebalances ownership mid-run (`rotate` moves
+/// every patch) and re-homes patches across the fleet's devices after
+/// every step (`gpu_affinity = cost`) steps through the same routine as
+/// `run_world`, so it must be bit-identical to the solo run and count the
+/// same regrids — on any worker-thread count. The next plain tenant of the
+/// warm slot starts from the canonical distribution again (the rotated
+/// ownership is reset), so it too matches its own solo run.
+#[test]
+fn served_regrid_with_cost_affinity_bit_identical_to_solo() {
+    let server = RadiationServer::start(ServeConfig {
+        workers: 1,
+        gpus: 2,
+        ..ServeConfig::default()
+    });
+    for threads in [1, 2, 3, 7] {
+        let plain = RunConfig {
+            fine_cells: 16,
+            patch_size: 4,
+            levels: 2,
+            ranks: 2,
+            threads,
+            nrays: 4,
+            halo: 2,
+            gpu: true,
+            gpus_per_rank: 2,
+            gpu_affinity: GpuAffinity::CostBalanced,
+            timesteps: 2,
+            ..RunConfig::default()
+        };
+        // One regrid (before step 2) leaves ownership rotated at job end.
+        let regridding = RunConfig {
+            timesteps: 4,
+            regrid_interval: 2,
+            regrid_policy: RebalancePolicy::Rotate(1),
+            ..plain.clone()
+        };
+        let (want, solo_regrids) = solo_run(&regridding);
+        assert_eq!(solo_regrids, 2, "one ownership flip on each of 2 ranks");
+
+        let outcome = server.submit(regridding).unwrap().wait();
+        let report = outcome.expect_done();
+        assert!(!report.stats.slot_reused, "{threads} threads is a new shape");
+        assert_eq!(report.stats.steps, 4);
+        assert_eq!(report.stats.regrids, solo_regrids, "{threads} threads");
+        assert_bits_equal(&report.divq.data, &want, &format!("regridding, {threads} threads"));
+
+        let outcome = server.submit(plain.clone()).unwrap().wait();
+        let report = outcome.expect_done();
+        assert!(report.stats.slot_reused, "same shape must recycle the slot");
+        assert_eq!(
+            report.stats.regrids, 2,
+            "the reset to canonical ownership (one per rank) is charged to the tenant that needed it"
+        );
+        assert_bits_equal(
+            &report.divq.data,
+            &solo_divq(&plain),
+            &format!("plain tenant after a regridding one, {threads} threads"),
+        );
+    }
+    server.drain();
+    server.shutdown();
+    assert_eq!(server.fleet().total_used(), 0, "fleet must drain to zero");
 }

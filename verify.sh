@@ -13,6 +13,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # these crates' public API: check it here so an API change that would
 # break the benchmark fails tier-1 instead of failing the benchmark.
 cargo check --offline --manifest-path perf_report/Cargo.toml
+# rmcrt_app on its own advertised defaults: what --print-default-config
+# prints must parse, build, run and report divQ.
+cargo run --release -q --bin rmcrt_app -- --print-default-config > target/default.cfg
+cargo run --release -q --bin rmcrt_app -- target/default.cfg
 # E12 scaling-campaign regression gate: calibrate from a real executor
 # run, sweep the LARGE 16³-patch curve, compare Eq.-3 efficiencies against
 # the checked-in BENCH_scaling.json (tolerance in rmcrt_bench::campaign)
