@@ -19,8 +19,8 @@
 //!    `WaitFreeRequestStore` implementations driven with the same relative
 //!    loads. NOTE: on a single-core machine lock *contention* largely
 //!    vanishes, so the measured gap collapses (or inverts); on multi-core
-//!    hosts the wait-free store wins (see `cargo bench request_store` and
-//!    EXPERIMENTS.md).
+//!    hosts the wait-free store wins (see EXPERIMENTS.md E1 and
+//!    `perf_report`'s `comm.waitfree_ns_per_req` / `comm.mutex_ns_per_req`).
 //!
 //! ```text
 //! cargo run -p rmcrt-bench --release --bin fig1_table1

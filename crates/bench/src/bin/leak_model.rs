@@ -17,45 +17,11 @@
 //! cargo run -p rmcrt-bench --release --bin leak_model
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use rmcrt_bench::drive_store;
 use std::sync::Arc;
 use titan_sim::rank_census;
-use uintah::comm::{RacyRequestVec, RequestStore};
+use uintah::comm::RacyRequestVec;
 use uintah::prelude::*;
-
-/// Drive the racy store once and return (messages, leaked buffers).
-fn measure_leak(nthreads: usize, nmsgs: usize) -> (usize, u64) {
-    let store = Arc::new(RacyRequestVec::new());
-    let world = CommWorld::new(2);
-    let tx = world.communicator(0);
-    let rx = world.communicator(1);
-    for i in 0..nmsgs {
-        store.add(rx.irecv(0, Tag(i as u64)));
-    }
-    let processed = Arc::new(AtomicUsize::new(0));
-    std::thread::scope(|s| {
-        for _ in 0..nthreads {
-            let store = store.clone();
-            let processed = processed.clone();
-            s.spawn(move || {
-                while processed.load(Ordering::Relaxed) < nmsgs {
-                    let n = store.process_completed(&mut |_m| {});
-                    if n == 0 {
-                        std::thread::yield_now();
-                    } else {
-                        processed.fetch_add(n, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-        s.spawn(move || {
-            for i in 0..nmsgs {
-                tx.isend(1, Tag(i as u64), bytes::Bytes::from_static(&[0u8; 64]));
-            }
-        });
-    });
-    (nmsgs, store.leaked())
-}
 
 fn main() {
     println!("§IV-A leak model — racy Testsome loop under MPI_THREAD_MULTIPLE\n");
@@ -65,7 +31,10 @@ fn main() {
     println!("{:>9} {:>9} | {:>9} {:>12}", "threads", "messages", "leaked", "leak rate");
     let mut worst_rate: f64 = 0.0;
     for &threads in &[2usize, 4, 8, 16] {
-        let (msgs, leaked) = measure_leak(threads, 4000);
+        let msgs = 4000;
+        let racy = Arc::new(RacyRequestVec::new());
+        drive_store(racy.clone(), threads, msgs);
+        let leaked = racy.leaked();
         let rate = leaked as f64 / msgs as f64;
         worst_rate = worst_rate.max(rate);
         println!("{:>9} {:>9} | {:>9} {:>11.2}%", threads, msgs, leaked, rate * 100.0);

@@ -25,6 +25,7 @@
 //! cargo run -p rmcrt-bench --release --bin ray_march_gate -- --update # regen
 //! ```
 
+use rmcrt_bench::campaign::json::{self, Json};
 use rmcrt_bench::{gate, median_time, scalar_march, secs};
 use rmcrt_core::props::{LevelProps, WALL_CELL};
 use rmcrt_core::solver::{RayCountMode, RmcrtParams};
@@ -54,18 +55,18 @@ const N: i32 = 16;
 const NRAYS: u32 = 100;
 const REPS: usize = 5;
 
-/// Minimal extraction of `"throughput_per_sec": <x>` for a benchmark id
-/// from the checked-in report (same hand-rolled style as the rest of the
-/// dependency-free bench JSON).
-fn throughput_for(text: &str, id: &str) -> Option<f64> {
-    let at = text.find(&format!("\"id\": \"{id}\""))?;
-    let rest = &text[at..];
-    let key = "\"throughput_per_sec\":";
-    let tail = rest[rest.find(key)? + key.len()..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || ".-+e".contains(c)))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
+/// `throughput_per_sec` of benchmark `id` in the checked-in report.
+fn baseline_throughput(report: &Json, id: &str) -> Result<f64, String> {
+    let root = report.as_object().ok_or("report is not an object")?;
+    let entries = json::get(root, "benchmarks")?
+        .as_array()
+        .ok_or("\"benchmarks\" is not an array")?;
+    let entry = entries
+        .iter()
+        .filter_map(Json::as_object)
+        .find(|e| e.get("id").and_then(Json::as_str) == Some(id))
+        .ok_or_else(|| format!("no {id} entry"))?;
+    json::get_f64(entry, "throughput_per_sec")
 }
 
 fn checksum(v: &[f64]) -> u64 {
@@ -243,16 +244,19 @@ fn main() -> ExitCode {
             "thick: adaptive packet-path speedup {adaptive_speedup:.2}x is below the required {MIN_ADAPTIVE_SPEEDUP}x"
         ));
     }
-    match std::fs::read_to_string(&report_path) {
-        Err(e) => violations.push(format!("cannot read {}: {e}", report_path.display())),
-        Ok(text) => {
+    let report = std::fs::read_to_string(&report_path)
+        .map_err(|e| format!("cannot read {}: {e}", report_path.display()))
+        .and_then(|text| json::parse(&text));
+    match report {
+        Err(e) => violations.push(format!("BENCH_ray_march.json: {e}")),
+        Ok(report) => {
             for (id, measured) in [
                 ("packet_16cube_100rays", fixed.packet_cps),
                 ("packet_16cube_thick_adaptive", adaptive.packet_cps),
             ] {
-                match throughput_for(&text, id) {
-                    None => violations.push(format!("BENCH_ray_march.json has no {id} entry")),
-                    Some(baseline) => {
+                match baseline_throughput(&report, id) {
+                    Err(e) => violations.push(format!("BENCH_ray_march.json: {e}")),
+                    Ok(baseline) => {
                         if measured < baseline * (1.0 - REGRESSION_TOLERANCE) {
                             violations.push(format!(
                                 "{id} throughput {measured:.0} cells/s regressed more than {:.0}% below the checked-in {baseline:.0} cells/s",
@@ -269,5 +273,5 @@ fn main() -> ExitCode {
         "fixed >= {MIN_FIXED_SPEEDUP}x, adaptive >= {MIN_ADAPTIVE_SPEEDUP}x, \
          tolerance {REGRESSION_TOLERANCE}"
     );
-    gate::finish(env!("CARGO_BIN_NAME"), &detail, &violations)
+    gate::finish(env!("CARGO_BIN_NAME"), &detail, &violations, Some(&report_path))
 }

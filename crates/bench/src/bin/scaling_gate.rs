@@ -87,5 +87,5 @@ fn main() -> ExitCode {
     }
 
     let detail = format!("tolerance {GATE_TOLERANCE}, knee threshold {KNEE_THRESHOLD}");
-    gate::finish(env!("CARGO_BIN_NAME"), &detail, &violations)
+    gate::finish(env!("CARGO_BIN_NAME"), &detail, &violations, Some(&report_path))
 }

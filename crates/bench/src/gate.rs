@@ -1,20 +1,20 @@
-//! What every regression-gate bin (`src/bin/*_gate.rs`) does the same way:
-//! locate its checked-in `BENCH_*.json`, honour `--update`, print the
-//! PASS/FAIL footer, fingerprint divQ and audit the device meters of a
-//! finished [`WorldResult`].
+//! What the regression-gate bins (`src/bin/*_gate.rs`) do the same way:
+//! print the PASS/FAIL footer, fingerprint divQ and audit the device meters
+//! of a finished [`WorldResult`]; and, for the two gates that compare
+//! against a checked-in baseline, locate it and honour `--update`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use uintah::prelude::*;
 use uintah::runtime::WorldResult;
 
-/// The repository root (where the `BENCH_*.json` files live).
+/// The repository root (where the checked-in baselines live).
 pub fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Whether the gate was invoked with `--update` (regenerate the checked-in
-/// report instead of checking against it).
+/// baseline instead of checking against it).
 pub fn update_requested() -> bool {
     std::env::args().any(|a| a == "--update")
 }
@@ -26,25 +26,10 @@ pub fn write_report(path: &Path, contents: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The checked-in report must still carry an entry for each of `ids`
-/// (gates whose floors are checked live keep the file for bookkeeping only).
-pub fn require_entries(path: &Path, ids: &[&str], violations: &mut Vec<String>) {
-    match std::fs::read_to_string(path) {
-        Err(e) => violations.push(format!("cannot read {}: {e}", path.display())),
-        Ok(text) => {
-            for id in ids {
-                if !text.contains(&format!("\"id\": \"{id}\"")) {
-                    violations.push(format!("{} has no {id} entry", path.display()));
-                }
-            }
-        }
-    }
-}
-
 /// The common footer: PASS with `detail`, or FAIL listing every violation
-/// and how to regenerate the report. `bin` is the gate's
-/// `env!("CARGO_BIN_NAME")`.
-pub fn finish(bin: &str, detail: &str, violations: &[String]) -> ExitCode {
+/// and, for a gate that compares against a checked-in `baseline`, how to
+/// regenerate it. `bin` is the gate's `env!("CARGO_BIN_NAME")`.
+pub fn finish(bin: &str, detail: &str, violations: &[String], baseline: Option<&Path>) -> ExitCode {
     if violations.is_empty() {
         println!("{bin} PASS ({detail})");
         return ExitCode::SUCCESS;
@@ -53,29 +38,24 @@ pub fn finish(bin: &str, detail: &str, violations: &[String]) -> ExitCode {
     for v in violations {
         println!("  - {v}");
     }
-    println!(
-        "(if the change is intentional, regenerate with: \
-         cargo run -p rmcrt-bench --release --bin {bin} -- --update)"
-    );
+    if let Some(path) = baseline {
+        println!(
+            "(if the change is intentional, regenerate {} with: \
+             cargo run -p rmcrt-bench --release --bin {bin} -- --update)",
+            path.file_name().unwrap_or_default().to_string_lossy()
+        );
+    }
     ExitCode::FAILURE
 }
 
 /// Order-independent bit-exact fingerprint of the fine-level divQ field
 /// across all ranks.
 pub fn divq_checksum(grid: &Grid, result: &WorldResult) -> u64 {
-    let mut acc = 0u64;
-    for rr in &result.ranks {
-        for &pid in result.dist.owned_by(rr.rank) {
-            if grid.patch(pid).level_index() != grid.fine_level_index() {
-                continue;
-            }
-            let v = rr.dw.get_patch(DIVQ, pid).expect("divQ computed");
-            for &x in v.as_f64().as_slice() {
-                acc = acc.wrapping_add(x.to_bits());
-            }
-        }
-    }
-    acc
+    result
+        .fine_field(grid, DIVQ)
+        .as_slice()
+        .iter()
+        .fold(0u64, |acc, x| acc.wrapping_add(x.to_bits()))
 }
 
 /// The zero-drift contract at exit of a GPU run: with the upload engines

@@ -1,7 +1,8 @@
-//! Shared helpers for the benchmark harnesses (`src/bin/*`) that
-//! regenerate every table and figure of the paper, and for the criterion
-//! microbenchmarks (`benches/*`). See DESIGN.md §4 for the experiment
-//! index and EXPERIMENTS.md for recorded results.
+//! Shared helpers for the regenerator bins (`src/bin/*`): one per paper
+//! table/figure and one per verify.sh gate. See DESIGN.md §4 for the
+//! experiment index and EXPERIMENTS.md for recorded results; performance
+//! itself is measured by `perf_report/`, which imports [`campaign`],
+//! [`scalar_march`] and [`drive_store`] from here.
 
 pub mod campaign;
 pub mod gate;

@@ -219,13 +219,13 @@ mod tests {
         let t = AllocTracker::new();
         let r = BufferRecycler::<f64>::new(t.clone());
         let v = r.acquire(64);
-        let ptr = v.as_ptr();
         r.retire(v);
         assert_eq!(r.bump_generation(), 1);
         // The parked buffer predates the bump: it must be dropped, not
-        // reused, and the tracker credited.
+        // reused, and the tracker credited. (The fresh allocation's address
+        // proves nothing — the system allocator may hand the freed block
+        // straight back.)
         let v2 = r.acquire(64);
-        assert_ne!(v2.as_ptr(), ptr, "stale-generation buffer reused");
         assert_eq!(r.hits(), 0);
         assert_eq!(r.stale_drops(), 1);
         assert_eq!(t.snapshot(AllocCategory::GridVariable).live_bytes, 0);

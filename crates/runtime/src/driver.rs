@@ -12,7 +12,8 @@ use std::time::Instant;
 use uintah_comm::{AllReduceVec, CommWorld, Communicator};
 use uintah_gpu::{lpt_assign, DeviceFleet, GpuAffinity, GpuDataWarehouse};
 use uintah_grid::{
-    DistributionPolicy, Grid, PatchCosts, PatchDistribution, RebalancePolicy, Regridder,
+    CcVariable, DistributionPolicy, Grid, PatchCosts, PatchDistribution, RebalancePolicy,
+    Regridder, VarLabel,
 };
 
 /// Configuration of a simulated job.
@@ -140,6 +141,27 @@ impl WorldResult {
             .flat_map(|r| r.stats.iter())
             .map(|s| s.bytes_sent)
             .sum()
+    }
+
+    /// The per-patch variable `label` of the final timestep, gathered from
+    /// every rank's warehouse into one fine-level field. Panics if an owned
+    /// fine patch never computed `label` (a task-declaration error).
+    pub fn fine_field(&self, grid: &Grid, label: VarLabel) -> CcVariable<f64> {
+        let mut out = CcVariable::<f64>::new(grid.fine_level().cell_region());
+        for rr in &self.ranks {
+            for &pid in self.dist.owned_by(rr.rank) {
+                let patch = grid.patch(pid);
+                if patch.level_index() != grid.fine_level_index() {
+                    continue;
+                }
+                let v = rr
+                    .dw
+                    .get_patch(label, pid)
+                    .unwrap_or_else(|| panic!("{label:?} missing on patch {pid:?}"));
+                out.copy_window(v.as_f64(), &patch.interior());
+            }
+        }
+        out
     }
 }
 

@@ -43,7 +43,7 @@ pub struct MachineParams {
     pub cpu_init_cells_per_s: f64,
     /// Ray-march throughput of one CPU core (cell-steps/s), for the
     /// CPU-only mode (the paper's predecessor [5] ran RMCRT on 256K CPU
-    /// cores). Calibrated from the host `ray_march` criterion bench.
+    /// cores). Calibrated from the host ray-march rate (EXPERIMENTS.md E8).
     pub cpu_cellsteps_per_s: f64,
     /// CPU cost to post or process one message (s) with the wait-free
     /// store; the mutex store pays the same per message but serialized.

@@ -59,30 +59,14 @@ fn main() {
     );
 
     // Aggregate divQ stats.
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for rr in &result.ranks {
-        for &pid in result.dist.owned_by(rr.rank) {
-            if grid.patch(pid).level_index() != grid.fine_level_index() {
-                continue;
-            }
-            let v = rr.dw.get_patch(DIVQ, pid).expect("divQ computed");
-            for &x in v.as_f64().as_slice() {
-                min = min.min(x);
-                max = max.max(x);
-                sum += x;
-                count += 1;
-            }
-        }
-    }
+    let divq = result.fine_field(&grid, DIVQ);
+    let cells = divq.as_slice();
     println!(
         "divQ over {} fine cells: min {:+.4}  mean {:+.4}  max {:+.4} (W/m³)",
-        count,
-        min,
-        sum / count as f64,
-        max
+        cells.len(),
+        cells.iter().copied().fold(f64::INFINITY, f64::min),
+        cells.iter().sum::<f64>() / cells.len() as f64,
+        cells.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     );
 
     if let Some(out) = &cfg.output {
@@ -97,8 +81,11 @@ fn main() {
                 if grid.patch(pid).level_index() != grid.fine_level_index() {
                     continue;
                 }
-                let v = rr.dw.get_patch(DIVQ, pid).unwrap();
-                archive.save_field(ts, DIVQ, pid.0, &v).unwrap();
+                let v = rr.dw.get_patch(DIVQ, pid).expect("divQ computed");
+                archive.save_field(ts, DIVQ, pid.0, &v).unwrap_or_else(|e| {
+                    eprintln!("cannot archive divQ piece {} to {}: {e}", pid.0, out.display());
+                    std::process::exit(1);
+                });
                 pieces += 1;
             }
         }

@@ -49,38 +49,20 @@ fn main() {
         result.total_bytes()
     );
 
-    // Collect divQ along the x centreline (y = z = mid).
-    let fine = grid.fine_level();
-    let mid = fine.cell_region().extent().x / 2;
+    // Gather every rank's patches into one fine-level field and print
+    // divQ along the x centreline (y = z = mid).
+    let divq = result.fine_field(&grid, DIVQ);
+    let nx = grid.fine_level().cell_region().extent().x;
+    let mid = nx / 2;
     println!("\n  x      divQ (W/m³)");
-    for x in 0..fine.cell_region().extent().x {
-        let c = IntVector::new(x, mid, mid);
-        let patch = fine.patch_containing(c).expect("cell on fine level");
-        let rank = result.dist.rank_of(patch.id());
-        let divq = result.ranks[rank]
-            .dw
-            .get_patch(DIVQ, patch.id())
-            .expect("divQ computed");
-        if x % 2 == 0 {
-            let xc = (x as f64 + 0.5) / fine.cell_region().extent().x as f64;
-            println!("  {:5.3}  {:+.4}", xc, divq.as_f64()[c]);
-        }
+    for x in (0..nx).step_by(2) {
+        let xc = (x as f64 + 0.5) / nx as f64;
+        println!("  {:5.3}  {:+.4}", xc, divq[IntVector::new(x, mid, mid)]);
     }
     println!("\n(positive = net emission: the hot medium loses heat to the cold walls,");
     println!(" strongest at the domain centre where κ peaks — Burns & Christon's shape)");
 
-    // Assemble the global divQ field and dump a mid-plane image.
-    let mut divq = CcVariable::<f64>::new(fine.cell_region());
-    for rr in &result.ranks {
-        for &pid in result.dist.owned_by(rr.rank) {
-            if grid.patch(pid).level_index() == grid.fine_level_index() {
-                divq.copy_window(
-                    rr.dw.get_patch(DIVQ, pid).unwrap().as_f64(),
-                    &grid.patch(pid).interior(),
-                );
-            }
-        }
-    }
+    // Dump a mid-plane image of the same field.
     let out = std::env::temp_dir().join("rmcrt_quickstart_divq.ppm");
     let (lo, hi) = uintah::viz::write_slice_ppm(&out, &divq, 2, mid).expect("write slice");
     println!(

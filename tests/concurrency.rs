@@ -146,21 +146,6 @@ fn runtime_schedule_fuzzing() {
         problem: BurnsChriston::default(),
     };
     let decls = Arc::new(multilevel_decls(&grid, p, false));
-    let collect = |result: &uintah::runtime::WorldResult| -> Vec<f64> {
-        let fine = grid.fine_level();
-        let mut out = CcVariable::<f64>::new(fine.cell_region());
-        for rr in &result.ranks {
-            for &pid in result.dist.owned_by(rr.rank) {
-                if grid.patch(pid).level_index() == grid.fine_level_index() {
-                    out.copy_window(
-                        rr.dw.get_patch(DIVQ, pid).unwrap().as_f64(),
-                        &grid.patch(pid).interior(),
-                    );
-                }
-            }
-        }
-        out.as_slice().to_vec()
-    };
     let mut baseline: Option<Vec<f64>> = None;
     for (nranks, nthreads, store) in [
         (1usize, 1usize, StoreKind::WaitFree),
@@ -181,7 +166,7 @@ fn runtime_schedule_fuzzing() {
                 ..Default::default()
             },
         );
-        let got = collect(&result);
+        let got = result.fine_field(&grid, DIVQ).into_vec();
         match &baseline {
             None => baseline = Some(got),
             Some(b) => assert_eq!(&got, b, "({nranks} ranks, {nthreads} threads, {store:?})"),

@@ -118,22 +118,6 @@ fn device_space_meters_while_matching_serial() {
     assert_eq!(device.counters().kernels, 1);
 }
 
-/// Gather the fine-level divQ field from a world result.
-fn collect_divq(grid: &Grid, result: &uintah::runtime::WorldResult) -> CcVariable<f64> {
-    let fine = grid.fine_level();
-    let mut out = CcVariable::<f64>::new(fine.cell_region());
-    for rr in &result.ranks {
-        for &pid in result.dist.owned_by(rr.rank) {
-            if grid.patch(pid).level_index() != grid.fine_level_index() {
-                continue;
-            }
-            let v = rr.dw.get_patch(DIVQ, pid).expect("divQ missing");
-            out.copy_window(v.as_f64(), &grid.patch(pid).interior());
-        }
-    }
-    out
-}
-
 #[test]
 fn divq_is_bit_identical_across_fleet_sizes_and_thread_counts() {
     // Device count is a placement decision, never a numerical one: the
@@ -167,11 +151,11 @@ fn divq_is_bit_identical_across_fleet_sizes_and_thread_counts() {
             },
         )
     };
-    let reference = collect_divq(&grid, &run(1, 2, GpuAffinity::Sticky, 1));
+    let reference = run(1, 2, GpuAffinity::Sticky, 1).fine_field(&grid, DIVQ);
     for devices in [1usize, 2, 4, 6] {
         for threads in [1usize, 2, 3, 7] {
             let result = run(devices, threads, GpuAffinity::Sticky, 1);
-            let got = collect_divq(&grid, &result);
+            let got = result.fine_field(&grid, DIVQ);
             for c in reference.region().cells() {
                 assert_eq!(
                     got[c], reference[c],
@@ -196,14 +180,24 @@ fn divq_is_bit_identical_across_fleet_sizes_and_thread_counts() {
                     local_fine,
                     "{devices} devices x {threads} threads"
                 );
+                // Spreading patches divides the resident footprint: no
+                // device's peak may exceed its own capacity meter.
+                for (d, c) in per_dev.iter().enumerate() {
+                    assert!(
+                        c.peak <= gdw.device_at(d).capacity() as u64,
+                        "rank {} device {d} peak {} exceeds its capacity meter",
+                        rr.rank,
+                        c.peak
+                    );
+                }
             }
         }
     }
     // The affinity policy is equally invisible to the numerics: LPT
     // re-homing from measured per-patch costs (applied between the two
     // timesteps) only moves whole patches to other devices.
-    let two_step_ref = collect_divq(&grid, &run(1, 2, GpuAffinity::Sticky, 2));
-    let balanced = collect_divq(&grid, &run(4, 3, GpuAffinity::CostBalanced, 2));
+    let two_step_ref = run(1, 2, GpuAffinity::Sticky, 2).fine_field(&grid, DIVQ);
+    let balanced = run(4, 3, GpuAffinity::CostBalanced, 2).fine_field(&grid, DIVQ);
     for c in two_step_ref.region().cells() {
         assert_eq!(
             balanced[c], two_step_ref[c],

@@ -4,23 +4,6 @@
 
 use std::sync::Arc;
 use uintah::prelude::*;
-use uintah_grid::CcVariable;
-
-/// Gather the fine-level divQ field from a world result.
-fn collect_divq(grid: &Grid, result: &uintah::runtime::WorldResult) -> CcVariable<f64> {
-    let fine = grid.fine_level();
-    let mut out = CcVariable::<f64>::new(fine.cell_region());
-    for rr in &result.ranks {
-        for &pid in result.dist.owned_by(rr.rank) {
-            if grid.patch(pid).level_index() != grid.fine_level_index() {
-                continue;
-            }
-            let v = rr.dw.get_patch(DIVQ, pid).expect("divQ missing");
-            out.copy_window(v.as_f64(), &grid.patch(pid).interior());
-        }
-    }
-    out
-}
 
 fn pipeline() -> RmcrtPipeline {
     RmcrtPipeline {
@@ -56,7 +39,7 @@ fn multilevel_pipeline_matches_reference_exactly() {
             ..Default::default()
         },
     );
-    let got = collect_divq(&grid, &result);
+    let got = result.fine_field(&grid, DIVQ);
     for c in reference.region().cells() {
         assert_eq!(got[c], reference[c], "cell {c:?}");
     }
@@ -67,14 +50,12 @@ fn rank_count_does_not_change_results() {
     let grid = Arc::new(BurnsChriston::small_grid(16, 4));
     let p = pipeline();
     let decls = Arc::new(multilevel_decls(&grid, p, false));
-    let base = collect_divq(
-        &grid,
-        &run_world(
-            Arc::clone(&grid),
-            Arc::clone(&decls),
-            WorldConfig::default(),
-        ),
-    );
+    let base = run_world(
+        Arc::clone(&grid),
+        Arc::clone(&decls),
+        WorldConfig::default(),
+    )
+    .fine_field(&grid, DIVQ);
     for nranks in [2usize, 4, 6] {
         let result = run_world(
             Arc::clone(&grid),
@@ -85,7 +66,7 @@ fn rank_count_does_not_change_results() {
                 ..Default::default()
             },
         );
-        let got = collect_divq(&grid, &result);
+        let got = result.fine_field(&grid, DIVQ);
         for c in base.region().cells() {
             assert_eq!(got[c], base[c], "nranks {nranks}, cell {c:?}");
         }
@@ -97,18 +78,16 @@ fn rank_count_does_not_change_results() {
 fn gpu_pipeline_matches_cpu_pipeline() {
     let grid = Arc::new(BurnsChriston::small_grid(16, 8));
     let p = pipeline();
-    let cpu = collect_divq(
-        &grid,
-        &run_world(
-            Arc::clone(&grid),
-            Arc::new(multilevel_decls(&grid, p, false)),
-            WorldConfig {
-                nranks: 2,
-                nthreads: 2,
-                ..Default::default()
-            },
-        ),
-    );
+    let cpu = run_world(
+        Arc::clone(&grid),
+        Arc::new(multilevel_decls(&grid, p, false)),
+        WorldConfig {
+            nranks: 2,
+            nthreads: 2,
+            ..Default::default()
+        },
+    )
+    .fine_field(&grid, DIVQ);
     let result = run_world(
         Arc::clone(&grid),
         Arc::new(multilevel_decls(&grid, p, true)),
@@ -119,7 +98,7 @@ fn gpu_pipeline_matches_cpu_pipeline() {
             ..Default::default()
         },
     );
-    let gpu = collect_divq(&grid, &result);
+    let gpu = result.fine_field(&grid, DIVQ);
     for c in cpu.region().cells() {
         assert_eq!(gpu[c], cpu[c], "cell {c:?}");
     }
@@ -209,7 +188,7 @@ fn single_level_pipeline_matches_its_reference() {
                 ..Default::default()
             },
         );
-        let got = collect_divq(&grid, &result);
+        let got = result.fine_field(&grid, DIVQ);
         for c in reference.region().cells() {
             assert_eq!(got[c], reference[c], "nranks {nranks} cell {c:?}");
         }
@@ -283,7 +262,7 @@ fn three_level_pipeline_matches_reference() {
                 ..Default::default()
             },
         );
-        let got = collect_divq(&grid, &result);
+        let got = result.fine_field(&grid, DIVQ);
         for c in reference.region().cells() {
             assert_eq!(got[c], reference[c], "nranks {nranks} cell {c:?}");
         }
@@ -313,8 +292,8 @@ fn aggregated_level_windows_same_results_fewer_messages() {
             ..base_cfg
         },
     );
-    let a = collect_divq(&grid, &plain);
-    let b = collect_divq(&grid, &packed);
+    let a = plain.fine_field(&grid, DIVQ);
+    let b = packed.fine_field(&grid, DIVQ);
     for c in a.region().cells() {
         assert_eq!(a[c], b[c], "cell {c:?}");
     }
@@ -365,7 +344,7 @@ fn aggregated_three_level_pipeline_matches_reference() {
             ..Default::default()
         },
     );
-    let got = collect_divq(&grid, &result);
+    let got = result.fine_field(&grid, DIVQ);
     for c in reference.region().cells() {
         assert_eq!(got[c], reference[c], "cell {c:?}");
     }
@@ -387,7 +366,7 @@ fn more_ranks_than_patches_is_harmless() {
             ..Default::default()
         },
     );
-    let got = collect_divq(&grid, &result);
+    let got = result.fine_field(&grid, DIVQ);
     for c in reference.region().cells() {
         assert_eq!(got[c], reference[c]);
     }
@@ -410,8 +389,8 @@ fn repeated_timesteps_are_reproducible() {
         timesteps: 2,
         ..Default::default()
     };
-    let a = collect_divq(&grid, &run_world(Arc::clone(&grid), Arc::clone(&decls), cfg.clone()));
-    let b = collect_divq(&grid, &run_world(Arc::clone(&grid), decls, cfg));
+    let a = run_world(Arc::clone(&grid), Arc::clone(&decls), cfg.clone()).fine_field(&grid, DIVQ);
+    let b = run_world(Arc::clone(&grid), decls, cfg).fine_field(&grid, DIVQ);
     for c in a.region().cells() {
         assert_eq!(a[c], b[c]);
     }
@@ -434,10 +413,38 @@ fn all_request_stores_agree_through_full_pipeline() {
                 ..Default::default()
             },
         );
-        results.push(collect_divq(&grid, &r));
+        results.push(r.fine_field(&grid, DIVQ));
     }
     for c in results[0].region().cells() {
         assert_eq!(results[0][c], results[1][c]);
         assert_eq!(results[0][c], results[2][c]);
     }
+}
+
+/// `rmcrt_app` reports a failed archive write and exits 1 — it must not
+/// panic on an error `save_field` can return. The timestep directory's
+/// path is occupied by a regular file, so the first piece cannot be saved.
+#[test]
+fn rmcrt_app_reports_archive_write_failure() {
+    let dir = std::env::temp_dir().join(format!("rmcrt_app_archive_failure_{}", std::process::id()));
+    let uda = dir.join("out.uda");
+    std::fs::create_dir_all(&uda).unwrap();
+    std::fs::write(uda.join("t00000"), b"").unwrap();
+    let cfg = dir.join("run.cfg");
+    std::fs::write(
+        &cfg,
+        format!(
+            "fine_cells = 8\npatch_size = 4\nrefinement_ratio = 2\nnrays = 1\nranks = 1\nthreads = 1\noutput = {}\n",
+            uda.display()
+        ),
+    )
+    .unwrap();
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_rmcrt_app"))
+        .arg(&cfg)
+        .output()
+        .expect("spawn rmcrt_app");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("cannot archive divQ piece"), "stderr: {stderr}");
 }

@@ -13,23 +13,6 @@ use std::time::Duration;
 use uintah::prelude::*;
 use uintah::runtime::task::{Computes, Requirement, TaskContext};
 use uintah::runtime::TaskDecl;
-use uintah_grid::CcVariable;
-
-/// Gather the fine-level divQ field from a world result.
-fn collect_divq(grid: &Grid, result: &uintah::runtime::WorldResult) -> CcVariable<f64> {
-    let fine = grid.fine_level();
-    let mut out = CcVariable::<f64>::new(fine.cell_region());
-    for rr in &result.ranks {
-        for &pid in result.dist.owned_by(rr.rank) {
-            if grid.patch(pid).level_index() != grid.fine_level_index() {
-                continue;
-            }
-            let v = rr.dw.get_patch(DIVQ, pid).expect("divQ missing");
-            out.copy_window(v.as_f64(), &grid.patch(pid).interior());
-        }
-    }
-    out
-}
 
 fn pipeline() -> RmcrtPipeline {
     RmcrtPipeline {
@@ -76,8 +59,8 @@ fn cached_graph_matches_per_step_recompilation() {
     let cached = run(true);
     let rebuilt = run(false);
 
-    let a = collect_divq(&grid, &cached);
-    let b = collect_divq(&grid, &rebuilt);
+    let a = cached.fine_field(&grid, DIVQ);
+    let b = rebuilt.fine_field(&grid, DIVQ);
     for c in a.region().cells() {
         assert_eq!(a[c].to_bits(), b[c].to_bits(), "cell {c:?}");
     }
@@ -258,8 +241,8 @@ fn gpu_level_db_reuploads_less_after_first_step() {
     }
 
     // Residency must not change the answer: GPU multi-step == CPU multi-step.
-    let a = collect_divq(&grid, &gpu_run);
-    let b = collect_divq(&grid, &cpu_run);
+    let a = gpu_run.fine_field(&grid, DIVQ);
+    let b = cpu_run.fine_field(&grid, DIVQ);
     for c in a.region().cells() {
         assert_eq!(a[c].to_bits(), b[c].to_bits(), "cell {c:?}");
     }
@@ -290,12 +273,12 @@ fn async_d2h_divq_bit_identical_to_sync_across_thread_counts() {
             },
         )
     };
-    let reference = collect_divq(&grid, &run(1, false));
+    let reference = run(1, false).fine_field(&grid, DIVQ);
     for nthreads in [1, 2, 3, 7] {
         let async_run = run(nthreads, true);
         let sync_run = run(nthreads, false);
-        let a = collect_divq(&grid, &async_run);
-        let s = collect_divq(&grid, &sync_run);
+        let a = async_run.fine_field(&grid, DIVQ);
+        let s = sync_run.fine_field(&grid, DIVQ);
         for c in reference.region().cells() {
             assert_eq!(
                 a[c].to_bits(),

@@ -154,29 +154,18 @@ fn runtime_multilevel_close_to_single_level() {
         nthreads: 2,
         ..Default::default()
     };
-    let collect = |result: &uintah::runtime::WorldResult| -> CcVariable<f64> {
-        let fine = grid.fine_level();
-        let mut out = CcVariable::<f64>::new(fine.cell_region());
-        for rr in &result.ranks {
-            for &pid in result.dist.owned_by(rr.rank) {
-                if grid.patch(pid).level_index() == grid.fine_level_index() {
-                    let v = rr.dw.get_patch(DIVQ, pid).unwrap();
-                    out.copy_window(v.as_f64(), &grid.patch(pid).interior());
-                }
-            }
-        }
-        out
-    };
-    let ml = collect(&run_world(
+    let ml = run_world(
         Arc::clone(&grid),
         Arc::new(multilevel_decls(&grid, p, false)),
         cfg.clone(),
-    ));
-    let sl = collect(&run_world(
+    )
+    .fine_field(&grid, DIVQ);
+    let sl = run_world(
         Arc::clone(&grid),
         Arc::new(single_level_decls(&grid, p, false)),
         cfg,
-    ));
+    )
+    .fine_field(&grid, DIVQ);
     let mean: f64 = sl.as_slice().iter().map(|v| v.abs()).sum::<f64>() / sl.len() as f64;
     let mut max_rel: f64 = 0.0;
     for c in sl.region().cells() {

@@ -18,22 +18,6 @@ use uintah::runtime::task::{Computes, TaskContext};
 use uintah::runtime::{DataWarehouse, PersistentExecutor, Scheduler, TaskDecl};
 use uintah_grid::PatchId;
 
-/// Gather the fine-level divQ field from a world result.
-fn collect_divq(grid: &Grid, result: &uintah::runtime::WorldResult) -> CcVariable<f64> {
-    let fine = grid.fine_level();
-    let mut out = CcVariable::<f64>::new(fine.cell_region());
-    for rr in &result.ranks {
-        for &pid in result.dist.owned_by(rr.rank) {
-            if grid.patch(pid).level_index() != grid.fine_level_index() {
-                continue;
-            }
-            let v = rr.dw.get_patch(DIVQ, pid).expect("divQ missing");
-            out.copy_window(v.as_f64(), &grid.patch(pid).interior());
-        }
-    }
-    out
-}
-
 fn pipeline() -> RmcrtPipeline {
     RmcrtPipeline {
         params: RmcrtParams {
@@ -74,7 +58,7 @@ fn mid_run_ownership_flip_divq_bit_identical() {
         )
     };
     let reference = run(1, false);
-    let ref_divq = collect_divq(&grid, &reference);
+    let ref_divq = reference.fine_field(&grid, DIVQ);
 
     for nthreads in [1, 2, 3, 7] {
         let flipped = run(nthreads, true);
@@ -83,7 +67,7 @@ fn mid_run_ownership_flip_divq_bit_identical() {
             reference.dist.rank_map(),
             "the rotate policy must actually change ownership"
         );
-        let divq = collect_divq(&grid, &flipped);
+        let divq = flipped.fine_field(&grid, DIVQ);
         for c in ref_divq.region().cells() {
             assert_eq!(
                 divq[c].to_bits(),
@@ -276,8 +260,8 @@ fn gpu_regrid_evicts_level_replicas_and_stays_bit_identical() {
         assert_eq!(rr.dw.stale_hits(), 0, "rank {}", rr.rank);
     }
 
-    let a = collect_divq(&grid, &gpu_run);
-    let b = collect_divq(&grid, &cpu_run);
+    let a = gpu_run.fine_field(&grid, DIVQ);
+    let b = cpu_run.fine_field(&grid, DIVQ);
     for c in a.region().cells() {
         assert_eq!(a[c].to_bits(), b[c].to_bits(), "cell {c:?}");
     }
@@ -323,8 +307,8 @@ fn costed_rebalance_midrun_keeps_divq_bit_identical() {
         assert!(balanced.dist.owned_by(owner).contains(&PatchId(pid as u32)));
     }
 
-    let a = collect_divq(&grid, &balanced);
-    let b = collect_divq(&grid, &reference);
+    let a = balanced.fine_field(&grid, DIVQ);
+    let b = reference.fine_field(&grid, DIVQ);
     for c in a.region().cells() {
         assert_eq!(a[c].to_bits(), b[c].to_bits(), "cell {c:?}");
     }

@@ -23,7 +23,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uintah::config::{JobPriority, RunConfig};
 use uintah::prelude::*;
-use uintah_grid::CcVariable;
 use uintah_serve::{
     serve_on, ClientError, JobOutcome, RadiationServer, RejectCode, ServeClient, ServeConfig,
     SubmitError,
@@ -40,19 +39,8 @@ fn solo_divq(cfg: &RunConfig) -> Vec<f64> {
 fn solo_run(cfg: &RunConfig) -> (Vec<f64>, u64) {
     let (grid, decls) = cfg.build_problem();
     let result = run_world(Arc::clone(&grid), decls, cfg.world_config());
-    let fine = grid.fine_level();
-    let mut out = CcVariable::<f64>::new(fine.cell_region());
-    for rr in &result.ranks {
-        for &pid in result.dist.owned_by(rr.rank) {
-            if grid.patch(pid).level_index() != grid.fine_level_index() {
-                continue;
-            }
-            let v = rr.dw.get_patch(DIVQ, pid).expect("divQ missing");
-            out.copy_window(v.as_f64(), &grid.patch(pid).interior());
-        }
-    }
     let regrids = result.ranks.iter().flat_map(|r| &r.stats).map(|s| s.regrids as u64).sum();
-    (out.into_vec(), regrids)
+    (result.fine_field(&grid, DIVQ).into_vec(), regrids)
 }
 
 fn assert_bits_equal(got: &[f64], want: &[f64], what: &str) {

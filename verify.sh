@@ -36,9 +36,7 @@ cargo run --release -q -p rmcrt-bench --bin ray_march_gate
 # on 1- and 6-device fleets with a regrid raced mid-run, divQ
 # bit-identical to the non-evicting reference, evictions > 0, slowdown
 # <= 8x, and zero meter drift at exit (allocator invariants, used ==
-# DB-resident, no stranded spill, DBs clear to 0 B). Regenerate the
-# bookkeeping JSON after intentional changes with:
-#   cargo run --release -p rmcrt-bench --bin oversub_gate -- --update
+# DB-resident, no stranded spill, DBs clear to 0 B).
 cargo run --release -q -p rmcrt-bench --bin oversub_gate
 # E16 async H2D upload-pipeline gate: the pipeline's upload pattern
 # (step-close posts of level revalidations, superseding patch uploads
@@ -48,15 +46,12 @@ cargo run --release -q -p rmcrt-bench --bin oversub_gate
 # zero overlap in sync mode), serve bit-identical bytes in both modes,
 # and keep divQ bit-identical across 1/2/3/7 threads x 1/2/4/6 devices
 # x both gpu_async_h2d modes plus an oversubscribed regrid-raced pair,
-# with zero meter drift after every drain. Regenerate the bookkeeping
-# JSON after intentional changes with:
-#   cargo run --release -p rmcrt-bench --bin h2d_overlap_gate -- --update
+# with zero meter drift after every drain.
 cargo run --release -q -p rmcrt-bench --bin h2d_overlap_gate
 # E15 serving gate: a mixed 4-tenant stream on a warm server must beat
 # the cold one-world-per-job serial workflow (floor 0.75 x min(tenants,
 # cores), i.e. the 3x service floor at >= 4 cores, never below 1x), with
 # per-tenant divQ bit-identity, a deterministic shared-graph adoption,
 # queued-not-failed admission on a tiny fleet, and zero meter drift after
-# every drain. Regenerate the bookkeeping JSON after intentional changes:
-#   cargo run --release -p rmcrt-bench --bin serve_gate -- --update
+# every drain.
 cargo run --release -q -p rmcrt-bench --bin serve_gate
