@@ -18,7 +18,12 @@
 //!   on measurably fewer rays.
 //!
 //! On top of those absolute checks, packet throughput (cells/s) must stay
-//! within `REGRESSION_TOLERANCE` of the checked-in `BENCH_ray_march.json`.
+//! within `REGRESSION_TOLERANCE` of the checked-in `BENCH_ray_march.json`,
+//! and — a check relative to this host alone — marching the B&C rays as
+//! packets (`PacketTracer::trace`, interleaved lanes) must not be slower
+//! than looping `PacketTracer::trace_one` (the same engine, one lane) over
+//! them. Each workload's line also reports cell steps per ray and the time
+//! per cell step from the engine's own `MarchStats`.
 //!
 //! ```text
 //! cargo run -p rmcrt-bench --release --bin ray_march_gate            # check
@@ -29,16 +34,23 @@ use rmcrt_bench::campaign::json::{self, Json};
 use rmcrt_bench::{gate, median_time, scalar_march, secs};
 use rmcrt_core::props::{LevelProps, WALL_CELL};
 use rmcrt_core::solver::{RayCountMode, RmcrtParams};
-use rmcrt_core::trace::TraceLevel;
-use rmcrt_core::{solve_region, solve_region_with_stats, BurnsChriston};
+use rmcrt_core::trace::{TraceLevel, TraceOptions};
+use rmcrt_core::{
+    solve_region, solve_region_with_stats, BurnsChriston, CellRng, MarchStats, PacketTracer,
+    RayPacket,
+};
 use std::process::ExitCode;
 use std::time::Instant;
 use uintah::prelude::ExecSpace;
 use uintah_grid::{Region, Vector};
 
-/// Fixed-mode floor: overhead elimination alone, under the bit-identity
-/// contract (measured ~1.4x on this workload; floor leaves noise room).
-const MIN_FIXED_SPEEDUP: f64 = 1.2;
+/// Fixed-mode floor: overhead elimination plus interleaved lanes, under
+/// the bit-identity contract (measured ~1.55x on this workload; floor
+/// leaves noise room).
+const MIN_FIXED_SPEEDUP: f64 = 1.3;
+/// `trace` (interleaved lanes) over `trace_one` (one lane) on the same
+/// rays: never slower (measured ~1.2x).
+const MIN_LANE_SPEEDUP: f64 = 1.0;
 /// Packet-path requirement: the adaptive budget on the optically-thick
 /// workload must at least double scalar fixed-budget throughput.
 const MIN_ADAPTIVE_SPEEDUP: f64 = 2.0;
@@ -100,6 +112,68 @@ struct Measured {
     packet_cps: f64,
 }
 
+/// The march counters of one packet solve against its wall time (which
+/// includes RNG, packet fill and reduction).
+fn per_step(march: &MarchStats, packet_ms: f64) -> String {
+    format!(
+        "{:.1} steps/ray, {:.2} segments/ray, {:.1} ns/step",
+        march.cell_steps as f64 / march.rays as f64,
+        march.segments as f64 / march.rays as f64,
+        packet_ms * 1e6 / march.cell_steps as f64
+    )
+}
+
+/// Interleaved lanes against one lane on this host: every 8th cell of the
+/// region, `NRAYS` rays each, marched once as packets and once ray by ray
+/// through `trace_one`. Returns `(one-lane time / packet time, same bits)`.
+fn lane_speedup(stack: &[TraceLevel<'_>], region: Region, threshold: f64) -> (f64, bool) {
+    let tracer = PacketTracer::new(
+        stack,
+        TraceOptions {
+            threshold,
+            max_reflections: 0,
+        },
+    );
+    let fine = tracer.fine_props();
+    let fresh: Vec<RayPacket> = (0..region.volume())
+        .step_by(8)
+        .map(|i| {
+            let cell = region.from_linear(i);
+            let mut packet = RayPacket::with_capacity(NRAYS as usize);
+            for r in 0..NRAYS {
+                let mut rng = CellRng::new(0x1A9E5, cell, r, 0);
+                let dir = rng.direction();
+                packet.push(rng.point_in_cell(fine.cell_lo(cell), fine.dx), dir);
+            }
+            packet
+        })
+        .collect();
+    let mut packet_bits = 0u64;
+    let packet_t = median_time(REPS, || {
+        let mut packets = fresh.clone();
+        let t = Instant::now();
+        for packet in &mut packets {
+            tracer.trace(packet);
+        }
+        let elapsed = t.elapsed();
+        packet_bits = packets.iter().map(|p| checksum(&p.sum_i)).fold(0, u64::wrapping_add);
+        elapsed
+    });
+    let mut one_bits = 0u64;
+    let one_t = median_time(REPS, || {
+        let t = Instant::now();
+        one_bits = 0;
+        for packet in &fresh {
+            for i in 0..packet.len() {
+                let v = tracer.trace_one(packet.origin(i), packet.dir(i));
+                one_bits = one_bits.wrapping_add(v.to_bits());
+            }
+        }
+        t.elapsed()
+    });
+    (secs(one_t) / secs(packet_t), packet_bits == one_bits)
+}
+
 /// Time one workload with both engines (median of `REPS`); `packet`
 /// closures let the caller pick fixed or adaptive mode for the live side.
 fn time_pair(
@@ -157,10 +231,18 @@ fn main() -> ExitCode {
         cells,
     );
     let fixed_speedup = fixed.scalar_ms / fixed.packet_ms;
+    let bc_march = solve_region_with_stats(&bc_stack, bc_region, &bc_params, &ExecSpace::Serial).1.march;
     println!(
-        "16^3 B&C fixed {NRAYS} rays/cell:   scalar {:.1} ms | packet {:.1} ms | speedup {fixed_speedup:.2}x (bit-identical)",
-        fixed.scalar_ms, fixed.packet_ms
+        "16^3 B&C fixed {NRAYS} rays/cell:   scalar {:.1} ms | packet {:.1} ms | speedup {fixed_speedup:.2}x (bit-identical) | {}",
+        fixed.scalar_ms,
+        fixed.packet_ms,
+        per_step(&bc_march, fixed.packet_ms)
     );
+    let (lane_ratio, lane_bits_match) = lane_speedup(&bc_stack, bc_region, bc_params.threshold);
+    println!("16^3 B&C rays, trace vs trace_one:  interleaved lanes {lane_ratio:.2}x one lane");
+    if !lane_bits_match {
+        violations.push("B&C: trace and trace_one disagree bitwise on the same rays".to_string());
+    }
 
     // --- Workload 2: thick enclosure, adaptive packet path. -------------
     let th_props = thick_enclosure(N);
@@ -212,15 +294,16 @@ fn main() -> ExitCode {
     );
     let adaptive_speedup = adaptive.scalar_ms / adaptive.packet_ms;
     println!(
-        "16^3 thick adaptive 16..{NRAYS}@0.05: scalar {:.1} ms | packet {:.1} ms | speedup {adaptive_speedup:.2}x ({rays_per_cell:.1} rays/cell, mean divQ rel {:.3}%)",
+        "16^3 thick adaptive 16..{NRAYS}@0.05: scalar {:.1} ms | packet {:.1} ms | speedup {adaptive_speedup:.2}x ({rays_per_cell:.1} rays/cell, mean divQ rel {:.3}%) | {}",
         adaptive.scalar_ms,
         adaptive.packet_ms,
-        mean_rel * 100.0
+        mean_rel * 100.0,
+        per_step(&th_stats.march, adaptive.packet_ms)
     );
 
     if gate::update_requested() {
         let json = format!(
-            "{{\n  \"group\": \"ray_march\",\n  \"note\": \"Serial full-region solves, 16^3, median of {REPS}; throughput is cells/s. scalar_* = frozen pre-packet per-ray DDA (crates/bench/src/scalar_march.rs). packet_16cube_100rays is bit-identical to its scalar twin (fixed mode, B&C, 100 rays/cell, threshold 1e-5): the speedup is pure engine-overhead elimination under the pinned-FP contract. packet_16cube_thick_adaptive is the packet path on the optically-thick enclosure (kappa=8, hot walls, threshold 0.05) with adaptive ray counts 16..100 at rel_var_target 0.05 vs the 100-rays/cell scalar baseline; it must stay >= {MIN_ADAPTIVE_SPEEDUP}x scalar with region-mean divQ within {:.0}%. Gate: bit-identity on both workloads, fixed >= {MIN_FIXED_SPEEDUP}x, adaptive >= {MIN_ADAPTIVE_SPEEDUP}x, packet entries within {REGRESSION_TOLERANCE} of this file.\",\n  \"benchmarks\": [\n    {{ \"id\": \"scalar_16cube_100rays\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"packet_16cube_100rays\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"scalar_16cube_thick_100rays\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"packet_16cube_thick_adaptive\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1}, \"rays_per_cell\": {rays_per_cell:.1} }}\n  ]\n}}\n",
+            "{{\n  \"group\": \"ray_march\",\n  \"note\": \"Serial full-region solves, 16^3, median of {REPS}; throughput is cells/s. scalar_* = frozen pre-packet per-ray DDA (crates/bench/src/scalar_march.rs). packet_16cube_100rays is bit-identical to its scalar twin (fixed mode, B&C, 100 rays/cell, threshold 1e-5): the speedup is engine-overhead elimination plus interleaved march lanes under the pinned-FP contract. packet_16cube_thick_adaptive is the packet path on the optically-thick enclosure (kappa=8, hot walls, threshold 0.05) with adaptive ray counts 16..100 at rel_var_target 0.05 vs the 100-rays/cell scalar baseline; it must stay >= {MIN_ADAPTIVE_SPEEDUP}x scalar with region-mean divQ within {:.0}%. Gate: bit-identity on both workloads, fixed >= {MIN_FIXED_SPEEDUP}x, adaptive >= {MIN_ADAPTIVE_SPEEDUP}x, trace >= {MIN_LANE_SPEEDUP}x trace_one, packet entries within {REGRESSION_TOLERANCE} of this file.\",\n  \"benchmarks\": [\n    {{ \"id\": \"scalar_16cube_100rays\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"packet_16cube_100rays\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"scalar_16cube_thick_100rays\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"packet_16cube_thick_adaptive\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1}, \"rays_per_cell\": {rays_per_cell:.1} }}\n  ]\n}}\n",
             MAX_ADAPTIVE_MEAN_REL * 100.0,
             fixed.scalar_ms * 1e6,
             fixed.scalar_cps,
@@ -237,6 +320,11 @@ fn main() -> ExitCode {
     if fixed_speedup < MIN_FIXED_SPEEDUP {
         violations.push(format!(
             "B&C: packet fixed-mode speedup {fixed_speedup:.2}x is below the {MIN_FIXED_SPEEDUP}x floor"
+        ));
+    }
+    if lane_ratio < MIN_LANE_SPEEDUP {
+        violations.push(format!(
+            "B&C: trace is {lane_ratio:.2}x trace_one on the same rays, below the {MIN_LANE_SPEEDUP}x floor"
         ));
     }
     if adaptive_speedup < MIN_ADAPTIVE_SPEEDUP {
@@ -271,7 +359,7 @@ fn main() -> ExitCode {
 
     let detail = format!(
         "fixed >= {MIN_FIXED_SPEEDUP}x, adaptive >= {MIN_ADAPTIVE_SPEEDUP}x, \
-         tolerance {REGRESSION_TOLERANCE}"
+         lanes >= {MIN_LANE_SPEEDUP}x, tolerance {REGRESSION_TOLERANCE}"
     );
     gate::finish(env!("CARGO_BIN_NAME"), &detail, &violations, Some(&report_path))
 }

@@ -51,7 +51,7 @@ pub mod trace;
 
 pub use bc::{EnclosureBc, WallProps};
 pub use benchmark::BurnsChriston;
-pub use packet::{slabs, PacketTracer, RayPacket};
+pub use packet::{slabs, MarchStats, PacketTracer, RayEnds, RayPacket};
 pub use props::{LevelProps, FLOW_CELL, WALL_CELL};
 pub use rng::CellRng;
 pub use sampling::RaySampling;

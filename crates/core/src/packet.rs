@@ -6,19 +6,20 @@
 //! This module collapses them onto one engine:
 //!
 //! * [`RayPacket`] — a structure-of-arrays batch of rays: origins,
-//!   directions, per-ray `τ`/`e^{-τ_prev}`/weight/
-//!   `sumI`, level index and an active mask. One packet is one cell's (or
-//!   one face's / one detector's) ray budget, dispatched as a unit through
-//!   `uintah-exec`.
+//!   directions, per-ray weight/`sumI` and an active mask. One packet is
+//!   one cell's (or one face's / one detector's) ray budget, dispatched as
+//!   a unit through `uintah-exec`.
 //! * [`PacketTracer`] — prepares each [`TraceLevel`] once per solve
 //!   (hoisted DDA constants, raw field slices, linear-index strides, ROI
-//!   slab planes) and then marches whole packets, compacting the active
-//!   mask as rays extinguish, hit walls, or transition between levels.
+//!   slab planes) and then streams whole packets through its march lanes,
+//!   each ray marched to completion (across level transitions and wall
+//!   reflections) in the lane that took it.
 //!
 //! ## Stepping
 //!
 //! The DDA state (`side_dist`/`t_max`, `delta_dist`/`t_delta`, per SNIPPETS
-//! §1) is set up once per level segment, and the per-step work is
+//! §1) is set up once per level segment (`SegState::new`), and the
+//! per-step work (`SegState::step`, the only copy of the loop body) is
 //! branch-light:
 //!
 //! * the field lookups use a *stride-stepped linear index* into the dense
@@ -30,6 +31,38 @@
 //!   compare, and the integer planes double as a step bound (a termination
 //!   guarantee for degenerate directions). The physical-space twin of the
 //!   same test, [`slabs`], serves box-entry queries.
+//!
+//! A step is still a serial chain through memory — select the nearest axis
+//! → load `t_max[axis]` → add `t_delta[axis]` → store → reload on the next
+//! step (≈ 25 cycles), plus a libm `exp` whose call spills every live FP
+//! register — so a core marching one ray idles on latency. The tracer
+//! therefore keeps `LANES` rays in flight: `trace_stream` steps lane 0,
+//! lane 1, … in turn, so that many independent chains overlap, and a lane
+//! whose ray finishes takes the packet's next active ray. A ray's FP
+//! sequence is its own, so the lane count changes no result bit.
+//!
+//! Why this form on this target (baseline x86-64; host-normalised
+//! `trace_thin_fixed` step of `perf_report`, ms, lower is better). Rows
+//! marked * were measured on the landed code, the others are the
+//! prototypes that led here — recorded so nobody redoes them:
+//!
+//! | form | ms |
+//! |---|---|
+//! | one ray at a time, rounds over the SoA (previous engine) * | 1043 |
+//! | register-resident state, three-way select | 1120 (+16 % raw) |
+//! | geometry/physics two-phase split, `if`-selects | 1060–1340 |
+//! | … `hint::select_unpredictable` / single-compare selects | 1270 / 1320 |
+//! | 2-ray pair interleave; + inlined floor | 955; 915 |
+//! | `[SegState; 4]` with `done[]` flags, generic loop | 1133 |
+//! | this engine: 1 lane * / **2 lanes** * / 4 lanes * | 939 / **879** / 919 |
+//!
+//! LLVM lowers scalar `f64` selects to branches here (no `blendv`, with or
+//! without `-C target-cpu=x86-64-v3`) and they mispredict on ~⅔ of steps;
+//! the `exp` call spills register-resident DDA state anyway. The indexed
+//! arrays *are* the branch-free form; interleaving is what removes their
+//! latency. `exp` itself is only ~17 % of the one-ray step time. The lane
+//! loop must stay fully unrollable (constant lane count, no per-lane
+//! `done` flag inside it) — the `done[]` form lost more than lanes won.
 //!
 //! The *floating-point sequence* of the march (t_max recurrence, τ
 //! accumulation, telescoped emission, threshold compare, axis tie-breaking)
@@ -49,7 +82,7 @@
 
 use crate::props::{LevelProps, FLOW_CELL};
 use crate::trace::{TraceLevel, TraceOptions};
-use uintah_grid::{Point, Region, Vector};
+use uintah_grid::{Point, Vector};
 
 /// Relative (cell-fraction) nudge used to place a ray just past a crossed
 /// face: scale-invariant, unlike an absolute epsilon.
@@ -79,6 +112,17 @@ pub fn slabs(p0: Point, p1: Point, o: Point, inv_d: Vector) -> (f64, f64) {
         t_far = t_far.min(hi);
     }
     (t_near, t_far)
+}
+
+/// `x.floor() as i32` without the libm call: baseline x86-64 has no
+/// `roundsd`, so `f64::floor` goes through the PLT (3.3 ns a call, three
+/// calls per point located). Truncate, then step down where truncation
+/// rounded up (negative non-integers); NaN maps to 0 and out-of-range
+/// values saturate, exactly as the cast of the floored value does.
+#[inline]
+fn floor_i32(x: f64) -> i32 {
+    let t = x as i32;
+    t.saturating_sub((t as f64 > x) as i32)
 }
 
 /// Interleaved per-cell march payload: one cache line serves the
@@ -111,14 +155,15 @@ struct PreparedLevel<'a> {
     abskg: &'a [f64],
     sigma: &'a [f64],
     ctype: &'a [u8],
-    roi: Region,
 }
 
 impl<'a> PreparedLevel<'a> {
     fn new(level: &TraceLevel<'a>) -> Self {
         let props: &'a LevelProps = level.props;
         let region = props.region;
-        debug_assert!(
+        // Release-mode: the unchecked field loads of `SegState::step` rely
+        // on ROI ⊆ data region.
+        assert!(
             region.contains_region(&level.roi),
             "ROI {:?} escapes level region {:?}",
             level.roi,
@@ -138,18 +183,17 @@ impl<'a> PreparedLevel<'a> {
             abskg: props.abskg.as_slice(),
             sigma: props.sigma_t4_over_pi.as_slice(),
             ctype: props.cell_type.as_slice(),
-            roi,
         }
     }
 
-    /// Cell containing `p` — the same FP sequence as
-    /// [`LevelProps::cell_containing`].
+    /// Cell containing `p` — the same values as
+    /// [`LevelProps::cell_containing`], with the floor inlined.
     #[inline]
     fn cell_containing(&self, p: Point) -> [i32; 3] {
         [
-            ((p.x - self.anchor[0]) / self.dx[0]).floor() as i32,
-            ((p.y - self.anchor[1]) / self.dx[1]).floor() as i32,
-            ((p.z - self.anchor[2]) / self.dx[2]).floor() as i32,
+            floor_i32((p.x - self.anchor[0]) / self.dx[0]),
+            floor_i32((p.y - self.anchor[1]) / self.dx[1]),
+            floor_i32((p.z - self.anchor[2]) / self.dx[2]),
         ]
     }
 
@@ -177,10 +221,19 @@ impl<'a> PreparedLevel<'a> {
     fn face_coord(&self, axis: usize, ci: i32) -> f64 {
         self.anchor[axis] + (ci as f64) * self.dx[axis]
     }
+
+    /// The face a step of sign `s` along `axis` crossed to enter cell `ci`.
+    fn crossed_face(&self, axis: usize, ci: i32, s: i32) -> f64 {
+        if s > 0 {
+            self.face_coord(axis, ci)
+        } else {
+            self.face_coord(axis, ci + 1)
+        }
+    }
 }
 
 /// Scalar per-ray accumulator state carried across level segments.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct RayCore {
     tau: f64,
     exp_prev: f64,
@@ -188,23 +241,19 @@ struct RayCore {
     weight: f64,
 }
 
-/// Why one level segment ended.
-enum Seg {
-    /// Remaining transmissivity fell below the threshold (or the defensive
-    /// step guard tripped).
+/// Why one level segment ended: the bare facts of the last step. The
+/// geometry that follows from them (face-snapped exit point, reflection
+/// restart) is rebuilt from the [`SegState`] in the cold
+/// [`PacketTracer::resolve`], so the hot step carries no level reference.
+enum SegEnd {
+    /// Remaining transmissivity fell below the threshold.
     Extinguished,
-    /// Hit a wall cell (emission contribution already added).
-    HitWall {
-        hit: Point,
-        axis: usize,
-        /// Face-snapped restart coordinate along `axis`, just inside the
-        /// flow cell the ray came from (for reflections).
-        restart: f64,
-        emissivity: f64,
-    },
-    /// Left the ROI: face-snapped physical exit point, just past the
-    /// crossed slab plane.
-    Exited(Point),
+    /// The defensive integer step guard tripped.
+    StepBound,
+    /// Stepped along `axis` into a wall cell (emission already added).
+    HitWall { axis: usize, emissivity: f64 },
+    /// Stepped along `axis` onto the ROI's exit plane.
+    Exited { axis: usize },
 }
 
 /// Per-axis DDA setup: step sign, initial `t_max`, `t_delta`, index-space
@@ -231,67 +280,81 @@ fn axis_setup(
     (s, tm, td, exit_plane, (s as isize) * stride)
 }
 
-/// March one level segment from `pos`. The FP op sequence matches the
-/// historical scalar marcher exactly (bit-identity contract).
+/// DDA state of one ray on one level segment. Kept in small arrays indexed
+/// by the stepped axis: the axis is data-dependent, so indexed accesses are
+/// the branch-free form (see the module doc, "Stepping").
 ///
-/// This is the innermost loop of every tracer: the DDA state lives in
-/// named locals (not arrays) so it stays in registers, the per-axis
-/// advance is an explicit three-way branch, and the field loads skip
-/// bounds checks — the index invariant (`cur` ∈ ROI ⊆ data region,
-/// re-established before every load) is documented at each site.
-fn march_segment(
-    lvl: &PreparedLevel<'_>,
-    pay: &[CellPay],
-    pos: Point,
-    dir: Vector,
-    st: &mut RayCore,
-    threshold: f64,
-) -> Seg {
-    let cur = lvl.cell_containing(pos);
-    debug_assert!(
-        lvl.roi_contains(cur),
-        "march starts outside ROI: {cur:?} not in {:?}",
-        lvl.roi
-    );
-    // Hoisted DDA setup, once per segment. Kept in small arrays indexed by
-    // the stepped axis: the axis is data-dependent, so indexed accesses
-    // beat a three-way branch (which would mispredict on most steps).
-    let mut step = [0i32; 3];
-    let mut t_max = [0f64; 3];
-    let mut t_delta = [0f64; 3];
-    let mut exit_plane = [0i32; 3];
-    let mut idx_step = [0isize; 3];
-    let mut cells = [cur[0], cur[1], cur[2]];
-    for a in 0..3 {
-        let (s, tm, td, ep, is) = axis_setup(
-            dir[a],
-            lvl.face_coord(a, cur[a]),
-            lvl.dx[a],
-            pos[a],
-            lvl.roi_lo[a],
-            lvl.roi_hi[a],
-            lvl.stride[a],
-        );
-        step[a] = s;
-        t_max[a] = tm;
-        t_delta[a] = td;
-        exit_plane[a] = ep;
-        idx_step[a] = is;
+/// Invariant (what the unchecked loads in [`SegState::step`] rely on):
+/// `idx` is the linear index into `pay` of the cell `cells`, and `cells` is
+/// inside the level's ROI ⊆ data region. [`SegState::new`] — the only
+/// constructor of a steppable state — establishes it with a release-mode
+/// check; every advance either stays inside the ROI or ends the segment.
+/// The `Default` value is an idle lane's placeholder and is never stepped.
+#[derive(Default)]
+struct SegState<'t> {
+    pay: &'t [CellPay],
+    step: [i32; 3],
+    t_max: [f64; 3],
+    t_delta: [f64; 3],
+    exit_plane: [i32; 3],
+    idx_step: [isize; 3],
+    cells: [i32; 3],
+    /// Integer step bound: each axis is stepped monotonically toward its
+    /// exit plane, so a segment terminates within the summed ROI extents no
+    /// matter what the FP state does (NaN comparisons included). Purely
+    /// defensive — it turns any pathology from a hang into an extinguished
+    /// ray — and it doubles as the segment's cell-step counter.
+    guard: i64,
+    traveled: f64,
+    idx: usize,
+}
+
+impl<'t> SegState<'t> {
+    /// Set up a segment starting at `pos`, or `None` when `pos` is not in
+    /// a cell of the level's ROI. `pay` is the level's payload slice (one
+    /// entry per cell of its data region).
+    fn new(lvl: &PreparedLevel<'_>, pay: &'t [CellPay], pos: Point, dir: Vector) -> Option<Self> {
+        let cur = lvl.cell_containing(pos);
+        if !lvl.roi_contains(cur) {
+            return None;
+        }
+        let mut seg = SegState {
+            pay,
+            cells: cur,
+            guard: lvl.step_bound,
+            idx: lvl.index_of(cur),
+            ..Default::default()
+        };
+        for a in 0..3 {
+            (
+                seg.step[a],
+                seg.t_max[a],
+                seg.t_delta[a],
+                seg.exit_plane[a],
+                seg.idx_step[a],
+            ) = axis_setup(
+                dir[a],
+                lvl.face_coord(a, cur[a]),
+                lvl.dx[a],
+                pos[a],
+                lvl.roi_lo[a],
+                lvl.roi_hi[a],
+                lvl.stride[a],
+            );
+        }
+        Some(seg)
     }
 
-    // Integer step bound: each axis is stepped monotonically toward its
-    // exit plane, so a segment terminates within the summed ROI extents no
-    // matter what the FP state does (NaN comparisons included). Purely
-    // defensive — it turns any pathology from a hang into an extinguished
-    // ray without costing divisions per segment.
-    let mut guard: i64 = lvl.step_bound;
-
-    let nfields = pay.len();
-    let mut traveled = 0.0f64;
-    let mut idx = lvl.index_of(cur);
-    loop {
+    /// One cell step: integrate across the current cell, then advance to
+    /// the next one. `None` while the segment goes on. The FP op sequence
+    /// matches the historical scalar marcher exactly (bit-identity
+    /// contract). This is the innermost loop body of every tracer; it is
+    /// inlined once per lane of [`PacketTracer::trace_stream`].
+    #[inline(always)]
+    fn step(&mut self, st: &mut RayCore, threshold: f64) -> Option<SegEnd> {
         // Axis of the nearest cell face — the same comparison tree
         // (including tie behavior) as the scalar marcher.
+        let t_max = &mut self.t_max;
         let axis = if t_max[0] < t_max[1] {
             if t_max[0] < t_max[2] {
                 0
@@ -304,84 +367,49 @@ fn march_segment(
             2
         };
         let t_hit = t_max[axis];
-        let dis = t_hit - traveled;
-        traveled = t_hit;
-        t_max[axis] += t_delta[axis];
+        let dis = t_hit - self.traveled;
+        self.traveled = t_hit;
+        t_max[axis] += self.t_delta[axis];
 
         // The segment just traversed lies in the current cell.
-        // SAFETY: `idx` indexes the cell in `cells`, which is inside the
-        // ROI (checked on entry; every advance below either returns at the
-        // ROI slab plane or stays inside), and ROI ⊆ data region.
-        debug_assert!(idx < nfields);
-        let p = unsafe { pay.get_unchecked(idx) };
+        debug_assert!(self.idx < self.pay.len());
+        // SAFETY: the struct invariant — `idx` indexes the cell in
+        // `cells`, which is inside the ROI (checked by `new`; every
+        // advance below either ends the segment at the ROI slab plane or
+        // stays inside), and ROI ⊆ data region = `pay`'s extent (asserted
+        // by `PacketTracer::new`).
+        let p = unsafe { self.pay.get_unchecked(self.idx) };
         st.tau += p.abskg * dis;
         let exp_cur = (-st.tau).exp();
         st.sum_i += st.weight * p.sigma * (st.exp_prev - exp_cur);
         st.exp_prev = exp_cur;
         if st.weight * exp_cur < threshold {
-            return Seg::Extinguished;
+            return Some(SegEnd::Extinguished);
         }
 
         // Advance to the next cell: only the stepped axis can cross its
         // ROI slab plane, so exit is one integer compare.
-        cells[axis] += step[axis];
-        if cells[axis] == exit_plane[axis] {
-            return seg_exited(lvl, pos, dir, traveled, axis, cells[axis], step[axis]);
+        self.cells[axis] += self.step[axis];
+        if self.cells[axis] == self.exit_plane[axis] {
+            return Some(SegEnd::Exited { axis });
         }
-        idx = (idx as isize + idx_step[axis]) as usize;
+        self.idx = (self.idx as isize + self.idx_step[axis]) as usize;
+        debug_assert!(self.idx < self.pay.len());
         // SAFETY: the stepped axis did not reach its exit plane (checked
         // just above), so the cell is still inside the ROI ⊆ data region.
-        debug_assert!(idx < nfields);
-        let p = unsafe { pay.get_unchecked(idx) };
+        let p = unsafe { self.pay.get_unchecked(self.idx) };
         if p.wall {
             // Wall emission: emissivity stored in abskg for wall cells.
             let emissivity = p.abskg;
             st.sum_i += st.weight * emissivity * p.sigma * st.exp_prev;
-            let face = if step[axis] > 0 {
-                lvl.face_coord(axis, cells[axis])
-            } else {
-                lvl.face_coord(axis, cells[axis] + 1)
-            };
-            let restart = face - (step[axis] as f64) * FACE_NUDGE * lvl.dx[axis];
-            return Seg::HitWall {
-                hit: pos + dir * traveled,
-                axis,
-                restart,
-                emissivity,
-            };
+            return Some(SegEnd::HitWall { axis, emissivity });
         }
-        guard -= 1;
-        if guard < 0 {
-            return Seg::Extinguished;
+        self.guard -= 1;
+        if self.guard < 0 {
+            return Some(SegEnd::StepBound);
         }
+        None
     }
-}
-
-/// Cold path of [`march_segment`]: build the face-snapped ROI exit point
-/// for a ray that crossed the exit plane of `axis`.
-#[cold]
-fn seg_exited(
-    lvl: &PreparedLevel<'_>,
-    pos: Point,
-    dir: Vector,
-    traveled: f64,
-    axis: usize,
-    ci: i32,
-    s: i32,
-) -> Seg {
-    let face = if s > 0 {
-        lvl.face_coord(axis, ci)
-    } else {
-        lvl.face_coord(axis, ci + 1)
-    };
-    let snapped = face + (s as f64) * FACE_NUDGE * lvl.dx[axis];
-    let mut exit = pos + dir * traveled;
-    match axis {
-        0 => exit.x = snapped,
-        1 => exit.y = snapped,
-        _ => exit.z = snapped,
-    }
-    Seg::Exited(exit)
 }
 
 /// A structure-of-arrays batch of rays marched as one unit.
@@ -389,7 +417,8 @@ fn seg_exited(
 /// Push rays with [`RayPacket::push`]; after [`PacketTracer::trace`] the
 /// per-ray intensity integrals are in `sum_i` (ray order is preserved, so
 /// folding `sum_i` left-to-right reproduces the historical sequential
-/// accumulation bit-for-bit).
+/// accumulation bit-for-bit). A ray's march state (`τ`, `e^{-τ_prev}`,
+/// level, reflection count) lives in the tracer's lanes, not here.
 #[derive(Clone, Debug, Default)]
 pub struct RayPacket {
     pub ox: Vec<f64>,
@@ -398,13 +427,9 @@ pub struct RayPacket {
     pub dx: Vec<f64>,
     pub dy: Vec<f64>,
     pub dz: Vec<f64>,
-    pub tau: Vec<f64>,
-    pub exp_prev: Vec<f64>,
+    /// Initial sensitivity of the ray (1 for a fresh ray).
     pub weight: Vec<f64>,
     pub sum_i: Vec<f64>,
-    /// Current level index into the trace stack (`u32::MAX` = not started).
-    pub level: Vec<u32>,
-    pub reflections: Vec<u32>,
     pub active: Vec<bool>,
 }
 
@@ -422,12 +447,8 @@ impl RayPacket {
         self.dx.reserve(n);
         self.dy.reserve(n);
         self.dz.reserve(n);
-        self.tau.reserve(n);
-        self.exp_prev.reserve(n);
         self.weight.reserve(n);
         self.sum_i.reserve(n);
-        self.level.reserve(n);
-        self.reflections.reserve(n);
         self.active.reserve(n);
     }
 
@@ -439,12 +460,8 @@ impl RayPacket {
         self.dx.push(dir.x);
         self.dy.push(dir.y);
         self.dz.push(dir.z);
-        self.tau.push(0.0);
-        self.exp_prev.push(1.0);
         self.weight.push(1.0);
         self.sum_i.push(0.0);
-        self.level.push(u32::MAX);
-        self.reflections.push(0);
         self.active.push(true);
     }
 
@@ -464,18 +481,10 @@ impl RayPacket {
         self.dy.resize(n, 0.0);
         self.dz.clear();
         self.dz.resize(n, 0.0);
-        self.tau.clear();
-        self.tau.resize(n, 0.0);
-        self.exp_prev.clear();
-        self.exp_prev.resize(n, 1.0);
         self.weight.clear();
         self.weight.resize(n, 1.0);
         self.sum_i.clear();
         self.sum_i.resize(n, 0.0);
-        self.level.clear();
-        self.level.resize(n, u32::MAX);
-        self.reflections.clear();
-        self.reflections.resize(n, 0);
         self.active.clear();
         self.active.resize(n, true);
     }
@@ -507,12 +516,8 @@ impl RayPacket {
         self.dx.clear();
         self.dy.clear();
         self.dz.clear();
-        self.tau.clear();
-        self.exp_prev.clear();
         self.weight.clear();
         self.sum_i.clear();
-        self.level.clear();
-        self.reflections.clear();
         self.active.clear();
     }
 
@@ -539,12 +544,112 @@ impl RayPacket {
         self.oy[i] = p.y;
         self.oz[i] = p.z;
     }
+
+    fn columns(&mut self) -> Rays<'_> {
+        Rays {
+            ox: &self.ox,
+            oy: &self.oy,
+            oz: &self.oz,
+            dx: &self.dx,
+            dy: &self.dy,
+            dz: &self.dz,
+            weight: &self.weight,
+            sum_i: &mut self.sum_i,
+            active: &mut self.active,
+        }
+    }
 }
 
-/// What to do with a ray after one level segment.
-enum Resolution {
-    Done,
-    Continue { pos: Point, dir: Option<Vector>, level: usize },
+/// The ray columns the lane engine reads from and writes back to: a
+/// [`RayPacket`]'s, or the single stack ray of [`PacketTracer::trace_one`].
+struct Rays<'p> {
+    ox: &'p [f64],
+    oy: &'p [f64],
+    oz: &'p [f64],
+    dx: &'p [f64],
+    dy: &'p [f64],
+    dz: &'p [f64],
+    weight: &'p [f64],
+    sum_i: &'p mut [f64],
+    active: &'p mut [bool],
+}
+
+/// How the rays of a trace ended (each traced ray ends exactly once).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RayEnds {
+    /// Remaining transmissivity fell below the threshold.
+    pub extinguished: u64,
+    /// Absorbed at a wall (a wall cell on the marched level, or the wall
+    /// cell a level transition landed in).
+    pub wall: u64,
+    /// Left the coarsest level (cold black enclosure).
+    pub left_domain: u64,
+    /// Cut off by the defensive integer step bound.
+    pub step_bound: u64,
+}
+
+/// Work counters of [`PacketTracer::trace`]. Everything is counted where a
+/// segment ends (the cold half of the engine), not in the step loop.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MarchStats {
+    /// Rays traced (active rays of the packets).
+    pub rays: u64,
+    /// Level segments marched (1 + level crossings + reflections per ray).
+    pub segments: u64,
+    /// Cell steps: cells integrated across, one `exp` each.
+    pub cell_steps: u64,
+    /// Re-homings of a ray onto a coarser level.
+    pub level_crossings: u64,
+    pub ended: RayEnds,
+}
+
+impl std::ops::AddAssign for MarchStats {
+    fn add_assign(&mut self, o: Self) {
+        self.rays += o.rays;
+        self.segments += o.segments;
+        self.cell_steps += o.cell_steps;
+        self.level_crossings += o.level_crossings;
+        self.ended.extinguished += o.ended.extinguished;
+        self.ended.wall += o.ended.wall;
+        self.ended.left_domain += o.ended.left_domain;
+        self.ended.step_bound += o.ended.step_bound;
+    }
+}
+
+/// Rays in flight per [`PacketTracer::trace`]: how many independent DDA
+/// dependency chains the step loop interleaves (module doc, "Stepping").
+const LANES: usize = 2;
+
+/// One ray in flight: its current level segment plus everything that
+/// survives from segment to segment.
+#[derive(Default)]
+struct Lane<'t> {
+    seg: SegState<'t>,
+    core: RayCore,
+    /// Start point of the current segment and the ray direction.
+    pos: Point,
+    dir: Vector,
+    /// Level index of the current segment.
+    li: usize,
+    reflections: u32,
+    /// Index of the ray in the packet.
+    ray: usize,
+}
+
+/// The packet being streamed through the lanes: its columns, the next ray
+/// to launch, and the counters of the trace.
+struct Feed<'p> {
+    rays: Rays<'p>,
+    next: usize,
+    stats: MarchStats,
+}
+
+impl Feed<'_> {
+    /// Write a finished ray back to its packet slot.
+    fn retire(&mut self, lane: &Lane<'_>) {
+        self.rays.sum_i[lane.ray] = lane.core.sum_i;
+        self.rays.active[lane.ray] = false;
+    }
 }
 
 /// The packet tracer: a trace stack prepared once, marched many times.
@@ -565,7 +670,7 @@ impl<'a> PacketTracer<'a> {
     pub fn new(levels: &'a [TraceLevel<'a>], opts: TraceOptions) -> Self {
         assert!(!levels.is_empty(), "empty level stack");
         let prepared: Vec<PreparedLevel<'a>> = levels.iter().map(PreparedLevel::new).collect();
-        let pays = prepared
+        let pays: Vec<Vec<CellPay>> = prepared
             .iter()
             .map(|lvl| {
                 lvl.abskg
@@ -580,6 +685,15 @@ impl<'a> PacketTracer<'a> {
                     .collect()
             })
             .collect();
+        for (level, pay) in levels.iter().zip(&pays) {
+            // The other half of the `SegState` invariant: one payload
+            // entry per cell of the data region.
+            assert_eq!(
+                pay.len(),
+                level.props.region.volume(),
+                "level fields do not cover the level region"
+            );
+        }
         Self {
             levels,
             prepared,
@@ -601,185 +715,233 @@ impl<'a> PacketTracer<'a> {
         self.levels.last().unwrap().props
     }
 
-    /// March every active ray of the packet to completion. Rays advance one
-    /// level segment per round; the active set is compacted between rounds
-    /// as rays extinguish, terminate on walls, or leave the domain.
-    pub fn trace(&self, packet: &mut RayPacket) {
-        let finest = (self.prepared.len() - 1) as u32;
-        let mut remaining = 0usize;
-        for i in 0..packet.len() {
-            if packet.active[i] {
-                remaining += 1;
-                if packet.level[i] == u32::MAX {
-                    packet.level[i] = finest;
-                }
-            }
-        }
-        // Rounds over the active mask (allocation-free): finished rays
-        // drop out of the mask and are skipped in later rounds.
-        while remaining > 0 {
-            for i in 0..packet.len() {
-                if packet.active[i] && !self.advance_ray(packet, i) {
-                    remaining -= 1;
-                }
-            }
-        }
+    /// March every active ray of the packet to completion, `LANES` rays
+    /// in flight at a time. Each ray's result lands in `sum_i` (added to
+    /// the value it held) and its `active` flag is cleared.
+    pub fn trace(&self, packet: &mut RayPacket) -> MarchStats {
+        self.trace_stream::<LANES>(packet.columns())
     }
 
     /// Trace a single ray (allocation-free convenience used by
-    /// [`crate::trace::trace_ray_with_options`]).
+    /// [`crate::trace::trace_ray_with_options`]): the lane engine with one
+    /// lane.
     pub fn trace_one(&self, origin: Point, dir: Vector) -> f64 {
         debug_assert!((dir.length() - 1.0).abs() < 1e-9, "direction must be unit");
-        let mut st = RayCore {
-            tau: 0.0,
-            exp_prev: 1.0,
-            sum_i: 0.0,
-            weight: 1.0,
+        let (mut sum_i, mut active) = ([0.0], [true]);
+        self.trace_stream::<1>(Rays {
+            ox: &[origin.x],
+            oy: &[origin.y],
+            oz: &[origin.z],
+            dx: &[dir.x],
+            dy: &[dir.y],
+            dz: &[dir.z],
+            weight: &[1.0],
+            sum_i: &mut sum_i,
+            active: &mut active,
+        });
+        sum_i[0]
+    }
+
+    /// The lane engine. `N` lanes each hold one ray and march it to
+    /// completion — segment, [`resolve`](Self::resolve), next level's
+    /// segment in the same lane — then take the next active ray of the
+    /// packet. While every lane is busy the loop body steps lane 0, lane
+    /// 1, … in turn, so `N` independent dependency chains are in flight;
+    /// once the packet runs dry the remaining lanes finish one by one.
+    /// Per-ray results do not depend on `N`: a ray's FP sequence is its
+    /// own, and it is written back to its own `sum_i` slot.
+    fn trace_stream<const N: usize>(&self, rays: Rays<'_>) -> MarchStats {
+        let threshold = self.opts.threshold;
+        let mut feed = Feed {
+            rays,
+            next: 0,
+            stats: MarchStats::default(),
         };
-        let mut li = self.prepared.len() - 1;
-        let mut pos = origin;
-        let mut dir = dir;
-        let mut reflections = 0u32;
-        loop {
-            let seg = march_segment(
-                &self.prepared[li],
-                &self.pays[li],
-                pos,
-                dir,
-                &mut st,
-                self.opts.threshold,
-            );
-            match self.resolve(seg, &mut st, dir, li, &mut reflections) {
-                Resolution::Done => return st.sum_i,
-                Resolution::Continue { pos: p, dir: d, level } => {
-                    pos = p;
-                    if let Some(d) = d {
-                        dir = d;
+        let mut lanes: [Lane<'_>; N] = std::array::from_fn(|_| Lane::default());
+        let mut live = 0;
+        while live < N && self.launch(&mut lanes[live], &mut feed) {
+            live += 1;
+        }
+        // `N` is a constant, so the lane loop unrolls into N copies of the
+        // step body with every lane's state at a fixed stack address.
+        'stream: while live == N {
+            for l in 0..N {
+                let lane = &mut lanes[l];
+                if let Some(end) = lane.seg.step(&mut lane.core, threshold) {
+                    if !self.advance(lane, end, &mut feed) {
+                        lanes.swap(l, N - 1);
+                        live = N - 1;
+                        break 'stream;
                     }
-                    li = level;
                 }
             }
         }
-    }
-
-    /// Advance one packet ray by one level segment; returns whether the ray
-    /// is still active.
-    fn advance_ray(&self, p: &mut RayPacket, i: usize) -> bool {
-        let li = p.level[i] as usize;
-        let mut st = RayCore {
-            tau: p.tau[i],
-            exp_prev: p.exp_prev[i],
-            sum_i: p.sum_i[i],
-            weight: p.weight[i],
-        };
-        let seg = march_segment(
-            &self.prepared[li],
-            &self.pays[li],
-            p.origin(i),
-            p.dir(i),
-            &mut st,
-            self.opts.threshold,
-        );
-        let mut reflections = p.reflections[i];
-        let res = self.resolve(seg, &mut st, p.dir(i), li, &mut reflections);
-        p.tau[i] = st.tau;
-        p.exp_prev[i] = st.exp_prev;
-        p.sum_i[i] = st.sum_i;
-        p.weight[i] = st.weight;
-        p.reflections[i] = reflections;
-        match res {
-            Resolution::Done => {
-                p.active[i] = false;
-                false
-            }
-            Resolution::Continue { pos, dir, level } => {
-                p.set_origin(i, pos);
-                if let Some(d) = dir {
-                    p.set_dir(i, d);
-                }
-                p.level[i] = level as u32;
-                true
-            }
-        }
-    }
-
-    /// Shared wall/level-transition logic (the non-marching half of the
-    /// historical `trace_ray_with_options` loop).
-    fn resolve(
-        &self,
-        seg: Seg,
-        st: &mut RayCore,
-        dir: Vector,
-        li: usize,
-        reflections: &mut u32,
-    ) -> Resolution {
-        match seg {
-            Seg::Extinguished => Resolution::Done,
-            Seg::HitWall {
-                hit,
-                axis,
-                restart,
-                emissivity,
-            } => {
-                let reflectivity = 1.0 - emissivity;
-                if *reflections >= self.opts.max_reflections
-                    || reflectivity <= 0.0
-                    || st.weight * st.exp_prev * reflectivity < self.opts.threshold
-                {
-                    return Resolution::Done;
-                }
-                *reflections += 1;
-                st.weight *= reflectivity;
-                // Specular bounce off the axis-aligned face; restart on the
-                // face-snapped coordinate just inside the flow cell.
-                let mut new_dir = dir;
-                let mut pos = hit;
-                match axis {
-                    0 => {
-                        new_dir.x = -new_dir.x;
-                        pos.x = restart;
-                    }
-                    1 => {
-                        new_dir.y = -new_dir.y;
-                        pos.y = restart;
-                    }
-                    _ => {
-                        new_dir.z = -new_dir.z;
-                        pos.z = restart;
-                    }
-                }
-                Resolution::Continue {
-                    pos,
-                    dir: Some(new_dir),
-                    level: li,
-                }
-            }
-            Seg::Exited(exit) => {
-                let mut li = li;
-                loop {
-                    if li == 0 {
-                        return Resolution::Done; // cold black enclosure
-                    }
-                    li -= 1;
-                    let lvl = &self.prepared[li];
-                    let cell = lvl.cell_containing(exit);
-                    if lvl.roi_contains(cell) {
-                        let idx = lvl.index_of(cell);
-                        if lvl.ctype[idx] != FLOW_CELL {
-                            st.sum_i +=
-                                st.weight * lvl.abskg[idx] * lvl.sigma[idx] * st.exp_prev;
-                            return Resolution::Done;
-                        }
+        for lane in &mut lanes[..live] {
+            loop {
+                if let Some(end) = lane.seg.step(&mut lane.core, threshold) {
+                    if !self.advance(lane, end, &mut feed) {
                         break;
                     }
                 }
-                Resolution::Continue {
-                    pos: exit,
-                    dir: None,
-                    level: li,
-                }
             }
         }
+        feed.stats
+    }
+
+    /// Put the next active ray of the packet into `lane`; `false` when the
+    /// packet has none left. Rays that end without marching a single cell
+    /// (origin outside every level) are finished here.
+    fn launch<'t>(&'t self, lane: &mut Lane<'t>, feed: &mut Feed<'_>) -> bool {
+        let finest = self.prepared.len() - 1;
+        while feed.next < feed.rays.sum_i.len() {
+            let rays = &feed.rays;
+            let i = feed.next;
+            feed.next += 1;
+            if !rays.active[i] {
+                continue;
+            }
+            feed.stats.rays += 1;
+            let origin = Point::new(rays.ox[i], rays.oy[i], rays.oz[i]);
+            *lane = Lane {
+                seg: SegState::default(),
+                core: RayCore {
+                    tau: 0.0,
+                    exp_prev: 1.0,
+                    sum_i: rays.sum_i[i],
+                    weight: rays.weight[i],
+                },
+                pos: origin,
+                dir: Vector::new(rays.dx[i], rays.dy[i], rays.dz[i]),
+                li: finest,
+                reflections: 0,
+                ray: i,
+            };
+            if self.place(lane, finest + 1, origin, &mut feed.stats) {
+                return true;
+            }
+            feed.retire(lane);
+        }
+        false
+    }
+
+    /// A lane's segment ended: start the ray's next segment, or write the
+    /// finished ray back and launch the next one. `false` when the lane is
+    /// left without a ray. Once per segment, so kept out of the step loop.
+    #[inline(never)]
+    fn advance<'t>(&'t self, lane: &mut Lane<'t>, end: SegEnd, feed: &mut Feed<'_>) -> bool {
+        if self.resolve(lane, end, &mut feed.stats) {
+            return true;
+        }
+        feed.retire(lane);
+        self.launch(lane, feed)
+    }
+
+    /// Wall/level-transition logic (the non-marching half of the
+    /// historical `trace_ray_with_options` loop); `true` when the ray goes
+    /// on with a new segment in `lane`.
+    fn resolve<'t>(&'t self, lane: &mut Lane<'t>, end: SegEnd, stats: &mut MarchStats) -> bool {
+        let lvl = &self.prepared[lane.li];
+        let seg = &lane.seg;
+        stats.segments += 1;
+        // The guard counts completed advances; a segment that ends any
+        // other way than on the guard integrated one more cell.
+        stats.cell_steps +=
+            (lvl.step_bound - seg.guard) as u64 + u64::from(!matches!(end, SegEnd::StepBound));
+        match end {
+            SegEnd::Extinguished => {
+                stats.ended.extinguished += 1;
+                false
+            }
+            SegEnd::StepBound => {
+                stats.ended.step_bound += 1;
+                false
+            }
+            SegEnd::HitWall { axis, emissivity } => {
+                let st = &mut lane.core;
+                let reflectivity = 1.0 - emissivity;
+                if lane.reflections >= self.opts.max_reflections
+                    || reflectivity <= 0.0
+                    || st.weight * st.exp_prev * reflectivity < self.opts.threshold
+                {
+                    stats.ended.wall += 1;
+                    return false;
+                }
+                lane.reflections += 1;
+                st.weight *= reflectivity;
+                // Specular bounce off the axis-aligned face; restart on the
+                // face-snapped coordinate just inside the flow cell the ray
+                // came from.
+                let s = seg.step[axis];
+                let face = lvl.crossed_face(axis, seg.cells[axis], s);
+                let restart = face - (s as f64) * FACE_NUDGE * lvl.dx[axis];
+                let mut pos = lane.pos + lane.dir * seg.traveled;
+                match axis {
+                    0 => {
+                        lane.dir.x = -lane.dir.x;
+                        pos.x = restart;
+                    }
+                    1 => {
+                        lane.dir.y = -lane.dir.y;
+                        pos.y = restart;
+                    }
+                    _ => {
+                        lane.dir.z = -lane.dir.z;
+                        pos.z = restart;
+                    }
+                }
+                self.place(lane, lane.li + 1, pos, stats)
+            }
+            SegEnd::Exited { axis } => {
+                // Face-snapped exit point, just past the crossed slab plane.
+                let s = seg.step[axis];
+                let face = lvl.crossed_face(axis, seg.cells[axis], s);
+                let snapped = face + (s as f64) * FACE_NUDGE * lvl.dx[axis];
+                let mut exit = lane.pos + lane.dir * seg.traveled;
+                match axis {
+                    0 => exit.x = snapped,
+                    1 => exit.y = snapped,
+                    _ => exit.z = snapped,
+                }
+                self.place(lane, lane.li, exit, stats)
+            }
+        }
+    }
+
+    /// Start the lane's next segment at `pos` on the finest level below
+    /// index `below` whose ROI contains it; `false` when the ray ends
+    /// instead. A point outside a level's ROI is a ray that left it: it is
+    /// re-homed on the next coarser level, and below the coarsest lies the
+    /// cold black enclosure. Landing in a wall cell of a *coarser* level
+    /// than the ray was on absorbs it there.
+    fn place<'t>(
+        &'t self,
+        lane: &mut Lane<'t>,
+        below: usize,
+        pos: Point,
+        stats: &mut MarchStats,
+    ) -> bool {
+        for li in (0..below).rev() {
+            let Some(seg) = SegState::new(&self.prepared[li], &self.pays[li], pos, lane.dir)
+            else {
+                continue;
+            };
+            if li != lane.li {
+                let p = &seg.pay[seg.idx];
+                if p.wall {
+                    let st = &mut lane.core;
+                    st.sum_i += st.weight * p.abskg * p.sigma * st.exp_prev;
+                    stats.ended.wall += 1;
+                    return false;
+                }
+                stats.level_crossings += 1;
+            }
+            lane.seg = seg;
+            lane.li = li;
+            lane.pos = pos;
+            return true;
+        }
+        stats.ended.left_domain += 1;
+        false
     }
 }
 
@@ -873,7 +1035,10 @@ impl<'a> CollisionTracer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uintah_grid::Vector;
+    use crate::benchmark::BurnsChriston;
+    use crate::rng::CellRng;
+    use crate::solver::two_level_stack;
+    use uintah_grid::{IntVector, Region};
 
     #[test]
     fn slabs_hit_and_miss() {
@@ -913,7 +1078,6 @@ mod tests {
         p.push(Point::new(0.0, 0.0, 0.0), Vector::new(1.0, 0.0, 0.0));
         assert_eq!(p.len(), 1);
         assert!(p.active[0]);
-        assert_eq!(p.level[0], u32::MAX);
         p.clear();
         assert!(p.is_empty());
         // Bulk reset matches push-initialized state field for field.
@@ -922,10 +1086,151 @@ mod tests {
         assert_eq!(p.len(), 3);
         assert_eq!(p.oy[1], 0.25);
         assert_eq!(p.dy[1], 1.0);
-        assert_eq!(p.exp_prev[2], 1.0);
         assert_eq!(p.weight[0], 1.0);
         assert_eq!(p.sum_i[1], 0.0);
-        assert_eq!(p.level[2], u32::MAX);
         assert!(p.active.iter().all(|&a| a));
+    }
+
+    #[test]
+    fn floor_i32_equals_the_cast_of_the_libm_floor() {
+        let top = i32::MAX as f64;
+        let bottom = i32::MIN as f64;
+        let cases = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            2.999_999_999_999_999_6,
+            -2.000_000_000_000_000_4,
+            -7.25,
+            1e-300,
+            -1e-300,
+            -2.4e7,
+            top,
+            top - 0.5,
+            top + 0.5,
+            top + 1.0,
+            bottom,
+            bottom + 0.5,
+            bottom - 0.5,
+            bottom - 1.0,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in cases {
+            assert_eq!(floor_i32(x), x.floor() as i32, "x = {x:e}");
+        }
+    }
+
+    /// `n` rays from `cell`, origins and directions drawn as the solver
+    /// draws them.
+    fn rays_from(props: &LevelProps, cell: IntVector, n: usize) -> RayPacket {
+        let mut p = RayPacket::with_capacity(n);
+        for r in 0..n {
+            let mut rng = CellRng::new(0xBEEF, cell, r as u32, 0);
+            let dir = rng.direction();
+            p.push(rng.point_in_cell(props.cell_lo(cell), props.dx), dir);
+        }
+        p
+    }
+
+    fn traced<const N: usize>(tracer: &PacketTracer<'_>, packet: &RayPacket) -> (Vec<u64>, MarchStats) {
+        let mut p = packet.clone();
+        let stats = tracer.trace_stream::<N>(p.columns());
+        assert!(p.active.iter().all(|&a| !a), "{N} lanes left a ray active");
+        (p.sum_i.iter().map(|v| v.to_bits()).collect(), stats)
+    }
+
+    /// Every packet shape that exercises launch, refill and the tail must
+    /// give the same bits and the same counters for 1..=4 lanes, and
+    /// `trace_one` must agree with a one-ray packet.
+    fn assert_lane_invariant(tracer: &PacketTracer<'_>, props: &LevelProps, cell: IntVector) -> MarchStats {
+        let full = rays_from(props, cell, 100);
+        let mut packets: Vec<RayPacket> = [0, 1, 2, 3, 4, 5]
+            .iter()
+            .map(|&n| rays_from(props, cell, n))
+            .collect();
+        let mut holes = full.clone();
+        for i in (40..60).chain([0, 99]) {
+            holes.active[i] = false;
+        }
+        packets.push(holes);
+        packets.push(full);
+        let mut last = MarchStats::default();
+        for packet in &packets {
+            let live = packet.active.iter().filter(|&&a| a).count() as u64;
+            let (want, stats) = traced::<1>(tracer, packet);
+            for got in [
+                traced::<2>(tracer, packet),
+                traced::<3>(tracer, packet),
+                traced::<4>(tracer, packet),
+            ] {
+                assert_eq!(got, (want.clone(), stats), "packet of {}", packet.len());
+            }
+            let e = stats.ended;
+            assert_eq!(stats.rays, live);
+            assert_eq!(e.extinguished + e.wall + e.left_domain + e.step_bound, live);
+            assert!(stats.segments >= live && stats.cell_steps >= stats.segments);
+            for (i, &bits) in want.iter().enumerate() {
+                if packet.active[i] {
+                    let one = tracer.trace_one(packet.origin(i), packet.dir(i));
+                    assert_eq!(one.to_bits(), bits, "trace_one, ray {i}");
+                } else {
+                    assert_eq!(bits, 0, "inactive ray {i} was traced");
+                }
+            }
+            last = stats;
+        }
+        last
+    }
+
+    #[test]
+    fn lane_count_does_not_change_results_across_level_crossings() {
+        // 2-level Burns & Christon (RR 4), fine ROI = one 8³ patch + halo 2:
+        // most rays leave the ROI and finish on the coarse replica.
+        let grid = BurnsChriston::small_grid(16, 8);
+        let bc = BurnsChriston::default();
+        let coarse = bc.props_for_level(grid.level(0));
+        let fine = bc.props_for_level(grid.level(1));
+        let roi = Region::new(IntVector::splat(0), IntVector::splat(10));
+        let stack = two_level_stack(&coarse, &fine, roi);
+        let opts = TraceOptions {
+            threshold: 1e-5,
+            max_reflections: 0,
+        };
+        let stats = assert_lane_invariant(&PacketTracer::new(&stack, opts), &fine, IntVector::splat(5));
+        assert!(stats.level_crossings > 0 && stats.ended.left_domain > 0, "{stats:?}");
+        assert_eq!(stats.segments, stats.rays + stats.level_crossings);
+    }
+
+    #[test]
+    fn lane_count_does_not_change_results_across_reflections() {
+        // Hot grey-wall enclosure (ε = 0.8): reflected rays restart in the
+        // lane they were in.
+        let n = 10;
+        let mut props = LevelProps::uniform(Region::cube(n), Vector::splat(1.0 / n as f64), 0.7, 0.9);
+        for c in props.region.cells() {
+            if (0..3).any(|a| c[a] == 0 || c[a] == n - 1) {
+                props.cell_type[c] = crate::props::WALL_CELL;
+                props.abskg[c] = 0.8;
+                props.sigma_t4_over_pi[c] = 1.7;
+            }
+        }
+        let stack = [TraceLevel {
+            props: &props,
+            roi: props.region,
+        }];
+        let opts = TraceOptions {
+            threshold: 1e-6,
+            max_reflections: 3,
+        };
+        let stats = assert_lane_invariant(&PacketTracer::new(&stack, opts), &props, IntVector::new(3, 4, 5));
+        assert_eq!(stats.ended.wall, stats.rays, "{stats:?}");
+        assert_eq!(stats.segments, 4 * stats.rays, "three reflections a ray: {stats:?}");
     }
 }

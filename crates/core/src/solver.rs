@@ -1,6 +1,6 @@
 //! ∇·q solvers: per cell, per region, per patch; serial and threaded.
 
-use crate::packet::{PacketTracer, RayPacket};
+use crate::packet::{MarchStats, PacketTracer, RayPacket};
 use crate::props::LevelProps;
 use crate::rng::CellRng;
 use crate::sampling::{DirectionSampler, RaySampling};
@@ -80,6 +80,9 @@ pub struct SolveStats {
     pub total_rays: u64,
     /// Cells solved (including transparent zero-ray cells).
     pub cells: u64,
+    /// What those rays cost: segments, cell steps, level crossings and how
+    /// the rays ended, summed over every packet of the solve.
+    pub march: MarchStats,
 }
 
 /// Compute `∇·q` for one fine-level cell by tracing a packet of rays.
@@ -94,29 +97,29 @@ pub fn div_q_for_cell(levels: &[TraceLevel<'_>], cell: IntVector, params: &Rmcrt
 
 /// [`div_q_for_cell`] against a prepared [`PacketTracer`] (the per-solve
 /// hoisted form used by the `uintah-exec` dispatch paths); also returns the
-/// number of rays traced.
+/// march counters of the cell's rays (`rays` is the budget spent).
 pub fn div_q_for_cell_with(
     tracer: &PacketTracer<'_>,
     cell: IntVector,
     params: &RmcrtParams,
-) -> (f64, u32) {
+) -> (f64, MarchStats) {
     let fine = tracer.fine_props();
     let kappa = fine.abskg[cell];
     if kappa == 0.0 {
-        return (0.0, 0); // transparent cells exchange no energy
+        return (0.0, MarchStats::default()); // transparent cells exchange no energy
     }
-    let (sum_i, rays) = match params.ray_count_mode() {
-        RayCountMode::Fixed(n) => (mean_intensity_fixed(tracer, cell, params, n), n),
+    let (sum_i, march) = match params.ray_count_mode() {
+        RayCountMode::Fixed(n) => mean_intensity_fixed(tracer, cell, params, n),
         RayCountMode::Adaptive {
             min,
             max,
             rel_var_target,
         } => mean_intensity_adaptive(tracer, cell, params, min, max, rel_var_target),
     };
-    let mean_i = sum_i / rays as f64;
+    let mean_i = sum_i / march.rays as f64;
     (
         4.0 * PI * kappa * (fine.sigma_t4_over_pi[cell] - mean_i),
-        rays,
+        march,
     )
 }
 
@@ -131,7 +134,7 @@ fn trace_cell_packet(
     sampler: &DirectionSampler,
     first: u32,
     count: u32,
-) {
+) -> MarchStats {
     let fine = tracer.fine_props();
     packet.reset(count as usize);
     for k in 0..count {
@@ -141,7 +144,7 @@ fn trace_cell_packet(
         let origin = rng.point_in_cell(fine.cell_lo(cell), fine.dx);
         packet.set_ray(k as usize, origin, dir);
     }
-    tracer.trace(packet);
+    tracer.trace(packet)
 }
 
 std::thread_local! {
@@ -158,25 +161,25 @@ fn mean_intensity_fixed(
     cell: IntVector,
     params: &RmcrtParams,
     n: u32,
-) -> f64 {
+) -> (f64, MarchStats) {
     // The sampler's stratification permutation draws from a dedicated
     // stream (ray index u32::MAX) so per-ray streams stay untouched.
     let mut perm_rng = CellRng::new(params.seed, cell, u32::MAX, params.timestep);
     let sampler = DirectionSampler::new(params.sampling, n, &mut perm_rng);
     SCRATCH_PACKET.with(|p| {
         let packet = &mut p.borrow_mut();
-        trace_cell_packet(tracer, packet, cell, params, &sampler, 0, n);
+        let march = trace_cell_packet(tracer, packet, cell, params, &sampler, 0, n);
         let mut sum_i = 0.0;
         for &v in &packet.sum_i {
             sum_i += v;
         }
-        sum_i
+        (sum_i, march)
     })
 }
 
 /// Adaptive budget: geometrically growing batches until the relative
 /// standard error of the mean intensity reaches the target (or `max`).
-/// Returns `(Σ sumI, rays traced)`.
+/// Returns `Σ sumI` and the march counters (`rays` = rays traced).
 fn mean_intensity_adaptive(
     tracer: &PacketTracer<'_>,
     cell: IntVector,
@@ -184,13 +187,14 @@ fn mean_intensity_adaptive(
     min: u32,
     max: u32,
     rel_var_target: f64,
-) -> (f64, u32) {
+) -> (f64, MarchStats) {
     let max = max.max(1).max(min);
     let mut batch = min.clamp(1, max);
     let mut drawn = 0u32;
     let mut batch_id = 0u32;
     let mut sum = 0.0f64;
     let mut sum_sq = 0.0f64;
+    let mut march = MarchStats::default();
     SCRATCH_PACKET.with(|p| {
     let packet = &mut p.borrow_mut();
     loop {
@@ -204,7 +208,7 @@ fn mean_intensity_adaptive(
             params.timestep,
         );
         let sampler = DirectionSampler::new(params.sampling, b, &mut perm_rng);
-        trace_cell_packet(tracer, packet, cell, params, &sampler, drawn, b);
+        march += trace_cell_packet(tracer, packet, cell, params, &sampler, drawn, b);
         for &v in &packet.sum_i {
             sum += v;
             sum_sq += v * v;
@@ -224,7 +228,7 @@ fn mean_intensity_adaptive(
         }
         batch = batch.saturating_mul(2);
     }
-    (sum, drawn)
+    (sum, march)
     })
 }
 
@@ -265,18 +269,21 @@ pub fn solve_region_with_stats(
     space: &uintah_exec::ExecSpace,
 ) -> (CcVariable<f64>, SolveStats) {
     let tracer = PacketTracer::new(levels, params.trace_options());
+    // The counters are integer sums, so the order the cells add them in
+    // does not matter; summing here keeps the mapped value one `f64` a cell.
+    let march = std::sync::Mutex::new(MarchStats::default());
     let per_cell = uintah_exec::parallel_map(space, region.volume(), |i| {
-        div_q_for_cell_with(&tracer, region.from_linear(i), params)
+        let (dq, cell_march) = div_q_for_cell_with(&tracer, region.from_linear(i), params);
+        *march.lock().expect("no panic while adding counters") += cell_march;
+        dq
     });
-    let mut out = CcVariable::<f64>::new(region);
-    let mut stats = SolveStats {
-        total_rays: 0,
+    let out = CcVariable::from_vec(region, per_cell);
+    let march = march.into_inner().expect("no panic while adding counters");
+    let stats = SolveStats {
+        total_rays: march.rays,
         cells: region.volume() as u64,
+        march,
     };
-    for (i, (dq, rays)) in per_cell.into_iter().enumerate() {
-        out.as_mut_slice()[i] = dq;
-        stats.total_rays += rays as u64;
-    }
     (out, stats)
 }
 

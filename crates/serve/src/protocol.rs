@@ -401,6 +401,7 @@ fn decode_report(d: &mut Dec<'_>) -> Result<JobReport, WireError> {
         Some(rmcrt_core::SolveStats {
             total_rays: d.u64()?,
             cells: d.u64()?,
+            march: Default::default(),
         })
     } else {
         None
@@ -606,6 +607,7 @@ mod tests {
             solve: Some(rmcrt_core::SolveStats {
                 total_rays: 8 * 16,
                 cells: 16,
+                march: Default::default(),
             }),
             summaries: vec!["[job-42/r0] step 0: ok".into(), "[job-42/r1] step 0: ok".into()],
             divq: DivqField { region, data },

@@ -612,6 +612,7 @@ fn assemble_report(
         rmcrt_core::SolveStats {
             total_rays: cells * spec.cfg.nrays as u64,
             cells,
+            march: Default::default(),
         }
     });
     let region = fine.cell_region();

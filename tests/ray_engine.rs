@@ -18,7 +18,7 @@ use uintah::rmcrt::scatter::{
     div_q_with_scattering, trace_ray_collision, PhaseFunction, ScatteringMedium,
 };
 use uintah::rmcrt::solver::two_level_stack;
-use uintah::rmcrt::{RaySampling, WALL_CELL};
+use uintah::rmcrt::{PacketTracer, RayPacket, RaySampling, TraceOptions, WALL_CELL};
 
 /// The reference scenario of the pre-refactor capture: uniform κ=0.7,
 /// S=0.9 medium inside a grey wall shell (ε=0.8, S_w=1.7).
@@ -278,4 +278,62 @@ fn adaptive_matches_fixed_with_fewer_rays() {
     }
     let rel = (mean_a - mean_f).abs() / mean_f.abs();
     assert!(rel < 0.01, "region mean: adaptive {mean_a} vs fixed {mean_f} (rel {rel})");
+}
+
+/// Soundness regression: a ray whose origin is not in a cell of the
+/// finest level's ROI. The segment entry check used to be a
+/// `debug_assert!` in front of unchecked loads, so a release build read
+/// out of bounds (a wrong value for an origin elsewhere in the level, a
+/// segfault for one far outside it). Such an origin is a ray that has
+/// already left the ROI: re-homed on the first coarser level containing
+/// the point, otherwise lost to the cold black enclosure.
+#[test]
+fn origin_outside_the_roi_is_rehomed_or_contributes_nothing() {
+    let fine = LevelProps::uniform(Region::cube(8), Vector::splat(0.125), 1.5, 0.9);
+    let coarse = LevelProps::uniform(Region::cube(4), Vector::splat(0.25), 0.5, 0.6);
+    let low_half = Region::new(IntVector::ZERO, IntVector::new(4, 8, 8));
+    let one_level = [TraceLevel {
+        props: &fine,
+        roi: low_half,
+    }];
+    let two_level = two_level_stack(&coarse, &fine, low_half);
+    let coarse_only = single_stack(&coarse);
+    let dir = Vector::new(0.6, 0.0, 0.8);
+    let opts = TraceOptions {
+        threshold: 1e-9,
+        max_reflections: 0,
+    };
+
+    let in_high_half = Point::new(0.8, 0.5, 0.5);
+    let origins = [
+        in_high_half,
+        Point::new(-3.0e6, 0.5, 0.5),
+        Point::new(0.3, 0.5, 1.0 + 1e-9),
+    ];
+    for origin in origins {
+        assert_eq!(trace_ray(&one_level, origin, dir, 1e-9), 0.0, "1 level, {origin:?}");
+        let want = if origin == in_high_half {
+            let v = trace_ray(&coarse_only, origin, dir, 1e-9);
+            assert!(v.is_finite() && v > 0.0, "coarse-level trace {v}");
+            v
+        } else {
+            0.0
+        };
+        let got = trace_ray(&two_level, origin, dir, 1e-9);
+        assert_eq!(got.to_bits(), want.to_bits(), "2 levels, {origin:?}: {got} vs {want}");
+
+        // The packet entry point shares the engine; a fresh packet ray
+        // beside it is not disturbed.
+        let tracer = PacketTracer::new(&two_level, opts);
+        let mut packet = RayPacket::with_capacity(2);
+        packet.push(origin, dir);
+        packet.push(Point::new(0.2, 0.5, 0.5), dir);
+        let stats = tracer.trace(&mut packet);
+        assert_eq!(packet.sum_i[0].to_bits(), want.to_bits(), "packet, {origin:?}");
+        assert_eq!(
+            packet.sum_i[1].to_bits(),
+            trace_ray(&two_level, Point::new(0.2, 0.5, 0.5), dir, 1e-9).to_bits()
+        );
+        assert_eq!(stats.rays, 2);
+    }
 }
