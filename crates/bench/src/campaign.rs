@@ -542,23 +542,31 @@ pub fn gate_from_json(text: &str) -> Result<GateNumbers, String> {
     })
 }
 
-/// Compare a freshly computed gate against the checked-in one. Returns the
+/// The paper-shape floors, independent of any checked-in file: efficiency
+/// 16→2048 ≥ 0.90 and no scaling knee at or before 8192 GPUs. Returns the
 /// list of violations (empty = pass).
-pub fn gate_violations(fresh: &GateNumbers, checked_in: &GateNumbers) -> Vec<String> {
+pub fn floor_violations(g: &GateNumbers) -> Vec<String> {
     let mut v = Vec::new();
-    // Hard floors — the paper's shape, independent of the checked-in file.
-    if fresh.eff_16_to_2048 < 0.90 {
+    if g.eff_16_to_2048 < 0.90 {
         v.push(format!(
             "LARGE 16³: efficiency 16→2048 GPUs is {:.3}, below the 0.90 floor",
-            fresh.eff_16_to_2048
+            g.eff_16_to_2048
         ));
     }
-    if fresh.knee != 0 && fresh.knee <= 8192 {
+    if g.knee != 0 && g.knee <= 8192 {
         v.push(format!(
             "LARGE 16³: scaling knee at {} GPUs (must stay beyond 8192)",
-            fresh.knee
+            g.knee
         ));
     }
+    v
+}
+
+/// Compare a freshly computed gate against the checked-in one: the
+/// [`floor_violations`] plus drift beyond [`GATE_TOLERANCE`]. Returns the
+/// list of violations (empty = pass).
+pub fn gate_violations(fresh: &GateNumbers, checked_in: &GateNumbers) -> Vec<String> {
+    let mut v = floor_violations(fresh);
     // Regression vs the checked-in campaign, within tolerance.
     if fresh.gpu_counts != checked_in.gpu_counts {
         v.push("gate GPU-count axis changed; rerun with --update".into());

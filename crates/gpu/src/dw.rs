@@ -38,23 +38,18 @@
 //! non-evicting run) and only visible in the eviction/spill/re-upload
 //! counters and in wall time.
 //!
-//! **Transfers.** Both PCIe directions go through one mechanism: a job
-//! submitted to the home device's copy engine for that direction
-//! ([`GpuDevice::submit`]) fills one completion slot, observed through one
-//! handle type, [`Pending`] ([`PendingD2H`] moves the drained host data out
-//! once; [`PendingH2D`] clones the finished device variable out). Drains
-//! ([`GpuDataWarehouse::take_patch_to_host_async`]) keep their device
-//! block reserved until the copy lands. Posted uploads
-//! ([`GpuDataWarehouse::put_patch_async`] and the prefetch entry points)
-//! snapshot host bytes into a recycled pinned-staging pool at post time,
-//! carve their device block immediately, and ride one coalesced burst per
-//! device; the first consumer *materializes* the finished upload into the
-//! database instead of uploading inline, while regrid invalidation,
-//! wholesale clears, superseding writes and allocator pressure *cancel*
-//! unconsumed uploads rather than installing stale bytes. `async_d2h` /
-//! `async_h2d == false` select the bit-identical synchronous fallback: the
-//! same job runs inline at submit with the same engine bookkeeping
-//! ([`Mode::Inline`]), zero overlap by construction.
+//! **Transfers.** A variable reaches a device in exactly one way:
+//! synchronously inside [`GpuDataWarehouse::put_patch`] /
+//! [`GpuDataWarehouse::alloc_patch_output`] / the `ensure_level*_on`
+//! family / the spill re-upload in [`GpuDataWarehouse::get_patch`], metered
+//! on the home device's H2D timeline. The way back is *posted*:
+//! [`GpuDataWarehouse::take_patch_to_host_async`] submits the drain to the
+//! device's D2H copy engine ([`GpuDevice::submit`]) and returns a
+//! [`PendingD2H`] completion handle; the drain keeps its device block
+//! reserved until the copy lands. `async_d2h == false` selects the
+//! bit-identical synchronous fallback: the same job runs inline at submit
+//! with the same engine bookkeeping ([`Mode::Inline`]), zero overlap by
+//! construction.
 
 use crate::device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError, Mode, Stream};
 use crate::fleet::{DeviceFleet, DeviceId};
@@ -63,8 +58,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use uintah_grid::{CcVariable, LevelIndex, PatchId, VarLabel};
-use uintah_mem::{AllocTracker, BufferRecycler};
+use uintah_grid::{LevelIndex, PatchId, VarLabel};
 
 /// Device-resident variable payload (same representation as host fields;
 /// "device memory" is the accounting in [`GpuDevice`]).
@@ -93,55 +87,44 @@ impl DeviceVar {
 type PatchKey = (VarLabel, PatchId);
 type LevelKey = (VarLabel, LevelIndex);
 
-/// Completion slot shared between a [`Pending`] handle (or a pending-map
-/// entry in a device store) and the engine job filling it: the transferred
-/// payload plus the engine wall time the transfer took, posted under the
-/// mutex and announced on the condvar.
-struct Completion<T> {
-    slot: Mutex<Option<(T, Duration)>>,
+/// Completion slot shared between a [`PendingD2H`] handle and the engine
+/// job filling it: the drained host data plus the engine wall time the
+/// transfer took, posted under the mutex and announced on the condvar.
+#[derive(Default)]
+struct Completion {
+    slot: Mutex<Option<(DeviceData, Duration)>>,
     done: Condvar,
 }
 
-/// How a waiter takes the payload out of a filled slot: moved (`take`) by
-/// a sole consumer, cloned when several may observe it.
-type Claim<T> = fn(&mut Option<(T, Duration)>) -> Option<(T, Duration)>;
-
-impl<T> Default for Completion<T> {
-    fn default() -> Self {
-        Completion {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-}
-
-impl<T> Completion<T> {
-    fn fill(&self, payload: T, busy: Duration) {
-        *self.slot.lock().unwrap() = Some((payload, busy));
+impl Completion {
+    fn fill(&self, data: DeviceData, busy: Duration) {
+        *self.slot.lock().unwrap() = Some((data, busy));
         self.done.notify_all();
     }
 
-    /// Block until the transfer lands, then let `claim` move or clone the
-    /// payload out of the filled slot.
-    fn wait(&self, claim: Claim<T>) -> (T, Duration) {
+    /// Block until the transfer lands, then move the payload out — the
+    /// handle is the drain's only consumer, and a clone would be a second
+    /// memcpy.
+    fn wait(&self) -> (DeviceData, Duration) {
         let mut slot = self.slot.lock().unwrap();
         while slot.is_none() {
             slot = self.done.wait(slot).unwrap();
         }
-        claim(&mut slot).expect("slot filled above")
+        slot.take().expect("slot filled above")
     }
 }
 
-/// Completion handle for a transfer submitted to a copy engine: the one
-/// handle type behind [`PendingD2H`] and [`PendingH2D`].
+/// Completion handle for an asynchronous device→host drain posted by
+/// [`GpuDataWarehouse::take_patch_to_host_async`].
 ///
 /// The transfer (the PCIe memcpy — here a real `clone` of the bytes)
-/// proceeds on the engine thread while the poster keeps running; the
-/// payload materializes on first use via [`Self::wait`] /
-/// [`Self::wait_timed`].
-pub struct Pending<T> {
-    shared: Arc<Completion<T>>,
-    claim: Claim<T>,
+/// proceeds on the engine thread while the poster keeps running; the host
+/// data materializes on first use via [`Self::wait`] /
+/// [`Self::wait_timed`]. Device memory for the variable is released when
+/// the drain completes, not when the handle is created — exactly the
+/// lifetime a `cudaMemcpyAsync` imposes.
+pub struct PendingD2H {
+    shared: Arc<Completion>,
     bytes: usize,
     stream: Stream,
     /// True when the transfer completed inline at submit time (synchronous
@@ -150,27 +133,9 @@ pub struct Pending<T> {
     inline: bool,
 }
 
-/// Handle for an asynchronous device→host drain posted by
-/// [`GpuDataWarehouse::take_patch_to_host_async`]. The host data is
-/// *moved* out once — this handle is the drain's only consumer, and a
-/// clone would be a second memcpy. Device memory for the variable is
-/// released when the drain completes, not when the handle is created —
-/// exactly the lifetime a `cudaMemcpyAsync` imposes.
-pub type PendingD2H = Pending<DeviceData>;
-
-/// Handle for an asynchronous host→device upload posted by
-/// [`GpuDataWarehouse::put_patch_async`]. The finished variable is
-/// *cloned* out so racing consumers can all observe it — the pending-map
-/// entry, not the slot, elects the single installer. Consumers that go
-/// through [`GpuDataWarehouse::get_patch`] never need to touch the handle:
-/// the warehouse installs the finished upload on their behalf.
-pub type PendingH2D = Pending<Arc<DeviceVar>>;
-
-type UploadSlot = Completion<Arc<DeviceVar>>;
-
-impl<T> std::fmt::Debug for Pending<T> {
+impl std::fmt::Debug for PendingD2H {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pending")
+        f.debug_struct("PendingD2H")
             .field("bytes", &self.bytes)
             .field("stream", &self.stream)
             .field("inline", &self.inline)
@@ -179,7 +144,7 @@ impl<T> std::fmt::Debug for Pending<T> {
     }
 }
 
-impl<T> Pending<T> {
+impl PendingD2H {
     /// Transfer size in bytes.
     #[inline]
     pub fn bytes(&self) -> usize {
@@ -197,73 +162,22 @@ impl<T> Pending<T> {
         self.shared.slot.lock().unwrap().is_some()
     }
 
-    /// Block until the transfer lands and return its payload.
-    pub fn wait(self) -> T {
+    /// Block until the transfer lands and return the host data.
+    pub fn wait(self) -> DeviceData {
         self.wait_timed().0
     }
 
-    /// Block until the transfer lands; returns `(payload, busy, blocked)`
+    /// Block until the transfer lands; returns `(data, busy, blocked)`
     /// where `busy` is the wall time the copy engine spent moving the
     /// bytes and `blocked` is how long *this call* stalled the consumer.
     /// A transfer that finished before first use reports `blocked ≈ 0`, so
     /// `busy - blocked` is the wall time hidden behind other work — the
-    /// overlap the two-copy-engine pipeline exists to win.
-    pub fn wait_timed(self) -> (T, Duration, Duration) {
+    /// overlap the copy engine exists to win.
+    pub fn wait_timed(self) -> (DeviceData, Duration, Duration) {
         let t0 = Instant::now();
-        let (payload, busy) = self.shared.wait(self.claim);
+        let (data, busy) = self.shared.wait();
         let blocked = if self.inline { busy } else { t0.elapsed() };
-        (payload, busy, blocked)
-    }
-}
-
-/// Recycled pinned-staging buffers for posted uploads. A posted transfer
-/// snapshots mutable host state into a pooled buffer *at post time* (the
-/// host→pinned memcpy), the engine burst copies pinned→device, and the
-/// staging buffer parks back in the pool for the next post — steady-state
-/// prefetch allocates no fresh host memory. Same [`BufferRecycler`]
-/// discipline the host warehouse applies to its transient grid variables.
-struct StagingPool {
-    f64: BufferRecycler<f64>,
-    u8: BufferRecycler<u8>,
-}
-
-impl StagingPool {
-    fn new() -> Self {
-        let tracker = AllocTracker::new();
-        StagingPool {
-            f64: BufferRecycler::new(tracker.clone()),
-            u8: BufferRecycler::new(tracker),
-        }
-    }
-
-    /// Copy `data` into a pooled staging buffer (the host→pinned memcpy).
-    fn snapshot(&self, data: &DeviceData) -> DeviceData {
-        match data {
-            DeviceData::F64(v) => {
-                let mut buf = self.f64.acquire(v.as_slice().len());
-                buf.copy_from_slice(v.as_slice());
-                DeviceData::F64(CcVariable::from_vec(v.region(), buf))
-            }
-            DeviceData::U8(v) => {
-                let mut buf = self.u8.acquire(v.as_slice().len());
-                buf.copy_from_slice(v.as_slice());
-                DeviceData::U8(CcVariable::from_vec(v.region(), buf))
-            }
-        }
-    }
-
-    /// Park a buffer after its burst landed. Any origin is fine — spilled
-    /// host copies re-uploaded by prefetch retire here too, which primes
-    /// the pool without a warm-up phase.
-    fn retire(&self, data: DeviceData) {
-        match data {
-            DeviceData::F64(v) => self.f64.retire(v.into_vec()),
-            DeviceData::U8(v) => self.u8.retire(v.into_vec()),
-        }
-    }
-
-    fn hits(&self) -> u64 {
-        self.f64.hits() + self.u8.hits()
+        (data, busy, blocked)
     }
 }
 
@@ -297,15 +211,6 @@ struct StoreState {
     level_db: HashMap<LevelKey, LevelEntry>,
     /// Evicted patch variables, host-resident until re-upload or drop.
     spill: HashMap<PatchKey, DeviceData>,
-    /// Posted-but-unconsumed prefetch uploads, keyed like the databases.
-    /// The map entry — not the completion slot — elects the installer:
-    /// removing an entry (supersede, clear, regrid, allocator pressure)
-    /// *cancels* the upload, and a consumer that waited re-checks that its
-    /// slot is still the mapped one before installing. Pending entries are
-    /// never eviction victims (they are not in the databases yet), so
-    /// their blocks stay pinned until consumed or canceled.
-    pending_patch: HashMap<PatchKey, Arc<UploadSlot>>,
-    pending_level: HashMap<LevelKey, Arc<UploadSlot>>,
     /// LRU clock: bumped on every access; entries stamp their `last_use`
     /// from it.
     clock: u64,
@@ -365,15 +270,6 @@ pub struct GpuDataWarehouse {
     /// completes inline — same handle API, same bytes, zero overlap — so the
     /// synchronous baseline runs the identical task-body code.
     async_d2h: bool,
-    /// When true (the default), posted uploads run on the H2D copy-engine
-    /// thread and consumers materialize them; when false every posted
-    /// upload completes inline at post time — same staging pool, same
-    /// engine bookkeeping, zero overlap — the bit-identical synchronous
-    /// baseline `gpu_async_h2d = false` selects.
-    async_h2d: bool,
-    /// Recycled pinned-staging buffers for posted uploads; shared with the
-    /// engine jobs that retire buffers after their burst lands.
-    staging: Arc<StagingPool>,
     /// When true (the default), a failed device allocation evicts LRU
     /// entries (spilling patch data to host) and retries instead of
     /// surfacing OOM — the oversubscription path. When false the warehouse
@@ -388,7 +284,7 @@ pub struct GpuDataWarehouse {
 
 impl GpuDataWarehouse {
     /// A single-device warehouse with every feature on: level database,
-    /// both async copy engines, LRU eviction (the paper's Titan
+    /// the async D2H copy engine, LRU eviction (the paper's Titan
     /// configuration).
     pub fn new(device: GpuDevice) -> Self {
         Self::with_fleet_full(DeviceFleet::single(device), true, true, true, true)
@@ -396,15 +292,18 @@ impl GpuDataWarehouse {
 
     /// Fleet construction, every flag explicit: one patch DB + one level DB
     /// per device. `level_db_enabled: false` is the E4 ablation;
-    /// `async_d2h` / `async_h2d: false` select the bit-identical synchronous
-    /// fallbacks (transfers complete inline with the same engine
-    /// bookkeeping); `eviction: false` restores hard-OOM-at-capacity (the
-    /// ablation baseline for the oversubscription gate).
+    /// `async_d2h: false` selects the bit-identical synchronous drain
+    /// (completes inline with the same engine bookkeeping); `eviction:
+    /// false` restores hard-OOM-at-capacity (the ablation baseline for the
+    /// oversubscription gate). `_async_h2d` is accepted and selects
+    /// nothing: uploads have one synchronous path, and the argument stays
+    /// only because the benchmark (`perf_report/`, frozen by the benchmark
+    /// contract) passes five arguments.
     pub fn with_fleet_full(
         fleet: DeviceFleet,
         level_db_enabled: bool,
         async_d2h: bool,
-        async_h2d: bool,
+        _async_h2d: bool,
         eviction: bool,
     ) -> Self {
         let stores = (0..fleet.num_devices()).map(|_| Default::default()).collect();
@@ -414,8 +313,6 @@ impl GpuDataWarehouse {
             affinity: RwLock::new(HashMap::new()),
             level_db_enabled,
             async_d2h,
-            async_h2d,
-            staging: Arc::new(StagingPool::new()),
             eviction,
             epoch: AtomicU64::new(0),
         }
@@ -537,9 +434,9 @@ impl GpuDataWarehouse {
         true
     }
 
-    /// Spill an evicted (or canceled-pending) patch variable to the host
-    /// map: the bytes cross PCIe device→host on the D2H engine (the clone
-    /// is the drain memcpy); the device copy drops with `var`'s last handle.
+    /// Spill an evicted patch variable to the host map: the bytes cross
+    /// PCIe device→host on the D2H engine (the clone is the drain memcpy);
+    /// the device copy drops with `var`'s last handle.
     fn spill_to_host(device: &GpuDevice, st: &mut StoreState, key: PatchKey, var: &DeviceVar) {
         let bytes = var.size_bytes();
         device.record_transfer(Dir::D2H, bytes);
@@ -560,8 +457,6 @@ impl GpuDataWarehouse {
     /// those transients are routinely the mid-arena blocks whose release
     /// re-coalesces a hole big enough for the request (the simulated
     /// equivalent of the sync-then-retry dance real CUDA apps do on OOM).
-    /// If that still fails and prefetch uploads are pending, a second
-    /// escalation cancels them — demand allocations outrank predictions.
     fn alloc_with_evict(
         &self,
         dev: DeviceId,
@@ -570,7 +465,6 @@ impl GpuDataWarehouse {
     ) -> Result<DeviceBlock, GpuError> {
         let device = self.fleet.device(dev);
         let mut drained = false;
-        let mut canceled_h2d = false;
         loop {
             match device.alloc_block(bytes) {
                 Ok(b) => return Ok(b),
@@ -583,34 +477,10 @@ impl GpuDataWarehouse {
                     }
                     if !drained && device.counters().d2h_inflight != 0 {
                         // Safe under the store lock: drain jobs touch only
-                        // the allocator mutex and their own pending slots,
+                        // the allocator mutex and their own completion slots,
                         // never this store's state.
                         device.sync(Dir::D2H);
                         drained = true;
-                        continue;
-                    }
-                    let has_pending =
-                        !st.pending_patch.is_empty() || !st.pending_level.is_empty();
-                    if !canceled_h2d && has_pending {
-                        // Last escalation: cancel unconsumed prefetch
-                        // uploads — demand allocations outrank predictions.
-                        // A pending entry is published only after its burst
-                        // was submitted, so draining the engine (upload
-                        // jobs, like drains, never take store locks) fills
-                        // every slot. Patch bytes spill back to the host
-                        // (the posted copy may be the only one — a re-posted
-                        // spill entry), level predictions drop outright
-                        // (regenerable from host data).
-                        device.sync(Dir::H2D);
-                        for (key, shared) in std::mem::take(&mut st.pending_patch) {
-                            let (var, _) = shared.wait(|s| s.clone());
-                            Self::spill_to_host(device, st, key, &var);
-                        }
-                        for (_, shared) in std::mem::take(&mut st.pending_level) {
-                            let (var, _) = shared.wait(|s| s.clone());
-                            device.record_eviction(var.size_bytes());
-                        }
-                        canceled_h2d = true;
                         continue;
                     }
                     return Err(e);
@@ -648,72 +518,6 @@ impl GpuDataWarehouse {
         data
     }
 
-    /// Submit one coalesced staged burst to `dev`'s H2D engine and publish
-    /// its entries in `pending` (one of the held store's pending maps):
-    /// every entry's staging buffer is copied into its device variable (the
-    /// PCIe burst), retired back to the pool, and its completion slot filled
-    /// with the whole burst's wall time — one metered transfer regardless of
-    /// how many variables rode it. Publishing *after* submitting means a
-    /// pending entry is only ever visible once its burst is on the engine,
-    /// so the allocator's cancel escalation can wait on any slot it finds;
-    /// submitting under the store lock is safe because engine jobs never
-    /// take store locks. In the synchronous fallback the burst completes
-    /// inline with the full wall charged as consumer stall. Returns the
-    /// burst's stream, `None` for an empty batch.
-    fn post_upload<K: Eq + std::hash::Hash>(
-        &self,
-        dev: DeviceId,
-        pending: &mut HashMap<K, Arc<UploadSlot>>,
-        batch: Vec<(K, DeviceData, DeviceBlock)>,
-    ) -> Option<Stream> {
-        if batch.is_empty() {
-            return None;
-        }
-        let total: usize = batch.iter().map(|(_, d, _)| d.size_bytes()).sum();
-        let (keys, staged): (Vec<K>, Vec<_>) = batch.into_iter().map(|(k, d, b)| (k, (d, b))).unzip();
-        let slots: Vec<Arc<UploadSlot>> = keys.iter().map(|_| Arc::default()).collect();
-        let (fills, pool, inline) = (slots.clone(), Arc::clone(&self.staging), !self.async_h2d);
-        let device = self.fleet.device(dev);
-        let meter = device.clone();
-        let mode = if inline { Mode::Inline } else { Mode::Posted };
-        let stream = device.submit(Dir::H2D, total, mode, move || {
-            let t0 = Instant::now();
-            let vars: Vec<_> = staged
-                .into_iter()
-                .map(|(staged, block)| {
-                    let data = staged.clone();
-                    pool.retire(staged);
-                    Arc::new(DeviceVar { data, block })
-                })
-                .collect();
-            let upload = t0.elapsed();
-            if inline {
-                // The burst ran on the poster's thread: the stall is paid
-                // here, so it is metered here; nothing was overlapped.
-                meter.record_wait(Dir::H2D, upload, Duration::ZERO);
-            }
-            for (var, slot) in vars.into_iter().zip(fills) {
-                slot.fill(var, upload);
-            }
-        });
-        pending.extend(keys.into_iter().zip(slots));
-        Some(stream)
-    }
-
-    /// Wait out a posted upload, metering the consumer-visible stall and
-    /// the engine wall hidden behind other work. Inline (synchronous
-    /// fallback) uploads were fully charged at post time, so the consumer
-    /// side meters nothing.
-    fn settle_upload(&self, dev: DeviceId, shared: &UploadSlot) -> Arc<DeviceVar> {
-        let t0 = Instant::now();
-        let (var, upload) = shared.wait(|s| s.clone());
-        if self.async_h2d {
-            let blocked = t0.elapsed();
-            self.fleet.device(dev).record_wait(Dir::H2D, blocked, upload.saturating_sub(blocked));
-        }
-        var
-    }
-
     /// Allocate a kernel *output* variable on the patch's home device (no
     /// host→device transfer: the data is produced on the GPU).
     pub fn alloc_patch_output(
@@ -725,8 +529,6 @@ impl GpuDataWarehouse {
         let dev = self.device_for_patch(patch);
         let mut st = self.stores[dev].lock();
         st.spill.remove(&(label, patch));
-        // A kernel output supersedes (cancels) any posted upload in flight.
-        st.pending_patch.remove(&(label, patch));
         let block = self.alloc_with_evict(dev, &mut st, data.size_bytes())?;
         let var = Arc::new(DeviceVar { data, block });
         st.install_patch((label, patch), &var);
@@ -743,106 +545,43 @@ impl GpuDataWarehouse {
     ) -> Result<Arc<DeviceVar>, GpuError> {
         let dev = self.device_for_patch(patch);
         let mut st = self.stores[dev].lock();
-        // Fresh data supersedes any spilled copy of this variable — and
-        // cancels any posted upload still in flight.
+        // Fresh data supersedes any spilled copy of this variable.
         st.spill.remove(&(label, patch));
-        st.pending_patch.remove(&(label, patch));
         let var = self.upload_locked(dev, &mut st, data)?;
         st.install_patch((label, patch), &var);
         Ok(var)
     }
 
-    /// Post the host→device copy of a per-patch variable to its home
-    /// device's H2D copy engine and return a [`PendingH2D`] completion
-    /// handle. The host bytes are snapshotted into the recycled staging
-    /// pool *before* this returns — the caller may mutate or drop its
-    /// buffer immediately — and the device block is carved (with LRU
-    /// eviction) at post time, so capacity errors surface here, not on the
-    /// engine thread. The post supersedes any resident, spilled, or
-    /// previously posted copy of the variable; the next
-    /// [`Self::get_patch`] installs the finished upload into the patch DB,
-    /// blocking only for the part of the burst not already hidden.
-    ///
-    /// In synchronous-fallback mode (`async_h2d == false`) the burst
-    /// completes inline before returning — identical data, identical
-    /// transfer/stream/in-flight bookkeeping ([`Mode::Inline`]), the full
-    /// upload wall metered as consumer stall.
-    pub fn put_patch_async(
-        &self,
-        label: VarLabel,
-        patch: PatchId,
-        data: &DeviceData,
-    ) -> Result<PendingH2D, GpuError> {
-        let dev = self.device_for_patch(patch);
-        let key = (label, patch);
-        let bytes = data.size_bytes();
-        let mut st = self.stores[dev].lock();
-        // The posted bytes are the variable's new truth: drop every older
-        // copy (resident, spilled, or a prior in-flight post — which is
-        // thereby canceled, never installed).
-        st.patch_db.remove(&key);
-        st.spill.remove(&key);
-        st.pending_patch.remove(&key);
-        let block = self.alloc_with_evict(dev, &mut st, bytes)?;
-        let burst = vec![(key, self.staging.snapshot(data), block)];
-        let stream = self.post_upload(dev, &mut st.pending_patch, burst).expect("non-empty burst");
-        let shared = Arc::clone(&st.pending_patch[&key]);
-        let inline = !self.async_h2d;
-        Ok(Pending { shared, claim: |s| s.clone(), bytes, stream, inline })
-    }
-
-    /// Device-side handle for a per-patch variable. A posted upload in
-    /// flight for this key is *materialized* here: the call blocks only
-    /// for the part of the burst not already hidden, then installs the
-    /// finished variable into the patch DB (first consumer wins; a post
-    /// canceled while waiting is retried against current state, never
-    /// served stale). A variable evicted to the host spill map is
-    /// transparently re-uploaded (metered as an H2D transfer and counted
-    /// as a re-upload); `None` means the variable is neither resident,
-    /// pending, nor spilled — or re-upload failed because even after
-    /// eviction nothing fits, in which case the spilled copy is kept.
+    /// Device-side handle for a per-patch variable. A variable evicted to
+    /// the host spill map is transparently re-uploaded (metered as an H2D
+    /// transfer and counted as a re-upload); `None` means the variable is
+    /// neither resident nor spilled — or re-upload failed because even
+    /// after eviction nothing fits, in which case the spilled copy is kept.
     pub fn get_patch(&self, label: VarLabel, patch: PatchId) -> Option<Arc<DeviceVar>> {
         let dev = self.device_for_patch(patch);
         let device = self.fleet.device(dev);
         let key = (label, patch);
-        loop {
-            let mut st = self.stores[dev].lock();
-            let clock = st.tick();
-            if let Some(e) = st.patch_db.get_mut(&key) {
-                e.last_use = clock;
-                return Some(Arc::clone(&e.var));
-            }
-            // A posted upload for this key: wait it out off-lock, then
-            // confirm the pending entry is still *this* slot — a regrid
-            // clear or a superseding write while we waited cancels the
-            // install and we retry against whatever is current.
-            if let Some(shared) = st.pending_patch.get(&key).map(Arc::clone) {
-                drop(st);
-                let var = self.settle_upload(dev, &shared);
-                let mut st = self.stores[dev].lock();
-                if st.pending_patch.get(&key).is_some_and(|cur| Arc::ptr_eq(cur, &shared)) {
-                    st.pending_patch.remove(&key);
-                    st.install_patch(key, &var);
-                    return Some(var);
-                }
-                continue;
-            }
-            // Transparent re-upload from the host spill map.
-            let data = st.spill.remove(&key)?;
-            let bytes = data.size_bytes();
-            let block = match self.alloc_with_evict(dev, &mut st, bytes) {
-                Ok(b) => b,
-                Err(_) => {
-                    st.spill.insert(key, data);
-                    return None;
-                }
-            };
-            device.record_transfer(Dir::H2D, bytes);
-            device.record_reupload(bytes);
-            let var = Arc::new(DeviceVar { data, block });
-            st.install_patch(key, &var);
-            return Some(var);
+        let mut st = self.stores[dev].lock();
+        let clock = st.tick();
+        if let Some(e) = st.patch_db.get_mut(&key) {
+            e.last_use = clock;
+            return Some(Arc::clone(&e.var));
         }
+        // Transparent re-upload from the host spill map.
+        let data = st.spill.remove(&key)?;
+        let bytes = data.size_bytes();
+        let block = match self.alloc_with_evict(dev, &mut st, bytes) {
+            Ok(b) => b,
+            Err(_) => {
+                st.spill.insert(key, data);
+                return None;
+            }
+        };
+        device.record_transfer(Dir::H2D, bytes);
+        device.record_reupload(bytes);
+        let var = Arc::new(DeviceVar { data, block });
+        st.install_patch(key, &var);
+        Some(var)
     }
 
     /// Post the device→host copy of a per-patch variable to its home
@@ -868,20 +607,12 @@ impl GpuDataWarehouse {
         let device = self.fleet.device(dev);
         let key = (label, patch);
         let mut st = self.stores[dev].lock();
-        if !st.patch_db.contains_key(&key) && st.pending_patch.contains_key(&key) {
-            // A posted upload is the variable's current truth: materialize
-            // it into the DB first, then post the drain as usual.
-            drop(st);
-            self.get_patch(label, patch)?;
-            return self.take_patch_to_host_async(label, patch);
-        }
         let shared = Arc::new(Completion::default());
-        let claim: Claim<DeviceData> = Option::take;
         let Some(e) = st.patch_db.remove(&key) else {
             // Nothing in flight: the "drain" happened at eviction time.
             shared.fill(st.spill.remove(&key)?, Duration::ZERO);
             let stream = device.next_stream();
-            return Some(Pending { shared, claim, bytes: 0, stream, inline: true });
+            return Some(PendingD2H { shared, bytes: 0, stream, inline: true });
         };
         drop(st);
         let var = e.var;
@@ -898,18 +629,17 @@ impl GpuDataWarehouse {
             drop(var);
             slot.fill(data, drain);
         });
-        Some(Pending { shared, claim, bytes, stream, inline })
+        Some(PendingD2H { shared, bytes, stream, inline })
     }
 
     /// Drop a per-patch input without a device→host transfer (inputs are
     /// discarded after the kernel; only outputs cross PCIe back). Clears
-    /// any spilled copy too, and cancels a posted upload still in flight.
+    /// any spilled copy too.
     pub fn drop_patch(&self, label: VarLabel, patch: PatchId) {
         let dev = self.device_for_patch(patch);
         let mut st = self.stores[dev].lock();
         st.patch_db.remove(&(label, patch));
         st.spill.remove(&(label, patch));
-        st.pending_patch.remove(&(label, patch));
     }
 
     /// Obtain the shared per-level variable *on a specific device*,
@@ -984,66 +714,14 @@ impl GpuDataWarehouse {
         }
         let now = self.epoch();
         let key = (label, level);
+        let device = self.fleet.device(dev);
         let mut st = self.stores[dev].lock();
         let clock = st.tick();
-        let fresh = st.level_db.get_mut(&key).and_then(|e| {
-            if e.epoch == now {
-                e.last_use = clock;
-                Some(Arc::clone(&e.var))
-            } else {
-                None
-            }
-        });
-        if let Some(var) = fresh {
-            // A prediction superseded by an already-fresh entry is dead
-            // weight: cancel it so its block frees when the burst lands.
-            st.pending_level.remove(&key);
-            return Ok(var);
-        }
-        if let Some(shared) = st.pending_level.get(&key).map(Arc::clone) {
-            // A posted prediction for this replica: wait it out off-lock,
-            // then *verify* — the producer's output is this step's truth,
-            // and the prediction installs only when it matches bit for bit
-            // (which is what keeps divQ identical in both upload modes).
-            drop(st);
-            let pvar = self.settle_upload(dev, &shared);
-            let host = self.produce_timed_on(dev, producer);
-            let mut st = self.stores[dev].lock();
-            let clock = st.tick();
-            // Canceled or superseded while waiting → not ours: revalidate
-            // whatever is current instead.
-            let ours = st.pending_level.get(&key).is_some_and(|cur| Arc::ptr_eq(cur, &shared));
-            if ours {
-                st.pending_level.remove(&key);
-                if pvar.data().diff_bytes(&host) == 0 {
-                    st.install_level(key, &pvar, now, clock);
-                    return Ok(pvar);
-                }
-            }
-            // Mispredicted (the wasted burst was already metered as engine
-            // traffic) or canceled: release the predicted bytes and fall
-            // back to the normal revalidation path with the host data
-            // already in hand.
-            drop(pvar);
-            return self.revalidate_level_locked(dev, &mut st, key, now, clock, host);
+        if let Some(e) = st.level_db.get_mut(&key).filter(|e| e.epoch == now) {
+            e.last_use = clock;
+            return Ok(Arc::clone(&e.var));
         }
         let host = self.produce_timed_on(dev, producer);
-        self.revalidate_level_locked(dev, &mut st, key, now, clock, host)
-    }
-
-    /// The stale/missing-replica revalidation core of
-    /// [`Self::ensure_level_fresh_on`], entered with the host data already
-    /// produced and the store lock held.
-    fn revalidate_level_locked(
-        &self,
-        dev: DeviceId,
-        st: &mut StoreState,
-        key: LevelKey,
-        now: u64,
-        clock: u64,
-        host: DeviceData,
-    ) -> Result<Arc<DeviceVar>, GpuError> {
-        let device = self.fleet.device(dev);
         if let Some(var) = st.level_db.get(&key).map(|e| Arc::clone(&e.var)) {
             // Stale resident replica: revalidate against host data.
             let changed = var.data().diff_bytes(&host);
@@ -1075,120 +753,9 @@ impl GpuDataWarehouse {
             // reclaim the unreferenced old entry itself, which is fine: it
             // is superseded by the install below.)
         }
-        let var = self.upload_locked(dev, st, host)?;
+        let var = self.upload_locked(dev, &mut st, host)?;
         st.install_level(key, &var, now, clock);
         Ok(var)
-    }
-
-    /// Stage one predicted level replica under the held store lock: `None`
-    /// when a prediction is already in flight, the resident replica already
-    /// matches `host` bit for bit, or no block can be carved even after
-    /// eviction (the step will upload inline instead).
-    fn stage_level_prediction(
-        &self,
-        dev: DeviceId,
-        st: &mut StoreState,
-        key: LevelKey,
-        host: &DeviceData,
-    ) -> Option<(LevelKey, DeviceData, DeviceBlock)> {
-        let resident_matches = st.level_db.get(&key).is_some_and(|e| e.var.data().diff_bytes(host) == 0);
-        if resident_matches || st.pending_level.contains_key(&key) {
-            return None; // nothing to move, or one prediction in flight is enough
-        }
-        let block = self.alloc_with_evict(dev, st, host.size_bytes()).ok()?;
-        Some((key, self.staging.snapshot(host), block))
-    }
-
-    /// Post one predicted level-replica revalidation on `dev` without
-    /// blocking for the burst. `host` is the *predicted* next-step data:
-    /// if a resident replica already matches it bit for bit nothing is
-    /// posted (the next `ensure_level_fresh_on` will re-stamp with no
-    /// transfer either way); a changed or missing replica is staged
-    /// through the pinned pool and posted to the H2D engine. Installs
-    /// nothing — the next `ensure_level_fresh_on` verifies the prediction
-    /// against its producer's output before trusting it, so a wrong
-    /// prediction costs a wasted burst, never a wrong answer. Returns
-    /// whether an upload was posted.
-    pub fn prefetch_level_on(
-        &self,
-        dev: DeviceId,
-        label: VarLabel,
-        level: LevelIndex,
-        host: &DeviceData,
-    ) -> bool {
-        if !self.level_db_enabled {
-            return false;
-        }
-        let mut st = self.stores[dev].lock();
-        let burst = Vec::from_iter(self.stage_level_prediction(dev, &mut st, (label, level), host));
-        self.post_upload(dev, &mut st.pending_level, burst).is_some()
-    }
-
-    /// Cross-step prefetch: post predicted revalidations for every level
-    /// replica resident on any device, coalesced into one staged burst per
-    /// device. `source` supplies the predicted host data per
-    /// `(label, level)` — typically the current step's sealed level fields,
-    /// posted at step close so the bursts overlap the inter-step CPU work.
-    /// Replicas whose resident bytes already match the prediction post
-    /// nothing. A prediction allocates like any upload — under pressure it
-    /// evicts LRU entries and may cancel *earlier* posted uploads to fit —
-    /// and is skipped only when that still fails. Returns the number of
-    /// uploads posted.
-    pub fn prefetch_resident_levels(
-        &self,
-        source: impl Fn(VarLabel, LevelIndex) -> Option<Arc<DeviceData>>,
-    ) -> usize {
-        if !self.level_db_enabled {
-            return 0;
-        }
-        let mut posted = 0;
-        for dev in 0..self.num_devices() {
-            let mut st = self.stores[dev].lock();
-            let keys: Vec<LevelKey> = st.level_db.keys().copied().collect();
-            let mut burst = Vec::new();
-            for key in keys {
-                let host = source(key.0, key.1);
-                burst.extend(host.and_then(|h| self.stage_level_prediction(dev, &mut st, key, &h)));
-            }
-            posted += burst.len();
-            self.post_upload(dev, &mut st.pending_level, burst);
-        }
-        posted
-    }
-
-    /// Cross-step prefetch of spill re-uploads: post every host-spilled
-    /// patch variable back to its device in one coalesced burst per device,
-    /// so the next step's `get_patch` materializes a finished upload
-    /// instead of paying the re-upload wall inline. The spilled host copy
-    /// is authoritative (it *is* the variable), so it rides the burst
-    /// directly as staged data — no snapshot copy, no verify at consume —
-    /// and its buffer retires into the staging pool afterwards. Entries
-    /// whose allocation fails even after eviction stay spilled. Returns the
-    /// number of uploads posted.
-    pub fn prefetch_spill_reuploads(&self) -> usize {
-        let mut posted = 0;
-        for dev in 0..self.num_devices() {
-            let device = self.fleet.device(dev);
-            let mut st = self.stores[dev].lock();
-            let keys: Vec<PatchKey> = st.spill.keys().copied().collect();
-            let mut burst = Vec::new();
-            for key in keys {
-                let data = st.spill.remove(&key).expect("key listed under lock");
-                let bytes = data.size_bytes();
-                match self.alloc_with_evict(dev, &mut st, bytes) {
-                    Ok(block) => {
-                        device.record_reupload(bytes);
-                        burst.push((key, data, block));
-                    }
-                    Err(_) => {
-                        st.spill.insert(key, data);
-                    }
-                }
-            }
-            posted += burst.len();
-            self.post_upload(dev, &mut st.pending_patch, burst);
-        }
-        posted
     }
 
     /// Look up a level variable on a device without uploading (ignores
@@ -1216,36 +783,18 @@ impl GpuDataWarehouse {
     /// Drop every per-level entry on every device (end of radiation
     /// timestep).
     pub fn clear_level_db(&self) {
-        for (i, s) in self.stores.iter().enumerate() {
-            let mut st = s.lock();
-            if !st.pending_level.is_empty() {
-                // Let in-flight bursts land so canceling below frees their
-                // blocks immediately (engine jobs never take store locks).
-                self.fleet.device(i).sync(Dir::H2D);
-            }
-            st.level_db.clear();
-            // Canceled, not installed: the consumer that was going to
-            // materialize these finds the map entry gone and regenerates.
-            st.pending_level.clear();
+        for s in &self.stores {
+            s.lock().level_db.clear();
         }
     }
 
     /// Drop every per-patch entry on every device, including host-spilled
-    /// copies. Posted patch uploads still in flight are canceled (their
-    /// blocks free when the burst lands and the last slot handle drops);
-    /// posted *level* predictions survive — this runs at every step close,
-    /// and canceling there would defeat cross-step prefetch.
+    /// copies.
     pub fn clear_patch_db(&self) {
-        for (i, s) in self.stores.iter().enumerate() {
+        for s in &self.stores {
             let mut st = s.lock();
-            if !st.pending_patch.is_empty() {
-                // Let in-flight bursts land so canceling below frees their
-                // blocks immediately (engine jobs never take store locks).
-                self.fleet.device(i).sync(Dir::H2D);
-            }
             st.patch_db.clear();
             st.spill.clear();
-            st.pending_patch.clear();
         }
     }
 
@@ -1272,20 +821,12 @@ impl GpuDataWarehouse {
         let mut levels = 0;
         for &dev in devices {
             self.fleet.device(dev).sync(Dir::D2H);
-            // Let in-flight upload bursts land before canceling them: the
-            // engine never takes store locks, so this cannot deadlock, and
-            // afterwards every pending slot is filled — dropping the map
-            // entries below releases the uploaded blocks immediately
-            // instead of installing pre-regrid bytes.
-            self.fleet.device(dev).sync(Dir::H2D);
             let mut st = self.stores[dev].lock();
             patches += st.patch_db.len();
             st.patch_db.clear();
             st.spill.clear();
-            st.pending_patch.clear();
             levels += st.level_db.len();
             st.level_db.clear();
-            st.pending_level.clear();
         }
         (patches, levels)
     }
@@ -1295,9 +836,10 @@ impl GpuDataWarehouse {
         self.fleet.sync_all(Dir::D2H);
     }
 
-    /// Block until every device's H2D copy-engine timeline is empty.
-    /// Pending uploads stay pending (completed, uninstalled) — consumers
-    /// still materialize them; this only guarantees no burst is mid-copy.
+    /// Block until every device's H2D copy-engine timeline is empty. Every
+    /// upload is synchronous, so nothing is ever in flight here; kept only
+    /// because the benchmark (`perf_report/`, frozen by the benchmark
+    /// contract) calls it.
     pub fn sync_h2d_all(&self) {
         self.fleet.sync_all(Dir::H2D);
     }
@@ -1347,22 +889,11 @@ impl GpuDataWarehouse {
         (0..self.num_devices()).map(|d| self.spill_entries_on(d)).sum()
     }
 
-    /// Posted-but-unconsumed prefetch uploads (patch + level) across all
-    /// devices.
-    pub fn pending_uploads(&self) -> usize {
-        self.stores
-            .iter()
-            .map(|s| {
-                let st = s.lock();
-                st.pending_patch.len() + st.pending_level.len()
-            })
-            .sum()
-    }
-
-    /// Staging-buffer acquisitions served from the pool instead of a fresh
-    /// allocation.
+    /// Always 0: the staging pool went with the posted-upload path. Kept
+    /// only because the benchmark (`perf_report/`, frozen by the benchmark
+    /// contract) reads it for `gpu.staging_reuse_pct`.
     pub fn staging_reuse_hits(&self) -> u64 {
-        self.staging.hits()
+        0
     }
 }
 
@@ -1379,8 +910,8 @@ mod tests {
     }
 
     /// A one-device warehouse with eviction on and the given feature flags.
-    fn dw_flags(device: GpuDevice, level_db: bool, async_d2h: bool, async_h2d: bool) -> GpuDataWarehouse {
-        GpuDataWarehouse::with_fleet_full(DeviceFleet::single(device), level_db, async_d2h, async_h2d, true)
+    fn dw_flags(device: GpuDevice, level_db: bool, async_d2h: bool) -> GpuDataWarehouse {
+        GpuDataWarehouse::with_fleet_full(DeviceFleet::single(device), level_db, async_d2h, true, true)
     }
 
     #[test]
@@ -1391,10 +922,10 @@ mod tests {
         assert_eq!(dw.patch_entries_on(0), 1);
         let v = dw.get_patch(DIVQ, p).unwrap();
         assert_eq!(v.data().as_f64()[uintah_grid::IntVector::ZERO], 1.5);
-        let host = dw.take_patch_to_host_async(DIVQ, p).map(Pending::wait).unwrap();
+        let host = dw.take_patch_to_host_async(DIVQ, p).map(PendingD2H::wait).unwrap();
         assert_eq!(host.as_f64().len(), 512);
         assert_eq!(dw.patch_entries_on(0), 0);
-        assert!(dw.take_patch_to_host_async(DIVQ, p).map(Pending::wait).is_none());
+        assert!(dw.take_patch_to_host_async(DIVQ, p).map(PendingD2H::wait).is_none());
         // D2H was metered once.
         assert_eq!(dw.device().counters().d2h_transfers, 1);
     }
@@ -1420,7 +951,7 @@ mod tests {
 
     #[test]
     fn disabled_level_db_duplicates_copies() {
-        let dw = dw_flags(GpuDevice::k20x(), false, true, true);
+        let dw = dw_flags(GpuDevice::k20x(), false, true);
         let a = dw.ensure_level_on(0, ABSKG, 0, || field(16, 0.9)).unwrap();
         let b = dw.ensure_level_on(0, ABSKG, 0, || field(16, 0.9)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
@@ -1458,7 +989,7 @@ mod tests {
         // with N — the paper's core argument.
         let field_bytes = 16usize.pow(3) * 8;
         let with = GpuDataWarehouse::new(GpuDevice::k20x());
-        let without = dw_flags(GpuDevice::k20x(), false, true, true);
+        let without = dw_flags(GpuDevice::k20x(), false, true);
         let mut with_handles = Vec::new();
         let mut without_handles = Vec::new();
         for _task in 0..32 {
@@ -1646,7 +1177,7 @@ mod tests {
 
     #[test]
     fn sync_fallback_reports_blocked_equals_drain() {
-        let dw = dw_flags(GpuDevice::k20x(), true, false, true);
+        let dw = dw_flags(GpuDevice::k20x(), true, false);
         assert!(!dw.async_d2h());
         let p = PatchId(1);
         dw.put_patch(DIVQ, p, field(8, 1.0)).unwrap();
@@ -1668,7 +1199,7 @@ mod tests {
         // be identical across modes for the same operation sequence.
         let run = |async_d2h: bool| {
             let device = GpuDevice::with_capacity("mode-test", 1 << 20);
-            let dw = dw_flags(device.clone(), true, async_d2h, true);
+            let dw = dw_flags(device.clone(), true, async_d2h);
             for p in 0..4u32 {
                 dw.put_patch(DIVQ, PatchId(p), field(8, p as f64)).unwrap();
                 let pending = dw.take_patch_to_host_async(DIVQ, PatchId(p)).unwrap();
@@ -1686,7 +1217,7 @@ mod tests {
 
     #[test]
     fn disabled_level_db_pays_full_upload_every_step() {
-        let dw = dw_flags(GpuDevice::k20x(), false, true, true);
+        let dw = dw_flags(GpuDevice::k20x(), false, true);
         let a = dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).unwrap();
         dw.begin_timestep();
         let b = dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).unwrap();
@@ -1794,7 +1325,7 @@ mod tests {
         let d2h_after_spill = device.counters().d2h_transfers;
         assert_eq!(device.counters().spills, 1);
         // Synchronous take: served straight from the spill map.
-        let data = dw.take_patch_to_host_async(DIVQ, PatchId(0)).map(Pending::wait).expect("spilled data served");
+        let data = dw.take_patch_to_host_async(DIVQ, PatchId(0)).map(PendingD2H::wait).expect("spilled data served");
         assert_eq!(data.as_f64()[uintah_grid::IntVector::ZERO], 5.0);
         assert_eq!(
             device.counters().d2h_transfers,
@@ -1927,7 +1458,7 @@ mod tests {
         assert!(dw.device_at(0).used() > 0);
         assert_eq!(dw.device_at(1).used(), 0);
         // Take routes through the same override → drains device 0's engine.
-        let _ = dw.take_patch_to_host_async(DIVQ, p).map(Pending::wait).unwrap();
+        let _ = dw.take_patch_to_host_async(DIVQ, p).map(PendingD2H::wait).unwrap();
         assert_eq!(dw.counters_per_device()[0].d2h_transfers, 1);
         assert_eq!(dw.counters_per_device()[1].d2h_transfers, 0);
         // Clearing the overrides restores the sticky home.
@@ -1954,287 +1485,5 @@ mod tests {
         assert_eq!(c[0].d2h_inflight, 0);
         assert_eq!(c[1].d2h_inflight, 0);
         assert_eq!(dw.fleet().total_used(), 0, "no leaked bytes on any device");
-    }
-
-    fn dw_with_h2d(async_h2d: bool) -> GpuDataWarehouse {
-        dw_flags(GpuDevice::k20x(), true, true, async_h2d)
-    }
-
-    #[test]
-    fn put_patch_async_materializes_on_first_get() {
-        let dw = dw_with_h2d(true);
-        let p = PatchId(7);
-        let data = field(8, 4.25);
-        let h = dw.put_patch_async(DIVQ, p, &data).unwrap();
-        assert_eq!(h.bytes(), 8usize.pow(3) * 8);
-        assert_eq!(dw.pending_uploads(), 1);
-        assert_eq!(dw.patch_entries_on(0), 0, "not in the DB until consumed");
-        // The upload was metered at post time, on the engine timeline.
-        assert_eq!(dw.device().counters().h2d_transfers, 1);
-        let v = dw.get_patch(DIVQ, p).expect("materializes the posted upload");
-        assert_eq!(v.data().as_f64()[uintah_grid::IntVector::ZERO], 4.25);
-        assert_eq!(dw.pending_uploads(), 0);
-        assert_eq!(dw.patch_entries_on(0), 1);
-        // No second transfer: the get consumed the posted burst.
-        dw.sync_h2d_all();
-        let c = dw.device().counters();
-        assert_eq!(c.h2d_transfers, 1);
-        assert_eq!(c.h2d_inflight, 0);
-        // The handle can also be waited directly and shares the same var.
-        let (hv, _upload, _blocked) = h.wait_timed();
-        assert!(Arc::ptr_eq(&hv, &v));
-    }
-
-    #[test]
-    fn inline_upload_matches_async_counters_exactly() {
-        // The synchronous fallback must leave the device meters in exactly
-        // the state the posted path does once both quiesce: same transfer
-        // counts, bytes, in-flight, streams — mode only moves wall-time
-        // buckets (busy/wait/overlap), which are zeroed for the comparison.
-        let run = |async_h2d: bool| {
-            let dw = dw_with_h2d(async_h2d);
-            let p = PatchId(3);
-            let h = dw.put_patch_async(DIVQ, p, &field(8, 1.5)).unwrap();
-            assert_eq!(h.inline, !async_h2d);
-            let v = dw.get_patch(DIVQ, p).unwrap();
-            assert_eq!(v.data().as_f64()[uintah_grid::IntVector::ZERO], 1.5);
-            drop(v);
-            let lvl = dw.prefetch_level_on(0, ABSKG, 0, &field(16, 0.9));
-            assert!(lvl, "missing replica: prediction posted");
-            dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).map(drop).unwrap();
-            dw.sync_h2d_all();
-            let mut c = dw.device().counters();
-            c.h2d_busy_ns = 0;
-            c.d2h_busy_ns = 0;
-            c.h2d_wait_ns = 0;
-            c.h2d_overlap_ns = 0;
-            c
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn inline_upload_charges_full_wall_and_zero_overlap() {
-        let dw = dw_with_h2d(false);
-        let h = dw.put_patch_async(DIVQ, PatchId(1), &field(8, 2.0)).unwrap();
-        assert!(h.is_complete(), "inline post completes before returning");
-        let c = dw.device().counters();
-        assert_eq!(c.h2d_overlap_ns, 0, "nothing is hidden in sync mode");
-        assert_eq!(c.h2d_inflight, 0);
-        let wait_at_post = c.h2d_wait_ns;
-        // Consuming an inline upload adds no further stall.
-        dw.get_patch(DIVQ, PatchId(1)).unwrap();
-        assert_eq!(dw.device().counters().h2d_wait_ns, wait_at_post);
-    }
-
-    #[test]
-    fn prefetch_spill_reuploads_posts_coalesced_burst() {
-        let dw = dw_with_h2d(true);
-        let device = dw.device().clone();
-        let patches = [PatchId(0), PatchId(1), PatchId(2)];
-        for (i, &p) in patches.iter().enumerate() {
-            dw.put_patch(DIVQ, p, field(8, i as f64)).unwrap();
-        }
-        // Force everything out to the host spill map.
-        while {
-            let mut st = dw.stores[0].lock();
-            GpuDataWarehouse::evict_one(&device, &mut st)
-        } {}
-        assert_eq!(dw.spill_entries(), 3);
-        assert_eq!(dw.device().used(), 0);
-        let before = dw.device().counters();
-        assert_eq!(dw.prefetch_spill_reuploads(), 3);
-        assert_eq!(dw.spill_entries(), 0);
-        assert_eq!(dw.pending_uploads(), 3);
-        let after = dw.device().counters();
-        assert_eq!(
-            after.h2d_transfers,
-            before.h2d_transfers + 1,
-            "three re-uploads coalesce into one staged burst"
-        );
-        assert_eq!(after.reuploads, before.reuploads + 3);
-        // Consumers see the exact spilled bytes, no additional transfer.
-        for (i, &p) in patches.iter().enumerate() {
-            let v = dw.get_patch(DIVQ, p).unwrap();
-            assert_eq!(v.data().as_f64()[uintah_grid::IntVector::ZERO], i as f64);
-        }
-        dw.sync_h2d_all();
-        assert_eq!(dw.device().counters().h2d_transfers, before.h2d_transfers + 1);
-        // Burst buffers retired into the staging pool: the next
-        // same-shaped post reuses one instead of allocating.
-        let hits = dw.staging_reuse_hits();
-        dw.put_patch_async(DIVQ, PatchId(9), &field(8, 0.0)).unwrap();
-        assert_eq!(dw.staging_reuse_hits(), hits + 1);
-    }
-
-    #[test]
-    fn regrid_cancels_posted_uploads_not_installed() {
-        let dw = dw_with_h2d(true);
-        let p = PatchId(9);
-        let _h = dw.put_patch_async(DIVQ, p, &field(8, 5.0)).unwrap();
-        dw.prefetch_level_on(0, ABSKG, 0, &field(16, 0.9));
-        assert_eq!(dw.pending_uploads(), 2);
-        dw.invalidate_for_regrid();
-        assert_eq!(dw.pending_uploads(), 0, "in-flight uploads canceled");
-        assert_eq!(dw.patch_entries_on(0), 0);
-        assert_eq!(dw.level_entries(), 0);
-        assert!(dw.get_patch(DIVQ, p).is_none(), "canceled upload is never served");
-        // The canceled patch burst's block frees once the external handle
-        // drops; the level prediction (no external handle) freed already.
-        drop(_h);
-        assert_eq!(dw.device().used(), 0, "no leaked device bytes after cancel");
-        assert_eq!(dw.device().counters().release_underflows, 0);
-    }
-
-    #[test]
-    fn prefetch_level_confirmed_prediction_installs_without_new_transfer() {
-        let dw = dw_with_h2d(true);
-        dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).map(drop).unwrap();
-        dw.begin_timestep();
-        // Step close: post the predicted next-step replica (changed data).
-        assert!(dw.prefetch_level_on(0, ABSKG, 0, &field(16, 1.1)));
-        let transfers_after_post = dw.device().counters().h2d_transfers;
-        // Next step's consumer produces the same data → the prediction is
-        // verified bit-for-bit and installed with no further transfer.
-        let v = dw.ensure_level_fresh(ABSKG, 0, || field(16, 1.1)).unwrap();
-        assert_eq!(v.data().as_f64()[uintah_grid::IntVector::ZERO], 1.1);
-        dw.sync_h2d_all();
-        assert_eq!(dw.device().counters().h2d_transfers, transfers_after_post);
-        assert_eq!(dw.pending_uploads(), 0);
-        assert_eq!(dw.level_entry_epoch_on(0, ABSKG, 0), Some(1));
-        // An unchanged resident replica posts nothing at all.
-        dw.begin_timestep();
-        assert!(!dw.prefetch_level_on(0, ABSKG, 0, &field(16, 1.1)));
-    }
-
-    #[test]
-    fn prefetch_level_mispredicted_falls_back_bit_identical() {
-        let dw = dw_with_h2d(true);
-        dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).map(drop).unwrap();
-        dw.begin_timestep();
-        // A wrong prediction: the burst is wasted, never trusted.
-        assert!(dw.prefetch_level_on(0, ABSKG, 0, &field(16, 7.7)));
-        let v = dw.ensure_level_fresh(ABSKG, 0, || field(16, 1.1)).unwrap();
-        assert_eq!(
-            v.data().as_f64()[uintah_grid::IntVector::ZERO],
-            1.1,
-            "producer output wins over the misprediction"
-        );
-        assert_eq!(dw.pending_uploads(), 0);
-        dw.sync_h2d_all();
-        drop(v);
-        dw.clear_level_db();
-        assert_eq!(dw.device().used(), 0, "mispredicted bytes released");
-        assert_eq!(dw.device().counters().release_underflows, 0);
-    }
-
-    #[test]
-    fn staging_pool_recycles_upload_buffers() {
-        let dw = dw_with_h2d(true);
-        let data = field(8, 1.0);
-        dw.put_patch_async(DIVQ, PatchId(0), &data).unwrap();
-        dw.get_patch(DIVQ, PatchId(0)).map(drop).unwrap();
-        dw.sync_h2d_all();
-        let hits_before = dw.staging_reuse_hits();
-        // Same-shaped posts reuse the parked buffer instead of allocating.
-        for i in 1..5u32 {
-            dw.put_patch_async(DIVQ, PatchId(i), &data).unwrap();
-            dw.get_patch(DIVQ, PatchId(i)).map(drop).unwrap();
-            dw.sync_h2d_all();
-        }
-        assert!(dw.staging_reuse_hits() >= hits_before + 4);
-    }
-
-    #[test]
-    fn allocator_pressure_cancels_prefetch_and_respills() {
-        // Pending uploads outrank nothing — a demand allocation cancels
-        // them: patch bytes re-spill to the host (they may be the only
-        // copy), level predictions drop. The demand allocation succeeds.
-        let field_bytes = 8usize.pow(3) * 8;
-        let device = GpuDevice::with_capacity("tiny", field_bytes + 512);
-        let dw = GpuDataWarehouse::new(device);
-        let h = dw.put_patch_async(DIVQ, PatchId(0), &field(8, 3.5)).unwrap();
-        drop(h); // no external pin
-        assert_eq!(dw.pending_uploads(), 1);
-        // Demand allocation for a second patch: nothing evictable in the
-        // DBs, so the pending upload is canceled and its bytes re-spilled.
-        dw.put_patch(DIVQ, PatchId(1), field(8, 9.0)).unwrap();
-        assert_eq!(dw.pending_uploads(), 0);
-        assert_eq!(dw.spill_entries(), 1, "canceled upload re-spilled, not lost");
-        // Both variables still serve their exact bytes.
-        let v1 = dw.get_patch(DIVQ, PatchId(1)).unwrap();
-        assert_eq!(v1.data().as_f64()[uintah_grid::IntVector::ZERO], 9.0);
-        drop(v1);
-        dw.drop_patch(DIVQ, PatchId(1));
-        let v0 = dw.get_patch(DIVQ, PatchId(0)).unwrap();
-        assert_eq!(v0.data().as_f64()[uintah_grid::IntVector::ZERO], 3.5);
-    }
-    /// Run `f` on its own thread and fail if it has not returned in 5 s —
-    /// the prefetch-under-pressure bugs were deadlocks, not wrong answers.
-    fn within_5s<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || tx.send(f()));
-        rx.recv_timeout(Duration::from_secs(5)).unwrap_or_else(|_| panic!("{what} deadlocked"))
-    }
-
-    #[test]
-    fn prefetch_spill_reuploads_under_pressure_does_not_hang() {
-        // Room for exactly two fields: the third re-upload reaches the
-        // allocator's cancel escalation while this batch's first two
-        // entries are staged. Regression: they used to be published as
-        // pending before their burst was posted, so the escalation waited —
-        // under the store lock — on slots nobody would ever fill.
-        let field_bytes = 8usize.pow(3) * 8;
-        let device = GpuDevice::with_capacity("tiny", field_bytes * 2 + 256);
-        let dw = Arc::new(GpuDataWarehouse::new(device.clone()));
-        for i in 0..3u32 {
-            dw.put_patch(DIVQ, PatchId(i), field(8, i as f64)).unwrap();
-        }
-        while {
-            let mut st = dw.stores[0].lock();
-            GpuDataWarehouse::evict_one(&device, &mut st)
-        } {}
-        assert_eq!(dw.spill_entries(), 3);
-        let dwc = Arc::clone(&dw);
-        let posted = within_5s("prefetch_spill_reuploads", move || dwc.prefetch_spill_reuploads());
-        assert_eq!(posted, 2, "two fit; the third stays spilled");
-        assert_eq!((dw.pending_uploads(), dw.spill_entries()), (2, 1));
-        // Every variable still serves its exact bytes, then drains clean.
-        for i in 0..3u32 {
-            let v = dw.get_patch(DIVQ, PatchId(i)).unwrap();
-            assert_eq!(v.data().as_f64()[uintah_grid::IntVector::ZERO], i as f64);
-        }
-        dw.sync_h2d_all(); // the engine job drops its slot handles before retiring
-        dw.clear_patch_db();
-        assert_eq!(device.used(), 0);
-        device.validate_allocator().unwrap();
-    }
-
-    #[test]
-    fn prefetch_resident_levels_under_pressure_does_not_hang() {
-        // The scheduler's step-close call. Two handle-pinned 32³ replicas
-        // plus room for one prediction: the second prediction's allocation
-        // finds nothing evictable and escalates to cancel pending uploads
-        // while the first is staged in the same batch — the deadlock above,
-        // on the level path.
-        let field_bytes = 32usize.pow(3) * 8;
-        let device = GpuDevice::with_capacity("tiny", field_bytes * 3 + 256);
-        let dw = Arc::new(GpuDataWarehouse::new(device.clone()));
-        let pins: Vec<_> = (0..2)
-            .map(|li| dw.ensure_level_fresh_on(0, ABSKG, li, || field(32, 0.5)).unwrap())
-            .collect();
-        dw.begin_timestep();
-        let dwc = Arc::clone(&dw);
-        let posted = within_5s("prefetch_resident_levels", move || {
-            dwc.prefetch_resident_levels(|_, _| Some(Arc::new(field(32, 0.7))))
-        });
-        assert_eq!(posted, 1, "one prediction fits; the other is skipped");
-        dw.sync_h2d_all();
-        drop(pins);
-        dw.clear_level_db();
-        assert_eq!(dw.pending_uploads(), 0);
-        assert_eq!(device.used(), 0, "fleet drains to 0 B");
-        assert_eq!(device.counters().release_underflows, 0);
-        device.validate_allocator().unwrap();
     }
 }

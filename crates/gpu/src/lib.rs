@@ -31,5 +31,5 @@ pub mod dw;
 pub mod fleet;
 
 pub use device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError, Mode, Stream};
-pub use dw::{DeviceData, DeviceVar, GpuDataWarehouse, Pending, PendingD2H, PendingH2D};
+pub use dw::{DeviceData, DeviceVar, GpuDataWarehouse, PendingD2H};
 pub use fleet::{lpt_assign, sticky_device, DeviceFleet, DeviceId, GpuAffinity};

@@ -43,12 +43,6 @@ pub struct WorldConfig {
     /// transfer/kernel pipelining). `false` drains inline inside task
     /// bodies — the synchronous baseline; results are bit-identical.
     pub gpu_async_d2h: bool,
-    /// Post host→device uploads (staged prefetch bursts, spill re-uploads,
-    /// cross-step level revalidations) to the H2D copy engine so the first
-    /// consumer materializes a finished transfer instead of uploading
-    /// inline. `false` completes every posted upload at post time — the
-    /// synchronous baseline; results are bit-identical.
-    pub gpu_async_h2d: bool,
     /// Evict LRU device-DB entries (spilling patch data to host) when an
     /// allocation fails, instead of surfacing OOM — the oversubscription
     /// path. `false` fails hard at capacity (the ablation baseline);
@@ -92,7 +86,6 @@ impl Default for WorldConfig {
             gpu_affinity: GpuAffinity::Sticky,
             gpu_level_db: true,
             gpu_async_d2h: true,
-            gpu_async_h2d: true,
             gpu_eviction: true,
             aggregate_level_windows: false,
             persistent: true,
@@ -186,7 +179,7 @@ pub fn build_rank(
             fleet,
             cfg.gpu_level_db,
             cfg.gpu_async_d2h,
-            cfg.gpu_async_h2d,
+            true, // unused `_async_h2d`: signature pinned by perf_report
             cfg.gpu_eviction,
         ))
     });

@@ -73,12 +73,10 @@ pub struct DeviceStepStats {
     pub h2d_busy_ns: u64,
     /// D2H engine occupancy this step, in nanoseconds.
     pub d2h_busy_ns: u64,
-    /// Consumer stall on posted uploads this step, in nanoseconds: the
-    /// residual wait materializing a staged burst on the async path, the
-    /// full inline upload wall on the synchronous fallback.
+    /// H2D `Timeline` wait meter this step, in nanoseconds. Uploads are
+    /// synchronous inside the task that needs them, so this reads 0.
     pub h2d_wait_ns: u64,
-    /// Posted-upload wall hidden behind other work this step, in
-    /// nanoseconds (burst minus wait; zero on the synchronous fallback).
+    /// H2D `Timeline` overlap meter this step; reads 0 for the same reason.
     pub h2d_overlap_ns: u64,
     /// The device's memory high-water mark (absolute, not a delta — the
     /// capacity-meter number that must stay under the 6 GB budget).
@@ -133,14 +131,10 @@ pub struct ExecStats {
     /// overlap won by posting drains to the copy engine instead of blocking
     /// the worker inside the task body. Zero on the synchronous path.
     pub gpu_d2h_overlap: Duration,
-    /// Wall time consumers spent blocked on posted H2D uploads this step —
-    /// the un-hidden part of the staged bursts on the async path, the full
-    /// inline upload wall on the synchronous fallback.
+    /// H2D `Timeline` wait meter this step. Every upload is synchronous
+    /// inside the task that needs it, so this reads 0.
     pub gpu_h2d_wait: Duration,
-    /// Posted-upload wall hidden behind other work this step — the overlap
-    /// won by staging uploads onto the H2D copy engine (prefetch, spill
-    /// re-uploads, coalesced level refreshes). Zero on the synchronous
-    /// fallback.
+    /// H2D `Timeline` overlap meter this step; reads 0 for the same reason.
     pub gpu_h2d_overlap: Duration,
     /// LRU evictions across the fleet this step (delta of the device
     /// counters; nonzero only when the problem oversubscribes a device).
@@ -239,15 +233,6 @@ impl ExecStats {
                 ms(self.regrid_compile),
                 self.migrated_bytes,
                 ms(self.migrate_wall),
-            );
-        }
-        if self.gpu_h2d_wait > Duration::ZERO || self.gpu_h2d_overlap > Duration::ZERO {
-            let _ = writeln!(
-                out,
-                "gpu h2d: {} B (wait {:.3} ms, overlap {:.3} ms)",
-                self.gpu_h2d_bytes,
-                ms(self.gpu_h2d_wait),
-                ms(self.gpu_h2d_overlap),
             );
         }
         if self.gpu_evictions > 0 || self.gpu_reupload_bytes > 0 {
@@ -625,20 +610,6 @@ impl Scheduler {
                 });
             }
         });
-
-        // Cross-step prefetch at step close: the cached graph makes step
-        // N+1's device-resident set the same as step N's, so post predicted
-        // level-replica revalidations (against this step's sealed host
-        // data) now. The staged bursts ride the H2D engines while the
-        // inter-step CPU work drains; next step's first consumer verifies
-        // and materializes them instead of uploading inline. Replicas whose
-        // resident bytes already match post nothing, so steady state costs
-        // no extra traffic. The H2D engines are deliberately NOT synced
-        // here — leaving the bursts in flight across the step boundary is
-        // the point.
-        if let Some(g) = gpu {
-            g.prefetch_resident_levels(|label, level| dw.get_sealed_level(label, level));
-        }
 
         // End-of-step device synchronization (the `cudaDeviceSynchronize`
         // analogue, once per fleet device): settle every D2H drain no

@@ -191,16 +191,14 @@ impl Slot {
                     }
                     rr.stats.graph_compiles = exec.compiles() as u64 - compiles0;
                     rr.stats.shared_graph_hits = exec.shared_graph_hits() - shared0;
-                    // End-of-job hygiene: settle in-flight traffic in both
-                    // directions and drop per-patch device staging. Level
-                    // replicas stay resident — they are the cross-job
-                    // sharing the next same-shape tenant inherits — and so
-                    // do posted level-replica prefetches (the next tenant's
-                    // first `ensure_level_fresh` verifies them against its
-                    // own sealed data before serving).
+                    // End-of-job hygiene: settle in-flight drains and drop
+                    // per-patch device staging. Level replicas stay
+                    // resident — they are the cross-job sharing the next
+                    // same-shape tenant inherits (its first
+                    // `ensure_level_fresh` revalidates them against its own
+                    // sealed data before serving).
                     exec.dw().drain_pending_d2h();
                     if let Some(g) = exec.gpu() {
-                        g.sync_h2d_all();
                         g.sync_d2h_all();
                         g.clear_patch_db();
                     }
@@ -251,9 +249,9 @@ mod tests {
 
     /// One row per key of the table: setting a `shape` key to a second
     /// valid value must change the slot signature (those options are baked
-    /// into the slot's warehouses, schedulers and graphs — e.g. a sync
-    /// `gpu_h2d` tenant must not land on an async slot); setting any other
-    /// key must not (per-job parameters share warm slots).
+    /// into the slot's warehouses, schedulers and graphs — e.g. a
+    /// `gpu_eviction = off` tenant must not land on an evicting slot);
+    /// setting any other key must not (per-job parameters share warm slots).
     #[test]
     fn shape_signature_ignores_per_job_parameters() {
         let second_value = |key: &str| match key {
@@ -273,7 +271,6 @@ mod tests {
             "gpu_affinity" => "cost",
             "gpu_capacity_mb" => "512",
             "gpu_eviction" => "off",
-            "gpu_h2d" => "sync",
             "aggregate" => "true",
             "regrid_interval" => "3",
             "regrid_policy" => "lpt",
@@ -304,7 +301,7 @@ mod tests {
             shape,
             [
                 "fine_cells", "patch_size", "levels", "refinement_ratio", "ranks", "threads",
-                "store", "gpu", "gpu_affinity", "gpu_eviction", "gpu_h2d", "aggregate",
+                "store", "gpu", "gpu_affinity", "gpu_eviction", "aggregate",
             ],
             "the set of slot-shape keys is part of the serving contract"
         );

@@ -67,11 +67,6 @@ pub struct RunConfig {
     /// least-recently-used DB entries under pressure; `off` fails hard at
     /// capacity (the pre-sub-allocator behaviour).
     pub gpu_eviction: bool,
-    /// Upload pipeline: `async` (default) stages H2D copies through the
-    /// pinned pool and posts them on the per-device copy engine, with
-    /// cross-step prefetch; `sync` uploads inline on the posting thread
-    /// (the bit-identical fallback).
-    pub gpu_async_h2d: bool,
     pub timesteps: usize,
     pub sampling: rmcrt_core::RaySampling,
     /// `true` = adaptive per-cell ray counts ([`rmcrt_core::RayCountMode::Adaptive`]
@@ -131,7 +126,6 @@ impl Default for RunConfig {
             gpu_affinity: GpuAffinity::Sticky,
             gpu_capacity_mb: 6144,
             gpu_eviction: true,
-            gpu_async_h2d: true,
             timesteps: 1,
             sampling: rmcrt_core::RaySampling::Independent,
             adaptive_rays: false,
@@ -203,7 +197,6 @@ const AFFINITIES: Choices<GpuAffinity> = &[
     ("cost_balanced", GpuAffinity::CostBalanced),
 ];
 const EVICTIONS: Choices<bool> = &[("lru", true), ("off", false)];
-const H2D_MODES: Choices<bool> = &[("async", true), ("sync", false)];
 const REGRID_POLICIES: Choices<RebalancePolicy> = &[
     ("sfc", RebalancePolicy::CostedSfc),
     ("lpt", RebalancePolicy::CostedLpt),
@@ -287,7 +280,6 @@ pub const KEYS: &[Key] = &[
     choice!("gpu_affinity", SHAPE, gpu_affinity, AFFINITIES, "sticky | cost (LPT from measured per-patch costs)"),
     scalar!("gpu_capacity_mb", PER_JOB, gpu_capacity_mb, num, "per-device memory budget (6144 = K20X 6 GB)"),
     choice!("gpu_eviction", SHAPE, gpu_eviction, EVICTIONS, "lru (spill-to-host oversubscription) | off (hard OOM)"),
-    choice!("gpu_h2d", SHAPE, gpu_async_h2d, H2D_MODES, "async (staged uploads + cross-step prefetch) | sync"),
     scalar!("aggregate", SHAPE, aggregate, boolean, "bundle level windows per rank pair"),
     scalar!("regrid_interval", PER_JOB, regrid_interval, num, "rebalance ownership every k timesteps; 0 = never"),
     choice!("regrid_policy", PER_JOB, regrid_policy, REGRID_POLICIES, "sfc | lpt | rotate"),
@@ -408,6 +400,14 @@ impl RunConfig {
                     self.fine_cells
                 ));
             }
+            // Restriction windows must tile every coarser level exactly
+            // (`rmcrt_core::tasks::multilevel_decls` asserts it).
+            if self.patch_size % span != 0 {
+                return Err(format!(
+                    "patch_size {} not divisible by refinement_ratio^(levels-1) = {span}",
+                    self.patch_size
+                ));
+            }
         }
         if self.halo < 0 {
             return Err("halo must be >= 0".into());
@@ -499,7 +499,6 @@ impl RunConfig {
             gpus_per_rank: self.gpus_per_rank,
             gpu_affinity: self.gpu_affinity,
             gpu_eviction: self.gpu_eviction,
-            gpu_async_h2d: self.gpu_async_h2d,
             aggregate_level_windows: self.aggregate,
             regrid_interval: (self.regrid_interval > 0).then_some(self.regrid_interval),
             regrid_policy: self.regrid_policy,
@@ -563,9 +562,12 @@ mod tests {
 
     #[test]
     fn unknown_key_rejected_with_line() {
-        let err = RunConfig::parse("nrayz = 8").unwrap_err();
-        assert_eq!(err.line, 1);
-        assert!(err.message.contains("unknown key"));
+        // A retired key (`gpu_h2d`) is an unknown key like any other.
+        for (text, line) in [("nrayz = 8", 1), ("nrays = 8\ngpu_h2d = async", 2)] {
+            let err = RunConfig::parse(text).unwrap_err();
+            assert_eq!(err.line, line, "{text}");
+            assert!(err.message.contains("unknown key"), "{text}: {err}");
+        }
     }
 
     #[test]
@@ -687,6 +689,7 @@ mod tests {
             "refinement_ratio = 100000\nlevels = 4",
             "halo = -1",
             "timesteps = 0",
+            "fine_cells = 16\npatch_size = 2\nlevels = 2\nrefinement_ratio = 4",
         ] {
             let err = RunConfig::parse(text).expect_err(text);
             assert_eq!(err.line, 0, "{text}: a validation error, not a syntax error");

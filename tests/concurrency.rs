@@ -608,119 +608,3 @@ fn lru_eviction_racing_regrid_no_stale_serves_no_leaks() {
     assert_eq!(dw.spill_entries(), 0);
     device.validate_allocator().unwrap();
 }
-
-/// H2D prefetch racing regrid + LRU eviction/spill: worker threads post
-/// async uploads, materialize them through `get_patch`, and prefetch
-/// level replicas against an oversubscribed two-device fleet (room for
-/// ~6 patches per device, 12 in play) while a regrid thread repeatedly
-/// invalidates — sometimes the whole fleet, sometimes one device.
-/// Invariants under the race: no stale serves (every successful get
-/// returns the patch's one true value), in-flight uploads for evicted or
-/// invalidated entries are canceled rather than installed, and after the
-/// storm the fleet drains to zero resident bytes with zero
-/// `release_underflows`, idle copy engines in both directions, and the
-/// sub-allocator's free list intact on every device.
-#[test]
-fn h2d_prefetch_racing_regrid_and_eviction_drains_clean() {
-    use uintah::gpu::GpuDataWarehouse;
-    let patch_bytes = 8usize.pow(3) * 8;
-    let fleet = DeviceFleet::with_capacity(2, "oversub-h2d", 6 * patch_bytes + 256);
-    let dw = Arc::new(GpuDataWarehouse::with_fleet_full(fleet, true, true, true, true));
-    let level_host = FieldData::F64(CcVariable::filled(Region::cube(8), 1.0));
-    std::thread::scope(|s| {
-        for t in 0..4usize {
-            let dw = Arc::clone(&dw);
-            let level_host = level_host.clone();
-            s.spawn(move || {
-                for i in 0..300usize {
-                    let p = uintah_grid::PatchId(((i * 7 + t * 3) % 12) as u32);
-                    let want = p.0 as f64;
-                    // Post the upload and let a later consumer materialize
-                    // it; the handle itself pins nothing.
-                    let data = FieldData::F64(CcVariable::filled(Region::cube(8), want));
-                    dw.put_patch_async(DIVQ, p, &data).expect("a victim always exists");
-                    // A get may miss (a regrid canceled the post), but a
-                    // hit — materialized, resident, or re-uploaded from
-                    // spill — must carry the patch's one true value.
-                    if let Some(v) = dw.get_patch(DIVQ, p) {
-                        assert_eq!(v.data().as_f64().as_slice()[0], want, "stale serve");
-                    }
-                    if i % 31 == 0 {
-                        dw.drop_patch(DIVQ, p);
-                    }
-                    // Probe a patch this iteration did NOT put: often
-                    // evicted or mid-upload, so this exercises the
-                    // materialize-and-install and re-upload paths.
-                    let q = uintah_grid::PatchId(((i * 5 + t) % 12) as u32);
-                    if let Some(v) = dw.get_patch(DIVQ, q) {
-                        assert_eq!(v.data().as_f64().as_slice()[0], q.0 as f64, "stale serve");
-                    }
-                    // Level-replica prefetch racing the same allocator and
-                    // the regrid thread's cancellations.
-                    if i % 16 == 0 {
-                        dw.prefetch_level_on(t % 2, ABSKG, 0, &level_host);
-                    }
-                    if i % 16 == 8 {
-                        let host = level_host.clone();
-                        if let Ok(v) = dw.ensure_level_fresh_on(t % 2, ABSKG, 0, || host) {
-                            assert_eq!(v.data().as_f64().as_slice()[0], 1.0, "stale replica");
-                        }
-                    }
-                }
-            });
-        }
-        let dw = Arc::clone(&dw);
-        s.spawn(move || {
-            for r in 0..20 {
-                if r % 3 == 0 {
-                    dw.invalidate_for_regrid_on(&[r % 2]);
-                } else {
-                    dw.invalidate_for_regrid();
-                }
-                std::thread::yield_now();
-            }
-        });
-    });
-    // Settle both copy engines, then cancel whatever posts are still
-    // parked: the fleet must return to exactly zero.
-    dw.sync_h2d_all();
-    dw.sync_d2h_all();
-    dw.clear_patch_db();
-    dw.clear_level_db();
-    assert_eq!(dw.pending_uploads(), 0, "no posts left parked");
-    assert_eq!(dw.spill_entries(), 0);
-    let counters = dw.counters_per_device();
-    assert!(
-        counters.iter().map(|c| c.evictions).sum::<u64>() > 0,
-        "the storm must actually oversubscribe"
-    );
-    for (d, c) in counters.iter().enumerate() {
-        assert_eq!(c.release_underflows, 0, "device {d}: meter drift");
-        assert_eq!(c.h2d_inflight, 0, "device {d}: upload engine left in flight");
-        assert_eq!(c.d2h_inflight, 0, "device {d}: drain engine left in flight");
-        assert_eq!(dw.device_at(d).used(), 0, "device {d} leaked bytes");
-        dw.device_at(d).validate_allocator().expect("free list coherent after the storm");
-    }
-
-    // The deterministic cancel-not-install tail: a post superseded by a
-    // fresh write must never surface, and a post canceled by a regrid
-    // must neither serve nor leak.
-    let dw = GpuDataWarehouse::with_fleet_full(DeviceFleet::k20x(1), true, true, true, true);
-    let p = uintah_grid::PatchId(0);
-    let old = FieldData::F64(CcVariable::filled(Region::cube(8), 1.0));
-    let pending = dw.put_patch_async(DIVQ, p, &old).unwrap();
-    dw.put_patch(DIVQ, p, FieldData::F64(CcVariable::filled(Region::cube(8), 2.0))).unwrap();
-    let v = dw.get_patch(DIVQ, p).expect("superseding write resident");
-    assert_eq!(v.data().as_f64().as_slice()[0], 2.0, "superseded post must not install");
-    drop((v, pending));
-    let pending = dw.put_patch_async(DIVQ, p, &old).unwrap();
-    drop(pending);
-    dw.invalidate_for_regrid();
-    assert!(dw.get_patch(DIVQ, p).is_none(), "canceled post must not serve");
-    assert_eq!(dw.pending_uploads(), 0);
-    dw.clear_patch_db();
-    dw.clear_level_db();
-    assert_eq!(dw.device().used(), 0, "canceled post leaked device bytes");
-    assert_eq!(dw.device().counters().release_underflows, 0);
-    dw.device().validate_allocator().unwrap();
-}

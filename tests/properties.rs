@@ -399,9 +399,12 @@ proptest! {
     ) {
         let bit = |i: u32| bits >> i & 1 == 1;
         let pick = |i: u32| (bits >> i) as usize % 3;
+        // Restriction windows tile every coarser level only when the
+        // patch size is a multiple of the cumulative ratio.
+        let patch_size = patch_size * refinement_ratio.pow(levels as u32 - 1);
         let cfg = RunConfig {
             problem: uintah::config::Problem::Benchmark,
-            fine_cells: patch_size * refinement_ratio.pow(levels as u32 - 1) * coarse,
+            fine_cells: patch_size * coarse,
             patch_size,
             levels,
             refinement_ratio,
@@ -416,7 +419,6 @@ proptest! {
             gpu_affinity: if bit(1) { GpuAffinity::CostBalanced } else { GpuAffinity::Sticky },
             gpu_capacity_mb,
             gpu_eviction: bit(2),
-            gpu_async_h2d: bit(3),
             timesteps,
             sampling: [RaySampling::Independent, RaySampling::LatinHypercube][bit(4) as usize],
             adaptive_rays: bit(5),
@@ -585,5 +587,5 @@ fn printed_default_config_parses_to_the_defaults() {
     for key in uintah::config::KEYS {
         assert!(text.contains(&format!("{} = ", key.name)), "'{}' missing:\n{text}", key.name);
     }
-    assert_eq!(uintah::config::KEYS.len(), 28);
+    assert_eq!(uintah::config::KEYS.len(), 27);
 }

@@ -330,14 +330,12 @@ fn admission_queues_oversubscribed_jobs_and_rejects_impossible_ones() {
     }
 }
 
-/// Warm-slot reuse with the async upload pipeline on (the default): a
-/// second same-shape GPU tenant recycles the first tenant's slot, still
-/// inherits its device-resident level replicas (posted cross-step
-/// prefetches must not break the inheritance accounting), and its divQ
-/// stays bit-identical both to a solo run and to the synchronous-upload
-/// fallback. After drain + shutdown the shared fleet reads exactly zero.
+/// Warm-slot reuse: a second same-shape GPU tenant recycles the first
+/// tenant's slot, inherits its device-resident level replicas, and its
+/// divQ stays bit-identical to a solo run. After drain + shutdown the
+/// shared fleet reads exactly zero.
 #[test]
-fn warm_slot_with_h2d_prefetch_inherits_replicas_bit_identical() {
+fn warm_slot_inherits_replicas_bit_identical() {
     let gcfg = RunConfig {
         fine_cells: 16,
         patch_size: 4,
@@ -350,7 +348,6 @@ fn warm_slot_with_h2d_prefetch_inherits_replicas_bit_identical() {
         timesteps: 2,
         ..RunConfig::default()
     };
-    assert!(gcfg.gpu_async_h2d, "async uploads are the default");
     let baseline = solo_divq(&gcfg);
 
     let server = RadiationServer::start(ServeConfig {
@@ -365,42 +362,19 @@ fn warm_slot_with_h2d_prefetch_inherits_replicas_bit_identical() {
 
     // The warm tenant lands on the same slot and inherits the level
     // replicas the cold tenant left device-resident — end-of-job hygiene
-    // drains the upload engine but keeps the replicas (and any posted
-    // level prefetches, which the warm tenant verifies before serving).
-    let warm_outcome = server.submit(gcfg.clone()).unwrap().wait();
+    // drops per-patch staging but keeps the replicas.
+    let warm_outcome = server.submit(gcfg).unwrap().wait();
     let warm = warm_outcome.expect_done();
     assert!(warm.stats.slot_reused, "same shape must recycle the slot");
     assert!(
         warm.stats.level_replicas_inherited > 0,
-        "prefetch must not break replica inheritance: {:?}",
+        "warm tenant must inherit resident replicas: {:?}",
         warm.stats.level_replicas_inherited
     );
     assert_bits_equal(&warm.divq.data, &baseline, "warm tenant");
     server.drain();
     server.shutdown();
     assert_eq!(server.fleet().total_used(), 0, "fleet must drain to zero");
-
-    // The synchronous fallback serves the same bits, warm or cold.
-    let sync_cfg = RunConfig {
-        gpu_async_h2d: false,
-        ..gcfg
-    };
-    assert_bits_equal(&solo_divq(&sync_cfg), &baseline, "sync fallback solo");
-    let server = RadiationServer::start(ServeConfig {
-        workers: 1,
-        gpus: 1,
-        ..ServeConfig::default()
-    });
-    let a_outcome = server.submit(sync_cfg.clone()).unwrap().wait();
-    let a = a_outcome.expect_done();
-    let b_outcome = server.submit(sync_cfg).unwrap().wait();
-    let b = b_outcome.expect_done();
-    assert_bits_equal(&a.divq.data, &baseline, "sync fallback cold tenant");
-    assert_bits_equal(&b.divq.data, &baseline, "sync fallback warm tenant");
-    assert!(b.stats.slot_reused);
-    server.drain();
-    server.shutdown();
-    assert_eq!(server.fleet().total_used(), 0);
 }
 
 /// The high tier drains before the normal tier: with one worker pinned by
@@ -536,6 +510,9 @@ fn wire_malformed_config_is_rejected_and_connection_survives() {
         "refinement_ratio = 100000\nlevels = 4",
         "halo = -1",
         "timesteps = 0",
+        "fine_cells = 16\npatch_size = 2\nlevels = 2\nrefinement_ratio = 4",
+        // A key until the posted-upload path was retired; now unknown.
+        "gpu_h2d = async",
     ] {
         match client.submit(text) {
             Err(ClientError::Rejected {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, lint. Run before every commit.
+# Tier-1 gate: build, test, lint, four contract gates. Run before every commit.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -17,11 +17,15 @@ cargo check --offline --manifest-path perf_report/Cargo.toml
 # prints must parse, build, run and report divQ.
 cargo run --release -q --bin rmcrt_app -- --print-default-config > target/default.cfg
 cargo run --release -q --bin rmcrt_app -- target/default.cfg
-# E12 scaling-campaign regression gate: calibrate from a real executor
-# run, sweep the LARGE 16³-patch curve, compare Eq.-3 efficiencies against
-# the checked-in BENCH_scaling.json (tolerance in rmcrt_bench::campaign)
-# and enforce the paper-shape floors (eff 16→2048 ≥ 0.90, knee > 8192).
-# Regenerate after intentional model changes with:
+# E12 scaling-campaign regression gate, LARGE 16³-patch curve, two halves.
+# Model-limited: calibrated from the checked-in CALIBRATION.snapshot, the
+# Eq.-3 efficiencies must match the checked-in BENCH_scaling.json
+# (tolerance in rmcrt_bench::campaign) — deterministic, red only when
+# titan-sim / campaign code changes. Host-limited: calibrated from a real
+# executor run on this host, held to the paper-shape floors only (eff
+# 16→2048 ≥ 0.90, knee > 8192), because a busy host moves the measured
+# message cost severalfold. Regenerate both files from a live run after
+# intentional model changes with:
 #   cargo run --release -p rmcrt-bench --bin scaling_gate -- --update
 cargo run --release -q -p rmcrt-bench --bin scaling_gate
 # Packet ray-march regression gate: scalar-vs-packet bit-identity on two
@@ -38,16 +42,6 @@ cargo run --release -q -p rmcrt-bench --bin ray_march_gate
 # <= 8x, and zero meter drift at exit (allocator invariants, used ==
 # DB-resident, no stranded spill, DBs clear to 0 B).
 cargo run --release -q -p rmcrt-bench --bin oversub_gate
-# E16 async H2D upload-pipeline gate: the pipeline's upload pattern
-# (step-close posts of level revalidations, superseding patch uploads
-# and spill re-uploads consumed at the next step open) must take >= 10x
-# less critical-path stall with the engine on than the synchronous
-# fallback, hide >= 1/8 of the sync stall as measured overlap (exactly
-# zero overlap in sync mode), serve bit-identical bytes in both modes,
-# and keep divQ bit-identical across 1/2/3/7 threads x 1/2/4/6 devices
-# x both gpu_async_h2d modes plus an oversubscribed regrid-raced pair,
-# with zero meter drift after every drain.
-cargo run --release -q -p rmcrt-bench --bin h2d_overlap_gate
 # E15 serving gate: a mixed 4-tenant stream on a warm server must beat
 # the cold one-world-per-job serial workflow (floor 0.75 x min(tenants,
 # cores), i.e. the 3x service floor at >= 4 cores, never below 1x), with
