@@ -17,13 +17,26 @@
 //!   while reproducing the region-mean divQ within `MAX_ADAPTIVE_MEAN_REL`
 //!   on measurably fewer rays.
 //!
-//! On top of those absolute checks, packet throughput (cells/s) must stay
-//! within `REGRESSION_TOLERANCE` of the checked-in `BENCH_ray_march.json`,
-//! and — a check relative to this host alone — marching the B&C rays as
-//! packets (`PacketTracer::trace`, interleaved lanes) must not be slower
+//! On top of those floors sits the regression check against the checked-in
+//! `BENCH_ray_march.json`, in two halves as `scaling_gate` has them:
+//!
+//! * **host-limited** — packet throughput in cells/s. It moves with the
+//!   host (this one has a slow state that reads 27–39 k cells/s where the
+//!   file says 52.9 k, on untouched code), so it is printed beside the
+//!   checked-in figure, not compared.
+//! * **model-limited** — the packet-vs-scalar *speedup* of each workload.
+//!   The frozen scalar marcher runs in the same `time_pair` on the same
+//!   host, so the ratio cancels the host's speed and moves only when the
+//!   engine does: it must stay within `REGRESSION_TOLERANCE` of the
+//!   checked-in pair's ratio.
+//!
+//! Two more checks are relative to this host alone: marching the B&C rays
+//! as packets (`PacketTracer::trace`, interleaved lanes) must not be slower
 //! than looping `PacketTracer::trace_one` (the same engine, one lane) over
-//! them. Each workload's line also reports cell steps per ray and the time
-//! per cell step from the engine's own `MarchStats`.
+//! them; and the same rays traced with a threshold above 1 end on their
+//! first cell step, which prices a ray's launch in cell-step equivalents
+//! (printed). Each workload's line also reports cell steps per ray and the
+//! time per cell step from the engine's own `MarchStats`.
 //!
 //! ```text
 //! cargo run -p rmcrt-bench --release --bin ray_march_gate            # check
@@ -31,7 +44,7 @@
 //! ```
 
 use rmcrt_bench::campaign::json::{self, Json};
-use rmcrt_bench::{gate, median_time, scalar_march, secs};
+use rmcrt_bench::{gate, scalar_march, secs};
 use rmcrt_core::props::{LevelProps, WALL_CELL};
 use rmcrt_core::solver::{RayCountMode, RmcrtParams};
 use rmcrt_core::trace::{TraceLevel, TraceOptions};
@@ -40,14 +53,14 @@ use rmcrt_core::{
     RayPacket,
 };
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use uintah::prelude::ExecSpace;
 use uintah_grid::{Region, Vector};
 
-/// Fixed-mode floor: overhead elimination plus interleaved lanes, under
-/// the bit-identity contract (measured ~1.55x on this workload; floor
-/// leaves noise room).
-const MIN_FIXED_SPEEDUP: f64 = 1.3;
+/// Fixed-mode floor: overhead elimination, interleaved lanes and the
+/// branch-free launch, under the bit-identity contract (measured
+/// 1.66–1.72x on this workload; the floor is 0.86 x the lowest).
+const MIN_FIXED_SPEEDUP: f64 = 1.4;
 /// `trace` (interleaved lanes) over `trace_one` (one lane) on the same
 /// rays: never slower (measured ~1.2x).
 const MIN_LANE_SPEEDUP: f64 = 1.0;
@@ -59,16 +72,16 @@ const MAX_ADAPTIVE_MEAN_REL: f64 = 0.01;
 /// "Measurably fewer rays": adaptive must spend at most this fraction of
 /// the fixed budget (measured ~0.42 on the thick workload).
 const MAX_ADAPTIVE_RAY_FRACTION: f64 = 0.75;
-/// Allowed shortfall vs the checked-in packet throughput (wall-clock noise
-/// on shared CI hosts is well under this).
+/// Allowed shortfall of a packet-vs-scalar speedup against the checked-in
+/// pair's (both sides of the ratio are timed back to back on this host).
 const REGRESSION_TOLERANCE: f64 = 0.10;
 
 const N: i32 = 16;
 const NRAYS: u32 = 100;
-const REPS: usize = 5;
+const REPS: usize = 9;
 
-/// `throughput_per_sec` of benchmark `id` in the checked-in report.
-fn baseline_throughput(report: &Json, id: &str) -> Result<f64, String> {
+/// Field `key` of benchmark `id` in the checked-in report.
+fn baseline(report: &Json, id: &str, key: &str) -> Result<f64, String> {
     let root = report.as_object().ok_or("report is not an object")?;
     let entries = json::get(root, "benchmarks")?
         .as_array()
@@ -78,7 +91,7 @@ fn baseline_throughput(report: &Json, id: &str) -> Result<f64, String> {
         .filter_map(Json::as_object)
         .find(|e| e.get("id").and_then(Json::as_str) == Some(id))
         .ok_or_else(|| format!("no {id} entry"))?;
-    json::get_f64(entry, "throughput_per_sec")
+    json::get_f64(entry, key)
 }
 
 fn checksum(v: &[f64]) -> u64 {
@@ -123,19 +136,20 @@ fn per_step(march: &MarchStats, packet_ms: f64) -> String {
     )
 }
 
-/// Interleaved lanes against one lane on this host: every 8th cell of the
-/// region, `NRAYS` rays each, marched once as packets and once ray by ray
-/// through `trace_one`. Returns `(one-lane time / packet time, same bits)`.
-fn lane_speedup(stack: &[TraceLevel<'_>], region: Region, threshold: f64) -> (f64, bool) {
-    let tracer = PacketTracer::new(
+fn tracer_at<'a>(stack: &'a [TraceLevel<'a>], threshold: f64) -> PacketTracer<'a> {
+    PacketTracer::new(
         stack,
         TraceOptions {
             threshold,
             max_reflections: 0,
         },
-    );
-    let fine = tracer.fine_props();
-    let fresh: Vec<RayPacket> = (0..region.volume())
+    )
+}
+
+/// Every 8th cell of the region, `NRAYS` rays each, drawn as the solver
+/// draws them.
+fn fresh_packets(fine: &LevelProps, region: Region) -> Vec<RayPacket> {
+    (0..region.volume())
         .step_by(8)
         .map(|i| {
             let cell = region.from_linear(i);
@@ -147,20 +161,54 @@ fn lane_speedup(stack: &[TraceLevel<'_>], region: Region, threshold: f64) -> (f6
             }
             packet
         })
-        .collect();
-    let mut packet_bits = 0u64;
-    let packet_t = median_time(REPS, || {
-        let mut packets = fresh.clone();
+        .collect()
+}
+
+/// Seconds of the fastest of `REPS` runs of `f`: interference on a shared
+/// host only ever adds time, so the fastest run is the least disturbed.
+fn best_of_reps(mut f: impl FnMut() -> Duration) -> f64 {
+    (0..REPS).map(|_| secs(f())).fold(f64::INFINITY, f64::min)
+}
+
+/// March copies of `fresh` as packets (best of `REPS`): seconds, the
+/// checksum of every `sum_i`, and the march counters.
+fn time_packets(tracer: &PacketTracer<'_>, fresh: &[RayPacket]) -> (f64, u64, MarchStats) {
+    let mut bits = 0u64;
+    let mut march = MarchStats::default();
+    let s = best_of_reps(|| {
+        let mut packets = fresh.to_vec();
+        march = MarchStats::default();
         let t = Instant::now();
         for packet in &mut packets {
-            tracer.trace(packet);
+            march += tracer.trace(packet);
         }
         let elapsed = t.elapsed();
-        packet_bits = packets.iter().map(|p| checksum(&p.sum_i)).fold(0, u64::wrapping_add);
+        bits = packets.iter().map(|p| checksum(&p.sum_i)).fold(0, u64::wrapping_add);
         elapsed
     });
+    (s, bits, march)
+}
+
+/// What the B&C rays say about the engine on this host alone.
+struct RayProbe {
+    /// One-lane time / interleaved-lane time on the same rays.
+    lane_ratio: f64,
+    lane_bits_match: bool,
+    /// A ray that ends on its first cell step: launch + one step + retire.
+    launch_ns: f64,
+    /// A cell step beyond the first.
+    step_ns: f64,
+}
+
+/// Interleaved lanes against one lane, and launch against step: the probe
+/// rays marched as packets, ray by ray through `trace_one`, and once more
+/// with a threshold above 1, which ends every ray on its first step.
+fn probe_rays(stack: &[TraceLevel<'_>], region: Region, threshold: f64) -> RayProbe {
+    let tracer = tracer_at(stack, threshold);
+    let fresh = fresh_packets(tracer.fine_props(), region);
+    let (packet_s, packet_bits, march) = time_packets(&tracer, &fresh);
     let mut one_bits = 0u64;
-    let one_t = median_time(REPS, || {
+    let one_s = best_of_reps(|| {
         let t = Instant::now();
         one_bits = 0;
         for packet in &fresh {
@@ -171,31 +219,42 @@ fn lane_speedup(stack: &[TraceLevel<'_>], region: Region, threshold: f64) -> (f6
         }
         t.elapsed()
     });
-    (secs(one_t) / secs(packet_t), packet_bits == one_bits)
+    let (first_s, _, first) = time_packets(&tracer_at(stack, 2.0), &fresh);
+    assert_eq!(first.cell_steps, first.rays, "threshold 2 must end every ray on its first step");
+    RayProbe {
+        lane_ratio: one_s / packet_s,
+        lane_bits_match: packet_bits == one_bits,
+        launch_ns: first_s * 1e9 / first.rays as f64,
+        step_ns: (packet_s - first_s) * 1e9 / (march.cell_steps - march.rays) as f64,
+    }
 }
 
-/// Time one workload with both engines (median of `REPS`); `packet`
-/// closures let the caller pick fixed or adaptive mode for the live side.
+/// Time one workload with both engines: the best of `REPS` runs each, the
+/// two engines taking turns. A slow spell of the host lasts longer than one
+/// solve, so the fastest runs of the two sides are equally undisturbed and
+/// their ratio repeats to a few percent where the ratio of medians swings
+/// by 30 %. `packet` closures let the caller pick fixed or adaptive mode
+/// for the live side.
 fn time_pair(
     scalar: impl Fn() -> uintah_grid::CcVariable<f64>,
     packet: impl Fn() -> uintah_grid::CcVariable<f64>,
     cells: f64,
 ) -> Measured {
-    let scalar_t = median_time(REPS, || {
+    let time = |solve: &dyn Fn() -> uintah_grid::CcVariable<f64>| {
         let t = Instant::now();
-        std::hint::black_box(scalar());
-        t.elapsed()
-    });
-    let packet_t = median_time(REPS, || {
-        let t = Instant::now();
-        std::hint::black_box(packet());
-        t.elapsed()
-    });
+        std::hint::black_box(solve());
+        secs(t.elapsed())
+    };
+    let (mut scalar_s, mut packet_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPS {
+        scalar_s = scalar_s.min(time(&scalar));
+        packet_s = packet_s.min(time(&packet));
+    }
     Measured {
-        scalar_ms: secs(scalar_t) * 1e3,
-        packet_ms: secs(packet_t) * 1e3,
-        scalar_cps: cells / secs(scalar_t),
-        packet_cps: cells / secs(packet_t),
+        scalar_ms: scalar_s * 1e3,
+        packet_ms: packet_s * 1e3,
+        scalar_cps: cells / scalar_s,
+        packet_cps: cells / packet_s,
     }
 }
 
@@ -238,8 +297,17 @@ fn main() -> ExitCode {
         fixed.packet_ms,
         per_step(&bc_march, fixed.packet_ms)
     );
-    let (lane_ratio, lane_bits_match) = lane_speedup(&bc_stack, bc_region, bc_params.threshold);
+    let RayProbe {
+        lane_ratio,
+        lane_bits_match,
+        launch_ns,
+        step_ns,
+    } = probe_rays(&bc_stack, bc_region, bc_params.threshold);
     println!("16^3 B&C rays, trace vs trace_one:  interleaved lanes {lane_ratio:.2}x one lane");
+    println!(
+        "16^3 B&C rays, launch vs step:      {launch_ns:.1} ns/ray to launch, take one step and retire = {:.1} cell steps of {step_ns:.1} ns",
+        launch_ns / step_ns
+    );
     if !lane_bits_match {
         violations.push("B&C: trace and trace_one disagree bitwise on the same rays".to_string());
     }
@@ -303,7 +371,7 @@ fn main() -> ExitCode {
 
     if gate::update_requested() {
         let json = format!(
-            "{{\n  \"group\": \"ray_march\",\n  \"note\": \"Serial full-region solves, 16^3, median of {REPS}; throughput is cells/s. scalar_* = frozen pre-packet per-ray DDA (crates/bench/src/scalar_march.rs). packet_16cube_100rays is bit-identical to its scalar twin (fixed mode, B&C, 100 rays/cell, threshold 1e-5): the speedup is engine-overhead elimination plus interleaved march lanes under the pinned-FP contract. packet_16cube_thick_adaptive is the packet path on the optically-thick enclosure (kappa=8, hot walls, threshold 0.05) with adaptive ray counts 16..100 at rel_var_target 0.05 vs the 100-rays/cell scalar baseline; it must stay >= {MIN_ADAPTIVE_SPEEDUP}x scalar with region-mean divQ within {:.0}%. Gate: bit-identity on both workloads, fixed >= {MIN_FIXED_SPEEDUP}x, adaptive >= {MIN_ADAPTIVE_SPEEDUP}x, trace >= {MIN_LANE_SPEEDUP}x trace_one, packet entries within {REGRESSION_TOLERANCE} of this file.\",\n  \"benchmarks\": [\n    {{ \"id\": \"scalar_16cube_100rays\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"packet_16cube_100rays\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"scalar_16cube_thick_100rays\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"packet_16cube_thick_adaptive\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1}, \"rays_per_cell\": {rays_per_cell:.1} }}\n  ]\n}}\n",
+            "{{\n  \"group\": \"ray_march\",\n  \"note\": \"Serial full-region solves, 16^3, best of {REPS} (scalar and packet taking turns); throughput is cells/s. scalar_* = frozen pre-packet per-ray DDA (crates/bench/src/scalar_march.rs). packet_16cube_100rays is bit-identical to its scalar twin (fixed mode, B&C, 100 rays/cell, threshold 1e-5): the speedup is engine-overhead elimination plus interleaved march lanes under the pinned-FP contract. packet_16cube_thick_adaptive is the packet path on the optically-thick enclosure (kappa=8, hot walls, threshold 0.05) with adaptive ray counts 16..100 at rel_var_target 0.05 vs the 100-rays/cell scalar baseline; it must stay >= {MIN_ADAPTIVE_SPEEDUP}x scalar with region-mean divQ within {:.0}%. Gate: bit-identity on both workloads, fixed >= {MIN_FIXED_SPEEDUP}x, adaptive >= {MIN_ADAPTIVE_SPEEDUP}x, trace >= {MIN_LANE_SPEEDUP}x trace_one, and each packet-vs-scalar speedup (scalar best_ns / packet best_ns, model-limited) no more than {REGRESSION_TOLERANCE} below this file's; throughput is host-limited and only printed.\",\n  \"benchmarks\": [\n    {{ \"id\": \"scalar_16cube_100rays\", \"best_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"packet_16cube_100rays\", \"best_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"scalar_16cube_thick_100rays\", \"best_ns\": {:.1}, \"throughput_per_sec\": {:.1} }},\n    {{ \"id\": \"packet_16cube_thick_adaptive\", \"best_ns\": {:.1}, \"throughput_per_sec\": {:.1}, \"rays_per_cell\": {rays_per_cell:.1} }}\n  ]\n}}\n",
             MAX_ADAPTIVE_MEAN_REL * 100.0,
             fixed.scalar_ms * 1e6,
             fixed.scalar_cps,
@@ -338,16 +406,27 @@ fn main() -> ExitCode {
     match report {
         Err(e) => violations.push(format!("BENCH_ray_march.json: {e}")),
         Ok(report) => {
-            for (id, measured) in [
-                ("packet_16cube_100rays", fixed.packet_cps),
-                ("packet_16cube_thick_adaptive", adaptive.packet_cps),
+            for (scalar_id, packet_id, speedup, cps) in [
+                ("scalar_16cube_100rays", "packet_16cube_100rays", fixed_speedup, fixed.packet_cps),
+                (
+                    "scalar_16cube_thick_100rays",
+                    "packet_16cube_thick_adaptive",
+                    adaptive_speedup,
+                    adaptive.packet_cps,
+                ),
             ] {
-                match baseline_throughput(&report, id) {
+                let checked_in = baseline(&report, scalar_id, "best_ns").and_then(|scalar_ns| {
+                    let packet_ns = baseline(&report, packet_id, "best_ns")?;
+                    Ok((scalar_ns / packet_ns, baseline(&report, packet_id, "throughput_per_sec")?))
+                });
+                match checked_in {
                     Err(e) => violations.push(format!("BENCH_ray_march.json: {e}")),
-                    Ok(baseline) => {
-                        if measured < baseline * (1.0 - REGRESSION_TOLERANCE) {
+                    Ok((base_speedup, base_cps)) => {
+                        println!("{packet_id} [host-limited]:  {cps:.0} cells/s (checked-in {base_cps:.0}; printed, not compared)");
+                        println!("{packet_id} [model-limited]: {speedup:.2}x the frozen scalar (checked-in {base_speedup:.2}x)");
+                        if speedup < base_speedup * (1.0 - REGRESSION_TOLERANCE) {
                             violations.push(format!(
-                                "{id} throughput {measured:.0} cells/s regressed more than {:.0}% below the checked-in {baseline:.0} cells/s",
+                                "{packet_id} speedup over the frozen scalar {speedup:.2}x regressed more than {:.0}% below the checked-in {base_speedup:.2}x",
                                 REGRESSION_TOLERANCE * 100.0
                             ));
                         }

@@ -18,9 +18,9 @@
 //! ## Stepping
 //!
 //! The DDA state (`side_dist`/`t_max`, `delta_dist`/`t_delta`, per SNIPPETS
-//! §1) is set up once per level segment (`SegState::new`), and the
-//! per-step work (`SegState::step`, the only copy of the loop body) is
-//! branch-light:
+//! §1) is set up once per level segment (`SegState::init`, see "Launch"),
+//! and the per-step work (`SegState::step`, the only copy of the loop
+//! body) is branch-light:
 //!
 //! * the field lookups use a *stride-stepped linear index* into the dense
 //!   per-level slices instead of re-deriving `region.linear_index(cell)`
@@ -70,6 +70,57 @@
 //! marcher, so solves in `Fixed` ray-count mode remain bit-identical across
 //! Serial/Threads/Device — the determinism contract `tests/exec_spaces.rs`
 //! pins.
+//!
+//! ## Launch
+//!
+//! Before a ray has marched anywhere it has been fetched from its packet
+//! slot (`launch`), located on a level (`place`) and given its DDA state
+//! (`SegState::init`); a ray that crosses to a coarser level or reflects
+//! pays `resolve` + `place` + `init` again. On short rays that fixed cost
+//! rivals the march (a launch, one step and the retire cost 3.2 cell steps
+//! on the `ray_march_gate` rays, 5.4 before this form), so the path is held
+//! to two rules.
+//!
+//! *Each lane field is written once, in place.* `launch` assigns `core`,
+//! `dir`, `li`, `reflections` and `ray`; `place` assigns `li` and `pos`;
+//! `init` assigns every field of the lane's `SegState`, so a lane reused
+//! from ray to ray carries nothing over (the lane-count tests run one lane
+//! over a hundred rays to show it). There is no `SegState` or `Lane` built
+//! by value and copied into the lane: a constructor returning the state in
+//! an `Option` cost a 152-byte copy per segment and the `Lane` literal a
+//! 256-byte one per ray. `init` returns `false` before writing
+//! anything when the point is outside the level's ROI — that release-mode
+//! check is what the unchecked loads of `step` rest on.
+//!
+//! *No branch on a ray's data, except "degenerate axis" and "outside the
+//! ROI".* A direction component's sign is a fair coin, so the historical
+//! `if d > 0 {..} else if d < 0 {..}` of the per-axis set-up mispredicted
+//! 1.5 times a ray. `axis_setup` instead computes `up = (d > 0) as i32` and
+//! derives the step sign, near face, exit plane and index stride from it
+//! arithmetically (its doc comment has the bit-identity argument; both
+//! divides stay divides — an `inv_d` would change march bits), and
+//! `crossed_face` picks the face of a finished step the same way. What does
+//! *not* work on baseline x86-64: selecting the near face from a two-entry
+//! array or with `hint::select_unpredictable` — both still compile to a
+//! compare-and-jump around an `addsd`.
+//!
+//! The cell of a point is found by *multiply-and-verify* (`locate`): with
+//! `q = (p − anchor)·inv_dx`, `inv_dx` the rounded reciprocal, take
+//! `trunc(q)` when `q`'s fractional part lies in `(1e-6, 1 − 1e-6)` and
+//! `q < 1e9`, else fall back to `floor_i32((p − anchor)/dx)`. Both forms
+//! round the same exact difference `x = p − anchor`; the divide returns
+//! `(x/dx)(1 + e₁)` and the product `(x/dx)(1 + e₂)(1 + e₃)` with every
+//! `|eᵢ| ≤ 2⁻⁵³`, so they differ by less than `3.4e-16·|q| < 3.4e-7`,
+//! under the margin: the divide's quotient lies strictly between the same
+//! two integers and floors to the same one. (A `dx` so large that `1/dx`
+//! is subnormal costs `e₂` two more bits — still inside the margin, and
+//! such a `q` is small.) Negative, NaN, infinite and on-face quotients
+//! fail the test and take the divide. Only the *integer* is obtained this
+//! way; nothing that feeds the march sees `inv_dx`.
+//!
+//! What remains of a ray's fixed cost is upstream of this module: drawing
+//! its direction and origin (≈ 50 ns, most of it libm's `sincos` on a
+//! uniformly random angle; DESIGN §9).
 //!
 //! ## Level transitions
 //!
@@ -125,6 +176,27 @@ fn floor_i32(x: f64) -> i32 {
     t.saturating_sub((t as f64 > x) as i32)
 }
 
+/// How far from both neighbouring integers the quotient of [`locate`] must
+/// lie for the multiplied form to be taken on trust.
+const LOCATE_MARGIN: f64 = 1e-6;
+
+/// Index of the cell of width `dx` (`inv_dx` = rounded `1/dx`) containing
+/// coordinate `p` on an axis anchored at `anchor`: the integer
+/// `floor_i32((p - anchor) / dx)` gives, without the divide for every point
+/// that is not within [`LOCATE_MARGIN`] of a face (module doc, "Launch").
+#[inline]
+fn locate(p: f64, anchor: f64, dx: f64, inv_dx: f64) -> i32 {
+    let q = (p - anchor) * inv_dx;
+    let t = q as i32;
+    let f = q - t as f64;
+    if f > LOCATE_MARGIN && f < 1.0 - LOCATE_MARGIN && q < 1e9 {
+        t
+    } else {
+        // On or near a face, negative, huge, NaN or infinite: the exact path.
+        floor_i32((p - anchor) / dx)
+    }
+}
+
 /// Interleaved per-cell march payload: one cache line serves the
 /// absorption update, emission update and wall test of a step, instead of
 /// three separate array loads.
@@ -140,6 +212,8 @@ struct CellPay {
 struct PreparedLevel<'a> {
     anchor: [f64; 3],
     dx: [f64; 3],
+    /// `1 / dx`, rounded: feeds [`locate`] only, never the march.
+    inv_dx: [f64; 3],
     /// ROI slab planes in index space (exit plane per axis and sign).
     roi_lo: [i32; 3],
     roi_hi: [i32; 3],
@@ -175,6 +249,7 @@ impl<'a> PreparedLevel<'a> {
         Self {
             anchor: [props.anchor.x, props.anchor.y, props.anchor.z],
             dx: [props.dx.x, props.dx.y, props.dx.z],
+            inv_dx: [1.0 / props.dx.x, 1.0 / props.dx.y, 1.0 / props.dx.z],
             roi_lo: [roi.lo().x, roi.lo().y, roi.lo().z],
             roi_hi: [roi.hi().x, roi.hi().y, roi.hi().z],
             reg_lo: [region.lo().x, region.lo().y, region.lo().z],
@@ -187,13 +262,13 @@ impl<'a> PreparedLevel<'a> {
     }
 
     /// Cell containing `p` — the same values as
-    /// [`LevelProps::cell_containing`], with the floor inlined.
+    /// [`LevelProps::cell_containing`], located by [`locate`].
     #[inline]
     fn cell_containing(&self, p: Point) -> [i32; 3] {
         [
-            floor_i32((p.x - self.anchor[0]) / self.dx[0]),
-            floor_i32((p.y - self.anchor[1]) / self.dx[1]),
-            floor_i32((p.z - self.anchor[2]) / self.dx[2]),
+            locate(p.x, self.anchor[0], self.dx[0], self.inv_dx[0]),
+            locate(p.y, self.anchor[1], self.dx[1], self.inv_dx[1]),
+            locate(p.z, self.anchor[2], self.dx[2], self.inv_dx[2]),
         ]
     }
 
@@ -222,13 +297,11 @@ impl<'a> PreparedLevel<'a> {
         self.anchor[axis] + (ci as f64) * self.dx[axis]
     }
 
-    /// The face a step of sign `s` along `axis` crossed to enter cell `ci`.
+    /// The face a step of sign `s` along `axis` crossed to enter cell `ci`:
+    /// its low face going up, its high face going down.
+    #[inline]
     fn crossed_face(&self, axis: usize, ci: i32, s: i32) -> f64 {
-        if s > 0 {
-            self.face_coord(axis, ci)
-        } else {
-            self.face_coord(axis, ci + 1)
-        }
+        self.face_coord(axis, ci + 1 - (s > 0) as i32)
     }
 }
 
@@ -257,8 +330,17 @@ enum SegEnd {
 }
 
 /// Per-axis DDA setup: step sign, initial `t_max`, `t_delta`, index-space
-/// exit plane and signed linear-index stride. The FP expressions are the
-/// historical scalar marcher's, verbatim (bit-identity contract).
+/// exit plane and signed linear-index stride — the historical scalar
+/// marcher's values to the bit, computed without testing the sign of `d`
+/// (a fair coin flip per axis; module doc, "Launch").
+///
+/// With `up = (d > 0) as i32`: the near face is `lo_a + dx_a·up`, and
+/// `dx_a·1.0`, `dx_a·0.0` are exact, while `lo_a = anchor + ci·dx_a` is
+/// never `-0.0` for `dx_a > 0`, so that sum is `lo_a + dx_a` / `lo_a` to
+/// the bit; IEEE division is sign-symmetric, so `dx_a / |d|` is the
+/// historical `-dx_a / d` for `d < 0`. Both divides stay divides: an
+/// `inv_d` here would change march bits. A degenerate component (zero,
+/// `-0.0`, NaN) is the one early return, and a predictable one.
 #[inline]
 fn axis_setup(
     d: f64,
@@ -269,15 +351,19 @@ fn axis_setup(
     roi_hi: i32,
     stride: isize,
 ) -> (i32, f64, f64, i32, isize) {
-    let (s, tm, td) = if d > 0.0 {
-        (1, (lo_a + dx_a - pos_a) / d, dx_a / d)
-    } else if d < 0.0 {
-        (-1, (lo_a - pos_a) / d, -dx_a / d)
-    } else {
-        (0, f64::INFINITY, f64::INFINITY)
-    };
-    let exit_plane = if s > 0 { roi_hi } else { roi_lo - 1 };
-    (s, tm, td, exit_plane, (s as isize) * stride)
+    if d == 0.0 || d.is_nan() {
+        return (0, f64::INFINITY, f64::INFINITY, roi_lo - 1, 0);
+    }
+    let up = (d > 0.0) as i32;
+    let s = 2 * up - 1;
+    let near = lo_a + dx_a * up as f64;
+    (
+        s,
+        (near - pos_a) / d,
+        dx_a / d.abs(),
+        roi_lo - 1 + up * (roi_hi - roi_lo + 1),
+        s as isize * stride,
+    )
 }
 
 /// DDA state of one ray on one level segment. Kept in small arrays indexed
@@ -286,10 +372,10 @@ fn axis_setup(
 ///
 /// Invariant (what the unchecked loads in [`SegState::step`] rely on):
 /// `idx` is the linear index into `pay` of the cell `cells`, and `cells` is
-/// inside the level's ROI ⊆ data region. [`SegState::new`] — the only
-/// constructor of a steppable state — establishes it with a release-mode
-/// check; every advance either stays inside the ROI or ends the segment.
-/// The `Default` value is an idle lane's placeholder and is never stepped.
+/// inside the level's ROI ⊆ data region. [`SegState::init`] — the only
+/// way to a steppable state — establishes it with a release-mode check;
+/// every advance either stays inside the ROI or ends the segment. The
+/// `Default` value is an idle lane's placeholder and is never stepped.
 #[derive(Default)]
 struct SegState<'t> {
     pay: &'t [CellPay],
@@ -310,28 +396,29 @@ struct SegState<'t> {
 }
 
 impl<'t> SegState<'t> {
-    /// Set up a segment starting at `pos`, or `None` when `pos` is not in
-    /// a cell of the level's ROI. `pay` is the level's payload slice (one
+    /// Set this state up, in place, for a segment starting at `pos`;
+    /// `false`, with nothing written, when `pos` is not in a cell of the
+    /// level's ROI. Every field is assigned, so a lane reused from ray to
+    /// ray carries nothing over. `pay` is the level's payload slice (one
     /// entry per cell of its data region).
-    fn new(lvl: &PreparedLevel<'_>, pay: &'t [CellPay], pos: Point, dir: Vector) -> Option<Self> {
+    #[inline]
+    fn init(&mut self, lvl: &PreparedLevel<'_>, pay: &'t [CellPay], pos: Point, dir: Vector) -> bool {
         let cur = lvl.cell_containing(pos);
         if !lvl.roi_contains(cur) {
-            return None;
+            return false;
         }
-        let mut seg = SegState {
-            pay,
-            cells: cur,
-            guard: lvl.step_bound,
-            idx: lvl.index_of(cur),
-            ..Default::default()
-        };
+        self.pay = pay;
+        self.cells = cur;
+        self.guard = lvl.step_bound;
+        self.traveled = 0.0;
+        self.idx = lvl.index_of(cur);
         for a in 0..3 {
             (
-                seg.step[a],
-                seg.t_max[a],
-                seg.t_delta[a],
-                seg.exit_plane[a],
-                seg.idx_step[a],
+                self.step[a],
+                self.t_max[a],
+                self.t_delta[a],
+                self.exit_plane[a],
+                self.idx_step[a],
             ) = axis_setup(
                 dir[a],
                 lvl.face_coord(a, cur[a]),
@@ -342,7 +429,7 @@ impl<'t> SegState<'t> {
                 lvl.stride[a],
             );
         }
-        Some(seg)
+        true
     }
 
     /// One cell step: integrate across the current cell, then advance to
@@ -374,7 +461,7 @@ impl<'t> SegState<'t> {
         // The segment just traversed lies in the current cell.
         debug_assert!(self.idx < self.pay.len());
         // SAFETY: the struct invariant — `idx` indexes the cell in
-        // `cells`, which is inside the ROI (checked by `new`; every
+        // `cells`, which is inside the ROI (checked by `init`; every
         // advance below either ends the segment at the ROI slab plane or
         // stays inside), and ROI ⊆ data region = `pay`'s extent (asserted
         // by `PacketTracer::new`).
@@ -801,21 +888,18 @@ impl<'a> PacketTracer<'a> {
                 continue;
             }
             feed.stats.rays += 1;
-            let origin = Point::new(rays.ox[i], rays.oy[i], rays.oz[i]);
-            *lane = Lane {
-                seg: SegState::default(),
-                core: RayCore {
-                    tau: 0.0,
-                    exp_prev: 1.0,
-                    sum_i: rays.sum_i[i],
-                    weight: rays.weight[i],
-                },
-                pos: origin,
-                dir: Vector::new(rays.dx[i], rays.dy[i], rays.dz[i]),
-                li: finest,
-                reflections: 0,
-                ray: i,
+            // Field by field: the segment state is `place`'s to write.
+            lane.core = RayCore {
+                tau: 0.0,
+                exp_prev: 1.0,
+                sum_i: rays.sum_i[i],
+                weight: rays.weight[i],
             };
+            lane.dir = Vector::new(rays.dx[i], rays.dy[i], rays.dz[i]);
+            lane.li = finest;
+            lane.reflections = 0;
+            lane.ray = i;
+            let origin = Point::new(rays.ox[i], rays.oy[i], rays.oz[i]);
             if self.place(lane, finest + 1, origin, &mut feed.stats) {
                 return true;
             }
@@ -921,12 +1005,11 @@ impl<'a> PacketTracer<'a> {
         stats: &mut MarchStats,
     ) -> bool {
         for li in (0..below).rev() {
-            let Some(seg) = SegState::new(&self.prepared[li], &self.pays[li], pos, lane.dir)
-            else {
+            if !lane.seg.init(&self.prepared[li], &self.pays[li], pos, lane.dir) {
                 continue;
-            };
+            }
             if li != lane.li {
-                let p = &seg.pay[seg.idx];
+                let p = &lane.seg.pay[lane.seg.idx];
                 if p.wall {
                     let st = &mut lane.core;
                     st.sum_i += st.weight * p.abskg * p.sigma * st.exp_prev;
@@ -935,7 +1018,6 @@ impl<'a> PacketTracer<'a> {
                 }
                 stats.level_crossings += 1;
             }
-            lane.seg = seg;
             lane.li = li;
             lane.pos = pos;
             return true;
@@ -1127,6 +1209,126 @@ mod tests {
         }
     }
 
+    /// The three-way sign test [`axis_setup`] replaced, verbatim.
+    fn axis_setup_historical(
+        d: f64,
+        lo_a: f64,
+        dx_a: f64,
+        pos_a: f64,
+        roi_lo: i32,
+        roi_hi: i32,
+        stride: isize,
+    ) -> (i32, f64, f64, i32, isize) {
+        let (s, tm, td) = if d > 0.0 {
+            (1, (lo_a + dx_a - pos_a) / d, dx_a / d)
+        } else if d < 0.0 {
+            (-1, (lo_a - pos_a) / d, -dx_a / d)
+        } else {
+            (0, f64::INFINITY, f64::INFINITY)
+        };
+        let exit_plane = if s > 0 { roi_hi } else { roi_lo - 1 };
+        (s, tm, td, exit_plane, (s as isize) * stride)
+    }
+
+    #[test]
+    fn axis_setup_equals_the_three_way_sign_test_bit_for_bit() {
+        let tiny = f64::from_bits(1); // smallest subnormal
+        let magnitudes = [0.0, tiny, 1e-300, 0.3, 1.0, 1e300, f64::INFINITY];
+        let dirs = magnitudes.iter().flat_map(|&m| [m, -m]).chain([f64::NAN]);
+        // (lo_a, dx_a): `lo_a` is `anchor + ci·dx_a`, never -0.0.
+        let cells = [
+            (0.0, 0.125),
+            (0.375, 0.125),
+            (-2.5, 1.0 / 3.0),
+            (7e3, 1e3),
+            (-3e-6, 1e-6),
+            (1.0 / 3.0, 1.0 / 32.0),
+        ];
+        let mut checked = 0;
+        for d in dirs {
+            for (lo_a, dx_a) in cells {
+                // Inside the cell, on either face, a nudge past each.
+                for frac in [0.0, 1e-9, 0.25, 0.5, 1.0 - 1e-9, 1.0, -1e-9, 1.0 + 1e-9] {
+                    let pos_a = lo_a + frac * dx_a;
+                    for (roi_lo, roi_hi, stride) in [(0, 16, 1), (-4, 3, 18), (5, 6, 324)] {
+                        let want = axis_setup_historical(d, lo_a, dx_a, pos_a, roi_lo, roi_hi, stride);
+                        let got = axis_setup(d, lo_a, dx_a, pos_a, roi_lo, roi_hi, stride);
+                        let case = format!("d {d:e}, lo {lo_a:e}, dx {dx_a:e}, pos {pos_a:e}");
+                        assert_eq!((got.0, got.3, got.4), (want.0, want.3, want.4), "{case}");
+                        assert_eq!(got.1.to_bits(), want.1.to_bits(), "t_max, {case}");
+                        assert_eq!(got.2.to_bits(), want.2.to_bits(), "t_delta, {case}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 15 * 6 * 8 * 3);
+    }
+
+    /// `x` moved `n` representable values up (`n < 0`: down).
+    fn ulps(x: f64, n: i64) -> f64 {
+        assert!(x.is_finite());
+        // Map the sign-magnitude bit pattern onto a monotone integer line.
+        let key = |b: i64| if b < 0 { i64::MIN - b } else { b };
+        f64::from_bits(key(key(x.to_bits() as i64) + n) as u64)
+    }
+
+    #[test]
+    fn locate_equals_the_floored_divide() {
+        assert_eq!(ulps(1.0, 1), 1.0 + f64::EPSILON);
+        assert_eq!(ulps(0.0, -1), -f64::from_bits(1));
+        assert_eq!(ulps(ulps(-0.3, 2), -2), -0.3);
+        // How many points took the multiplied form, how many the divide.
+        let (mut trusted, mut exact) = (0, 0);
+        let mut check = |p: f64, anchor: f64, dx: f64| {
+            let got = locate(p, anchor, dx, 1.0 / dx);
+            assert_eq!(got, floor_i32((p - anchor) / dx), "p {p:e}, anchor {anchor:e}, dx {dx:e}");
+            let q = (p - anchor) * (1.0 / dx);
+            let f = q - (q as i32) as f64;
+            if f > LOCATE_MARGIN && f < 1.0 - LOCATE_MARGIN && q < 1e9 {
+                trusted += 1;
+            } else {
+                exact += 1;
+            }
+        };
+        for dx in [1.0 / 3.0, 1.0 / 32.0, 1e-6, 1e3, 0.1, 7.0] {
+            for anchor in [0.0, -0.0, -1.0, 0.7, -5.0 * dx, 1e3 * dx] {
+                // Every face of an 8-cell axis (and a few below the anchor:
+                // negative quotients), to within 2 ulp either side.
+                for ci in -3..=8 {
+                    let face = anchor + ci as f64 * dx;
+                    for n in -2..=2 {
+                        check(ulps(face, n), anchor, dx);
+                    }
+                    // Cell interiors, and just inside the margin.
+                    for frac in [0.5, 0.001, 0.999, 2e-6, 1.0 - 2e-6, 0.5e-6, 1.0 - 0.5e-6] {
+                        check(face + frac * dx, anchor, dx);
+                    }
+                }
+                for p in [
+                    9.99e8 * dx,
+                    1.0001e9 * dx,
+                    2.2e9 * dx,
+                    -2.2e9 * dx,
+                    1e300,
+                    -1e300,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::NAN,
+                ] {
+                    check(p, anchor, dx);
+                }
+            }
+        }
+        // Degenerate spacings: the reciprocal overflows or loses its bits.
+        for dx in [f64::from_bits(1), 1e-310, 1.7e308, f64::INFINITY, 0.0] {
+            for p in [0.0, 0.3, -0.3, 1e-310, 1e308] {
+                check(p, 0.0, dx);
+            }
+        }
+        assert!(trusted > 1000 && exact > 1000, "both forms must be exercised: {trusted} / {exact}");
+    }
+
     /// `n` rays from `cell`, origins and directions drawn as the solver
     /// draws them.
     fn rays_from(props: &LevelProps, cell: IntVector, n: usize) -> RayPacket {
@@ -1206,6 +1408,68 @@ mod tests {
         let stats = assert_lane_invariant(&PacketTracer::new(&stack, opts), &fine, IntVector::splat(5));
         assert!(stats.level_crossings > 0 && stats.ended.left_domain > 0, "{stats:?}");
         assert_eq!(stats.segments, stats.rays + stats.level_crossings);
+    }
+
+    /// Unit-cube level of `n`³ cells whose fields vary from cell to cell:
+    /// `kappa(c)` per flow cell, emission rising with the cell index.
+    fn varied_level(n: i32, kappa: impl Fn(IntVector) -> f64) -> LevelProps {
+        let mut props = LevelProps::uniform(Region::cube(n), Vector::splat(1.0 / n as f64), 0.0, 0.0);
+        for c in props.region.cells() {
+            props.abskg[c] = kappa(c);
+            props.sigma_t4_over_pi[c] = 0.5 + 0.01 * (c.x + 2 * c.y + 3 * c.z) as f64;
+        }
+        props
+    }
+
+    #[test]
+    fn lane_count_does_not_change_results_through_an_intermediate_level() {
+        // Coarse 4³ over the whole domain, mid 8³ with ROI [1,7)³, fine 16³
+        // with ROI [5,11)³. The fine level is thick towards -x and the mid
+        // level towards -y, so rays end on all three; the coarse level's
+        // z = 3 slab is a wall that +z rays leaving the mid ROI land in.
+        let mut coarse = varied_level(4, |_| 1.0);
+        for c in coarse.region.cells().filter(|c| c.z == 3) {
+            coarse.cell_type[c] = crate::props::WALL_CELL;
+            coarse.abskg[c] = 0.9;
+        }
+        let mid = varied_level(8, |c| if c.y < 4 { 20.0 } else { 1.0 });
+        let fine = varied_level(16, |c| if c.x < 8 { 30.0 } else { 1.0 });
+        let stack = [
+            TraceLevel {
+                props: &coarse,
+                roi: coarse.region,
+            },
+            TraceLevel {
+                props: &mid,
+                roi: Region::new(IntVector::splat(1), IntVector::splat(7)),
+            },
+            TraceLevel {
+                props: &fine,
+                roi: Region::new(IntVector::splat(5), IntVector::splat(11)),
+            },
+        ];
+        let opts = TraceOptions {
+            threshold: 0.05,
+            max_reflections: 0,
+        };
+        let tracer = PacketTracer::new(&stack, opts);
+        let cell = IntVector::splat(8);
+        let stats = assert_lane_invariant(&tracer, &fine, cell);
+        assert_eq!(stats.segments, stats.rays + stats.level_crossings);
+        let e = stats.ended;
+        assert!(e.extinguished > 0 && e.wall > 0 && e.left_domain > 0, "{stats:?}");
+
+        // Ray by ray: the number of re-homings says which level a ray
+        // ended on (or left the domain from).
+        let full = rays_from(&fine, cell, 100);
+        let mut ended_on = [0; 3];
+        for i in 0..full.len() {
+            let mut one = RayPacket::default();
+            one.push(full.origin(i), full.dir(i));
+            let (_, stats) = traced::<1>(&tracer, &one);
+            ended_on[2 - stats.level_crossings as usize] += 1;
+        }
+        assert!(ended_on.iter().all(|&n| n >= 10), "rays ended per level: {ended_on:?}");
     }
 
     #[test]

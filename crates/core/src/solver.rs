@@ -9,6 +9,10 @@ use std::f64::consts::PI;
 use uintah_grid::{CcVariable, IntVector, Region};
 
 /// Per-cell ray-budget policy.
+///
+/// A budget of zero rays (`Fixed(0)`, `Adaptive { max: 0, .. }`) has no
+/// mean intensity to report: every solve entry point panics on it, naming
+/// the parameter, as `RunConfig::validate` rejects it in a config text.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RayCountMode {
     /// Exactly `n` rays per cell — the bit-identity reference mode (the
@@ -64,11 +68,21 @@ impl RmcrtParams {
         self.ray_count.unwrap_or(RayCountMode::Fixed(self.nrays))
     }
 
-    pub(crate) fn trace_options(&self) -> TraceOptions {
-        TraceOptions {
+    /// The tracer of a solve with these parameters, and the one place a
+    /// zero ray budget is rejected (see [`RayCountMode`]): once per solve,
+    /// where the tracer is prepared, not per cell.
+    pub(crate) fn tracer<'a>(&self, levels: &'a [TraceLevel<'a>]) -> PacketTracer<'a> {
+        match self.ray_count_mode() {
+            RayCountMode::Fixed(n) => assert!(n >= 1, "nrays must be >= 1, got Fixed({n})"),
+            RayCountMode::Adaptive { max, .. } => {
+                assert!(max >= 1, "rays_max must be >= 1, got Adaptive {{ max: {max}, .. }}")
+            }
+        }
+        let opts = TraceOptions {
             threshold: self.threshold,
             max_reflections: 0,
-        }
+        };
+        PacketTracer::new(levels, opts)
     }
 }
 
@@ -91,13 +105,14 @@ pub struct SolveStats {
 /// walls loses energy). Uintah's `divQ` variable stores the negated value;
 /// see EXPERIMENTS.md.
 pub fn div_q_for_cell(levels: &[TraceLevel<'_>], cell: IntVector, params: &RmcrtParams) -> f64 {
-    let tracer = PacketTracer::new(levels, params.trace_options());
-    div_q_for_cell_with(&tracer, cell, params).0
+    div_q_for_cell_with(&params.tracer(levels), cell, params).0
 }
 
 /// [`div_q_for_cell`] against a prepared [`PacketTracer`] (the per-solve
 /// hoisted form used by the `uintah-exec` dispatch paths); also returns the
-/// march counters of the cell's rays (`rays` is the budget spent).
+/// march counters of the cell's rays (`rays` is the budget spent). The ray
+/// budget must be at least one ray (see [`RayCountMode`]): the region
+/// solves check that once, where they prepare the tracer.
 pub fn div_q_for_cell_with(
     tracer: &PacketTracer<'_>,
     cell: IntVector,
@@ -188,7 +203,7 @@ fn mean_intensity_adaptive(
     max: u32,
     rel_var_target: f64,
 ) -> (f64, MarchStats) {
-    let max = max.max(1).max(min);
+    let max = max.max(min);
     let mut batch = min.clamp(1, max);
     let mut drawn = 0u32;
     let mut batch_id = 0u32;
@@ -252,7 +267,7 @@ pub fn solve_region_exec(
     params: &RmcrtParams,
     space: &uintah_exec::ExecSpace,
 ) -> CcVariable<f64> {
-    let tracer = PacketTracer::new(levels, params.trace_options());
+    let tracer = params.tracer(levels);
     uintah_exec::parallel_fill(space, region, |c| {
         div_q_for_cell_with(&tracer, c, params).0
     })
@@ -268,7 +283,7 @@ pub fn solve_region_with_stats(
     params: &RmcrtParams,
     space: &uintah_exec::ExecSpace,
 ) -> (CcVariable<f64>, SolveStats) {
-    let tracer = PacketTracer::new(levels, params.trace_options());
+    let tracer = params.tracer(levels);
     // The counters are integer sums, so the order the cells add them in
     // does not matter; summing here keeps the mapped value one `f64` a cell.
     let march = std::sync::Mutex::new(MarchStats::default());
@@ -370,6 +385,53 @@ mod tests {
         let dq = div_q_for_cell(&single(&props), IntVector::splat(n / 2), &params);
         assert!(dq > 0.0);
         assert!(dq < 4.0 * PI * 1.0);
+    }
+
+    /// A zero ray budget used to solve to a silent NaN field (`Fixed(0)`:
+    /// 0/0 in the mean) or to a one-ray answer (`Adaptive` with `max: 0`,
+    /// clamped): every solve entry now refuses both, naming the parameter.
+    #[test]
+    fn zero_ray_budget_is_refused_by_every_solve_entry() {
+        let props = LevelProps::uniform(Region::cube(4), Vector::splat(0.25), 1.0, 1.0);
+        let stack = single(&props);
+        let region = props.region;
+        let zero_budgets = [
+            (RmcrtParams { nrays: 0, ..Default::default() }, "nrays must be >= 1"),
+            (
+                RmcrtParams {
+                    ray_count: Some(RayCountMode::Adaptive { min: 0, max: 0, rel_var_target: 0.05 }),
+                    ..Default::default()
+                },
+                "rays_max must be >= 1",
+            ),
+        ];
+        for (params, want) in &zero_budgets {
+            let serial = uintah_exec::ExecSpace::Serial;
+            let entries: [(&str, &dyn Fn()); 3] = [
+                ("div_q_for_cell", &|| {
+                    div_q_for_cell(&stack, IntVector::splat(2), params);
+                }),
+                ("solve_region", &|| drop(solve_region(&stack, region, params))),
+                ("solve_region_with_stats", &|| {
+                    drop(solve_region_with_stats(&stack, region, params, &serial))
+                }),
+            ];
+            for (entry, solve) in entries {
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)).expect_err(entry);
+                let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
+                assert!(msg.contains(want), "{entry}: {msg}");
+            }
+        }
+        // One ray is a budget: finite everywhere, in both modes.
+        let one = RmcrtParams { nrays: 1, ..Default::default() };
+        assert!(solve_region(&stack, region, &one).as_slice().iter().all(|v| v.is_finite()));
+        let one = RmcrtParams {
+            ray_count: Some(RayCountMode::Adaptive { min: 0, max: 1, rel_var_target: 0.05 }),
+            ..Default::default()
+        };
+        let (out, stats) = solve_region_with_stats(&stack, region, &one, &uintah_exec::ExecSpace::Serial);
+        assert!(out.as_slice().iter().all(|v| v.is_finite()));
+        assert_eq!(stats.total_rays, stats.cells);
     }
 
     /// Transparent cells have exactly zero divergence.

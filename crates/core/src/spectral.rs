@@ -169,7 +169,7 @@ pub fn solve_region_spectral_exec(
         .iter()
         .zip(&stacks)
         .map(|((band_params, _), stack)| {
-            (band_params, PacketTracer::new(stack, band_params.trace_options()))
+            (band_params, band_params.tracer(stack))
         })
         .collect();
     uintah_exec::parallel_fill(space, region, |c| {

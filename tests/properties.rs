@@ -558,6 +558,50 @@ proptest! {
         tracer.trace(&mut packet);
         prop_assert_eq!(packet.sum_i[0].to_bits(), sum_i.to_bits());
     }
+
+    /// The branch-free launch — `axis_setup` by arithmetic on the step
+    /// sign, cell location by multiply-and-verify — against the historical
+    /// three-way sign test and floored divide, which the frozen scalar
+    /// marcher still is: on one level the two must agree to the bit for
+    /// any spacing, anchor (negative coordinates included), origin
+    /// (interior or exactly on low faces) and direction (components that
+    /// are zero, tiny or of either sign).
+    #[test]
+    fn packet_launch_is_bit_identical_to_the_scalar_marcher(
+        n in 2..10i32, dx_pick in 0..5usize,
+        ax in -40..40i32, ay in -40..40i32, az in -40..40i32,
+        cx in 0..10i32, cy in 0..10i32, cz in 0..10i32,
+        fx in 0.0..0.999f64, fy in 0.0..0.999f64, fz in 0.0..0.999f64,
+        on_face in 0..8u32,
+        dx_ in -1.0..1.0f64, dy_ in -1.0..1.0f64, dz_ in -1.0..1.0f64,
+        sx in 0..4usize, sy in 0..4usize, sz in 0..4usize,
+    ) {
+        let dx = [1.0 / 3.0, 1.0 / 32.0, 1e-6, 1e3, 0.1][dx_pick];
+        let mut props = LevelProps::uniform(Region::cube(n), Vector::splat(dx), 0.0, 0.0);
+        props.anchor = Point::new(ax as f64 * dx, ay as f64 * dx, az as f64 * dx);
+        for c in props.region.cells() {
+            props.abskg[c] = (0.2 + 0.1 * ((c.x + c.y + c.z) % 4) as f64) / dx;
+            props.sigma_t4_over_pi[c] = 0.5 + 0.01 * (c.x + 2 * c.y + 3 * c.z) as f64;
+        }
+        // An origin on a low face may round into the cell below: keep
+        // that cell inside the level (the scalar marcher does not check).
+        let place = |c: i32, f: f64, snap: bool| if snap { ((c % n).max(1) as f64, 0.0) } else { ((c % n) as f64, f) };
+        let (ix, fx) = place(cx, fx, on_face & 1 != 0);
+        let (iy, fy) = place(cy, fy, on_face & 2 != 0);
+        let (iz, fz) = place(cz, fz, on_face & 4 != 0);
+        let origin = props.anchor + Vector::new((ix + fx) * dx, (iy + fy) * dx, (iz + fz) * dx);
+        let scale = [0.0, 1e-12, 1.0, 1.0];
+        let mut d = Vector::new(dx_ * scale[sx], dy_ * scale[sy], dz_ * scale[sz]);
+        if d.length() < 1e-6 {
+            d = Vector::new(d.x, d.y, if dz_ < 0.0 { -1.0 } else { 1.0 });
+        }
+        let dir = d.normalized();
+        let stack = [TraceLevel { props: &props, roi: props.region }];
+        let packet = trace_ray(&stack, origin, dir, 1e-4);
+        let scalar = rmcrt_bench::scalar_march::trace_ray_scalar(&stack, origin, dir, 1e-4);
+        prop_assert!(scalar > 0.0, "the ray must march: {scalar}");
+        prop_assert_eq!(packet.to_bits(), scalar.to_bits(), "origin {:?} dir {:?} dx {}", origin, dir, dx);
+    }
 }
 
 /// Deterministic pseudo-random per-patch costs in [0, 10), with a sprinkle

@@ -11,6 +11,7 @@
 //! Also here: the ROI-exit nudge regression (cell spacings spanning
 //! 1e-6..1e2 m) and the fixed-vs-adaptive ray-count equivalence.
 
+use rmcrt_bench::scalar_march;
 use uintah::prelude::*;
 use uintah::rmcrt::flux::{face_incident_flux, Face, FluxParams};
 use uintah::rmcrt::radiometer::Radiometer;
@@ -336,4 +337,81 @@ fn origin_outside_the_roi_is_rehomed_or_contributes_nothing() {
         );
         assert_eq!(stats.rays, 2);
     }
+}
+
+/// Unit-cube level of `n`³ cells whose fields vary from cell to cell.
+fn varied_level(n: i32, kappa: impl Fn(IntVector) -> f64) -> LevelProps {
+    let mut props = LevelProps::uniform(Region::cube(n), Vector::splat(1.0 / n as f64), 0.0, 0.0);
+    for c in props.region.cells() {
+        props.abskg[c] = kappa(c);
+        props.sigma_t4_over_pi[c] = 0.5 + 0.01 * (c.x + 2 * c.y + 3 * c.z) as f64;
+    }
+    props
+}
+
+/// Fixed mode on a 3-level stack (coarse 4³ whole domain, mid 8³ ROI
+/// [1,7)³ ⊃ fine 16³ ROI [5,11)³; the fine level thick towards -x, the mid
+/// level towards -y, the coarse level walled at z = 3, so rays end on all
+/// three): rays are re-homed fine → mid → coarse one level at a time.
+///
+/// Two pins. Against the frozen scalar marcher: bit-identical on each level
+/// alone (the Fixed-mode contract), and equal to 1e-8 on the stack — not to
+/// the bit, on any stack of two or more levels, since the packet engine
+/// re-homes a ray on the face-snapped exit point ([`FACE_NUDGE`]·dx past
+/// the plane) where the scalar marcher advanced it 1e-10·dx along the ray.
+/// And to the bit against the engine's own 3-level answer, so a change to
+/// launch, `place` or `resolve` that moves the stream shows here.
+#[test]
+fn three_level_stack_matches_the_scalar_marcher() {
+    let mut coarse = varied_level(4, |_| 1.0);
+    for c in coarse.region.cells().filter(|c| c.z == 3) {
+        coarse.cell_type[c] = WALL_CELL;
+        coarse.abskg[c] = 0.9;
+    }
+    let mid = varied_level(8, |c| if c.y < 4 { 20.0 } else { 1.0 });
+    let fine = varied_level(16, |c| if c.x < 8 { 30.0 } else { 1.0 });
+    let stack = [
+        TraceLevel {
+            props: &coarse,
+            roi: coarse.region,
+        },
+        TraceLevel {
+            props: &mid,
+            roi: Region::new(IntVector::splat(1), IntVector::splat(7)),
+        },
+        TraceLevel {
+            props: &fine,
+            roi: Region::new(IntVector::splat(5), IntVector::splat(11)),
+        },
+    ];
+    let params = RmcrtParams {
+        nrays: 32,
+        threshold: 0.05,
+        seed: 0x3_1E7E1,
+        ..Default::default()
+    };
+    for props in [&coarse, &mid, &fine] {
+        let alone = single_stack(props);
+        let region = Region::new(IntVector::splat(1), IntVector::splat(3));
+        let packet = solve_region(&alone, region, &params);
+        let scalar = scalar_march::solve_region_scalar(&alone, region, &params);
+        for (c, &v) in packet.iter() {
+            assert_eq!(v.to_bits(), scalar[c].to_bits(), "{}³ level alone, cell {c:?}", props.region.extent().x);
+        }
+    }
+
+    let region = Region::new(IntVector::splat(7), IntVector::splat(9));
+    let (packet, stats) = solve_region_with_stats(&stack, region, &params, &ExecSpace::Serial);
+    let scalar = scalar_march::solve_region_scalar(&stack, region, &params);
+    let m = stats.march;
+    // Walls and the domain boundary are the coarse level's alone.
+    assert!(m.ended.extinguished > 0 && m.ended.wall > 0 && m.ended.left_domain > 0, "{m:?}");
+    let mut sum = 0u64;
+    for (c, &v) in packet.iter() {
+        let rel = (v - scalar[c]).abs() / scalar[c].abs();
+        assert!(rel < 1e-8, "cell {c:?}: packet {v} vs scalar {} (rel {rel:e})", scalar[c]);
+        sum = sum.wrapping_add(v.to_bits());
+    }
+    // Captured from the engine before the in-place launch (PR 18's).
+    assert_eq!(sum, 0xef8f76d531e8b5, "wrapping sum of the 3-level divQ bits");
 }
