@@ -9,8 +9,9 @@
 use crate::energy::EnergySolver;
 use rmcrt_core::labels::sigma_t4_over_pi;
 use rmcrt_core::props::{LevelProps, FLOW_CELL};
-use rmcrt_core::solver::{solve_region_threaded, RmcrtParams};
+use rmcrt_core::solver::{solve_region_exec, RmcrtParams};
 use rmcrt_core::trace::TraceLevel;
+use uintah_exec::ExecSpace;
 use uintah_grid::{CcVariable, Point, Vector};
 
 /// Recomputes `∇·q_r` from the current temperature field every
@@ -83,7 +84,7 @@ impl RadiationCoupler {
         }];
         let mut params = self.params;
         params.timestep = self.solves as u32;
-        solver.div_q = solve_region_threaded(&stack, region, &params, self.nthreads);
+        solver.div_q = solve_region_exec(&stack, region, &params, &ExecSpace::host(self.nthreads));
         self.solves += 1;
     }
 }

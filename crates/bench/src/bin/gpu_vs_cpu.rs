@@ -1,5 +1,5 @@
 //! GPU vs CPU node comparison (the "GPU speedup" the Fig. 2/3 captions
-//! refer to, and the context of the paper's predecessor [5], which scaled
+//! refer to, and the context of the paper's predecessor \[5\], which scaled
 //! the CPU implementation to 256K cores).
 //!
 //! One Titan node = 16 Opteron cores + 1 K20X. The GPU wins once patches

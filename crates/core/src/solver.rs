@@ -302,17 +302,6 @@ pub fn solve_region_with_stats(
     (out, stats)
 }
 
-/// Solve `∇·q` over `region` using `nthreads` host threads (z-slab
-/// decomposition). Deterministic: identical to [`solve_region`].
-pub fn solve_region_threaded(
-    levels: &[TraceLevel<'_>],
-    region: Region,
-    params: &RmcrtParams,
-    nthreads: usize,
-) -> CcVariable<f64> {
-    solve_region_exec(levels, region, params, &uintah_exec::ExecSpace::host(nthreads))
-}
-
 /// Build the standard 2-level trace stack for a fine patch: coarse
 /// whole-domain replica below, fine ROI (patch + halo) on top.
 pub fn two_level_stack<'a>(
@@ -483,10 +472,11 @@ mod tests {
         };
         let stack = single(&props);
         let serial = solve_region(&stack, Region::cube(n), &params);
-        let threaded = solve_region_threaded(&stack, Region::cube(n), &params, 4);
-        assert_eq!(serial, threaded);
-        // And through the Kokkos-style execution-space API.
-        for space in [uintah_exec::ExecSpace::Serial, uintah_exec::ExecSpace::Threads(3)] {
+        for space in [
+            uintah_exec::ExecSpace::Serial,
+            uintah_exec::ExecSpace::Threads(3),
+            uintah_exec::ExecSpace::host(4),
+        ] {
             assert_eq!(serial, solve_region_exec(&stack, Region::cube(n), &params, &space));
         }
     }

@@ -6,7 +6,7 @@
 //! adding a loop over wave-lengths, η, and is part of future work."
 //!
 //! This module implements that loop as a band model (the practical form of
-//! full-spectrum k-distributions like Sun & Smith's FSK, ref. [2]): the
+//! full-spectrum k-distributions like Sun & Smith's FSK, ref. \[2\]): the
 //! spectrum is split into `N` bands, each with its own absorption
 //! coefficient field and a weight `a_k` (the fraction of the Planck
 //! function in the band, Σ a_k = 1). Each band is traced independently —

@@ -141,9 +141,15 @@ fn coarse_level_props(ctx: &TaskContext, li: LevelIndex) -> LevelProps {
     }
 }
 
-/// The ray-trace body shared by the CPU and GPU task variants.
-fn trace_patch(ctx: &TaskContext, pipeline: &RmcrtPipeline, coarse_levels: &[LevelIndex]) -> CcVariable<f64> {
-    let fine = fine_roi_props(ctx, pipeline.halo);
+/// The ray-trace body shared by the CPU and GPU task variants. `fine` is
+/// the task's one [`fine_roi_props`] assembly: the GPU variant stages the
+/// same arrays onto the device before it gets here.
+fn trace_patch(
+    ctx: &TaskContext,
+    pipeline: &RmcrtPipeline,
+    coarse_levels: &[LevelIndex],
+    fine: &LevelProps,
+) -> CcVariable<f64> {
     let coarse: Vec<LevelProps> = coarse_levels.iter().map(|&li| coarse_level_props(ctx, li)).collect();
     let grid = ctx.grid();
     let fine_li = ctx.patch().level_index();
@@ -165,7 +171,7 @@ fn trace_patch(ctx: &TaskContext, pipeline: &RmcrtPipeline, coarse_levels: &[Lev
         stack.push(TraceLevel { props, roi });
     }
     stack.push(TraceLevel {
-        props: &fine,
+        props: fine,
         roi: fine.region,
     });
     // Dispatch on the scheduler-picked space: the metered Device space for
@@ -180,6 +186,7 @@ fn trace_patch(ctx: &TaskContext, pipeline: &RmcrtPipeline, coarse_levels: &[Lev
 fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, coarse_levels: Vec<LevelIndex>, gpu: bool) -> TaskDecl {
     let cl = coarse_levels.clone();
     let body: uintah_runtime::TaskFn = Arc::new(move |ctx: &mut TaskContext| {
+        let fine = fine_roi_props(ctx, pipeline.halo);
         if let (true, Some(gdw)) = (gpu, ctx.gpu()) {
             // Stage coarse replicas via the level DB (uploaded at most once
             // per level per timestep, shared by all patch tasks). The
@@ -203,7 +210,6 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, coarse_levels: Vec<L
                 }
             }
             // Stage fine ROI inputs per patch.
-            let fine = fine_roi_props(ctx, pipeline.halo);
             let pid = ctx.patch().id();
             gdw.put_patch(ABSKG, pid, FieldData::F64(fine.abskg.clone()))
                 .expect("device OOM staging abskg");
@@ -213,7 +219,7 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, coarse_levels: Vec<L
                 .expect("device OOM staging cellType");
             // Kernel: same slab-ordered math, dispatched on the Device
             // space — one metered launch per patch task.
-            let div_q = trace_patch(ctx, &pipeline, &cl);
+            let div_q = trace_patch(ctx, &pipeline, &cl, &fine);
             gdw.alloc_patch_output(DIVQ, pid, FieldData::F64(div_q))
                 .expect("device OOM for divQ");
             // Output crosses PCIe back on the D2H copy engine: the drain is
@@ -231,7 +237,7 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, coarse_levels: Vec<L
             drop(staged); // release this task's claim on the replicas
             ctx.put_pending(DIVQ, out);
         } else {
-            let div_q = trace_patch(ctx, &pipeline, &cl);
+            let div_q = trace_patch(ctx, &pipeline, &cl, &fine);
             ctx.put(DIVQ, FieldData::F64(div_q));
         }
     });

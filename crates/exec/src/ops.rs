@@ -3,7 +3,7 @@
 //! `uintah-grid` exports the pure per-cell kernels (`restrict_average_cell`
 //! & friends) plus serial reference wrappers; this module is the dispatch
 //! layer the hot paths use, running the identical kernels through
-//! [`parallel_fill`](crate::parallel_fill) on any [`ExecSpace`]. Results
+//! [`parallel_fill`] on any [`ExecSpace`]. Results
 //! are bit-identical to the serial references on every space.
 
 use crate::{parallel_fill, ExecSpace};

@@ -23,14 +23,12 @@
 pub mod arena;
 pub mod fragsim;
 pub mod pool;
-pub mod recycle;
 pub mod sizeclass;
 pub mod suballoc;
 pub mod tracker;
 
 pub use arena::{PageAllocation, PageArena, PAGE_SIZE};
 pub use pool::BlockPool;
-pub use recycle::BufferRecycler;
 pub use sizeclass::SizeClassAllocator;
 pub use suballoc::{FitPolicy, SubAllocError, SubAllocStats, SubAllocator};
 pub use tracker::{AllocCategory, AllocTracker, TrackerSnapshot};

@@ -49,18 +49,6 @@ fn read_i32(buf: &[u8], at: usize) -> i32 {
 /// Decode a payload produced by [`encode_window`] into `(region, field)`
 /// where the field covers exactly the region.
 pub fn decode_window(payload: &[u8]) -> (Region, FieldData) {
-    decode_window_with_buffers(payload, Vec::with_capacity, Vec::with_capacity)
-}
-
-/// Like [`decode_window`], but drawing destination storage from the given
-/// buffer providers (e.g. a `BufferRecycler`) instead of the heap. A
-/// provider may return a buffer of length `n` (overwritten in place) or an
-/// empty buffer with capacity `n` (filled by push).
-pub fn decode_window_with_buffers(
-    payload: &[u8],
-    f64_buf: impl FnOnce(usize) -> Vec<f64>,
-    u8_buf: impl FnOnce(usize) -> Vec<u8>,
-) -> (Region, FieldData) {
     assert!(payload.len() >= 25, "short window payload");
     let kind = payload[0];
     let lo = IntVector::new(read_i32(payload, 1), read_i32(payload, 5), read_i32(payload, 9));
@@ -71,27 +59,15 @@ pub fn decode_window_with_buffers(
     match kind {
         KIND_F64 => {
             assert_eq!(body.len(), n * 8, "f64 payload size mismatch");
-            let mut data = f64_buf(n);
-            assert!(
-                data.len() == n || data.is_empty(),
-                "f64 buffer provider returned wrong length"
-            );
-            data.clear();
-            for c in body.chunks_exact(8) {
-                data.push(f64::from_le_bytes(c.try_into().unwrap()));
-            }
+            let data = body
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+                .collect();
             (region, FieldData::F64(CcVariable::from_vec(region, data)))
         }
         KIND_U8 => {
             assert_eq!(body.len(), n, "u8 payload size mismatch");
-            let mut data = u8_buf(n);
-            assert!(
-                data.len() == n || data.is_empty(),
-                "u8 buffer provider returned wrong length"
-            );
-            data.clear();
-            data.extend_from_slice(body);
-            (region, FieldData::U8(CcVariable::from_vec(region, data)))
+            (region, FieldData::U8(CcVariable::from_vec(region, body.to_vec())))
         }
         k => panic!("unknown window kind {k}"),
     }
@@ -127,18 +103,6 @@ pub fn is_bundle(payload: &[u8]) -> bool {
 /// Decode a payload produced by [`encode_bundle`]:
 /// `(var_id, level, region, data)` per entry.
 pub fn decode_bundle(payload: &[u8]) -> Vec<(u8, u8, Region, FieldData)> {
-    decode_bundle_with_buffers(payload, Vec::with_capacity, Vec::with_capacity)
-}
-
-/// Like [`decode_bundle`], but drawing each entry's destination storage
-/// from the given buffer providers (e.g. a `BufferRecycler`) — the
-/// migration install path decodes whole-patch payloads straight into
-/// pooled storage.
-pub fn decode_bundle_with_buffers(
-    payload: &[u8],
-    mut f64_buf: impl FnMut(usize) -> Vec<f64>,
-    mut u8_buf: impl FnMut(usize) -> Vec<u8>,
-) -> Vec<(u8, u8, Region, FieldData)> {
     assert!(is_bundle(payload), "not a bundle payload");
     let count = u16::from_le_bytes(payload[1..3].try_into().unwrap()) as usize;
     let mut out = Vec::with_capacity(count);
@@ -148,8 +112,7 @@ pub fn decode_bundle_with_buffers(
         let level = payload[at + 1];
         let len = u32::from_le_bytes(payload[at + 2..at + 6].try_into().unwrap()) as usize;
         at += 6;
-        let (region, data) =
-            decode_window_with_buffers(&payload[at..at + len], &mut f64_buf, &mut u8_buf);
+        let (region, data) = decode_window(&payload[at..at + len]);
         at += len;
         out.push((var_id, level, region, data));
     }
@@ -229,26 +192,6 @@ mod tests {
         assert_eq!(entries[1].0, 3);
         assert_eq!(entries[1].1, 1);
         assert_eq!(entries[1].3.as_u8()[IntVector::ZERO], 3);
-    }
-
-    #[test]
-    fn pooled_decode_reuses_provided_storage() {
-        let mut v = CcVariable::<f64>::new(Region::cube(4));
-        v.fill_with(|c| (c.x + 2 * c.y - c.z) as f64);
-        let bytes = encode_window(&FieldData::F64(v.clone()), &Region::cube(4));
-        // A recycled buffer of the right length: reused in place.
-        let pool = vec![7.0f64; 64];
-        let ptr = pool.as_ptr();
-        let (region, data) =
-            decode_window_with_buffers(&bytes, move |n| {
-                assert_eq!(n, 64);
-                pool
-            }, |_| unreachable!("f64 payload"));
-        assert_eq!(region, Region::cube(4));
-        assert_eq!(data.as_f64().as_slice().as_ptr(), ptr, "pooled storage reused");
-        for c in region.cells() {
-            assert_eq!(data.as_f64()[c], v[c]);
-        }
     }
 
     #[test]

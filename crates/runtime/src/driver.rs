@@ -52,8 +52,8 @@ pub struct WorldConfig {
     /// Bundle all whole-level windows per (producer instance, destination
     /// rank) into one message (Uintah's rank-pair message packing).
     pub aggregate_level_windows: bool,
-    /// Persist execution state across timesteps (cached task graph, recycled
-    /// warehouse storage, device-resident level replicas) via
+    /// Persist execution state across timesteps (cached task graph,
+    /// device-resident level replicas) via
     /// [`PersistentExecutor`]. `false` rebuilds everything each step — the
     /// pre-optimization baseline, kept as the control for equivalence tests
     /// and the `timestep_loop` benchmark.

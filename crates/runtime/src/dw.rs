@@ -17,7 +17,6 @@ use std::sync::Arc;
 use std::time::Duration;
 use uintah_gpu::PendingD2H;
 use uintah_grid::{CcVariable, FieldData, Grid, LevelIndex, Patch, PatchId, Region, VarLabel};
-use uintah_mem::{AllocTracker, BufferRecycler};
 
 type PatchKey = (VarLabel, PatchId);
 type LevelKey = (VarLabel, LevelIndex);
@@ -54,10 +53,9 @@ struct Stamped {
 /// Per-rank variable store, persistent across timesteps.
 ///
 /// The warehouse itself lives for the whole simulation; per-timestep
-/// *contents* are retired at each [`DataWarehouse::begin_timestep`] into
-/// size-binned recyclers ([`BufferRecycler`], the §IV-B pooling applied to
-/// field data), so steady-state steps reuse last step's storage instead of
-/// round-tripping every field through the heap.
+/// *contents* are dropped at each [`DataWarehouse::begin_timestep`]. Field
+/// storage has one allocator, the heap ([`CcVariable::new`]); EXPERIMENTS
+/// E17 has the census that says pooling it here does not pay.
 pub struct DataWarehouse {
     grid: Arc<Grid>,
     /// Timestep epoch; bumped by [`Self::begin_timestep`].
@@ -84,18 +82,10 @@ pub struct DataWarehouse {
     accums: Mutex<HashMap<LevelKey, LevelAccum>>,
     /// Completed (sealed) whole-level replicas.
     sealed: RwLock<HashMap<LevelKey, Stamped>>,
-    tracker: AllocTracker,
-    recycle_f64: BufferRecycler<f64>,
-    recycle_u8: BufferRecycler<u8>,
 }
 
 impl DataWarehouse {
     pub fn new(grid: Arc<Grid>) -> Self {
-        Self::with_tracker(grid, AllocTracker::new())
-    }
-
-    /// Share an external tracker (per-rank accounting across subsystems).
-    pub fn with_tracker(grid: Arc<Grid>, tracker: AllocTracker) -> Self {
         Self {
             grid,
             epoch: AtomicU64::new(0),
@@ -108,9 +98,6 @@ impl DataWarehouse {
             foreign: RwLock::new(HashMap::new()),
             accums: Mutex::new(HashMap::new()),
             sealed: RwLock::new(HashMap::new()),
-            recycle_f64: BufferRecycler::new(tracker.clone()),
-            recycle_u8: BufferRecycler::new(tracker.clone()),
-            tracker,
         }
     }
 
@@ -140,81 +127,35 @@ impl DataWarehouse {
     }
 
     /// Open a new distribution generation (a regrid): pending-D2H slots
-    /// parked under the old ownership and pooled recycler buffers from
-    /// before the regrid can no longer satisfy requests — patch ids are
-    /// recycled by the regrid and no longer mean what they did. Returns
-    /// the new generation.
+    /// parked under the old ownership can no longer satisfy requests —
+    /// patch ids are recycled by the regrid and no longer mean what they
+    /// did. Returns the new generation.
     pub fn begin_regrid(&self) -> u64 {
-        let gen = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        self.recycle_f64.bump_generation();
-        self.recycle_u8.bump_generation();
-        gen
+        self.generation.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// The tracker accounting pooled field-buffer bytes.
-    pub fn field_tracker(&self) -> &AllocTracker {
-        &self.tracker
-    }
-
-    /// Allocations served from the step-boundary recyclers (vs fresh heap).
+    /// Always 0: the step-boundary recyclers are gone (EXPERIMENTS E17).
+    /// Kept only because the frozen benchmark reads it
+    /// (`perf_report/src/workloads/step.rs:264`).
     pub fn recycle_hits(&self) -> u64 {
-        self.recycle_f64.hits() + self.recycle_u8.hits()
+        0
     }
 
-    /// Allocations that fell through to the heap.
+    /// Always 0, for the same reason
+    /// (`perf_report/src/workloads/step.rs:265`).
     pub fn recycle_misses(&self) -> u64 {
-        self.recycle_f64.misses() + self.recycle_u8.misses()
+        0
     }
 
-    /// A zeroed `f64` variable over `region`, drawing storage from the
-    /// recycler when last step retired a buffer of the same size.
-    pub fn alloc_f64(&self, region: Region) -> CcVariable<f64> {
-        CcVariable::from_vec(region, self.recycle_f64.acquire(region.volume()))
-    }
-
-    pub fn alloc_u8(&self, region: Region) -> CcVariable<u8> {
-        CcVariable::from_vec(region, self.recycle_u8.acquire(region.volume()))
-    }
-
-    fn recycle_field(&self, data: FieldData) {
-        match data {
-            FieldData::F64(v) => self.recycle_f64.retire(v.into_vec()),
-            FieldData::U8(v) => self.recycle_u8.retire(v.into_vec()),
-        }
-    }
-
-    /// Open the next timestep: advance the epoch and retire last step's
-    /// contents into the recyclers. Storage whose last owner is the
-    /// warehouse is recycled; storage still shared with in-flight readers is
-    /// simply dropped (its heap allocation dies when the last reader does).
+    /// Open the next timestep: advance the epoch and drop last step's
+    /// contents. Storage still shared with an in-flight reader outlives its
+    /// map entry (its heap allocation dies when the last reader does).
     pub fn begin_timestep(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         // Any still-pending D2H handle is from a past epoch now; dropping it
         // discards the drain result without blocking (the engine finishes
         // into the void).
-        self.pending_d2h.write().clear();
-        let patch_vars: Vec<Stamped> =
-            self.patch_vars.write().drain().map(|(_, e)| e).collect();
-        for e in patch_vars {
-            if let Ok(data) = Arc::try_unwrap(e.data) {
-                self.recycle_field(data);
-            }
-        }
-        let foreign: Vec<(Region, FieldData)> =
-            self.foreign.write().drain().flat_map(|(_, w)| w).collect();
-        for (_, data) in foreign {
-            self.recycle_field(data);
-        }
-        let accums: Vec<LevelAccum> = self.accums.lock().drain().map(|(_, a)| a).collect();
-        for a in accums {
-            self.recycle_field(a.data);
-        }
-        let sealed: Vec<Stamped> = self.sealed.write().drain().map(|(_, e)| e).collect();
-        for e in sealed {
-            if let Ok(data) = Arc::try_unwrap(e.data) {
-                self.recycle_field(data);
-            }
-        }
+        self.clear();
     }
 
     fn stamped(&self, data: FieldData) -> Stamped {
@@ -353,11 +294,10 @@ impl DataWarehouse {
         patch: &Patch,
         g: i32,
         view: impl Fn(&FieldData) -> &CcVariable<T>,
-        alloc: impl FnOnce(Region) -> CcVariable<T>,
     ) -> CcVariable<T> {
         let level = self.grid.level(patch.level_index());
         let window = patch.with_ghosts(g).intersect(&level.cell_region());
-        let mut out = alloc(window);
+        let mut out = CcVariable::new(window);
         // Locally-owned patches overlapping the halo.
         {
             let vars = self.patch_vars.read();
@@ -377,25 +317,18 @@ impl DataWarehouse {
     }
 
     /// Assemble `label` over `patch + g` ghosts (clipped to the level).
-    /// The ghost-expanded window draws storage from the step recycler.
     pub fn assemble_ghosted_f64(&self, label: VarLabel, patch: &Patch, g: i32) -> CcVariable<f64> {
-        self.assemble(label, patch, g, |d| d.as_f64(), |r| self.alloc_f64(r))
+        self.assemble(label, patch, g, |d| d.as_f64())
     }
 
     pub fn assemble_ghosted_u8(&self, label: VarLabel, patch: &Patch, g: i32) -> CcVariable<u8> {
-        self.assemble(label, patch, g, |d| d.as_u8(), |r| self.alloc_u8(r))
-    }
-
-    /// Hand a transient assembled/working variable back for reuse by a
-    /// later allocation of the same size (typically next timestep's).
-    pub fn recycle(&self, data: FieldData) {
-        self.recycle_field(data);
+        self.assemble(label, patch, g, |d| d.as_u8())
     }
 
     /// Remove and return every current-epoch per-patch entry for `patch`,
     /// sorted by label id (a deterministic wire order) — the sender side of
     /// an ownership migration. Stale-epoch entries under the patch are
-    /// retired into the recyclers instead of returned.
+    /// dropped instead of returned.
     pub fn take_patch_entries(&self, patch: PatchId) -> Vec<(VarLabel, Arc<FieldData>)> {
         let now = self.epoch();
         let mut vars = self.patch_vars.write();
@@ -409,23 +342,11 @@ impl DataWarehouse {
             let e = vars.remove(&k).expect("key listed above");
             if e.epoch == now {
                 out.push((k.0, e.data));
-            } else if let Ok(data) = Arc::try_unwrap(e.data) {
-                self.recycle_field(data);
             }
         }
         drop(vars);
         out.sort_by_key(|(l, _)| l.id());
         out
-    }
-
-    /// A pooled zeroed `f64` buffer (the migration decode path reuses
-    /// recycler storage instead of allocating fresh for every payload).
-    pub(crate) fn acquire_f64(&self, len: usize) -> Vec<f64> {
-        self.recycle_f64.acquire(len)
-    }
-
-    pub(crate) fn acquire_u8(&self, len: usize) -> Vec<u8> {
-        self.recycle_u8.acquire(len)
     }
 
     /// Deposit a restriction window into the whole-level accumulator for
@@ -440,8 +361,8 @@ impl DataWarehouse {
         let mut accums = self.accums.lock();
         let accum = accums.entry((label, level)).or_insert_with(|| LevelAccum {
             data: match data {
-                FieldData::F64(_) => FieldData::F64(self.alloc_f64(level_region)),
-                FieldData::U8(_) => FieldData::U8(self.alloc_u8(level_region)),
+                FieldData::F64(_) => FieldData::F64(CcVariable::new(level_region)),
+                FieldData::U8(_) => FieldData::U8(CcVariable::new(level_region)),
             },
             filled_cells: 0,
         });
@@ -501,16 +422,13 @@ impl DataWarehouse {
         self.patch_vars.read().values().map(|e| e.data.size_bytes()).sum()
     }
 
-    /// Drop everything, including pooled recycler storage (full reset; use
-    /// [`Self::begin_timestep`] between timesteps to keep the pools warm).
+    /// Drop everything without opening a new epoch (full reset).
     pub fn clear(&self) {
         self.patch_vars.write().clear();
         self.pending_d2h.write().clear();
         self.foreign.write().clear();
         self.accums.lock().clear();
         self.sealed.write().clear();
-        self.recycle_f64.clear();
-        self.recycle_u8.clear();
     }
 }
 
@@ -658,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn begin_timestep_hides_stale_values_and_recycles_storage() {
+    fn begin_timestep_hides_stale_values() {
         let g = grid2();
         let dw = DataWarehouse::new(g.clone());
         let p = g.fine_level().patches()[0].id();
@@ -671,13 +589,30 @@ mod tests {
         assert_eq!(dw.epoch(), 1);
         assert!(dw.get_patch(KAPPA, p).is_none(), "step N-1 value must not leak");
         assert!(dw.get_sealed_level(KAPPA, 0).is_none());
+    }
 
-        // Same-size allocation in the new step reuses the retired storage.
-        let misses_before = dw.recycle_misses();
-        let v = dw.alloc_f64(Region::cube(8));
-        assert_eq!(dw.recycle_hits(), 1, "patch buffer recycled");
-        assert_eq!(dw.recycle_misses(), misses_before);
-        assert!(v.as_slice().iter().all(|&x| x == 0.0), "recycled storage zeroed");
+    #[test]
+    fn reader_holding_an_arc_across_begin_timestep_keeps_its_values() {
+        let g = grid2();
+        let dw = DataWarehouse::new(g.clone());
+        let p = g.fine_level().patches()[0].id();
+        let level_region = g.coarsest_level().cell_region();
+        dw.put_patch(KAPPA, p, FieldData::F64(CcVariable::filled(Region::cube(8), 0.5)));
+        dw.put_sealed_level(KAPPA, 0, FieldData::F64(CcVariable::filled(level_region, 2.5)));
+        let patch_n = dw.get_patch(KAPPA, p).unwrap();
+        let level_n = dw.get_sealed_level(KAPPA, 0).unwrap();
+
+        dw.begin_timestep();
+        assert!(dw.get_patch(KAPPA, p).is_none(), "step N+1 misses the same key");
+        assert!(dw.get_sealed_level(KAPPA, 0).is_none());
+        // Step N+1 publishes different values under the same keys; the
+        // reader's step-N data is its own allocation, not shared storage.
+        dw.put_patch(KAPPA, p, FieldData::F64(CcVariable::filled(Region::cube(8), 7.0)));
+        dw.put_sealed_level(KAPPA, 0, FieldData::F64(CcVariable::filled(level_region, 9.0)));
+        assert!(patch_n.as_f64().as_slice().iter().all(|&x| x == 0.5));
+        assert!(level_n.as_f64().as_slice().iter().all(|&x| x == 2.5));
+        assert_eq!(dw.get_patch(KAPPA, p).unwrap().as_f64()[IntVector::ZERO], 7.0);
+        assert_eq!(dw.stale_hits(), 0);
     }
 
     #[test]
@@ -693,25 +628,6 @@ mod tests {
         dw.put_patch(CELLTYPE, p, FieldData::U8(CcVariable::filled(Region::cube(8), 1)));
         assert!(dw.get_patch(KAPPA, p).is_none());
         assert!(dw.get_patch(CELLTYPE, p).is_some(), "current-epoch value visible");
-    }
-
-    #[test]
-    fn level_accumulator_storage_recycles_across_steps() {
-        let g = grid2();
-        let dw = DataWarehouse::new(g.clone());
-        let region = g.coarsest_level().cell_region();
-        for step in 0..3 {
-            dw.deposit_level_window(KAPPA, 0, region, &FieldData::F64(CcVariable::filled(region, 1.0)));
-            dw.seal_level(KAPPA, 0);
-            assert!(dw.get_sealed_level(KAPPA, 0).is_some());
-            dw.begin_timestep();
-            if step > 0 {
-                assert!(dw.recycle_hits() > 0, "accumulator reused after step {step}");
-            }
-        }
-        // Steady state: one miss (the first step), hits thereafter.
-        assert_eq!(dw.recycle_misses(), 1);
-        assert_eq!(dw.recycle_hits(), 2);
     }
 
     #[test]
@@ -733,7 +649,7 @@ mod tests {
     }
 
     #[test]
-    fn regrid_generation_blocks_stale_pending_slots_and_pool() {
+    fn regrid_generation_blocks_stale_pending_slots() {
         let g = grid2();
         let dw = DataWarehouse::new(g.clone());
         let p = g.fine_level().patches()[0].id();
@@ -742,8 +658,6 @@ mod tests {
         gpu.put_patch(KAPPA, p, FieldData::F64(CcVariable::filled(Region::cube(8), 0.5)))
             .unwrap();
         dw.put_patch_pending(KAPPA, p, gpu.take_patch_to_host_async(KAPPA, p).unwrap());
-        // Park a recycler buffer of the patch's size.
-        dw.recycle(FieldData::F64(CcVariable::filled(Region::cube(8), 9.0)));
         assert_eq!(dw.stale_hits(), 0);
 
         assert_eq!(dw.begin_regrid(), 1);
@@ -753,10 +667,6 @@ mod tests {
         assert!(dw.get_patch(KAPPA, p).is_none());
         assert!(dw.stale_hits() > 0, "blocked stale slot must be counted");
         assert_eq!(dw.drain_pending_d2h(), 0, "stale slot not drained as current");
-        // Pooled storage from before the regrid is not reused either.
-        let misses = dw.recycle_misses();
-        let _ = dw.alloc_f64(Region::cube(8));
-        assert_eq!(dw.recycle_misses(), misses + 1, "stale pool buffer dropped");
         gpu.sync_d2h_all();
     }
 

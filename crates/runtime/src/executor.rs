@@ -17,8 +17,8 @@
 //!   byte; a mismatch — regrid, rebalance, changed task list — recompiles.
 //!   [`PersistentExecutor::invalidate`] forces the same from outside (the
 //!   hook an AMR regrid would call);
-//! * the host [`DataWarehouse`], whose step boundary retires field storage
-//!   into recyclers instead of freeing it ([`DataWarehouse::begin_timestep`]);
+//! * the host [`DataWarehouse`], whose step boundary bumps the epoch and
+//!   drops last step's contents ([`DataWarehouse::begin_timestep`]);
 //! * the GPU warehouse, whose level database persists device-resident
 //!   coarse replicas across steps and re-uploads only changed bytes
 //!   (`GpuDataWarehouse::begin_timestep` + `ensure_level_fresh`).
@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use uintah_gpu::GpuDataWarehouse;
 use uintah_grid::{Grid, PatchDistribution, PatchId};
 
-/// Per-rank executor that persists graphs, warehouse storage and GPU
+/// Per-rank executor that persists graphs, the warehouse and GPU
 /// residency across timesteps. One instance per rank, stepped in lockstep
 /// with the other ranks of the world.
 pub struct PersistentExecutor {
@@ -105,7 +105,7 @@ impl PersistentExecutor {
     }
 
     /// Swap the task declarations (a new job on a reused executor). The
-    /// cached graph is *not* dropped: [`graph_signature`] hashes the
+    /// cached graph is *not* dropped: [`graph::graph_signature`] hashes the
     /// declarations' shape (names, levels, requirements, computes), so a
     /// job whose declarations differ only in captured parameters — ray
     /// counts, thresholds, seeds — keeps the compiled graph, while any
@@ -217,8 +217,8 @@ impl PersistentExecutor {
         if let Some(g) = &self.gpu {
             g.sync_d2h_all();
         }
-        // 2. Open the new distribution generation: pending slots and pooled
-        //    buffers from the old ownership can no longer satisfy requests.
+        // 2. Open the new distribution generation: pending slots from the
+        //    old ownership can no longer satisfy requests.
         let generation = self.dw.begin_regrid();
         // 3. Move lost patches' data to their new owners (collective).
         let labels = regrid::label_map(&self.decls);

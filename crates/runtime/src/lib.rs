@@ -21,9 +21,8 @@
 //!   (`MPI_THREAD_MULTIPLE` style) against a pluggable [`RequestStore`],
 //!   and execute out of order as dependencies resolve;
 //! * [`executor`] — the persistent timestep executor: caches the compiled
-//!   graph across timesteps (phase re-stamped at post time), retires
-//!   warehouse storage into recyclers, and keeps GPU level replicas
-//!   device-resident between steps;
+//!   graph across timesteps (phase re-stamped at post time) and keeps GPU
+//!   level replicas device-resident between steps;
 //! * [`regrid`] — ownership migration after a load-balancer regrid: lost
 //!   patches' warehouse contents move to their new owners over the fabric
 //!   under a reserved tag namespace ([`PersistentExecutor::regrid`]);

@@ -10,14 +10,11 @@
 //!
 //! The protocol is deadlock-free on the eager fabric: every rank posts all
 //! of its sends first (`isend` completes at post time; unexpected messages
-//! queue at the receiver), then polls its receives. Payload decode on the
-//! receive side draws destination storage from the warehouse recyclers, so
-//! a migration does not cold-allocate what the next step would have pooled.
+//! queue at the receiver), then polls its receives.
 
 use crate::dw::DataWarehouse;
 use crate::task::TaskDecl;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 use uintah_comm::{Communicator, RecvRequest, Tag};
 use uintah_grid::{PatchDistribution, PatchId, VarLabel};
@@ -121,14 +118,6 @@ pub(crate) fn migrate_patch_vars(
         let payload = crate::codec::encode_bundle(&wire);
         bytes_out += payload.len() as u64;
         comm.isend(dst, migrate_tag(pid, generation), payload);
-        // The serialized copies are on the wire; retire the originals into
-        // the recyclers (they are sole-owner once the wire entries drop).
-        drop(wire);
-        for (_, data) in entries {
-            if let Ok(d) = Arc::try_unwrap(data) {
-                dw.recycle(d);
-            }
-        }
     }
 
     // Then receive everything we gained, installing under the current epoch
@@ -144,11 +133,7 @@ pub(crate) fn migrate_patch_vars(
         let before = gained.len();
         gained.retain(|(pid, req)| {
             let Some(msg) = req.take() else { return true };
-            for (var_id, _level, _region, data) in crate::codec::decode_bundle_with_buffers(
-                &msg.payload,
-                |n| dw.acquire_f64(n),
-                |n| dw.acquire_u8(n),
-            ) {
+            for (var_id, _level, _region, data) in crate::codec::decode_bundle(&msg.payload) {
                 let label = *labels
                     .get(&var_id)
                     .expect("migrated var id unknown to the task list");
@@ -167,7 +152,8 @@ pub(crate) fn migrate_patch_vars(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uintah_grid::{CcVariable, FieldData, Grid, IntVector, Region};
+    use std::sync::Arc;
+    use uintah_grid::{CcVariable, FieldData, Grid, IntVector};
 
     const KAPPA: VarLabel = VarLabel::new("abskg", 0);
     const CELLTYPE: VarLabel = VarLabel::new("cellType", 2);
@@ -196,6 +182,11 @@ mod tests {
         assert_ne!(t, migrate_tag(PatchId(4), 1));
     }
 
+    /// A `u8` pattern that differs cell to cell and patch to patch.
+    fn cell_type(pid: PatchId, c: IntVector) -> u8 {
+        (pid.0 as i32 * 31 + c.x + 3 * c.y + 7 * c.z) as u8
+    }
+
     #[test]
     fn two_rank_flip_moves_patch_data_bit_identically() {
         let grid = grid1();
@@ -222,11 +213,9 @@ mod tests {
                     let mut v = CcVariable::<f64>::new(patch.interior());
                     v.fill_with(|c| (pid.0 * 1000) as f64 + (c.x + 10 * c.y + 100 * c.z) as f64);
                     dw.put_patch(KAPPA, pid, FieldData::F64(v));
-                    dw.put_patch(
-                        CELLTYPE,
-                        pid,
-                        FieldData::U8(CcVariable::filled(patch.interior(), pid.0 as u8)),
-                    );
+                    let mut ct = CcVariable::<u8>::new(patch.interior());
+                    ct.fill_with(|c| cell_type(pid, c));
+                    dw.put_patch(CELLTYPE, pid, FieldData::U8(ct));
                 }
                 let (out, inn, bytes) =
                     migrate_patch_vars(&comm, &dw, &old, &new, &test_labels(), 1);
@@ -244,7 +233,9 @@ mod tests {
                         );
                     }
                     let ct = dw.get_patch(CELLTYPE, pid).expect("migrated cellType");
-                    assert_eq!(ct.as_u8()[patch.interior().lo()], pid.0 as u8);
+                    for c in patch.interior().cells() {
+                        assert_eq!(ct.as_u8()[c], cell_type(pid, c));
+                    }
                 }
                 // And lost patches are gone from this rank.
                 for &pid in old.owned_by(rank) {
@@ -283,49 +274,6 @@ mod tests {
                     for &pid in new.owned_by(rank) {
                         assert!(dw.get_patch(KAPPA, pid).is_none());
                     }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn migration_install_reuses_recycler_storage() {
-        // Single "world" with two ranks on one thread each; the receiving
-        // rank pre-seeds its recycler with a buffer of the payload's size
-        // and must reuse it for the install.
-        let grid = grid1();
-        let n = grid.num_patches();
-        let mut rank_of = vec![1u32; n];
-        rank_of[0] = 0;
-        let old = Arc::new(PatchDistribution::from_rank_of(2, rank_of.clone()));
-        let mut rank_of_new = rank_of;
-        rank_of_new[0] = 1;
-        let new = Arc::new(PatchDistribution::from_rank_of(2, rank_of_new));
-        let world = uintah_comm::CommWorld::new(2);
-        let mut handles = Vec::new();
-        for rank in 0..2usize {
-            let world = world.clone();
-            let grid = Arc::clone(&grid);
-            let (old, new) = (Arc::clone(&old), Arc::clone(&new));
-            handles.push(std::thread::spawn(move || {
-                let comm = world.communicator(rank);
-                let dw = DataWarehouse::new(Arc::clone(&grid));
-                let pid = PatchId(0);
-                let region = grid.patch(pid).interior();
-                if rank == 0 {
-                    dw.put_patch(KAPPA, pid, FieldData::F64(CcVariable::filled(region, 2.5)));
-                } else {
-                    dw.recycle(FieldData::F64(CcVariable::filled(region, 9.0)));
-                }
-                let hits_before = dw.recycle_hits();
-                migrate_patch_vars(&comm, &dw, &old, &new, &test_labels(), 1);
-                if rank == 1 {
-                    assert_eq!(dw.recycle_hits(), hits_before + 1, "decode drew from the pool");
-                    let k = dw.get_patch(KAPPA, pid).unwrap();
-                    assert_eq!(k.as_f64()[Region::cube(1).lo()], 2.5);
                 }
             }));
         }

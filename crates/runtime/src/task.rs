@@ -206,24 +206,6 @@ impl<'a> TaskContext<'a> {
     pub fn put_level_window(&self, label: VarLabel, level: LevelIndex, window: Region, data: FieldData) {
         self.dw.deposit_level_window(label, level, window, &data);
     }
-
-    /// A zeroed scratch `f64` variable over `region`, drawn from the
-    /// warehouse's step recycler. Prefer this over `CcVariable::new` in
-    /// task bodies: retired storage from earlier steps is reused instead of
-    /// re-allocated.
-    pub fn alloc_f64(&self, region: Region) -> CcVariable<f64> {
-        self.dw.alloc_f64(region)
-    }
-
-    pub fn alloc_u8(&self, region: Region) -> CcVariable<u8> {
-        self.dw.alloc_u8(region)
-    }
-
-    /// Hand a transient variable back to the recycler (e.g. a ghosted
-    /// assembly the kernel has finished with).
-    pub fn recycle(&self, data: impl Into<FieldData>) {
-        self.dw.recycle(data.into());
-    }
 }
 
 #[cfg(test)]

@@ -36,8 +36,8 @@ pub struct JobStats {
     /// Device-resident level-replica entries already present when the job
     /// started (inherited from a previous tenant of the same slot).
     pub level_replicas_inherited: u64,
-    /// The job ran on a recycled executor slot (warm warehouses and
-    /// recycler pools) rather than a freshly built one.
+    /// The job ran on a recycled executor slot (warm graphs and level
+    /// replicas) rather than a freshly built one.
     pub slot_reused: bool,
     /// Nanoseconds between submission and the job starting to execute.
     pub queued_ns: u64,

@@ -12,10 +12,10 @@
 //! * [`admission`] — capacity-meter-driven admission: jobs that fit the
 //!   fleet but not the current headroom queue; jobs larger than the fleet
 //!   reject with a typed error;
-//! * [`slot`] (internal) — warm executor slots recycled across
+//! * `slot` (internal) — warm executor slots recycled across
 //!   same-shape jobs: compiled graphs (shared via
-//!   [`uintah_runtime::GraphCache`]), warehouse recycler pools, and
-//!   device-resident level replicas all survive tenant turnover;
+//!   [`uintah_runtime::GraphCache`]) and device-resident level replicas
+//!   survive tenant turnover;
 //! * [`protocol`] / [`net`] — the wire format and the Unix-socket
 //!   transport (f64 fields travel as raw bits, so served results are
 //!   bit-identical to standalone runs).

@@ -3,7 +3,7 @@
 //! [`RadiationServer`] owns one shared [`DeviceFleet`] (every tenant
 //! meters against the same devices), one shared [`GraphCache`] (compiled
 //! task graphs adopted across jobs), and a pool of warm executor
-//! [`Slot`]s. Submitted jobs land in one of two queue tiers — `high`
+//! `Slot`s. Submitted jobs land in one of two queue tiers — `high`
 //! drains before `normal`, FIFO within each — and a fixed pool of worker
 //! threads pulls the first *admissible* job: one whose estimated device
 //! footprint fits what the capacity meters say is free (see
@@ -141,11 +141,19 @@ impl JobEntry {
     }
 }
 
+/// Terminal jobs the server still answers [`RadiationServer::job`] (and a
+/// wire `Wait`) for. An entry holds its report's whole divQ field, so
+/// remembering every job grows the server by that much per job, for ever.
+const FINISHED_JOBS_KEPT: usize = 64;
+
 struct ServerState {
     high: VecDeque<Arc<JobEntry>>,
     normal: VecDeque<Arc<JobEntry>>,
-    /// Every job ever submitted (wire `Wait` looks ids up here).
+    /// Queued and running jobs plus the last [`FINISHED_JOBS_KEPT`]
+    /// terminal ones (wire `Wait` looks ids up here).
     jobs: HashMap<JobId, Arc<JobEntry>>,
+    /// Terminal job ids still in `jobs`, oldest first.
+    finished: VecDeque<JobId>,
     active: usize,
     idle_slots: Vec<Slot>,
     reserved_bytes: u64,
@@ -155,6 +163,18 @@ struct ServerState {
     /// `queued_for_capacity` counter ticks once per episode.
     deferred: std::collections::HashSet<JobId>,
     next_job: JobId,
+}
+
+impl ServerState {
+    /// `id` reached a terminal state: forget the oldest terminal job past
+    /// the window. A live [`JobHandle`] owns its entry and is unaffected.
+    fn note_finished(&mut self, id: JobId) {
+        self.finished.push_back(id);
+        if self.finished.len() > FINISHED_JOBS_KEPT {
+            let oldest = self.finished.pop_front().expect("non-empty: just pushed");
+            self.jobs.remove(&oldest);
+        }
+    }
 }
 
 struct ServerInner {
@@ -220,6 +240,7 @@ impl RadiationServer {
                 high: VecDeque::new(),
                 normal: VecDeque::new(),
                 jobs: HashMap::new(),
+                finished: VecDeque::new(),
                 active: 0,
                 idle_slots: Vec::new(),
                 reserved_bytes: 0,
@@ -305,7 +326,8 @@ impl RadiationServer {
     }
 
     /// Look up a job by id (for wire `Wait`/`Cancel` from a different
-    /// connection than the submitter's).
+    /// connection than the submitter's). `None` for an id never issued and
+    /// for a job that finished more than 64 finished jobs ago.
     pub fn job(&self, id: JobId) -> Option<JobHandle> {
         let st = self.inner.state.lock().unwrap();
         st.jobs.get(&id).map(|entry| JobHandle {
@@ -396,6 +418,7 @@ impl ServerInner {
         if was_queued {
             st.deferred.remove(&id);
             st.stats.canceled += 1;
+            st.note_finished(id);
             entry.finish(JobOutcome::Canceled);
             self.done_cv.notify_all();
         }
@@ -519,6 +542,7 @@ impl ServerInner {
             JobOutcome::Canceled => st.stats.canceled += 1,
             JobOutcome::Failed(_) => st.stats.failed += 1,
         }
+        st.note_finished(entry.id);
         if let JobOutcome::Done(r) = &outcome {
             st.stats.shared_graph_hits += r.stats.shared_graph_hits;
         }

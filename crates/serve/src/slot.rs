@@ -11,7 +11,6 @@
 //!
 //! * the compiled task graph (signature hashes declaration *shape*, not
 //!   captured parameters — a different ray count reuses the graph);
-//! * the warehouse recycler pools (warm storage, no fresh allocations);
 //! * the device-resident level replicas (the diff-based
 //!   `ensure_level_fresh` re-uploads only changed bytes).
 //!

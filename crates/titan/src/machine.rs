@@ -42,7 +42,7 @@ pub struct MachineParams {
     /// CPU property-initialization rate per core (cells/s).
     pub cpu_init_cells_per_s: f64,
     /// Ray-march throughput of one CPU core (cell-steps/s), for the
-    /// CPU-only mode (the paper's predecessor [5] ran RMCRT on 256K CPU
+    /// CPU-only mode (the paper's predecessor \[5\] ran RMCRT on 256K CPU
     /// cores). Calibrated from the host ray-march rate (EXPERIMENTS.md E8).
     pub cpu_cellsteps_per_s: f64,
     /// CPU cost to post or process one message (s) with the wait-free

@@ -311,7 +311,7 @@ pub fn simulate_timestep_with(
 
 /// Simulate one radiation timestep with the ray march on the node's 16
 /// CPU cores instead of the GPU (the paper's predecessor configuration,
-/// ref. [5]; no PCIe staging, no kernel-launch overhead, but an
+/// ref. \[5\]; no PCIe staging, no kernel-launch overhead, but an
 /// order-of-magnitude lower march throughput per node).
 pub fn simulate_timestep_cpu(
     grid: &Grid,

@@ -15,6 +15,8 @@
 //!   disconnect cancels the jobs it submitted and abandoned;
 //! * malformed config text over the wire is a typed rejection on a
 //!   connection that stays usable, never a dead connection thread;
+//! * the server forgets a finished job once 64 later ones have finished,
+//!   while a handle taken earlier keeps its outcome;
 //! * a served job that regrids and re-homes patches across devices
 //!   mid-run is bit-identical to the same config run solo, and leaves its
 //!   slot in the canonical state for the next tenant.
@@ -489,6 +491,43 @@ fn wire_roundtrip_preserves_bits_and_disconnect_cancels_owned_jobs() {
     server.shutdown();
     assert_eq!(server.fleet().total_used(), 0);
     assert!(!path.exists(), "socket file must be removed on close");
+}
+
+/// The server keeps a bounded window of finished jobs, not every job it
+/// ever ran: after 3 × 64 jobs the first id is unknown and the last is
+/// still answerable, and the handle taken at the first submit — which owns
+/// its entry — still returns the same `Done` bits.
+#[test]
+fn finished_jobs_are_forgotten_past_a_bounded_window() {
+    let server = RadiationServer::start(ServeConfig::default());
+    let cfg = RunConfig {
+        fine_cells: 8,
+        nrays: 1,
+        ranks: 1,
+        threads: 1,
+        timesteps: 1,
+        ..small_cfg()
+    };
+    let first = server.submit(cfg.clone()).unwrap();
+    let first_divq = first.wait().expect_done().divq.data.clone();
+    assert!(server.job(first.id()).is_some(), "inside the window");
+    let mut last_id = first.id();
+    for _ in 1..3 * 64 {
+        let handle = server.submit(cfg.clone()).unwrap();
+        handle.wait().expect_done();
+        last_id = handle.id();
+    }
+    assert!(server.job(first.id()).is_none(), "first job retired");
+    let last = server.job(last_id).expect("last job still known");
+    assert_bits_equal(&last.wait().expect_done().divq.data, &first_divq, "same config");
+    assert_bits_equal(
+        &first.wait().expect_done().divq.data,
+        &first_divq,
+        "a kept handle outlives the window",
+    );
+    assert_eq!(server.stats().completed, 3 * 64);
+    server.shutdown();
+    assert_eq!(server.fleet().total_used(), 0);
 }
 
 /// Config text that used to panic inside `parse`/`build_problem` on the

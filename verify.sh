@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, lint, the benchmark's smoke pass, four contract
-# gates. Run before every commit.
+# Tier-1 gate: build, test, lint, rustdoc, the benchmark's smoke pass, four
+# contract gates. Run before every commit.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -10,6 +10,9 @@ cargo test -q
 # member's unit and integration tests, so no suite needs a by-name re-run.
 cargo test --doc -q
 cargo clippy --workspace --all-targets -- -D warnings
+# Deleting a type leaves `[`Name`]` links behind in docs that nothing else
+# compiles: rustdoc with warnings denied catches them.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 # The benchmark package lives outside the workspace and builds against
 # these crates' public API: run its smoke pass here (all five workloads on
 # small grids, every operation checked against reference_multilevel /
