@@ -33,10 +33,12 @@
 //! Two more checks are relative to this host alone: marching the B&C rays
 //! as packets (`PacketTracer::trace`, interleaved lanes) must not be slower
 //! than looping `PacketTracer::trace_one` (the same engine, one lane) over
-//! them; and the same rays traced with a threshold above 1 end on their
-//! first cell step, which prices a ray's launch in cell-step equivalents
-//! (printed). Each workload's line also reports cell steps per ray and the
-//! time per cell step from the engine's own `MarchStats`.
+//! them; the same rays traced with a threshold above 1 end on their first
+//! cell step, which prices a ray's launch in cell-step equivalents; and
+//! filling them (`solver::fill_cell_packet` alone, no march) prices the
+//! draw beside both (printed, host-limited, not gated). Each workload's
+//! line also reports cell steps per ray and the time per cell step from the
+//! engine's own `MarchStats`.
 //!
 //! ```text
 //! cargo run -p rmcrt-bench --release --bin ray_march_gate            # check
@@ -46,7 +48,8 @@
 use rmcrt_bench::campaign::json::{self, Json};
 use rmcrt_bench::{gate, scalar_march, secs};
 use rmcrt_core::props::{LevelProps, WALL_CELL};
-use rmcrt_core::solver::{RayCountMode, RmcrtParams};
+use rmcrt_core::sampling::DirectionSampler;
+use rmcrt_core::solver::{fill_cell_packet, RayCountMode, RmcrtParams};
 use rmcrt_core::trace::{TraceLevel, TraceOptions};
 use rmcrt_core::{
     solve_region, solve_region_with_stats, BurnsChriston, CellRng, MarchStats, PacketTracer,
@@ -55,7 +58,7 @@ use rmcrt_core::{
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use uintah::prelude::ExecSpace;
-use uintah_grid::{Region, Vector};
+use uintah_grid::{IntVector, Region, Vector};
 
 /// Fixed-mode floor: overhead elimination, interleaved lanes and the
 /// branch-free launch, under the bit-identity contract (measured
@@ -78,7 +81,10 @@ const REGRESSION_TOLERANCE: f64 = 0.10;
 
 const N: i32 = 16;
 const NRAYS: u32 = 100;
-const REPS: usize = 9;
+/// Runs per timing, the fastest kept. 9 repeated to ±3 % until the
+/// adaptive packet solve shrank to 12 ms; at 9 its ratio then read
+/// 4.70–5.90x over twelve runs on this host, at 25 5.28–5.81x over eight.
+const REPS: usize = 25;
 
 /// Field `key` of benchmark `id` in the checked-in report.
 fn baseline(report: &Json, id: &str, key: &str) -> Result<f64, String> {
@@ -146,19 +152,29 @@ fn tracer_at<'a>(stack: &'a [TraceLevel<'a>], threshold: f64) -> PacketTracer<'a
     )
 }
 
-/// Every 8th cell of the region, `NRAYS` rays each, drawn as the solver
-/// draws them.
+/// Fill `packet` with the probe rays of `cell`: `NRAYS` rays through the
+/// solver's own fill.
+fn fill_probe_packet(packet: &mut RayPacket, fine: &LevelProps, cell: IntVector) {
+    let params = RmcrtParams {
+        seed: 0x1A9E5,
+        ..Default::default()
+    };
+    let mut perm_rng = CellRng::new(params.seed, cell, u32::MAX, params.timestep);
+    let sampler = DirectionSampler::new(params.sampling, NRAYS, &mut perm_rng);
+    fill_cell_packet(packet, fine, cell, &params, &sampler, 0, NRAYS);
+}
+
+/// The probe cells: every 8th cell of the region.
+fn probe_cells(region: Region) -> impl Iterator<Item = IntVector> {
+    (0..region.volume()).step_by(8).map(move |i| region.from_linear(i))
+}
+
+/// One packet per probe cell.
 fn fresh_packets(fine: &LevelProps, region: Region) -> Vec<RayPacket> {
-    (0..region.volume())
-        .step_by(8)
-        .map(|i| {
-            let cell = region.from_linear(i);
-            let mut packet = RayPacket::with_capacity(NRAYS as usize);
-            for r in 0..NRAYS {
-                let mut rng = CellRng::new(0x1A9E5, cell, r, 0);
-                let dir = rng.direction();
-                packet.push(rng.point_in_cell(fine.cell_lo(cell), fine.dx), dir);
-            }
+    probe_cells(region)
+        .map(|cell| {
+            let mut packet = RayPacket::default();
+            fill_probe_packet(&mut packet, fine, cell);
             packet
         })
         .collect()
@@ -191,6 +207,8 @@ fn time_packets(tracer: &PacketTracer<'_>, fresh: &[RayPacket]) -> (f64, u64, Ma
 
 /// What the B&C rays say about the engine on this host alone.
 struct RayProbe {
+    /// Drawing a ray (RNG, direction, origin) into its packet slot.
+    fill_ns: f64,
     /// One-lane time / interleaved-lane time on the same rays.
     lane_ratio: f64,
     lane_bits_match: bool,
@@ -200,12 +218,23 @@ struct RayProbe {
     step_ns: f64,
 }
 
-/// Interleaved lanes against one lane, and launch against step: the probe
-/// rays marched as packets, ray by ray through `trace_one`, and once more
-/// with a threshold above 1, which ends every ray on its first step.
+/// Fill against launch against step, and interleaved lanes against one
+/// lane: the probe rays filled into one reused packet, marched as packets,
+/// ray by ray through `trace_one`, and once more with a threshold above 1,
+/// which ends every ray on its first step.
 fn probe_rays(stack: &[TraceLevel<'_>], region: Region, threshold: f64) -> RayProbe {
     let tracer = tracer_at(stack, threshold);
-    let fresh = fresh_packets(tracer.fine_props(), region);
+    let fine = tracer.fine_props();
+    let fresh = fresh_packets(fine, region);
+    let mut scratch = RayPacket::default();
+    let fill_s = best_of_reps(|| {
+        let t = Instant::now();
+        for cell in probe_cells(region) {
+            fill_probe_packet(&mut scratch, fine, cell);
+            std::hint::black_box(&scratch);
+        }
+        t.elapsed()
+    });
     let (packet_s, packet_bits, march) = time_packets(&tracer, &fresh);
     let mut one_bits = 0u64;
     let one_s = best_of_reps(|| {
@@ -222,6 +251,7 @@ fn probe_rays(stack: &[TraceLevel<'_>], region: Region, threshold: f64) -> RayPr
     let (first_s, _, first) = time_packets(&tracer_at(stack, 2.0), &fresh);
     assert_eq!(first.cell_steps, first.rays, "threshold 2 must end every ray on its first step");
     RayProbe {
+        fill_ns: fill_s * 1e9 / first.rays as f64,
         lane_ratio: one_s / packet_s,
         lane_bits_match: packet_bits == one_bits,
         launch_ns: first_s * 1e9 / first.rays as f64,
@@ -298,6 +328,7 @@ fn main() -> ExitCode {
         per_step(&bc_march, fixed.packet_ms)
     );
     let RayProbe {
+        fill_ns,
         lane_ratio,
         lane_bits_match,
         launch_ns,
@@ -305,7 +336,7 @@ fn main() -> ExitCode {
     } = probe_rays(&bc_stack, bc_region, bc_params.threshold);
     println!("16^3 B&C rays, trace vs trace_one:  interleaved lanes {lane_ratio:.2}x one lane");
     println!(
-        "16^3 B&C rays, launch vs step:      {launch_ns:.1} ns/ray to launch, take one step and retire = {:.1} cell steps of {step_ns:.1} ns",
+        "16^3 B&C rays, fill : launch : step [host-limited]: {fill_ns:.1} ns/ray to draw direction and origin | {launch_ns:.1} ns/ray to launch, take one step and retire = {:.1} cell steps of {step_ns:.1} ns",
         launch_ns / step_ns
     );
     if !lane_bits_match {

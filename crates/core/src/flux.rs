@@ -10,7 +10,7 @@
 //! ```
 
 use crate::packet::{PacketTracer, RayPacket};
-use crate::rng::CellRng;
+use crate::rng::{CellRng, Frame};
 use crate::trace::{TraceLevel, TraceOptions};
 use std::f64::consts::PI;
 use uintah_grid::{CcVariable, IntVector, Region, Vector};
@@ -118,23 +118,14 @@ pub fn face_incident_flux_with(
         Face::ZMinus => origin.z = lo.z + eps * props.dx.z,
         Face::ZPlus => origin.z = lo.z + (1.0 - eps) * props.dx.z,
     }
-    // Frame around the normal.
-    let helper = if n.x.abs() < 0.9 {
-        Vector::new(1.0, 0.0, 0.0)
-    } else {
-        Vector::new(0.0, 1.0, 0.0)
-    };
-    let u = n.cross(helper).normalized();
-    let v = n.cross(u);
+    let frame = Frame::about(n);
     let mut packet = RayPacket::with_capacity(params.nrays as usize);
     for r in 0..params.nrays {
         let mut rng = CellRng::new(params.seed, flow_cell, r, 0);
         // Cosine-weighted: cosθ = sqrt(ξ).
         let cos_t = rng.next_f64().sqrt();
-        let sin_t = (1.0 - cos_t * cos_t).max(0.0).sqrt();
-        let phi = 2.0 * PI * rng.next_f64();
-        let dir = (n * cos_t + u * (sin_t * phi.cos()) + v * (sin_t * phi.sin())).normalized();
-        packet.push(origin, dir);
+        let turn = rng.next_f64();
+        packet.push(origin, frame.unit(cos_t, turn));
     }
     tracer.trace(&mut packet);
     let mut sum = 0.0;

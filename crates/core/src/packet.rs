@@ -118,9 +118,9 @@
 //! fail the test and take the divide. Only the *integer* is obtained this
 //! way; nothing that feeds the march sees `inv_dx`.
 //!
-//! What remains of a ray's fixed cost is upstream of this module: drawing
-//! its direction and origin (≈ 50 ns, most of it libm's `sincos` on a
-//! uniformly random angle; DESIGN §9).
+//! Upstream of this module a ray is drawn — RNG, direction, origin — by
+//! `solver::fill_cell_packet`, a packet at a time (≈ 12 ns a ray; it was
+//! ≈ 50 while the azimuth went through libm's `sin`/`cos`; DESIGN §9).
 //!
 //! ## Level transitions
 //!
@@ -552,22 +552,21 @@ impl RayPacket {
         self.active.push(true);
     }
 
-    /// Reset to `n` fresh rays in one pass (bulk fills instead of
-    /// per-ray pushes): origins/dirs are left to be set via
-    /// [`RayPacket::set_ray`].
+    /// Reset to `n` fresh rays: `weight`, `sum_i` and `active` take their
+    /// defaults; the origin and direction columns are only sized — what
+    /// they hold is unspecified until the caller sets every ray
+    /// ([`RayPacket::set_ray`], or the columns directly).
     pub fn reset(&mut self, n: usize) {
-        self.ox.clear();
-        self.ox.resize(n, 0.0);
-        self.oy.clear();
-        self.oy.resize(n, 0.0);
-        self.oz.clear();
-        self.oz.resize(n, 0.0);
-        self.dx.clear();
-        self.dx.resize(n, 0.0);
-        self.dy.clear();
-        self.dy.resize(n, 0.0);
-        self.dz.clear();
-        self.dz.resize(n, 0.0);
+        for column in [
+            &mut self.ox,
+            &mut self.oy,
+            &mut self.oz,
+            &mut self.dx,
+            &mut self.dy,
+            &mut self.dz,
+        ] {
+            column.resize(n, 0.0);
+        }
         self.weight.clear();
         self.weight.resize(n, 1.0);
         self.sum_i.clear();

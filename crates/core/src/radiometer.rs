@@ -7,7 +7,7 @@
 //! over the cone solid angle.
 
 use crate::packet::{PacketTracer, RayPacket};
-use crate::rng::CellRng;
+use crate::rng::{CellRng, Frame};
 use crate::trace::{TraceLevel, TraceOptions};
 use std::f64::consts::PI;
 use uintah_grid::{IntVector, Point, Vector};
@@ -42,38 +42,43 @@ impl Radiometer {
         self.measure_with(&tracer)
     }
 
-    /// [`measure`](Self::measure) against a prepared [`PacketTracer`]: the
-    /// cone's rays are packed once and marched as a single packet.
-    pub fn measure_with(&self, tracer: &PacketTracer<'_>) -> f64 {
+    /// Solid angle of the viewing cone, `Ω_c = 2π(1 − cos θ_max)`; checks
+    /// the instrument's geometry.
+    fn cone_solid_angle(&self) -> f64 {
         assert!((self.normal.length() - 1.0).abs() < 1e-9, "normal must be unit");
         assert!(self.half_angle > 0.0 && self.half_angle <= PI / 2.0 + 1e-12);
+        2.0 * PI * (1.0 - self.half_angle.cos())
+    }
+
+    /// Trace the cone's rays `first..first + count` as one packet; returns
+    /// each ray's cosine-weighted intensity `I·cos θ`, in ray order.
+    fn cone_packet(&self, tracer: &PacketTracer<'_>, first: u32, count: u32) -> Vec<f64> {
         let cos_max = self.half_angle.cos();
-        let omega_c = 2.0 * PI * (1.0 - cos_max);
-        // Orthonormal basis around the normal.
-        let n = self.normal;
-        let helper = if n.x.abs() < 0.9 {
-            Vector::new(1.0, 0.0, 0.0)
-        } else {
-            Vector::new(0.0, 1.0, 0.0)
-        };
-        let u = n.cross(helper).normalized();
-        let v = n.cross(u);
-        let mut packet = RayPacket::with_capacity(self.nrays as usize);
-        let mut cos_ts = Vec::with_capacity(self.nrays as usize);
-        for r in 0..self.nrays {
+        let frame = Frame::about(self.normal);
+        let mut packet = RayPacket::with_capacity(count as usize);
+        let mut weighted = Vec::with_capacity(count as usize);
+        for r in first..first + count {
             let mut rng = CellRng::new(self.seed, IntVector::ZERO, r, 0);
             // Uniform over the cone solid angle.
             let cos_t = 1.0 - rng.next_f64() * (1.0 - cos_max);
-            let sin_t = (1.0 - cos_t * cos_t).max(0.0).sqrt();
-            let phi = 2.0 * PI * rng.next_f64();
-            let dir = (n * cos_t + u * (sin_t * phi.cos()) + v * (sin_t * phi.sin())).normalized();
-            packet.push(self.position, dir);
-            cos_ts.push(cos_t);
+            let turn = rng.next_f64();
+            packet.push(self.position, frame.unit(cos_t, turn));
+            weighted.push(cos_t);
         }
         tracer.trace(&mut packet);
+        for (w, sum_i) in weighted.iter_mut().zip(&packet.sum_i) {
+            *w *= sum_i;
+        }
+        weighted
+    }
+
+    /// [`measure`](Self::measure) against a prepared [`PacketTracer`]: the
+    /// cone's rays are packed once and marched as a single packet.
+    pub fn measure_with(&self, tracer: &PacketTracer<'_>) -> f64 {
+        let omega_c = self.cone_solid_angle();
         let mut sum = 0.0;
-        for (cos_t, sum_i) in cos_ts.iter().zip(&packet.sum_i) {
-            sum += sum_i * cos_t;
+        for w in self.cone_packet(tracer, 0, self.nrays) {
+            sum += w;
         }
         sum / self.nrays as f64 * omega_c
     }
@@ -88,8 +93,7 @@ impl Radiometer {
         threshold: f64,
         space: &uintah_exec::ExecSpace,
     ) -> f64 {
-        assert!((self.normal.length() - 1.0).abs() < 1e-9, "normal must be unit");
-        assert!(self.half_angle > 0.0 && self.half_angle <= PI / 2.0 + 1e-12);
+        let omega_c = self.cone_solid_angle();
         let tracer = PacketTracer::new(
             levels,
             TraceOptions {
@@ -97,40 +101,11 @@ impl Radiometer {
                 max_reflections: 0,
             },
         );
-        let cos_max = self.half_angle.cos();
-        let omega_c = 2.0 * PI * (1.0 - cos_max);
-        let n = self.normal;
-        let helper = if n.x.abs() < 0.9 {
-            Vector::new(1.0, 0.0, 0.0)
-        } else {
-            Vector::new(0.0, 1.0, 0.0)
-        };
-        let u = n.cross(helper).normalized();
-        let v = n.cross(u);
         const CHUNK: u32 = 256;
         let chunks = self.nrays.div_ceil(CHUNK) as usize;
         let partial = uintah_exec::parallel_map(space, chunks, |ci| {
             let first = ci as u32 * CHUNK;
-            let count = CHUNK.min(self.nrays - first);
-            let mut packet = RayPacket::with_capacity(count as usize);
-            let mut cos_ts = Vec::with_capacity(count as usize);
-            for r in first..first + count {
-                let mut rng = CellRng::new(self.seed, IntVector::ZERO, r, 0);
-                let cos_t = 1.0 - rng.next_f64() * (1.0 - cos_max);
-                let sin_t = (1.0 - cos_t * cos_t).max(0.0).sqrt();
-                let phi = 2.0 * PI * rng.next_f64();
-                let dir =
-                    (n * cos_t + u * (sin_t * phi.cos()) + v * (sin_t * phi.sin())).normalized();
-                packet.push(self.position, dir);
-                cos_ts.push(cos_t);
-            }
-            tracer.trace(&mut packet);
-            packet
-                .sum_i
-                .iter()
-                .zip(&cos_ts)
-                .map(|(&s, &c)| s * c)
-                .collect::<Vec<f64>>()
+            self.cone_packet(&tracer, first, CHUNK.min(self.nrays - first))
         });
         let mut sum = 0.0;
         for chunk in &partial {

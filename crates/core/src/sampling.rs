@@ -6,7 +6,7 @@
 //! sample in each row and column, which removes directional clumping and
 //! lowers Monte Carlo variance at equal ray count.
 
-use crate::rng::CellRng;
+use crate::rng::{polar, CellRng};
 use uintah_grid::Vector;
 
 /// How the `nrays` directions of one cell are drawn.
@@ -20,6 +20,7 @@ pub enum RaySampling {
 }
 
 /// A per-cell direction sampler: hands out `nrays` directions.
+#[derive(Debug, Default)]
 pub struct DirectionSampler {
     mode: RaySampling,
     nrays: u32,
@@ -29,40 +30,54 @@ pub struct DirectionSampler {
 
 impl DirectionSampler {
     pub fn new(mode: RaySampling, nrays: u32, rng: &mut CellRng) -> Self {
-        let phi_perm = match mode {
-            RaySampling::Independent => Vec::new(),
-            RaySampling::LatinHypercube => {
-                let mut perm: Vec<u32> = (0..nrays).collect();
-                // Fisher–Yates with the cell RNG: deterministic per cell.
-                for i in (1..perm.len()).rev() {
-                    let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-                    perm.swap(i, j);
-                }
-                perm
+        let mut sampler = Self::default();
+        sampler.redraw(mode, nrays, rng);
+        sampler
+    }
+
+    /// Make this the sampler [`DirectionSampler::new`] would return, in
+    /// place: the stratum permutation is redrawn into the buffer this
+    /// sampler already owns, so a sampler kept across cells allocates only
+    /// when `nrays` outgrows every earlier cell's.
+    pub fn redraw(&mut self, mode: RaySampling, nrays: u32, rng: &mut CellRng) {
+        self.mode = mode;
+        self.nrays = nrays;
+        self.phi_perm.clear();
+        if mode == RaySampling::LatinHypercube {
+            self.phi_perm.extend(0..nrays);
+            // Fisher–Yates with the cell RNG: deterministic per cell.
+            for i in (1..self.phi_perm.len()).rev() {
+                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+                self.phi_perm.swap(i, j);
             }
-        };
-        Self {
-            mode,
-            nrays,
-            phi_perm,
         }
     }
 
-    /// Direction for ray `r` (`0 <= r < nrays`).
-    pub fn direction(&self, r: u32, rng: &mut CellRng) -> Vector {
+    /// The two draws of ray `r` (`0 <= r < nrays`): `cos θ` and the
+    /// azimuth as a fraction of a turn. The only place the sampling modes
+    /// differ; [`polar`] makes the direction of either.
+    #[inline]
+    pub fn angles(&self, r: u32, rng: &mut CellRng) -> (f64, f64) {
         match self.mode {
-            RaySampling::Independent => rng.direction(),
+            RaySampling::Independent => {
+                let cos_theta = 2.0 * rng.next_f64() - 1.0;
+                (cos_theta, rng.next_f64())
+            }
             RaySampling::LatinHypercube => {
                 debug_assert!(r < self.nrays);
                 let n = self.nrays as f64;
                 // Stratum r on the cosθ axis, shuffled stratum on φ.
                 let cos_theta = 2.0 * ((r as f64 + rng.next_f64()) / n) - 1.0;
                 let phi_stratum = self.phi_perm[r as usize] as f64;
-                let phi = 2.0 * std::f64::consts::PI * ((phi_stratum + rng.next_f64()) / n);
-                let sin_theta = (1.0 - cos_theta * cos_theta).max(0.0).sqrt();
-                Vector::new(sin_theta * phi.cos(), sin_theta * phi.sin(), cos_theta)
+                (cos_theta, (phi_stratum + rng.next_f64()) / n)
             }
         }
+    }
+
+    /// Direction for ray `r` (`0 <= r < nrays`).
+    pub fn direction(&self, r: u32, rng: &mut CellRng) -> Vector {
+        let (cos_theta, turn) = self.angles(r, rng);
+        polar(cos_theta, turn)
     }
 }
 
@@ -119,6 +134,51 @@ mod tests {
             v_lhc < v_ind * 0.5,
             "LHC variance {v_lhc} should be well under independent {v_ind}"
         );
+    }
+
+    /// Isotropy beyond the first moment, for both modes at 200 k draws:
+    /// `E[dᵢdⱼ] = δᵢⱼ/3` (a squashed or tilted distribution can still have
+    /// zero mean), and a χ² of the counts on an 8 × 8 grid over
+    /// (cos θ, φ), which is equal-area on the sphere — a swapped or
+    /// mis-signed quadrant in `sincos_turn` empties φ bins.
+    #[test]
+    fn directions_are_isotropic_to_second_moments_and_chi_squared() {
+        const PER_CELL: u32 = 64;
+        const CELLS: u32 = 3125;
+        for mode in [RaySampling::Independent, RaySampling::LatinHypercube] {
+            let mut second = [[0.0f64; 3]; 3];
+            let mut counts = [[0u32; 8]; 8];
+            for cell in 0..CELLS {
+                let id = IntVector::new(cell as i32, 1, 2);
+                let mut perm_rng = CellRng::new(77, id, u32::MAX, 0);
+                let sampler = DirectionSampler::new(mode, PER_CELL, &mut perm_rng);
+                for r in 0..PER_CELL {
+                    let mut rng = CellRng::new(77, id, r, 0);
+                    let d = sampler.direction(r, &mut rng);
+                    for (i, row) in second.iter_mut().enumerate() {
+                        for (j, m) in row.iter_mut().enumerate() {
+                            *m += d[i] * d[j];
+                        }
+                    }
+                    let turn = d.y.atan2(d.x).rem_euclid(2.0 * std::f64::consts::PI) / (2.0 * std::f64::consts::PI);
+                    let bin = |x: f64| ((x * 8.0) as usize).min(7);
+                    counts[bin((d.z + 1.0) / 2.0)][bin(turn)] += 1;
+                }
+            }
+            let n = (PER_CELL * CELLS) as f64;
+            for (i, row) in second.iter().enumerate() {
+                for (j, m) in row.iter().enumerate() {
+                    let want = if i == j { 1.0 / 3.0 } else { 0.0 };
+                    // 4σ: σ(dᵢ²) = √(4/45 / n) = 6.7e-4, σ(dᵢdⱼ) = √(1/15 / n) = 5.8e-4.
+                    assert!((m / n - want).abs() < 3e-3, "{mode:?} E[d{i}d{j}] = {}", m / n);
+                }
+            }
+            let expect = n / 64.0;
+            let chi2: f64 = counts.iter().flatten().map(|&c| (c as f64 - expect).powi(2) / expect).sum();
+            // 63 degrees of freedom: the 99.9th percentile is 103.4
+            // (stratification only lowers the statistic).
+            assert!(chi2 < 103.4, "{mode:?} chi-squared {chi2}");
+        }
     }
 
     #[test]

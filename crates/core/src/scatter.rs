@@ -16,7 +16,7 @@
 
 use crate::packet::{CollisionTracer, FlightEnd, RayPacket};
 use crate::props::LevelProps;
-use crate::rng::CellRng;
+use crate::rng::{CellRng, Frame};
 use std::f64::consts::PI;
 use uintah_grid::{IntVector, Point, Vector};
 
@@ -44,18 +44,8 @@ impl PhaseFunction {
                 }
             }
         };
-        let sin_t = (1.0 - cos_t * cos_t).max(0.0).sqrt();
-        let phi = 2.0 * PI * rng.next_f64();
-        // Orthonormal frame around the incoming direction.
-        let w = incoming;
-        let helper = if w.x.abs() < 0.9 {
-            Vector::new(1.0, 0.0, 0.0)
-        } else {
-            Vector::new(0.0, 1.0, 0.0)
-        };
-        let u = w.cross(helper).normalized();
-        let v = w.cross(u);
-        (w * cos_t + u * (sin_t * phi.cos()) + v * (sin_t * phi.sin())).normalized()
+        let turn = rng.next_f64();
+        Frame::about(incoming).unit(cos_t, turn)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::packet::{MarchStats, PacketTracer, RayPacket};
 use crate::props::LevelProps;
-use crate::rng::CellRng;
+use crate::rng::{polar, CellRng};
 use crate::sampling::{DirectionSampler, RaySampling};
 use crate::trace::{TraceLevel, TraceOptions};
 use std::f64::consts::PI;
@@ -138,35 +138,84 @@ pub fn div_q_for_cell_with(
     )
 }
 
-/// Fill one packet with this cell's rays `first..first+count` and trace it.
-/// The RNG draw order per ray (direction, then origin) matches the
-/// historical scalar loop exactly.
-fn trace_cell_packet(
-    tracer: &PacketTracer<'_>,
+/// Fill `packet` with this cell's rays `first..first + count`: origins in
+/// the cell, directions from `sampler`. Equal to the bit to drawing each
+/// ray with [`DirectionSampler::direction`] then
+/// [`CellRng::point_in_cell`] (the draw order of the historical scalar
+/// loop), done in two passes over the packet's own columns. Pass 1 is the
+/// integer work: a ray's RNG, its two angles parked in `dz` (cos θ) and
+/// `dx` (the azimuth's turn fraction), its origin. Pass 2 turns the parked
+/// angles into directions with nothing but `f64` arithmetic on contiguous
+/// columns — no call, no branch on a ray's data — so it vectorises.
+pub fn fill_cell_packet(
     packet: &mut RayPacket,
+    fine: &LevelProps,
     cell: IntVector,
     params: &RmcrtParams,
     sampler: &DirectionSampler,
     first: u32,
     count: u32,
-) -> MarchStats {
-    let fine = tracer.fine_props();
-    packet.reset(count as usize);
-    for k in 0..count {
-        let r = first + k;
-        let mut rng = CellRng::new(params.seed, cell, r, params.timestep);
-        let dir = sampler.direction(k, &mut rng);
-        let origin = rng.point_in_cell(fine.cell_lo(cell), fine.dx);
-        packet.set_ray(k as usize, origin, dir);
+) {
+    let n = count as usize;
+    packet.reset(n);
+    let (ox, oy, oz) = (&mut packet.ox[..n], &mut packet.oy[..n], &mut packet.oz[..n]);
+    let (dx, dy, dz) = (&mut packet.dx[..n], &mut packet.dy[..n], &mut packet.dz[..n]);
+    let (lo, cell_dx) = (fine.cell_lo(cell), fine.dx);
+    for k in 0..n {
+        let mut rng = CellRng::new(params.seed, cell, first + k as u32, params.timestep);
+        (dz[k], dx[k]) = sampler.angles(k as u32, &mut rng);
+        let origin = rng.point_in_cell(lo, cell_dx);
+        ox[k] = origin.x;
+        oy[k] = origin.y;
+        oz[k] = origin.z;
     }
-    tracer.trace(packet)
+    for k in 0..n {
+        let dir = polar(dz[k], dx[k]);
+        dx[k] = dir.x;
+        dy[k] = dir.y;
+    }
+}
+
+/// What a thread keeps from cell to cell so a region solve does no
+/// per-cell allocation: the packet's columns and the sampler's stratum
+/// permutation.
+#[derive(Default)]
+struct CellScratch {
+    packet: RayPacket,
+    sampler: DirectionSampler,
 }
 
 std::thread_local! {
-    /// Per-thread scratch packet, reused across the cells of a dispatch so
-    /// a region solve does no per-cell allocation.
-    static SCRATCH_PACKET: std::cell::RefCell<RayPacket> =
-        std::cell::RefCell::new(RayPacket::default());
+    static SCRATCH: std::cell::RefCell<CellScratch> = std::cell::RefCell::default();
+}
+
+impl CellScratch {
+    /// Draw, fill and trace this cell's rays `first..first + count` as one
+    /// packet (left in `self.packet`). The stratification permutation
+    /// draws from the dedicated stream `perm_stream`, so per-ray streams
+    /// stay untouched.
+    fn trace(
+        &mut self,
+        tracer: &PacketTracer<'_>,
+        cell: IntVector,
+        params: &RmcrtParams,
+        perm_stream: u32,
+        first: u32,
+        count: u32,
+    ) -> MarchStats {
+        let mut perm_rng = CellRng::new(params.seed, cell, perm_stream, params.timestep);
+        self.sampler.redraw(params.sampling, count, &mut perm_rng);
+        fill_cell_packet(
+            &mut self.packet,
+            tracer.fine_props(),
+            cell,
+            params,
+            &self.sampler,
+            first,
+            count,
+        );
+        tracer.trace(&mut self.packet)
+    }
 }
 
 /// Fixed-budget mean: one packet of `n` rays, summed in ray order (the
@@ -177,15 +226,11 @@ fn mean_intensity_fixed(
     params: &RmcrtParams,
     n: u32,
 ) -> (f64, MarchStats) {
-    // The sampler's stratification permutation draws from a dedicated
-    // stream (ray index u32::MAX) so per-ray streams stay untouched.
-    let mut perm_rng = CellRng::new(params.seed, cell, u32::MAX, params.timestep);
-    let sampler = DirectionSampler::new(params.sampling, n, &mut perm_rng);
-    SCRATCH_PACKET.with(|p| {
-        let packet = &mut p.borrow_mut();
-        let march = trace_cell_packet(tracer, packet, cell, params, &sampler, 0, n);
+    SCRATCH.with(|s| {
+        let scratch = &mut *s.borrow_mut();
+        let march = scratch.trace(tracer, cell, params, u32::MAX, 0, n);
         let mut sum_i = 0.0;
-        for &v in &packet.sum_i {
+        for &v in &scratch.packet.sum_i {
             sum_i += v;
         }
         (sum_i, march)
@@ -210,21 +255,14 @@ fn mean_intensity_adaptive(
     let mut sum = 0.0f64;
     let mut sum_sq = 0.0f64;
     let mut march = MarchStats::default();
-    SCRATCH_PACKET.with(|p| {
-    let packet = &mut p.borrow_mut();
+    SCRATCH.with(|s| {
+    let scratch = &mut *s.borrow_mut();
     loop {
         let b = batch.min(max - drawn);
         // Per-batch stratification permutation from a reserved stream
         // below u32::MAX (Latin-hypercube stratifies within the batch).
-        let mut perm_rng = CellRng::new(
-            params.seed,
-            cell,
-            u32::MAX - 1 - batch_id,
-            params.timestep,
-        );
-        let sampler = DirectionSampler::new(params.sampling, b, &mut perm_rng);
-        march += trace_cell_packet(tracer, packet, cell, params, &sampler, drawn, b);
-        for &v in &packet.sum_i {
+        march += scratch.trace(tracer, cell, params, u32::MAX - 1 - batch_id, drawn, b);
+        for &v in &scratch.packet.sum_i {
             sum += v;
             sum_sq += v * v;
         }

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use uintah::config::{JobPriority, RunConfig};
 use uintah::prelude::*;
-use uintah::rmcrt::RaySampling;
+use uintah::rmcrt::{RayPacket, RaySampling};
 use uintah_grid::distribute::morton3;
 
 fn small_coord() -> impl Strategy<Value = i32> {
@@ -601,6 +601,61 @@ proptest! {
         let scalar = rmcrt_bench::scalar_march::trace_ray_scalar(&stack, origin, dir, 1e-4);
         prop_assert!(scalar > 0.0, "the ray must march: {scalar}");
         prop_assert_eq!(packet.to_bits(), scalar.to_bits(), "origin {:?} dir {:?} dx {}", origin, dir, dx);
+    }
+
+    /// The two-pass packet fill is a re-ordering of the per-ray draw, not a
+    /// re-model: for either sampling mode, ray counts from the empty packet
+    /// through odd ones (a vector loop's tail) to 100, a zero or later first
+    /// ray (Adaptive's later batches) and a packet that last held a shorter
+    /// or longer cell's rays, every column equals `sampler.direction` +
+    /// `point_in_cell` + `set_ray` to the bit.
+    #[test]
+    fn packet_fill_is_bit_identical_to_the_per_ray_draw(
+        first in 0..300u32, stale in 0..120u32,
+        cx in 0..6i32, cy in 0..6i32, cz in 0..6i32,
+        seed in 0..u64::MAX, timestep in 0..50u32,
+    ) {
+        use uintah::rmcrt::sampling::DirectionSampler;
+        use uintah::rmcrt::solver::fill_cell_packet;
+        let props = LevelProps::uniform(Region::cube(6), Vector::new(0.3, 0.01, 7.0), 1.0, 1.0);
+        let cell = IntVector::new(cx, cy, cz);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for sampling in [RaySampling::Independent, RaySampling::LatinHypercube] {
+            let params = RmcrtParams { seed, timestep, sampling, ..Default::default() };
+            let sampler = |n: u32| {
+                let mut perm_rng = CellRng::new(seed, cell, u32::MAX, timestep);
+                DirectionSampler::new(sampling, n, &mut perm_rng)
+            };
+            for count in [0u32, 1, 2, 3, 4, 5, 16, 100] {
+                for first in [0, first] {
+                    let mut want = RayPacket::default();
+                    want.reset(count as usize);
+                    let per_ray = sampler(count);
+                    for k in 0..count {
+                        let mut rng = CellRng::new(seed, cell, first + k, timestep);
+                        let dir = per_ray.direction(k, &mut rng);
+                        let origin = rng.point_in_cell(props.cell_lo(cell), props.dx);
+                        want.set_ray(k as usize, origin, dir);
+                    }
+
+                    // A packet that has held `stale` other rays, traced to the end.
+                    let mut got = RayPacket::default();
+                    fill_cell_packet(&mut got, &props, IntVector::ZERO, &params, &sampler(stale), 7, stale);
+                    got.sum_i.fill(3.5);
+                    got.active.fill(false);
+                    fill_cell_packet(&mut got, &props, cell, &params, &per_ray, first, count);
+
+                    for (name, g, w) in [
+                        ("ox", &got.ox, &want.ox), ("oy", &got.oy, &want.oy), ("oz", &got.oz, &want.oz),
+                        ("dx", &got.dx, &want.dx), ("dy", &got.dy, &want.dy), ("dz", &got.dz, &want.dz),
+                        ("weight", &got.weight, &want.weight), ("sum_i", &got.sum_i, &want.sum_i),
+                    ] {
+                        prop_assert_eq!(bits(g), bits(w), "{} of {:?} x {} from ray {} after {}", name, sampling, count, first, stale);
+                    }
+                    prop_assert_eq!(&got.active, &want.active);
+                }
+            }
+        }
     }
 }
 
