@@ -314,8 +314,8 @@ mod tests {
     fn sincos_turn_quarter_turn_symmetry() {
         let mut rng = CellRng::new(23, IntVector::ZERO, 0, 0);
         for _ in 0..200_000 {
-            let u = (rng.next_u64() >> 11) as f64 * (0.75 / (1u64 << 53) as f64);
-            let u = (u * (1u64 << 53) as f64).floor() / (1u64 << 53) as f64;
+            // A multiple of 2⁻⁵³ in [0, ¾): adding ¼ is exact.
+            let u = (rng.next_u64() % (3 << 51)) as f64 / (1u64 << 53) as f64;
             let (s, c) = sincos_turn(u);
             let (s_next, c_next) = sincos_turn(u + 0.25);
             assert_eq!((s_next.to_bits(), c_next.to_bits()), (c.to_bits(), (-s).to_bits()), "u {u}");

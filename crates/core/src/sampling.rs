@@ -20,7 +20,7 @@ pub enum RaySampling {
 }
 
 /// A per-cell direction sampler: hands out `nrays` directions.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct DirectionSampler {
     mode: RaySampling,
     nrays: u32,
