@@ -52,7 +52,9 @@ fn main() {
                     // Synchronous drains: async D2H releases device memory
                     // when the engine thread finishes, so the peak column
                     // would vary run to run. The ablation isolates the
-                    // level DB; the drain policy is studied in d2h_overlap.
+                    // level DB; the drain policy is covered by
+                    // tests/multi_timestep.rs::async_d2h_divq_bit_identical_to_sync_across_thread_counts
+                    // and the benchmark's `gpu.d2h_*` metrics.
                     gpu_async_d2h: false,
                     ..Default::default()
                 },

@@ -270,11 +270,6 @@ pub struct GpuDataWarehouse {
     /// completes inline — same handle API, same bytes, zero overlap — so the
     /// synchronous baseline runs the identical task-body code.
     async_d2h: bool,
-    /// When true (the default), a failed device allocation evicts LRU
-    /// entries (spilling patch data to host) and retries instead of
-    /// surfacing OOM — the oversubscription path. When false the warehouse
-    /// fails exactly at capacity, the pre-allocator behaviour.
-    eviction: bool,
     /// Timestep epoch: bumped by [`Self::begin_timestep`]. Level-DB entries
     /// stamped with an older epoch are *stale* — still device-resident, but
     /// requiring revalidation (diff + incremental re-upload) before reuse
@@ -293,18 +288,17 @@ impl GpuDataWarehouse {
     /// Fleet construction, every flag explicit: one patch DB + one level DB
     /// per device. `level_db_enabled: false` is the E4 ablation;
     /// `async_d2h: false` selects the bit-identical synchronous drain
-    /// (completes inline with the same engine bookkeeping); `eviction:
-    /// false` restores hard-OOM-at-capacity (the ablation baseline for the
-    /// oversubscription gate). `_async_h2d` is accepted and selects
-    /// nothing: uploads have one synchronous path, and the argument stays
-    /// only because the benchmark (`perf_report/`, frozen by the benchmark
-    /// contract) passes five arguments.
+    /// (completes inline with the same engine bookkeeping). `_async_h2d`
+    /// and `_eviction` are accepted and select nothing: uploads have one
+    /// synchronous path, memory pressure always evicts LRU entries, and
+    /// the arguments stay only because the benchmark (`perf_report/`,
+    /// frozen by the benchmark contract) passes five arguments.
     pub fn with_fleet_full(
         fleet: DeviceFleet,
         level_db_enabled: bool,
         async_d2h: bool,
         _async_h2d: bool,
-        eviction: bool,
+        _eviction: bool,
     ) -> Self {
         let stores = (0..fleet.num_devices()).map(|_| Default::default()).collect();
         Self {
@@ -313,7 +307,6 @@ impl GpuDataWarehouse {
             affinity: RwLock::new(HashMap::new()),
             level_db_enabled,
             async_d2h,
-            eviction,
             epoch: AtomicU64::new(0),
         }
     }
@@ -360,12 +353,6 @@ impl GpuDataWarehouse {
     #[inline]
     pub fn async_d2h(&self) -> bool {
         self.async_d2h
-    }
-
-    /// Whether memory pressure evicts LRU entries instead of failing.
-    #[inline]
-    pub fn eviction_enabled(&self) -> bool {
-        self.eviction
     }
 
     /// The home device for a patch: the cost-balanced override if one is
@@ -449,7 +436,7 @@ impl GpuDataWarehouse {
     }
 
     /// Carve `bytes` from `dev`'s sub-allocator, evicting LRU entries and
-    /// retrying on failure (when eviction is enabled). Each eviction frees
+    /// retrying on failure. Each eviction frees
     /// a nonzero extent, so the loop terminates: either the allocation
     /// succeeds or nothing evictable remains. Before surfacing that error,
     /// one escalation: drain the D2H engine and retry — posted drains pin
@@ -469,9 +456,6 @@ impl GpuDataWarehouse {
             match device.alloc_block(bytes) {
                 Ok(b) => return Ok(b),
                 Err(e) => {
-                    if !self.eviction {
-                        return Err(e);
-                    }
                     if Self::evict_one(device, st) {
                         continue;
                     }
@@ -1300,19 +1284,6 @@ mod tests {
         dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).map(drop).unwrap();
         assert_eq!(device.counters().evictions, 1);
         device.validate_allocator().unwrap();
-    }
-
-    #[test]
-    fn eviction_disabled_fails_hard_at_capacity() {
-        let patch_bytes = 8usize.pow(3) * 8;
-        let fleet = DeviceFleet::with_capacity(1, "small", patch_bytes + 100);
-        let dw = GpuDataWarehouse::with_fleet_full(fleet, true, true, true, false);
-        assert!(!dw.eviction_enabled());
-        dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).map(drop).unwrap();
-        let err = dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).unwrap_err();
-        assert!(matches!(err, GpuError::OutOfMemory { .. }));
-        assert_eq!(dw.device().counters().evictions, 0);
-        assert_eq!(dw.spill_entries(), 0);
     }
 
     #[test]

@@ -77,9 +77,9 @@ pub fn decode_window(payload: &[u8]) -> (Region, FieldData) {
 /// first byte is a kind in {0, 1}).
 const BUNDLE_MAGIC: u8 = 0xB7;
 
-/// Encode several already-encoded windows into one payload (message
-/// aggregation: Uintah packs all dependencies between a rank pair into one
-/// MPI message). Entries are `(var_id, level, window payload)` where each
+/// Encode several already-encoded windows into one payload (the regrid
+/// migration's wire format: every variable of a moving patch in one
+/// message). Entries are `(var_id, level, window payload)` where each
 /// payload comes from [`encode_window`].
 pub fn encode_bundle(entries: &[(u8, u8, Bytes)]) -> Bytes {
     assert!(entries.len() <= u16::MAX as usize, "bundle too large");

@@ -4,11 +4,9 @@
 
 use crate::dw::DataWarehouse;
 use crate::executor::PersistentExecutor;
-use crate::graph;
 use crate::scheduler::{ExecStats, Scheduler, StoreKind};
 use crate::task::TaskDecl;
 use std::sync::Arc;
-use std::time::Instant;
 use uintah_comm::{AllReduceVec, CommWorld, Communicator};
 use uintah_gpu::{lpt_assign, DeviceFleet, GpuAffinity, GpuDataWarehouse};
 use uintah_grid::{
@@ -43,27 +41,11 @@ pub struct WorldConfig {
     /// transfer/kernel pipelining). `false` drains inline inside task
     /// bodies — the synchronous baseline; results are bit-identical.
     pub gpu_async_d2h: bool,
-    /// Evict LRU device-DB entries (spilling patch data to host) when an
-    /// allocation fails, instead of surfacing OOM — the oversubscription
-    /// path. `false` fails hard at capacity (the ablation baseline);
-    /// results are bit-identical either way, only wall time and the
-    /// eviction/spill counters differ.
-    pub gpu_eviction: bool,
-    /// Bundle all whole-level windows per (producer instance, destination
-    /// rank) into one message (Uintah's rank-pair message packing).
-    pub aggregate_level_windows: bool,
-    /// Persist execution state across timesteps (cached task graph,
-    /// device-resident level replicas) via
-    /// [`PersistentExecutor`]. `false` rebuilds everything each step — the
-    /// pre-optimization baseline, kept as the control for equivalence tests
-    /// and the `timestep_loop` benchmark.
-    pub persistent: bool,
     /// Rebalance ownership every `k` timesteps from measured per-patch
     /// costs: all ranks exchange their cost vectors (an all-reduce), run
     /// the deterministic [`Regridder`] and adopt the agreed distribution —
-    /// migrating warehouse contents and recompiling the graph on the
-    /// persistent path. `None` keeps the initial distribution for the whole
-    /// run.
+    /// migrating warehouse contents and recompiling the graph.
+    /// `None` keeps the initial distribution for the whole run.
     pub regrid_interval: Option<usize>,
     /// Which rebalance policy the regridder applies at each interval.
     pub regrid_policy: RebalancePolicy,
@@ -86,9 +68,6 @@ impl Default for WorldConfig {
             gpu_affinity: GpuAffinity::Sticky,
             gpu_level_db: true,
             gpu_async_d2h: true,
-            gpu_eviction: true,
-            aggregate_level_windows: false,
-            persistent: true,
             regrid_interval: None,
             regrid_policy: RebalancePolicy::CostedSfc,
             run_id: None,
@@ -180,7 +159,7 @@ pub fn build_rank(
             cfg.gpu_level_db,
             cfg.gpu_async_d2h,
             true, // unused `_async_h2d`: signature pinned by perf_report
-            cfg.gpu_eviction,
+            true, // unused `_eviction`: likewise
         ))
     });
     let mut exec = PersistentExecutor::new(
@@ -190,7 +169,6 @@ pub fn build_rank(
         Scheduler::new(comm, cfg.nthreads, cfg.store),
         Arc::new(DataWarehouse::new(grid)),
         gpu,
-        cfg.aggregate_level_windows,
     );
     exec.set_run_id(run_id);
     exec
@@ -240,40 +218,6 @@ impl<'a> RankSteps<'a> {
             self.exec.regrid(next);
         }
         let s = self.exec.step();
-        self.record(&s);
-        s
-    }
-
-    /// The rebuild-everything control (`persistent: false`): fresh graph,
-    /// cold warehouse and cold GPU level DB every step, bypassing the
-    /// executor's caches. A rebalance here is just a swap of the caller's
-    /// `dist` — no migration, nothing persists.
-    fn advance_rebuilding(&mut self, ts: usize, dist: &mut Arc<PatchDistribution>) -> ExecStats {
-        if let Some(next) = self.agree_on_rebalance(ts, dist) {
-            *dist = next;
-        }
-        let exec = &*self.exec;
-        if ts > 0 {
-            exec.dw().clear();
-            if let Some(g) = exec.gpu() {
-                g.clear_level_db();
-                g.clear_patch_db();
-            }
-        }
-        let t0 = Instant::now();
-        let cg = graph::compile_opts(
-            &exec.grid,
-            dist,
-            &exec.decls,
-            exec.sched.rank(),
-            (ts % 256) as u8,
-            self.cfg.aggregate_level_windows,
-        );
-        let compile_time = t0.elapsed();
-        let gpu = exec.gpu().map(|g| g.as_ref());
-        let mut s = exec.sched.execute(&exec.grid, &exec.decls, &cg, exec.dw(), gpu);
-        s.graph_compile = compile_time;
-        s.run_id = exec.run_id.clone();
         self.record(&s);
         s
     }
@@ -343,22 +287,13 @@ pub fn run_world(grid: Arc<Grid>, decls: Arc<Vec<TaskDecl>>, cfg: WorldConfig) -
             fleet,
         );
         let mut steps = RankSteps::new(&mut exec, &cfg, &cost_reduce);
-        let (stats, dist) = if cfg.persistent {
-            let stats = (0..cfg.timesteps).map(|ts| steps.advance(ts)).collect();
-            (stats, Arc::clone(exec.dist()))
-        } else {
-            let mut dist = Arc::clone(&initial);
-            let stats = (0..cfg.timesteps)
-                .map(|ts| steps.advance_rebuilding(ts, &mut dist))
-                .collect();
-            (stats, dist)
-        };
+        let stats = (0..cfg.timesteps).map(|ts| steps.advance(ts)).collect();
         RankResult {
             rank,
             stats,
             dw: Arc::clone(exec.dw()),
             gpu: exec.gpu().cloned(),
-            dist,
+            dist: Arc::clone(exec.dist()),
         }
     };
     let ranks: Vec<RankResult> = std::thread::scope(|scope| {

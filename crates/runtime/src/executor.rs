@@ -11,8 +11,8 @@
 //! owns the per-rank execution state across timesteps:
 //!
 //! * the compiled graph, cached under a [`graph_signature`] of everything
-//!   compilation reads (grid shape, declarations, distribution, rank,
-//!   aggregation flag). A matching signature reuses the cached graph and
+//!   compilation reads (grid shape, declarations, distribution, rank). A
+//!   matching signature reuses the cached graph and
 //!   [`Scheduler::execute_phase`] re-stamps tags with the step's phase
 //!   byte; a mismatch — regrid, rebalance, changed task list — recompiles.
 //!   [`PersistentExecutor::invalidate`] forces the same from outside (the
@@ -39,16 +39,13 @@ use uintah_grid::{Grid, PatchDistribution, PatchId};
 /// residency across timesteps. One instance per rank, stepped in lockstep
 /// with the other ranks of the world.
 pub struct PersistentExecutor {
-    // Crate-visible parts: the driver's step routine reads the grid, and
-    // its rebuild-everything control runs the scheduler without the caches
-    // below.
+    /// Crate-visible: the driver's step routine reads the grid.
     pub(crate) grid: Arc<Grid>,
-    pub(crate) decls: Arc<Vec<TaskDecl>>,
+    decls: Arc<Vec<TaskDecl>>,
     dist: Arc<PatchDistribution>,
-    pub(crate) sched: Scheduler,
+    sched: Scheduler,
     dw: Arc<DataWarehouse>,
     gpu: Option<Arc<GpuDataWarehouse>>,
-    aggregate_level_windows: bool,
     /// Cached compiled graph keyed by its input signature.
     cached: Option<(u64, Arc<CompiledGraph>)>,
     /// Optional cross-executor graph cache (the multi-tenant server's
@@ -59,7 +56,7 @@ pub struct PersistentExecutor {
     shared_graph_hits: u64,
     /// Job/run identifier stamped into every [`ExecStats`] this executor
     /// produces, so interleaved multi-job logs stay attributable.
-    pub(crate) run_id: Option<Arc<str>>,
+    run_id: Option<Arc<str>>,
     step: u64,
     compiles: usize,
     /// Regrid cost accumulated since the last step, folded into the next
@@ -69,7 +66,6 @@ pub struct PersistentExecutor {
 }
 
 impl PersistentExecutor {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         grid: Arc<Grid>,
         decls: Arc<Vec<TaskDecl>>,
@@ -77,7 +73,6 @@ impl PersistentExecutor {
         sched: Scheduler,
         dw: Arc<DataWarehouse>,
         gpu: Option<Arc<GpuDataWarehouse>>,
-        aggregate_level_windows: bool,
     ) -> Self {
         Self {
             grid,
@@ -86,7 +81,6 @@ impl PersistentExecutor {
             sched,
             dw,
             gpu,
-            aggregate_level_windows,
             cached: None,
             shared_cache: None,
             shared_graph_hits: 0,
@@ -141,13 +135,7 @@ impl PersistentExecutor {
                 g.clear_patch_db();
             }
         }
-        let sig = graph::graph_signature(
-            &self.grid,
-            &self.dist,
-            &self.decls,
-            self.sched.rank(),
-            self.aggregate_level_windows,
-        );
+        let sig = graph::graph_signature(&self.grid, &self.dist, &self.decls, self.sched.rank());
         let mut compile_time = Duration::ZERO;
         if !matches!(&self.cached, Some((s, _)) if *s == sig) {
             if let Some(shared) = self.shared_cache.as_ref().and_then(|c| c.lookup(sig)) {
@@ -155,13 +143,12 @@ impl PersistentExecutor {
                 self.cached = Some((sig, shared));
             } else {
                 let t0 = Instant::now();
-                let g = Arc::new(graph::compile_opts(
+                let g = Arc::new(graph::compile(
                     &self.grid,
                     &self.dist,
                     &self.decls,
                     self.sched.rank(),
                     0,
-                    self.aggregate_level_windows,
                 ));
                 compile_time = t0.elapsed();
                 self.compiles += 1;

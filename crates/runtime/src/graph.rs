@@ -20,11 +20,6 @@ fn level_dst_marker(level: LevelIndex) -> u32 {
     0xFF_FF00 | level as u32
 }
 
-/// Tag destination marker for aggregated level bundles.
-const BUNDLE_DST_MARKER: u32 = 0xFF_FE00;
-/// Tag var-id for bundles (real labels never use 0xFF).
-const BUNDLE_VAR_ID: u8 = 0xFF;
-
 /// What to do with a received message.
 #[derive(Clone, Debug)]
 pub enum RecvAction {
@@ -32,9 +27,6 @@ pub enum RecvAction {
     Foreign { label: VarLabel, dst_patch: PatchId },
     /// A restriction window of a whole-level replica.
     Level { label: VarLabel, level: LevelIndex },
-    /// An aggregated message carrying several level windows (each entry of
-    /// the bundle is self-describing: var id + level + region).
-    LevelBundle,
 }
 
 /// An expected message.
@@ -54,9 +46,6 @@ pub enum SendPayload {
     PatchWindow,
     /// Pack `window` from the level accumulator for this level.
     LevelWindow(LevelIndex),
-    /// Aggregated: pack every listed `(label, level, window)` from the
-    /// level accumulators into one bundle message.
-    LevelBundle(Vec<(VarLabel, LevelIndex, Region)>),
 }
 
 /// An outgoing message posted after its producing instance executes.
@@ -120,30 +109,14 @@ pub fn ratio_between(grid: &Grid, fine_li: LevelIndex, coarse_li: LevelIndex) ->
 }
 
 /// Compile the per-rank graph for one phase (timestep), one message per
-/// window (the default; matches the per-dependency counting of the Titan
-/// model's census).
+/// window (matches the per-dependency counting of the Titan model's
+/// census).
 pub fn compile(
     grid: &Grid,
     dist: &PatchDistribution,
     decls: &[TaskDecl],
     rank: usize,
     phase: u8,
-) -> CompiledGraph {
-    compile_opts(grid, dist, decls, rank, phase, false)
-}
-
-/// [`compile`] with optional *level-window aggregation*: all whole-level
-/// windows a producer instance owes one destination rank travel in a
-/// single bundled message (Uintah packs the dependencies between a rank
-/// pair into one MPI message), cutting the all-to-all message count by the
-/// number of bundled variables/levels.
-pub fn compile_opts(
-    grid: &Grid,
-    dist: &PatchDistribution,
-    decls: &[TaskDecl],
-    rank: usize,
-    phase: u8,
-    aggregate_level_windows: bool,
 ) -> CompiledGraph {
     // ---- producer maps -------------------------------------------------
     let mut patch_producer: HashMap<VarLabel, usize> = HashMap::new();
@@ -197,7 +170,7 @@ pub fn compile_opts(
     // ---- gather pseudo-instances ----------------------------------------
     // One per (label, level) required as WholeLevel by any local instance.
     let mut needed_levels: Vec<(VarLabel, LevelIndex)> = Vec::new();
-    for (di, d) in decls.iter().enumerate() {
+    for d in decls {
         let has_local = dist
             .owned_by(rank)
             .iter()
@@ -205,7 +178,6 @@ pub fn compile_opts(
         if !has_local {
             continue;
         }
-        let _ = di;
         for r in &d.requires {
             if let Requirement::WholeLevel(l, li) = *r {
                 if !needed_levels.contains(&(l, li)) {
@@ -307,7 +279,7 @@ pub fn compile_opts(
             if dist.rank_of(p.id()) == rank {
                 let from = inst_of[&(pd, p.id())];
                 add_edge(&mut instances, from, gi);
-            } else if !aggregate_level_windows {
+            } else {
                 let tag = Tag::compose(l.id(), p.id().0, level_dst_marker(li), phase);
                 let src_rank = dist.rank_of(p.id());
                 let ri = *recv_ix.entry((src_rank, tag)).or_insert_with(|| {
@@ -321,37 +293,6 @@ pub fn compile_opts(
                 });
                 recvs[ri].dependents.push(gi);
                 instances[gi].num_deps_in += 1;
-            }
-        }
-    }
-    // Aggregated mode: one bundled message per remote producer *instance*,
-    // feeding every gather served by that producer declaration.
-    if aggregate_level_windows {
-        let mut gathers_by_pd: HashMap<usize, Vec<usize>> = HashMap::new();
-        for &(l, li) in &needed_levels {
-            let pd = level_producer[&(l, li)];
-            gathers_by_pd.entry(pd).or_default().push(gather_of[&(l, li)]);
-        }
-        for (&pd, gathers) in &gathers_by_pd {
-            for p in grid.level(decls[pd].level).patches() {
-                let src_rank = dist.rank_of(p.id());
-                if src_rank == rank {
-                    continue;
-                }
-                let tag = Tag::compose(BUNDLE_VAR_ID, p.id().0, BUNDLE_DST_MARKER, phase);
-                let ri = *recv_ix.entry((src_rank, tag)).or_insert_with(|| {
-                    recvs.push(RecvEntry {
-                        src_rank,
-                        tag,
-                        action: RecvAction::LevelBundle,
-                        dependents: Vec::new(),
-                    });
-                    recvs.len() - 1
-                });
-                for &gi in gathers {
-                    recvs[ri].dependents.push(gi);
-                    instances[gi].num_deps_in += 1;
-                }
             }
         }
     }
@@ -399,11 +340,7 @@ pub fn compile_opts(
     }
 
     // Level windows: broadcast each local producer's restriction window to
-    // every rank that gathers (l, li) — the all-to-all. In aggregated mode
-    // the per-(label, level) windows are collected first and emitted as one
-    // bundle per (producer instance, destination rank).
-    type BundleEntries = (PatchId, Vec<(VarLabel, LevelIndex, Region)>);
-    let mut bundles: HashMap<(usize, usize), BundleEntries> = HashMap::new();
+    // every rank that gathers (l, li) — the all-to-all.
     for (&(l, li), &pd) in &level_producer {
         // Consumer ranks: any rank owning patches on a level of a decl that
         // requires WholeLevel(l, li).
@@ -437,38 +374,16 @@ pub fn compile_opts(
                 if dst == rank {
                     continue;
                 }
-                if aggregate_level_windows {
-                    bundles
-                        .entry((from, dst))
-                        .or_insert_with(|| (qid, Vec::new()))
-                        .1
-                        .push((l, li, window));
-                } else {
-                    instances[from].sends.push(SendSpec {
-                        label: l,
-                        src_patch: qid,
-                        window,
-                        dst_rank: dst,
-                        tag: Tag::compose(l.id(), qid.0, level_dst_marker(li), phase),
-                        payload: SendPayload::LevelWindow(li),
-                    });
-                }
+                instances[from].sends.push(SendSpec {
+                    label: l,
+                    src_patch: qid,
+                    window,
+                    dst_rank: dst,
+                    tag: Tag::compose(l.id(), qid.0, level_dst_marker(li), phase),
+                    payload: SendPayload::LevelWindow(li),
+                });
             }
         }
-    }
-
-    // Emit the aggregated bundles.
-    for ((from, dst), (qid, mut windows)) in bundles {
-        // Deterministic payload order across ranks and runs.
-        windows.sort_by_key(|&(l, li, _)| (l.id(), li));
-        instances[from].sends.push(SendSpec {
-            label: windows[0].0,
-            src_patch: qid,
-            window: windows[0].2,
-            dst_rank: dst,
-            tag: Tag::compose(BUNDLE_VAR_ID, qid.0, BUNDLE_DST_MARKER, phase),
-            payload: SendPayload::LevelBundle(windows),
-        });
     }
 
     let initial_ready: Vec<usize> = instances
@@ -482,10 +397,7 @@ pub fn compile_opts(
     let cells_sent: usize = instances
         .iter()
         .flat_map(|t| t.sends.iter())
-        .map(|s| match &s.payload {
-            SendPayload::LevelBundle(ws) => ws.iter().map(|(_, _, w)| w.volume()).sum(),
-            _ => s.window.volume(),
-        })
+        .map(|s| s.window.volume())
         .sum();
     let stats = GraphStats {
         instances: instances.len(),
@@ -542,10 +454,9 @@ impl SigHasher {
     }
 }
 
-/// A digest of every input [`compile_opts`] depends on: grid shape, task
-/// declarations, patch distribution, rank and aggregation flag — everything
-/// *except* the phase byte, which [`Tag::with_phase`] re-stamps at post
-/// time.
+/// A digest of every input [`compile`] depends on: grid shape, task
+/// declarations, patch distribution and rank — everything *except* the
+/// phase byte, which [`Tag::with_phase`] re-stamps at post time.
 ///
 /// Two calls with equal signatures compile identical graphs (up to phase),
 /// so a cached `CompiledGraph` may be reused; any regrid, rebalance or
@@ -555,11 +466,9 @@ pub fn graph_signature(
     dist: &PatchDistribution,
     decls: &[TaskDecl],
     rank: usize,
-    aggregate_level_windows: bool,
 ) -> u64 {
     let mut h = SigHasher::new();
     h.u64(rank as u64);
-    h.u64(aggregate_level_windows as u64);
     // Grid structure.
     h.u64(grid.num_levels() as u64);
     for level in grid.levels() {
@@ -879,109 +788,6 @@ mod tests {
         let dist = PatchDistribution::new(&g, 1, DistributionPolicy::MortonSfc);
         let decls = vec![TaskDecl::new("consumer", 1, nop()).requires(Requirement::OwnPatch(DIVQ))];
         compile(&g, &dist, &decls, 0, 0);
-    }
-
-    /// Like `decls()` but with three level-window variables (the RMCRT
-    /// property set), so bundles actually aggregate.
-    fn decls3() -> Vec<TaskDecl> {
-        const SIG: VarLabel = VarLabel::new("sigmaT4overPi", 1);
-        const CT: VarLabel = VarLabel::new("cellType", 2);
-        let fine = 1;
-        vec![
-            TaskDecl::new("initProps", fine, nop())
-                .computes(Computes::PatchVar(KAPPA))
-                .computes(Computes::LevelWindow(KAPPA, 0))
-                .computes(Computes::LevelWindow(SIG, 0))
-                .computes(Computes::LevelWindow(CT, 0)),
-            TaskDecl::new("rmcrt", fine, nop())
-                .requires(Requirement::Ghost(KAPPA, 2))
-                .requires(Requirement::WholeLevel(KAPPA, 0))
-                .requires(Requirement::WholeLevel(SIG, 0))
-                .requires(Requirement::WholeLevel(CT, 0))
-                .computes(Computes::PatchVar(DIVQ)),
-        ]
-    }
-
-    #[test]
-    fn aggregated_compile_matches_sends_to_recvs() {
-        let g = grid();
-        let dist = PatchDistribution::new(&g, 3, DistributionPolicy::MortonSfc);
-        let graphs: Vec<CompiledGraph> = (0..3)
-            .map(|r| compile_opts(&g, &dist, &decls3(), r, 0, true))
-            .collect();
-        // Every aggregated send has a matching expected recv and vice versa.
-        for src in 0..3usize {
-            for dst in 0..3usize {
-                if src == dst {
-                    continue;
-                }
-                let sends: HashSet<u64> = graphs[src]
-                    .instances
-                    .iter()
-                    .flat_map(|t| t.sends.iter())
-                    .filter(|s| s.dst_rank == dst)
-                    .map(|s| s.tag.0)
-                    .collect();
-                let recvs: HashSet<u64> = graphs[dst]
-                    .recvs
-                    .iter()
-                    .filter(|r| r.src_rank == src)
-                    .map(|r| r.tag.0)
-                    .collect();
-                assert_eq!(sends, recvs, "rank {src} -> {dst}");
-            }
-        }
-        // Bundled level messages: one per (producer instance, peer) instead
-        // of one per (variable, producer instance, peer).
-        let plain = compile(&g, &dist, &decls3(), 0, 0);
-        let packed = &graphs[0];
-        let count = |cg: &CompiledGraph, pred: fn(&SendSpec) -> bool| {
-            cg.instances.iter().flat_map(|t| t.sends.iter()).filter(|s| pred(s)).count()
-        };
-        let plain_level = count(&plain, |s| matches!(s.payload, SendPayload::LevelWindow(_)));
-        let packed_bundles = count(packed, |s| matches!(s.payload, SendPayload::LevelBundle(_)));
-        assert_eq!(packed_bundles * 3, plain_level, "3 variables per bundle");
-        // Ghost traffic is untouched.
-        let plain_ghost = count(&plain, |s| matches!(s.payload, SendPayload::PatchWindow));
-        let packed_ghost = count(packed, |s| matches!(s.payload, SendPayload::PatchWindow));
-        assert_eq!(plain_ghost, packed_ghost);
-    }
-
-    #[test]
-    fn aggregated_gather_dep_counts_are_bundles_not_windows() {
-        let g = grid();
-        let dist = PatchDistribution::new(&g, 4, DistributionPolicy::MortonSfc);
-        let plain = compile(&g, &dist, &decls3(), 0, 0);
-        let packed = compile_opts(&g, &dist, &decls3(), 0, 0, true);
-        let gather_deps = |cg: &CompiledGraph| -> usize {
-            cg.instances
-                .iter()
-                .filter(|t| t.gather.is_some())
-                .map(|t| t.num_deps_in)
-                .sum()
-        };
-        // Each bundle notifies every gather exactly once, so per-gather
-        // dependency counts are identical in both modes (3 variables ×
-        // (local edges + remote producers)) — only the *message* count
-        // changes.
-        let local_fine = dist
-            .owned_by(0)
-            .iter()
-            .filter(|&&p| g.patch(p).level_index() == 1)
-            .count();
-        let total_fine = g.fine_level().num_patches();
-        let remote = total_fine - local_fine;
-        assert_eq!(gather_deps(&plain), 3 * local_fine + 3 * remote);
-        assert_eq!(gather_deps(&packed), gather_deps(&plain));
-        // But the packed graph expects 3x fewer level messages.
-        let level_recvs = |cg: &CompiledGraph| {
-            cg.recvs
-                .iter()
-                .filter(|r| !matches!(r.action, RecvAction::Foreign { .. }))
-                .count()
-        };
-        assert_eq!(level_recvs(&plain), 3 * remote);
-        assert_eq!(level_recvs(&packed), remote);
     }
 
     #[test]

@@ -63,8 +63,7 @@ pub struct RegridEvent {
 }
 
 /// Var-id → label map over every label the task list can publish — the
-/// receive side of self-describing bundles (graph level-bundles and
-/// migration bundles alike).
+/// receive side of self-describing migration bundles.
 pub(crate) fn label_map(decls: &[TaskDecl]) -> HashMap<u8, VarLabel> {
     let mut map = HashMap::new();
     for d in decls {

@@ -315,19 +315,7 @@ impl Scheduler {
         &self.comm
     }
 
-    /// Execute one compiled graph to completion under its own phase byte.
-    pub fn execute(
-        &self,
-        grid: &Arc<Grid>,
-        decls: &[TaskDecl],
-        graph: &CompiledGraph,
-        dw: &DataWarehouse,
-        gpu: Option<&GpuDataWarehouse>,
-    ) -> ExecStats {
-        self.execute_phase(grid, decls, graph, dw, gpu, graph.phase)
-    }
-
-    /// Execute a compiled graph under an arbitrary timestep `phase`.
+    /// Execute a compiled graph to completion under timestep `phase`.
     ///
     /// The phase byte is the only per-timestep component of a message tag,
     /// so a graph compiled once can run every step: each posted receive and
@@ -402,10 +390,6 @@ impl Scheduler {
         }
         let recv_map = &recv_map;
 
-        // Var-id → label map for self-describing bundle entries.
-        let label_map = crate::regrid::label_map(decls);
-        let label_map = &label_map;
-
         // Aggregated counters (nanoseconds for the durations).
         let tasks_executed = AtomicUsize::new(0);
         let gathers_executed = AtomicUsize::new(0);
@@ -474,16 +458,6 @@ impl Scheduler {
                             RecvAction::Level { label, level } => {
                                 let (region, data) = crate::codec::decode_window(&msg.payload);
                                 dw.deposit_level_window(label, level, region, &data);
-                            }
-                            RecvAction::LevelBundle => {
-                                for (var_id, level, region, data) in
-                                    crate::codec::decode_bundle(&msg.payload)
-                                {
-                                    let label = *label_map
-                                        .get(&var_id)
-                                        .expect("bundle entry with unknown var id");
-                                    dw.deposit_level_window(label, level, region, &data);
-                                }
                             }
                         }
                         messages_received.fetch_add(1, Ordering::Relaxed);
@@ -563,15 +537,6 @@ impl Scheduler {
                                         }
                                         SendPayload::LevelWindow(li) => {
                                             dw.pack_level_window(s.label, *li, &s.window)
-                                        }
-                                        SendPayload::LevelBundle(windows) => {
-                                            let entries: Vec<(u8, u8, bytes::Bytes)> = windows
-                                                .iter()
-                                                .map(|&(l, li, w)| {
-                                                    (l.id(), li, dw.pack_level_window(l, li, &w))
-                                                })
-                                                .collect();
-                                            crate::codec::encode_bundle(&entries)
                                         }
                                     };
                                     bytes_sent.fetch_add(payload.len() as u64, Ordering::Relaxed);

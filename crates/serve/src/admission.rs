@@ -4,8 +4,8 @@
 //! The controller is deliberately conservative: it admits on an *upper
 //! bound* of the job's device residency (level replicas on every device of
 //! every rank's warehouse, plus fully ghosted per-patch staging on the
-//! fine level), so an admitted job can always complete without tripping
-//! hard OOM even when eviction is disabled. Jobs whose bound exceeds what
+//! fine level), so an admitted job can always complete without relying on
+//! LRU eviction. Jobs whose bound exceeds what
 //! is currently free are **queued**, not failed; jobs whose bound exceeds
 //! the fleet's *total* capacity are rejected up front with a typed error
 //! ([`RejectCode::TooLarge`]) — they could never run, and queuing them

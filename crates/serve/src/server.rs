@@ -24,7 +24,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
-use uintah::config::{JobPriority, RunConfig};
+use uintah::config::{mib_to_bytes, JobPriority, RunConfig};
 use uintah_grid::CcVariable;
 use uintah_gpu::DeviceFleet;
 use uintah_runtime::{GraphCache, GraphCacheStats};
@@ -231,8 +231,9 @@ impl RadiationServer {
     pub fn start(cfg: ServeConfig) -> Self {
         assert!(cfg.workers >= 1, "server needs at least one worker");
         assert!(cfg.gpus >= 1, "fleet needs at least one device");
-        let fleet =
-            DeviceFleet::with_capacity(cfg.gpus, "K20X-sim", cfg.gpu_capacity_mb << 20);
+        let capacity =
+            mib_to_bytes(cfg.gpu_capacity_mb).expect("gpu_capacity_mb overflows a byte count");
+        let fleet = DeviceFleet::with_capacity(cfg.gpus, "K20X-sim", capacity);
         let inner = Arc::new(ServerInner {
             graph_cache: Arc::new(GraphCache::new(cfg.graph_cache_cap.max(1))),
             fleet,

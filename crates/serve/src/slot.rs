@@ -249,7 +249,7 @@ mod tests {
     /// One row per key of the table: setting a `shape` key to a second
     /// valid value must change the slot signature (those options are baked
     /// into the slot's warehouses, schedulers and graphs — e.g. a
-    /// `gpu_eviction = off` tenant must not land on an evicting slot);
+    /// `gpu_affinity = cost` tenant must not land on a sticky slot);
     /// setting any other key must not (per-job parameters share warm slots).
     #[test]
     fn shape_signature_ignores_per_job_parameters() {
@@ -269,8 +269,6 @@ mod tests {
             "gpus_per_rank" => "6",
             "gpu_affinity" => "cost",
             "gpu_capacity_mb" => "512",
-            "gpu_eviction" => "off",
-            "aggregate" => "true",
             "regrid_interval" => "3",
             "regrid_policy" => "lpt",
             "timesteps" => "7",
@@ -300,7 +298,7 @@ mod tests {
             shape,
             [
                 "fine_cells", "patch_size", "levels", "refinement_ratio", "ranks", "threads",
-                "store", "gpu", "gpu_affinity", "gpu_eviction", "aggregate",
+                "store", "gpu", "gpu_affinity",
             ],
             "the set of slot-shape keys is part of the serving contract"
         );

@@ -63,10 +63,6 @@ pub struct RunConfig {
     /// Problems larger than this per device exercise the oversubscription
     /// path: LRU eviction with spill-to-host.
     pub gpu_capacity_mb: usize,
-    /// Device-memory eviction policy: `lru` (default) evicts
-    /// least-recently-used DB entries under pressure; `off` fails hard at
-    /// capacity (the pre-sub-allocator behaviour).
-    pub gpu_eviction: bool,
     pub timesteps: usize,
     pub sampling: rmcrt_core::RaySampling,
     /// `true` = adaptive per-cell ray counts ([`rmcrt_core::RayCountMode::Adaptive`]
@@ -79,8 +75,6 @@ pub struct RunConfig {
     /// Adaptive stopping rule: stop when the standard error of the mean
     /// intensity falls below this fraction of its magnitude.
     pub rel_var_target: f64,
-    /// Bundle level windows per rank pair (Uintah message packing).
-    pub aggregate: bool,
     /// Rebalance ownership every `k` timesteps from measured per-patch
     /// costs; 0 disables regridding.
     pub regrid_interval: usize,
@@ -125,14 +119,12 @@ impl Default for RunConfig {
             gpus_per_rank: 1,
             gpu_affinity: GpuAffinity::Sticky,
             gpu_capacity_mb: 6144,
-            gpu_eviction: true,
             timesteps: 1,
             sampling: rmcrt_core::RaySampling::Independent,
             adaptive_rays: false,
             rays_min: 16,
             rays_max: 1024,
             rel_var_target: 0.05,
-            aggregate: false,
             regrid_interval: 0,
             regrid_policy: RebalancePolicy::CostedSfc,
             priority: JobPriority::Normal,
@@ -196,7 +188,6 @@ const AFFINITIES: Choices<GpuAffinity> = &[
     ("cost", GpuAffinity::CostBalanced),
     ("cost_balanced", GpuAffinity::CostBalanced),
 ];
-const EVICTIONS: Choices<bool> = &[("lru", true), ("off", false)];
 const REGRID_POLICIES: Choices<RebalancePolicy> = &[
     ("sfc", RebalancePolicy::CostedSfc),
     ("lpt", RebalancePolicy::CostedLpt),
@@ -233,6 +224,13 @@ fn pick<T: Copy>(choices: Choices<T>, v: &str) -> Result<T, BadValue> {
 fn spell<T: PartialEq>(choices: Choices<T>, x: &T) -> String {
     let hit = choices.iter().find(|(_, y)| y == x).or(choices.last());
     hit.map_or(String::new(), |(name, _)| name.to_string())
+}
+
+/// A device capacity in MiB as bytes, or `None` when the byte count
+/// overflows `usize`. The one conversion every capacity setting goes
+/// through (`RunConfig::world_config`, the radiation server's fleet).
+pub fn mib_to_bytes(mb: usize) -> Option<usize> {
+    mb.checked_mul(1 << 20)
 }
 
 const SHAPE: bool = true;
@@ -279,8 +277,6 @@ pub const KEYS: &[Key] = &[
     scalar!("gpus_per_rank", PER_JOB, gpus_per_rank, num, "simulated GPUs per rank (6 = Summit-style)"),
     choice!("gpu_affinity", SHAPE, gpu_affinity, AFFINITIES, "sticky | cost (LPT from measured per-patch costs)"),
     scalar!("gpu_capacity_mb", PER_JOB, gpu_capacity_mb, num, "per-device memory budget (6144 = K20X 6 GB)"),
-    choice!("gpu_eviction", SHAPE, gpu_eviction, EVICTIONS, "lru (spill-to-host oversubscription) | off (hard OOM)"),
-    scalar!("aggregate", SHAPE, aggregate, boolean, "bundle level windows per rank pair"),
     scalar!("regrid_interval", PER_JOB, regrid_interval, num, "rebalance ownership every k timesteps; 0 = never"),
     choice!("regrid_policy", PER_JOB, regrid_policy, REGRID_POLICIES, "sfc | lpt | rotate"),
     scalar!("timesteps", PER_JOB, timesteps, num, "radiation solves to run"),
@@ -424,6 +420,12 @@ impl RunConfig {
         if self.gpu_capacity_mb == 0 {
             return Err("gpu_capacity_mb must be >= 1".into());
         }
+        if mib_to_bytes(self.gpu_capacity_mb).is_none() {
+            return Err(format!(
+                "gpu_capacity_mb {} overflows a byte count",
+                self.gpu_capacity_mb
+            ));
+        }
         if self.nrays == 0 {
             return Err("nrays must be >= 1".into());
         }
@@ -495,11 +497,12 @@ impl RunConfig {
             nthreads: self.threads,
             store: self.store,
             timesteps: self.timesteps,
-            gpu_capacity: self.gpu.then_some(self.gpu_capacity_mb << 20),
+            gpu_capacity: self.gpu.then(|| {
+                mib_to_bytes(self.gpu_capacity_mb)
+                    .expect("validate() refuses an overflowing capacity")
+            }),
             gpus_per_rank: self.gpus_per_rank,
             gpu_affinity: self.gpu_affinity,
-            gpu_eviction: self.gpu_eviction,
-            aggregate_level_windows: self.aggregate,
             regrid_interval: (self.regrid_interval > 0).then_some(self.regrid_interval),
             regrid_policy: self.regrid_policy,
             ..Default::default()
@@ -562,8 +565,14 @@ mod tests {
 
     #[test]
     fn unknown_key_rejected_with_line() {
-        // A retired key (`gpu_h2d`) is an unknown key like any other.
-        for (text, line) in [("nrayz = 8", 1), ("nrays = 8\ngpu_h2d = async", 2)] {
+        // Retired keys (`gpu_h2d`, `aggregate`, `gpu_eviction`) are unknown
+        // keys like any other.
+        for (text, line) in [
+            ("nrayz = 8", 1),
+            ("nrays = 8\ngpu_h2d = async", 2),
+            ("aggregate = true", 1),
+            ("gpu_eviction = off", 1),
+        ] {
             let err = RunConfig::parse(text).unwrap_err();
             assert_eq!(err.line, line, "{text}");
             assert!(err.message.contains("unknown key"), "{text}: {err}");
@@ -591,15 +600,10 @@ mod tests {
         assert_eq!(cfg.gpus_per_rank, 1, "single K20X per rank by default");
         assert!(RunConfig::parse("gpu_affinity = roundrobin").is_err());
         assert!(RunConfig::parse("gpus_per_rank = 0").is_err());
-        // Oversubscription keys: capacity in MiB and the eviction policy.
+        // Oversubscription key: capacity in MiB.
         assert_eq!(cfg.gpu_capacity_mb, 6144, "K20X 6 GB by default");
-        assert!(cfg.gpu_eviction, "LRU eviction on by default");
-        let cfg = RunConfig::parse("gpu_capacity_mb = 512\ngpu_eviction = off").unwrap();
+        let cfg = RunConfig::parse("gpu_capacity_mb = 512").unwrap();
         assert_eq!(cfg.gpu_capacity_mb, 512);
-        assert!(!cfg.gpu_eviction);
-        let cfg = RunConfig::parse("gpu_eviction = lru").unwrap();
-        assert!(cfg.gpu_eviction);
-        assert!(RunConfig::parse("gpu_eviction = maybe").is_err());
         assert!(RunConfig::parse("gpu_capacity_mb = 0").is_err());
     }
 
@@ -690,6 +694,8 @@ mod tests {
             "halo = -1",
             "timesteps = 0",
             "fine_cells = 16\npatch_size = 2\nlevels = 2\nrefinement_ratio = 4",
+            // 2^44 MiB is 2^64 bytes: unchecked, it wraps to a 0-byte device.
+            "gpu = true\ngpu_capacity_mb = 17592186044416",
         ] {
             let err = RunConfig::parse(text).expect_err(text);
             assert_eq!(err.line, 0, "{text}: a validation error, not a syntax error");

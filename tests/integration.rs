@@ -270,87 +270,6 @@ fn three_level_pipeline_matches_reference() {
 }
 
 #[test]
-fn aggregated_level_windows_same_results_fewer_messages() {
-    // Uintah-style rank-pair message packing: all per-variable level
-    // windows of one producer instance travel in one bundle. Results must
-    // be bit-identical; the all-to-all message count drops ~3x (3 bundled
-    // property variables).
-    let grid = Arc::new(BurnsChriston::small_grid(16, 4));
-    let p = pipeline();
-    let decls = Arc::new(multilevel_decls(&grid, p, false));
-    let base_cfg = WorldConfig {
-        nranks: 4,
-        nthreads: 2,
-        ..Default::default()
-    };
-    let plain = run_world(Arc::clone(&grid), Arc::clone(&decls), base_cfg.clone());
-    let packed = run_world(
-        Arc::clone(&grid),
-        Arc::clone(&decls),
-        WorldConfig {
-            aggregate_level_windows: true,
-            ..base_cfg
-        },
-    );
-    let a = plain.fine_field(&grid, DIVQ);
-    let b = packed.fine_field(&grid, DIVQ);
-    for c in a.region().cells() {
-        assert_eq!(a[c], b[c], "cell {c:?}");
-    }
-    // Level windows: every rank broadcasts each of its 64/4=16 fine
-    // patches' windows to 3 peers, for 3 variables → 576 messages plain,
-    // 192 bundles packed; ghost messages are unaffected.
-    let level_plain = 64 * 3 * 3;
-    let level_packed = 64 * 3;
-    assert_eq!(
-        plain.total_messages() - packed.total_messages(),
-        level_plain - level_packed,
-        "bundling must cut exactly the level-window messages: {} vs {}",
-        packed.total_messages(),
-        plain.total_messages()
-    );
-    // Payload bytes stay in the same ballpark (bundling adds small headers).
-    assert!(packed.total_bytes() <= plain.total_bytes() + plain.total_messages() as u64 * 16);
-}
-
-#[test]
-fn aggregated_three_level_pipeline_matches_reference() {
-    // Bundles spanning two coarse levels (L0 + L1 windows in one message).
-    let grid = Arc::new(
-        Grid::builder()
-            .fine_cells(IntVector::splat(32))
-            .num_levels(3)
-            .refinement_ratio(2)
-            .fine_patch_size(IntVector::splat(8))
-            .build(),
-    );
-    let p = RmcrtPipeline {
-        params: RmcrtParams {
-            nrays: 4,
-            threshold: 1e-3,
-            ..Default::default()
-        },
-        halo: 2,
-        problem: BurnsChriston::default(),
-    };
-    let reference = uintah::rmcrt::tasks::reference_multilevel(&grid, &p);
-    let result = run_world(
-        Arc::clone(&grid),
-        Arc::new(multilevel_decls(&grid, p, false)),
-        WorldConfig {
-            nranks: 3,
-            nthreads: 2,
-            aggregate_level_windows: true,
-            ..Default::default()
-        },
-    );
-    let got = result.fine_field(&grid, DIVQ);
-    for c in reference.region().cells() {
-        assert_eq!(got[c], reference[c], "cell {c:?}");
-    }
-}
-
-#[test]
 fn more_ranks_than_patches_is_harmless() {
     // Ranks owning no patches must compile empty graphs, terminate
     // immediately and receive nothing.

@@ -418,14 +418,12 @@ proptest! {
             gpus_per_rank,
             gpu_affinity: if bit(1) { GpuAffinity::CostBalanced } else { GpuAffinity::Sticky },
             gpu_capacity_mb,
-            gpu_eviction: bit(2),
             timesteps,
             sampling: [RaySampling::Independent, RaySampling::LatinHypercube][bit(4) as usize],
             adaptive_rays: bit(5),
             rays_min,
             rays_max: rays_min + rays_extra,
             rel_var_target,
-            aggregate: bit(6),
             regrid_interval,
             regrid_policy: [
                 RebalancePolicy::CostedSfc,
@@ -686,5 +684,5 @@ fn printed_default_config_parses_to_the_defaults() {
     for key in uintah::config::KEYS {
         assert!(text.contains(&format!("{} = ", key.name)), "'{}' missing:\n{text}", key.name);
     }
-    assert_eq!(uintah::config::KEYS.len(), 27);
+    assert_eq!(uintah::config::KEYS.len(), 25);
 }

@@ -171,7 +171,6 @@ fn regrid_migrates_live_patch_data_to_new_owners() {
                 sched,
                 Arc::clone(&dw),
                 None,
-                false,
             );
             exec.step();
             assert_eq!(exec.compiles(), 1);

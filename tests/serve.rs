@@ -550,8 +550,10 @@ fn wire_malformed_config_is_rejected_and_connection_survives() {
         "halo = -1",
         "timesteps = 0",
         "fine_cells = 16\npatch_size = 2\nlevels = 2\nrefinement_ratio = 4",
-        // A key until the posted-upload path was retired; now unknown.
+        // Keys until their code paths were retired; now unknown.
         "gpu_h2d = async",
+        "aggregate = true",
+        "gpu_eviction = off",
     ] {
         match client.submit(text) {
             Err(ClientError::Rejected {

@@ -24,6 +24,14 @@ cargo run --release --offline --quiet --manifest-path perf_report/Cargo.toml -- 
 # prints must parse, build, run and report divQ.
 cargo run --release -q --bin rmcrt_app -- --print-default-config > target/default.cfg
 cargo run --release -q --bin rmcrt_app -- target/default.cfg
+# rmcrt_app through its one step loop end to end: GPU tasks on a 2-device
+# fleet per rank, 2 ranks x 2 threads, 3 timesteps with an ownership
+# rotation before every step after the first — the persistent executor,
+# GPU staging, LRU-capable allocation and regrid migration, all through
+# the shipped binary.
+printf '%s\n' 'gpu = true' 'gpus_per_rank = 2' 'ranks = 2' 'threads = 2' \
+    'timesteps = 3' 'regrid_interval = 1' 'regrid_policy = rotate' > target/gpu_regrid.cfg
+cargo run --release -q --bin rmcrt_app -- target/gpu_regrid.cfg
 # E12 scaling-campaign regression gate, LARGE 16³-patch curve, two halves.
 # Model-limited: calibrated from the checked-in CALIBRATION.snapshot, the
 # Eq.-3 efficiencies must match the checked-in BENCH_scaling.json
