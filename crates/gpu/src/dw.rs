@@ -19,17 +19,16 @@
 //! level DB is "one shared replica per GPU", so a 4-device rank holds at
 //! most 4 replicas of each coarse field, never one per patch task. Patch
 //! variables route to their home device through [`GpuDataWarehouse::
-//! device_for_patch`] (affinity override map, falling back to the sticky
-//! hash), and level staging targets an explicit device via the `_on`
-//! variants. All single-device entry points are preserved: a fleet of one
-//! behaves exactly as before.
+//! device_for_patch`] (the fleet's sticky patch-id hash), and level
+//! staging targets an explicit device via the `_on` variants. A fleet of
+//! one behaves exactly like a single device.
 //!
 //! **Oversubscription.** Every reservation is a real [`DeviceBlock`] carved
 //! from the device's free-list sub-allocator, and when an allocation fails
 //! the warehouse *evicts* under an LRU policy instead of surfacing OOM:
 //! the least-recently-used database entry with no outstanding task handle
 //! is dropped. Level replicas are regenerable from host data and are simply
-//! released (the next `ensure_level*` re-uploads); patch variables are
+//! released (the next `ensure_level_fresh*` re-uploads); patch variables are
 //! *spilled* to a host-side map over the D2H engine and transparently
 //! re-uploaded on the next [`GpuDataWarehouse::get_patch`]. Entries whose
 //! `Arc<DeviceVar>` is held by a running kernel are never victims, so a
@@ -40,8 +39,9 @@
 //!
 //! **Transfers.** A variable reaches a device in exactly one way:
 //! synchronously inside [`GpuDataWarehouse::put_patch`] /
-//! [`GpuDataWarehouse::alloc_patch_output`] / the `ensure_level*_on`
-//! family / the spill re-upload in [`GpuDataWarehouse::get_patch`], metered
+//! [`GpuDataWarehouse::alloc_patch_output`] /
+//! [`GpuDataWarehouse::ensure_level_fresh_on`] / the spill re-upload in
+//! [`GpuDataWarehouse::get_patch`], metered
 //! on the home device's H2D timeline. The way back is *posted*:
 //! [`GpuDataWarehouse::take_patch_to_host_async`] submits the drain to the
 //! device's D2H copy engine ([`GpuDevice::submit`]) and returns a
@@ -53,7 +53,7 @@
 
 use crate::device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError, Mode, Stream};
 use crate::fleet::{DeviceFleet, DeviceId};
-use parking_lot::{Mutex as StateMutex, RwLock};
+use parking_lot::Mutex as StateMutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -238,7 +238,7 @@ impl StoreState {
 }
 
 /// Fleet-aware variable store: per-device patch databases + per-device
-/// level databases, with patch→device affinity routing and LRU
+/// level databases, with sticky patch→device routing and LRU
 /// eviction/host-spill under memory pressure.
 ///
 /// ```
@@ -249,10 +249,10 @@ impl StoreState {
 /// let dw = GpuDataWarehouse::new(GpuDevice::k20x());
 /// // Two concurrent patch tasks requesting the same coarse replica share
 /// // one upload and one device copy (the level database).
-/// let a = dw.ensure_level_on(0, ABSKG, 0, || {
+/// let a = dw.ensure_level_fresh_on(0, ABSKG, 0, || {
 ///     FieldData::F64(CcVariable::filled(Region::cube(8), 0.9))
 /// }).unwrap();
-/// let b = dw.ensure_level_on(0, ABSKG, 0, || unreachable!("already resident")).unwrap();
+/// let b = dw.ensure_level_fresh_on(0, ABSKG, 0, || unreachable!("already resident")).unwrap();
 /// assert!(std::sync::Arc::ptr_eq(&a, &b));
 /// assert_eq!(dw.device().counters().h2d_transfers, 1);
 /// ```
@@ -261,9 +261,6 @@ pub struct GpuDataWarehouse {
     /// One store per device; the owning [`GpuDevice`] lives in the fleet
     /// at the same index.
     stores: Vec<StateMutex<StoreState>>,
-    /// Patch→device overrides installed by the cost-balanced affinity
-    /// policy; patches absent here fall back to the sticky hash.
-    affinity: RwLock<HashMap<PatchId, DeviceId>>,
     level_db_enabled: bool,
     /// When true (the default), [`Self::take_patch_to_host_async`] posts the
     /// drain to the D2H copy engine and returns immediately; when false it
@@ -304,7 +301,6 @@ impl GpuDataWarehouse {
         Self {
             fleet,
             stores,
-            affinity: RwLock::new(HashMap::new()),
             level_db_enabled,
             async_d2h,
             epoch: AtomicU64::new(0),
@@ -355,31 +351,12 @@ impl GpuDataWarehouse {
         self.async_d2h
     }
 
-    /// The home device for a patch: the cost-balanced override if one is
-    /// installed, else the deterministic sticky hash. Every patch op on
-    /// this warehouse routes through here, so kernel-side puts and the
-    /// D2H drain of the same patch always land on the same device.
+    /// The home device for a patch: the fleet's deterministic sticky
+    /// hash. Every patch op on this warehouse routes through here, so
+    /// kernel-side puts and the D2H drain of the same patch always land on
+    /// the same device.
     pub fn device_for_patch(&self, patch: PatchId) -> DeviceId {
-        if self.fleet.num_devices() > 1 {
-            if let Some(&d) = self.affinity.read().get(&patch) {
-                return d;
-            }
-        }
         self.fleet.sticky_device(patch)
-    }
-
-    /// Install cost-balanced patch→device overrides (from an LPT pass over
-    /// measured per-patch costs). Replaces the previous override set; a
-    /// patch not mentioned reverts to its sticky home. Safe to call between
-    /// timesteps only — per-patch state is transient within a step, so
-    /// moving a patch's home never strands device-resident data.
-    pub fn set_affinity(&self, assignments: &[(PatchId, DeviceId)]) {
-        let mut map = self.affinity.write();
-        map.clear();
-        for &(p, d) in assignments {
-            debug_assert!(d < self.fleet.num_devices());
-            map.insert(p, d);
-        }
     }
 
     /// Evict the best victim from `st`'s databases: the least-recently-used
@@ -391,7 +368,7 @@ impl GpuDataWarehouse {
     /// re-upload), then a deterministic key tiebreak so concurrent runs pick
     /// identical victims. Patch victims spill their bytes to the host map
     /// over the D2H engine; level victims are dropped outright (regenerable
-    /// from host data at the next `ensure_level*`). Returns false when
+    /// from host data at the next `ensure_level_fresh*`). Returns false when
     /// nothing is evictable.
     fn evict_one(device: &GpuDevice, st: &mut StoreState) -> bool {
         let patches = st
@@ -626,38 +603,6 @@ impl GpuDataWarehouse {
         st.spill.remove(&(label, patch));
     }
 
-    /// Obtain the shared per-level variable *on a specific device*,
-    /// uploading it at most once per device.
-    ///
-    /// `producer` materializes the host-side data (e.g. the coarsened
-    /// radiative properties) and is only invoked when an upload is needed.
-    /// With the level DB disabled, every call uploads a private copy —
-    /// reproducing the redundant-copy behaviour the paper eliminated.
-    pub fn ensure_level_on(
-        &self,
-        dev: DeviceId,
-        label: VarLabel,
-        level: LevelIndex,
-        producer: impl FnOnce() -> DeviceData,
-    ) -> Result<Arc<DeviceVar>, GpuError> {
-        if !self.level_db_enabled {
-            return self.upload_on(dev, self.produce_timed_on(dev, producer));
-        }
-        // One mutex guards the whole store, so holding it across the
-        // check-and-upload is what prevents duplicate uploads under
-        // contention (uploads are rare: once per level variable per step).
-        let mut st = self.stores[dev].lock();
-        let clock = st.tick();
-        if let Some(e) = st.level_db.get_mut(&(label, level)) {
-            e.last_use = clock;
-            return Ok(Arc::clone(&e.var));
-        }
-        let host = self.produce_timed_on(dev, producer);
-        let var = self.upload_locked(dev, &mut st, host)?;
-        st.install_level((label, level), &var, self.epoch(), clock);
-        Ok(var)
-    }
-
     /// [`Self::ensure_level_fresh_on`] on device 0.
     pub fn ensure_level_fresh(
         &self,
@@ -668,11 +613,15 @@ impl GpuDataWarehouse {
         self.ensure_level_fresh_on(0, label, level, producer)
     }
 
-    /// Like [`Self::ensure_level_on`], but epoch-aware: a replica persisted
+    /// Obtain the shared per-level variable *on a specific device*: the
+    /// level database's one residency path. `producer` materializes the
+    /// host-side data (e.g. the coarsened radiative properties) and runs
+    /// only when an upload or a revalidation is needed. A replica persisted
     /// from an earlier timestep is *revalidated* instead of blindly shared.
     ///
     /// * Entry validated this epoch → share it, zero PCIe traffic, and the
-    ///   producer is never invoked.
+    ///   producer is never invoked. The store mutex is held across the
+    ///   check and the upload, so concurrent tasks pay one upload.
     /// * Stale entry → invoke the producer and diff against the resident
     ///   bytes ([`DeviceData::diff_bytes`](uintah_grid::FieldData::diff_bytes)).
     ///   Unchanged data re-stamps the epoch with **no transfer**; changed
@@ -680,12 +629,12 @@ impl GpuDataWarehouse {
     ///   incremental-update model of §III-C: the coarse radiative properties
     ///   barely move between radiation solves).
     /// * No entry (including one evicted under memory pressure) → full
-    ///   upload, as in [`Self::ensure_level_on`].
+    ///   upload.
     ///
     /// Each device revalidates independently: a replica fresh on device 0
     /// says nothing about device 1's copy. With the level DB disabled (E4
-    /// ablation) every call is a full private upload, every timestep — the
-    /// pre-optimization behaviour.
+    /// ablation) every call uploads a private copy — the redundant-copy
+    /// behaviour the paper eliminated.
     pub fn ensure_level_fresh_on(
         &self,
         dev: DeviceId,
@@ -780,13 +729,6 @@ impl GpuDataWarehouse {
             st.patch_db.clear();
             st.spill.clear();
         }
-    }
-
-    /// Evict everything on every device for a regrid. See
-    /// [`Self::invalidate_for_regrid_on`] for the targeted per-device form.
-    pub fn invalidate_for_regrid(&self) -> (usize, usize) {
-        let all: Vec<DeviceId> = (0..self.num_devices()).collect();
-        self.invalidate_for_regrid_on(&all)
     }
 
     /// Evict the named devices for a regrid: wait for each device's D2H
@@ -919,12 +861,14 @@ mod tests {
         let dw = GpuDataWarehouse::new(GpuDevice::k20x());
         let mut calls = 0;
         let a = dw
-            .ensure_level_on(0, ABSKG, 0, || {
+            .ensure_level_fresh_on(0, ABSKG, 0, || {
                 calls += 1;
                 field(16, 0.9)
             })
             .unwrap();
-        let b = dw.ensure_level_on(0, ABSKG, 0, || panic!("second upload")).unwrap();
+        let b = dw
+            .ensure_level_fresh_on(0, ABSKG, 0, || panic!("second upload"))
+            .unwrap();
         assert!(Arc::ptr_eq(&a, &b), "tasks must share one device copy");
         assert_eq!(calls, 1);
         assert_eq!(dw.device().counters().h2d_transfers, 1);
@@ -936,8 +880,12 @@ mod tests {
     #[test]
     fn disabled_level_db_duplicates_copies() {
         let dw = dw_flags(GpuDevice::k20x(), false, true);
-        let a = dw.ensure_level_on(0, ABSKG, 0, || field(16, 0.9)).unwrap();
-        let b = dw.ensure_level_on(0, ABSKG, 0, || field(16, 0.9)).unwrap();
+        let a = dw
+            .ensure_level_fresh_on(0, ABSKG, 0, || field(16, 0.9))
+            .unwrap();
+        let b = dw
+            .ensure_level_fresh_on(0, ABSKG, 0, || field(16, 0.9))
+            .unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(dw.device().counters().h2d_transfers, 2);
         assert_eq!(dw.device().used(), 2 * 16usize.pow(3) * 8);
@@ -947,7 +895,9 @@ mod tests {
     fn memory_released_when_last_handle_drops() {
         let device = GpuDevice::k20x();
         let dw = GpuDataWarehouse::new(device.clone());
-        let v = dw.ensure_level_on(0, ABSKG, 1, || field(8, 0.1)).unwrap();
+        let v = dw
+            .ensure_level_fresh_on(0, ABSKG, 1, || field(8, 0.1))
+            .unwrap();
         assert!(device.used() > 0);
         dw.clear_level_db();
         assert!(device.used() > 0, "task still holds a handle");
@@ -962,7 +912,7 @@ mod tests {
         // nothing to evict, so eviction changes nothing here.
         let device = GpuDevice::with_capacity("tiny", 1024);
         let dw = GpuDataWarehouse::new(device);
-        let err = dw.ensure_level_on(0, ABSKG, 0, || field(8, 0.0)).unwrap_err();
+        let err = dw.ensure_level_fresh_on(0, ABSKG, 0, || field(8, 0.0)).unwrap_err();
         assert!(matches!(err, GpuError::OutOfMemory { .. }));
     }
 
@@ -977,8 +927,8 @@ mod tests {
         let mut with_handles = Vec::new();
         let mut without_handles = Vec::new();
         for _task in 0..32 {
-            with_handles.push(with.ensure_level_on(0, ABSKG, 0, || field(16, 0.9)).unwrap());
-            without_handles.push(without.ensure_level_on(0, ABSKG, 0, || field(16, 0.9)).unwrap());
+            with_handles.push(with.ensure_level_fresh_on(0, ABSKG, 0, || field(16, 0.9)).unwrap());
+            without_handles.push(without.ensure_level_fresh_on(0, ABSKG, 0, || field(16, 0.9)).unwrap());
         }
         assert_eq!(with.device().used(), field_bytes);
         assert_eq!(without.device().used(), 32 * field_bytes);
@@ -993,7 +943,9 @@ mod tests {
             for _ in 0..8 {
                 let dw = dw.clone();
                 s.spawn(move || {
-                    let v = dw.ensure_level_on(0, ABSKG, 0, || field(16, 0.5)).unwrap();
+                    let v = dw
+                        .ensure_level_fresh_on(0, ABSKG, 0, || field(16, 0.5))
+                        .unwrap();
                     assert_eq!(v.data().as_f64().len(), 4096);
                 });
             }
@@ -1124,7 +1076,7 @@ mod tests {
         drop(lvl);
         // An in-flight async drain must be synced before eviction counts.
         let pending = dw.take_patch_to_host_async(DIVQ, PatchId(0)).unwrap();
-        let (patches, levels) = dw.invalidate_for_regrid();
+        let (patches, levels) = dw.invalidate_for_regrid_on(&[0]);
         assert_eq!((patches, levels), (1, 1));
         assert!(pending.is_complete(), "drain synced by invalidate");
         drop(pending.wait());
@@ -1336,7 +1288,7 @@ mod tests {
         dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).map(drop).unwrap();
         dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).map(drop).unwrap(); // spills 0
         assert_eq!(dw.spill_entries(), 1);
-        let (patches, _levels) = dw.invalidate_for_regrid();
+        let (patches, _levels) = dw.invalidate_for_regrid_on(&[0]);
         assert_eq!(patches, 1, "one resident entry evicted");
         assert_eq!(dw.spill_entries(), 0, "pre-regrid spill data is poison");
         assert_eq!(device.used(), 0);
@@ -1410,31 +1362,6 @@ mod tests {
         assert_eq!(dw.level_entries_on(2), 1, "device 2 replica survives");
         assert_eq!(dw.device_at(1).used(), 0);
         assert!(dw.device_at(0).used() > 0);
-    }
-
-    #[test]
-    fn affinity_override_rehomes_patches() {
-        let fleet = DeviceFleet::with_capacity(2, "test", 1 << 30);
-        let dw = GpuDataWarehouse::with_fleet_full(fleet, true, true, true, true);
-        // Find a patch whose sticky home is device 1, then pin it to 0.
-        let p = (0..64u32)
-            .map(PatchId)
-            .find(|&p| dw.fleet().sticky_device(p) == 1)
-            .expect("some patch hashes to device 1");
-        dw.set_affinity(&[(p, 0)]);
-        assert_eq!(dw.device_for_patch(p), 0);
-        dw.put_patch(DIVQ, p, field(4, 3.0)).unwrap();
-        assert_eq!(dw.patch_entries_on(0), 1);
-        assert_eq!(dw.patch_entries_on(1), 0);
-        assert!(dw.device_at(0).used() > 0);
-        assert_eq!(dw.device_at(1).used(), 0);
-        // Take routes through the same override → drains device 0's engine.
-        let _ = dw.take_patch_to_host_async(DIVQ, p).map(PendingD2H::wait).unwrap();
-        assert_eq!(dw.counters_per_device()[0].d2h_transfers, 1);
-        assert_eq!(dw.counters_per_device()[1].d2h_transfers, 0);
-        // Clearing the overrides restores the sticky home.
-        dw.set_affinity(&[]);
-        assert_eq!(dw.device_for_patch(p), 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The per-rank device fleet and the patch→device affinity policies.
+//! The per-rank device fleet and its patch→device rule.
 //!
 //! The paper runs one K20X per Titan node, but its central memory design —
 //! one shared per-level replica *per GPU* — was built to generalize to fat
@@ -9,36 +9,17 @@
 //! devices proceed concurrently — the same patch-level parallelism the
 //! paper wins across nodes, recovered inside one node.
 //!
-//! Scheduling onto the fleet is governed by [`GpuAffinity`]:
-//!
-//! * [`GpuAffinity::Sticky`] — a deterministic multiplicative hash of the
-//!   patch id pins each patch to one device for the whole run. Sticky
-//!   assignment is what makes the per-device level databases pay off: a
-//!   patch task always finds its coarse replicas resident on *its* device.
-//! * [`GpuAffinity::CostBalanced`] — the driver periodically re-assigns
-//!   patches to devices with an LPT (longest-processing-time) pass over
-//!   the measured per-patch task costs (`ExecStats.per_patch`), mirroring
-//!   the regrid rebalance policies at intra-node scale.
+//! Scheduling onto the fleet follows one rule: a deterministic
+//! multiplicative hash of the patch id ([`sticky_device`]) pins each patch
+//! to one device for the whole run, identically on every rank. Sticky
+//! assignment is what makes the per-device level databases pay off: a
+//! patch task always finds its coarse replicas resident on *its* device.
 
 use crate::device::{DeviceCounters, Dir, GpuDevice};
-use std::time::Duration;
 use uintah_grid::PatchId;
 
 /// Index of a device within a rank's fleet.
 pub type DeviceId = usize;
-
-/// How GPU patch tasks are assigned to the devices of a fleet.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum GpuAffinity {
-    /// Deterministic hash of the patch id — every rank, every step, every
-    /// run maps a patch to the same device.
-    #[default]
-    Sticky,
-    /// Re-balance the patch→device map from measured per-patch costs
-    /// (LPT over `ExecStats.per_patch`), keeping each device's kernel
-    /// timeline equally loaded.
-    CostBalanced,
-}
 
 /// A rank's set of simulated GPUs. Cheap to clone (devices share their
 /// accounting internally).
@@ -137,29 +118,6 @@ pub fn sticky_device(patch: PatchId, n: usize) -> DeviceId {
     (h % n as u64) as DeviceId
 }
 
-/// LPT (longest-processing-time) assignment of patches to `n` devices from
-/// measured per-patch costs: heaviest patch first onto the least-loaded
-/// device, ties broken by device index so the result is deterministic on
-/// identical inputs. Returns `(patch, device)` pairs for exactly the
-/// patches present in `costs`.
-pub fn lpt_assign(costs: &[(PatchId, Duration)], n: usize) -> Vec<(PatchId, DeviceId)> {
-    if n <= 1 {
-        return costs.iter().map(|&(p, _)| (p, 0)).collect();
-    }
-    let mut order: Vec<(PatchId, Duration)> = costs.to_vec();
-    // Heaviest first; equal costs fall back to patch id so the assignment
-    // never depends on the caller's ordering.
-    order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
-    let mut load = vec![Duration::ZERO; n];
-    let mut out = Vec::with_capacity(order.len());
-    for (p, c) in order {
-        let dev = (0..n).min_by_key(|&d| (load[d], d)).expect("n >= 1");
-        load[dev] += c;
-        out.push((p, dev));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,34 +149,5 @@ mod tests {
         assert!(seen.iter().all(|&c| c > 0), "hash left a device idle: {seen:?}");
         // Single-device fleets trivially map everything to device 0.
         assert_eq!(sticky_device(PatchId(7), 1), 0);
-    }
-
-    #[test]
-    fn lpt_balances_measured_costs() {
-        let ms = Duration::from_millis;
-        let costs = vec![
-            (PatchId(0), ms(8)),
-            (PatchId(1), ms(5)),
-            (PatchId(2), ms(4)),
-            (PatchId(3), ms(3)),
-            (PatchId(4), ms(2)),
-        ];
-        let assign = lpt_assign(&costs, 2);
-        let mut load = [Duration::ZERO; 2];
-        for &(p, d) in &assign {
-            load[d] += costs.iter().find(|&&(q, _)| q == p).unwrap().1;
-        }
-        // LPT: {8, 3} vs {5, 4, 2} = 11 vs 11 — perfectly balanced here.
-        assert_eq!(load[0], load[1], "LPT should balance {load:?}");
-        // Deterministic regardless of input order.
-        let mut shuffled = costs.clone();
-        shuffled.reverse();
-        assert_eq!(lpt_assign(&shuffled, 2), assign);
-    }
-
-    #[test]
-    fn lpt_single_device_pins_everything_to_zero() {
-        let costs = vec![(PatchId(3), Duration::from_millis(1))];
-        assert_eq!(lpt_assign(&costs, 1), vec![(PatchId(3), 0)]);
     }
 }

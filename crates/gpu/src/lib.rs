@@ -23,8 +23,8 @@
 //!   behaviour;
 //! * [`DeviceFleet`] — a rank's set of N devices (Summit-style fat nodes),
 //!   each with its own capacity meter, copy-engine timelines, and — inside
-//!   the warehouse — its own patch and level databases, scheduled via
-//!   [`GpuAffinity`] (sticky patch-id hash or measured-cost LPT balancing).
+//!   the warehouse — its own patch and level databases; each patch is
+//!   homed by a sticky patch-id hash ([`sticky_device`]).
 
 pub mod device;
 pub mod dw;
@@ -32,4 +32,4 @@ pub mod fleet;
 
 pub use device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError, Mode, Stream};
 pub use dw::{DeviceData, DeviceVar, GpuDataWarehouse, PendingD2H};
-pub use fleet::{lpt_assign, sticky_device, DeviceFleet, DeviceId, GpuAffinity};
+pub use fleet::{sticky_device, DeviceFleet, DeviceId};

@@ -39,6 +39,6 @@ pub use index::IntVector;
 pub use label::VarLabel;
 pub use level::{Level, LevelIndex, RefinementRatio};
 pub use patch::{Patch, PatchId};
-pub use regrid::{PatchCosts, RebalancePolicy, RegridOutcome, Regridder};
+pub use regrid::{PatchCosts, RebalancePolicy, Regridder};
 pub use region::Region;
 pub use variable::{CcVariable, FieldData};

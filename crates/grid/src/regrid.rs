@@ -1,18 +1,13 @@
-//! Flag-driven regridding and cost-weighted rebalancing.
+//! Cost-weighted rebalancing.
 //!
-//! The paper's runs periodically regrid: refinement flags raised on a coarse
-//! level mark where the fine CFD mesh must exist, and Uintah's load balancer
+//! The paper's runs periodically regrid, and Uintah's load balancer
 //! redistributes the patches across ranks using measured per-patch cost
-//! along a space-filling curve. This module provides both halves for the
-//! miniature stack:
-//!
-//! * [`Regridder::refine_regions`] maps a set of refinement-flagged coarse
-//!   cells to disjoint, refinement-ratio-aligned fine regions (the regrid
-//!   proposal);
-//! * [`Regridder::rebalance`] produces a new [`PatchDistribution`] from
-//!   per-patch execution cost ([`PatchCosts`], fed by the runtime's
-//!   `ExecStats` per-patch timings) under a selectable
-//!   [`RebalancePolicy`].
+//! along a space-filling curve. [`Regridder::rebalance`] produces a new
+//! [`PatchDistribution`] from per-patch execution cost ([`PatchCosts`], fed
+//! by the runtime's `ExecStats` per-patch timings): the costed SFC cut, or
+//! a forced [`RebalancePolicy::Rotate`] flip that moves every patch. The
+//! patch set itself never changes; a refinement proposal would need a
+//! caller that applies it.
 //!
 //! Applying a changed distribution mid-run (graph invalidation, ownership
 //! migration, GPU eviction) is the runtime's job — see
@@ -20,10 +15,7 @@
 
 use crate::distribute::{morton3, PatchDistribution};
 use crate::grid::Grid;
-use crate::index::IntVector;
-use crate::level::LevelIndex;
 use crate::patch::PatchId;
-use crate::region::Region;
 
 /// How a regrid redistributes existing patches across ranks.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -32,17 +24,15 @@ pub enum RebalancePolicy {
     /// chunks of approximately equal *cost* (Uintah's SFC load balancer
     /// weighted by measured time instead of patch count).
     CostedSfc,
-    /// Greedy longest-processing-time: heaviest patch first onto the
-    /// currently least-loaded rank. Better balance, no locality.
-    CostedLpt,
     /// `rank(p) := (rank(p) + k) mod nranks` — a forced ownership flip that
-    /// moves every patch. Not a balancer; the migration test harness uses
-    /// it to exercise the worst-case "everything moves" regrid.
+    /// moves every patch. Not a balancer; the migration tests and the
+    /// benchmark's GPU workload use it to exercise the worst-case
+    /// "everything moves" regrid on every run.
     Rotate(usize),
 }
 
 /// Per-patch execution cost, dense by patch id. The unit is arbitrary
-/// (seconds, cells, rays) — only ratios matter to the balancers.
+/// (seconds, cells, rays) — only ratios matter to the balancer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PatchCosts {
     cost: Vec<f64>,
@@ -103,99 +93,15 @@ impl PatchCosts {
     }
 }
 
-/// The outcome of one regrid decision: where the fine mesh should exist
-/// (flag-driven refinement proposal) and who owns which patch (rebalance).
-#[derive(Clone, Debug)]
-pub struct RegridOutcome {
-    /// The rebalanced patch→rank assignment.
-    pub dist: PatchDistribution,
-    /// Disjoint, ratio-aligned fine regions the refinement flags request.
-    pub refined: Vec<Region>,
-    /// How many coarse cells were flagged.
-    pub flagged: usize,
-}
-
-/// Flag-driven refinement + cost-weighted rebalance.
+/// Cost-weighted rebalance under one [`RebalancePolicy`].
 #[derive(Clone, Copy, Debug)]
 pub struct Regridder {
     pub policy: RebalancePolicy,
-    /// A fine patch whose cost exceeds `flag_threshold ×` the fine-level
-    /// mean raises refinement flags on its coarse parent cells.
-    pub flag_threshold: f64,
 }
 
 impl Regridder {
     pub fn new(policy: RebalancePolicy) -> Self {
-        Self {
-            policy,
-            flag_threshold: 2.0,
-        }
-    }
-
-    /// Coarse cells (on the level below the finest) flagged because the
-    /// fine patches above them are hot: cost > `flag_threshold ×` mean.
-    /// Deterministic: flags are emitted in (z, y, x) order, deduplicated.
-    pub fn flag_hot_patches(&self, grid: &Grid, costs: &PatchCosts) -> Vec<IntVector> {
-        if grid.levels().len() < 2 {
-            return Vec::new();
-        }
-        let fine = grid.fine_level();
-        let rr = fine.ratio_to_coarser().as_ivec();
-        let patches = fine.patches();
-        let mean = patches.iter().map(|p| costs.get(p.id())).sum::<f64>() / patches.len() as f64;
-        let mut flags = Vec::new();
-        for p in patches {
-            if costs.get(p.id()) > self.flag_threshold * mean {
-                let coarse = p.interior().coarsened(rr);
-                flags.extend(coarse.cells());
-            }
-        }
-        flags.sort_unstable_by_key(|c| (c.z, c.y, c.x));
-        flags.dedup();
-        flags
-    }
-
-    /// Map refinement flags on `flag_level` to the fine regions they
-    /// request on `flag_level + 1`. Each flagged coarse cell becomes one
-    /// refinement-ratio-aligned fine box; runs of adjacent flags along x
-    /// are merged. Flags outside the level and duplicates are ignored.
-    ///
-    /// The output is guaranteed disjoint, aligned to the refinement ratio,
-    /// and covering exactly the flagged cells' fine footprints — the three
-    /// invariants the property tests check.
-    pub fn refine_regions(grid: &Grid, flag_level: LevelIndex, flags: &[IntVector]) -> Vec<Region> {
-        assert!(
-            (flag_level as usize) + 1 < grid.levels().len(),
-            "no level finer than {flag_level} to refine into"
-        );
-        let coarse_region = grid.level(flag_level).cell_region();
-        let rr = grid.level(flag_level + 1).ratio_to_coarser().as_ivec();
-        let mut cells: Vec<IntVector> = flags
-            .iter()
-            .copied()
-            .filter(|c| coarse_region.contains(*c))
-            .collect();
-        cells.sort_unstable_by_key(|c| (c.z, c.y, c.x));
-        cells.dedup();
-        let mut out: Vec<Region> = Vec::new();
-        for c in cells {
-            let lo = IntVector::new(c.x * rr.x, c.y * rr.y, c.z * rr.z);
-            let hi = lo + rr;
-            // Merge an x-adjacent run into the previous box.
-            if let Some(last) = out.last_mut() {
-                if last.hi().x == lo.x
-                    && last.lo().y == lo.y
-                    && last.hi().y == hi.y
-                    && last.lo().z == lo.z
-                    && last.hi().z == hi.z
-                {
-                    *last = Region::new(last.lo(), IntVector::new(hi.x, hi.y, hi.z));
-                    continue;
-                }
-            }
-            out.push(Region::new(lo, hi));
-        }
-        out
+        Self { policy }
     }
 
     /// Cost-weighted redistribution of the grid's patches. Deterministic
@@ -235,57 +141,15 @@ impl Regridder {
                     }
                 }
             }
-            RebalancePolicy::CostedLpt => {
-                for level in grid.levels() {
-                    let ids: Vec<PatchId> = level.patches().iter().map(|p| p.id()).collect();
-                    let eff = effective_costs(&ids, costs);
-                    let mut order: Vec<(f64, PatchId)> = eff.iter().copied().zip(ids).collect();
-                    // Heaviest first; ties broken by id for determinism.
-                    order.sort_by(|a, b| {
-                        b.0.partial_cmp(&a.0)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.1 .0.cmp(&b.1 .0))
-                    });
-                    let mut load = vec![0.0f64; nranks];
-                    for (c, id) in order {
-                        let r = argmin(&load);
-                        rank_of[id.index()] = r as u32;
-                        load[r] += c;
-                    }
-                }
-            }
         }
         PatchDistribution::from_rank_of(nranks, rank_of)
     }
 
-    /// One regrid decision: flag hot fine patches, derive the refinement
-    /// proposal, and rebalance ownership.
-    pub fn regrid(
-        &self,
-        grid: &Grid,
-        costs: &PatchCosts,
-        current: &PatchDistribution,
-    ) -> RegridOutcome {
-        let flags = self.flag_hot_patches(grid, costs);
-        let refined = if flags.is_empty() {
-            Vec::new()
-        } else {
-            Self::refine_regions(grid, grid.fine_level_index() - 1, &flags)
-        };
-        RegridOutcome {
-            dist: self.rebalance(grid, costs, current),
-            refined,
-            flagged: flags.len(),
-        }
-    }
-
-    /// The per-rank cost bound both costed policies guarantee:
-    /// `Σ_levels (level_total / nranks + level_max)`. The SFC cut places
-    /// every chunk's cumulative span inside one `total/nranks` window plus
-    /// at most one straddling patch; greedy-LPT only ever raises the
-    /// minimum load by one patch above the mean. `None` for
-    /// [`RebalancePolicy::Rotate`], which advertises no bound (it preserves
-    /// the load multiset).
+    /// The per-rank cost bound the costed SFC cut guarantees:
+    /// `Σ_levels (level_total / nranks + level_max)`. The cut places every
+    /// chunk's cumulative span inside one `total/nranks` window plus at
+    /// most one straddling patch. `None` for [`RebalancePolicy::Rotate`],
+    /// which advertises no bound (it preserves the load multiset).
     pub fn advertised_bound(&self, grid: &Grid, costs: &PatchCosts, nranks: usize) -> Option<f64> {
         if matches!(self.policy, RebalancePolicy::Rotate(_)) {
             return None;
@@ -323,20 +187,11 @@ fn effective_costs(ids: &[PatchId], costs: &PatchCosts) -> Vec<f64> {
     }
 }
 
-fn argmin(load: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &l) in load.iter().enumerate().skip(1) {
-        if l < load[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distribute::DistributionPolicy;
+    use crate::index::IntVector;
 
     fn grid2() -> Grid {
         Grid::builder()
@@ -385,18 +240,13 @@ mod tests {
         for p in g.all_patches() {
             costs.set(p.id(), (p.id().0 as f64 + 1.0).powi(2));
         }
-        for policy in [RebalancePolicy::CostedSfc, RebalancePolicy::CostedLpt] {
-            let rg = Regridder::new(policy);
-            let next = rg.rebalance(&g, &costs, &cur);
-            valid(&next, &g);
-            let bound = rg.advertised_bound(&g, &costs, 4).unwrap();
-            for r in 0..4 {
-                let load: f64 = next.owned_by(r).iter().map(|&p| costs.get(p)).sum();
-                assert!(
-                    load <= bound + 1e-9,
-                    "{policy:?}: rank {r} load {load} exceeds bound {bound}"
-                );
-            }
+        let rg = Regridder::new(RebalancePolicy::CostedSfc);
+        let next = rg.rebalance(&g, &costs, &cur);
+        valid(&next, &g);
+        let bound = rg.advertised_bound(&g, &costs, 4).unwrap();
+        for r in 0..4 {
+            let load: f64 = next.owned_by(r).iter().map(|&p| costs.get(p)).sum();
+            assert!(load <= bound + 1e-9, "rank {r} load {load} exceeds bound {bound}");
         }
     }
 
@@ -412,52 +262,5 @@ mod tests {
             next.max_load() - next.min_load() <= 2,
             "uniform fallback must still balance"
         );
-    }
-
-    #[test]
-    fn refine_regions_aligned_disjoint_covering() {
-        let g = grid2();
-        let flags = [
-            IntVector::new(0, 0, 0),
-            IntVector::new(1, 0, 0), // merges with the first along x
-            IntVector::new(3, 2, 1),
-            IntVector::new(0, 0, 0),    // duplicate: ignored
-            IntVector::new(99, 99, 99), // outside the level: ignored
-        ];
-        let regions = Regridder::refine_regions(&g, 0, &flags);
-        assert_eq!(regions.len(), 2, "x-run merged, outlier separate");
-        assert_eq!(
-            regions[0],
-            Region::new(IntVector::ZERO, IntVector::new(8, 4, 4))
-        );
-        assert_eq!(
-            regions[1],
-            Region::new(IntVector::new(12, 8, 4), IntVector::new(16, 12, 8))
-        );
-    }
-
-    #[test]
-    fn hot_patches_raise_flags() {
-        let g = grid2();
-        let mut costs = PatchCosts::uniform(&g);
-        let hot = g.fine_level().patches()[0].id();
-        costs.set(hot, 1000.0);
-        let rg = Regridder::new(RebalancePolicy::CostedSfc);
-        let flags = rg.flag_hot_patches(&g, &costs);
-        let rr = g.fine_level().ratio_to_coarser().as_ivec();
-        let expected = g.patch(hot).interior().coarsened(rr);
-        assert_eq!(flags.len(), expected.volume());
-        assert!(flags.iter().all(|&c| expected.contains(c)));
-        let outcome = rg.regrid(&g, &costs, &PatchDistribution::new(&g, 2, DistributionPolicy::MortonSfc));
-        assert_eq!(outcome.flagged, flags.len());
-        assert!(!outcome.refined.is_empty());
-        valid(&outcome.dist, &g);
-    }
-
-    #[test]
-    fn uniform_costs_with_no_hot_patch_raise_no_flags() {
-        let g = grid2();
-        let rg = Regridder::new(RebalancePolicy::CostedSfc);
-        assert!(rg.flag_hot_patches(&g, &PatchCosts::uniform(&g)).is_empty());
     }
 }

@@ -8,7 +8,7 @@ use crate::scheduler::{ExecStats, Scheduler, StoreKind};
 use crate::task::TaskDecl;
 use std::sync::Arc;
 use uintah_comm::{AllReduceVec, CommWorld, Communicator};
-use uintah_gpu::{lpt_assign, DeviceFleet, GpuAffinity, GpuDataWarehouse};
+use uintah_gpu::{DeviceFleet, GpuDataWarehouse};
 use uintah_grid::{
     CcVariable, DistributionPolicy, Grid, PatchCosts, PatchDistribution, RebalancePolicy,
     Regridder, VarLabel,
@@ -20,7 +20,6 @@ pub struct WorldConfig {
     pub nranks: usize,
     /// Worker threads per rank (the paper runs 16 per Titan node).
     pub nthreads: usize,
-    pub policy: DistributionPolicy,
     pub store: StoreKind,
     pub timesteps: usize,
     /// Attach a simulated GPU fleet with this capacity *per device*;
@@ -30,10 +29,6 @@ pub struct WorldConfig {
     /// Each device gets its own capacity meter, copy-engine timelines, and
     /// per-level replica DB.
     pub gpus_per_rank: usize,
-    /// How GPU patch tasks are assigned to fleet devices: `Sticky`
-    /// (deterministic patch-id hash) or `CostBalanced` (LPT over measured
-    /// per-patch costs, refreshed after every step).
-    pub gpu_affinity: GpuAffinity,
     /// Keep one shared per-level copy on the GPU (the paper's level DB).
     pub gpu_level_db: bool,
     /// Post device→host drains to the copy engine asynchronously so the
@@ -60,12 +55,10 @@ impl Default for WorldConfig {
         Self {
             nranks: 1,
             nthreads: 1,
-            policy: DistributionPolicy::MortonSfc,
             store: StoreKind::WaitFree,
             timesteps: 1,
             gpu_capacity: None,
             gpus_per_rank: 1,
-            gpu_affinity: GpuAffinity::Sticky,
             gpu_level_db: true,
             gpu_async_d2h: true,
             regrid_interval: None,
@@ -175,7 +168,7 @@ pub fn build_rank(
 }
 
 /// One rank's timestep loop body: rebalance if due → step → fold the
-/// measured per-patch costs → refresh the cost-balanced device affinity.
+/// measured per-patch costs.
 /// The caller drives it (`for ts in 0..timesteps { steps.advance(ts) }`),
 /// so [`run_world`] and a served job run the same steps and differ only in
 /// what they wrap around them.
@@ -246,33 +239,28 @@ impl<'a> RankSteps<'a> {
         Some(Arc::new(self.regridder.rebalance(grid, &costs, current)))
     }
 
-    /// Fold a finished step's per-patch costs and, under cost-balanced
-    /// affinity, re-home patches to devices with an LPT pass over them (the
-    /// intra-node mirror of the regrid rebalance). Safe between steps only
-    /// — per-patch device state is transient in a step.
+    /// Fold a finished step's per-patch costs into the next rebalance's
+    /// input.
     fn record(&mut self, s: &ExecStats) {
         for &(pid, d) in &s.per_patch {
             self.step_cost[pid.index()] += d.as_secs_f64();
-        }
-        if self.cfg.gpu_affinity != GpuAffinity::CostBalanced {
-            return;
-        }
-        if let Some(g) = self.exec.gpu() {
-            if g.num_devices() > 1 && !s.per_patch.is_empty() {
-                g.set_affinity(&lpt_assign(&s.per_patch, g.num_devices()));
-            }
         }
     }
 }
 
 /// Run `decls` for `cfg.timesteps` timesteps across `cfg.nranks` ranks.
 ///
-/// Every rank runs on its own OS thread with `cfg.nthreads` workers; the
-/// result carries each rank's final data warehouse so callers can inspect
-/// computed variables (e.g. `divQ`).
+/// Ranks start from the Morton SFC distribution (Uintah's space-filling
+/// curve load balancer). Every rank runs on its own OS thread with
+/// `cfg.nthreads` workers; the result carries each rank's final data
+/// warehouse so callers can inspect computed variables (e.g. `divQ`).
 pub fn run_world(grid: Arc<Grid>, decls: Arc<Vec<TaskDecl>>, cfg: WorldConfig) -> WorldResult {
     let world = CommWorld::new(cfg.nranks);
-    let initial = Arc::new(PatchDistribution::new(&grid, cfg.nranks, cfg.policy));
+    let initial = Arc::new(PatchDistribution::new(
+        &grid,
+        cfg.nranks,
+        DistributionPolicy::MortonSfc,
+    ));
     let cost_reduce = AllReduceVec::new(cfg.nranks);
     let run_rank = |rank: usize| {
         let fleet = cfg
@@ -470,18 +458,5 @@ mod tests {
         assert_eq!(count0, 8, "one produce per patch");
         assert_eq!(count1, 8, "one stencil per patch");
         assert_eq!(stats.tasks_executed, 16);
-    }
-
-    #[test]
-    fn round_robin_distribution_also_correct() {
-        let grid = grid1(16, 4);
-        let cfg = WorldConfig {
-            nranks: 4,
-            nthreads: 1,
-            policy: DistributionPolicy::RoundRobin,
-            ..WorldConfig::default()
-        };
-        let result = run_world(grid.clone(), stencil_decls(), cfg);
-        check_stencil_result(&result, &grid, 16);
     }
 }

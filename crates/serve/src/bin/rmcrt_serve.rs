@@ -11,7 +11,6 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use uintah::config::mib_to_bytes;
 use uintah_serve::{serve_on, RadiationServer, ServeConfig};
 
 fn main() {
@@ -44,11 +43,8 @@ fn main() {
         usage();
         std::process::exit(2);
     };
-    if mib_to_bytes(cfg.gpu_capacity_mb).is_none() {
-        die(&format!(
-            "--gpu-capacity-mb {} overflows a byte count",
-            cfg.gpu_capacity_mb
-        ));
+    if let Err(why) = cfg.validate() {
+        die(&why);
     }
     let server = Arc::new(RadiationServer::start(cfg.clone()));
     let socket = serve_on(Arc::clone(&server), &path).unwrap_or_else(|e| {

@@ -57,6 +57,31 @@ impl Default for ServeConfig {
     }
 }
 
+impl ServeConfig {
+    /// Refuse a configuration the server cannot start with: no worker, an
+    /// empty fleet, or a device capacity of 0 MiB or of more bytes than a
+    /// `usize` holds. [`RadiationServer::start`] asserts through this, and
+    /// `rmcrt_serve` reports the same text as a usage error.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.workers == 0 {
+            return Err("workers must be >= 1".into());
+        }
+        if self.gpus == 0 {
+            return Err("gpus must be >= 1".into());
+        }
+        if self.gpu_capacity_mb == 0 {
+            return Err("gpu_capacity_mb must be >= 1".into());
+        }
+        if mib_to_bytes(self.gpu_capacity_mb).is_none() {
+            return Err(format!(
+                "gpu_capacity_mb {} overflows a byte count",
+                self.gpu_capacity_mb
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Why a submission was refused, as an in-process typed error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubmitError {
@@ -227,12 +252,14 @@ pub struct RadiationServer {
 
 impl RadiationServer {
     /// Start the server: build the shared fleet and graph cache, spawn
-    /// the worker pool.
+    /// the worker pool. Panics on a `cfg` that [`ServeConfig::validate`]
+    /// refuses.
     pub fn start(cfg: ServeConfig) -> Self {
-        assert!(cfg.workers >= 1, "server needs at least one worker");
-        assert!(cfg.gpus >= 1, "fleet needs at least one device");
+        if let Err(why) = cfg.validate() {
+            panic!("invalid ServeConfig: {why}");
+        }
         let capacity =
-            mib_to_bytes(cfg.gpu_capacity_mb).expect("gpu_capacity_mb overflows a byte count");
+            mib_to_bytes(cfg.gpu_capacity_mb).expect("validate() refuses an overflowing capacity");
         let fleet = DeviceFleet::with_capacity(cfg.gpus, "K20X-sim", capacity);
         let inner = Arc::new(ServerInner {
             graph_cache: Arc::new(GraphCache::new(cfg.graph_cache_cap.max(1))),
@@ -651,5 +678,30 @@ fn assemble_report(
             data: field.into_vec(),
             region,
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serve_config_validate_refuses_each_unstartable_value() {
+        assert_eq!(ServeConfig::default().validate(), Ok(()));
+        let with = |set: fn(&mut ServeConfig)| {
+            let mut cfg = ServeConfig::default();
+            set(&mut cfg);
+            cfg
+        };
+        for (field, cfg) in [
+            ("workers", with(|c| c.workers = 0)),
+            ("gpus", with(|c| c.gpus = 0)),
+            ("gpu_capacity_mb", with(|c| c.gpu_capacity_mb = 0)),
+            // 2^44 MiB is 2^64 bytes: unchecked, it wraps to a 0-byte device.
+            ("gpu_capacity_mb", with(|c| c.gpu_capacity_mb = 1 << 44)),
+        ] {
+            let why = cfg.validate().expect_err(field);
+            assert!(why.starts_with(field), "{cfg:?}: {why}");
+        }
     }
 }

@@ -26,7 +26,7 @@ use std::time::Instant;
 use uintah::config::RunConfig;
 use uintah_comm::{AllReduceVec, CommWorld};
 use uintah_gpu::DeviceFleet;
-use uintah_grid::{Grid, PatchDistribution, Region};
+use uintah_grid::{DistributionPolicy, Grid, PatchDistribution, Region};
 use uintah_runtime::{build_rank, GraphCache, PersistentExecutor, RankSteps, TaskDecl};
 
 /// Everything the server needs to run one job: identity plus the
@@ -83,7 +83,11 @@ impl Slot {
     ) -> Self {
         let wc = cfg.world_config();
         let world = CommWorld::new(wc.nranks);
-        let initial_dist = Arc::new(PatchDistribution::new(&grid, wc.nranks, wc.policy));
+        let initial_dist = Arc::new(PatchDistribution::new(
+            &grid,
+            wc.nranks,
+            DistributionPolicy::MortonSfc,
+        ));
         let execs = (0..wc.nranks)
             .map(|rank| {
                 let mut exec = build_rank(
@@ -248,8 +252,8 @@ mod tests {
 
     /// One row per key of the table: setting a `shape` key to a second
     /// valid value must change the slot signature (those options are baked
-    /// into the slot's warehouses, schedulers and graphs — e.g. a
-    /// `gpu_affinity = cost` tenant must not land on a sticky slot);
+    /// into the slot's warehouses, schedulers and graphs — e.g. a GPU
+    /// tenant must not land on a CPU slot);
     /// setting any other key must not (per-job parameters share warm slots).
     #[test]
     fn shape_signature_ignores_per_job_parameters() {
@@ -267,10 +271,9 @@ mod tests {
             "store" => "mutex",
             "gpu" => "true",
             "gpus_per_rank" => "6",
-            "gpu_affinity" => "cost",
             "gpu_capacity_mb" => "512",
             "regrid_interval" => "3",
-            "regrid_policy" => "lpt",
+            "regrid_policy" => "rotate",
             "timesteps" => "7",
             "sampling" => "lhc",
             "ray_count" => "adaptive",
@@ -298,7 +301,7 @@ mod tests {
             shape,
             [
                 "fine_cells", "patch_size", "levels", "refinement_ratio", "ranks", "threads",
-                "store", "gpu", "gpu_affinity",
+                "store", "gpu",
             ],
             "the set of slot-shape keys is part of the serving contract"
         );

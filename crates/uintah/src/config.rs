@@ -36,7 +36,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::str::FromStr;
-use uintah_gpu::GpuAffinity;
 use uintah_grid::RebalancePolicy;
 use uintah_runtime::StoreKind;
 
@@ -57,8 +56,6 @@ pub struct RunConfig {
     pub gpu: bool,
     /// Simulated GPUs per rank (1 = Titan's single K20X, 6 = Summit-style).
     pub gpus_per_rank: usize,
-    /// Patch→device affinity policy for multi-GPU ranks.
-    pub gpu_affinity: GpuAffinity,
     /// Per-device memory capacity in MiB (default 6144 — the K20X's 6 GB).
     /// Problems larger than this per device exercise the oversubscription
     /// path: LRU eviction with spill-to-host.
@@ -117,7 +114,6 @@ impl Default for RunConfig {
             store: StoreKind::WaitFree,
             gpu: false,
             gpus_per_rank: 1,
-            gpu_affinity: GpuAffinity::Sticky,
             gpu_capacity_mb: 6144,
             timesteps: 1,
             sampling: rmcrt_core::RaySampling::Independent,
@@ -183,14 +179,8 @@ const STORES: Choices<StoreKind> = &[
     ("mutex", StoreKind::Mutex),
     ("racy", StoreKind::Racy),
 ];
-const AFFINITIES: Choices<GpuAffinity> = &[
-    ("sticky", GpuAffinity::Sticky),
-    ("cost", GpuAffinity::CostBalanced),
-    ("cost_balanced", GpuAffinity::CostBalanced),
-];
 const REGRID_POLICIES: Choices<RebalancePolicy> = &[
     ("sfc", RebalancePolicy::CostedSfc),
-    ("lpt", RebalancePolicy::CostedLpt),
     ("rotate", RebalancePolicy::Rotate(1)),
 ];
 const SAMPLINGS: Choices<rmcrt_core::RaySampling> = &[
@@ -275,10 +265,9 @@ pub const KEYS: &[Key] = &[
     choice!("store", SHAPE, store, STORES, "request store: waitfree | mutex | racy"),
     scalar!("gpu", SHAPE, gpu, boolean, "run the ray trace as GPU tasks"),
     scalar!("gpus_per_rank", PER_JOB, gpus_per_rank, num, "simulated GPUs per rank (6 = Summit-style)"),
-    choice!("gpu_affinity", SHAPE, gpu_affinity, AFFINITIES, "sticky | cost (LPT from measured per-patch costs)"),
     scalar!("gpu_capacity_mb", PER_JOB, gpu_capacity_mb, num, "per-device memory budget (6144 = K20X 6 GB)"),
     scalar!("regrid_interval", PER_JOB, regrid_interval, num, "rebalance ownership every k timesteps; 0 = never"),
-    choice!("regrid_policy", PER_JOB, regrid_policy, REGRID_POLICIES, "sfc | lpt | rotate"),
+    choice!("regrid_policy", PER_JOB, regrid_policy, REGRID_POLICIES, "sfc | rotate"),
     scalar!("timesteps", PER_JOB, timesteps, num, "radiation solves to run"),
     choice!("sampling", PER_JOB, sampling, SAMPLINGS, "independent | lhc"),
     choice!("ray_count", PER_JOB, adaptive_rays, RAY_COUNTS, "fixed (nrays per cell) | adaptive"),
@@ -502,7 +491,6 @@ impl RunConfig {
                     .expect("validate() refuses an overflowing capacity")
             }),
             gpus_per_rank: self.gpus_per_rank,
-            gpu_affinity: self.gpu_affinity,
             regrid_interval: (self.regrid_interval > 0).then_some(self.regrid_interval),
             regrid_policy: self.regrid_policy,
             ..Default::default()
@@ -565,13 +553,14 @@ mod tests {
 
     #[test]
     fn unknown_key_rejected_with_line() {
-        // Retired keys (`gpu_h2d`, `aggregate`, `gpu_eviction`) are unknown
-        // keys like any other.
+        // Retired keys (`gpu_h2d`, `aggregate`, `gpu_eviction`,
+        // `gpu_affinity`) are unknown keys like any other.
         for (text, line) in [
             ("nrayz = 8", 1),
             ("nrays = 8\ngpu_h2d = async", 2),
             ("aggregate = true", 1),
             ("gpu_eviction = off", 1),
+            ("gpus_per_rank = 2\n\ngpu_affinity = cost", 3),
         ] {
             let err = RunConfig::parse(text).unwrap_err();
             assert_eq!(err.line, line, "{text}");
@@ -581,25 +570,29 @@ mod tests {
 
     #[test]
     fn parses_regrid_keys() {
-        let cfg = RunConfig::parse("regrid_interval = 5\nregrid_policy = lpt").unwrap();
+        let cfg = RunConfig::parse("regrid_interval = 5\nregrid_policy = sfc").unwrap();
         assert_eq!(cfg.regrid_interval, 5);
-        assert_eq!(cfg.regrid_policy, RebalancePolicy::CostedLpt);
+        assert_eq!(cfg.regrid_policy, RebalancePolicy::CostedSfc);
         let cfg = RunConfig::parse("regrid_policy = rotate").unwrap();
         assert_eq!(cfg.regrid_policy, RebalancePolicy::Rotate(1));
         assert_eq!(cfg.regrid_interval, 0, "regridding off by default");
-        assert!(RunConfig::parse("regrid_policy = magic").is_err());
+        // `lpt` is a retired spelling: refused, not silently mapped.
+        for value in ["magic", "lpt"] {
+            let err = RunConfig::parse(&format!("regrid_policy = {value}")).unwrap_err();
+            assert_eq!(err.message, format!("unknown regrid_policy '{value}'"));
+        }
     }
 
     #[test]
     fn parses_fleet_keys() {
-        let cfg = RunConfig::parse("gpus_per_rank = 6\ngpu_affinity = cost").unwrap();
+        let cfg = RunConfig::parse("gpus_per_rank = 6").unwrap();
         assert_eq!(cfg.gpus_per_rank, 6);
-        assert_eq!(cfg.gpu_affinity, GpuAffinity::CostBalanced);
-        let cfg = RunConfig::parse("gpu_affinity = sticky").unwrap();
-        assert_eq!(cfg.gpu_affinity, GpuAffinity::Sticky);
+        let cfg = RunConfig::parse("gpu = true").unwrap();
         assert_eq!(cfg.gpus_per_rank, 1, "single K20X per rank by default");
-        assert!(RunConfig::parse("gpu_affinity = roundrobin").is_err());
         assert!(RunConfig::parse("gpus_per_rank = 0").is_err());
+        // Patches are always homed by the sticky hash: the retired key is
+        // refused even with its old default value.
+        assert!(RunConfig::parse("gpu_affinity = sticky").is_err());
         // Oversubscription key: capacity in MiB.
         assert_eq!(cfg.gpu_capacity_mb, 6144, "K20X 6 GB by default");
         let cfg = RunConfig::parse("gpu_capacity_mb = 512").unwrap();

@@ -42,9 +42,7 @@ pub mod prelude {
         ops, parallel_fill, parallel_for, parallel_map, parallel_reduce, DeviceSpace, ExecSpace,
         KernelStats,
     };
-    pub use uintah_gpu::{
-        DeviceCounters, DeviceFleet, GpuAffinity, GpuDataWarehouse, GpuDevice,
-    };
+    pub use uintah_gpu::{DeviceCounters, DeviceFleet, GpuDataWarehouse, GpuDevice};
     pub use uintah_grid::{
         CcVariable, DistributionPolicy, FieldData, Grid, IntVector, PatchCosts,
         PatchDistribution, Point, RebalancePolicy, Region, Regridder, VarLabel, Vector,

@@ -189,7 +189,7 @@ fn gpu_level_db_concurrent_hammer() {
             s.spawn(move || {
                 for _ in 0..200 {
                     let v = dw
-                        .ensure_level_on(0, ABSKG, 0, || {
+                        .ensure_level_fresh_on(0, ABSKG, 0, || {
                             FieldData::F64(CcVariable::filled(Region::cube(8), 1.0))
                         })
                         .unwrap();
@@ -273,7 +273,7 @@ fn regrid_racing_async_d2h_drains_without_deadlock_or_leaks() {
                 dw.drain_pending_d2h();
                 gpu.sync_d2h_all();
                 dw.begin_regrid();
-                gpu.invalidate_for_regrid();
+                gpu.invalidate_for_regrid_on(&[0]);
             });
         });
         // Every parked field was drained before the bump and survives it.
@@ -415,7 +415,7 @@ fn fleet_regrid_race_evicts_only_affected_devices_without_leaks() {
             );
         }
         // Full invalidation returns every device in the fleet to zero.
-        gpu.invalidate_for_regrid();
+        gpu.invalidate_for_regrid_on(&(0..NDEV).collect::<Vec<_>>());
         for (d, c) in gpu.counters_per_device().iter().enumerate() {
             assert_eq!(c.used, 0, "device {d} leaked bytes");
         }
@@ -463,10 +463,11 @@ fn radiation_server_submit_cancel_storm_drains_clean() {
         match i % 4 {
             0 => {} // plain GPU tenant
             1 => {
-                // Regridding tenant: rebalances ownership every step, so
-                // cancels race the executor's migration machinery.
+                // Regridding tenant: rotates ownership every step, so every
+                // regrid migrates and cancels race the executor's migration
+                // machinery.
                 cfg.regrid_interval = 1;
-                cfg.regrid_policy = RebalancePolicy::CostedLpt;
+                cfg.regrid_policy = RebalancePolicy::Rotate(1);
                 cfg.timesteps = 5;
             }
             2 => {
@@ -585,7 +586,7 @@ fn lru_eviction_racing_regrid_no_stale_serves_no_leaks() {
         let dw = Arc::clone(&dw);
         s.spawn(move || {
             for _ in 0..20 {
-                dw.invalidate_for_regrid();
+                dw.invalidate_for_regrid_on(&[0]);
                 std::thread::yield_now();
             }
         });

@@ -332,60 +332,12 @@ proptest! {
         prop_assert_eq!(t1 == t2, (v1, p1, d1, ph1) == (v2, p2, d2, ph2));
     }
 
-    /// Arbitrary refinement-flag sets map to fine regions that are
-    /// ratio-aligned, pairwise disjoint, and cover exactly the flagged
-    /// cells' fine footprints (out-of-level flags and duplicates ignored).
-    #[test]
-    fn refine_regions_aligned_disjoint_covering(
-        raw in proptest::collection::vec((-2..6i32, -2..6i32, -2..6i32), 0..24),
-    ) {
-        let grid = BurnsChriston::small_grid(16, 4);
-        let coarse = grid.level(0).cell_region();
-        let rr = grid.level(1).ratio_to_coarser().as_ivec();
-        let flags: Vec<IntVector> =
-            raw.iter().map(|&(x, y, z)| IntVector::new(x, y, z)).collect();
-        let regions = Regridder::refine_regions(&grid, 0, &flags);
-
-        for r in &regions {
-            // Aligned to the refinement ratio on both corners.
-            prop_assert_eq!(r.lo().x % rr.x, 0);
-            prop_assert_eq!(r.lo().y % rr.y, 0);
-            prop_assert_eq!(r.lo().z % rr.z, 0);
-            prop_assert_eq!(r.hi().x % rr.x, 0);
-            prop_assert_eq!(r.hi().y % rr.y, 0);
-            prop_assert_eq!(r.hi().z % rr.z, 0);
-        }
-        for (i, a) in regions.iter().enumerate() {
-            for b in &regions[i + 1..] {
-                prop_assert!(a.intersect(b).is_empty(), "{a:?} overlaps {b:?}");
-            }
-        }
-        // Coverage is exact: every in-level flag's fine box lies in some
-        // region, and the total volume is one fine box per unique flag.
-        let mut unique: Vec<IntVector> =
-            flags.iter().copied().filter(|c| coarse.contains(*c)).collect();
-        unique.sort_unstable_by_key(|c| (c.z, c.y, c.x));
-        unique.dedup();
-        for c in &unique {
-            let lo = IntVector::new(c.x * rr.x, c.y * rr.y, c.z * rr.z);
-            let fine_box = Region::new(lo, lo + rr);
-            prop_assert!(
-                regions.iter().any(|r| r.contains_region(&fine_box)),
-                "flag {c:?} not covered"
-            );
-        }
-        let total: usize = regions.iter().map(|r| r.volume()).sum();
-        prop_assert_eq!(total, unique.len() * (rr.x * rr.y * rr.z) as usize);
-    }
-
-    /// Any cost vector under any policy yields a valid distribution: every
-    /// patch owned exactly once, by a rank inside the world.
     /// The config key table is the single source of truth: every valid
     /// `RunConfig` prints (`to_text`) to text that parses back to itself —
     /// a key missing from the table, a `show` that prints something its
     /// `set` does not accept, or an alias printed instead of a canonical
     /// spelling all break the round trip. (`Rotate(k != 1)` has no
-    /// spelling, so the policy is drawn from the three spellable values;
+    /// spelling, so the policy is drawn from the two spellable values;
     /// f64 keys round-trip through Rust's shortest `Display`.)
     #[test]
     fn run_config_text_round_trips(
@@ -416,7 +368,6 @@ proptest! {
             store: [StoreKind::WaitFree, StoreKind::Mutex, StoreKind::Racy][pick(8)],
             gpu: bit(0),
             gpus_per_rank,
-            gpu_affinity: if bit(1) { GpuAffinity::CostBalanced } else { GpuAffinity::Sticky },
             gpu_capacity_mb,
             timesteps,
             sampling: [RaySampling::Independent, RaySampling::LatinHypercube][bit(4) as usize],
@@ -425,11 +376,7 @@ proptest! {
             rays_max: rays_min + rays_extra,
             rel_var_target,
             regrid_interval,
-            regrid_policy: [
-                RebalancePolicy::CostedSfc,
-                RebalancePolicy::CostedLpt,
-                RebalancePolicy::Rotate(1),
-            ][pick(16)],
+            regrid_policy: [RebalancePolicy::CostedSfc, RebalancePolicy::Rotate(1)][bit(1) as usize],
             priority: if bit(7) { JobPriority::High } else { JobPriority::Normal },
             output: [None, Some("./rmcrt.uda"), Some("/tmp/out dir/x.uda")][pick(24)]
                 .map(PathBuf::from),
@@ -438,17 +385,19 @@ proptest! {
         prop_assert_eq!(RunConfig::parse(&cfg.to_text()), Ok(cfg));
     }
 
+    /// Any cost vector under either policy yields a valid distribution:
+    /// every patch owned exactly once, by a rank inside the world.
     #[test]
     fn rebalance_distribution_valid(
         nranks in 1..6usize,
-        policy_idx in 0u8..3,
+        rotate in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let grid = BurnsChriston::small_grid(16, 4);
-        let policy = match policy_idx {
-            0 => RebalancePolicy::CostedSfc,
-            1 => RebalancePolicy::CostedLpt,
-            _ => RebalancePolicy::Rotate(1 + (seed % 7) as usize),
+        let policy = if rotate {
+            RebalancePolicy::Rotate(1 + (seed % 7) as usize)
+        } else {
+            RebalancePolicy::CostedSfc
         };
         let costs = PatchCosts::from_values(synth_costs(&grid, seed));
         let current = PatchDistribution::new(&grid, nranks, DistributionPolicy::MortonSfc);
@@ -468,23 +417,21 @@ proptest! {
         prop_assert_eq!(owned_total, grid.num_patches());
     }
 
-    /// Both costed policies keep every rank's load within the bound they
-    /// advertise: `Σ_levels (level_total / nranks + level_max)`.
+    /// The costed SFC cut keeps every rank's load within the bound it
+    /// advertises: `Σ_levels (level_total / nranks + level_max)`.
     #[test]
     fn costed_rebalance_respects_advertised_bound(
         nranks in 1..6usize,
-        lpt in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let grid = BurnsChriston::small_grid(16, 4);
-        let policy = if lpt { RebalancePolicy::CostedLpt } else { RebalancePolicy::CostedSfc };
-        let regridder = Regridder::new(policy);
+        let regridder = Regridder::new(RebalancePolicy::CostedSfc);
         let costs = PatchCosts::from_values(synth_costs(&grid, seed));
         let current = PatchDistribution::new(&grid, nranks, DistributionPolicy::MortonSfc);
         let next = regridder.rebalance(&grid, &costs, &current);
         let bound = regridder
             .advertised_bound(&grid, &costs, nranks)
-            .expect("costed policies advertise a bound");
+            .expect("the costed policy advertises a bound");
         for rank in 0..nranks {
             let load: f64 = next.owned_by(rank).iter().map(|&p| costs.get(p)).sum();
             prop_assert!(
@@ -684,5 +631,5 @@ fn printed_default_config_parses_to_the_defaults() {
     for key in uintah::config::KEYS {
         assert!(text.contains(&format!("{} = ", key.name)), "'{}' missing:\n{text}", key.name);
     }
-    assert_eq!(uintah::config::KEYS.len(), 25);
+    assert_eq!(uintah::config::KEYS.len(), 24);
 }

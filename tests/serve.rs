@@ -17,9 +17,9 @@
 //!   connection that stays usable, never a dead connection thread;
 //! * the server forgets a finished job once 64 later ones have finished,
 //!   while a handle taken earlier keeps its outcome;
-//! * a served job that regrids and re-homes patches across devices
-//!   mid-run is bit-identical to the same config run solo, and leaves its
-//!   slot in the canonical state for the next tenant.
+//! * a served GPU job that regrids mid-run is bit-identical to the same
+//!   config run solo, and leaves its slot in the canonical state for the
+//!   next tenant.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -554,6 +554,9 @@ fn wire_malformed_config_is_rejected_and_connection_survives() {
         "gpu_h2d = async",
         "aggregate = true",
         "gpu_eviction = off",
+        "gpu_affinity = cost",
+        // A retired value of a live key.
+        "regrid_policy = lpt",
     ] {
         match client.submit(text) {
             Err(ClientError::Rejected {
@@ -580,15 +583,14 @@ fn wire_malformed_config_is_rejected_and_connection_survives() {
     server.shutdown();
 }
 
-/// A served GPU job that rebalances ownership mid-run (`rotate` moves
-/// every patch) and re-homes patches across the fleet's devices after
-/// every step (`gpu_affinity = cost`) steps through the same routine as
+/// A served GPU job on a 2-device fleet that rebalances ownership mid-run
+/// (`rotate` moves every patch) steps through the same routine as
 /// `run_world`, so it must be bit-identical to the solo run and count the
 /// same regrids — on any worker-thread count. The next plain tenant of the
 /// warm slot starts from the canonical distribution again (the rotated
 /// ownership is reset), so it too matches its own solo run.
 #[test]
-fn served_regrid_with_cost_affinity_bit_identical_to_solo() {
+fn served_regrid_bit_identical_to_solo() {
     let server = RadiationServer::start(ServeConfig {
         workers: 1,
         gpus: 2,
@@ -605,7 +607,6 @@ fn served_regrid_with_cost_affinity_bit_identical_to_solo() {
             halo: 2,
             gpu: true,
             gpus_per_rank: 2,
-            gpu_affinity: GpuAffinity::CostBalanced,
             timesteps: 2,
             ..RunConfig::default()
         };

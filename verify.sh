@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, lint, rustdoc, the benchmark's smoke pass, four
-# contract gates. Run before every commit.
+# Tier-1 gate: build, test, lint, rustdoc, the benchmark's smoke pass, the
+# shipped binaries end to end, four contract gates. Run before every commit.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -32,6 +32,23 @@ cargo run --release -q --bin rmcrt_app -- target/default.cfg
 printf '%s\n' 'gpu = true' 'gpus_per_rank = 2' 'ranks = 2' 'threads = 2' \
     'timesteps = 3' 'regrid_interval = 1' 'regrid_policy = rotate' > target/gpu_regrid.cfg
 cargo run --release -q --bin rmcrt_app -- target/gpu_regrid.cfg
+# The shipped server binaries end to end: rmcrt_serve on a 2-device fleet,
+# the same GPU + regrid job submitted over its Unix socket by rmcrt_submit,
+# then a drain and shutdown. The server exits 0 only when its fleet meters
+# read 0 B after the drain; the trap stops it if any step fails first.
+rm -f target/rmcrt.sock
+./target/release/rmcrt_serve target/rmcrt.sock --gpus 2 &
+serve_pid=$!
+trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
+for _ in $(seq 100); do [ -S target/rmcrt.sock ] && break; sleep 0.1; done
+./target/release/rmcrt_submit target/rmcrt.sock target/gpu_regrid.cfg
+./target/release/rmcrt_submit target/rmcrt.sock --shutdown
+wait "$serve_pid"
+trap - EXIT
+# A server argument it cannot start with is a usage error (exit 2), not a panic.
+status=0
+./target/release/rmcrt_serve target/x.sock --workers 0 || status=$?
+[ "$status" -eq 2 ]
 # E12 scaling-campaign regression gate, LARGE 16³-patch curve, two halves.
 # Model-limited: calibrated from the checked-in CALIBRATION.snapshot, the
 # Eq.-3 efficiencies must match the checked-in BENCH_scaling.json
