@@ -246,10 +246,6 @@ impl Curve {
         self.points.iter().find(|p| p.gpus == gpus)
     }
 
-    pub fn time_at(&self, gpus: usize) -> Option<f64> {
-        self.point_at(gpus).map(|p| p.time)
-    }
-
     /// Strong-scaling efficiency (Eq. 3) between two GPU counts on this
     /// curve: `E = (t_a·n_a)/(t_b·n_b)`.
     pub fn efficiency_between(&self, a: usize, b: usize) -> Option<f64> {

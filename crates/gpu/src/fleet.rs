@@ -95,17 +95,6 @@ impl DeviceFleet {
     pub fn total_capacity(&self) -> usize {
         self.devices.iter().map(|d| d.capacity()).sum()
     }
-
-    /// Per-device headroom right now: `(available, largest contiguous
-    /// hole)` for each device in fleet order. The admission controller's
-    /// view of the meters: `available` bounds a tenant's total residency,
-    /// the hole bounds its largest single window.
-    pub fn availability(&self) -> Vec<(usize, usize)> {
-        self.devices
-            .iter()
-            .map(|d| (d.available(), d.largest_free_block()))
-            .collect()
-    }
 }
 
 /// Deterministic sticky patch→device hash shared by every rank: Fibonacci

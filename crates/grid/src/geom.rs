@@ -25,11 +25,6 @@ impl Point {
     pub const fn new(x: f64, y: f64, z: f64) -> Self {
         Self { x, y, z }
     }
-
-    #[inline]
-    pub fn to_vector(self) -> Vector {
-        Vector::new(self.x, self.y, self.z)
-    }
 }
 
 impl Vector {

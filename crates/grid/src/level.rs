@@ -147,11 +147,6 @@ impl Level {
         self.cell_region.volume()
     }
 
-    /// Physical low corner of the level.
-    pub fn physical_lo(&self) -> Point {
-        self.cell_pos_lo(self.cell_region.lo())
-    }
-
     /// Physical high corner of the level.
     pub fn physical_hi(&self) -> Point {
         self.cell_pos_lo(self.cell_region.hi())

@@ -308,23 +308,6 @@ impl SubAllocator {
         Ok(size)
     }
 
-    /// One-line map of the arena — `live[offset+len]` / `free[offset+len]`
-    /// extents in address order — for OOM diagnostics in gates and tests.
-    pub fn dump(&self) -> String {
-        let mut parts: Vec<(u64, u64, bool)> = self
-            .live
-            .iter()
-            .map(|(&o, &l)| (o, l, true))
-            .chain(self.free.iter().map(|&(o, l)| (o, l, false)))
-            .collect();
-        parts.sort_unstable();
-        let body: Vec<String> = parts
-            .iter()
-            .map(|&(o, l, live)| format!("{}[{o}+{l}]", if live { "live" } else { "free" }))
-            .collect();
-        format!("used {}/{}: {}", self.used, self.capacity, body.join(" "))
-    }
-
     /// Structural self-check of every free-list invariant; `Err` carries a
     /// human-readable description of the first violation. Cheap enough for
     /// tests and gate binaries, not meant for hot paths.

@@ -103,11 +103,6 @@ impl AllocTracker {
         }
     }
 
-    /// Snapshots for every category.
-    pub fn snapshot_all(&self) -> Vec<TrackerSnapshot> {
-        AllocCategory::ALL.iter().map(|&c| self.snapshot(c)).collect()
-    }
-
     /// Live bytes summed over all categories.
     pub fn live_total(&self) -> u64 {
         self.counters.iter().map(|c| c.live.load(Ordering::Relaxed)).sum()

@@ -159,14 +159,6 @@ impl CalibrationSnapshot {
         KernelStats::sum(self.devices.iter().map(|d| &d.kernels))
     }
 
-    /// Copy-engine totals summed across devices and both directions:
-    /// `(bytes, busy_ns)`.
-    pub fn engine_totals(&self) -> (u64, u64) {
-        let (hb, hn) = self.h2d_totals();
-        let (db, dn) = self.d2h_totals();
-        (hb + db, hn + dn)
-    }
-
     /// Upload-engine totals summed across devices: `(bytes, busy_ns)`.
     pub fn h2d_totals(&self) -> (u64, u64) {
         self.devices

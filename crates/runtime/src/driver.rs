@@ -4,10 +4,12 @@
 
 use crate::dw::DataWarehouse;
 use crate::executor::PersistentExecutor;
+use crate::graph::GraphCache;
 use crate::scheduler::{ExecStats, Scheduler, StoreKind};
 use crate::task::TaskDecl;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use uintah_comm::{AllReduceVec, CommWorld, Communicator};
+use uintah_comm::{AllReduceVec, CommWorld};
 use uintah_gpu::{DeviceFleet, GpuDataWarehouse};
 use uintah_grid::{
     CcVariable, DistributionPolicy, Grid, PatchCosts, PatchDistribution, RebalancePolicy,
@@ -112,186 +114,264 @@ impl WorldResult {
     /// every rank's warehouse into one fine-level field. Panics if an owned
     /// fine patch never computed `label` (a task-declaration error).
     pub fn fine_field(&self, grid: &Grid, label: VarLabel) -> CcVariable<f64> {
-        let mut out = CcVariable::<f64>::new(grid.fine_level().cell_region());
-        for rr in &self.ranks {
-            for &pid in self.dist.owned_by(rr.rank) {
-                let patch = grid.patch(pid);
-                if patch.level_index() != grid.fine_level_index() {
-                    continue;
-                }
-                let v = rr
-                    .dw
-                    .get_patch(label, pid)
-                    .unwrap_or_else(|| panic!("{label:?} missing on patch {pid:?}"));
-                out.copy_window(v.as_f64(), &patch.interior());
-            }
-        }
-        out
+        gather_fine(grid, &self.dist, self.ranks.iter().map(|r| &r.dw), label)
     }
 }
 
-/// Build one rank's execution state — host warehouse, scheduler, the GPU
-/// warehouse over `fleet` (if any) and the [`PersistentExecutor`] that owns
-/// them — from `cfg`. The single construction site shared by [`run_world`]
-/// (a fresh fleet per rank) and the radiation server's slots (the server's
-/// shared fleet): a runtime option reaches both by being a [`WorldConfig`]
-/// field and nowhere else.
-pub fn build_rank(
+/// The ranks of one job, built once and stepped together: one
+/// [`PersistentExecutor`] per rank on a shared [`CommWorld`], the canonical
+/// initial distribution every run starts from, and the world's two
+/// collectives. [`run_world`] builds one per call; the radiation server
+/// keeps one warm per slot and runs job after job on it. It is the only
+/// code that builds, steps, joins and gathers ranks, so a runtime option
+/// reaches every caller by being a [`WorldConfig`] field and nowhere else.
+pub struct World {
     grid: Arc<Grid>,
-    decls: Arc<Vec<TaskDecl>>,
-    dist: Arc<PatchDistribution>,
-    comm: Communicator,
-    cfg: &WorldConfig,
-    fleet: Option<DeviceFleet>,
-) -> PersistentExecutor {
-    // Per-rank run id: `<job>/r<rank>` keys every summary line.
-    let run_id = cfg.run_id.as_ref().map(|id| Arc::from(format!("{id}/r{}", comm.rank())));
-    let gpu = fleet.map(|fleet| {
-        Arc::new(GpuDataWarehouse::with_fleet_full(
-            fleet,
-            cfg.gpu_level_db,
-            cfg.gpu_async_d2h,
-            true, // unused `_async_h2d`: signature pinned by perf_report
-            true, // unused `_eviction`: likewise
-        ))
-    });
-    let mut exec = PersistentExecutor::new(
-        Arc::clone(&grid),
-        decls,
-        dist,
-        Scheduler::new(comm, cfg.nthreads, cfg.store),
-        Arc::new(DataWarehouse::new(grid)),
-        gpu,
-    );
-    exec.set_run_id(run_id);
-    exec
-}
-
-/// One rank's timestep loop body: rebalance if due → step → fold the
-/// measured per-patch costs.
-/// The caller drives it (`for ts in 0..timesteps { steps.advance(ts) }`),
-/// so [`run_world`] and a served job run the same steps and differ only in
-/// what they wrap around them.
-pub struct RankSteps<'a> {
-    exec: &'a mut PersistentExecutor,
-    cfg: &'a WorldConfig,
+    /// Morton SFC ownership (Uintah's space-filling-curve load balancer).
+    /// A run that rebalanced leaves its last distribution in place; the
+    /// next run resets to this one first, so graph signatures stay stable
+    /// across runs.
+    initial: Arc<PatchDistribution>,
+    execs: Vec<PersistentExecutor>,
     /// The pre-rebalance cost exchange: each rank contributes measured
     /// per-patch task time (zeros for patches it does not own) and reads
     /// back the identical global vector, so every rank runs the
     /// deterministic regridder on the same input and all agree on the new
     /// ownership.
-    cost_reduce: &'a AllReduceVec,
-    regridder: Regridder,
-    /// Measured per-patch cost since the last rebalance (seconds in task
-    /// bodies; zeros for patches this rank does not own).
-    step_cost: Vec<f64>,
+    cost_reduce: AllReduceVec,
+    /// The per-step stop agreement: all ranks stop at the same step
+    /// boundary or none do (a lone stop would strand its peers' receives).
+    stop_reduce: AllReduceVec,
 }
 
-impl<'a> RankSteps<'a> {
-    /// `cost_reduce` must be shared by every rank of the world.
+impl World {
+    /// Build `cfg.nranks` ranks running `decls` over `grid`. `fleet(rank)`
+    /// is the device fleet that rank's GPU warehouse attaches to (`None`
+    /// runs it CPU-only): a fresh fleet per rank for [`run_world`], the
+    /// server's shared fleet for a slot.
     pub fn new(
-        exec: &'a mut PersistentExecutor,
-        cfg: &'a WorldConfig,
-        cost_reduce: &'a AllReduceVec,
+        grid: Arc<Grid>,
+        decls: &Arc<Vec<TaskDecl>>,
+        cfg: &WorldConfig,
+        mut fleet: impl FnMut(usize) -> Option<DeviceFleet>,
     ) -> Self {
+        let comm = CommWorld::new(cfg.nranks);
+        let initial = Arc::new(PatchDistribution::new(
+            &grid,
+            cfg.nranks,
+            DistributionPolicy::MortonSfc,
+        ));
+        let execs = (0..cfg.nranks)
+            .map(|rank| {
+                let gpu = fleet(rank).map(|fleet| {
+                    Arc::new(GpuDataWarehouse::with_fleet_full(
+                        fleet,
+                        cfg.gpu_level_db,
+                        cfg.gpu_async_d2h,
+                        true, // unused `_async_h2d`: signature pinned by perf_report
+                        true, // unused `_eviction`: likewise
+                    ))
+                });
+                PersistentExecutor::new(
+                    Arc::clone(&grid),
+                    Arc::clone(decls),
+                    Arc::clone(&initial),
+                    Scheduler::new(comm.communicator(rank), cfg.nthreads, cfg.store),
+                    Arc::new(DataWarehouse::new(Arc::clone(&grid))),
+                    gpu,
+                )
+            })
+            .collect();
         Self {
-            regridder: Regridder::new(cfg.regrid_policy),
-            step_cost: vec![0.0; exec.grid.num_patches()],
-            exec,
-            cfg,
-            cost_reduce,
+            grid,
+            initial,
+            execs,
+            cost_reduce: AllReduceVec::new(cfg.nranks),
+            stop_reduce: AllReduceVec::new(cfg.nranks),
         }
     }
 
-    /// Run timestep `ts`. Collective: every rank of the world calls it
-    /// for the same `ts`, so the rebalance all-reduce cannot skew.
-    pub fn advance(&mut self, ts: usize) -> ExecStats {
-        let current = Arc::clone(self.exec.dist());
-        if let Some(next) = self.agree_on_rebalance(ts, &current) {
-            self.exec.regrid(next);
+    /// Let every rank adopt compiled graphs from `cache` on a local miss,
+    /// and feed it every graph the rank compiles.
+    pub fn set_graph_cache(&mut self, cache: &Arc<GraphCache>) {
+        for exec in &mut self.execs {
+            exec.set_graph_cache(Arc::clone(cache));
         }
-        let s = self.exec.step();
-        self.record(&s);
-        s
     }
 
-    /// The agreed post-exchange distribution for step `ts`, or `None` when
-    /// no rebalance is due.
-    fn agree_on_rebalance(
+    /// Run `decls` for `cfg.timesteps` timesteps, every rank on its own OS
+    /// thread with `cfg.nthreads` workers, and return each rank's per-step
+    /// stats in rank order. Each step: rebalance if due → step → fold the
+    /// measured per-patch costs into the next rebalance's input. Steps are
+    /// stamped `<cfg.run_id>/r<rank>`.
+    ///
+    /// With `stop`, the ranks agree before every step whether any of them
+    /// saw the flag set and, if so, all stop there: a stopped run returns
+    /// fewer than `cfg.timesteps` steps. A rank's panic is re-raised here
+    /// with its own payload.
+    pub fn run(
         &mut self,
-        ts: usize,
-        current: &PatchDistribution,
-    ) -> Option<Arc<PatchDistribution>> {
-        let k = self.cfg.regrid_interval?;
-        if ts == 0 || !ts.is_multiple_of(k) {
-            return None;
-        }
-        let grid = &self.exec.grid;
-        let global = self.cost_reduce.sum(&self.step_cost);
-        let costs = if global.iter().sum::<f64>() > 0.0 {
-            PatchCosts::from_values((*global).clone())
-        } else {
-            // Degenerate timing (all-zero measurements): fall back to cell
-            // counts so the decision stays sound.
-            PatchCosts::from_cells(grid)
+        decls: &Arc<Vec<TaskDecl>>,
+        cfg: &WorldConfig,
+        stop: Option<&AtomicBool>,
+    ) -> Vec<Vec<ExecStats>> {
+        let nranks = self.execs.len();
+        let (grid, initial) = (&self.grid, &self.initial);
+        let (cost_reduce, stop_reduce) = (&self.cost_reduce, &self.stop_reduce);
+        let run_rank = |rank: usize, exec: &mut PersistentExecutor| {
+            exec.set_decls(Arc::clone(decls));
+            exec.set_run_id(
+                cfg.run_id
+                    .as_ref()
+                    .map(|id| Arc::from(format!("{id}/r{rank}"))),
+            );
+            // Collective: every rank compares the same maps, so all reset
+            // or none do. A no-op on a fresh world.
+            if exec.dist().rank_map() != initial.rank_map() {
+                exec.regrid(Arc::clone(initial));
+            }
+            // Measured per-patch cost since the last rebalance (seconds in
+            // task bodies; zeros for patches this rank does not own).
+            let mut step_cost = vec![0.0; grid.num_patches()];
+            let mut stats = Vec::with_capacity(cfg.timesteps);
+            for ts in 0..cfg.timesteps {
+                if let Some(stop) = stop {
+                    let want = stop.load(Ordering::Relaxed);
+                    let agreed = if nranks > 1 {
+                        stop_reduce.sum(&[if want { 1.0 } else { 0.0 }])[0] > 0.0
+                    } else {
+                        want
+                    };
+                    if agreed {
+                        break;
+                    }
+                }
+                if cfg
+                    .regrid_interval
+                    .is_some_and(|k| ts > 0 && ts.is_multiple_of(k))
+                {
+                    let global = cost_reduce.sum(&step_cost);
+                    let costs = if global.iter().sum::<f64>() > 0.0 {
+                        PatchCosts::from_values((*global).clone())
+                    } else {
+                        // Degenerate timing (all-zero measurements): fall
+                        // back to cell counts so the decision stays sound.
+                        PatchCosts::from_cells(grid)
+                    };
+                    step_cost.fill(0.0);
+                    let next =
+                        Regridder::new(cfg.regrid_policy).rebalance(grid, &costs, exec.dist());
+                    exec.regrid(Arc::new(next));
+                }
+                let s = exec.step();
+                for &(pid, d) in &s.per_patch {
+                    step_cost[pid.index()] += d.as_secs_f64();
+                }
+                stats.push(s);
+            }
+            stats
         };
-        self.step_cost.fill(0.0);
-        Some(Arc::new(self.regridder.rebalance(grid, &costs, current)))
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .execs
+                .iter_mut()
+                .enumerate()
+                .map(|(rank, exec)| scope.spawn(move || run_rank(rank, exec)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
+        })
     }
 
-    /// Fold a finished step's per-patch costs into the next rebalance's
-    /// input.
-    fn record(&mut self, s: &ExecStats) {
-        for &(pid, d) in &s.per_patch {
-            self.step_cost[pid.index()] += d.as_secs_f64();
-        }
+    /// The distribution the last step ran under (identical across ranks:
+    /// the regridder is deterministic on the all-reduced costs).
+    fn dist(&self) -> &Arc<PatchDistribution> {
+        self.execs[0].dist()
+    }
+
+    /// The per-patch variable `label` of the last step, gathered from every
+    /// rank's warehouse into one fine-level field.
+    pub fn fine_field(&self, label: VarLabel) -> CcVariable<f64> {
+        gather_fine(
+            &self.grid,
+            self.dist(),
+            self.execs.iter().map(|e| e.dw()),
+            label,
+        )
+    }
+
+    /// The ranks' GPU warehouses (none on a CPU-only world).
+    pub fn gpus(&self) -> impl Iterator<Item = &Arc<GpuDataWarehouse>> {
+        self.execs.iter().filter_map(|e| e.gpu())
+    }
+
+    /// Graphs compiled so far, summed over ranks.
+    pub fn compiles(&self) -> u64 {
+        self.execs.iter().map(|e| e.compiles() as u64).sum()
+    }
+
+    /// Graphs adopted from the shared cache so far, summed over ranks.
+    pub fn shared_graph_hits(&self) -> u64 {
+        self.execs.iter().map(|e| e.shared_graph_hits()).sum()
     }
 }
 
-/// Run `decls` for `cfg.timesteps` timesteps across `cfg.nranks` ranks.
-///
-/// Ranks start from the Morton SFC distribution (Uintah's space-filling
-/// curve load balancer). Every rank runs on its own OS thread with
-/// `cfg.nthreads` workers; the result carries each rank's final data
+/// Gather `label` on every owned fine patch into one fine-level field;
+/// `dws` are the ranks' warehouses in rank order. Panics if an owned fine
+/// patch never computed `label` (a task-declaration error).
+fn gather_fine<'a>(
+    grid: &Grid,
+    dist: &PatchDistribution,
+    dws: impl IntoIterator<Item = &'a Arc<DataWarehouse>>,
+    label: VarLabel,
+) -> CcVariable<f64> {
+    let mut out = CcVariable::<f64>::new(grid.fine_level().cell_region());
+    for (rank, dw) in dws.into_iter().enumerate() {
+        for &pid in dist.owned_by(rank) {
+            let patch = grid.patch(pid);
+            if patch.level_index() != grid.fine_level_index() {
+                continue;
+            }
+            let v = dw
+                .get_patch(label, pid)
+                .unwrap_or_else(|| panic!("{label:?} missing on patch {pid:?}"));
+            out.copy_window(v.as_f64(), &patch.interior());
+        }
+    }
+    out
+}
+
+/// Run `decls` for `cfg.timesteps` timesteps across `cfg.nranks` ranks of
+/// a fresh [`World`], each rank with its own device fleet when
+/// `cfg.gpu_capacity` is set. The result carries each rank's final data
 /// warehouse so callers can inspect computed variables (e.g. `divQ`).
 pub fn run_world(grid: Arc<Grid>, decls: Arc<Vec<TaskDecl>>, cfg: WorldConfig) -> WorldResult {
-    let world = CommWorld::new(cfg.nranks);
-    let initial = Arc::new(PatchDistribution::new(
-        &grid,
-        cfg.nranks,
-        DistributionPolicy::MortonSfc,
-    ));
-    let cost_reduce = AllReduceVec::new(cfg.nranks);
-    let run_rank = |rank: usize| {
-        let fleet = cfg
-            .gpu_capacity
-            .map(|cap| DeviceFleet::with_capacity(cfg.gpus_per_rank.max(1), "K20X-sim", cap));
-        let mut exec = build_rank(
-            Arc::clone(&grid),
-            Arc::clone(&decls),
-            Arc::clone(&initial),
-            world.communicator(rank),
-            &cfg,
-            fleet,
-        );
-        let mut steps = RankSteps::new(&mut exec, &cfg, &cost_reduce);
-        let stats = (0..cfg.timesteps).map(|ts| steps.advance(ts)).collect();
-        RankResult {
-            rank,
-            stats,
-            dw: Arc::clone(exec.dw()),
-            gpu: exec.gpu().cloned(),
-            dist: Arc::clone(exec.dist()),
-        }
-    };
-    let ranks: Vec<RankResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.nranks).map(|rank| scope.spawn(move || run_rank(rank))).collect();
-        handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
+    let mut world = World::new(grid, &decls, &cfg, |_| {
+        cfg.gpu_capacity
+            .map(|cap| DeviceFleet::with_capacity(cfg.gpus_per_rank.max(1), "K20X-sim", cap))
     });
-    // Every rank finishes under the same distribution (the regridder is
-    // deterministic on the all-reduced costs); report it as the world's.
-    let dist = ranks.first().map_or(initial, |r| Arc::clone(&r.dist));
-    WorldResult { dist, ranks }
+    let stats = world.run(&decls, &cfg, None);
+    WorldResult {
+        dist: Arc::clone(world.dist()),
+        ranks: world
+            .execs
+            .into_iter()
+            .zip(stats)
+            .enumerate()
+            .map(|(rank, (exec, stats))| RankResult {
+                rank,
+                stats,
+                dw: Arc::clone(exec.dw()),
+                gpu: exec.gpu().cloned(),
+                dist: Arc::clone(exec.dist()),
+            })
+            .collect(),
+    }
 }
 
 #[cfg(test)]
@@ -388,6 +468,49 @@ mod tests {
                     assert_eq!(out.as_f64()[c], stencil_truth(c, n), "cell {c:?}");
                 }
             }
+        }
+    }
+
+    /// The stencil pipeline whose producer panics on one patch.
+    fn panicking_decls() -> Arc<Vec<TaskDecl>> {
+        let mut decls = (*stencil_decls()).clone();
+        let produce = Arc::clone(&decls[0].func);
+        decls[0].func = Arc::new(move |ctx: &mut TaskContext| {
+            if ctx.patch().id().index() == 3 {
+                panic!("produce failed on patch 3");
+            }
+            produce(ctx)
+        });
+        Arc::new(decls)
+    }
+
+    /// One rank whose task panics ends `run_world` with that task's own
+    /// message, on one worker thread or several (the siblings must not
+    /// wait for the failed instance). Fails instead of hanging when a call
+    /// has not ended within 30 s.
+    #[test]
+    fn failed_task_unwinds_with_its_own_message() {
+        for nthreads in [1, 2, 3] {
+            let cfg = WorldConfig {
+                nthreads,
+                ..WorldConfig::default()
+            };
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_world(grid1(16, 8), panicking_decls(), cfg)
+                }));
+                let payload = run.err().expect("run_world returned despite a failed task");
+                let _ = tx.send(payload.downcast_ref::<&str>().map(|s| s.to_string()));
+            });
+            let msg = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("run_world hung on a failed task");
+            assert_eq!(
+                msg.as_deref(),
+                Some("produce failed on patch 3"),
+                "{nthreads} threads"
+            );
         }
     }
 

@@ -39,8 +39,7 @@ use uintah_grid::{Grid, PatchDistribution, PatchId};
 /// residency across timesteps. One instance per rank, stepped in lockstep
 /// with the other ranks of the world.
 pub struct PersistentExecutor {
-    /// Crate-visible: the driver's step routine reads the grid.
-    pub(crate) grid: Arc<Grid>,
+    grid: Arc<Grid>,
     decls: Arc<Vec<TaskDecl>>,
     dist: Arc<PatchDistribution>,
     sched: Scheduler,

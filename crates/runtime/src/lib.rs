@@ -26,10 +26,9 @@
 //! * [`regrid`] — ownership migration after a load-balancer regrid: lost
 //!   patches' warehouse contents move to their new owners over the fabric
 //!   under a reserved tag namespace ([`PersistentExecutor::regrid`]);
-//! * [`driver`] — the one rank builder ([`build_rank`]) and the one
-//!   per-step routine ([`RankSteps`]) every caller steps a rank through,
-//!   plus [`run_world`], the harness running all ranks of a world in one
-//!   process;
+//! * [`driver`] — the one multi-rank [`World`] that builds, steps, joins
+//!   and gathers a job's ranks, for [`run_world`] (one fresh world per
+//!   call) and the radiation server's slots (one warm world per shape);
 //! * [`calibrate`] — the measured-calibration snapshot: per-step
 //!   [`ExecStats`] fold into one serializable [`CalibrationSnapshot`] that
 //!   `titan-sim` consumes as the single source of machine rates.
@@ -49,7 +48,7 @@ pub mod task;
 
 pub use archive::{ArchiveError, DataArchive};
 pub use calibrate::{CalibrationSnapshot, DeviceCalibration};
-pub use driver::{build_rank, run_world, RankSteps, WorldConfig, WorldResult};
+pub use driver::{run_world, World, WorldConfig, WorldResult};
 pub use dw::DataWarehouse;
 pub use executor::PersistentExecutor;
 pub use graph::{graph_signature, CompiledGraph, GraphCache, GraphCacheStats, GraphStats};

@@ -25,8 +25,9 @@ use crate::graph::{CompiledGraph, RecvAction, SendPayload};
 use crate::task::{TaskContext, TaskDecl, TaskKind};
 use crossbeam::queue::SegQueue;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use uintah_comm::{
     Communicator, Message, MutexRequestVec, RacyRequestVec, RequestStore, Tag, WaitFreeRequestStore,
@@ -322,6 +323,9 @@ impl Scheduler {
     /// send re-stamps its tag with [`Tag::with_phase`] here. Distinct phase
     /// bytes keep concurrent/adjacent timesteps' messages from matching
     /// each other, exactly as with per-step recompilation.
+    ///
+    /// A panicking task body ends the step: the other workers stop taking
+    /// work, drains settle, and the first task's panic is re-raised here.
     pub fn execute_phase(
         &self,
         grid: &Arc<Grid>,
@@ -378,6 +382,12 @@ impl Scheduler {
             push_ready(i);
         }
         let remaining = AtomicUsize::new(n);
+        // A panicking task body never decrements `remaining`: its payload
+        // is kept here and `failed` stops the siblings' loops, so the step
+        // ends with the task's own panic instead of hanging its rank.
+        // `failed` publishes nothing (the payload goes through the mutex).
+        let failed = AtomicBool::new(false);
+        let panic_payload = Mutex::new(None);
 
         // Post every expected receive up front and index them by (src, tag),
         // re-stamped with the executing phase.
@@ -415,6 +425,8 @@ impl Scheduler {
                 let push_ready = &push_ready;
                 let deps = &deps;
                 let remaining = &remaining;
+                let failed = &failed;
+                let panic_payload = &panic_payload;
                 let tasks_executed = &tasks_executed;
                 let gathers_executed = &gathers_executed;
                 let messages_sent = &messages_sent;
@@ -476,7 +488,7 @@ impl Scheduler {
                     const PARK_MAX: Duration = Duration::from_millis(2);
                     let mut empty_polls: u32 = 0;
                     let mut park_for = PARK_MIN;
-                    while remaining.load(Ordering::Acquire) > 0 {
+                    while remaining.load(Ordering::Acquire) > 0 && !failed.load(Ordering::Relaxed) {
                         let seen = signal.generation();
                         // Device-feeding first: drain the GPU queue before
                         // the general queue.
@@ -515,7 +527,18 @@ impl Scheduler {
                                     space,
                                 };
                                 let t0 = Instant::now();
-                                (decl.func)(&mut ctx);
+                                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                                    (decl.func)(&mut ctx)
+                                }));
+                                if let Err(payload) = run {
+                                    panic_payload
+                                        .lock()
+                                        .expect("nothing panics while holding the payload lock")
+                                        .get_or_insert(payload);
+                                    failed.store(true, Ordering::Relaxed);
+                                    signal.notify();
+                                    break;
+                                }
                                 let ns = t0.elapsed().as_nanos() as u64;
                                 task_ns.fetch_add(ns, Ordering::Relaxed);
                                 per_decl_ns[di].fetch_add(ns, Ordering::Relaxed);
@@ -584,6 +607,10 @@ impl Scheduler {
         dw.drain_pending_d2h();
         if let Some(g) = gpu {
             g.sync_d2h_all();
+        }
+        let payload = panic_payload.into_inner();
+        if let Some(payload) = payload.expect("nothing panics while holding the payload lock") {
+            std::panic::resume_unwind(payload);
         }
 
         // Per-device step breakdown: each device's kernel stats come from

@@ -41,36 +41,29 @@ pub struct JobStats {
     pub slot_reused: bool,
     /// Nanoseconds between submission and the job starting to execute.
     pub queued_ns: u64,
-    /// Nanoseconds spent executing (slot acquisition through final drain).
+    /// Nanoseconds spent executing (the world run through the divQ gather).
     pub exec_ns: u64,
 }
 
 impl JobStats {
-    /// Fold one executed timestep of one rank into the counters.
-    pub(crate) fn absorb(&mut self, s: &uintah_runtime::ExecStats) {
-        self.steps += 1;
-        self.tasks += s.tasks_executed as u64;
-        self.messages += s.messages_sent as u64;
-        self.bytes_sent += s.bytes_sent;
-        self.gpu_h2d_bytes += s.gpu_h2d_bytes;
-        self.gpu_d2h_bytes += s.gpu_d2h_bytes;
-        self.gpu_evictions += s.gpu_evictions;
-        self.regrids += s.regrids as u64;
-    }
-
-    /// Fold one rank's counters into the job's: ranks step in lockstep, so
-    /// `steps` is their common count; everything else a rank counts adds up.
-    pub(crate) fn merge(&mut self, rank: &JobStats) {
-        self.steps = self.steps.max(rank.steps);
-        self.tasks += rank.tasks;
-        self.messages += rank.messages;
-        self.bytes_sent += rank.bytes_sent;
-        self.gpu_h2d_bytes += rank.gpu_h2d_bytes;
-        self.gpu_d2h_bytes += rank.gpu_d2h_bytes;
-        self.gpu_evictions += rank.gpu_evictions;
-        self.regrids += rank.regrids;
-        self.graph_compiles += rank.graph_compiles;
-        self.shared_graph_hits += rank.shared_graph_hits;
+    /// Fold a run's per-rank step stats (rank-major): ranks step in
+    /// lockstep, so `steps` is their common count; everything else a rank
+    /// counts adds up.
+    pub(crate) fn from_steps(per_rank: &[Vec<uintah_runtime::ExecStats>]) -> Self {
+        let mut j = JobStats {
+            steps: per_rank.iter().map(Vec::len).max().unwrap_or(0) as u64,
+            ..JobStats::default()
+        };
+        for s in per_rank.iter().flatten() {
+            j.tasks += s.tasks_executed as u64;
+            j.messages += s.messages_sent as u64;
+            j.bytes_sent += s.bytes_sent;
+            j.gpu_h2d_bytes += s.gpu_h2d_bytes;
+            j.gpu_d2h_bytes += s.gpu_d2h_bytes;
+            j.gpu_evictions += s.gpu_evictions;
+            j.regrids += s.regrids as u64;
+        }
+        j
     }
 }
 

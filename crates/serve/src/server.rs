@@ -12,12 +12,12 @@
 //! with a typed error at submission.
 //!
 //! Drain/shutdown ordering: stop admitting → run the queues dry → each
-//! finishing job drains its D2H engines and clears per-patch staging →
-//! workers exit → idle slots drop (freeing the retained level replicas)
-//! → the fleet meters read zero.
+//! finishing job clears per-patch staging (every step already settled its
+//! D2H drains) → workers exit → idle slots drop (freeing the retained
+//! level replicas) → the fleet meters read zero.
 
 use crate::admission::{self, Admission};
-use crate::job::{DivqField, JobId, JobOutcome, JobReport, JobStats};
+use crate::job::{JobId, JobOutcome};
 use crate::slot::{JobSpec, Slot};
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -25,7 +25,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use uintah::config::{mib_to_bytes, JobPriority, RunConfig};
-use uintah_grid::CcVariable;
 use uintah_gpu::DeviceFleet;
 use uintah_runtime::{GraphCache, GraphCacheStats};
 
@@ -614,16 +613,14 @@ fn worker_loop(inner: &Arc<ServerInner>) {
             .take()
             .expect("spec taken exactly once");
         let queued_ns = entry.submitted_at.elapsed().as_nanos() as u64;
-        let slot_reused = slot.jobs_served > 0;
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            slot.run_job(&spec, &entry.cancel)
+            slot.run_job(&spec, &entry.cancel, queued_ns)
         }));
         match run {
-            Ok(run) if run.canceled => {
+            Ok(None) => {
                 inner.finish_job(&entry, Some(slot), JobOutcome::Canceled);
             }
-            Ok(run) => {
-                let report = assemble_report(&spec, run, queued_ns, slot_reused);
+            Ok(Some(report)) => {
                 inner.finish_job(&entry, Some(slot), JobOutcome::Done(Arc::new(report)));
             }
             Err(panic) => {
@@ -638,46 +635,6 @@ fn worker_loop(inner: &Arc<ServerInner>) {
                 inner.finish_job(&entry, None, JobOutcome::Failed(msg));
             }
         }
-    }
-}
-
-fn assemble_report(
-    spec: &JobSpec,
-    run: crate::slot::JobRun,
-    queued_ns: u64,
-    slot_reused: bool,
-) -> JobReport {
-    let fine = spec.grid.fine_level();
-    let mut field = CcVariable::<f64>::new(fine.cell_region());
-    for (window, data) in &run.divq_pieces {
-        field.unpack_window(window, data);
-    }
-    let stats = JobStats {
-        queued_ns,
-        slot_reused,
-        ..run.stats
-    };
-    // Ray accounting is exact for fixed-count jobs; adaptive per-cell
-    // counts are not metered through the task graph.
-    let solve = (!spec.cfg.adaptive_rays).then(|| {
-        let cells = fine.num_cells() as u64 * stats.steps;
-        rmcrt_core::SolveStats {
-            total_rays: cells * spec.cfg.nrays as u64,
-            cells,
-            march: Default::default(),
-        }
-    });
-    let region = fine.cell_region();
-    JobReport {
-        job_id: spec.id,
-        run_id: spec.run_id.clone(),
-        stats,
-        solve,
-        summaries: run.summaries,
-        divq: DivqField {
-            data: field.into_vec(),
-            region,
-        },
     }
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, lint, rustdoc, the benchmark's smoke pass, the
-# shipped binaries end to end, four contract gates. Run before every commit.
+# Tier-1 gate: build, test, lint, rustdoc, the benchmark's smoke pass and
+# unit tests, the shipped binaries end to end, four contract gates. Run
+# before every commit.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -20,6 +21,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 # benchmark, or an engine change that would fail one of its correctness
 # checks, fails tier-1 instead of failing the benchmark.
 cargo run --release --offline --quiet --manifest-path perf_report/Cargo.toml -- --smoke --seconds 1
+# The harness's own unit tests, its metric-catalogue-vs-BENCHMARK.json
+# check among them: an API change that breaks only perf_report's test
+# code fails tier-1 too.
+cargo test --offline -q --manifest-path perf_report/Cargo.toml
 # rmcrt_app on its own advertised defaults: what --print-default-config
 # prints must parse, build, run and report divQ.
 cargo run --release -q --bin rmcrt_app -- --print-default-config > target/default.cfg
