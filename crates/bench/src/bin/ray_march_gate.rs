@@ -38,7 +38,11 @@
 //! filling them (`solver::fill_cell_packet` alone, no march) prices the
 //! draw beside both (printed, host-limited, not gated). Each workload's
 //! line also reports cell steps per ray and the time per cell step from the
-//! engine's own `MarchStats`.
+//! engine's own `MarchStats`. One more host-limited, ungated line prices a
+//! ray at the few-rays-per-cell budget of `perf_report`'s
+//! `step_cpu_smallpatch` (2 rays/cell on 4³ patches of a 32³ two-level
+//! grid) beside the same patches at 100 rays/cell, so the per-cell
+//! overhead that region solves amortise over runs of cells stays visible.
 //!
 //! ```text
 //! cargo run -p rmcrt-bench --release --bin ray_march_gate            # check
@@ -49,7 +53,7 @@ use rmcrt_bench::campaign::json::{self, Json};
 use rmcrt_bench::{gate, scalar_march, secs};
 use rmcrt_core::props::{LevelProps, WALL_CELL};
 use rmcrt_core::sampling::DirectionSampler;
-use rmcrt_core::solver::{fill_cell_packet, RayCountMode, RmcrtParams};
+use rmcrt_core::solver::{fill_cell_packet, two_level_stack, RayCountMode, RmcrtParams};
 use rmcrt_core::trace::{TraceLevel, TraceOptions};
 use rmcrt_core::{
     solve_region, solve_region_with_stats, BurnsChriston, CellRng, MarchStats, PacketTracer,
@@ -259,6 +263,41 @@ fn probe_rays(stack: &[TraceLevel<'_>], region: Region, threshold: f64) -> RayPr
     }
 }
 
+/// ns per ray of a patch solve on `step_cpu_smallpatch`'s shape — 4³
+/// patches of a 32³ fine level over an 8³ coarse one, halo 4, threshold
+/// 0.05 — at `nrays` rays/cell, best of `REPS` passes over every 8th
+/// patch. Each patch prepares its own two-level stack and tracer inside
+/// the solve, as a runtime task does.
+fn small_patch_ns_per_ray(problem: &BurnsChriston, nrays: u32) -> f64 {
+    let grid = BurnsChriston::small_grid(32, 4);
+    let coarse = problem.props_for_level(grid.coarsest_level());
+    let fine = grid.fine_level();
+    let patches: Vec<(LevelProps, Region)> = fine
+        .patches()
+        .iter()
+        .step_by(8)
+        .map(|p| {
+            let roi = p.interior().grown(4).intersect(&fine.cell_region());
+            (problem.props_for_region(fine, roi), p.interior())
+        })
+        .collect();
+    let params = RmcrtParams {
+        nrays,
+        threshold: 0.05,
+        ..Default::default()
+    };
+    let rays: usize = patches.iter().map(|(_, interior)| interior.volume() * nrays as usize).sum();
+    let s = best_of_reps(|| {
+        let t = Instant::now();
+        for (props, interior) in &patches {
+            let stack = two_level_stack(&coarse, props, props.region);
+            std::hint::black_box(solve_region(&stack, *interior, &params));
+        }
+        t.elapsed()
+    });
+    s * 1e9 / rays as f64
+}
+
 /// Time one workload with both engines: the best of `REPS` runs each, the
 /// two engines taking turns. A slow spell of the host lasts longer than one
 /// solve, so the fastest runs of the two sides are equally undisturbed and
@@ -342,6 +381,11 @@ fn main() -> ExitCode {
     if !lane_bits_match {
         violations.push("B&C: trace and trace_one disagree bitwise on the same rays".to_string());
     }
+    println!(
+        "32^3/4^3 small-patch solve [host-limited]: {:.1} ns/ray at 2 rays/cell | {:.1} ns/ray at 100 rays/cell",
+        small_patch_ns_per_ray(&problem, 2),
+        small_patch_ns_per_ray(&problem, 100)
+    );
 
     // --- Workload 2: thick enclosure, adaptive packet path. -------------
     let th_props = thick_enclosure(N);

@@ -7,8 +7,9 @@
 //!
 //! * [`RayPacket`] — a structure-of-arrays batch of rays: origins,
 //!   directions, per-ray weight/`sumI` and an active mask. One packet is
-//!   one cell's (or one face's / one detector's) ray budget, dispatched as
-//!   a unit through `uintah-exec`.
+//!   the rays of a run of cells (at most `solver::RUN_RAYS` of them), of
+//!   one face or of one detector, dispatched as a unit through
+//!   `uintah-exec`.
 //! * [`PacketTracer`] — prepares each [`TraceLevel`] once per solve
 //!   (hoisted DDA constants, raw field slices, linear-index strides, ROI
 //!   slab planes) and then streams whole packets through its march lanes,
@@ -119,8 +120,10 @@
 //! way; nothing that feeds the march sees `inv_dx`.
 //!
 //! Upstream of this module a ray is drawn — RNG, direction, origin — by
-//! `solver::fill_cell_packet`, a packet at a time (≈ 12 ns a ray; it was
-//! ≈ 50 while the azimuth went through libm's `sin`/`cos`; DESIGN §9).
+//! the solver, a packet at a time (≈ 12 ns a ray; it was ≈ 50 while the
+//! azimuth went through libm's `sin`/`cos`; DESIGN §9): pass 1 per cell,
+//! pass 2 over the whole packet, which holds the rays of a run of cells
+//! (`solver::fill_cell_packet` is the one-cell form).
 //!
 //! ## Level transitions
 //!

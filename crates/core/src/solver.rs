@@ -1,4 +1,20 @@
 //! ∇·q solvers: per cell, per region, per patch; serial and threaded.
+//!
+//! Every entry point marches *runs*, not cells (DESIGN §9 "Runs"). A run
+//! is a block of consecutive cells, in canonical x-fastest order, whose
+//! first ray batches fill one [`RayPacket`] of [`RUN_RAYS`] rays. The run
+//! is traced in rounds: a round packs the next batch of every cell of the
+//! run that has not met its budget (Fixed mode: the one batch of `n` rays;
+//! Adaptive mode: the geometric batches of the variance-driven budget), in
+//! packets of at most `RUN_RAYS` rays — a batch that does not fit carries
+//! on in the next packet — then folds each cell's rays, in ray order, into
+//! that cell's sums and applies its stop test. A cell draws the same rays
+//! from the same streams, and its rays march the same FP sequence in any
+//! packet, so every cell gets the bits a one-cell packet gives it; what a
+//! run saves is the per-packet set-up and the lanes' drain tail that a
+//! packet of a few rays pays per cell. Scratch is bounded by `RUN_RAYS`
+//! rays whatever the budget, but for the Latin-hypercube permutation,
+//! which covers a whole batch.
 
 use crate::packet::{MarchStats, PacketTracer, RayPacket};
 use crate::props::LevelProps;
@@ -6,6 +22,7 @@ use crate::rng::{polar, CellRng};
 use crate::sampling::{DirectionSampler, RaySampling};
 use crate::trace::{TraceLevel, TraceOptions};
 use std::f64::consts::PI;
+use uintah_exec::RunCells;
 use uintah_grid::{CcVariable, IntVector, Region};
 
 /// Per-cell ray-budget policy.
@@ -68,23 +85,112 @@ impl RmcrtParams {
         self.ray_count.unwrap_or(RayCountMode::Fixed(self.nrays))
     }
 
-    /// The tracer of a solve with these parameters, and the one place a
-    /// zero ray budget is rejected (see [`RayCountMode`]): once per solve,
-    /// where the tracer is prepared, not per cell.
-    pub(crate) fn tracer<'a>(&self, levels: &'a [TraceLevel<'a>]) -> PacketTracer<'a> {
+    /// The tracer of a solve of `region` with these parameters, prepared
+    /// once per solve; [`RmcrtParams::check_solve`] refuses what no solve
+    /// can answer there, not per cell.
+    pub(crate) fn tracer<'a>(&self, levels: &'a [TraceLevel<'a>], region: Region) -> PacketTracer<'a> {
+        let opts = TraceOptions {
+            threshold: self.threshold,
+            max_reflections: 0,
+        };
+        let tracer = PacketTracer::new(levels, opts);
+        self.check_solve(&tracer, region);
+        tracer
+    }
+
+    /// The two inputs a solve refuses, each with a panic naming it: a zero
+    /// ray budget (see [`RayCountMode`]), and a solve region that is not
+    /// inside the fine level's data region — its cells have no properties
+    /// to read, and a release build would read another cell's instead.
+    fn check_solve(&self, tracer: &PacketTracer<'_>, region: Region) {
         match self.ray_count_mode() {
             RayCountMode::Fixed(n) => assert!(n >= 1, "nrays must be >= 1, got Fixed({n})"),
             RayCountMode::Adaptive { max, .. } => {
                 assert!(max >= 1, "rays_max must be >= 1, got Adaptive {{ max: {max}, .. }}")
             }
         }
-        let opts = TraceOptions {
-            threshold: self.threshold,
-            max_reflections: 0,
-        };
-        PacketTracer::new(levels, opts)
+        let data = tracer.fine_props().region;
+        assert!(
+            region.is_empty() || data.contains_region(&region),
+            "solve region {region:?} is not inside the fine level's data region {data:?}"
+        );
+    }
+
+    /// The budget every cell of a solve draws its batches from.
+    fn budget(&self) -> Budget {
+        match self.ray_count_mode() {
+            RayCountMode::Fixed(n) => Budget {
+                first: n,
+                max: n,
+                rel_var_target: 0.0,
+                fixed: true,
+            },
+            RayCountMode::Adaptive {
+                min,
+                max,
+                rel_var_target,
+            } => {
+                let max = max.max(min);
+                Budget {
+                    first: min.clamp(1, max),
+                    max,
+                    rel_var_target,
+                    fixed: false,
+                }
+            }
+        }
     }
 }
+
+/// A cell's ray budget as batches: `first` rays, then twice the previous
+/// batch, until `max` rays or the stop test. `Fixed(n)` is the one batch
+/// of `n` rays.
+#[derive(Clone, Copy)]
+struct Budget {
+    first: u32,
+    max: u32,
+    rel_var_target: f64,
+    fixed: bool,
+}
+
+impl Budget {
+    /// Cells per run: as many as the first batches fill one packet.
+    fn run_cells(&self) -> usize {
+        (RUN_RAYS / self.first.max(1)).max(1) as usize
+    }
+
+    /// The RNG stream a batch's Latin-hypercube permutation is drawn from:
+    /// reserved streams at the top of the ray-index range, `u32::MAX` for
+    /// the Fixed batch and `u32::MAX - 1 - batch` for Adaptive batches, so
+    /// per-ray streams stay untouched.
+    fn perm_stream(&self, batch: u32) -> u32 {
+        if self.fixed {
+            u32::MAX
+        } else {
+            u32::MAX - 1 - batch
+        }
+    }
+
+    /// Whether a cell that has traced `drawn` rays summing to `sum` (and
+    /// `sum_sq` in squares) is done: at `max` rays, or once the relative
+    /// standard error of its mean intensity reaches the target.
+    fn done(&self, drawn: u32, sum: f64, sum_sq: f64) -> bool {
+        if drawn >= self.max {
+            return true;
+        }
+        let n = drawn as f64;
+        let mean = sum / n;
+        // Unbiased sample variance of the per-ray estimates.
+        let var = ((sum_sq / n - mean * mean) * n / (n - 1.0).max(1.0)).max(0.0);
+        let sem = (var / n).sqrt();
+        sem <= self.rel_var_target * mean.abs()
+    }
+}
+
+/// Rays per packet of a region solve: how many rays a run's packet holds,
+/// and so what bounds a solve's scratch for any budget. Not a knob: kernel
+/// timings were flat within noise from 32 to 1024 (EXPERIMENTS E23).
+pub const RUN_RAYS: u32 = 256;
 
 /// Ray-budget accounting of a solve (for the fixed-vs-adaptive comparison
 /// in EXPERIMENTS E13).
@@ -105,48 +211,35 @@ pub struct SolveStats {
 /// walls loses energy). Uintah's `divQ` variable stores the negated value;
 /// see EXPERIMENTS.md.
 pub fn div_q_for_cell(levels: &[TraceLevel<'_>], cell: IntVector, params: &RmcrtParams) -> f64 {
-    div_q_for_cell_with(&params.tracer(levels), cell, params).0
+    let one = Region::new(cell, cell + IntVector::splat(1));
+    div_q_for_cell_with(&params.tracer(levels, one), cell, params).0
 }
 
-/// [`div_q_for_cell`] against a prepared [`PacketTracer`] (the per-solve
-/// hoisted form used by the `uintah-exec` dispatch paths); also returns the
-/// march counters of the cell's rays (`rays` is the budget spent). The ray
-/// budget must be at least one ray (see [`RayCountMode`]): the region
-/// solves check that once, where they prepare the tracer.
+/// [`div_q_for_cell`] against a prepared [`PacketTracer`]; also returns the
+/// march counters of the cell's rays (`rays` is the budget spent). Refuses
+/// what [`div_q_for_cell`] refuses: a zero ray budget and a cell outside
+/// the fine level.
 pub fn div_q_for_cell_with(
     tracer: &PacketTracer<'_>,
     cell: IntVector,
     params: &RmcrtParams,
 ) -> (f64, MarchStats) {
-    let fine = tracer.fine_props();
-    let kappa = fine.abskg[cell];
-    if kappa == 0.0 {
-        return (0.0, MarchStats::default()); // transparent cells exchange no energy
-    }
-    let (sum_i, march) = match params.ray_count_mode() {
-        RayCountMode::Fixed(n) => mean_intensity_fixed(tracer, cell, params, n),
-        RayCountMode::Adaptive {
-            min,
-            max,
-            rel_var_target,
-        } => mean_intensity_adaptive(tracer, cell, params, min, max, rel_var_target),
-    };
-    let mean_i = sum_i / march.rays as f64;
-    (
-        4.0 * PI * kappa * (fine.sigma_t4_over_pi[cell] - mean_i),
-        march,
-    )
+    let one = Region::new(cell, cell + IntVector::splat(1));
+    params.check_solve(tracer, one);
+    let mut out = [0.0];
+    let march = solve_run(tracer, params, RunCells::new(one, 0, 1), &mut out);
+    (out[0], march)
 }
 
 /// Fill `packet` with this cell's rays `first..first + count`: origins in
 /// the cell, directions from `sampler`. Equal to the bit to drawing each
 /// ray with [`DirectionSampler::direction`] then
 /// [`CellRng::point_in_cell`] (the draw order of the historical scalar
-/// loop), done in two passes over the packet's own columns. Pass 1 is the
-/// integer work: a ray's RNG, its two angles parked in `dz` (cos θ) and
-/// `dx` (the azimuth's turn fraction), its origin. Pass 2 turns the parked
-/// angles into directions with nothing but `f64` arithmetic on contiguous
-/// columns — no call, no branch on a ray's data — so it vectorises.
+/// loop), done in two passes over the packet's own columns: pass 1 is the
+/// integer work per ray (RNG, angles, origin), pass 2 turns the angles
+/// into directions with branch-free `f64` arithmetic. A run solve makes
+/// the same two passes, the first once per cell and the second once per
+/// packet.
 pub fn fill_cell_packet(
     packet: &mut RayPacket,
     fine: &LevelProps,
@@ -156,19 +249,48 @@ pub fn fill_cell_packet(
     first: u32,
     count: u32,
 ) {
-    let n = count as usize;
-    packet.reset(n);
-    let (ox, oy, oz) = (&mut packet.ox[..n], &mut packet.oy[..n], &mut packet.oz[..n]);
-    let (dx, dy, dz) = (&mut packet.dx[..n], &mut packet.dy[..n], &mut packet.dz[..n]);
+    packet.reset(count as usize);
+    draw_rays(packet, 0, fine, cell, params, sampler, first, 0, count);
+    finish_directions(packet);
+}
+
+/// Pass 1 of a packet fill, the integer work: into packet slots
+/// `at..at + count`, the cell's rays `first..first + count`, drawn as
+/// rays `k0..k0 + count` of `sampler`'s batch. A ray's RNG, its two angles
+/// parked in `dz` (cos θ) and `dx` (the azimuth's turn fraction), its
+/// origin.
+#[allow(clippy::too_many_arguments)]
+fn draw_rays(
+    packet: &mut RayPacket,
+    at: usize,
+    fine: &LevelProps,
+    cell: IntVector,
+    params: &RmcrtParams,
+    sampler: &DirectionSampler,
+    first: u32,
+    k0: u32,
+    count: u32,
+) {
+    let slots = at..at + count as usize;
+    let (ox, oy, oz) = (&mut packet.ox[slots.clone()], &mut packet.oy[slots.clone()], &mut packet.oz[slots.clone()]);
+    let (dx, dz) = (&mut packet.dx[slots.clone()], &mut packet.dz[slots]);
     let (lo, cell_dx) = (fine.cell_lo(cell), fine.dx);
-    for k in 0..n {
+    for k in 0..count as usize {
         let mut rng = CellRng::new(params.seed, cell, first + k as u32, params.timestep);
-        (dz[k], dx[k]) = sampler.angles(k as u32, &mut rng);
+        (dz[k], dx[k]) = sampler.angles(k0 + k as u32, &mut rng);
         let origin = rng.point_in_cell(lo, cell_dx);
         ox[k] = origin.x;
         oy[k] = origin.y;
         oz[k] = origin.z;
     }
+}
+
+/// Pass 2 of a packet fill, over the whole packet: turn the parked angles
+/// into directions with nothing but `f64` arithmetic on contiguous columns
+/// — no call, no branch on a ray's data — so it vectorises.
+fn finish_directions(packet: &mut RayPacket) {
+    let n = packet.len();
+    let (dx, dy, dz) = (&mut packet.dx[..n], &mut packet.dy[..n], &packet.dz[..n]);
     for k in 0..n {
         let dir = polar(dz[k], dx[k]);
         dx[k] = dir.x;
@@ -176,112 +298,128 @@ pub fn fill_cell_packet(
     }
 }
 
-/// What a thread keeps from cell to cell so a region solve does no
-/// per-cell allocation: the packet's columns and the sampler's stratum
-/// permutation.
-#[derive(Default)]
-struct CellScratch {
+/// What a thread keeps from run to run so a region solve allocates nothing
+/// after its first run: the packet, the sampler's stratum permutation, the
+/// run's per-cell sums and the packet's pieces. Every buffer holds at most
+/// [`RUN_RAYS`] entries (a run has at most that many cells, a packet at
+/// most that many rays), and the packet is allocated at that size up
+/// front, so no buffer grows past one ray column of the packet. The one
+/// exception is Latin-hypercube sampling, whose stratum permutation covers
+/// a whole batch, 4 bytes a ray.
+struct RunScratch {
     packet: RayPacket,
     sampler: DirectionSampler,
+    /// Per cell of the run: Σ sumI and Σ sumI², in ray order.
+    sum: Vec<f64>,
+    sum_sq: Vec<f64>,
+    /// Per cell of the run: still drawing batches.
+    live: Vec<bool>,
+    /// The packet's pieces in slot order: (cell of the run, rays).
+    pieces: Vec<(u32, u32)>,
+}
+
+impl Default for RunScratch {
+    fn default() -> Self {
+        let run = RUN_RAYS as usize;
+        Self {
+            packet: RayPacket::with_capacity(run),
+            sampler: DirectionSampler::default(),
+            sum: Vec::with_capacity(run),
+            sum_sq: Vec::with_capacity(run),
+            live: Vec::with_capacity(run),
+            pieces: Vec::with_capacity(run),
+        }
+    }
 }
 
 std::thread_local! {
-    static SCRATCH: std::cell::RefCell<CellScratch> = std::cell::RefCell::default();
+    static SCRATCH: std::cell::RefCell<RunScratch> = std::cell::RefCell::default();
 }
 
-impl CellScratch {
-    /// Draw, fill and trace this cell's rays `first..first + count` as one
-    /// packet (left in `self.packet`). The stratification permutation
-    /// draws from the dedicated stream `perm_stream`, so per-ray streams
-    /// stay untouched.
-    fn trace(
-        &mut self,
-        tracer: &PacketTracer<'_>,
-        cell: IntVector,
-        params: &RmcrtParams,
-        perm_stream: u32,
-        first: u32,
-        count: u32,
-    ) -> MarchStats {
-        let mut perm_rng = CellRng::new(params.seed, cell, perm_stream, params.timestep);
-        self.sampler.redraw(params.sampling, count, &mut perm_rng);
-        fill_cell_packet(
-            &mut self.packet,
-            tracer.fine_props(),
-            cell,
-            params,
-            &self.sampler,
-            first,
-            count,
-        );
-        tracer.trace(&mut self.packet)
+impl RunScratch {
+    /// Trace the packet holding `pieces` and fold each piece's rays, in
+    /// ray order, into its cell's sums.
+    fn trace(&mut self, tracer: &PacketTracer<'_>) -> MarchStats {
+        finish_directions(&mut self.packet);
+        let march = tracer.trace(&mut self.packet);
+        let mut slot = 0;
+        for &(i, rays) in &self.pieces {
+            let (sum, sum_sq) = (&mut self.sum[i as usize], &mut self.sum_sq[i as usize]);
+            for &v in &self.packet.sum_i[slot..slot + rays as usize] {
+                *sum += v;
+                *sum_sq += v * v;
+            }
+            slot += rays as usize;
+        }
+        self.pieces.clear();
+        march
     }
 }
 
-/// Fixed-budget mean: one packet of `n` rays, summed in ray order (the
-/// bit-identity reference path).
-fn mean_intensity_fixed(
-    tracer: &PacketTracer<'_>,
-    cell: IntVector,
-    params: &RmcrtParams,
-    n: u32,
-) -> (f64, MarchStats) {
+/// Solve one run: `∇·q` of each cell of `cells` into the matching slot of
+/// `out` (module doc). Returns the march counters of every ray traced.
+fn solve_run(tracer: &PacketTracer<'_>, params: &RmcrtParams, cells: RunCells, out: &mut [f64]) -> MarchStats {
+    let fine = tracer.fine_props();
+    let budget = params.budget();
+    let packet_rays = RUN_RAYS as usize;
     SCRATCH.with(|s| {
-        let scratch = &mut *s.borrow_mut();
-        let march = scratch.trace(tracer, cell, params, u32::MAX, 0, n);
-        let mut sum_i = 0.0;
-        for &v in &scratch.packet.sum_i {
-            sum_i += v;
+        let s = &mut *s.borrow_mut();
+        s.sum.clear();
+        s.sum.resize(out.len(), 0.0);
+        s.sum_sq.clear();
+        s.sum_sq.resize(out.len(), 0.0);
+        s.live.clear();
+        s.pieces.clear();
+        let mut live = 0;
+        for (cell, slot) in cells.clone().zip(out.iter_mut()) {
+            // Transparent cells exchange no energy and trace no ray.
+            let opaque = fine.abskg[cell] != 0.0;
+            s.live.push(opaque);
+            live += opaque as usize;
+            *slot = 0.0;
         }
-        (sum_i, march)
-    })
-}
-
-/// Adaptive budget: geometrically growing batches until the relative
-/// standard error of the mean intensity reaches the target (or `max`).
-/// Returns `Σ sumI` and the march counters (`rays` = rays traced).
-fn mean_intensity_adaptive(
-    tracer: &PacketTracer<'_>,
-    cell: IntVector,
-    params: &RmcrtParams,
-    min: u32,
-    max: u32,
-    rel_var_target: f64,
-) -> (f64, MarchStats) {
-    let max = max.max(min);
-    let mut batch = min.clamp(1, max);
-    let mut drawn = 0u32;
-    let mut batch_id = 0u32;
-    let mut sum = 0.0f64;
-    let mut sum_sq = 0.0f64;
-    let mut march = MarchStats::default();
-    SCRATCH.with(|s| {
-    let scratch = &mut *s.borrow_mut();
-    loop {
-        let b = batch.min(max - drawn);
-        // Per-batch stratification permutation from a reserved stream
-        // below u32::MAX (Latin-hypercube stratifies within the batch).
-        march += scratch.trace(tracer, cell, params, u32::MAX - 1 - batch_id, drawn, b);
-        for &v in &scratch.packet.sum_i {
-            sum += v;
-            sum_sq += v * v;
+        let mut march = MarchStats::default();
+        let (mut drawn, mut batch, mut round) = (0u32, budget.first, 0u32);
+        while live > 0 {
+            let b = batch.min(budget.max - drawn);
+            let mut left = live * b as usize;
+            let mut filled = 0;
+            s.packet.reset(left.min(packet_rays));
+            for (i, cell) in cells.clone().enumerate() {
+                if !s.live[i] {
+                    continue;
+                }
+                let mut perm_rng = CellRng::new(params.seed, cell, budget.perm_stream(round), params.timestep);
+                s.sampler.redraw(params.sampling, b, &mut perm_rng);
+                let mut k = 0;
+                while k < b {
+                    if filled == s.packet.len() {
+                        march += s.trace(tracer);
+                        s.packet.reset(left.min(packet_rays));
+                        filled = 0;
+                    }
+                    let rays = (b - k).min((s.packet.len() - filled) as u32);
+                    draw_rays(&mut s.packet, filled, fine, cell, params, &s.sampler, drawn + k, k, rays);
+                    s.pieces.push((i as u32, rays));
+                    filled += rays as usize;
+                    left -= rays as usize;
+                    k += rays;
+                }
+            }
+            march += s.trace(tracer);
+            drawn += b;
+            for (i, (cell, slot)) in cells.clone().zip(out.iter_mut()).enumerate() {
+                if s.live[i] && budget.done(drawn, s.sum[i], s.sum_sq[i]) {
+                    s.live[i] = false;
+                    live -= 1;
+                    let mean_i = s.sum[i] / drawn as f64;
+                    *slot = 4.0 * PI * fine.abskg[cell] * (fine.sigma_t4_over_pi[cell] - mean_i);
+                }
+            }
+            batch = batch.saturating_mul(2);
+            round += 1;
         }
-        drawn += b;
-        batch_id += 1;
-        if drawn >= max {
-            break;
-        }
-        let n = drawn as f64;
-        let mean = sum / n;
-        // Unbiased sample variance of the per-ray estimates.
-        let var = ((sum_sq / n - mean * mean) * n / (n - 1.0).max(1.0)).max(0.0);
-        let sem = (var / n).sqrt();
-        if sem <= rel_var_target * mean.abs() {
-            break;
-        }
-        batch = batch.saturating_mul(2);
-    }
-    (sum, march)
+        march
     })
 }
 
@@ -296,42 +434,41 @@ pub fn solve_region(levels: &[TraceLevel<'_>], region: Region, params: &RmcrtPar
 /// Deterministic: bit-identical to [`solve_region`] on any space,
 /// including `Device`.
 ///
-/// The trace stack is prepared once ([`PacketTracer`]) and each kernel
-/// invocation marches one cell's whole [`RayPacket`], so `KernelStats`
-/// meters batched packet dispatches rather than single rays.
+/// The trace stack is prepared once ([`PacketTracer`]) and the region is
+/// dispatched as runs of cells ([`uintah_exec::parallel_fill_runs`]), each
+/// marched as packets of up to [`RUN_RAYS`] rays (module doc). A `Device`
+/// dispatch is one launch metered as one invocation per cell.
 pub fn solve_region_exec(
     levels: &[TraceLevel<'_>],
     region: Region,
     params: &RmcrtParams,
     space: &uintah_exec::ExecSpace,
 ) -> CcVariable<f64> {
-    let tracer = params.tracer(levels);
-    uintah_exec::parallel_fill(space, region, |c| {
-        div_q_for_cell_with(&tracer, c, params).0
+    let tracer = params.tracer(levels, region);
+    uintah_exec::parallel_fill_runs(space, region, params.budget().run_cells(), |cells, out| {
+        solve_run(&tracer, params, cells, out);
     })
+    .0
 }
 
 /// [`solve_region_exec`] that also returns the ray budget actually spent —
 /// the measurement behind the fixed-vs-adaptive table in EXPERIMENTS E13.
-/// Dispatched as a `parallel_map` over per-cell packets; deterministic and
-/// bit-identical to [`solve_region_exec`] on every space.
+/// The same dispatch; the runs' counters are integer sums, added in run
+/// order.
 pub fn solve_region_with_stats(
     levels: &[TraceLevel<'_>],
     region: Region,
     params: &RmcrtParams,
     space: &uintah_exec::ExecSpace,
 ) -> (CcVariable<f64>, SolveStats) {
-    let tracer = params.tracer(levels);
-    // The counters are integer sums, so the order the cells add them in
-    // does not matter; summing here keeps the mapped value one `f64` a cell.
-    let march = std::sync::Mutex::new(MarchStats::default());
-    let per_cell = uintah_exec::parallel_map(space, region.volume(), |i| {
-        let (dq, cell_march) = div_q_for_cell_with(&tracer, region.from_linear(i), params);
-        *march.lock().expect("no panic while adding counters") += cell_march;
-        dq
+    let tracer = params.tracer(levels, region);
+    let (out, per_run) = uintah_exec::parallel_fill_runs(space, region, params.budget().run_cells(), |cells, out| {
+        solve_run(&tracer, params, cells, out)
     });
-    let out = CcVariable::from_vec(region, per_cell);
-    let march = march.into_inner().expect("no panic while adding counters");
+    let mut march = MarchStats::default();
+    for run in per_run {
+        march += run;
+    }
     let stats = SolveStats {
         total_rays: march.rays,
         cells: region.volume() as u64,
@@ -434,9 +571,13 @@ mod tests {
         ];
         for (params, want) in &zero_budgets {
             let serial = uintah_exec::ExecSpace::Serial;
-            let entries: [(&str, &dyn Fn()); 3] = [
+            let tracer = PacketTracer::new(&stack, TraceOptions { threshold: 0.05, max_reflections: 0 });
+            let entries: [(&str, &dyn Fn()); 4] = [
                 ("div_q_for_cell", &|| {
                     div_q_for_cell(&stack, IntVector::splat(2), params);
+                }),
+                ("div_q_for_cell_with", &|| {
+                    div_q_for_cell_with(&tracer, IntVector::splat(2), params);
                 }),
                 ("solve_region", &|| drop(solve_region(&stack, region, params))),
                 ("solve_region_with_stats", &|| {
@@ -459,6 +600,47 @@ mod tests {
         let (out, stats) = solve_region_with_stats(&stack, region, &one, &uintah_exec::ExecSpace::Serial);
         assert!(out.as_slice().iter().all(|v| v.is_finite()));
         assert_eq!(stats.total_rays, stats.cells);
+    }
+
+    /// A solve region reaching past the fine level used to read some other
+    /// cell's properties in release (cell (8,0,0) of an 8³ level solved to
+    /// 4π): every entry refuses it, naming both regions.
+    #[test]
+    fn region_outside_the_fine_level_is_refused_by_every_solve_entry() {
+        let props = LevelProps::uniform(Region::cube(8), Vector::splat(0.125), 1.0, 1.0);
+        let stack = single(&props);
+        let params = RmcrtParams { nrays: 2, ..Default::default() };
+        let outside = Region::new(IntVector::ZERO, IntVector::new(9, 7, 8));
+        let cell = IntVector::new(8, 0, 0);
+        let tracer = params.tracer(&stack, props.region);
+        let device = uintah_exec::ExecSpace::device(uintah_gpu::GpuDevice::with_capacity("test", 1 << 20));
+        let entries: [(&str, &dyn Fn()); 6] = [
+            ("solve_region", &|| drop(solve_region(&stack, outside, &params))),
+            ("solve_region_exec", &|| {
+                drop(solve_region_exec(&stack, outside, &params, &uintah_exec::ExecSpace::Threads(2)))
+            }),
+            ("solve_region_exec on a device", &|| drop(solve_region_exec(&stack, outside, &params, &device))),
+            ("solve_region_with_stats", &|| {
+                drop(solve_region_with_stats(&stack, outside, &params, &uintah_exec::ExecSpace::Serial))
+            }),
+            ("div_q_for_cell", &|| {
+                div_q_for_cell(&stack, cell, &params);
+            }),
+            ("div_q_for_cell_with", &|| {
+                div_q_for_cell_with(&tracer, cell, &params);
+            }),
+        ];
+        for (entry, solve) in entries {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)).expect_err(entry);
+            let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(msg.contains("is not inside the fine level's data region"), "{entry}: {msg}");
+            assert!(msg.contains(&format!("{:?}", props.region)), "{entry}: {msg}");
+        }
+        assert_eq!(device.kernel_stats().unwrap().launches, 0, "refused before any launch");
+        // The level itself, and an empty region anywhere, are solvable.
+        assert!(solve_region(&stack, props.region, &params).as_slice().iter().all(|v| v.is_finite()));
+        let empty = Region::new(IntVector::splat(20), IntVector::splat(20));
+        assert_eq!(solve_region(&stack, empty, &params).len(), 0);
     }
 
     /// Transparent cells have exactly zero divergence.

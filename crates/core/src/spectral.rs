@@ -19,7 +19,6 @@
 //!
 //! where band emission uses `a_k·σT⁴/π` as its source.
 
-use crate::packet::PacketTracer;
 use crate::props::LevelProps;
 use crate::solver::RmcrtParams;
 use crate::trace::TraceLevel;
@@ -143,11 +142,13 @@ pub fn solve_region_spectral(
 }
 
 /// Banded solve over a region, dispatched on an execution space.
-/// Bit-identical across spaces (the band loop is inside the cell kernel).
+/// Bit-identical across spaces: one region solve per band
+/// ([`solve_region_exec`](crate::solver::solve_region_exec), which marches
+/// runs of cells), summed per cell in band order.
 ///
-/// The per-band property fields and packet tracers are prepared once here,
-/// outside the cell loop — the historical implementation cloned the whole
-/// property set per band *per cell*.
+/// The per-band property fields are prepared once here, outside the cell
+/// loop — the historical implementation cloned the whole property set per
+/// band *per cell*.
 pub fn solve_region_spectral_exec(
     spectral: &SpectralProps,
     region: Region,
@@ -155,33 +156,22 @@ pub fn solve_region_spectral_exec(
     space: &uintah_exec::ExecSpace,
 ) -> CcVariable<f64> {
     spectral.validate();
-    let bands = band_props(spectral, params);
-    let stacks: Vec<[TraceLevel<'_>; 1]> = bands
-        .iter()
-        .map(|(_, props)| {
-            [TraceLevel {
-                props,
-                roi: props.region,
-            }]
-        })
-        .collect();
-    let tracers: Vec<(&RmcrtParams, PacketTracer<'_>)> = bands
-        .iter()
-        .zip(&stacks)
-        .map(|((band_params, _), stack)| {
-            (band_params, band_params.tracer(stack))
-        })
-        .collect();
-    uintah_exec::parallel_fill(space, region, |c| {
-        let mut total = 0.0;
-        for (band_params, tracer) in &tracers {
-            if tracer.fine_props().abskg[c] == 0.0 {
-                continue;
+    let mut total = CcVariable::new(region);
+    for (band_params, props) in &band_props(spectral, params) {
+        let stack = [TraceLevel {
+            props,
+            roi: props.region,
+        }];
+        let band = crate::solver::solve_region_exec(&stack, region, band_params, space);
+        for ((t, &dq), c) in total.as_mut_slice().iter_mut().zip(band.as_slice()).zip(region.cells()) {
+            // A band transparent at the cell adds nothing, not even a +0.0
+            // that would turn a -0.0 total positive.
+            if props.abskg[c] != 0.0 {
+                *t += dq;
             }
-            total += crate::solver::div_q_for_cell_with(tracer, c, band_params).0;
         }
-        total
-    })
+    }
+    total
 }
 
 #[cfg(test)]

@@ -21,6 +21,9 @@
 //!   identical for any thread count);
 //! * [`parallel_fill`] — produce a [`CcVariable`] by evaluating a kernel
 //!   per cell (the common "compute a field" pattern);
+//! * [`parallel_fill_runs`] — the same a run of consecutive cells at a
+//!   time, for kernels that batch work across cells (the ray-trace solve
+//!   marches one ray packet per run);
 //! * [`parallel_map`] — a 1-D index range (Kokkos `RangePolicy`), used for
 //!   non-cell fan-out such as the DOM ordinate sweeps;
 //! * [`ops`] — exec-dispatched AMR operators (restriction / prolongation)
@@ -382,50 +385,149 @@ where
     acc
 }
 
-/// Evaluate `kernel` at every cell of `region` into a new variable.
+/// Evaluate `kernel` at every cell of `region` into a new variable: the
+/// case of [`parallel_fill_runs`] whose kernel maps each cell on its own,
+/// so a run can be a whole block (the region, or one z-slab on `Threads`).
 pub fn parallel_fill<T, F>(space: &ExecSpace, region: Region, kernel: F) -> CcVariable<T>
 where
     T: Copy + Default + Send + Sync,
     F: Fn(IntVector) -> T + Sync,
 {
-    if region.is_empty() {
-        return CcVariable::new(region);
-    }
-    match space {
-        ExecSpace::Serial => {
-            let mut out = CcVariable::new(region);
-            out.fill_with(kernel);
-            out
+    parallel_fill_runs(space, region, region.volume(), |cells, out| {
+        for (cell, slot) in cells.zip(out) {
+            *slot = kernel(cell);
         }
-        ExecSpace::Threads(n) => {
-            let chunks = slabs(region, (*n).max(1));
-            let mut parts: Vec<Option<CcVariable<T>>> = (0..chunks.len()).map(|_| None).collect();
-            let kernel = &kernel;
-            std::thread::scope(|s| {
-                for (slab, slot) in chunks.iter().zip(parts.iter_mut()) {
-                    let slab = *slab;
-                    s.spawn(move || {
-                        let mut v = CcVariable::new(slab);
-                        v.fill_with(kernel);
-                        *slot = Some(v);
-                    });
-                }
-            });
-            let mut out = CcVariable::new(region);
-            for p in parts.into_iter().flatten() {
-                out.copy_window(&p, &p.region());
+    })
+    .0
+}
+
+/// The cells of one run of [`parallel_fill_runs`]: consecutive cells of the
+/// dispatched region in canonical x-fastest order, one per output slot.
+#[derive(Clone, Debug)]
+pub struct RunCells {
+    next: IntVector,
+    /// The x and y bounds of the block the run lies in: a row ends at
+    /// `hi[0]`, a plane at `hi[1]`.
+    lo: [i32; 2],
+    hi: [i32; 2],
+    left: usize,
+}
+
+impl RunCells {
+    /// Cells `first..first + len` of `block`, in its x-fastest order (also
+    /// how a caller hands a run kernel cells outside a dispatch).
+    pub fn new(block: Region, first: usize, len: usize) -> Self {
+        assert!(
+            len <= block.volume().saturating_sub(first),
+            "cells {first}.. ({len} of them) run past {block:?}"
+        );
+        let (lo, hi) = (block.lo(), block.hi());
+        Self {
+            next: if len == 0 { lo } else { block.from_linear(first) },
+            lo: [lo.x, lo.y],
+            hi: [hi.x, hi.y],
+            left: len,
+        }
+    }
+}
+
+impl Iterator for RunCells {
+    type Item = IntVector;
+
+    #[inline]
+    fn next(&mut self) -> Option<IntVector> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let cell = self.next;
+        self.next.x += 1;
+        if self.next.x == self.hi[0] {
+            self.next.x = self.lo[0];
+            self.next.y += 1;
+            if self.next.y == self.hi[1] {
+                self.next.y = self.lo[1];
+                self.next.z += 1;
             }
-            out
+        }
+        Some(cell)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for RunCells {}
+
+/// Fill a new variable over `region` a *run* at a time: `kernel` gets up to
+/// `run` consecutive cells (x-fastest) and their output slots, and returns
+/// a per-run value; the values come back in canonical run order, whatever
+/// the space. A kernel that amortises set-up over several cells (one ray
+/// packet for a run of cells, say) sees the same runs on every space,
+/// except that `Threads(n)` first cuts the region into the z-slabs every
+/// other entry point uses and cuts runs within each slab, so a run never
+/// spans two slabs. A kernel whose per-cell result does not depend on the
+/// run it is in is therefore bit-identical across spaces.
+///
+/// A `Device` dispatch is one launch metered as one invocation per *cell*
+/// and the output field's bytes, as [`parallel_fill`] is: the run length
+/// is how the kernel batches its work, not what the device executes.
+pub fn parallel_fill_runs<T, S, F>(
+    space: &ExecSpace,
+    region: Region,
+    run: usize,
+    kernel: F,
+) -> (CcVariable<T>, Vec<S>)
+where
+    T: Copy + Default + Send + Sync,
+    S: Send,
+    F: Fn(RunCells, &mut [T]) -> S + Sync,
+{
+    let mut out = CcVariable::new(region);
+    if region.is_empty() {
+        return (out, Vec::new());
+    }
+    let run = run.max(1);
+    // One block of consecutive cells — the whole region or one z-slab — cut
+    // into runs, each handed its cells and its part of the output.
+    let fill = |block: Region, slots: &mut [T]| -> Vec<S> {
+        slots
+            .chunks_mut(run)
+            .enumerate()
+            .map(|(i, part)| kernel(RunCells::new(block, i * run, part.len()), part))
+            .collect()
+    };
+    let per_run = match space {
+        ExecSpace::Serial => fill(region, out.as_mut_slice()),
+        ExecSpace::Threads(n) => {
+            // A z-slab is a contiguous block of the region's x-fastest
+            // order, so each thread writes its own part of the output.
+            let fill = &fill;
+            std::thread::scope(|s| {
+                let mut rest = out.as_mut_slice();
+                let threads: Vec<_> = slabs(region, (*n).max(1))
+                    .into_iter()
+                    .map(|slab| {
+                        let (slots, tail) = std::mem::take(&mut rest).split_at_mut(slab.volume());
+                        rest = tail;
+                        s.spawn(move || fill(slab, slots))
+                    })
+                    .collect();
+                threads
+                    .into_iter()
+                    .flat_map(|t| t.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                    .collect()
+            })
         }
         ExecSpace::Device(d) => {
             let cells = region.volume() as u64;
             d.launch(cells, cells * std::mem::size_of::<T>() as u64, || {
-                let mut out = CcVariable::new(region);
-                out.fill_with(kernel);
-                out
+                fill(region, out.as_mut_slice())
             })
         }
-    }
+    };
+    (out, per_run)
 }
 
 /// Map a 1-D index range through `f` (Kokkos `RangePolicy<0, n>`): the
@@ -527,6 +629,50 @@ mod tests {
         assert_eq!(serial, dev);
     }
 
+    /// Runs cut the region (or, on `Threads`, each z-slab) into blocks of
+    /// consecutive cells: every cell once, in its own output slot, runs no
+    /// longer than asked and never across a slab, per-run values in run
+    /// order, and the device metered per cell, not per run.
+    #[test]
+    fn fill_runs_cover_every_cell_in_run_order() {
+        let region = Region::new(IntVector::new(-2, 1, 0), IntVector::new(3, 4, 7));
+        for space in all_spaces() {
+            for run in [1usize, 2, 7, 15, 16, 1000] {
+                let (out, runs) = parallel_fill_runs(&space, region, run, |cells, out| {
+                    let cells: Vec<IntVector> = cells.collect();
+                    assert_eq!(cells.len(), out.len(), "{space:?} run {run}");
+                    assert!(!out.is_empty() && out.len() <= run);
+                    let z = cells[0].z;
+                    for (c, slot) in cells.iter().zip(out.iter_mut()) {
+                        *slot = region.linear_index(*c);
+                    }
+                    (region.linear_index(cells[0]), cells.len(), z, cells.last().unwrap().z)
+                });
+                let want: Vec<usize> = (0..region.volume()).collect();
+                assert_eq!(out.as_slice(), &want[..], "{space:?} run {run}");
+                let mut next = 0;
+                for &(first, len, _, _) in &runs {
+                    assert_eq!(first, next, "{space:?} run {run}: runs out of order");
+                    next += len;
+                }
+                assert_eq!(next, region.volume());
+                if let ExecSpace::Threads(n) = space {
+                    for slab in slabs(region, n) {
+                        let inside = |z: i32| z >= slab.lo().z && z < slab.hi().z;
+                        assert!(runs.iter().all(|&(_, _, z0, z1)| inside(z0) == inside(z1)), "a run spans two slabs");
+                    }
+                }
+            }
+        }
+        let device = GpuDevice::with_capacity("test", 1 << 20);
+        let space = ExecSpace::device(device.clone());
+        let _ = parallel_fill_runs(&space, region, 16, |_, out: &mut [f64]| out.fill(1.0));
+        let ks = space.kernel_stats().expect("device space has stats");
+        assert_eq!((ks.launches, ks.invocations), (1, region.volume() as u64));
+        assert_eq!(ks.bytes_moved, 8 * region.volume() as u64);
+        assert_eq!(device.counters().kernels, 1);
+    }
+
     #[test]
     fn max_reduce() {
         let region = Region::cube(6);
@@ -594,6 +740,8 @@ mod tests {
                 assert_eq!(sum, 0);
                 let filled = parallel_fill(space, region, |_| 1.0f64);
                 assert_eq!(filled.len(), 0);
+                let (filled, runs) = parallel_fill_runs(space, region, 4, |_, _: &mut [f64]| 1u8);
+                assert_eq!((filled.len(), runs.len()), (0, 0));
             }
             assert_eq!(
                 device.counters().kernels,

@@ -9,7 +9,11 @@
 //! or not — and must re-justify the new bits.
 //!
 //! Also here: the ROI-exit nudge regression (cell spacings spanning
-//! 1e-6..1e2 m) and the fixed-vs-adaptive ray-count equivalence.
+//! 1e-6..1e2 m), the fixed-vs-adaptive ray-count equivalence, and the
+//! run solver's bit-identity to the per-cell loop it replaced.
+
+#[path = "support/per_cell.rs"]
+mod per_cell;
 
 use rmcrt_bench::scalar_march;
 use uintah::prelude::*;
@@ -18,7 +22,7 @@ use uintah::rmcrt::radiometer::Radiometer;
 use uintah::rmcrt::scatter::{
     div_q_with_scattering, trace_ray_collision, PhaseFunction, ScatteringMedium,
 };
-use uintah::rmcrt::solver::two_level_stack;
+use uintah::rmcrt::solver::{div_q_for_cell_with, two_level_stack, RUN_RAYS};
 use uintah::rmcrt::{PacketTracer, RayPacket, RaySampling, TraceOptions, WALL_CELL};
 
 /// The reference scenario of the pre-refactor capture: uniform κ=0.7,
@@ -418,4 +422,105 @@ fn three_level_stack_matches_the_scalar_marcher() {
     // Captured at PR 24 with the in-repo `sincos_turn`: the rays no longer
     // depend on the host's libm, only the march's `exp` still does.
     assert_eq!(sum, 0xef8f76d531e8be, "wrapping sum of the 3-level divQ bits");
+}
+
+/// Region solves march runs of cells, a packet of up to `RUN_RAYS` rays
+/// each, where they used to march one packet per cell (per batch in
+/// Adaptive mode). Every entry point, on every space, must give each cell
+/// the bits and the march counters the per-cell loop gives it, across
+/// budgets that fill a run with one cell or with many, budgets that spill
+/// a batch into a second packet (`RUN_RAYS + 1`, the Adaptive batches past
+/// 256), both samplings, a 2-level B&C stack, transparent cells inside a
+/// run, ragged regions, and two timesteps.
+#[test]
+fn run_solver_is_bit_identical_to_the_per_cell_loop() {
+    let grid = BurnsChriston::small_grid(16, 8);
+    let bc = BurnsChriston::default();
+    let coarse = bc.props_for_level(grid.level(0));
+    let fine = bc.props_for_level(grid.fine_level());
+    let bc_stack = two_level_stack(&coarse, &fine, Region::new(IntVector::splat(2), IntVector::splat(14)));
+    // Every third cell transparent, so runs hold cells that trace no ray.
+    let holes = varied_level(10, |c| if (c.x + c.y + c.z) % 3 == 0 { 0.0 } else { 2.0 });
+    let holes_stack = single_stack(&holes);
+    let stacks: [(&str, &[TraceLevel<'_>], [Region; 2]); 2] = [
+        (
+            "2-level B&C",
+            &bc_stack,
+            [
+                Region::new(IntVector::new(4, 6, 3), IntVector::new(9, 9, 10)),
+                Region::new(IntVector::splat(7), IntVector::splat(8)),
+            ],
+        ),
+        (
+            "transparent cells",
+            &holes_stack,
+            [
+                Region::new(IntVector::new(2, 3, 1), IntVector::new(7, 6, 8)),
+                Region::new(IntVector::splat(5), IntVector::splat(6)),
+            ],
+        ),
+    ];
+    let budgets = [
+        RayCountMode::Fixed(1),
+        RayCountMode::Fixed(2),
+        RayCountMode::Fixed(3),
+        RayCountMode::Fixed(7),
+        RayCountMode::Fixed(100),
+        RayCountMode::Fixed(RUN_RAYS + 1),
+        RayCountMode::Adaptive { min: 4, max: 64, rel_var_target: 0.02 },
+        RayCountMode::Adaptive { min: 16, max: 100, rel_var_target: 0.01 },
+    ];
+    let device = GpuDevice::with_capacity("test", 1 << 20);
+    let spaces = [ExecSpace::Serial, ExecSpace::Threads(3), ExecSpace::device(device)];
+    for (name, stack, regions) in stacks {
+        for region in regions {
+            for ray_count in budgets {
+                for sampling in [RaySampling::Independent, RaySampling::LatinHypercube] {
+                    for timestep in [0, 3] {
+                        let params = RmcrtParams {
+                            ray_count: Some(ray_count),
+                            sampling,
+                            timestep,
+                            threshold: 0.05,
+                            seed: 0x2_5EED,
+                            ..Default::default()
+                        };
+                        let case = format!("{name} {region:?} {ray_count:?} {sampling:?} t{timestep}");
+                        let (want, want_march) = per_cell::solve_region(stack, region, &params);
+                        let same = |got: &CcVariable<f64>, entry: &str| {
+                            for (c, &v) in got.iter() {
+                                assert_eq!(v.to_bits(), want[c].to_bits(), "{case}, {entry}, cell {c:?}");
+                            }
+                        };
+                        same(&solve_region(stack, region, &params), "solve_region");
+                        for space in &spaces {
+                            let entry = format!("{space:?}");
+                            same(&solve_region_exec(stack, region, &params, space), &entry);
+                            let (got, stats) = solve_region_with_stats(stack, region, &params, space);
+                            same(&got, &entry);
+                            let want_stats = SolveStats {
+                                total_rays: want_march.rays,
+                                cells: region.volume() as u64,
+                                march: want_march,
+                            };
+                            assert_eq!(stats, want_stats, "{case}, {entry}");
+                        }
+                        let tracer = PacketTracer::new(
+                            stack,
+                            TraceOptions { threshold: params.threshold, max_reflections: 0 },
+                        );
+                        let mut scratch = per_cell::CellScratch::default();
+                        for c in region.cells() {
+                            let (v, march) = div_q_for_cell_with(&tracer, c, &params);
+                            let (w, want_cell) = per_cell::div_q_for_cell(&mut scratch, &tracer, c, &params);
+                            assert_eq!(v.to_bits(), w.to_bits(), "{case}, div_q_for_cell_with {c:?}");
+                            assert_eq!(march, want_cell, "{case}, div_q_for_cell_with {c:?}");
+                            let v = div_q_for_cell(stack, c, &params);
+                            assert_eq!(v.to_bits(), w.to_bits(), "{case}, div_q_for_cell {c:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
