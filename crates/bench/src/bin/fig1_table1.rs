@@ -17,10 +17,12 @@
 //!    decreasing trend and the paper's speedup band.
 //! 2. **Measured on this host**: the *actual* `MutexRequestVec` vs
 //!    `WaitFreeRequestStore` implementations driven with the same relative
-//!    loads. NOTE: on a single-core machine lock *contention* largely
-//!    vanishes, so the measured gap collapses (or inverts); on multi-core
-//!    hosts the wait-free store wins (see EXPERIMENTS.md E1 and
-//!    `perf_report`'s `comm.waitfree_ns_per_req` / `comm.mutex_ns_per_req`).
+//!    loads (1/64 of the modeled ones, 60–700 messages) by 16 threads.
+//!    The ratio depends on how many of those threads the host runs at
+//!    once: with far fewer cores than threads the lock is seldom
+//!    contended and the gap collapses toward 1×, as it does on a 2-core
+//!    host (EXPERIMENTS.md E1; `perf_report`'s `comm.waitfree_ns_per_req`
+//!    / `comm.mutex_ns_per_req` measure the same pair at one step's load).
 //!
 //! ```text
 //! cargo run -p rmcrt-bench --release --bin fig1_table1

@@ -32,7 +32,7 @@ pub mod store;
 pub mod world;
 
 pub use collective::{AllReduce, AllReduceVec, WorldBarrier};
-pub use message::{Message, RecvRequest, SendRequest, Tag};
+pub use message::{Message, RecvRequest, Tag};
 pub use pool::{PoolIterator, WaitFreePool};
 pub use signal::WorkSignal;
 pub use store::{MutexRequestVec, RacyRequestVec, RequestStore, WaitFreeRequestStore};

@@ -96,20 +96,6 @@ impl RecvRequest {
     }
 }
 
-/// A non-blocking send handle. Sends are eager (buffered): they complete at
-/// post time once the payload is captured by the fabric.
-#[derive(Clone, Debug)]
-pub struct SendRequest {
-    pub(crate) done: Arc<AtomicBool>,
-}
-
-impl SendRequest {
-    #[inline]
-    pub fn test(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

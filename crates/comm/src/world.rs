@@ -7,12 +7,12 @@
 //! message or registers a pending receive. All operations are callable from
 //! any number of threads concurrently (`MPI_THREAD_MULTIPLE`).
 
-use crate::message::{Message, RecvRequest, RecvState, SendRequest, Tag};
+use crate::message::{Message, RecvRequest, RecvState, Tag};
 use crate::signal::WorkSignal;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uintah_mem::{AllocCategory, AllocTracker};
 
@@ -125,9 +125,10 @@ impl Communicator {
         &self.world.inner.signals[self.rank]
     }
 
-    /// Non-blocking send. Eager: the payload is captured immediately and the
-    /// request completes at post time.
-    pub fn isend(&self, dst: Rank, tag: Tag, payload: Bytes) -> SendRequest {
+    /// Non-blocking send. Eager: the fabric takes the payload at post
+    /// time, so the send is complete when `isend` returns and there is no
+    /// request to test.
+    pub fn isend(&self, dst: Rank, tag: Tag, payload: Bytes) {
         let stats = &self.world.inner.stats;
         stats.sends.fetch_add(1, Ordering::Relaxed);
         stats.bytes_sent.fetch_add(payload.len() as u64, Ordering::Relaxed);
@@ -145,28 +146,28 @@ impl Communicator {
         let mut mbox = self.world.inner.mailboxes[dst].lock();
         // Match a pending receive if one exists, else queue as unexpected.
         let key = (self.rank, tag);
-        let mut delivered = false;
-        if let Some(q) = mbox.pending.get_mut(&key) {
-            if let Some(state) = q.pop_front() {
+        let pending = match mbox.pending.get_mut(&key) {
+            Some(q) => {
+                let state = q.pop_front();
                 if q.is_empty() {
                     mbox.pending.remove(&key);
                 }
-                *state.payload.lock() = Some(msg.clone());
+                state
+            }
+            None => None,
+        };
+        match pending {
+            Some(state) => {
+                *state.payload.lock() = Some(msg);
                 *state.tracker.lock() = Some(self.world.inner.tracker.clone());
                 state.done.store(true, Ordering::Release);
-                delivered = true;
             }
-        }
-        if !delivered {
-            mbox.unexpected.entry(key).or_default().push_back(msg);
+            None => mbox.unexpected.entry(key).or_default().push_back(msg),
         }
         drop(mbox);
         // Wake any worker parked on the destination rank's signal. Done
         // after the mailbox lock is released so waiters never contend on it.
         self.world.inner.signals[dst].notify();
-        SendRequest {
-            done: Arc::new(AtomicBool::new(true)),
-        }
     }
 
     /// Non-blocking receive matching `(src, tag)`.

@@ -19,6 +19,14 @@ pub enum RaySampling {
     LatinHypercube,
 }
 
+/// The largest ray batch a Latin-hypercube solve draws: its stratum
+/// permutation holds 4 bytes per ray of a batch, so this bounds that
+/// buffer at 4 MiB per thread. `RunConfig::validate` and every solve entry
+/// refuse an LHC ray budget whose largest batch
+/// ([`crate::RayCountMode::largest_batch`]) is above it; independent
+/// sampling keeps no per-ray state and has no bound.
+pub const MAX_LHC_BATCH: u32 = 1 << 20;
+
 /// A per-cell direction sampler: hands out `nrays` directions.
 #[derive(Default)]
 pub struct DirectionSampler {

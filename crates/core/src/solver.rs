@@ -19,7 +19,7 @@
 use crate::packet::{MarchStats, PacketTracer, RayPacket};
 use crate::props::LevelProps;
 use crate::rng::{polar, CellRng};
-use crate::sampling::{DirectionSampler, RaySampling};
+use crate::sampling::{DirectionSampler, RaySampling, MAX_LHC_BATCH};
 use crate::trace::{TraceLevel, TraceOptions};
 use std::f64::consts::PI;
 use uintah_exec::RunCells;
@@ -46,6 +46,17 @@ pub enum RayCountMode {
         max: u32,
         rel_var_target: f64,
     },
+}
+
+impl RayCountMode {
+    /// The most rays one batch of this budget draws for a cell: `n` for
+    /// `Fixed(n)`; for `Adaptive` the largest of the doubling batches, the
+    /// last one cut to what is left of `max`. A Latin-hypercube batch
+    /// keeps a stratum per ray, so this is what
+    /// [`crate::sampling::MAX_LHC_BATCH`] bounds.
+    pub fn largest_batch(self) -> u32 {
+        Budget::of(self).largest_batch()
+    }
 }
 
 /// Monte Carlo parameters of an RMCRT solve.
@@ -98,16 +109,26 @@ impl RmcrtParams {
         tracer
     }
 
-    /// The two inputs a solve refuses, each with a panic naming it: a zero
-    /// ray budget (see [`RayCountMode`]), and a solve region that is not
-    /// inside the fine level's data region — its cells have no properties
-    /// to read, and a release build would read another cell's instead.
+    /// The inputs a solve refuses, each with a panic naming it: a zero ray
+    /// budget (see [`RayCountMode`]), a Latin-hypercube budget whose
+    /// largest batch is above [`MAX_LHC_BATCH`], and a solve region that is
+    /// not inside the fine level's data region — its cells have no
+    /// properties to read, and a release build would read another cell's
+    /// instead.
     fn check_solve(&self, tracer: &PacketTracer<'_>, region: Region) {
-        match self.ray_count_mode() {
+        let mode = self.ray_count_mode();
+        match mode {
             RayCountMode::Fixed(n) => assert!(n >= 1, "nrays must be >= 1, got Fixed({n})"),
             RayCountMode::Adaptive { max, .. } => {
                 assert!(max >= 1, "rays_max must be >= 1, got Adaptive {{ max: {max}, .. }}")
             }
+        }
+        if self.sampling == RaySampling::LatinHypercube {
+            let batch = mode.largest_batch();
+            assert!(
+                batch <= MAX_LHC_BATCH,
+                "Latin-hypercube sampling draws a {batch}-ray batch, above MAX_LHC_BATCH = {MAX_LHC_BATCH} rays"
+            );
         }
         let data = tracer.fine_props().region;
         assert!(
@@ -118,27 +139,7 @@ impl RmcrtParams {
 
     /// The budget every cell of a solve draws its batches from.
     fn budget(&self) -> Budget {
-        match self.ray_count_mode() {
-            RayCountMode::Fixed(n) => Budget {
-                first: n,
-                max: n,
-                rel_var_target: 0.0,
-                fixed: true,
-            },
-            RayCountMode::Adaptive {
-                min,
-                max,
-                rel_var_target,
-            } => {
-                let max = max.max(min);
-                Budget {
-                    first: min.clamp(1, max),
-                    max,
-                    rel_var_target,
-                    fixed: false,
-                }
-            }
-        }
+        Budget::of(self.ray_count_mode())
     }
 }
 
@@ -154,6 +155,44 @@ struct Budget {
 }
 
 impl Budget {
+    fn of(mode: RayCountMode) -> Budget {
+        match mode {
+            RayCountMode::Fixed(n) => Budget {
+                first: n,
+                max: n,
+                rel_var_target: 0.0,
+                fixed: true,
+            },
+            RayCountMode::Adaptive {
+                min,
+                max,
+                rel_var_target,
+            } => {
+                let max = max.max(min);
+                Budget {
+                    // `clamp(1, max)`, but 0 rather than a panic at `max == 0`.
+                    first: min.max(1).min(max),
+                    max,
+                    rel_var_target,
+                    fixed: false,
+                }
+            }
+        }
+    }
+
+    /// The largest batch `solve_run` can draw: it draws `first`, then
+    /// doubles, each batch cut to what is left of `max`.
+    fn largest_batch(&self) -> u32 {
+        let (mut drawn, mut batch, mut largest) = (0u32, self.first, 0u32);
+        while drawn < self.max {
+            let b = batch.min(self.max - drawn);
+            largest = largest.max(b);
+            drawn += b;
+            batch = batch.saturating_mul(2);
+        }
+        largest
+    }
+
     /// Cells per run: as many as the first batches fill one packet.
     fn run_cells(&self) -> usize {
         (RUN_RAYS / self.first.max(1)).max(1) as usize
@@ -600,6 +639,67 @@ mod tests {
         let (out, stats) = solve_region_with_stats(&stack, region, &one, &uintah_exec::ExecSpace::Serial);
         assert!(out.as_slice().iter().all(|v| v.is_finite()));
         assert_eq!(stats.total_rays, stats.cells);
+    }
+
+    /// A Latin-hypercube batch keeps a 4-byte stratum per ray, so
+    /// `nrays = 600000000` used to ask for 2.4 GB: every solve entry now
+    /// refuses a budget whose largest batch is above `MAX_LHC_BATCH`,
+    /// naming the bound, before it allocates anything. Independent
+    /// sampling keeps no per-ray state and is not bounded.
+    #[test]
+    fn lhc_batch_above_the_bound_is_refused_by_every_solve_entry() {
+        let props = LevelProps::uniform(Region::cube(4), Vector::splat(0.25), 1.0, 1.0);
+        let stack = single(&props);
+        let region = props.region;
+        let over = [
+            RayCountMode::Fixed(600_000_000),
+            RayCountMode::Fixed(MAX_LHC_BATCH + 1),
+            RayCountMode::Adaptive { min: 16, max: 4 * MAX_LHC_BATCH, rel_var_target: 0.05 },
+        ];
+        for mode in over {
+            let params = RmcrtParams {
+                sampling: RaySampling::LatinHypercube,
+                ray_count: Some(mode),
+                ..Default::default()
+            };
+            let serial = uintah_exec::ExecSpace::Serial;
+            let tracer = PacketTracer::new(&stack, TraceOptions { threshold: 0.05, max_reflections: 0 });
+            let entries: [(&str, &dyn Fn()); 4] = [
+                ("div_q_for_cell", &|| {
+                    div_q_for_cell(&stack, IntVector::splat(2), &params);
+                }),
+                ("div_q_for_cell_with", &|| {
+                    div_q_for_cell_with(&tracer, IntVector::splat(2), &params);
+                }),
+                ("solve_region", &|| drop(solve_region(&stack, region, &params))),
+                ("solve_region_with_stats", &|| {
+                    drop(solve_region_with_stats(&stack, region, &params, &serial))
+                }),
+            ];
+            for (entry, solve) in entries {
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)).expect_err(entry);
+                let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
+                assert!(msg.contains(&format!("MAX_LHC_BATCH = {MAX_LHC_BATCH}")), "{entry} {mode:?}: {msg}");
+            }
+        }
+    }
+
+    /// The largest batch is what `solve_run` draws at most: `n` for
+    /// `Fixed(n)`, the largest doubling (or the cut last) batch for
+    /// `Adaptive`.
+    #[test]
+    fn largest_batch_follows_the_doubling_schedule() {
+        assert_eq!(RayCountMode::Fixed(100).largest_batch(), 100);
+        let adaptive = |min, max| RayCountMode::Adaptive { min, max, rel_var_target: 0.05 };
+        // 16, 32, 52 (the 64 cut to what is left of 100).
+        assert_eq!(adaptive(16, 100).largest_batch(), 52);
+        // 16, 32, 64, 128, 16.
+        assert_eq!(adaptive(16, 256).largest_batch(), 128);
+        // rays_min above rays_max: one batch of rays_min.
+        assert_eq!(adaptive(40, 10).largest_batch(), 40);
+        // 1, 2, …, 2¹⁹, then the 951425 rays left of two million.
+        assert_eq!(adaptive(1, 2_000_000).largest_batch(), 951_425);
+        assert_eq!(adaptive(0, 0).largest_batch(), 0);
     }
 
     /// A solve region reaching past the fine level used to read some other

@@ -435,6 +435,15 @@ impl RunConfig {
                 return Err("rel_var_target must be in (0, 1)".into());
             }
         }
+        if self.sampling == rmcrt_core::RaySampling::LatinHypercube {
+            let batch = self.ray_count().largest_batch();
+            let bound = rmcrt_core::sampling::MAX_LHC_BATCH;
+            if batch > bound {
+                return Err(format!(
+                    "sampling = lhc draws a {batch}-ray batch, above the Latin-hypercube bound of {bound} rays"
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -625,6 +634,31 @@ mod tests {
         assert!(RunConfig::parse("ray_count = magic").is_err());
         assert!(RunConfig::parse("ray_count = adaptive\nrays_min = 99\nrays_max = 10").is_err());
         assert!(RunConfig::parse("ray_count = adaptive\nrel_var_target = 2.0").is_err());
+    }
+
+    /// `sampling = lhc` keeps a 4-byte stratum per ray of a batch, so
+    /// `nrays = 600000000` used to ask for 2.4 GB: a budget whose largest
+    /// batch is above `MAX_LHC_BATCH` is refused, naming the bound; one at
+    /// the bound, an adaptive budget above it whose batches stay under it,
+    /// and independent sampling at any budget still parse.
+    #[test]
+    fn lhc_batch_above_the_bound_is_refused() {
+        let bound = rmcrt_core::sampling::MAX_LHC_BATCH;
+        let err = RunConfig::parse("sampling = lhc\nnrays = 600000000").unwrap_err().to_string();
+        assert!(err.contains(&format!("bound of {bound} rays")), "{err}");
+        let err = RunConfig::parse(&format!("sampling = lhc\nnrays = {}", bound + 1)).unwrap_err().to_string();
+        assert!(err.contains("1048577-ray batch"), "{err}");
+        let err = RunConfig::parse(&format!(
+            "sampling = lhc\nray_count = adaptive\nrays_min = {}\nrays_max = {}",
+            bound + 1,
+            bound + 1
+        ))
+        .unwrap_err().to_string();
+        assert!(err.contains("bound"), "{err}");
+        assert!(RunConfig::parse(&format!("sampling = lhc\nnrays = {bound}")).is_ok());
+        // 1, 2, …, 2¹⁹ rays, then the 951425 left of two million.
+        assert!(RunConfig::parse("sampling = lhc\nray_count = adaptive\nrays_min = 1\nrays_max = 2000000").is_ok());
+        assert!(RunConfig::parse("sampling = independent\nnrays = 600000000").is_ok());
     }
 
     #[test]

@@ -55,6 +55,58 @@ fn wait_free_pool_exactly_once_under_stress() {
     }
 }
 
+/// Claims released as well as erased: 4 producers insert while 4
+/// consumers claim with `find_any` and either erase the value or drop the
+/// iterator (releasing the claim to be found again), in turn. Every value
+/// is processed exactly once, and the occupancy words end with no bit set
+/// (`len() == 0`): a bit set late over a recycled slot would show there.
+#[test]
+fn wait_free_pool_find_erase_and_release_under_stress() {
+    let pool = WaitFreePool::<usize>::new();
+    const PER: usize = 5000;
+    const PRODUCERS: usize = 4;
+    const CONSUMERS: usize = 4;
+    let counts: Vec<AtomicUsize> = (0..PER * PRODUCERS).map(|_| AtomicUsize::new(0)).collect();
+    let processed = AtomicUsize::new(0);
+    let released = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for p in 0..PRODUCERS {
+            let pool = &pool;
+            s.spawn(move || {
+                for i in 0..PER {
+                    pool.insert(p * PER + i);
+                }
+            });
+        }
+        for c in 0..CONSUMERS {
+            let (pool, counts, processed, released) = (&pool, &counts, &processed, &released);
+            s.spawn(move || {
+                let mut turn = c;
+                while processed.load(Ordering::Relaxed) < PER * PRODUCERS {
+                    let Some(it) = pool.find_any(|_| true) else {
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    turn += 1;
+                    if turn % 2 == 0 {
+                        drop(it);
+                        released.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        counts[pool.erase(it)].fetch_add(1, Ordering::Relaxed);
+                        processed.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    for (i, c) in counts.iter().enumerate() {
+        assert_eq!(c.load(Ordering::Relaxed), 1, "value {i}");
+    }
+    assert!(released.load(Ordering::Relaxed) > 0, "no claim was released");
+    assert_eq!(pool.len(), 0);
+    assert!(pool.find_any(|_| true).is_none());
+}
+
 /// The three request stores under identical concurrent load: all process
 /// every message exactly once; only the racy baseline over-allocates.
 #[test]
