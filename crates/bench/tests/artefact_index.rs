@@ -1,7 +1,8 @@
 //! DESIGN.md §4 is the index of every measurement artefact, and this test
 //! keeps it true: every bin has a row, every checked-in baseline is read by
-//! exactly one gate, and no second benchmark harness grows back beside
-//! `perf_report`.
+//! exactly one gate, every gate bin is run by `verify.sh` and every gate
+//! `verify.sh` runs exists, and no second benchmark harness grows back
+//! beside `perf_report`.
 
 use rmcrt_bench::gate::repo_root;
 use std::collections::BTreeSet;
@@ -51,6 +52,26 @@ fn every_measurement_artefact_has_one_reader() {
             .collect();
         if readers.len() != 1 {
             problems.push(format!("{baseline} must be named in exactly one *_gate.rs, found {readers:?}"));
+        }
+    }
+
+    let verify = fs::read_to_string(root.join("verify.sh")).expect("read verify.sh");
+    let run: BTreeSet<&str> = verify
+        .lines()
+        .filter(|line| !line.trim_start().starts_with('#'))
+        .flat_map(|line| line.split("--bin ").skip(1))
+        .filter_map(|rest| rest.split_whitespace().next())
+        .filter(|bin| bin.ends_with("_gate"))
+        .collect();
+    for (gate, _) in &gates {
+        let bin = gate.trim_end_matches(".rs");
+        if !run.contains(bin) {
+            problems.push(format!("src/bin/{gate} is not run by a `--bin {bin}` line in verify.sh"));
+        }
+    }
+    for bin in run {
+        if !bins.contains(&format!("{bin}.rs")) {
+            problems.push(format!("verify.sh runs `--bin {bin}`, which is not a src/bin/ gate"));
         }
     }
 

@@ -1,119 +1,9 @@
-//! Collective operations for in-process ranks: a reusable sense-reversing
-//! barrier and an all-reduce, used by the scheduler between task-graph
-//! phases (e.g. agreeing that all ranks finished a radiation timestep).
+//! The one collective in-process ranks share: an element-wise all-reduce,
+//! which the driver uses for the per-patch cost exchange before a rebalance
+//! and for the ranks' agreement on a stop between timesteps.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
-
-struct BarrierInner {
-    lock: Mutex<BarrierState>,
-    cvar: Condvar,
-    nranks: usize,
-}
-
-struct BarrierState {
-    waiting: usize,
-    generation: u64,
-}
-
-/// A reusable barrier over the ranks of a world.
-#[derive(Clone)]
-pub struct WorldBarrier {
-    inner: Arc<BarrierInner>,
-}
-
-impl WorldBarrier {
-    pub fn new(nranks: usize) -> Self {
-        assert!(nranks > 0);
-        Self {
-            inner: Arc::new(BarrierInner {
-                lock: Mutex::new(BarrierState {
-                    waiting: 0,
-                    generation: 0,
-                }),
-                cvar: Condvar::new(),
-                nranks,
-            }),
-        }
-    }
-
-    /// Block until all `nranks` participants arrive. Returns `true` for
-    /// exactly one caller per generation (the "leader").
-    pub fn wait(&self) -> bool {
-        let mut state = self.inner.lock.lock();
-        let gen = state.generation;
-        state.waiting += 1;
-        if state.waiting == self.inner.nranks {
-            state.waiting = 0;
-            state.generation += 1;
-            self.inner.cvar.notify_all();
-            true
-        } else {
-            while state.generation == gen {
-                self.inner.cvar.wait(&mut state);
-            }
-            false
-        }
-    }
-}
-
-struct ReduceInner {
-    lock: Mutex<ReduceState>,
-    cvar: Condvar,
-    nranks: usize,
-}
-
-struct ReduceState {
-    acc: f64,
-    count: usize,
-    result: f64,
-    generation: u64,
-}
-
-/// All-reduce (sum) of one `f64` per rank; every caller gets the total.
-#[derive(Clone)]
-pub struct AllReduce {
-    inner: Arc<ReduceInner>,
-}
-
-impl AllReduce {
-    pub fn new(nranks: usize) -> Self {
-        assert!(nranks > 0);
-        Self {
-            inner: Arc::new(ReduceInner {
-                lock: Mutex::new(ReduceState {
-                    acc: 0.0,
-                    count: 0,
-                    result: 0.0,
-                    generation: 0,
-                }),
-                cvar: Condvar::new(),
-                nranks,
-            }),
-        }
-    }
-
-    /// Contribute `value`; blocks until all ranks contribute; returns the sum.
-    pub fn sum(&self, value: f64) -> f64 {
-        let mut state = self.inner.lock.lock();
-        let gen = state.generation;
-        state.acc += value;
-        state.count += 1;
-        if state.count == self.inner.nranks {
-            state.result = state.acc;
-            state.acc = 0.0;
-            state.count = 0;
-            state.generation += 1;
-            self.inner.cvar.notify_all();
-            state.result
-        } else {
-            while state.generation == gen {
-                self.inner.cvar.wait(&mut state);
-            }
-            state.result
-        }
-    }
-}
 
 struct VecReduceInner {
     lock: Mutex<VecReduceState>,
@@ -192,81 +82,9 @@ impl AllReduceVec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn barrier_synchronizes_and_reuses() {
-        let b = WorldBarrier::new(4);
-        let phase = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let b = b.clone();
-                let phase = phase.clone();
-                s.spawn(move || {
-                    for p in 0..10 {
-                        // Everyone must observe the same phase at the barrier.
-                        assert!(phase.load(Ordering::SeqCst) >= p);
-                        if b.wait() {
-                            phase.fetch_add(1, Ordering::SeqCst);
-                        }
-                        b.wait();
-                        assert!(phase.load(Ordering::SeqCst) > p);
-                    }
-                });
-            }
-        });
-        assert_eq!(phase.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn barrier_elects_one_leader_per_generation() {
-        let b = WorldBarrier::new(3);
-        let leaders = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let b = b.clone();
-                let leaders = leaders.clone();
-                s.spawn(move || {
-                    for _ in 0..20 {
-                        if b.wait() {
-                            leaders.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(leaders.load(Ordering::Relaxed), 20);
-    }
-
-    #[test]
-    fn allreduce_sums_across_ranks() {
-        let r = AllReduce::new(5);
-        let mut handles = Vec::new();
-        for rank in 0..5 {
-            let r = r.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut totals = Vec::new();
-                for round in 0..8 {
-                    totals.push(r.sum((rank * 10 + round) as f64));
-                }
-                totals
-            }));
-        }
-        let all: Vec<Vec<f64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for round in 0..8 {
-            let expect: f64 = (0..5).map(|rank| (rank * 10 + round) as f64).sum();
-            for ranks in &all {
-                assert_eq!(ranks[round], expect);
-            }
-        }
-    }
 
     #[test]
     fn single_rank_collectives_trivial() {
-        let b = WorldBarrier::new(1);
-        assert!(b.wait());
-        let r = AllReduce::new(1);
-        assert_eq!(r.sum(3.5), 3.5);
         let rv = AllReduceVec::new(1);
         assert_eq!(*rv.sum(&[1.0, 2.0]), vec![1.0, 2.0]);
     }

@@ -22,7 +22,8 @@
 //! * [`store`] — the [`RequestStore`] abstraction over the pool, the
 //!   mutex-vector baseline ("before"), and a deliberately racy variant that
 //!   reproduces the paper's leak for demonstration,
-//! * [`collective`] — barrier / all-reduce used by the scheduler.
+//! * [`collective`] — the element-wise all-reduce the driver uses for the
+//!   cost exchange before a rebalance and the stop agreement between steps.
 
 pub mod collective;
 pub mod message;
@@ -31,7 +32,7 @@ pub mod signal;
 pub mod store;
 pub mod world;
 
-pub use collective::{AllReduce, AllReduceVec, WorldBarrier};
+pub use collective::AllReduceVec;
 pub use message::{Message, RecvRequest, Tag};
 pub use pool::{PoolIterator, WaitFreePool};
 pub use signal::WorkSignal;

@@ -224,11 +224,6 @@ impl ExecSpace {
         }
     }
 
-    #[inline]
-    pub fn is_device(&self) -> bool {
-        matches!(self, ExecSpace::Device(_))
-    }
-
     /// The fleet device index this space dispatches to; `None` for host
     /// spaces.
     pub fn device_index(&self) -> Option<usize> {
@@ -849,6 +844,5 @@ mod tests {
         assert!(matches!(ExecSpace::host(6), ExecSpace::Threads(6)));
         let d = ExecSpace::device(GpuDevice::with_capacity("test", 1024));
         assert_eq!(d.concurrency(), 16); // one lane per device stream
-        assert!(d.is_device());
     }
 }

@@ -207,18 +207,6 @@ impl Level {
             .map(|pos| &self.patches[lattice.linear_index(pos)])
             .collect()
     }
-
-    /// Map a cell on this level to its parent cell on the next-coarser level.
-    #[inline]
-    pub fn map_cell_to_coarser(&self, c: IntVector) -> IntVector {
-        c.div_floor(self.ratio_to_coarser.0)
-    }
-
-    /// Map a coarse cell to the low corner of its children on this level.
-    #[inline]
-    pub fn map_cell_from_coarser(&self, c: IntVector) -> IntVector {
-        c.comp_mul(self.ratio_to_coarser.0)
-    }
 }
 
 #[cfg(test)]
@@ -310,20 +298,5 @@ mod tests {
             IntVector::splat(24),
             0,
         );
-    }
-
-    #[test]
-    fn coarse_fine_cell_maps() {
-        let fine = Level::new(
-            1,
-            Region::cube(256),
-            Point::ORIGIN,
-            Vector::splat(1.0 / 256.0),
-            RefinementRatio::isotropic(4),
-            IntVector::splat(16),
-            0,
-        );
-        assert_eq!(fine.map_cell_to_coarser(IntVector::splat(7)), IntVector::splat(1));
-        assert_eq!(fine.map_cell_from_coarser(IntVector::splat(2)), IntVector::splat(8));
     }
 }

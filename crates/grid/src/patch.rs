@@ -76,17 +76,6 @@ impl Patch {
     pub fn num_cells(&self) -> usize {
         self.interior.volume()
     }
-
-    /// True if `other`'s interior intersects our ghost halo of width `g` —
-    /// i.e. `other` must send us data for a `g`-ghost requirement.
-    pub fn needs_from(&self, other: &Patch, g: i32) -> bool {
-        other.id != self.id && self.with_ghosts(g).overlaps(&other.interior)
-    }
-
-    /// The footprint `other` must send for our `g`-ghost requirement.
-    pub fn ghost_footprint_from(&self, other: &Patch, g: i32) -> Region {
-        self.with_ghosts(g).intersect(&other.interior)
-    }
 }
 
 #[cfg(test)]
@@ -106,10 +95,10 @@ mod tests {
     fn ghost_halo_neighbour_detection() {
         let a = patch(0, 0, 16);
         let b = patch(1, 16, 16); // face neighbour in every axis (corner)
-        assert!(a.needs_from(&b, 1));
-        assert!(!a.needs_from(&b, 0));
-        assert!(!a.needs_from(&a, 1), "patch never needs from itself");
-        let fp = a.ghost_footprint_from(&b, 1);
+        // The window the task graph asks a neighbour for.
+        assert!(a.with_ghosts(1).overlaps(&b.interior()));
+        assert!(!a.with_ghosts(0).overlaps(&b.interior()));
+        let fp = a.with_ghosts(1).intersect(&b.interior());
         assert_eq!(fp.volume(), 1); // single corner cell
     }
 
@@ -122,7 +111,7 @@ mod tests {
             Region::new(IntVector::new(16, 0, 0), IntVector::new(32, 16, 16)),
             IntVector::new(1, 0, 0),
         );
-        let fp = a.ghost_footprint_from(&b, 2);
+        let fp = a.with_ghosts(2).intersect(&b.interior());
         assert_eq!(fp.extent(), IntVector::new(2, 16, 16));
         assert_eq!(fp.volume(), 2 * 16 * 16);
     }

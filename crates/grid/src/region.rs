@@ -89,18 +89,6 @@ impl Region {
         Region::new(self.lo.max(o.lo), self.hi.min(o.hi))
     }
 
-    /// Smallest region containing both.
-    #[inline]
-    pub fn union_bounds(&self, o: &Region) -> Region {
-        if self.is_empty() {
-            return *o;
-        }
-        if o.is_empty() {
-            return *self;
-        }
-        Region::new(self.lo.min(o.lo), self.hi.max(o.hi))
-    }
-
     #[inline]
     pub fn overlaps(&self, o: &Region) -> bool {
         !self.intersect(o).is_empty()
@@ -289,16 +277,6 @@ mod tests {
         assert_eq!(cells[2], IntVector::new(0, 1, 0));
         assert_eq!(cells[4], IntVector::new(0, 0, 1));
         assert_eq!(cells.len(), 8);
-    }
-
-    #[test]
-    fn union_bounds() {
-        let a = Region::cube(2);
-        let b = Region::new(IntVector::splat(5), IntVector::splat(7));
-        let u = a.union_bounds(&b);
-        assert_eq!(u, Region::new(IntVector::ZERO, IntVector::splat(7)));
-        assert_eq!(Region::EMPTY.union_bounds(&a), a);
-        assert_eq!(a.union_bounds(&Region::EMPTY), a);
     }
 
     #[test]

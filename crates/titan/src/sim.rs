@@ -348,18 +348,6 @@ pub fn simulate_timestep_cpu(
     }
 }
 
-/// Sweep a strong-scaling curve over `gpu_counts` with the uniform
-/// analytic cost model.
-pub fn scaling_curve(
-    grid: &Grid,
-    gpu_counts: &[usize],
-    halo: i32,
-    params: &MachineParams,
-    store: StoreModel,
-) -> Vec<ScalingPoint> {
-    scaling_curve_with(grid, gpu_counts, halo, params, store, &CostProfile::uniform())
-}
-
 /// Sweep a strong-scaling curve over `gpu_counts` with a measured
 /// per-patch cost distribution (see [`simulate_timestep_with`]).
 pub fn scaling_curve_with(
@@ -400,7 +388,14 @@ mod tests {
     fn time_decreases_with_more_gpus() {
         let g = grid(256, 16);
         let p = MachineParams::titan();
-        let pts = scaling_curve(&g, &[64, 256, 1024], 4, &p, StoreModel::WaitFreePool);
+        let pts = scaling_curve_with(
+            &g,
+            &[64, 256, 1024],
+            4,
+            &p,
+            StoreModel::WaitFreePool,
+            &CostProfile::uniform(),
+        );
         assert!(pts[0].time > pts[1].time);
         assert!(pts[1].time > pts[2].time);
     }
@@ -424,7 +419,14 @@ mod tests {
         // 4096→16384. Model should land in the same region (>= 80%).
         let g = grid(512, 16);
         let p = MachineParams::titan();
-        let pts = scaling_curve(&g, &[4096, 8192, 16384], 4, &p, StoreModel::WaitFreePool);
+        let pts = scaling_curve_with(
+            &g,
+            &[4096, 8192, 16384],
+            4,
+            &p,
+            StoreModel::WaitFreePool,
+            &CostProfile::uniform(),
+        );
         let e8 = efficiency(&pts[0], &pts[1]);
         let e16 = efficiency(&pts[0], &pts[2]);
         assert!(e8 > 0.80 && e8 <= 1.02, "4k->8k efficiency {e8}");

@@ -1,6 +1,6 @@
 //! Lightweight field visualization: 2-D slices of cell-centred fields as
-//! CSV (for plotting) or PPM images (for a quick look), the miniature
-//! stand-in for Uintah's VisIt output path.
+//! PPM images (for a quick look), the miniature stand-in for Uintah's
+//! VisIt output path.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -35,19 +35,6 @@ pub fn slice(var: &CcVariable<f64>, axis: usize, index: i32) -> (usize, usize, V
         }
     }
     (rows, cols, out)
-}
-
-/// Write a slice as CSV (one row per line).
-pub fn write_slice_csv(path: impl AsRef<Path>, var: &CcVariable<f64>, axis: usize, index: i32) -> io::Result<()> {
-    let (rows, cols, vals) = slice(var, axis, index);
-    let mut w = BufWriter::new(File::create(path)?);
-    for rrow in 0..rows {
-        let line: Vec<String> = (0..cols)
-            .map(|c| format!("{}", vals[rrow * cols + c]))
-            .collect();
-        writeln!(w, "{}", line.join(","))?;
-    }
-    w.flush()
 }
 
 /// A five-stop heat colormap (dark blue → cyan → green → yellow → red).
@@ -132,19 +119,6 @@ mod tests {
     #[should_panic(expected = "outside axis range")]
     fn out_of_range_slice_rejected() {
         slice(&field(), 2, 9);
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let v = field();
-        let path = std::env::temp_dir().join(format!("rmcrt_viz_{}.csv", std::process::id()));
-        write_slice_csv(&path, &v, 2, 0).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let rows: Vec<&str> = text.lines().collect();
-        assert_eq!(rows.len(), 4);
-        let first: Vec<f64> = rows[0].split(',').map(|s| s.parse().unwrap()).collect();
-        assert_eq!(first, vec![0.0, 1.0, 2.0, 3.0]);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

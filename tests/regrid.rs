@@ -10,12 +10,18 @@
 //! * a regrid evicts device-resident level replicas, so the first
 //!   post-regrid step pays a full re-upload where a steady step paid a
 //!   diff;
+//! * a problem twice the per-device capacity, on 1- and 6-device fleets
+//!   with a regrid mid-run, evicts and spills yet stays bit-identical to
+//!   the unconstrained run, and leaves no meter drift behind;
 //! * no stale-epoch or stale-generation warehouse hit occurs anywhere.
+
+#[path = "support/meters.rs"]
+mod meters;
 
 use std::sync::Arc;
 use uintah::prelude::*;
 use uintah::runtime::task::{Computes, TaskContext};
-use uintah::runtime::{DataWarehouse, PersistentExecutor, Scheduler, TaskDecl};
+use uintah::runtime::{DataWarehouse, PersistentExecutor, Scheduler, TaskDecl, WorldResult};
 use uintah_grid::PatchId;
 
 fn pipeline() -> RmcrtPipeline {
@@ -263,6 +269,81 @@ fn gpu_regrid_evicts_level_replicas_and_stays_bit_identical() {
     let b = cpu_run.fine_field(&grid, DIVQ);
     for c in a.region().cells() {
         assert_eq!(a[c].to_bits(), b[c].to_bits(), "cell {c:?}");
+    }
+}
+
+/// (c') Device-memory oversubscription, the paper's §IV-B memory limit
+/// carried past it: at a per-device capacity of half the unconstrained
+/// run's measured peak, on 1- and 6-device fleets with a regrid every 2
+/// steps, the run evicts yet divQ is bit-identical to the unconstrained
+/// run, the capacity meter is never exceeded, no release underflows, and
+/// every device drains to 0 B. The grid is 32³ in 8³ patches: at 16³ in
+/// 4³, half the peak is too little for two tasks' pinned inputs and a
+/// task can fail on device OOM.
+#[test]
+fn gpu_oversubscribed_fleets_evict_and_stay_bit_identical() {
+    let grid = Arc::new(BurnsChriston::small_grid(32, 8));
+    let pipeline = RmcrtPipeline {
+        params: RmcrtParams {
+            nrays: 4,
+            threshold: 1e-3,
+            ..Default::default()
+        },
+        halo: 4,
+        problem: BurnsChriston::default(),
+    };
+    let decls = Arc::new(multilevel_decls(&grid, pipeline, true));
+    let run = |devices: usize, capacity: usize| {
+        run_world(
+            Arc::clone(&grid),
+            Arc::clone(&decls),
+            WorldConfig {
+                nranks: 2,
+                nthreads: 2,
+                timesteps: 4,
+                gpu_capacity: Some(capacity),
+                gpus_per_rank: devices,
+                regrid_interval: Some(2),
+                ..Default::default()
+            },
+        )
+    };
+    // (max per-device peak, evictions, release underflows) over the fleet.
+    let totals = |result: &WorldResult| {
+        let counters = result
+            .ranks
+            .iter()
+            .flat_map(|rr| rr.gpu.as_ref().expect("gpu attached").counters_per_device());
+        counters.fold((0, 0, 0), |(peak, ev, uf), c| {
+            (c.peak.max(peak), ev + c.evictions, uf + c.release_underflows)
+        })
+    };
+
+    let mut unconstrained = Vec::new();
+    for devices in [1usize, 6] {
+        let reference = run(devices, 6 << 30);
+        let (peak, evictions, underflows) = totals(&reference);
+        assert_eq!(evictions, 0, "{devices}-dev unconstrained run evicted");
+        assert_eq!(underflows, 0, "{devices}-dev unconstrained run");
+        meters::assert_meters_drain(&reference, &format!("{devices}-dev unconstrained"));
+        let want = reference.fine_field(&grid, DIVQ);
+
+        let capacity = peak as usize / 2;
+        let oversub = run(devices, capacity);
+        let (peak, evictions, underflows) = totals(&oversub);
+        assert!(evictions > 0, "{devices}-dev at {capacity} B evicted nothing");
+        assert!(peak <= capacity as u64, "{devices}-dev peak {peak} B > capacity {capacity} B");
+        assert_eq!(underflows, 0, "{devices}-dev oversubscribed run");
+        meters::assert_meters_drain(&oversub, &format!("{devices}-dev oversubscribed"));
+        let got = oversub.fine_field(&grid, DIVQ);
+        for c in want.region().cells() {
+            assert_eq!(got[c].to_bits(), want[c].to_bits(), "{devices}-dev cell {c:?}");
+        }
+        unconstrained.push(want);
+    }
+    let (one, six) = (&unconstrained[0], &unconstrained[1]);
+    for c in one.region().cells() {
+        assert_eq!(one[c].to_bits(), six[c].to_bits(), "1- vs 6-dev cell {c:?}");
     }
 }
 

@@ -8,6 +8,8 @@
 //!   configs share an executor slot;
 //! * every summary line is keyed by `[job-<id>/r<rank>]` so interleaved
 //!   multi-tenant logs stay attributable;
+//! * a tenant forced onto a fresh slot adopts its compiled graphs from the
+//!   shared cache instead of recompiling;
 //! * admission control queues jobs that exceed the current headroom and
 //!   rejects jobs larger than the whole fleet with a typed error;
 //! * the high-priority tier overtakes the normal queue;
@@ -333,9 +335,10 @@ fn admission_queues_oversubscribed_jobs_and_rejects_impossible_ones() {
 }
 
 /// Warm-slot reuse: a second same-shape GPU tenant recycles the first
-/// tenant's slot, inherits its device-resident level replicas, and its
-/// divQ stays bit-identical to a solo run. After drain + shutdown the
-/// shared fleet reads exactly zero.
+/// tenant's slot, compiles no graph where the cold tenant compiled some,
+/// inherits its device-resident level replicas, and its divQ stays
+/// bit-identical to a solo run. After drain + shutdown the shared fleet
+/// reads exactly zero.
 #[test]
 fn warm_slot_inherits_replicas_bit_identical() {
     let gcfg = RunConfig {
@@ -360,6 +363,7 @@ fn warm_slot_inherits_replicas_bit_identical() {
     let cold_outcome = server.submit(gcfg.clone()).unwrap().wait();
     let cold = cold_outcome.expect_done();
     assert!(!cold.stats.slot_reused, "first tenant is cold");
+    assert!(cold.stats.graph_compiles > 0, "cold tenant compiles its graphs");
     assert_bits_equal(&cold.divq.data, &baseline, "cold tenant");
 
     // The warm tenant lands on the same slot and inherits the level
@@ -368,6 +372,7 @@ fn warm_slot_inherits_replicas_bit_identical() {
     let warm_outcome = server.submit(gcfg).unwrap().wait();
     let warm = warm_outcome.expect_done();
     assert!(warm.stats.slot_reused, "same shape must recycle the slot");
+    assert_eq!(warm.stats.graph_compiles, 0, "the warm slot's graphs are reused, not recompiled");
     assert!(
         warm.stats.level_replicas_inherited > 0,
         "warm tenant must inherit resident replicas: {:?}",
@@ -377,6 +382,40 @@ fn warm_slot_inherits_replicas_bit_identical() {
     server.drain();
     server.shutdown();
     assert_eq!(server.fleet().total_used(), 0, "fleet must drain to zero");
+}
+
+/// A tenant that cannot have the warm slot still skips compilation: with
+/// the shape's only warm slot held by a long blocker, the next same-shape
+/// tenant builds a fresh slot and adopts its compiled graphs from the
+/// server's shared cache.
+#[test]
+fn fresh_slot_tenant_adopts_shared_graphs() {
+    let cfg = small_cfg();
+    let server = RadiationServer::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    // Builds the one warm slot and publishes its graphs.
+    server.submit(cfg.clone()).unwrap().wait().expect_done();
+    let blocker = server
+        .submit(RunConfig {
+            timesteps: 1_000_000,
+            ..cfg.clone()
+        })
+        .unwrap();
+    wait_until("blocker occupies the warm slot", || server.stats().active_jobs == 1);
+
+    let outcome = server.submit(cfg).unwrap().wait();
+    let fresh = outcome.expect_done();
+    assert!(!fresh.stats.slot_reused, "the only warm slot is taken");
+    assert!(fresh.stats.shared_graph_hits >= 1, "{:?}", fresh.stats);
+    assert_eq!(fresh.stats.graph_compiles, 0, "{:?}", fresh.stats);
+
+    blocker.cancel();
+    assert!(matches!(blocker.wait(), JobOutcome::Canceled));
+    server.drain();
+    server.shutdown();
+    assert_eq!(server.fleet().total_used(), 0);
 }
 
 /// The high tier drains before the normal tier: with one worker pinned by
