@@ -15,6 +15,8 @@
 //! integrated with strong-stability-preserving RK2/RK3 (Gottlieb–Shu–Tadmor,
 //! the scheme ARCHES uses), plus a boiler-flavoured demo problem.
 
+#![forbid(unsafe_code)]
+
 pub mod advection;
 pub mod boiler;
 pub mod coupling;

@@ -4,6 +4,8 @@
 //! itself is measured by `perf_report/`, which imports [`campaign`],
 //! [`scalar_march`] and [`drive_store`] from here.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod gate;
 pub mod scalar_march;

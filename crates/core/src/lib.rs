@@ -45,7 +45,6 @@ pub mod rng;
 pub mod sampling;
 pub mod scatter;
 pub mod solver;
-pub mod spectral;
 pub mod tasks;
 pub mod trace;
 

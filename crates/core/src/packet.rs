@@ -1,8 +1,8 @@
 //! The SoA packet ray-march engine — the single stepper behind every tracer.
 //!
-//! Every consumer of ray marching (the ∇·q solver, the spectral band loop,
-//! the scattering collision estimator, wall flux and the virtual
-//! radiometer) used to drive its own copy of a scalar Amanatides–Woo DDA.
+//! Every consumer of ray marching (the ∇·q solver, the scattering
+//! collision estimator, wall flux and the virtual radiometer) used to
+//! drive its own copy of a scalar Amanatides–Woo DDA.
 //! This module collapses them onto one engine:
 //!
 //! * [`RayPacket`] — a structure-of-arrays batch of rays: origins,

@@ -20,9 +20,9 @@
 //! all-to-all (paper §III-B/C).
 //!
 //! The marching itself lives in [`crate::packet`]: one SoA packet stepper
-//! serves the ∇·q solver, the spectral loop, scattering, wall flux and the
-//! radiometer. This module keeps the level-stack types and the single-ray
-//! convenience wrappers.
+//! serves the ∇·q solver, scattering, wall flux and the radiometer. This
+//! module keeps the level-stack types and the single-ray convenience
+//! wrappers.
 
 use crate::props::LevelProps;
 use uintah_grid::{Point, Region, Vector};

@@ -9,8 +9,8 @@
 //! *execution space* and dispatched to serial, multi-threaded or device
 //! back-ends. This crate is the **mandatory kernel-dispatch layer** of the
 //! stack: every cell-region hot loop (ray trace, DOM sweeps, restriction /
-//! prolongation, spectral banding, boundary-flux maps, the arches-lite
-//! energy RHS) runs through these entry points:
+//! prolongation, boundary-flux maps, the arches-lite energy RHS) runs
+//! through these entry points:
 //!
 //! * [`ExecSpace`] — `Serial`, `Threads(n)`, or `Device` (the simulated
 //!   GPU: same slab-ordered kernels, one metered kernel launch per
@@ -39,6 +39,8 @@
 //! job and is metered there; a dispatch itself never touches the PCIe
 //! counters, so byte-accounting experiments (E4) see exactly the traffic
 //! the staging layer creates.
+
+#![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -527,8 +529,8 @@ where
 
 /// Map a 1-D index range through `f` (Kokkos `RangePolicy<0, n>`): the
 /// entry point for fan-out that is not cell-shaped, e.g. DOM ordinate
-/// sweeps or per-band spectral traces. Results come back in index order,
-/// so any subsequent fold the caller does is canonical by construction.
+/// sweeps. Results come back in index order, so any subsequent fold the
+/// caller does is canonical by construction.
 pub fn parallel_map<T, F>(space: &ExecSpace, n: usize, f: F) -> Vec<T>
 where
     T: Send,

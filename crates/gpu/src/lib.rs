@@ -26,6 +26,8 @@
 //!   the warehouse — its own patch and level databases; each patch is
 //!   homed by a sticky patch-id hash ([`sticky_device`]).
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod dw;
 pub mod fleet;

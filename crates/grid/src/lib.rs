@@ -19,6 +19,8 @@
 //! with a refinement ratio of 4: fine CFD mesh 256³/512³ and coarse radiation
 //! mesh 64³/128³, decomposed into 16³/32³/64³ patches.
 
+#![forbid(unsafe_code)]
+
 pub mod distribute;
 pub mod geom;
 pub mod grid;

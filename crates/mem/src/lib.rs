@@ -1,34 +1,29 @@
-//! Memory-management substrate: the paper's §IV-B infrastructure.
+//! Memory accounting for the RMCRT-AMR stack, and the paper's §IV-B
+//! fragmentation result as a replay model.
 //!
-//! Humphrey et al. found that Uintah's RMCRT benchmark, after the MPI-request
-//! race was fixed, still died at scale from *heap fragmentation*: persistent
-//! small allocations interleaved with transient large allocations (MPI
-//! buffers, grid variables) made the heap grow without bound. Their fix:
+//! The paper found that persistent small allocations interleaved with
+//! transient large ones (MPI buffers, grid variables) made Uintah's heap
+//! grow without bound, and fixed it with an `mmap`-backed arena for the
+//! large transients and a lock-free pool for the small ones. This crate
+//! holds:
 //!
-//! * a specialized allocator that takes **large transient** allocations off
-//!   the heap entirely (`mmap`-backed in the paper; page-granular aligned
-//!   allocations with full accounting here — see DESIGN.md §2 for the
-//!   substitution rationale) — [`PageArena`];
-//! * a **lock-free pool** on top of it for small transient objects that are
-//!   frequently created and destroyed — [`BlockPool`] (tagged-pointer Treiber
-//!   free list) and the size-class front end [`SizeClassAllocator`];
-//! * allocation **tracking** between runs to identify patterns that do not
-//!   scale — [`AllocTracker`].
+//! * [`fragsim`] — a deterministic heap simulator replaying an RMCRT-like
+//!   trace against first-fit / best-fit / size-class / arena-segregated
+//!   policies (E5 `frag_ablation`, S3 `leak_model`);
+//! * [`SubAllocator`] — the free list under each simulated GPU's budget;
+//! * [`AllocTracker`] — per-category live/peak byte counters, with which
+//!   the comm layer meters message payloads.
 //!
-//! [`fragsim`] is a deterministic heap simulator used by the E5 ablation
-//! bench to reproduce the fragmentation behaviour quantitatively: it replays
-//! RMCRT-like allocation traces against first-fit/best-fit/size-class/
-//! arena-segregated policies and reports heap growth and fragmentation.
+//! There is no arena or pool: `frag_ablation` measures this process's
+//! resident set against its live heap, on the long-lived server and on a
+//! 1000-step oversubscribed run, and finds no growth for one to remove
+//! (EXPERIMENTS E26).
 
-pub mod arena;
+#![forbid(unsafe_code)]
+
 pub mod fragsim;
-pub mod pool;
-pub mod sizeclass;
 pub mod suballoc;
 pub mod tracker;
 
-pub use arena::{PageAllocation, PageArena, PAGE_SIZE};
-pub use pool::BlockPool;
-pub use sizeclass::SizeClassAllocator;
 pub use suballoc::{FitPolicy, SubAllocError, SubAllocStats, SubAllocator};
 pub use tracker::{AllocCategory, AllocTracker, TrackerSnapshot};

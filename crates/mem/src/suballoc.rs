@@ -11,13 +11,11 @@
 //! backing bytes live wherever the caller keeps them (for the simulated
 //! [`GpuDevice`](../../uintah_gpu/struct.GpuDevice.html), in host `Vec`s).
 //!
-//! It deliberately shares the house conventions of the §IV-B machinery:
-//! the same split of cheap counters ([`SubAllocStats`], mirroring
-//! [`AllocTracker`](crate::AllocTracker)'s live/peak/total discipline) from
-//! structural state, and the same alignment-rounding front end as the
-//! [`SizeClassAllocator`](crate::SizeClassAllocator) classes — callers pick
-//! the granularity (`align = 1` keeps the meter bit-exact for tests;
-//! 256 matches `cudaMalloc`). An optional two-ended size-class split
+//! It keeps cheap counters ([`SubAllocStats`], mirroring
+//! [`AllocTracker`](crate::AllocTracker)'s live/peak/total discipline)
+//! apart from structural state, and rounds every request up to an
+//! alignment the caller picks (`align = 1` keeps the meter bit-exact for
+//! tests; 256 matches `cudaMalloc`). An optional two-ended size-class split
 //! ([`SubAllocator::with_small_class`]) stacks small blocks top-down so
 //! pinned level replicas cannot shred the contiguous bottom region that
 //! large patch windows need — without it, a capacity only a few times the

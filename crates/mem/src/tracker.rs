@@ -2,8 +2,9 @@
 //!
 //! The paper's future-work section describes "custom memory allocators and
 //! trackers … to identify allocation patterns that do not scale." The
-//! tracker records per-category live/peak/total byte counts so scaling runs
-//! can be diffed (the E5 harness prints these).
+//! tracker records per-category live/peak/total byte counts. The comm layer
+//! keeps one per world and meters every message payload under
+//! [`AllocCategory::MpiBuffer`], from send until the receiver consumes it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

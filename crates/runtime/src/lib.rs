@@ -35,6 +35,8 @@
 //!
 //! [`RequestStore`]: uintah_comm::RequestStore
 
+#![forbid(unsafe_code)]
+
 pub mod archive;
 pub mod calibrate;
 pub mod codec;

@@ -22,6 +22,8 @@
 //!
 //! [`RunConfig`]: uintah::config::RunConfig
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod job;
 pub mod net;

@@ -24,6 +24,8 @@
 //! patch-size ordering, scaling break, efficiency at 16k GPUs — is the
 //! reproduction target.
 
+#![forbid(unsafe_code)]
+
 pub mod census;
 pub mod machine;
 pub mod sim;

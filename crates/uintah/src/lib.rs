@@ -8,6 +8,8 @@
 //! (IPDPS Workshops 2016). See README.md for the architecture tour and
 //! EXPERIMENTS.md for the per-figure reproduction record.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod viz;
 

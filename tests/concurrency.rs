@@ -1,11 +1,9 @@
 //! Concurrency stress tests across the stack: the wait-free pool, the
-//! racy baseline's leak, the lock-free allocator, and schedule fuzzing of
-//! the distributed runtime.
+//! racy baseline's leak, and schedule fuzzing of the distributed runtime.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use uintah::comm::{MutexRequestVec, RacyRequestVec, RequestStore, WaitFreeRequestStore};
-use uintah::mem::{BlockPool, PageArena};
 use uintah::prelude::*;
 
 /// Heavier version of the pool's exactly-once test: producers and
@@ -153,33 +151,6 @@ fn request_stores_under_concurrent_load() {
         "the racy baseline should leak under 6-thread contention (allocated {})",
         racy.buffers_allocated()
     );
-}
-
-/// Lock-free block pool: alternating alloc/free storms from many threads,
-/// verifying containment of writes and exact live accounting.
-#[test]
-fn block_pool_storm() {
-    let pool = BlockPool::new(96, PageArena::new());
-    std::thread::scope(|s| {
-        for t in 0..6u8 {
-            let pool = pool.clone();
-            s.spawn(move || {
-                let mut held = Vec::new();
-                for i in 0..3000usize {
-                    let mut b = pool.allocate();
-                    b.as_mut_slice()[0] = t;
-                    b.as_mut_slice()[95] = t;
-                    held.push(b);
-                    if i % 2 == 1 {
-                        let b = held.swap_remove((i * 7) % held.len());
-                        assert_eq!(b.as_slice()[0], t);
-                        assert_eq!(b.as_slice()[95], t);
-                    }
-                }
-            });
-        }
-    });
-    assert_eq!(pool.live_blocks(), 0);
 }
 
 /// Schedule fuzzing: the same world run repeatedly with different
