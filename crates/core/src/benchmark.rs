@@ -12,7 +12,8 @@
 //!
 //! The quantity of interest is ∇·q on the fine mesh. The paper's MEDIUM
 //! (256³/64³) and LARGE (512³/128³) scaling problems are exactly this
-//! benchmark on 2-level grids with refinement ratio 4 and 100 rays/cell.
+//! benchmark on 2-level grids with refinement ratio 4 and 100 rays/cell
+//! (the bench crate's `campaign::Problem::{medium, large}` build them).
 
 use crate::labels::SIGMA;
 use crate::props::LevelProps;
@@ -68,26 +69,6 @@ impl BurnsChriston {
     /// Properties for a whole level.
     pub fn props_for_level(&self, level: &Level) -> LevelProps {
         self.props_for_region(level, level.cell_region())
-    }
-
-    /// The paper's MEDIUM benchmark grid: fine 256³, coarse 64³, RR 4.
-    pub fn medium_grid(fine_patch: i32) -> Grid {
-        Grid::builder()
-            .fine_cells(IntVector::splat(256))
-            .num_levels(2)
-            .refinement_ratio(4)
-            .fine_patch_size(IntVector::splat(fine_patch))
-            .build()
-    }
-
-    /// The paper's LARGE benchmark grid: fine 512³, coarse 128³, RR 4.
-    pub fn large_grid(fine_patch: i32) -> Grid {
-        Grid::builder()
-            .fine_cells(IntVector::splat(512))
-            .num_levels(2)
-            .refinement_ratio(4)
-            .fine_patch_size(IntVector::splat(fine_patch))
-            .build()
     }
 
     /// A scaled-down grid with the same 2-level, RR-4 structure for tests
@@ -158,13 +139,5 @@ mod tests {
         let dq = div_q_for_cell(&stack, IntVector::splat(16), &params);
         assert!(dq > 0.0, "centre must be a net emitter, got {dq}");
         assert!(dq < 4.0, "unreasonably large divQ {dq}");
-    }
-
-    #[test]
-    fn benchmark_grids_match_paper_cell_counts() {
-        let m = BurnsChriston::medium_grid(16);
-        assert_eq!(m.num_cells(), 256usize.pow(3) + 64usize.pow(3)); // 17.04M
-        let l = BurnsChriston::large_grid(32);
-        assert_eq!(l.num_cells(), 512usize.pow(3) + 128usize.pow(3)); // 136.31M
     }
 }

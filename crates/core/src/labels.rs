@@ -15,9 +15,6 @@ pub const CELLTYPE: VarLabel = VarLabel::new("cellType", 3);
 /// Divergence of the radiative heat flux (W/m³), positive = net emission.
 pub const DIVQ: VarLabel = VarLabel::new("divQ", 4);
 
-/// Temperature field (K) — input from the CFD side.
-pub const TEMPERATURE: VarLabel = VarLabel::new("temperature", 5);
-
 /// Stefan–Boltzmann constant (W·m⁻²·K⁻⁴).
 pub const SIGMA: f64 = 5.670373e-8;
 
@@ -33,7 +30,7 @@ mod tests {
 
     #[test]
     fn labels_have_unique_ids() {
-        let ids = [ABSKG.id(), SIGMA_T4_OVER_PI.id(), CELLTYPE.id(), DIVQ.id(), TEMPERATURE.id()];
+        let ids = [ABSKG.id(), SIGMA_T4_OVER_PI.id(), CELLTYPE.id(), DIVQ.id()];
         let set: std::collections::HashSet<u8> = ids.into_iter().collect();
         assert_eq!(set.len(), ids.len());
     }

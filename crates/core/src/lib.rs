@@ -33,7 +33,6 @@
 //! * [`radiometer`] — a virtual radiometer measuring incident flux on a
 //!   surface patch.
 
-pub mod bc;
 pub mod benchmark;
 pub mod dom;
 pub mod flux;
@@ -48,7 +47,6 @@ pub mod solver;
 pub mod tasks;
 pub mod trace;
 
-pub use bc::{EnclosureBc, WallProps};
 pub use benchmark::BurnsChriston;
 pub use packet::{slabs, MarchStats, PacketTracer, RayEnds, RayPacket};
 pub use props::{LevelProps, FLOW_CELL, WALL_CELL};

@@ -1,16 +1,16 @@
-//! The simulated GPU device: memory capacity, copy engines, streams.
+//! The simulated GPU device: memory capacity, transfer meters, streams.
 //!
 //! The K20X has one copy engine per PCIe direction, which is what lets a
-//! device→host drain of one patch overlap the kernels (and host→device
-//! staging) of others. [`GpuDevice`] models each direction as a *timeline*:
-//! a FIFO of transfers with measured per-engine occupancy (`busy_ns`), an
+//! device→host drain of one patch overlap the kernels of others. Here only
+//! the drain direction is ever posted: [`GpuDevice`] keeps one `CopyEngine`
+//! for D2H — a FIFO of transfers with measured occupancy (`busy_ns`), an
 //! in-flight count, and a real worker thread that drains posted transfers
-//! asynchronously. Both directions are the *same* mechanism — one
-//! `CopyEngine` instantiated per [`Dir`] — driven through
-//! [`GpuDevice::submit`], which either posts a transfer to the engine
-//! thread or runs it inline with identical bookkeeping ([`Mode`]). Every
-//! in-flight transfer is tagged with the [`Stream`] it was issued on,
-//! mirroring how Uintah pins one CUDA stream per resident patch task.
+//! asynchronously — driven through [`GpuDevice::submit`], which either
+//! posts a drain to the engine thread or runs it inline with identical
+//! bookkeeping ([`Mode`]). Uploads run synchronously inside the task that
+//! needs them, so host→device is a plain meter (transfers, bytes, busy
+//! time) fed through [`GpuDevice::record_transfer`] /
+//! [`GpuDevice::record_busy`].
 //!
 //! Device memory is no longer a bytes-only meter: every reservation is
 //! carved from a [`SubAllocator`] free list over `[0, capacity)`, so the
@@ -58,73 +58,67 @@ impl fmt::Display for GpuError {
 
 impl std::error::Error for GpuError {}
 
-/// PCIe direction — which of the device's two copy engines a transfer uses.
+/// PCIe direction — which of the device's two transfer meters a transfer
+/// is charged to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Dir {
-    /// Host→device: copy engine 0.
+    /// Host→device: metered synchronously inside the uploading task.
     H2D,
-    /// Device→host: copy engine 1.
+    /// Device→host: the posted copy engine.
     D2H,
 }
 
-/// How [`GpuDevice::submit`] executes a transfer.
+/// How [`GpuDevice::submit`] executes a drain.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Mode {
-    /// Queue the transfer on the engine's worker thread and return at once.
+    /// Queue the drain on the copy engine's worker thread and return at
+    /// once.
     Posted,
-    /// Run the transfer on the caller's thread before returning — the
+    /// Run the drain on the caller's thread before returning — the
     /// synchronous fallback, with the posted path's exact bookkeeping.
     Inline,
 }
 
-/// A transfer job executed on a copy-engine timeline: the memcpy plus
-/// completion signalling, boxed by [`GpuDevice::submit`].
-type TransferJob = (Stream, Box<dyn FnOnce() + Send + 'static>);
+/// A drain executed on the copy engine: the memcpy plus completion
+/// signalling, boxed by [`GpuDevice::submit`].
+type TransferJob = Box<dyn FnOnce() + Send + 'static>;
 
-/// The meters and stream tags of one copy engine — the part its worker
-/// thread shares with the device.
-///
-/// `busy_ns` is the engine's measured *occupancy*: wall time it spent
-/// actually moving bytes (the drain memcpy for D2H, the staging window for
-/// H2D). `inflight` counts transfers submitted to the timeline but not yet
-/// retired. `wait_ns` / `overlap_ns` are the consumer-side view: stall
-/// materializing posted transfers, and engine time hidden behind other work.
+/// Transfer count, bytes and occupancy of one PCIe direction. `busy_ns`
+/// is wall time spent actually moving bytes (the drain memcpy for D2H,
+/// the staging window for H2D).
 #[derive(Debug, Default)]
-struct Timeline {
+struct Meter {
     transfers: AtomicU64,
     bytes: AtomicU64,
     busy_ns: AtomicU64,
+}
+
+/// The part of the copy engine its worker thread shares with the device:
+/// the D2H meter plus `inflight`, the transfers submitted but not yet
+/// retired.
+#[derive(Debug, Default)]
+struct Timeline {
+    meter: Meter,
     inflight: AtomicU64,
-    wait_ns: AtomicU64,
-    overlap_ns: AtomicU64,
-    /// Streams of transfers currently in flight — one entry per transfer
-    /// (stream ids recycle round-robin, so an id may appear more than once).
-    streams: Mutex<Vec<Stream>>,
 }
 
 impl Timeline {
     /// Execute one transfer and retire it: occupancy metered around `job`,
-    /// then exactly this transfer's stream tag (ids recycle, so one
-    /// occurrence, not all) and its in-flight count.
-    fn run(&self, stream: Stream, job: impl FnOnce()) {
+    /// then the in-flight count.
+    fn run(&self, job: impl FnOnce()) {
         let t0 = Instant::now();
         job();
-        self.busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let mut streams = self.streams.lock().unwrap();
-        if let Some(i) = streams.iter().position(|s| *s == stream) {
-            streams.remove(i);
-        }
-        drop(streams);
+        self.meter.busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.inflight.fetch_sub(1, Ordering::Release);
     }
 }
 
-/// One copy engine: a [`Timeline`] plus its FIFO worker thread, spawned
-/// lazily on the first posted transfer. Jobs execute in post order (one
-/// engine serializes its transfers, exactly like the hardware). The worker
-/// holds only the timeline Arc — holding the device would keep the sender
-/// alive forever — so it exits when the last device handle drops and the
-/// channel closes. A device holds one engine per [`Dir`].
+/// The D2H copy engine: a [`Timeline`] plus its FIFO worker thread,
+/// spawned lazily on the first posted drain. Jobs execute in post order
+/// (one engine serializes its transfers, exactly like the hardware). The
+/// worker holds only the timeline Arc — holding the device would keep the
+/// sender alive forever — so it exits when the last device handle drops
+/// and the channel closes.
 #[derive(Debug, Default)]
 struct CopyEngine {
     line: Arc<Timeline>,
@@ -132,20 +126,16 @@ struct CopyEngine {
 }
 
 impl CopyEngine {
-    fn post(&self, dir: Dir, job: TransferJob) {
+    fn post(&self, job: TransferJob) {
         let mut q = self.queue.lock().unwrap();
         let tx = q.get_or_insert_with(|| {
             let (tx, rx) = mpsc::channel::<TransferJob>();
             let line = Arc::clone(&self.line);
-            let name = match dir {
-                Dir::H2D => "h2d-copy-engine",
-                Dir::D2H => "d2h-copy-engine",
-            };
             std::thread::Builder::new()
-                .name(name.into())
+                .name("d2h-copy-engine".into())
                 .spawn(move || {
-                    while let Ok((stream, job)) = rx.recv() {
-                        line.run(stream, job);
+                    while let Ok(job) = rx.recv() {
+                        line.run(job);
                     }
                 })
                 .expect("spawn copy-engine worker");
@@ -168,33 +158,23 @@ pub struct Stream(pub u32);
 pub struct DeviceCounters {
     /// Kernel launches.
     pub kernels: u64,
-    /// Host→device bytes through copy engine 0.
+    /// Host→device bytes (synchronous uploads).
     pub h2d_bytes: u64,
     /// Host→device transfer count.
     pub h2d_transfers: u64,
-    /// Device→host bytes through copy engine 1.
+    /// Device→host bytes through the copy engine.
     pub d2h_bytes: u64,
     /// Device→host transfer count.
     pub d2h_transfers: u64,
-    /// Host→device engine occupancy: nanoseconds copy engine 0 spent
-    /// moving bytes (the staging window metered by the data warehouse).
+    /// Host→device occupancy: nanoseconds spent moving bytes up (the
+    /// staging window metered by the data warehouse).
     pub h2d_busy_ns: u64,
-    /// Device→host engine occupancy: nanoseconds copy engine 1 spent
+    /// Device→host engine occupancy: nanoseconds the copy engine spent
     /// draining transfers (measured around the drain memcpy, on whichever
     /// thread performed it).
     pub d2h_busy_ns: u64,
-    /// H2D transfers posted but not yet staged at snapshot time.
-    pub h2d_inflight: u64,
     /// D2H transfers posted but not yet drained at snapshot time.
     pub d2h_inflight: u64,
-    /// Nanoseconds consumers stalled materializing posted uploads: in
-    /// async mode the residual wait at first use, in the synchronous
-    /// fallback the full inline upload wall (paid at post time).
-    pub h2d_wait_ns: u64,
-    /// Nanoseconds of posted-upload engine time hidden behind other work
-    /// (`burst - wait`, summed over materialized uploads; zero by
-    /// construction in the synchronous fallback).
-    pub h2d_overlap_ns: u64,
     /// Allocations rejected (capacity *or* fragmentation; the latter is
     /// also counted in `frag_failures`).
     pub alloc_failures: u64,
@@ -242,8 +222,10 @@ struct DeviceInner {
     /// `align = 1` keeps `used` bit-exact with the sum of requested bytes,
     /// which the accounting tests and the divQ bit-identity gate rely on.
     suballoc: Mutex<SubAllocator>,
-    /// The two copy engines, indexed by [`Dir`].
-    engines: [CopyEngine; 2],
+    /// The host→device meter: uploads are synchronous, so no engine.
+    h2d: Meter,
+    /// The posted device→host copy engine.
+    d2h: CopyEngine,
     kernels: AtomicU64,
     num_streams: u32,
     next_stream: AtomicU64,
@@ -313,7 +295,7 @@ impl Drop for DeviceBlock {
 }
 
 impl GpuDevice {
-    /// A Titan-node K20X: 6 GB GDDR5, two copy engines, 16 streams.
+    /// A Titan-node K20X: 6 GB GDDR5, 16 streams.
     pub fn k20x() -> Self {
         Self::with_capacity("Tesla K20X", 6 * 1024 * 1024 * 1024)
     }
@@ -339,7 +321,8 @@ impl GpuDevice {
                     FitPolicy::FirstFit,
                     SMALL_CLASS,
                 )),
-                engines: Default::default(),
+                h2d: Meter::default(),
+                d2h: CopyEngine::default(),
                 kernels: AtomicU64::new(0),
                 num_streams: 16,
                 next_stream: AtomicU64::new(0),
@@ -447,31 +430,24 @@ impl GpuDevice {
     }
 
     #[inline]
-    fn line(&self, dir: Dir) -> &Timeline {
-        &self.inner.engines[dir as usize].line
+    fn meter(&self, dir: Dir) -> &Meter {
+        match dir {
+            Dir::H2D => &self.inner.h2d,
+            Dir::D2H => &self.inner.d2h.line.meter,
+        }
     }
 
-    /// Meter one transfer of `bytes` on `dir`'s copy engine.
+    /// Meter one transfer of `bytes` in direction `dir`.
     pub fn record_transfer(&self, dir: Dir, bytes: usize) {
-        let line = self.line(dir);
-        count_bytes(&line.transfers, &line.bytes, bytes);
+        let m = self.meter(dir);
+        count_bytes(&m.transfers, &m.bytes, bytes);
     }
 
-    /// Meter engine occupancy directly: wall time `dir`'s engine spent
-    /// moving bytes outside [`submit`](Self::submit) (the host-side staging
-    /// window, a spill memcpy under the store lock).
+    /// Meter occupancy directly: wall time spent moving bytes in `dir`
+    /// outside [`submit`](Self::submit) (the host-side staging window, a
+    /// spill memcpy under the store lock).
     pub fn record_busy(&self, dir: Dir, busy: Duration) {
-        self.line(dir).busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Meter the consumer side of a submitted transfer: `wait` is how long
-    /// a first use blocked (posted mode) or the full transfer wall paid at
-    /// submit (inline mode); `overlap` is the engine time that had already
-    /// landed behind other work when the consumer asked.
-    pub fn record_wait(&self, dir: Dir, wait: Duration, overlap: Duration) {
-        let line = self.line(dir);
-        line.wait_ns.fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-        line.overlap_ns.fetch_add(overlap.as_nanos() as u64, Ordering::Relaxed);
+        self.meter(dir).busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Meter an LRU eviction that recovered `bytes` of device memory.
@@ -492,44 +468,31 @@ impl GpuDevice {
         count_bytes(&self.inner.reuploads, &self.inner.reuploads_bytes, bytes);
     }
 
-    /// Submit a transfer of `bytes` to `dir`'s copy-engine timeline and
-    /// return the stream it was tagged with. `job` is the memcpy plus
-    /// completion signalling. In [`Mode::Posted`] the engine worker (a real
-    /// thread) executes it in FIFO order and the caller returns
-    /// immediately — exactly the overlap the two-copy-engine K20X provides:
-    /// the scheduler keeps launching kernels while a drain proceeds, and
-    /// next-step prefetch uploads land while current-step CPU tasks run.
-    /// In [`Mode::Inline`] the same timeline step runs on the calling
-    /// thread before returning. Either way the transfer is metered, counted
-    /// in flight, stream-tagged for its duration and timed into `busy_ns`,
-    /// so [`sync`](Self::sync) / [`inflight_streams`](Self::inflight_streams)
+    /// Submit a device→host drain of `bytes` to the copy engine. `job` is
+    /// the memcpy plus completion signalling. In [`Mode::Posted`] the
+    /// engine worker (a real thread) executes it in FIFO order and the
+    /// caller returns immediately — the overlap the K20X's copy engine
+    /// provides: the scheduler keeps launching kernels while a drain
+    /// proceeds. In [`Mode::Inline`] the same timeline step runs on the
+    /// calling thread before returning. Either way the transfer is metered,
+    /// counted in flight and timed into `busy_ns`, so [`sync`](Self::sync)
     /// accounting is mode-independent.
-    pub fn submit(&self, dir: Dir, bytes: usize, mode: Mode, job: impl FnOnce() + Send + 'static) -> Stream {
-        self.record_transfer(dir, bytes);
-        let engine = &self.inner.engines[dir as usize];
+    pub fn submit(&self, bytes: usize, mode: Mode, job: impl FnOnce() + Send + 'static) {
+        self.record_transfer(Dir::D2H, bytes);
+        let engine = &self.inner.d2h;
         engine.line.inflight.fetch_add(1, Ordering::Relaxed);
-        let stream = self.next_stream();
-        engine.line.streams.lock().unwrap().push(stream);
         match mode {
-            Mode::Posted => engine.post(dir, (stream, Box::new(job))),
-            Mode::Inline => engine.line.run(stream, job),
+            Mode::Posted => engine.post(Box::new(job)),
+            Mode::Inline => engine.line.run(job),
         }
-        stream
     }
 
-    /// Streams with transfers currently in flight on `dir`'s engine
-    /// (snapshot; the engine drains them in FIFO order).
-    pub fn inflight_streams(&self, dir: Dir) -> Vec<Stream> {
-        self.line(dir).streams.lock().unwrap().clone()
-    }
-
-    /// Block until `dir`'s engine timeline is empty — the
-    /// `cudaDeviceSynchronize` analogue. The scheduler syncs D2H at the end
-    /// of a timestep so counters are coherent at step boundaries; past an
-    /// H2D sync every posted upload has landed (installed or cancellable),
-    /// so regrid/eviction can re-key residency safely.
-    pub fn sync(&self, dir: Dir) {
-        while self.line(dir).inflight.load(Ordering::Acquire) != 0 {
+    /// Block until the copy engine has retired every submitted drain — the
+    /// `cudaDeviceSynchronize` analogue. The scheduler syncs at the end of
+    /// a timestep so counters are coherent at step boundaries, and a regrid
+    /// syncs before it evicts so in-flight drains release their blocks.
+    pub fn sync(&self) {
+        while self.inner.d2h.line.inflight.load(Ordering::Acquire) != 0 {
             std::thread::yield_now();
         }
     }
@@ -576,16 +539,15 @@ impl GpuDevice {
             let sa = self.inner.suballoc.lock().unwrap();
             (sa.free_blocks() as u64, sa.largest_free())
         };
-        let (h2d, d2h) = (self.line(Dir::H2D), self.line(Dir::D2H));
+        let (h2d, d2h) = (&self.inner.h2d, &self.inner.d2h.line);
         DeviceCounters {
             kernels: self.inner.kernels.load(Ordering::Relaxed),
             h2d_bytes: h2d.bytes.load(Ordering::Relaxed),
             h2d_transfers: h2d.transfers.load(Ordering::Relaxed),
-            d2h_bytes: d2h.bytes.load(Ordering::Relaxed),
-            d2h_transfers: d2h.transfers.load(Ordering::Relaxed),
+            d2h_bytes: d2h.meter.bytes.load(Ordering::Relaxed),
+            d2h_transfers: d2h.meter.transfers.load(Ordering::Relaxed),
             h2d_busy_ns: h2d.busy_ns.load(Ordering::Relaxed),
-            d2h_busy_ns: d2h.busy_ns.load(Ordering::Relaxed),
-            h2d_inflight: h2d.inflight.load(Ordering::Relaxed),
+            d2h_busy_ns: d2h.meter.busy_ns.load(Ordering::Relaxed),
             d2h_inflight: d2h.inflight.load(Ordering::Relaxed),
             alloc_failures: self.inner.alloc_failures.load(Ordering::Relaxed),
             frag_failures: self.inner.frag_failures.load(Ordering::Relaxed),
@@ -596,8 +558,6 @@ impl GpuDevice {
             spilled_bytes: self.inner.spilled_bytes.load(Ordering::Relaxed),
             reuploads: self.inner.reuploads.load(Ordering::Relaxed),
             reuploads_bytes: self.inner.reuploads_bytes.load(Ordering::Relaxed),
-            h2d_wait_ns: h2d.wait_ns.load(Ordering::Relaxed),
-            h2d_overlap_ns: h2d.overlap_ns.load(Ordering::Relaxed),
             free_blocks,
             largest_free,
             used: self.inner.used.load(Ordering::Relaxed) as u64,
@@ -746,7 +706,6 @@ mod tests {
                 d2h_transfers: 0,
                 h2d_busy_ns: 0,
                 d2h_busy_ns: 0,
-                h2d_inflight: 0,
                 d2h_inflight: 0,
                 alloc_failures: 0,
                 frag_failures: 0,
@@ -757,8 +716,6 @@ mod tests {
                 spilled_bytes: 0,
                 reuploads: 0,
                 reuploads_bytes: 0,
-                h2d_wait_ns: 0,
-                h2d_overlap_ns: 0,
                 free_blocks: 1,
                 largest_free: 700,
                 used: 300,
@@ -783,165 +740,95 @@ mod tests {
         assert_eq!(c.reuploads_bytes, 128);
     }
 
-    const DIRS: [Dir; 2] = [Dir::D2H, Dir::H2D];
-
-    /// `dir`'s `(transfers, bytes, busy_ns, inflight)` out of the flat snapshot.
-    fn engine_counters(d: &GpuDevice, dir: Dir) -> (u64, u64, u64, u64) {
+    /// The copy engine's `(transfers, bytes, busy_ns, inflight)` out of the
+    /// flat snapshot.
+    fn engine_counters(d: &GpuDevice) -> (u64, u64, u64, u64) {
         let c = d.counters();
-        match dir {
-            Dir::H2D => (c.h2d_transfers, c.h2d_bytes, c.h2d_busy_ns, c.h2d_inflight),
-            Dir::D2H => (c.d2h_transfers, c.d2h_bytes, c.d2h_busy_ns, c.d2h_inflight),
-        }
+        (c.d2h_transfers, c.d2h_bytes, c.d2h_busy_ns, c.d2h_inflight)
     }
 
     #[test]
     fn inline_submit_matches_posted_bookkeeping() {
-        // Regression: the sync-fallback path used to burn a stream without
-        // tagging it in flight, so inflight accounting depended on the
-        // async mode. Inline must mirror the posted path exactly.
-        for dir in DIRS {
-            for mode in [Mode::Inline, Mode::Posted] {
-                let d = GpuDevice::k20x();
-                let (tx, rx) = mpsc::channel();
-                let seen = d.clone();
-                let s = d.submit(dir, 4096, mode, move || {
-                    std::thread::sleep(Duration::from_millis(1));
-                    let inflight = engine_counters(&seen, dir).3;
-                    tx.send((inflight, seen.inflight_streams(dir))).unwrap();
-                });
-                // While the job runs the transfer is counted and tagged.
-                assert_eq!(rx.recv().unwrap(), (1, vec![s]), "{dir:?} {mode:?}");
-                d.sync(dir); // must not hang: inline transfers fully retire
-                let (transfers, bytes, busy_ns, inflight) = engine_counters(&d, dir);
-                assert_eq!((transfers, bytes, inflight), (1, 4096, 0), "{dir:?} {mode:?}");
-                assert!(busy_ns >= 1_000_000, "busy_ns {busy_ns} too small");
-                assert!(d.inflight_streams(dir).is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn inline_submit_retires_one_tag_when_stream_ids_recycle() {
-        for dir in DIRS {
+        // Regression: the sync-fallback path used to skip the in-flight
+        // count, so inflight accounting depended on the async mode. Inline
+        // must mirror the posted path exactly.
+        for mode in [Mode::Inline, Mode::Posted] {
             let d = GpuDevice::k20x();
-            let outer = d.clone();
-            // Nest a second inline transfer inside the first, 16 streams
-            // later, so both are in flight under the same stream id.
-            let s0 = d.submit(dir, 10, Mode::Inline, move || {
-                for _ in 0..15 {
-                    outer.next_stream();
-                }
-                let inner = outer.clone();
-                let s1 = outer.submit(dir, 10, Mode::Inline, move || {
-                    assert_eq!(inner.inflight_streams(dir).len(), 2);
-                });
-                assert_eq!(s1, Stream(0), "16-stream round robin recycled the id");
-                assert_eq!(outer.inflight_streams(dir), vec![s1], "only one tag retired");
+            let (tx, rx) = mpsc::channel();
+            let seen = d.clone();
+            d.submit(4096, mode, move || {
+                std::thread::sleep(Duration::from_millis(1));
+                tx.send(engine_counters(&seen).3).unwrap();
             });
-            assert_eq!(s0, Stream(0));
-            assert!(d.inflight_streams(dir).is_empty());
+            // While the job runs the transfer is counted in flight.
+            assert_eq!(rx.recv().unwrap(), 1, "{mode:?}");
+            d.sync(); // must not hang: inline transfers fully retire
+            let (transfers, bytes, busy_ns, inflight) = engine_counters(&d);
+            assert_eq!((transfers, bytes, inflight), (1, 4096, 0), "{mode:?}");
+            assert!(busy_ns >= 1_000_000, "busy_ns {busy_ns} too small");
         }
     }
 
     #[test]
     fn posted_transfer_drains_on_the_engine_thread() {
-        for (dir, name) in [(Dir::D2H, "d2h-copy-engine"), (Dir::H2D, "h2d-copy-engine")] {
-            let d = GpuDevice::k20x();
-            let (tx, rx) = mpsc::channel();
-            d.submit(dir, 4096, Mode::Posted, move || {
-                tx.send(std::thread::current().name().map(String::from)).unwrap();
-            });
-            assert_eq!(rx.recv().unwrap().as_deref(), Some(name));
-            d.sync(dir);
-        }
+        let d = GpuDevice::k20x();
+        let (tx, rx) = mpsc::channel();
+        d.submit(4096, Mode::Posted, move || {
+            tx.send(std::thread::current().name().map(String::from)).unwrap();
+        });
+        assert_eq!(rx.recv().unwrap().as_deref(), Some("d2h-copy-engine"));
+        d.sync();
     }
 
     #[test]
     fn inflight_transfers_are_stream_tagged_and_fifo() {
-        for dir in DIRS {
-            let d = GpuDevice::k20x();
-            let gate = Arc::new(Mutex::new(()));
-            let hold = gate.lock().unwrap();
-            // First job blocks the engine; the rest queue behind it.
-            let order = Arc::new(Mutex::new(Vec::new()));
-            let mut streams = Vec::new();
-            for i in 0..3 {
-                let gate = Arc::clone(&gate);
-                let order = Arc::clone(&order);
-                streams.push(d.submit(dir, 100, Mode::Posted, move || {
-                    if i == 0 {
-                        drop(gate.lock().unwrap());
-                    }
-                    order.lock().unwrap().push(i);
-                }));
-            }
-            // All three posted transfers are tagged in flight while the
-            // engine is stalled on the first.
-            assert_eq!(d.inflight_streams(dir), streams);
-            assert_eq!(engine_counters(&d, dir).3, 3);
-            drop(hold);
-            d.sync(dir);
-            assert_eq!(*order.lock().unwrap(), vec![0, 1, 2], "engine is FIFO");
-            assert!(d.inflight_streams(dir).is_empty());
-            let (transfers, bytes, _, inflight) = engine_counters(&d, dir);
-            assert_eq!((transfers, bytes, inflight), (3, 300, 0));
+        let d = GpuDevice::k20x();
+        let gate = Arc::new(Mutex::new(()));
+        let hold = gate.lock().unwrap();
+        // First job blocks the engine; the rest queue behind it.
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..3 {
+            let gate = Arc::clone(&gate);
+            let order = Arc::clone(&order);
+            d.submit(100, Mode::Posted, move || {
+                if i == 0 {
+                    drop(gate.lock().unwrap());
+                }
+                order.lock().unwrap().push(i);
+            });
         }
+        // All three posted transfers are in flight while the engine is
+        // stalled on the first, and none has run past it.
+        assert_eq!(engine_counters(&d).3, 3);
+        assert!(order.lock().unwrap().is_empty());
+        drop(hold);
+        d.sync();
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2], "engine is FIFO");
+        let (transfers, bytes, _, inflight) = engine_counters(&d);
+        assert_eq!((transfers, bytes, inflight), (3, 300, 0));
     }
 
     #[test]
     fn engine_worker_exits_when_last_device_handle_drops() {
-        for dir in DIRS {
-            let d = GpuDevice::with_capacity("test", 1000);
-            let (tx, rx) = mpsc::channel();
-            d.submit(dir, 10, Mode::Posted, move || {
-                tx.send(std::thread::current().id()).unwrap();
-            });
-            let tid = rx.recv().unwrap();
-            d.sync(dir);
-            drop(d);
-            // The worker held only the timeline Arc; with the sender gone
-            // its recv errors and it exits. We can't join a detached thread,
-            // so assert indirectly: a fresh device spawns a fresh worker
-            // with a different thread id.
-            let d2 = GpuDevice::with_capacity("test2", 1000);
-            let (tx2, rx2) = mpsc::channel();
-            d2.submit(dir, 10, Mode::Posted, move || {
-                tx2.send(std::thread::current().id()).unwrap();
-            });
-            assert_ne!(rx2.recv().unwrap(), tid);
-            d2.sync(dir);
-        }
-    }
-
-    #[test]
-    fn the_two_engines_are_independent_timelines() {
-        // Two copy engines: a stalled upload must not delay drains (and
-        // vice versa) — the K20X duplex-overlap property the prefetch
-        // pipeline depends on.
-        for (stalled, free) in [(Dir::H2D, Dir::D2H), (Dir::D2H, Dir::H2D)] {
-            let d = GpuDevice::k20x();
-            let gate = Arc::new(Mutex::new(()));
-            let hold = gate.lock().unwrap();
-            {
-                let gate = Arc::clone(&gate);
-                d.submit(stalled, 64, Mode::Posted, move || {
-                    drop(gate.lock().unwrap());
-                });
-            }
-            let (tx, rx) = mpsc::channel();
-            d.submit(free, 64, Mode::Posted, move || {
-                tx.send(()).unwrap();
-            });
-            // The free engine completes while the other is still stalled.
-            rx.recv_timeout(Duration::from_secs(5))
-                .expect("one engine blocked behind the other's stalled transfer");
-            assert_eq!(engine_counters(&d, stalled).3, 1);
-            drop(hold);
-            d.sync(stalled);
-            d.sync(free);
-            assert_eq!(engine_counters(&d, stalled).3, 0);
-            assert_eq!(engine_counters(&d, free).3, 0);
-        }
+        let d = GpuDevice::with_capacity("test", 1000);
+        let (tx, rx) = mpsc::channel();
+        d.submit(10, Mode::Posted, move || {
+            tx.send(std::thread::current().id()).unwrap();
+        });
+        let tid = rx.recv().unwrap();
+        d.sync();
+        drop(d);
+        // The worker held only the timeline Arc; with the sender gone its
+        // recv errors and it exits. We can't join a detached thread, so
+        // assert indirectly: a fresh device spawns a fresh worker with a
+        // different thread id.
+        let d2 = GpuDevice::with_capacity("test2", 1000);
+        let (tx2, rx2) = mpsc::channel();
+        d2.submit(10, Mode::Posted, move || {
+            tx2.send(std::thread::current().id()).unwrap();
+        });
+        assert_ne!(rx2.recv().unwrap(), tid);
+        d2.sync();
     }
 
     #[test]
@@ -950,11 +837,9 @@ mod tests {
         d.record_busy(Dir::H2D, Duration::from_micros(5));
         d.record_busy(Dir::H2D, Duration::from_micros(7));
         d.record_busy(Dir::D2H, Duration::from_micros(3));
-        d.record_wait(Dir::H2D, Duration::from_micros(4), Duration::from_micros(2));
         let c = d.counters();
         assert_eq!(c.h2d_busy_ns, 12_000);
         assert_eq!(c.d2h_busy_ns, 3_000);
-        assert_eq!((c.h2d_wait_ns, c.h2d_overlap_ns), (4_000, 2_000));
     }
 
     #[test]

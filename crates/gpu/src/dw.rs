@@ -42,7 +42,7 @@
 //! [`GpuDataWarehouse::alloc_patch_output`] /
 //! [`GpuDataWarehouse::ensure_level_fresh_on`] / the spill re-upload in
 //! [`GpuDataWarehouse::get_patch`], metered
-//! on the home device's H2D timeline. The way back is *posted*:
+//! on the home device's H2D meter. The way back is *posted*:
 //! [`GpuDataWarehouse::take_patch_to_host_async`] submits the drain to the
 //! device's D2H copy engine ([`GpuDevice::submit`]) and returns a
 //! [`PendingD2H`] completion handle; the drain keeps its device block
@@ -51,7 +51,7 @@
 //! with the same engine bookkeeping ([`Mode::Inline`]), zero overlap by
 //! construction.
 
-use crate::device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError, Mode, Stream};
+use crate::device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError, Mode};
 use crate::fleet::{DeviceFleet, DeviceId};
 use parking_lot::Mutex as StateMutex;
 use std::collections::HashMap;
@@ -126,7 +126,6 @@ impl Completion {
 pub struct PendingD2H {
     shared: Arc<Completion>,
     bytes: usize,
-    stream: Stream,
     /// True when the transfer completed inline at submit time (synchronous
     /// fallback, or served from the spill map): the full transfer wall was
     /// paid by the poster, so overlap is zero by construction.
@@ -137,7 +136,6 @@ impl std::fmt::Debug for PendingD2H {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PendingD2H")
             .field("bytes", &self.bytes)
-            .field("stream", &self.stream)
             .field("inline", &self.inline)
             .field("complete", &self.is_complete())
             .finish()
@@ -149,12 +147,6 @@ impl PendingD2H {
     #[inline]
     pub fn bytes(&self) -> usize {
         self.bytes
-    }
-
-    /// The stream the transfer was posted on.
-    #[inline]
-    pub fn stream(&self) -> Stream {
-        self.stream
     }
 
     /// Whether the transfer has already landed (non-blocking).
@@ -440,7 +432,7 @@ impl GpuDataWarehouse {
                         // Safe under the store lock: drain jobs touch only
                         // the allocator mutex and their own completion slots,
                         // never this store's state.
-                        device.sync(Dir::D2H);
+                        device.sync();
                         drained = true;
                         continue;
                     }
@@ -470,8 +462,8 @@ impl GpuDataWarehouse {
     }
 
     /// Materialize host data through `producer`, charging the wall time to
-    /// the target device's H2D engine occupancy: the host-side staging/
-    /// revalidation window is what occupies the H2D engine in this model.
+    /// the target device's H2D occupancy: the host-side staging/
+    /// revalidation window is what occupies the upload path in this model.
     fn produce_timed_on(&self, dev: DeviceId, producer: impl FnOnce() -> DeviceData) -> DeviceData {
         let t0 = Instant::now();
         let data = producer();
@@ -558,7 +550,7 @@ impl GpuDataWarehouse {
     ///
     /// In synchronous-fallback mode (`async_d2h == false`) the drain
     /// completes inline before returning — identical data, identical
-    /// transfer/stream/in-flight bookkeeping ([`Mode::Inline`]),
+    /// transfer/in-flight bookkeeping ([`Mode::Inline`]),
     /// `blocked == drain` so the reported overlap is zero. A variable
     /// already evicted to the spill map returns an already-complete handle
     /// with no new transfer in either mode — its bytes crossed PCIe at
@@ -572,8 +564,7 @@ impl GpuDataWarehouse {
         let Some(e) = st.patch_db.remove(&key) else {
             // Nothing in flight: the "drain" happened at eviction time.
             shared.fill(st.spill.remove(&key)?, Duration::ZERO);
-            let stream = device.next_stream();
-            return Some(PendingD2H { shared, bytes: 0, stream, inline: true });
+            return Some(PendingD2H { shared, bytes: 0, inline: true });
         };
         drop(st);
         let var = e.var;
@@ -581,7 +572,7 @@ impl GpuDataWarehouse {
         let slot = Arc::clone(&shared);
         let inline = !self.async_d2h;
         let mode = if inline { Mode::Inline } else { Mode::Posted };
-        let stream = device.submit(Dir::D2H, bytes, mode, move || {
+        device.submit(bytes, mode, move || {
             let t0 = Instant::now();
             let data = var.data().clone();
             let drain = t0.elapsed();
@@ -590,7 +581,7 @@ impl GpuDataWarehouse {
             drop(var);
             slot.fill(data, drain);
         });
-        Some(PendingD2H { shared, bytes, stream, inline })
+        Some(PendingD2H { shared, bytes, inline })
     }
 
     /// Drop a per-patch input without a device→host transfer (inputs are
@@ -732,7 +723,7 @@ impl GpuDataWarehouse {
     }
 
     /// Evict the named devices for a regrid: wait for each device's D2H
-    /// copy-engine timeline to drain (releasing in-flight device memory),
+    /// copy engine to drain (releasing in-flight device memory),
     /// then drop its per-patch and per-level entries — and any host-spilled
     /// copies, which describe pre-regrid patches — so
     /// `ensure_level_fresh_on` repopulates from the post-regrid host data
@@ -746,7 +737,7 @@ impl GpuDataWarehouse {
         let mut patches = 0;
         let mut levels = 0;
         for &dev in devices {
-            self.fleet.device(dev).sync(Dir::D2H);
+            self.fleet.device(dev).sync();
             let mut st = self.stores[dev].lock();
             patches += st.patch_db.len();
             st.patch_db.clear();
@@ -757,18 +748,15 @@ impl GpuDataWarehouse {
         (patches, levels)
     }
 
-    /// Block until every device's D2H copy-engine timeline is empty.
+    /// Block until every device's D2H copy engine is empty.
     pub fn sync_d2h_all(&self) {
-        self.fleet.sync_all(Dir::D2H);
+        self.fleet.sync_all();
     }
 
-    /// Block until every device's H2D copy-engine timeline is empty. Every
-    /// upload is synchronous, so nothing is ever in flight here; kept only
-    /// because the benchmark (`perf_report/`, frozen by the benchmark
-    /// contract) calls it.
-    pub fn sync_h2d_all(&self) {
-        self.fleet.sync_all(Dir::H2D);
-    }
+    /// A no-op: every upload is synchronous, so nothing host→device is
+    /// ever in flight. Kept only because the benchmark (`perf_report/`,
+    /// frozen by the benchmark contract) calls it.
+    pub fn sync_h2d_all(&self) {}
 
     /// One counter snapshot per device, in device order.
     pub fn counters_per_device(&self) -> Vec<DeviceCounters> {
@@ -1102,7 +1090,7 @@ mod tests {
         let (data, drain, _blocked) = pending.wait_timed();
         assert_eq!(data.as_f64()[uintah_grid::IntVector::ZERO], 2.5);
         assert!(drain > Duration::ZERO);
-        device.sync(Dir::D2H);
+        device.sync();
         assert_eq!(device.used(), 0, "device memory released when drain completes");
         let c = device.counters();
         assert_eq!(c.d2h_transfers, 1);
@@ -1128,9 +1116,8 @@ mod tests {
 
     #[test]
     fn inline_take_matches_async_counters_exactly() {
-        // Regression: the inline fallback used to consume next_stream()
-        // without registering the transfer in d2h_streams, so stream/
-        // in-flight bookkeeping depended on the async mode. Every counter
+        // Regression: the inline fallback used to skip the in-flight
+        // bookkeeping, so the counters depended on the async mode. Every counter
         // except engine occupancy (busy_ns is wall-time measured) must now
         // be identical across modes for the same operation sequence.
         let run = |async_d2h: bool| {

@@ -4,7 +4,7 @@
 //! one shared per-level replica *per GPU* — was built to generalize to fat
 //! nodes (Summit packs 6 GPUs per rank). A [`DeviceFleet`] is the rank's
 //! set of [`GpuDevice`]s: each device keeps its own capacity meter, its own
-//! pair of copy-engine timelines and (in the data warehouse) its own patch
+//! transfer meters and D2H copy engine and (in the data warehouse) its own patch
 //! and level databases, so kernel launches and D2H drains on different
 //! devices proceed concurrently — the same patch-level parallelism the
 //! paper wins across nodes, recovered inside one node.
@@ -15,7 +15,7 @@
 //! assignment is what makes the per-device level databases pay off: a
 //! patch task always finds its coarse replicas resident on *its* device.
 
-use crate::device::{DeviceCounters, Dir, GpuDevice};
+use crate::device::{DeviceCounters, GpuDevice};
 use uintah_grid::PatchId;
 
 /// Index of a device within a rank's fleet.
@@ -72,12 +72,12 @@ impl DeviceFleet {
         sticky_device(patch, self.devices.len())
     }
 
-    /// Block until every device's `dir` copy-engine timeline is empty (the
-    /// fleet-wide `cudaDeviceSynchronize` analogue at step boundaries):
-    /// every posted transfer has landed, not necessarily been consumed.
-    pub fn sync_all(&self, dir: Dir) {
+    /// Block until every device's copy engine is empty (the fleet-wide
+    /// `cudaDeviceSynchronize` analogue at step boundaries): every posted
+    /// drain has landed, not necessarily been consumed.
+    pub fn sync_all(&self) {
         for d in &self.devices {
-            d.sync(dir);
+            d.sync();
         }
     }
 

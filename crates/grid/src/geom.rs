@@ -67,12 +67,6 @@ impl Vector {
         )
     }
 
-    /// Component-wise reciprocal; maps 0 to `f64::INFINITY` (useful for DDA).
-    #[inline]
-    pub fn recip(self) -> Self {
-        Self::new(1.0 / self.x, 1.0 / self.y, 1.0 / self.z)
-    }
-
     #[inline]
     pub fn comp_mul(self, o: Self) -> Self {
         Self::new(self.x * o.x, self.y * o.y, self.z * o.z)
@@ -213,13 +207,5 @@ mod tests {
     fn normalized_is_unit() {
         let n = Vector::new(1.0, 2.0, -2.0).normalized();
         assert!((n.length() - 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn recip_maps_zero_to_inf() {
-        let r = Vector::new(2.0, 0.0, -4.0).recip();
-        assert_eq!(r.x, 0.5);
-        assert!(r.y.is_infinite());
-        assert_eq!(r.z, -0.25);
     }
 }

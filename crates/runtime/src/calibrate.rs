@@ -28,25 +28,18 @@ use crate::scheduler::ExecStats;
 use uintah_exec::KernelStats;
 
 /// One device's share of a calibration run: its kernel metering plus its
-/// copy-engine byte/occupancy totals in each direction.
+/// transfer byte/occupancy totals in each direction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeviceCalibration {
     /// Kernel launches, invocations, logical bytes and dispatch wall time.
     pub kernels: KernelStats,
-    /// Host→device bytes staged through copy engine 0.
+    /// Host→device bytes uploaded (synchronously, inside the tasks).
     pub h2d_bytes: u64,
-    /// Copy-engine-0 occupancy, nanoseconds.
+    /// Upload occupancy, nanoseconds.
     pub h2d_busy_ns: u64,
-    /// Consumer stall on posted uploads, nanoseconds (residual wait on the
-    /// async path; the full inline upload wall on the synchronous
-    /// fallback).
-    pub h2d_wait_ns: u64,
-    /// Posted-upload wall hidden behind other work, nanoseconds (zero on
-    /// the synchronous fallback).
-    pub h2d_overlap_ns: u64,
-    /// Device→host bytes drained through copy engine 1.
+    /// Device→host bytes drained through the copy engine.
     pub d2h_bytes: u64,
-    /// Copy-engine-1 occupancy, nanoseconds.
+    /// Copy-engine occupancy, nanoseconds.
     pub d2h_busy_ns: u64,
 }
 
@@ -82,7 +75,7 @@ pub struct CalibrationSnapshot {
     pub task_ns: u64,
     /// End-to-end wall time of the folded steps, ns.
     pub wall_ns: u64,
-    /// Per-device kernel and copy-engine totals, in fleet order (ranks
+    /// Per-device kernel and transfer totals, in fleet order (ranks
     /// merge by appending — each rank's devices are distinct hardware).
     pub devices: Vec<DeviceCalibration>,
     /// Measured per-patch task-body cost, ns, sorted by patch id — the
@@ -115,8 +108,6 @@ impl CalibrationSnapshot {
             dev.kernels.accumulate(&d.kernel_stats);
             dev.h2d_bytes += d.h2d_bytes;
             dev.h2d_busy_ns += d.h2d_busy_ns;
-            dev.h2d_wait_ns += d.h2d_wait_ns;
-            dev.h2d_overlap_ns += d.h2d_overlap_ns;
             dev.d2h_bytes += d.d2h_bytes;
             dev.d2h_busy_ns += d.d2h_busy_ns;
         }
@@ -175,8 +166,7 @@ impl CalibrationSnapshot {
 
     /// True when every *deterministic* counter matches: everything except
     /// the measured wall-clock fields (`local_comm_ns`, `task_ns`,
-    /// `wall_ns`, kernel `wall_ns`, engine `*_busy_ns`, upload
-    /// `h2d_wait_ns`/`h2d_overlap_ns`, per-patch costs).
+    /// `wall_ns`, kernel `wall_ns`, transfer `*_busy_ns`, per-patch costs).
     /// Two executor runs of the identical workload must be
     /// `structural_eq`; their timings are measurements and may differ.
     pub fn structural_eq(&self, other: &CalibrationSnapshot) -> bool {
@@ -226,7 +216,7 @@ impl CalibrationSnapshot {
         for (i, d) in self.devices.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "device {} {} {} {} {} {} {} {} {} {} {}",
+                "device {} {} {} {} {} {} {} {} {}",
                 i,
                 d.kernels.launches,
                 d.kernels.invocations,
@@ -234,8 +224,6 @@ impl CalibrationSnapshot {
                 d.kernels.wall_ns,
                 d.h2d_bytes,
                 d.h2d_busy_ns,
-                d.h2d_wait_ns,
-                d.h2d_overlap_ns,
                 d.d2h_bytes,
                 d.d2h_busy_ns,
             );
@@ -313,8 +301,6 @@ impl CalibrationSnapshot {
                 },
                 h2d_bytes: parse_u64(it.next(), "h2d_bytes")?,
                 h2d_busy_ns: parse_u64(it.next(), "h2d_busy_ns")?,
-                h2d_wait_ns: parse_u64(it.next(), "h2d_wait_ns")?,
-                h2d_overlap_ns: parse_u64(it.next(), "h2d_overlap_ns")?,
                 d2h_bytes: parse_u64(it.next(), "d2h_bytes")?,
                 d2h_busy_ns: parse_u64(it.next(), "d2h_busy_ns")?,
             });
@@ -371,9 +357,9 @@ impl WorldResult {
 }
 
 const MAGIC: &str = "rmcrt-calibration-snapshot";
-// v2: device lines carry the H2D engine wait/overlap fields so the model
-// calibrates PCIe from both directions.
-const VERSION: &str = "v2";
+// v3: device lines carry bytes and occupancy per direction, no longer the
+// H2D wait/overlap pair that synchronous uploads always left at 0 (v2).
+const VERSION: &str = "v3";
 
 /// Error from [`CalibrationSnapshot::from_text`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -424,8 +410,6 @@ mod tests {
                     h2d_bytes: 1 << 16,
                     d2h_bytes: 1 << 14,
                     h2d_busy_ns: 2_000,
-                    h2d_wait_ns: 350,
-                    h2d_overlap_ns: 1_650,
                     d2h_busy_ns: 900,
                     peak_bytes: 1 << 20,
                     ..Default::default()
@@ -441,7 +425,6 @@ mod tests {
                     h2d_bytes: 1 << 15,
                     d2h_bytes: 1 << 13,
                     h2d_busy_ns: 1_100,
-                    h2d_wait_ns: 1_100,
                     d2h_busy_ns: 450,
                     peak_bytes: 1 << 19,
                     ..Default::default()
@@ -524,14 +507,28 @@ mod tests {
         assert!(CalibrationSnapshot::from_text("").is_err());
         assert!(CalibrationSnapshot::from_text("not-a-snapshot v1").is_err());
         assert!(CalibrationSnapshot::from_text("rmcrt-calibration-snapshot v9\n").is_err());
-        // Old-format snapshots (v1: no H2D wait/overlap fields) are
-        // rejected by the version check, not mis-parsed.
+        // Old-format snapshots are rejected by the version check, not
+        // mis-parsed: v1 had no H2D wait/overlap fields, and v2 carries
+        // them as two extra columns on every device line.
         assert!(CalibrationSnapshot::from_text("rmcrt-calibration-snapshot v1\nsteps 1\n").is_err());
-        // Truncated after the header.
-        assert!(CalibrationSnapshot::from_text("rmcrt-calibration-snapshot v2\nsteps 1\n").is_err());
-        // Trailing junk.
         let mut snap = CalibrationSnapshot::default();
         snap.record_step(&sample_stats());
+        let v2: String = snap
+            .to_text()
+            .replacen("v3", "v2", 1)
+            .lines()
+            .map(|line| {
+                let mut cols: Vec<&str> = line.split_whitespace().collect();
+                if cols[0] == "device" {
+                    cols.splice(8..8, ["0", "0"]);
+                }
+                cols.join(" ") + "\n"
+            })
+            .collect();
+        assert!(CalibrationSnapshot::from_text(&v2).is_err());
+        // Truncated after the header.
+        assert!(CalibrationSnapshot::from_text("rmcrt-calibration-snapshot v3\nsteps 1\n").is_err());
+        // Trailing junk.
         let mut text = snap.to_text();
         text.push_str("extra line\n");
         assert!(CalibrationSnapshot::from_text(&text).is_err());

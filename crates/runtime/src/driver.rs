@@ -28,8 +28,8 @@ pub struct WorldConfig {
     /// `None` runs CPU-only.
     pub gpu_capacity: Option<usize>,
     /// Devices per rank (1 = the paper's Titan node, 6 = Summit-style).
-    /// Each device gets its own capacity meter, copy-engine timelines, and
-    /// per-level replica DB.
+    /// Each device gets its own capacity meter, transfer meters, D2H copy
+    /// engine and per-level replica DB.
     pub gpus_per_rank: usize,
     /// Keep one shared per-level copy on the GPU (the paper's level DB).
     pub gpu_level_db: bool,

@@ -58,7 +58,7 @@ impl StoreKind {
 }
 
 /// One fleet device's share of a step: its kernel metering plus the
-/// per-step deltas of its copy-engine counters and its (absolute)
+/// per-step deltas of its transfer counters and its (absolute)
 /// memory high-water mark.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeviceStepStats {
@@ -74,11 +74,6 @@ pub struct DeviceStepStats {
     pub h2d_busy_ns: u64,
     /// D2H engine occupancy this step, in nanoseconds.
     pub d2h_busy_ns: u64,
-    /// H2D `Timeline` wait meter this step, in nanoseconds. Uploads are
-    /// synchronous inside the task that needs them, so this reads 0.
-    pub h2d_wait_ns: u64,
-    /// H2D `Timeline` overlap meter this step; reads 0 for the same reason.
-    pub h2d_overlap_ns: u64,
     /// The device's memory high-water mark (absolute, not a delta — the
     /// capacity-meter number that must stay under the 6 GB budget).
     pub peak_bytes: u64,
@@ -132,10 +127,12 @@ pub struct ExecStats {
     /// overlap won by posting drains to the copy engine instead of blocking
     /// the worker inside the task body. Zero on the synchronous path.
     pub gpu_d2h_overlap: Duration,
-    /// H2D `Timeline` wait meter this step. Every upload is synchronous
-    /// inside the task that needs it, so this reads 0.
+    /// Always zero: every upload is synchronous inside the task that needs
+    /// it, so no consumer ever waits on one. Kept only because the
+    /// benchmark (`perf_report/`, frozen by the benchmark contract) reads
+    /// it.
     pub gpu_h2d_wait: Duration,
-    /// H2D `Timeline` overlap meter this step; reads 0 for the same reason.
+    /// Always zero, for the same reason and kept for the same reader.
     pub gpu_h2d_overlap: Duration,
     /// LRU evictions across the fleet this step (delta of the device
     /// counters; nonzero only when the problem oversubscribes a device).
@@ -601,9 +598,9 @@ impl Scheduler {
 
         // End-of-step device synchronization (the `cudaDeviceSynchronize`
         // analogue, once per fleet device): settle every D2H drain no
-        // consumer touched and wait for every copy-engine timeline to
-        // empty, so the stats below are coherent and no completion handle
-        // leaks across the step boundary.
+        // consumer touched and wait for every copy engine to empty, so
+        // the stats below are coherent and no completion handle leaks
+        // across the step boundary.
         dw.drain_pending_d2h();
         if let Some(g) = gpu {
             g.sync_d2h_all();
@@ -626,8 +623,6 @@ impl Scheduler {
                 d2h_bytes: after.d2h_bytes - before.d2h_bytes,
                 h2d_busy_ns: after.h2d_busy_ns.saturating_sub(before.h2d_busy_ns),
                 d2h_busy_ns: after.d2h_busy_ns.saturating_sub(before.d2h_busy_ns),
-                h2d_wait_ns: after.h2d_wait_ns.saturating_sub(before.h2d_wait_ns),
-                h2d_overlap_ns: after.h2d_overlap_ns.saturating_sub(before.h2d_overlap_ns),
                 peak_bytes: after.peak,
                 evictions: after.evictions - before.evictions,
                 spilled_bytes: after.spilled_bytes - before.spilled_bytes,
@@ -652,10 +647,8 @@ impl Scheduler {
             gpu_d2h_bytes: per_device.iter().map(|d| d.d2h_bytes).sum(),
             gpu_d2h_wait: dw.d2h_wait().saturating_sub(d2h_wait_before),
             gpu_d2h_overlap: dw.d2h_overlap().saturating_sub(d2h_overlap_before),
-            gpu_h2d_wait: Duration::from_nanos(per_device.iter().map(|d| d.h2d_wait_ns).sum()),
-            gpu_h2d_overlap: Duration::from_nanos(
-                per_device.iter().map(|d| d.h2d_overlap_ns).sum(),
-            ),
+            gpu_h2d_wait: Duration::ZERO,
+            gpu_h2d_overlap: Duration::ZERO,
             gpu_evictions: per_device.iter().map(|d| d.evictions).sum(),
             gpu_spill_bytes: per_device.iter().map(|d| d.spilled_bytes).sum(),
             gpu_reupload_bytes: per_device.iter().map(|d| d.reuploaded_bytes).sum(),

@@ -252,19 +252,31 @@ fn three_level_pipeline_matches_reference() {
         problem: BurnsChriston::default(),
     };
     let reference = uintah::rmcrt::tasks::reference_multilevel(&grid, &p);
-    for nranks in [1usize, 3] {
+    // The GPU case stages the intermediate level's replicas through the
+    // device path too, on a 2-device fleet per rank.
+    for (nranks, gpu) in [(1usize, false), (3, false), (2, true)] {
         let result = run_world(
             Arc::clone(&grid),
-            Arc::new(multilevel_decls(&grid, p, false)),
+            Arc::new(multilevel_decls(&grid, p, gpu)),
             WorldConfig {
                 nranks,
                 nthreads: 2,
+                gpu_capacity: gpu.then_some(64 << 20),
+                gpus_per_rank: if gpu { 2 } else { 1 },
                 ..Default::default()
             },
         );
         let got = result.fine_field(&grid, DIVQ);
         for c in reference.region().cells() {
-            assert_eq!(got[c], reference[c], "nranks {nranks} cell {c:?}");
+            assert_eq!(got[c], reference[c], "nranks {nranks} gpu {gpu} cell {c:?}");
+        }
+        if gpu {
+            // One replica per device of each of the 3 labels on each of
+            // the 2 coarse levels.
+            for rr in &result.ranks {
+                let gdw = rr.gpu.as_ref().expect("gpu attached");
+                assert_eq!(gdw.level_entries(), 2 * 2 * 3, "rank {}", rr.rank);
+            }
         }
     }
 }

@@ -77,8 +77,10 @@ cargo run --release -q -p rmcrt-bench --bin scaling_gate
 # than 10% below the checked-in BENCH_ray_march.json pair (model-limited:
 # the frozen scalar is timed beside the packet engine, so the ratio does
 # not move with the host; cells/s is host-limited and only printed).
-# Measured false-failure rate: 3 of 50 runs, all on the trace >= trace_one
-# lane floor, the one gated ratio without a frozen twin (EXPERIMENTS E25).
+# Measured false-failure rate: 0 of 50 runs since the trace >= trace_one
+# lane floor gates the median of 25 paired per-repetition ratios (it read
+# 1.07-1.21x); 3 of 50 failed on that floor under the old best-of-each-side
+# estimator (EXPERIMENTS E25 and its addendum).
 # Regenerate after intentional engine changes with:
 #   cargo run --release -p rmcrt-bench --bin ray_march_gate -- --update
 cargo run --release -q -p rmcrt-bench --bin ray_march_gate
