@@ -10,18 +10,17 @@
 use uintah_grid::{CcVariable, IntVector, Region, Vector};
 
 /// A prescribed velocity field (m/s), evaluated at cell centres.
-pub type VelocityFn = Box<dyn Fn(IntVector) -> Vector + Send + Sync>;
+pub(crate) type VelocityFn = Box<dyn Fn(IntVector) -> Vector + Send + Sync>;
 
 /// First-order upwind advection operator for a cell-centred scalar.
 pub struct Advection {
-    region: Region,
     dx: Vector,
     velocity: CcVariable<[f64; 3]>,
     max_speed: f64,
 }
 
 impl Advection {
-    pub fn new(region: Region, dx: Vector, velocity: VelocityFn) -> Self {
+    pub(crate) fn new(region: Region, dx: Vector, velocity: VelocityFn) -> Self {
         let mut v = CcVariable::<[f64; 3]>::new(region);
         let mut max_speed = 0.0f64;
         v.fill_with(|c| {
@@ -30,7 +29,6 @@ impl Advection {
             [u.x, u.y, u.z]
         });
         Self {
-            region,
             dx,
             velocity: v,
             max_speed,
@@ -39,7 +37,7 @@ impl Advection {
 
     /// A rising-plume velocity: upward (+z) in the core, returning down the
     /// walls; divergence-free by construction in the continuum sense.
-    pub fn plume(region: Region, dx: Vector, w_max: f64) -> Self {
+    pub(crate) fn plume(region: Region, dx: Vector, w_max: f64) -> Self {
         let e = region.extent();
         Self::new(
             region,
@@ -55,7 +53,7 @@ impl Advection {
     }
 
     /// CFL-stable timestep bound for this velocity field.
-    pub fn stable_dt(&self) -> f64 {
+    pub(crate) fn stable_dt(&self) -> f64 {
         let h = self.dx.x.min(self.dx.y).min(self.dx.z);
         if self.max_speed == 0.0 {
             f64::INFINITY
@@ -66,7 +64,7 @@ impl Advection {
 
     /// `−(v·∇)T` at cell `c` with first-order upwind differences; values
     /// outside the region are taken as `boundary_value` (inflow at walls).
-    pub fn rate(&self, t: &CcVariable<f64>, c: IntVector, boundary_value: f64) -> f64 {
+    pub(crate) fn rate(&self, t: &CcVariable<f64>, c: IntVector, boundary_value: f64) -> f64 {
         let u = self.velocity[c];
         let tc = t[c];
         let mut rate = 0.0;
@@ -87,11 +85,6 @@ impl Advection {
             rate -= vel * grad;
         }
         rate
-    }
-
-    #[inline]
-    pub fn region(&self) -> Region {
-        self.region
     }
 }
 

@@ -46,7 +46,7 @@ impl Default for BoilerSetup {
 }
 
 impl BoilerSetup {
-    pub fn region(&self) -> Region {
+    pub(crate) fn region(&self) -> Region {
         Region::cube(self.n)
     }
 
@@ -55,7 +55,7 @@ impl BoilerSetup {
     }
 
     /// The burner occupies the lower-central core of the furnace.
-    pub fn in_burner(&self, c: IntVector) -> bool {
+    pub(crate) fn in_burner(&self, c: IntVector) -> bool {
         let n = self.n;
         let core = |v: i32| v >= n / 3 && v < 2 * n / 3;
         core(c.x) && core(c.y) && c.z >= n / 6 && c.z < n / 2

@@ -30,7 +30,7 @@ pub struct RadiationCoupler {
 }
 
 impl RadiationCoupler {
-    pub fn new(abskg: CcVariable<f64>, interval: usize, params: RmcrtParams) -> Self {
+    pub(crate) fn new(abskg: CcVariable<f64>, interval: usize, params: RmcrtParams) -> Self {
         Self {
             interval: interval.max(1),
             abskg,
@@ -62,7 +62,7 @@ impl RadiationCoupler {
     }
 
     /// Run RMCRT on the current temperature field and refresh `∇·q`.
-    pub fn solve_radiation(&mut self, solver: &mut EnergySolver, dx: Vector) {
+    pub(crate) fn solve_radiation(&mut self, solver: &mut EnergySolver, dx: Vector) {
         let region = solver.region();
         assert_eq!(self.abskg.region(), region, "abskg region mismatch");
         let mut sig = CcVariable::<f64>::new(region);

@@ -46,17 +46,17 @@ pub struct Problem {
 
 impl Problem {
     /// MEDIUM: 256³ fine / 64³ coarse (Figure 2).
-    pub fn medium() -> Self {
+    pub(crate) fn medium() -> Self {
         Self { name: "MEDIUM", fine: 256, halo: 4 }
     }
 
     /// LARGE: 512³ fine / 128³ coarse (Figure 3).
-    pub fn large() -> Self {
+    pub(crate) fn large() -> Self {
         Self { name: "LARGE", fine: 512, halo: 4 }
     }
 
     /// Build the 2-level grid for a given fine patch size.
-    pub fn grid(&self, patch: i32) -> Grid {
+    pub(crate) fn grid(&self, patch: i32) -> Grid {
         Grid::builder()
             .fine_cells(IntVector::splat(self.fine))
             .num_levels(2)
@@ -255,7 +255,7 @@ impl Curve {
     }
 
     /// Parallel efficiency of each successive doubling: `(gpus_after, E)`.
-    pub fn per_doubling(&self) -> Vec<(usize, f64)> {
+    pub(crate) fn per_doubling(&self) -> Vec<(usize, f64)> {
         self.points
             .windows(2)
             .filter(|w| w[1].gpus == 2 * w[0].gpus)
@@ -265,7 +265,7 @@ impl Curve {
 
     /// First GPU count whose doubling drops below `threshold` parallel
     /// efficiency — the scaling knee. `None` = scales across the sweep.
-    pub fn knee(&self, threshold: f64) -> Option<usize> {
+    pub(crate) fn knee(&self, threshold: f64) -> Option<usize> {
         self.per_doubling()
             .into_iter()
             .find(|&(_, e)| e < threshold)
@@ -274,7 +274,7 @@ impl Curve {
 
     /// Efficiency of every point relative to the first (Eq. 3 vs the
     /// smallest GPU count of the sweep).
-    pub fn efficiency_vs_first(&self) -> Vec<f64> {
+    pub(crate) fn efficiency_vs_first(&self) -> Vec<f64> {
         match self.points.first() {
             None => Vec::new(),
             Some(first) => self
@@ -362,7 +362,7 @@ pub fn print_sweep(sweep: &Sweep, knee_threshold: f64) {
 
 /// Total all-to-all messages and bytes across all ranks, from the real
 /// census (sampled over ranks; the distribution is balanced).
-pub fn census_totals(fine: i32, patch: i32, nranks: usize, halo: i32) -> (usize, u64) {
+pub(crate) fn census_totals(fine: i32, patch: i32, nranks: usize, halo: i32) -> (usize, u64) {
     let grid = Grid::builder()
         .fine_cells(IntVector::splat(fine))
         .num_levels(2)

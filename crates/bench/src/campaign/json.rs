@@ -67,7 +67,7 @@ pub fn get_f64(obj: &BTreeMap<String, Json>, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("{key:?} is not a number"))
 }
 
-pub fn get_f64_array(obj: &BTreeMap<String, Json>, key: &str) -> Result<Vec<f64>, String> {
+pub(crate) fn get_f64_array(obj: &BTreeMap<String, Json>, key: &str) -> Result<Vec<f64>, String> {
     get(obj, key)?
         .as_array()
         .ok_or_else(|| format!("{key:?} is not an array"))?
@@ -76,7 +76,7 @@ pub fn get_f64_array(obj: &BTreeMap<String, Json>, key: &str) -> Result<Vec<f64>
         .collect()
 }
 
-pub fn get_usize_array(obj: &BTreeMap<String, Json>, key: &str) -> Result<Vec<usize>, String> {
+pub(crate) fn get_usize_array(obj: &BTreeMap<String, Json>, key: &str) -> Result<Vec<usize>, String> {
     Ok(get_f64_array(obj, key)?.into_iter().map(|f| f as usize).collect())
 }
 
@@ -84,7 +84,7 @@ pub fn get_usize_array(obj: &BTreeMap<String, Json>, key: &str) -> Result<Vec<us
 
 /// Format a float so it parses back bit-identically (shortest via `{}`,
 /// which Rust guarantees round-trips f64).
-pub fn fmt_f64(x: f64) -> String {
+pub(crate) fn fmt_f64(x: f64) -> String {
     if x.fract() == 0.0 && x.abs() < 1e15 {
         format!("{x:.1}") // keep "1.0" a JSON float, not an int
     } else {
@@ -92,12 +92,12 @@ pub fn fmt_f64(x: f64) -> String {
     }
 }
 
-pub fn fmt_f64_array(xs: &[f64]) -> String {
+pub(crate) fn fmt_f64_array(xs: &[f64]) -> String {
     let body: Vec<String> = xs.iter().map(|&x| fmt_f64(x)).collect();
     format!("[{}]", body.join(", "))
 }
 
-pub fn fmt_usize_array(xs: &[usize]) -> String {
+pub(crate) fn fmt_usize_array(xs: &[usize]) -> String {
     let body: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
     format!("[{}]", body.join(", "))
 }

@@ -145,7 +145,7 @@ pub fn trace_ray_scalar(levels: &[TraceLevel<'_>], origin: Point, dir: Vector, t
 }
 
 /// The historical `trace_ray_with_options`.
-pub fn trace_ray_with_options_scalar(
+pub(crate) fn trace_ray_with_options_scalar(
     levels: &[TraceLevel<'_>],
     origin: Point,
     dir: Vector,
@@ -213,7 +213,7 @@ pub fn trace_ray_with_options_scalar(
 
 /// The historical per-cell ∇·q: same RNG stream and draw order as the
 /// packet solver's fixed mode, but each ray marched by the scalar DDA.
-pub fn div_q_for_cell_scalar(
+pub(crate) fn div_q_for_cell_scalar(
     levels: &[TraceLevel<'_>],
     cell: IntVector,
     params: &RmcrtParams,

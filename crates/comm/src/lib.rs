@@ -37,4 +37,4 @@ pub use message::{Message, RecvRequest, Tag};
 pub use pool::{PoolIterator, WaitFreePool};
 pub use signal::WorkSignal;
 pub use store::{MutexRequestVec, RacyRequestVec, RequestStore, WaitFreeRequestStore};
-pub use world::{CommStats, CommWorld, Communicator, Rank};
+pub use world::{CommWorld, Communicator};

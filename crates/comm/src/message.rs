@@ -73,7 +73,7 @@ pub struct RecvRequest {
 impl RecvRequest {
     /// Has a matching message arrived?
     #[inline]
-    pub fn test(&self) -> bool {
+    pub(crate) fn test(&self) -> bool {
         self.state.done.load(Ordering::Acquire)
     }
 

@@ -42,7 +42,7 @@ pub struct WorkSignal {
 }
 
 impl WorkSignal {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -144,7 +144,7 @@ impl RacyRequestVec {
 
     /// Remove already-consumed requests. The original code did this under
     /// the write lock after processing; the leak happens before removal.
-    pub fn compact(&self) {
+    pub(crate) fn compact(&self) {
         self.requests.write().retain(|r| {
             // Consumed requests have no payload left.
             !(r.test() && r.state_consumed())

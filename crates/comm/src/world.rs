@@ -17,7 +17,7 @@ use std::sync::Arc;
 use uintah_mem::{AllocCategory, AllocTracker};
 
 /// A rank id within a [`CommWorld`].
-pub type Rank = usize;
+pub(crate) type Rank = usize;
 
 #[derive(Default)]
 struct Mailbox {
@@ -30,7 +30,7 @@ struct Mailbox {
 /// Per-world communication statistics (the "local communication" the paper's
 /// Figure 1 measures is the time spent posting/processing these).
 #[derive(Debug, Default)]
-pub struct CommStats {
+pub(crate) struct CommStats {
     pub sends: AtomicU64,
     pub recvs_posted: AtomicU64,
     pub bytes_sent: AtomicU64,
@@ -69,7 +69,7 @@ impl CommWorld {
     }
 
     #[inline]
-    pub fn nranks(&self) -> usize {
+    pub(crate) fn nranks(&self) -> usize {
         self.inner.mailboxes.len()
     }
 
@@ -80,17 +80,6 @@ impl CommWorld {
             world: self.clone(),
             rank,
         }
-    }
-
-    pub fn stats(&self) -> &CommStats {
-        &self.inner.stats
-    }
-
-    /// Live/peak MPI-buffer accounting (category
-    /// [`AllocCategory::MpiBuffer`]): bytes in flight between send and
-    /// receive consumption.
-    pub fn buffer_tracker(&self) -> &AllocTracker {
-        &self.inner.tracker
     }
 }
 
@@ -105,11 +94,6 @@ impl Communicator {
     #[inline]
     pub fn rank(&self) -> Rank {
         self.rank
-    }
-
-    #[inline]
-    pub fn nranks(&self) -> usize {
-        self.world.nranks()
     }
 
     #[inline]
@@ -203,25 +187,33 @@ impl Communicator {
         drop(mbox);
         RecvRequest { state }
     }
-
-    /// Blocking receive (spin on `test`); convenience for tests/examples.
-    pub fn recv_blocking(&self, src: Rank, tag: Tag) -> Message {
-        let req = self.irecv(src, tag);
-        let mut spins = 0u64;
-        while !req.test() {
-            spins += 1;
-            if spins.is_multiple_of(1024) {
-                std::thread::yield_now();
-            }
-            std::hint::spin_loop();
-        }
-        req.take().expect("completed recv had no payload")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CommWorld {
+        fn stats(&self) -> &CommStats {
+            &self.inner.stats
+        }
+    }
+
+    impl Communicator {
+        /// Blocking receive (spin on `test`).
+        fn recv_blocking(&self, src: Rank, tag: Tag) -> Message {
+            let req = self.irecv(src, tag);
+            let mut spins = 0u64;
+            while !req.test() {
+                spins += 1;
+                if spins.is_multiple_of(1024) {
+                    std::thread::yield_now();
+                }
+                std::hint::spin_loop();
+            }
+            req.take().expect("completed recv had no payload")
+        }
+    }
 
     #[test]
     fn send_then_recv_unexpected_path() {
@@ -332,15 +324,15 @@ mod tests {
         let c1 = w.communicator(1);
         c0.isend(1, Tag(1), Bytes::from_static(&[0u8; 100]));
         c0.isend(1, Tag(2), Bytes::from_static(&[0u8; 50]));
-        let snap = w.buffer_tracker().snapshot(AllocCategory::MpiBuffer);
+        let snap = w.inner.tracker.snapshot(AllocCategory::MpiBuffer);
         assert_eq!(snap.live_bytes, 150, "in-flight buffers are live");
         let _ = c1.recv_blocking(0, Tag(1));
         assert_eq!(
-            w.buffer_tracker().snapshot(AllocCategory::MpiBuffer).live_bytes,
+            w.inner.tracker.snapshot(AllocCategory::MpiBuffer).live_bytes,
             50
         );
         let _ = c1.recv_blocking(0, Tag(2));
-        let snap = w.buffer_tracker().snapshot(AllocCategory::MpiBuffer);
+        let snap = w.inner.tracker.snapshot(AllocCategory::MpiBuffer);
         assert_eq!(snap.live_bytes, 0);
         assert_eq!(snap.peak_bytes, 150);
         assert_eq!(snap.total_count, 2);

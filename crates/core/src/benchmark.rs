@@ -37,7 +37,7 @@ impl Default for BurnsChriston {
 
 impl BurnsChriston {
     /// The absorption coefficient at physical point `p` in the unit cube.
-    pub fn kappa(&self, p: Point) -> f64 {
+    pub(crate) fn kappa(&self, p: Point) -> f64 {
         0.9 * (1.0 - 2.0 * (p.x - 0.5).abs())
             * (1.0 - 2.0 * (p.y - 0.5).abs())
             * (1.0 - 2.0 * (p.z - 0.5).abs())
@@ -45,7 +45,7 @@ impl BurnsChriston {
     }
 
     /// σT⁴/π of the medium.
-    pub fn sigma_t4_over_pi(&self) -> f64 {
+    pub(crate) fn sigma_t4_over_pi(&self) -> f64 {
         let t = self.temperature;
         SIGMA * t * t * t * t / PI
     }

@@ -18,7 +18,7 @@ use uintah_grid::{CcVariable, IntVector, Region};
 
 /// A discrete ordinate: unit direction and quadrature weight.
 #[derive(Clone, Copy, Debug)]
-pub struct Ordinate {
+pub(crate) struct Ordinate {
     pub mu: f64,
     pub eta: f64,
     pub xi: f64,
@@ -36,7 +36,7 @@ pub enum SnOrder {
 
 impl SnOrder {
     /// Number of ordinates (N(N+2) for level-symmetric S_N).
-    pub fn num_ordinates(self) -> usize {
+    pub(crate) fn num_ordinates(self) -> usize {
         match self {
             SnOrder::S2 => 8,
             SnOrder::S4 => 24,
@@ -49,7 +49,7 @@ impl SnOrder {
 /// Build the level-symmetric (LQ_N) ordinate set, normalized so the weights
 /// sum to 4π. Direction-cosine values are the standard LQ_N constants
 /// (Lewis & Miller).
-pub fn ordinates(order: SnOrder) -> Vec<Ordinate> {
+pub(crate) fn ordinates(order: SnOrder) -> Vec<Ordinate> {
     // Per-octant ordinate patterns: (mu index triplets, relative weight).
     let (mus, patterns): (&[f64], &[([usize; 3], f64)]) = match order {
         SnOrder::S2 => (&[0.577_350_3], &[([0, 0, 0], 1.0)]),
@@ -247,7 +247,7 @@ pub fn solve_with_scattering(
 /// source iteration every ordinate sweeps against the *previous* `G`, so
 /// the per-iteration fan-out is per ordinate, followed by a canonical-order
 /// accumulation — bit-identical to the serial source iteration.
-pub fn solve_with_scattering_exec(
+pub(crate) fn solve_with_scattering_exec(
     props: &LevelProps,
     order: SnOrder,
     sigma_s: f64,

@@ -40,7 +40,7 @@ impl Face {
     /// The inward unit normal (into the domain) of a wall on this face of
     /// the enclosure: `XMinus` is the x = lo wall, so its inward normal is
     /// +x.
-    pub fn inward_normal(self) -> Vector {
+    pub(crate) fn inward_normal(self) -> Vector {
         match self {
             Face::XMinus => Vector::new(1.0, 0.0, 0.0),
             Face::XPlus => Vector::new(-1.0, 0.0, 0.0),

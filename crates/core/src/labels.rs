@@ -16,7 +16,7 @@ pub const CELLTYPE: VarLabel = VarLabel::new("cellType", 3);
 pub const DIVQ: VarLabel = VarLabel::new("divQ", 4);
 
 /// Stefan–Boltzmann constant (W·m⁻²·K⁻⁴).
-pub const SIGMA: f64 = 5.670373e-8;
+pub(crate) const SIGMA: f64 = 5.670373e-8;
 
 /// σT⁴/π for a temperature `t` in kelvin.
 #[inline]

@@ -57,4 +57,4 @@ pub use solver::{
     div_q_for_cell, solve_region, solve_region_exec, solve_region_with_stats, RayCountMode,
     RmcrtParams, SolveStats,
 };
-pub use trace::{trace_ray, trace_ray_with_options, TraceLevel, TraceOptions};
+pub use trace::{trace_ray, TraceLevel, TraceOptions};

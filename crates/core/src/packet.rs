@@ -128,7 +128,7 @@
 //! ## Level transitions
 //!
 //! A ray leaving a level's ROI is snapped onto the crossed face plane and
-//! nudged *one relative cell fraction* ([`FACE_NUDGE`]`·dx`) past it, then
+//! nudged *one relative cell fraction* (`FACE_NUDGE·dx`) past it, then
 //! re-homed on the next coarser level containing that point. The nudge is
 //! proportional to the local cell size, so it survives any grid scale (the
 //! historical absolute `1e-10` nudge vanished below the coordinate ulp on
@@ -140,7 +140,7 @@ use uintah_grid::{Point, Vector};
 
 /// Relative (cell-fraction) nudge used to place a ray just past a crossed
 /// face: scale-invariant, unlike an absolute epsilon.
-pub const FACE_NUDGE: f64 = 1e-9;
+pub(crate) const FACE_NUDGE: f64 = 1e-9;
 
 /// Slab intersection of the ray `o + t·d` (given `inv_d = 1/d`) with the
 /// axis-aligned box `[p0, p1]`: returns `(t_near, t_far)`; the ray crosses
@@ -530,7 +530,7 @@ impl RayPacket {
         p
     }
 
-    pub fn reserve(&mut self, n: usize) {
+    pub(crate) fn reserve(&mut self, n: usize) {
         self.ox.reserve(n);
         self.oy.reserve(n);
         self.oz.reserve(n);
@@ -595,19 +595,6 @@ impl RayPacket {
 
     pub fn is_empty(&self) -> bool {
         self.sum_i.is_empty()
-    }
-
-    /// Reset to an empty packet, keeping allocations.
-    pub fn clear(&mut self) {
-        self.ox.clear();
-        self.oy.clear();
-        self.oz.clear();
-        self.dx.clear();
-        self.dy.clear();
-        self.dz.clear();
-        self.weight.clear();
-        self.sum_i.clear();
-        self.active.clear();
     }
 
     #[inline]
@@ -791,14 +778,6 @@ impl<'a> PacketTracer<'a> {
         }
     }
 
-    pub fn levels(&self) -> &'a [TraceLevel<'a>] {
-        self.levels
-    }
-
-    pub fn options(&self) -> TraceOptions {
-        self.opts
-    }
-
     /// Fine-level (top-of-stack) properties.
     pub fn fine_props(&self) -> &'a LevelProps {
         self.levels.last().unwrap().props
@@ -812,7 +791,7 @@ impl<'a> PacketTracer<'a> {
     }
 
     /// Trace a single ray (allocation-free convenience used by
-    /// [`crate::trace::trace_ray_with_options`]): the lane engine with one
+    /// `crate::trace::trace_ray_with_options`): the lane engine with one
     /// lane.
     pub fn trace_one(&self, origin: Point, dir: Vector) -> f64 {
         debug_assert!((dir.length() - 1.0).abs() < 1e-9, "direction must be unit");
@@ -1031,7 +1010,7 @@ impl<'a> PacketTracer<'a> {
 
 /// How one collision-estimator flight leg ended (see
 /// [`CollisionTracer::fly`]).
-pub enum FlightEnd {
+pub(crate) enum FlightEnd {
     /// Left the level region (cold black enclosure).
     Escaped,
     /// Entered a wall cell: its emissivity and `σT⁴/π`.
@@ -1049,14 +1028,14 @@ pub enum FlightEnd {
 /// The FP op sequence replicates the historical scalar collision march
 /// exactly (the scattering bit-identity pin in `tests/ray_engine.rs`
 /// depends on it), including its absolute per-level advance epsilon.
-pub struct CollisionTracer<'a> {
+pub(crate) struct CollisionTracer<'a> {
     lvl: PreparedLevel<'a>,
     /// Historical face-advance nudge: `1e-10 · min(dx)`.
     eps: f64,
 }
 
 impl<'a> CollisionTracer<'a> {
-    pub fn new(props: &'a LevelProps) -> Self {
+    pub(crate) fn new(props: &'a LevelProps) -> Self {
         let level = TraceLevel {
             props,
             roi: props.region,
@@ -1071,7 +1050,7 @@ impl<'a> CollisionTracer<'a> {
     /// `tau_target` is consumed (a collision), a wall is entered, or the
     /// ray escapes the region. `sigma_s` is the (uniform) scattering
     /// coefficient entering the extinction `β = κ + σ_s`.
-    pub fn fly(&self, mut pos: Point, dir: Vector, mut tau_target: f64, sigma_s: f64) -> FlightEnd {
+    pub(crate) fn fly(&self, mut pos: Point, dir: Vector, mut tau_target: f64, sigma_s: f64) -> FlightEnd {
         let lvl = &self.lvl;
         let mut cur = lvl.cell_containing(pos);
         if !lvl.roi_contains(cur) {
@@ -1123,6 +1102,21 @@ mod tests {
     use crate::rng::CellRng;
     use crate::solver::two_level_stack;
     use uintah_grid::{IntVector, Region};
+
+    impl RayPacket {
+        /// Reset to an empty packet, keeping allocations.
+        fn clear(&mut self) {
+            self.ox.clear();
+            self.oy.clear();
+            self.oz.clear();
+            self.dx.clear();
+            self.dy.clear();
+            self.dz.clear();
+            self.weight.clear();
+            self.sum_i.clear();
+            self.active.clear();
+        }
+    }
 
     #[test]
     fn slabs_hit_and_miss() {

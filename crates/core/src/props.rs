@@ -66,7 +66,7 @@ impl LevelProps {
 
     /// Physical centre of cell `c`.
     #[inline]
-    pub fn cell_center(&self, c: IntVector) -> Point {
+    pub(crate) fn cell_center(&self, c: IntVector) -> Point {
         self.cell_lo(c) + self.dx * 0.5
     }
 
@@ -76,7 +76,7 @@ impl LevelProps {
     }
 
     /// Consistency check: all variables cover `region`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert_eq!(self.abskg.region(), self.region, "abskg region mismatch");
         assert_eq!(
             self.sigma_t4_over_pi.region(),

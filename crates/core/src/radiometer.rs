@@ -32,6 +32,7 @@ impl Radiometer {
     /// `q = ∫_cone I(Ω) cosθ dΩ`, estimated by uniform sampling of the cone
     /// solid angle `Ω_c = 2π(1 − cos θ_max)`.
     pub fn measure(&self, levels: &[TraceLevel<'_>], threshold: f64) -> f64 {
+        let omega_c = self.cone_solid_angle();
         let tracer = PacketTracer::new(
             levels,
             TraceOptions {
@@ -39,7 +40,25 @@ impl Radiometer {
                 max_reflections: 0,
             },
         );
-        self.measure_with(&tracer)
+        // The cone's rays are packed once and marched as a single packet.
+        let cos_max = self.half_angle.cos();
+        let frame = Frame::about(self.normal);
+        let mut packet = RayPacket::with_capacity(self.nrays as usize);
+        let mut cos_ts = Vec::with_capacity(self.nrays as usize);
+        for r in 0..self.nrays {
+            let mut rng = CellRng::new(self.seed, IntVector::ZERO, r, 0);
+            // Uniform over the cone solid angle.
+            let cos_t = 1.0 - rng.next_f64() * (1.0 - cos_max);
+            let turn = rng.next_f64();
+            packet.push(self.position, frame.unit(cos_t, turn));
+            cos_ts.push(cos_t);
+        }
+        tracer.trace(&mut packet);
+        let mut sum = 0.0;
+        for (cos_t, sum_i) in cos_ts.iter().zip(&packet.sum_i) {
+            sum += cos_t * sum_i;
+        }
+        sum / self.nrays as f64 * omega_c
     }
 
     /// Solid angle of the viewing cone, `Ω_c = 2π(1 − cos θ_max)`; checks
@@ -48,72 +67,6 @@ impl Radiometer {
         assert!((self.normal.length() - 1.0).abs() < 1e-9, "normal must be unit");
         assert!(self.half_angle > 0.0 && self.half_angle <= PI / 2.0 + 1e-12);
         2.0 * PI * (1.0 - self.half_angle.cos())
-    }
-
-    /// Trace the cone's rays `first..first + count` as one packet; returns
-    /// each ray's cosine-weighted intensity `I·cos θ`, in ray order.
-    fn cone_packet(&self, tracer: &PacketTracer<'_>, first: u32, count: u32) -> Vec<f64> {
-        let cos_max = self.half_angle.cos();
-        let frame = Frame::about(self.normal);
-        let mut packet = RayPacket::with_capacity(count as usize);
-        let mut weighted = Vec::with_capacity(count as usize);
-        for r in first..first + count {
-            let mut rng = CellRng::new(self.seed, IntVector::ZERO, r, 0);
-            // Uniform over the cone solid angle.
-            let cos_t = 1.0 - rng.next_f64() * (1.0 - cos_max);
-            let turn = rng.next_f64();
-            packet.push(self.position, frame.unit(cos_t, turn));
-            weighted.push(cos_t);
-        }
-        tracer.trace(&mut packet);
-        for (w, sum_i) in weighted.iter_mut().zip(&packet.sum_i) {
-            *w *= sum_i;
-        }
-        weighted
-    }
-
-    /// [`measure`](Self::measure) against a prepared [`PacketTracer`]: the
-    /// cone's rays are packed once and marched as a single packet.
-    pub fn measure_with(&self, tracer: &PacketTracer<'_>) -> f64 {
-        let omega_c = self.cone_solid_angle();
-        let mut sum = 0.0;
-        for w in self.cone_packet(tracer, 0, self.nrays) {
-            sum += w;
-        }
-        sum / self.nrays as f64 * omega_c
-    }
-
-    /// [`measure`](Self::measure) dispatched on an execution space: the
-    /// packet is split into fixed chunks and each chunk marches as one
-    /// `parallel_map` work item. Bit-identical to the serial measure (the
-    /// per-ray estimates are reassembled in ray order before folding).
-    pub fn measure_exec(
-        &self,
-        levels: &[TraceLevel<'_>],
-        threshold: f64,
-        space: &uintah_exec::ExecSpace,
-    ) -> f64 {
-        let omega_c = self.cone_solid_angle();
-        let tracer = PacketTracer::new(
-            levels,
-            TraceOptions {
-                threshold,
-                max_reflections: 0,
-            },
-        );
-        const CHUNK: u32 = 256;
-        let chunks = self.nrays.div_ceil(CHUNK) as usize;
-        let partial = uintah_exec::parallel_map(space, chunks, |ci| {
-            let first = ci as u32 * CHUNK;
-            self.cone_packet(&tracer, first, CHUNK.min(self.nrays - first))
-        });
-        let mut sum = 0.0;
-        for chunk in &partial {
-            for &w in chunk {
-                sum += w;
-            }
-        }
-        sum / self.nrays as f64 * omega_c
     }
 }
 
@@ -180,30 +133,6 @@ mod tests {
             ..toward
         };
         assert_eq!(away.measure(&stack, 1e-9), 0.0, "cold side must read zero");
-    }
-
-    /// The chunked exec dispatch reassembles per-ray estimates in ray
-    /// order, so it is bit-identical to the serial measure on any space —
-    /// including ray counts that do not divide the chunk size.
-    #[test]
-    fn measure_exec_bit_identical_across_spaces() {
-        let props = LevelProps::uniform(Region::cube(12), Vector::splat(1.0 / 12.0), 2.0, 1.3);
-        let stack = [TraceLevel {
-            props: &props,
-            roi: props.region,
-        }];
-        let r = Radiometer {
-            position: Point::new(0.4, 0.5, 0.6),
-            normal: Vector::new(0.0, 1.0, 0.0),
-            half_angle: 0.7,
-            nrays: 300, // not a multiple of the chunk size
-            seed: 21,
-        };
-        let serial = r.measure(&stack, 1e-6);
-        for space in [uintah_exec::ExecSpace::Serial, uintah_exec::ExecSpace::Threads(3)] {
-            let got = r.measure_exec(&stack, 1e-6, &space);
-            assert_eq!(got.to_bits(), serial.to_bits(), "{space:?}");
-        }
     }
 
     #[test]

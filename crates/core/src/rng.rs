@@ -12,8 +12,8 @@
 
 //!
 //! Directions are built from the draws without the platform's `sin`/`cos`:
-//! [`sincos_turn`] is the one place an azimuth becomes a sine and a cosine,
-//! and [`polar`] / [`Frame::unit`] the one way two numbers become a unit
+//! `sincos_turn` is the one place an azimuth becomes a sine and a cosine,
+//! and `polar` / `Frame::unit` the one way two numbers become a unit
 //! vector. Every operation in them is an IEEE-754 `+ − × √` or a bit
 //! operation, so a seed produces the same direction bits on every host.
 
@@ -65,7 +65,7 @@ impl CellRng {
 
     /// Uniformly random unit vector (direction over the full sphere,
     /// the emission distribution of an isotropic medium): two draws,
-    /// `cos θ` then the azimuth as a turn fraction, through [`polar`].
+    /// `cos θ` then the azimuth as a turn fraction, through `polar`.
     #[inline]
     pub fn direction(&mut self) -> Vector {
         let cos_theta = 2.0 * self.next_f64() - 1.0;
@@ -135,7 +135,7 @@ const COS_Q: [f64; 6] = [
 /// is exact, except at the two ties `u = ⅛, ⅝` (`r = +½` on one side,
 /// `−½` on the other: one ulp apart).
 #[inline(always)]
-pub fn sincos_turn(u: f64) -> (f64, f64) {
+pub(crate) fn sincos_turn(u: f64) -> (f64, f64) {
     const ROUND: f64 = 6_755_399_441_055_744.0; // 1.5·2⁵²
     let t = 4.0 * u;
     let shifted = t + ROUND;
@@ -156,7 +156,7 @@ pub fn sincos_turn(u: f64) -> (f64, f64) {
 /// direction in the crate is finished by, so the packet fill, the per-ray
 /// samplers and the frozen scalar reference agree to the bit.
 #[inline(always)]
-pub fn polar(cos_theta: f64, turn: f64) -> Vector {
+pub(crate) fn polar(cos_theta: f64, turn: f64) -> Vector {
     let sin_theta = (1.0 - cos_theta * cos_theta).max(0.0).sqrt();
     let (sin_phi, cos_phi) = sincos_turn(turn);
     Vector::new(sin_theta * cos_phi, sin_theta * sin_phi, cos_theta)
@@ -165,7 +165,7 @@ pub fn polar(cos_theta: f64, turn: f64) -> Vector {
 /// Right-handed orthonormal frame whose third axis is a given unit vector:
 /// what a cone, a hemisphere or a phase function is sampled about.
 #[derive(Clone, Copy, Debug)]
-pub struct Frame {
+pub(crate) struct Frame {
     u: Vector,
     v: Vector,
     axis: Vector,
@@ -173,7 +173,7 @@ pub struct Frame {
 
 impl Frame {
     /// The frame about the unit vector `axis`.
-    pub fn about(axis: Vector) -> Self {
+    pub(crate) fn about(axis: Vector) -> Self {
         let helper = if axis.x.abs() < 0.9 {
             Vector::new(1.0, 0.0, 0.0)
         } else {
@@ -189,7 +189,7 @@ impl Frame {
 
     /// [`polar`] about this frame's axis instead of `+z`, renormalised.
     #[inline]
-    pub fn unit(&self, cos_theta: f64, turn: f64) -> Vector {
+    pub(crate) fn unit(&self, cos_theta: f64, turn: f64) -> Vector {
         let d = polar(cos_theta, turn);
         (self.axis * d.z + self.u * d.x + self.v * d.y).normalized()
     }

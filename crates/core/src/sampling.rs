@@ -65,7 +65,7 @@ impl DirectionSampler {
     /// azimuth as a fraction of a turn. The only place the sampling modes
     /// differ; [`polar`] makes the direction of either.
     #[inline]
-    pub fn angles(&self, r: u32, rng: &mut CellRng) -> (f64, f64) {
+    pub(crate) fn angles(&self, r: u32, rng: &mut CellRng) -> (f64, f64) {
         match self.mode {
             RaySampling::Independent => {
                 let cos_theta = 2.0 * rng.next_f64() - 1.0;

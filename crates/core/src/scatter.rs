@@ -32,7 +32,7 @@ pub enum PhaseFunction {
 
 impl PhaseFunction {
     /// Sample a scattered direction given the incoming direction.
-    pub fn sample(&self, incoming: Vector, rng: &mut CellRng) -> Vector {
+    pub(crate) fn sample(&self, incoming: Vector, rng: &mut CellRng) -> Vector {
         let cos_t = match *self {
             PhaseFunction::Isotropic => 2.0 * rng.next_f64() - 1.0,
             PhaseFunction::HenyeyGreenstein(g) => {
@@ -126,7 +126,7 @@ fn trace_one_collision(
 /// Per-ray results land in `packet.sum_i` in ray order; the active mask is
 /// compacted as rays terminate. One flight leg advances per round, so the
 /// packet stays cache-resident across the batch.
-pub fn trace_packet_collision(
+pub(crate) fn trace_packet_collision(
     props: &LevelProps,
     medium: &ScatteringMedium,
     packet: &mut RayPacket,

@@ -36,7 +36,7 @@ pub struct TraceLevel<'a> {
     pub roi: Region,
 }
 
-/// Options for [`trace_ray_with_options`].
+/// Options for `trace_ray_with_options`.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceOptions {
     /// Intensity threshold below which a ray is extinguished.
@@ -98,7 +98,7 @@ pub fn trace_ray(levels: &[TraceLevel<'_>], origin: Point, dir: Vector, threshol
 /// specularly reflects the remaining `1 − ε` of the ray's sensitivity, up
 /// to `opts.max_reflections` bounces or until the ray's remaining weight
 /// falls below the threshold.
-pub fn trace_ray_with_options(
+pub(crate) fn trace_ray_with_options(
     levels: &[TraceLevel<'_>],
     origin: Point,
     dir: Vector,

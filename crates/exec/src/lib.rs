@@ -141,7 +141,7 @@ pub struct DeviceSpace {
 
 impl DeviceSpace {
     /// A space over fleet device 0 (the single-GPU configuration).
-    pub fn new(device: GpuDevice) -> Self {
+    pub(crate) fn new(device: GpuDevice) -> Self {
         Self::with_index(device, 0)
     }
 
@@ -153,11 +153,6 @@ impl DeviceSpace {
             index,
             stats: Arc::new(KernelStatsAccum::default()),
         }
-    }
-
-    #[inline]
-    pub fn device(&self) -> &GpuDevice {
-        &self.device
     }
 
     /// This space's device index within the rank's fleet.
@@ -215,15 +210,6 @@ impl ExecSpace {
     /// A fresh device space over `device`.
     pub fn device(device: GpuDevice) -> Self {
         ExecSpace::Device(DeviceSpace::new(device))
-    }
-
-    /// Effective worker count (streams for the device space).
-    pub fn concurrency(&self) -> usize {
-        match self {
-            ExecSpace::Serial => 1,
-            ExecSpace::Threads(n) => (*n).max(1),
-            ExecSpace::Device(d) => d.device().num_streams() as usize,
-        }
     }
 
     /// The fleet device index this space dispatches to; `None` for host
@@ -564,6 +550,23 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    impl DeviceSpace {
+        pub(crate) fn device(&self) -> &GpuDevice {
+            &self.device
+        }
+    }
+
+    impl ExecSpace {
+        /// Effective worker count (streams for the device space).
+        fn concurrency(&self) -> usize {
+            match self {
+                ExecSpace::Serial => 1,
+                ExecSpace::Threads(n) => (*n).max(1),
+                ExecSpace::Device(d) => d.device().num_streams() as usize,
+            }
+        }
+    }
 
     fn all_spaces() -> Vec<ExecSpace> {
         vec![

@@ -7,7 +7,7 @@
 //! are bit-identical to the serial references on every space.
 
 use crate::{parallel_fill, ExecSpace};
-use uintah_grid::{prolongation, restriction, CcVariable, IntVector, Region};
+use uintah_grid::{restriction, CcVariable, IntVector, Region};
 
 /// Volume-weighted fine→coarse averaging over `coarse_window`, dispatched
 /// on `space`. See [`restriction::restrict_average`].
@@ -35,36 +35,37 @@ pub fn restrict_cell_type(
     })
 }
 
-/// Piecewise-constant coarse→fine prolongation over `fine_window`,
-/// dispatched on `space`. See [`prolongation::prolong_constant`].
-pub fn prolong_constant(
-    space: &ExecSpace,
-    coarse: &CcVariable<f64>,
-    rr: IntVector,
-    fine_window: Region,
-) -> CcVariable<f64> {
-    parallel_fill(space, fine_window, |fc| {
-        prolongation::prolong_constant_cell(coarse, rr, fc)
-    })
-}
-
-/// Trilinear coarse→fine prolongation over `fine_window`, dispatched on
-/// `space`. See [`prolongation::prolong_linear`].
-pub fn prolong_linear(
-    space: &ExecSpace,
-    coarse: &CcVariable<f64>,
-    rr: IntVector,
-    fine_window: Region,
-) -> CcVariable<f64> {
-    parallel_fill(space, fine_window, |fc| {
-        prolongation::prolong_linear_cell(coarse, rr, fc)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use uintah_gpu::GpuDevice;
+    use uintah_grid::prolongation;
+
+    /// Trilinear coarse→fine prolongation over `fine_window`, dispatched on
+    /// `space`. See [`prolongation::prolong_linear`].
+    fn prolong_linear(
+        space: &ExecSpace,
+        coarse: &CcVariable<f64>,
+        rr: IntVector,
+        fine_window: Region,
+    ) -> CcVariable<f64> {
+        parallel_fill(space, fine_window, |fc| {
+            prolongation::prolong_linear_cell(coarse, rr, fc)
+        })
+    }
+
+    /// Piecewise-constant coarse→fine prolongation over `fine_window`,
+    /// dispatched on `space`. See [`prolongation::prolong_constant`].
+    fn prolong_constant(
+        space: &ExecSpace,
+        coarse: &CcVariable<f64>,
+        rr: IntVector,
+        fine_window: Region,
+    ) -> CcVariable<f64> {
+        parallel_fill(space, fine_window, |fc| {
+            prolongation::prolong_constant_cell(coarse, rr, fc)
+        })
+    }
 
     fn spaces() -> Vec<ExecSpace> {
         vec![

@@ -5,19 +5,19 @@
 //! the drain direction is ever posted: [`GpuDevice`] keeps one `CopyEngine`
 //! for D2H — a FIFO of transfers with measured occupancy (`busy_ns`), an
 //! in-flight count, and a real worker thread that drains posted transfers
-//! asynchronously — driven through [`GpuDevice::submit`], which either
+//! asynchronously — driven through `GpuDevice::submit`, which either
 //! posts a drain to the engine thread or runs it inline with identical
-//! bookkeeping ([`Mode`]). Uploads run synchronously inside the task that
+//! bookkeeping (`Mode`). Uploads run synchronously inside the task that
 //! needs them, so host→device is a plain meter (transfers, bytes, busy
-//! time) fed through [`GpuDevice::record_transfer`] /
-//! [`GpuDevice::record_busy`].
+//! time) fed through `GpuDevice::record_transfer` /
+//! `GpuDevice::record_busy`.
 //!
 //! Device memory is no longer a bytes-only meter: every reservation is
 //! carved from a [`SubAllocator`] free list over `[0, capacity)`, so the
 //! device can distinguish *capacity* exhaustion from *fragmentation*
 //! (`frag_failures`), reject double-releases instead of wrapping `used`
 //! to ~2^64 (`release_underflows`), and give the data warehouse real
-//! block handles ([`DeviceBlock`]) whose drop is the one legal free.
+//! block handles (`DeviceBlock`) whose drop is the one legal free.
 //! Eviction/spill/re-upload traffic driven by the warehouse's LRU policy
 //! is metered here too so [`DeviceCounters`] stays the one-stop snapshot.
 
@@ -61,7 +61,7 @@ impl std::error::Error for GpuError {}
 /// PCIe direction — which of the device's two transfer meters a transfer
 /// is charged to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Dir {
+pub(crate) enum Dir {
     /// Host→device: metered synchronously inside the uploading task.
     H2D,
     /// Device→host: the posted copy engine.
@@ -70,7 +70,7 @@ pub enum Dir {
 
 /// How [`GpuDevice::submit`] executes a drain.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Mode {
+pub(crate) enum Mode {
     /// Queue the drain on the copy engine's worker thread and return at
     /// once.
     Posted,
@@ -262,29 +262,17 @@ const ZERO_SENTINEL: u64 = u64::MAX;
 /// holds one of these per [`DeviceVar`](crate::DeviceVar), which is what
 /// makes the `used` meter immune to double-release by construction.
 #[derive(Debug)]
-pub struct DeviceBlock {
+pub(crate) struct DeviceBlock {
     device: GpuDevice,
     offset: u64,
     bytes: usize,
 }
 
 impl DeviceBlock {
-    /// The extent's offset in device memory (sentinel for zero-byte blocks).
-    #[inline]
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
     /// Reserved size in bytes.
     #[inline]
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes
-    }
-
-    /// The device this block lives on.
-    #[inline]
-    pub fn device(&self) -> &GpuDevice {
-        &self.device
     }
 }
 
@@ -359,22 +347,6 @@ impl GpuDevice {
         self.inner.peak.load(Ordering::Relaxed)
     }
 
-    /// Bytes not currently allocated (`capacity - used`). An upper bound
-    /// on what a new tenant could reserve — fragmentation may make any
-    /// single allocation smaller; see [`Self::largest_free_block`].
-    pub fn available(&self) -> usize {
-        self.inner.capacity.saturating_sub(self.used())
-    }
-
-    /// The largest single allocation the device heap can satisfy right
-    /// now (the suballocator's biggest contiguous hole). Admission control
-    /// reads this alongside [`Self::available`]: a job whose biggest
-    /// window exceeds it would fail with `Fragmentation` even though the
-    /// byte total fits.
-    pub fn largest_free_block(&self) -> usize {
-        self.inner.suballoc.lock().unwrap().largest_free() as usize
-    }
-
     /// Reserve `bytes` as an owned [`DeviceBlock`] carved from the device
     /// free list; its drop is the one legal free, so the meter is immune to
     /// double-release. Any failure — capacity, fragmentation, or a request
@@ -438,7 +410,7 @@ impl GpuDevice {
     }
 
     /// Meter one transfer of `bytes` in direction `dir`.
-    pub fn record_transfer(&self, dir: Dir, bytes: usize) {
+    pub(crate) fn record_transfer(&self, dir: Dir, bytes: usize) {
         let m = self.meter(dir);
         count_bytes(&m.transfers, &m.bytes, bytes);
     }
@@ -446,12 +418,12 @@ impl GpuDevice {
     /// Meter occupancy directly: wall time spent moving bytes in `dir`
     /// outside [`submit`](Self::submit) (the host-side staging window, a
     /// spill memcpy under the store lock).
-    pub fn record_busy(&self, dir: Dir, busy: Duration) {
+    pub(crate) fn record_busy(&self, dir: Dir, busy: Duration) {
         self.meter(dir).busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Meter an LRU eviction that recovered `bytes` of device memory.
-    pub fn record_eviction(&self, bytes: usize) {
+    pub(crate) fn record_eviction(&self, bytes: usize) {
         count_bytes(&self.inner.evictions, &self.inner.evicted_bytes, bytes);
     }
 
@@ -459,12 +431,12 @@ impl GpuDevice {
     /// itself is additionally metered via
     /// [`record_transfer`](Self::record_transfer) by the caller — this
     /// counts the *policy* event.
-    pub fn record_spill(&self, bytes: usize) {
+    pub(crate) fn record_spill(&self, bytes: usize) {
         count_bytes(&self.inner.spills, &self.inner.spilled_bytes, bytes);
     }
 
     /// Meter a transparent re-upload of a previously spilled variable.
-    pub fn record_reupload(&self, bytes: usize) {
+    pub(crate) fn record_reupload(&self, bytes: usize) {
         count_bytes(&self.inner.reuploads, &self.inner.reuploads_bytes, bytes);
     }
 
@@ -477,7 +449,7 @@ impl GpuDevice {
     /// calling thread before returning. Either way the transfer is metered,
     /// counted in flight and timed into `busy_ns`, so [`sync`](Self::sync)
     /// accounting is mode-independent.
-    pub fn submit(&self, bytes: usize, mode: Mode, job: impl FnOnce() + Send + 'static) {
+    pub(crate) fn submit(&self, bytes: usize, mode: Mode, job: impl FnOnce() + Send + 'static) {
         self.record_transfer(Dir::D2H, bytes);
         let engine = &self.inner.d2h;
         engine.line.inflight.fetch_add(1, Ordering::Relaxed);
@@ -491,7 +463,7 @@ impl GpuDevice {
     /// `cudaDeviceSynchronize` analogue. The scheduler syncs at the end of
     /// a timestep so counters are coherent at step boundaries, and a regrid
     /// syncs before it evicts so in-flight drains release their blocks.
-    pub fn sync(&self) {
+    pub(crate) fn sync(&self) {
         while self.inner.d2h.line.inflight.load(Ordering::Acquire) != 0 {
             std::thread::yield_now();
         }
@@ -605,7 +577,7 @@ mod tests {
         // allocation reported spurious OOM.
         let d = GpuDevice::with_capacity("test", 1000);
         let b = d.alloc_block(400).unwrap();
-        let offset = b.offset();
+        let offset = b.offset;
         drop(b);
         assert_eq!(d.used(), 0);
         d.free_raw(offset, 400); // double-free: rejected, counted, meter intact

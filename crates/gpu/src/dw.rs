@@ -23,7 +23,7 @@
 //! staging targets an explicit device via the `_on` variants. A fleet of
 //! one behaves exactly like a single device.
 //!
-//! **Oversubscription.** Every reservation is a real [`DeviceBlock`] carved
+//! **Oversubscription.** Every reservation is a real `DeviceBlock` carved
 //! from the device's free-list sub-allocator, and when an allocation fails
 //! the warehouse *evicts* under an LRU policy instead of surfacing OOM:
 //! the least-recently-used database entry with no outstanding task handle
@@ -44,11 +44,11 @@
 //! [`GpuDataWarehouse::get_patch`], metered
 //! on the home device's H2D meter. The way back is *posted*:
 //! [`GpuDataWarehouse::take_patch_to_host_async`] submits the drain to the
-//! device's D2H copy engine ([`GpuDevice::submit`]) and returns a
+//! device's D2H copy engine (`GpuDevice::submit`) and returns a
 //! [`PendingD2H`] completion handle; the drain keeps its device block
 //! reserved until the copy lands. `async_d2h == false` selects the
 //! bit-identical synchronous fallback: the same job runs inline at submit
-//! with the same engine bookkeeping ([`Mode::Inline`]), zero overlap by
+//! with the same engine bookkeeping (`Mode::Inline`), zero overlap by
 //! construction.
 
 use crate::device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError, Mode};
@@ -62,9 +62,9 @@ use uintah_grid::{LevelIndex, PatchId, VarLabel};
 
 /// Device-resident variable payload (same representation as host fields;
 /// "device memory" is the accounting in [`GpuDevice`]).
-pub type DeviceData = uintah_grid::FieldData;
+pub(crate) type DeviceData = uintah_grid::FieldData;
 
-/// A device-resident variable: owns a [`DeviceBlock`] extent, so its device
+/// A device-resident variable: owns a `DeviceBlock` extent, so its device
 /// memory is freed exactly once — when the last shared handle drops.
 #[derive(Debug)]
 pub struct DeviceVar {
@@ -79,7 +79,7 @@ impl DeviceVar {
     }
 
     #[inline]
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.block.bytes()
     }
 }
@@ -143,14 +143,9 @@ impl std::fmt::Debug for PendingD2H {
 }
 
 impl PendingD2H {
-    /// Transfer size in bytes.
-    #[inline]
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
 
     /// Whether the transfer has already landed (non-blocking).
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.shared.slot.lock().unwrap().is_some()
     }
 
@@ -309,7 +304,7 @@ impl GpuDataWarehouse {
 
     /// Current timestep epoch.
     #[inline]
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
 
@@ -335,12 +330,6 @@ impl GpuDataWarehouse {
     #[inline]
     pub fn num_devices(&self) -> usize {
         self.fleet.num_devices()
-    }
-
-    /// Whether D2H drains are posted asynchronously to the copy engine.
-    #[inline]
-    pub fn async_d2h(&self) -> bool {
-        self.async_d2h
     }
 
     /// The home device for a patch: the fleet's deterministic sticky
@@ -550,7 +539,7 @@ impl GpuDataWarehouse {
     ///
     /// In synchronous-fallback mode (`async_d2h == false`) the drain
     /// completes inline before returning — identical data, identical
-    /// transfer/in-flight bookkeeping ([`Mode::Inline`]),
+    /// transfer/in-flight bookkeeping (`Mode::Inline`),
     /// `blocked == drain` so the reported overlap is zero. A variable
     /// already evicted to the spill map returns an already-complete handle
     /// with no new transfer in either mode — its bytes crossed PCIe at
@@ -694,16 +683,6 @@ impl GpuDataWarehouse {
         st.level_db.get(&(label, level)).map(|e| Arc::clone(&e.var))
     }
 
-    /// The epoch a level entry was last validated at on a device.
-    pub fn level_entry_epoch_on(
-        &self,
-        dev: DeviceId,
-        label: VarLabel,
-        level: LevelIndex,
-    ) -> Option<u64> {
-        self.stores[dev].lock().level_db.get(&(label, level)).map(|e| e.epoch)
-    }
-
     /// Drop every per-level entry on every device (end of radiation
     /// timestep).
     pub fn clear_level_db(&self) {
@@ -794,7 +773,7 @@ impl GpuDataWarehouse {
     }
 
     /// Number of host-spilled patch variables on one device.
-    pub fn spill_entries_on(&self, dev: DeviceId) -> usize {
+    pub(crate) fn spill_entries_on(&self, dev: DeviceId) -> usize {
         self.stores[dev].lock().spill.len()
     }
 
@@ -815,6 +794,27 @@ impl GpuDataWarehouse {
 mod tests {
     use super::*;
     use uintah_grid::{CcVariable, Region};
+
+    impl GpuDataWarehouse {
+        /// Whether D2H drains are posted asynchronously to the copy engine.
+        fn async_d2h(&self) -> bool {
+            self.async_d2h
+        }
+    }
+
+    impl PendingD2H {
+        /// Transfer size in bytes.
+        pub(crate) fn bytes(&self) -> usize {
+            self.bytes
+        }
+    }
+
+    impl GpuDataWarehouse {
+        /// The epoch a level entry was last validated at on a device.
+        fn level_entry_epoch_on(&self, dev: DeviceId, label: VarLabel, level: LevelIndex) -> Option<u64> {
+            self.stores[dev].lock().level_db.get(&(label, level)).map(|e| e.epoch)
+        }
+    }
 
     const ABSKG: VarLabel = VarLabel::new("abskg", 0);
     const DIVQ: VarLabel = VarLabel::new("divQ", 3);

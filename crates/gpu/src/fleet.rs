@@ -10,7 +10,7 @@
 //! paper wins across nodes, recovered inside one node.
 //!
 //! Scheduling onto the fleet follows one rule: a deterministic
-//! multiplicative hash of the patch id ([`sticky_device`]) pins each patch
+//! multiplicative hash of the patch id (`sticky_device`) pins each patch
 //! to one device for the whole run, identically on every rank. Sticky
 //! assignment is what makes the per-device level databases pay off: a
 //! patch task always finds its coarse replicas resident on *its* device.
@@ -19,7 +19,7 @@ use crate::device::{DeviceCounters, GpuDevice};
 use uintah_grid::PatchId;
 
 /// Index of a device within a rank's fleet.
-pub type DeviceId = usize;
+pub(crate) type DeviceId = usize;
 
 /// A rank's set of simulated GPUs. Cheap to clone (devices share their
 /// accounting internally).
@@ -45,14 +45,14 @@ impl DeviceFleet {
     }
 
     /// Wrap an existing device as a single-device fleet.
-    pub fn single(device: GpuDevice) -> Self {
+    pub(crate) fn single(device: GpuDevice) -> Self {
         Self {
             devices: vec![device],
         }
     }
 
     #[inline]
-    pub fn num_devices(&self) -> usize {
+    pub(crate) fn num_devices(&self) -> usize {
         self.devices.len()
     }
 
@@ -68,14 +68,14 @@ impl DeviceFleet {
 
     /// The sticky home device for `patch`: a deterministic multiplicative
     /// hash (Fibonacci hashing) of the patch id, identical on every rank.
-    pub fn sticky_device(&self, patch: PatchId) -> DeviceId {
+    pub(crate) fn sticky_device(&self, patch: PatchId) -> DeviceId {
         sticky_device(patch, self.devices.len())
     }
 
     /// Block until every device's copy engine is empty (the fleet-wide
     /// `cudaDeviceSynchronize` analogue at step boundaries): every posted
     /// drain has landed, not necessarily been consumed.
-    pub fn sync_all(&self) {
+    pub(crate) fn sync_all(&self) {
         for d in &self.devices {
             d.sync();
         }
@@ -99,7 +99,7 @@ impl DeviceFleet {
 
 /// Deterministic sticky patch→device hash shared by every rank: Fibonacci
 /// multiplicative hashing of the patch id folded onto `n` devices.
-pub fn sticky_device(patch: PatchId, n: usize) -> DeviceId {
+pub(crate) fn sticky_device(patch: PatchId, n: usize) -> DeviceId {
     if n <= 1 {
         return 0;
     }

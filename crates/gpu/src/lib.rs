@@ -11,7 +11,7 @@
 //! device model for CUDA (see DESIGN.md §2):
 //!
 //! * [`GpuDevice`] — device-memory accounting against a byte capacity,
-//!   transfer/byte/occupancy meters per PCIe direction ([`Dir`]), one
+//!   transfer/byte/occupancy meters per PCIe direction (`Dir`), one
 //!   device→host copy engine whose real worker thread drains posted
 //!   transfers asynchronously (uploads run synchronously in the task),
 //!   kernel-launch counters and stream handles;
@@ -24,7 +24,7 @@
 //! * [`DeviceFleet`] — a rank's set of N devices (Summit-style fat nodes),
 //!   each with its own capacity meter, transfer meters, copy engine, and — inside
 //!   the warehouse — its own patch and level databases; each patch is
-//!   homed by a sticky patch-id hash ([`sticky_device`]).
+//!   homed by a sticky patch-id hash (`sticky_device`).
 
 #![forbid(unsafe_code)]
 
@@ -32,6 +32,6 @@ pub mod device;
 pub mod dw;
 pub mod fleet;
 
-pub use device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError, Mode, Stream};
-pub use dw::{DeviceData, DeviceVar, GpuDataWarehouse, PendingD2H};
-pub use fleet::{sticky_device, DeviceFleet, DeviceId};
+pub use device::{DeviceCounters, GpuDevice, GpuError, Stream};
+pub use dw::{DeviceVar, GpuDataWarehouse, PendingD2H};
+pub use fleet::DeviceFleet;

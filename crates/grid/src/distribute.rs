@@ -124,16 +124,6 @@ impl PatchDistribution {
     pub fn owned_by(&self, rank: usize) -> &[PatchId] {
         &self.owned[rank]
     }
-
-    /// Maximum patches owned by any rank (load-imbalance check).
-    pub fn max_load(&self) -> usize {
-        self.owned.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Minimum patches owned by any rank.
-    pub fn min_load(&self) -> usize {
-        self.owned.iter().map(Vec::len).min().unwrap_or(0)
-    }
 }
 
 /// 3-D Morton (Z-order) key of a lattice position. Supports coordinates up
@@ -158,6 +148,19 @@ fn part1by2(mut x: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::grid::Grid;
+
+    impl PatchDistribution {
+        /// Maximum patches owned by any rank (load-imbalance check; the
+        /// regrid tests use it too).
+        pub(crate) fn max_load(&self) -> usize {
+            self.owned.iter().map(Vec::len).max().unwrap_or(0)
+        }
+
+        /// Minimum patches owned by any rank.
+        pub(crate) fn min_load(&self) -> usize {
+            self.owned.iter().map(Vec::len).min().unwrap_or(0)
+        }
+    }
 
     fn grid() -> Grid {
         Grid::builder()

@@ -68,16 +68,6 @@ impl Vector {
     }
 
     #[inline]
-    pub fn comp_mul(self, o: Self) -> Self {
-        Self::new(self.x * o.x, self.y * o.y, self.z * o.z)
-    }
-
-    #[inline]
-    pub fn abs(self) -> Self {
-        Self::new(self.x.abs(), self.y.abs(), self.z.abs())
-    }
-
-    #[inline]
     pub fn min_component(self) -> f64 {
         self.x.min(self.y).min(self.z)
     }

@@ -85,12 +85,12 @@ impl Grid {
 }
 
 /// Builder for regular multi-level grids matching the paper's benchmarks.
+/// Every level spans the unit cube `[0, 1]³`.
 ///
 /// ```
-/// use uintah_grid::{Grid, IntVector, Point};
+/// use uintah_grid::{Grid, IntVector};
 /// // The MEDIUM benchmark: 2 levels, RR 4, fine 256^3 / coarse 64^3, 16^3 patches.
 /// let grid = Grid::builder()
-///     .physical_domain(Point::ORIGIN, Point::new(1.0, 1.0, 1.0))
 ///     .fine_cells(IntVector::splat(256))
 ///     .num_levels(2)
 ///     .refinement_ratio(4)
@@ -101,38 +101,24 @@ impl Grid {
 /// ```
 #[derive(Clone, Debug)]
 pub struct GridBuilder {
-    lo: Point,
-    hi: Point,
     fine_cells: IntVector,
     num_levels: usize,
     refinement_ratio: i32,
     fine_patch_size: IntVector,
-    coarse_patch_size: Option<IntVector>,
 }
 
 impl Default for GridBuilder {
     fn default() -> Self {
         Self {
-            lo: Point::ORIGIN,
-            hi: Point::new(1.0, 1.0, 1.0),
             fine_cells: IntVector::splat(64),
             num_levels: 1,
             refinement_ratio: 4,
             fine_patch_size: IntVector::splat(16),
-            coarse_patch_size: None,
         }
     }
 }
 
 impl GridBuilder {
-    /// Physical extents of the domain (all levels span it fully).
-    pub fn physical_domain(mut self, lo: Point, hi: Point) -> Self {
-        assert!(lo.x < hi.x && lo.y < hi.y && lo.z < hi.z, "degenerate domain");
-        self.lo = lo;
-        self.hi = hi;
-        self
-    }
-
     /// Cell count of the finest level.
     pub fn fine_cells(mut self, cells: IntVector) -> Self {
         self.fine_cells = cells;
@@ -152,15 +138,9 @@ impl GridBuilder {
     }
 
     /// Patch size on the finest level (the paper sweeps 16^3 / 32^3 / 64^3).
+    /// Coarser levels use it clamped to their extent.
     pub fn fine_patch_size(mut self, s: IntVector) -> Self {
         self.fine_patch_size = s;
-        self
-    }
-
-    /// Patch size on coarser levels. Defaults to the fine patch size clamped
-    /// to the coarse level extent.
-    pub fn coarse_patch_size(mut self, s: IntVector) -> Self {
-        self.coarse_patch_size = Some(s);
         self
     }
 
@@ -181,16 +161,11 @@ impl GridBuilder {
         }
         cells_per_level.reverse(); // now coarsest first
 
-        let domain = self.hi - self.lo;
         let mut levels = Vec::with_capacity(self.num_levels);
         let mut offsets = Vec::with_capacity(self.num_levels);
         let mut next_id = 0u32;
         for (li, &cells) in cells_per_level.iter().enumerate() {
-            let dx = Vector::new(
-                domain.x / cells.x as f64,
-                domain.y / cells.y as f64,
-                domain.z / cells.z as f64,
-            );
+            let dx = Vector::new(1.0 / cells.x as f64, 1.0 / cells.y as f64, 1.0 / cells.z as f64);
             let is_finest = li == self.num_levels - 1;
             let ratio = if li == 0 {
                 RefinementRatio::isotropic(1)
@@ -200,13 +175,12 @@ impl GridBuilder {
             let psize = if is_finest {
                 self.fine_patch_size
             } else {
-                let want = self.coarse_patch_size.unwrap_or(self.fine_patch_size);
-                clamp_patch_size(want, cells)
+                clamp_patch_size(self.fine_patch_size, cells)
             };
             let level = Level::new(
                 li as LevelIndex,
                 Region::new(IntVector::ZERO, cells),
-                self.lo,
+                Point::ORIGIN,
                 dx,
                 ratio,
                 psize,
@@ -343,14 +317,13 @@ mod tests {
     #[test]
     fn anisotropic_domain() {
         let g = Grid::builder()
-            .physical_domain(Point::ORIGIN, Point::new(2.0, 1.0, 1.0))
             .fine_cells(IntVector::new(128, 64, 64))
             .num_levels(2)
             .refinement_ratio(4)
             .fine_patch_size(IntVector::splat(16))
             .build();
         let dx = g.fine_level().dx();
-        assert!((dx.x - 2.0 / 128.0).abs() < 1e-15);
+        assert!((dx.x - 1.0 / 128.0).abs() < 1e-15);
         assert!((dx.y - 1.0 / 64.0).abs() < 1e-15);
         assert_eq!(g.coarsest_level().cell_region().extent(), IntVector::new(32, 16, 16));
     }

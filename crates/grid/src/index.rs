@@ -31,13 +31,13 @@ impl IntVector {
 
     /// Component-wise minimum.
     #[inline]
-    pub fn min(self, o: Self) -> Self {
+    pub(crate) fn min(self, o: Self) -> Self {
         Self::new(self.x.min(o.x), self.y.min(o.y), self.z.min(o.z))
     }
 
     /// Component-wise maximum.
     #[inline]
-    pub fn max(self, o: Self) -> Self {
+    pub(crate) fn max(self, o: Self) -> Self {
         Self::new(self.x.max(o.x), self.y.max(o.y), self.z.max(o.z))
     }
 
@@ -53,13 +53,13 @@ impl IntVector {
 
     /// True if every component of `self` is strictly less than `o`'s.
     #[inline]
-    pub fn all_lt(self, o: Self) -> bool {
+    pub(crate) fn all_lt(self, o: Self) -> bool {
         self.x < o.x && self.y < o.y && self.z < o.z
     }
 
     /// True if every component of `self` is `<=` `o`'s.
     #[inline]
-    pub fn all_le(self, o: Self) -> bool {
+    pub(crate) fn all_le(self, o: Self) -> bool {
         self.x <= o.x && self.y <= o.y && self.z <= o.z
     }
 
@@ -74,25 +74,10 @@ impl IntVector {
         )
     }
 
-    /// Component-wise ceiling division for positive divisors.
-    #[inline]
-    pub fn div_ceil(self, d: Self) -> Self {
-        Self::new(
-            (self.x + d.x - 1).div_euclid(d.x),
-            (self.y + d.y - 1).div_euclid(d.y),
-            (self.z + d.z - 1).div_euclid(d.z),
-        )
-    }
-
     /// Component-wise product.
     #[inline]
     pub fn comp_mul(self, o: Self) -> Self {
         Self::new(self.x * o.x, self.y * o.y, self.z * o.z)
-    }
-
-    #[inline]
-    pub fn as_array(self) -> [i32; 3] {
-        [self.x, self.y, self.z]
     }
 }
 
@@ -206,6 +191,17 @@ impl From<[i32; 3]> for IntVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl IntVector {
+        /// Component-wise ceiling division for positive divisors.
+        fn div_ceil(self, d: Self) -> Self {
+            Self::new(
+                (self.x + d.x - 1).div_euclid(d.x),
+                (self.y + d.y - 1).div_euclid(d.y),
+                (self.z + d.z - 1).div_euclid(d.z),
+            )
+        }
+    }
 
     #[test]
     fn arithmetic() {

@@ -14,7 +14,7 @@ pub type LevelIndex = u8;
 pub struct RefinementRatio(pub IntVector);
 
 impl RefinementRatio {
-    pub fn isotropic(r: i32) -> Self {
+    pub(crate) fn isotropic(r: i32) -> Self {
         assert!(r >= 1, "refinement ratio must be >= 1, got {r}");
         Self(IntVector::splat(r))
     }
@@ -52,7 +52,7 @@ impl Level {
     /// Panics unless `patch_size` exactly divides the level extent (Uintah's
     /// regular-patch configuration for these benchmarks).
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         index: LevelIndex,
         cell_region: Region,
         anchor: Point,
@@ -128,11 +128,6 @@ impl Level {
     }
 
     #[inline]
-    pub fn lattice_extent(&self) -> IntVector {
-        self.lattice_extent
-    }
-
-    #[inline]
     pub fn patches(&self) -> &[Patch] {
         &self.patches
     }
@@ -154,7 +149,7 @@ impl Level {
 
     /// Physical position of the low corner of cell `c`.
     #[inline]
-    pub fn cell_pos_lo(&self, c: IntVector) -> Point {
+    pub(crate) fn cell_pos_lo(&self, c: IntVector) -> Point {
         self.anchor
             + Vector::new(
                 c.x as f64 * self.dx.x,
@@ -167,18 +162,6 @@ impl Level {
     #[inline]
     pub fn cell_center(&self, c: IntVector) -> Point {
         self.cell_pos_lo(c) + self.dx * 0.5
-    }
-
-    /// Cell index containing physical point `p` (points exactly on a high
-    /// face map to the higher cell; callers clamp as needed).
-    #[inline]
-    pub fn cell_containing(&self, p: Point) -> IntVector {
-        let r = p - self.anchor;
-        IntVector::new(
-            (r.x / self.dx.x).floor() as i32,
-            (r.y / self.dx.y).floor() as i32,
-            (r.z / self.dx.z).floor() as i32,
-        )
     }
 
     /// The patch owning cell `c`, if `c` is on this level (O(1) lattice look-up).
@@ -213,6 +196,19 @@ impl Level {
 mod tests {
     use super::*;
 
+    impl Level {
+        /// Cell index containing physical point `p` (points exactly on a high
+        /// face map to the higher cell; callers clamp as needed).
+        fn cell_containing(&self, p: Point) -> IntVector {
+            let r = p - self.anchor;
+            IntVector::new(
+                (r.x / self.dx.x).floor() as i32,
+                (r.y / self.dx.y).floor() as i32,
+                (r.z / self.dx.z).floor() as i32,
+            )
+        }
+    }
+
     fn level64() -> Level {
         Level::new(
             0,
@@ -229,7 +225,7 @@ mod tests {
     fn tiling_counts() {
         let l = level64();
         assert_eq!(l.num_patches(), 64);
-        assert_eq!(l.lattice_extent(), IntVector::splat(4));
+        assert_eq!(l.lattice_extent, IntVector::splat(4));
         assert_eq!(l.num_cells(), 64 * 64 * 64);
         // Patches tile without overlap: total cells match.
         let total: usize = l.patches().iter().map(|p| p.num_cells()).sum();

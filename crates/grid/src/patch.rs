@@ -32,7 +32,7 @@ pub struct Patch {
 }
 
 impl Patch {
-    pub fn new(id: PatchId, level: u8, interior: Region, lattice_pos: IntVector) -> Self {
+    pub(crate) fn new(id: PatchId, level: u8, interior: Region, lattice_pos: IntVector) -> Self {
         assert!(!interior.is_empty(), "patch {id:?} with empty interior");
         Self {
             id,
@@ -73,7 +73,7 @@ impl Patch {
 
     /// Number of interior cells.
     #[inline]
-    pub fn num_cells(&self) -> usize {
+    pub(crate) fn num_cells(&self) -> usize {
         self.interior.volume()
     }
 }

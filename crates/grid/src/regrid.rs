@@ -39,12 +39,6 @@ pub struct PatchCosts {
 }
 
 impl PatchCosts {
-    /// Every patch costs 1 (balance by patch count).
-    pub fn uniform(grid: &Grid) -> Self {
-        Self {
-            cost: vec![1.0; grid.num_patches()],
-        }
-    }
 
     /// Cost proportional to cell count (balance by volume — the static
     /// estimate used before any step has been measured).
@@ -64,32 +58,13 @@ impl PatchCosts {
     }
 
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cost.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cost.is_empty()
     }
 
     #[inline]
     pub fn get(&self, patch: PatchId) -> f64 {
         self.cost[patch.index()]
-    }
-
-    #[inline]
-    pub fn set(&mut self, patch: PatchId, cost: f64) {
-        self.cost[patch.index()] = cost;
-    }
-
-    pub fn total(&self) -> f64 {
-        self.cost.iter().sum()
-    }
-
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.cost
     }
 }
 
@@ -192,6 +167,19 @@ mod tests {
     use super::*;
     use crate::distribute::DistributionPolicy;
     use crate::index::IntVector;
+
+    impl PatchCosts {
+        fn set(&mut self, patch: PatchId, cost: f64) {
+            self.cost[patch.index()] = cost;
+        }
+
+        /// Every patch costs 1 (balance by patch count).
+        fn uniform(grid: &Grid) -> Self {
+            Self {
+                cost: vec![1.0; grid.num_patches()],
+            }
+        }
+    }
 
     fn grid2() -> Grid {
         Grid::builder()

@@ -88,7 +88,7 @@ impl<T> CcVariable<T> {
     }
 
     /// Size of the payload in bytes.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<T>()
     }
 

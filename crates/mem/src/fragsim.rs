@@ -21,7 +21,7 @@ pub enum Policy {
     /// Rounding lets freed blocks be reused by different call sites, but
     /// large transients still interleave with persistent smalls.
     SizeClass,
-    /// The paper's fix: allocations of at least [`HeapSim::ARENA_THRESHOLD`]
+    /// The paper's fix: allocations of at least `HeapSim::ARENA_THRESHOLD`
     /// bytes bypass the heap into a page arena that returns memory eagerly;
     /// smaller requests use size classes.
     ArenaSegregated,
@@ -118,7 +118,7 @@ pub struct HeapSim {
 impl HeapSim {
     /// Allocations >= 64 KiB are "large" (the paper's MPI buffers and grid
     /// variables are MiB-scale; its pools cover the small end).
-    pub const ARENA_THRESHOLD: u64 = 64 * 1024;
+    pub(crate) const ARENA_THRESHOLD: u64 = 64 * 1024;
 
     pub fn new(policy: Policy) -> Self {
         Self {
@@ -218,12 +218,12 @@ impl HeapSim {
     }
 
     /// Peak footprint over the run.
-    pub fn peak_footprint(&self) -> u64 {
+    pub(crate) fn peak_footprint(&self) -> u64 {
         self.heap.peak_brk + self.small.peak_brk + self.peak_mapped
     }
 
     /// Main-heap size (the part that fragments).
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         self.heap.brk
     }
 
@@ -233,7 +233,7 @@ impl HeapSim {
 
     /// External fragmentation of the main heap: wasted fraction of the
     /// break. Mapped memory is excluded (it is returned eagerly).
-    pub fn fragmentation(&self) -> f64 {
+    pub(crate) fn fragmentation(&self) -> f64 {
         let heap_live: u64 = self
             .live
             .values()

@@ -172,14 +172,8 @@ impl SubAllocator {
         self.used
     }
 
-    /// High-water mark of `used`.
     #[inline]
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-
-    #[inline]
-    pub fn free_bytes(&self) -> u64 {
+    pub(crate) fn free_bytes(&self) -> u64 {
         self.capacity - self.used
     }
 
@@ -192,12 +186,6 @@ impl SubAllocator {
     /// Largest single free extent — the biggest request that can succeed.
     pub fn largest_free(&self) -> u64 {
         self.free.iter().map(|&(_, len)| len).max().unwrap_or(0)
-    }
-
-    /// Number of live blocks.
-    #[inline]
-    pub fn live_blocks(&self) -> usize {
-        self.live.len()
     }
 
     #[inline]
@@ -362,6 +350,13 @@ impl SubAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SubAllocator {
+        /// High-water mark of `used`.
+        fn peak(&self) -> u64 {
+            self.peak
+        }
+    }
 
     #[test]
     fn alloc_free_roundtrip_coalesces_back_to_one_extent() {

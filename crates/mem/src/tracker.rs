@@ -105,7 +105,7 @@ impl AllocTracker {
     }
 
     /// Live bytes summed over all categories.
-    pub fn live_total(&self) -> u64 {
+    pub(crate) fn live_total(&self) -> u64 {
         self.counters.iter().map(|c| c.live.load(Ordering::Relaxed)).sum()
     }
 }

@@ -5,14 +5,14 @@
 //! binary payloads) that post-processing and visualization (VisIt) read.
 //! This module provides the same shape at a miniature scale: a
 //! [`DataArchive`] directory containing a plain-text index plus one binary
-//! file per saved field, written/read with the same little-endian codec the
-//! message layer uses.
+//! file per saved field, written with the same little-endian codec the
+//! message layer uses (the unit tests read it back with that codec).
 
 use crate::codec;
 use std::fs;
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
-use uintah_grid::{FieldData, Region, VarLabel};
+use std::io::Write;
+use std::path::PathBuf;
+use uintah_grid::{FieldData, VarLabel};
 
 /// A directory of saved timesteps.
 pub struct DataArchive {
@@ -23,8 +23,6 @@ pub struct DataArchive {
 #[derive(Debug)]
 pub enum ArchiveError {
     Io(std::io::Error),
-    /// The index or a payload was malformed.
-    Corrupt(String),
     /// The requested field is not in the archive.
     NotFound(String),
 }
@@ -39,7 +37,6 @@ impl std::fmt::Display for ArchiveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ArchiveError::Io(e) => write!(f, "archive I/O error: {e}"),
-            ArchiveError::Corrupt(s) => write!(f, "corrupt archive: {s}"),
             ArchiveError::NotFound(s) => write!(f, "not in archive: {s}"),
         }
     }
@@ -53,20 +50,6 @@ impl DataArchive {
         let root = root.into();
         fs::create_dir_all(&root)?;
         Ok(Self { root })
-    }
-
-    /// Open an existing archive.
-    pub fn open(root: impl Into<PathBuf>) -> Result<Self, ArchiveError> {
-        let root = root.into();
-        if !root.is_dir() {
-            return Err(ArchiveError::NotFound(root.display().to_string()));
-        }
-        Ok(Self { root })
-    }
-
-    #[inline]
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn timestep_dir(&self, ts: u32) -> PathBuf {
@@ -107,59 +90,64 @@ impl DataArchive {
         )?;
         Ok(())
     }
-
-    /// Load one piece of a field.
-    pub fn load_field(&self, ts: u32, label: VarLabel, piece: u32) -> Result<(Region, FieldData), ArchiveError> {
-        let path = self.field_file(ts, label, piece);
-        let mut buf = Vec::new();
-        fs::File::open(&path)
-            .map_err(|_| ArchiveError::NotFound(path.display().to_string()))?
-            .read_to_end(&mut buf)?;
-        if buf.len() < 25 {
-            return Err(ArchiveError::Corrupt(path.display().to_string()));
-        }
-        Ok(codec::decode_window(&buf))
-    }
-
-    /// Timesteps present in the archive, ascending.
-    pub fn timesteps(&self) -> Result<Vec<u32>, ArchiveError> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if let Some(ts) = name.strip_prefix('t').and_then(|s| s.parse::<u32>().ok()) {
-                out.push(ts);
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
-    }
-
-    /// Pieces saved for `(ts, label)` according to the index.
-    pub fn pieces(&self, ts: u32, label: VarLabel) -> Result<Vec<u32>, ArchiveError> {
-        let idx = self.timestep_dir(ts).join("index.txt");
-        let text = fs::read_to_string(&idx)
-            .map_err(|_| ArchiveError::NotFound(idx.display().to_string()))?;
-        let mut out: Vec<u32> = text
-            .lines()
-            .filter_map(|l| {
-                let mut parts = l.split_whitespace();
-                let name = parts.next()?;
-                let _id = parts.next()?;
-                let piece: u32 = parts.next()?.parse().ok()?;
-                (name == label.name()).then_some(piece)
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uintah_grid::{CcVariable, IntVector};
+    use uintah_grid::{CcVariable, IntVector, Region};
+
+    impl DataArchive {
+        /// Pieces saved for `(ts, label)` according to the index.
+        fn pieces(&self, ts: u32, label: VarLabel) -> Result<Vec<u32>, ArchiveError> {
+            let idx = self.timestep_dir(ts).join("index.txt");
+            let text = fs::read_to_string(&idx)
+                .map_err(|_| ArchiveError::NotFound(idx.display().to_string()))?;
+            let mut out: Vec<u32> = text
+                .lines()
+                .filter_map(|l| {
+                    let mut parts = l.split_whitespace();
+                    let name = parts.next()?;
+                    let _id = parts.next()?;
+                    let piece: u32 = parts.next()?.parse().ok()?;
+                    (name == label.name()).then_some(piece)
+                })
+                .collect();
+            out.sort_unstable();
+            out.dedup();
+            Ok(out)
+        }
+
+        /// Timesteps present in the archive, ascending.
+        fn timesteps(&self) -> Result<Vec<u32>, ArchiveError> {
+            let mut out = Vec::new();
+            for entry in fs::read_dir(&self.root)? {
+                let name = entry?.file_name();
+                let name = name.to_string_lossy();
+                if let Some(ts) = name.strip_prefix('t').and_then(|s| s.parse::<u32>().ok()) {
+                    out.push(ts);
+                }
+            }
+            out.sort_unstable();
+            Ok(out)
+        }
+
+        /// Open an existing archive.
+        fn open(root: impl Into<PathBuf>) -> Result<Self, ArchiveError> {
+            let root = root.into();
+            if !root.is_dir() {
+                return Err(ArchiveError::NotFound(root.display().to_string()));
+            }
+            Ok(Self { root })
+        }
+
+        /// Load one piece of a field.
+        fn load_field(&self, ts: u32, label: VarLabel, piece: u32) -> Result<(Region, FieldData), ArchiveError> {
+            let path = self.field_file(ts, label, piece);
+            let buf = fs::read(&path).map_err(|_| ArchiveError::NotFound(path.display().to_string()))?;
+            Ok(codec::decode_window(&buf))
+        }
+    }
 
     const DIVQ: VarLabel = VarLabel::new("divQ", 4);
     const CT: VarLabel = VarLabel::new("cellType", 3);

@@ -44,12 +44,10 @@ pub struct DeviceCalibration {
 }
 
 /// Aggregated measurement of a real executor run, in model-calibration
-/// form. Fold per-step [`ExecStats`] in with [`record_step`], merge ranks
-/// with [`merge_rank`], or take a whole world's with
+/// form. Fold per-step [`ExecStats`] in with `record_step`, merge ranks
+/// with `merge_rank`, or take a whole world's with
 /// [`WorldResult::calibration_snapshot`].
 ///
-/// [`record_step`]: CalibrationSnapshot::record_step
-/// [`merge_rank`]: CalibrationSnapshot::merge_rank
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CalibrationSnapshot {
     /// Timesteps folded in (per rank; merging ranks takes the max).
@@ -85,7 +83,7 @@ pub struct CalibrationSnapshot {
 
 impl CalibrationSnapshot {
     /// Fold one step's [`ExecStats`] into the snapshot.
-    pub fn record_step(&mut self, s: &ExecStats) {
+    pub(crate) fn record_step(&mut self, s: &ExecStats) {
         self.steps += 1;
         self.tasks_executed += s.tasks_executed as u64;
         self.messages_sent += s.messages_sent as u64;
@@ -120,7 +118,7 @@ impl CalibrationSnapshot {
     /// counters sum, devices append (they are distinct simulated hardware),
     /// per-patch costs merge by id, and `steps` takes the max (every rank
     /// ran the same number of steps).
-    pub fn merge_rank(&mut self, other: &CalibrationSnapshot) {
+    pub(crate) fn merge_rank(&mut self, other: &CalibrationSnapshot) {
         self.steps = self.steps.max(other.steps);
         self.tasks_executed += other.tasks_executed;
         self.messages_sent += other.messages_sent;
@@ -326,17 +324,6 @@ impl CalibrationSnapshot {
             return Err(err("trailing content after snapshot"));
         }
         Ok(snap)
-    }
-}
-
-impl ExecStats {
-    /// This step's calibration snapshot (a one-step
-    /// [`CalibrationSnapshot`]); fold more steps in with
-    /// [`CalibrationSnapshot::record_step`].
-    pub fn calibration_snapshot(&self) -> CalibrationSnapshot {
-        let mut snap = CalibrationSnapshot::default();
-        snap.record_step(self);
-        snap
     }
 }
 

@@ -11,7 +11,7 @@ const KIND_F64: u8 = 0;
 const KIND_U8: u8 = 1;
 
 /// Encode a window of `src` (clipped to `window ∩ src.region`).
-pub fn encode_window(src: &FieldData, window: &Region) -> Bytes {
+pub(crate) fn encode_window(src: &FieldData, window: &Region) -> Bytes {
     match src {
         FieldData::F64(v) => {
             let (w, data) = v.pack_window(window);
@@ -48,7 +48,7 @@ fn read_i32(buf: &[u8], at: usize) -> i32 {
 
 /// Decode a payload produced by [`encode_window`] into `(region, field)`
 /// where the field covers exactly the region.
-pub fn decode_window(payload: &[u8]) -> (Region, FieldData) {
+pub(crate) fn decode_window(payload: &[u8]) -> (Region, FieldData) {
     assert!(payload.len() >= 25, "short window payload");
     let kind = payload[0];
     let lo = IntVector::new(read_i32(payload, 1), read_i32(payload, 5), read_i32(payload, 9));
@@ -81,7 +81,7 @@ const BUNDLE_MAGIC: u8 = 0xB7;
 /// migration's wire format: every variable of a moving patch in one
 /// message). Entries are `(var_id, level, window payload)` where each
 /// payload comes from [`encode_window`].
-pub fn encode_bundle(entries: &[(u8, u8, Bytes)]) -> Bytes {
+pub(crate) fn encode_bundle(entries: &[(u8, u8, Bytes)]) -> Bytes {
     assert!(entries.len() <= u16::MAX as usize, "bundle too large");
     let mut out = BytesMut::new();
     out.put_u8(BUNDLE_MAGIC);
@@ -96,13 +96,13 @@ pub fn encode_bundle(entries: &[(u8, u8, Bytes)]) -> Bytes {
 }
 
 /// True if `payload` is a bundle (vs a single window).
-pub fn is_bundle(payload: &[u8]) -> bool {
+pub(crate) fn is_bundle(payload: &[u8]) -> bool {
     payload.first() == Some(&BUNDLE_MAGIC)
 }
 
 /// Decode a payload produced by [`encode_bundle`]:
 /// `(var_id, level, region, data)` per entry.
-pub fn decode_bundle(payload: &[u8]) -> Vec<(u8, u8, Region, FieldData)> {
+pub(crate) fn decode_bundle(payload: &[u8]) -> Vec<(u8, u8, Region, FieldData)> {
     assert!(is_bundle(payload), "not a bundle payload");
     let count = u16::from_le_bytes(payload[1..3].try_into().unwrap()) as usize;
     let mut out = Vec::with_capacity(count);

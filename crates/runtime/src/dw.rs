@@ -53,7 +53,7 @@ struct Stamped {
 /// Per-rank variable store, persistent across timesteps.
 ///
 /// The warehouse itself lives for the whole simulation; per-timestep
-/// *contents* are dropped at each [`DataWarehouse::begin_timestep`]. Field
+/// *contents* are dropped at each `DataWarehouse::begin_timestep`. Field
 /// storage has one allocator, the heap ([`CcVariable::new`]); EXPERIMENTS
 /// E17 has the census that says pooling it here does not pay.
 pub struct DataWarehouse {
@@ -101,11 +101,6 @@ impl DataWarehouse {
         }
     }
 
-    #[inline]
-    pub fn grid(&self) -> &Arc<Grid> {
-        &self.grid
-    }
-
     /// Current timestep epoch.
     #[inline]
     pub fn epoch(&self) -> u64 {
@@ -150,7 +145,7 @@ impl DataWarehouse {
     /// Open the next timestep: advance the epoch and drop last step's
     /// contents. Storage still shared with an in-flight reader outlives its
     /// map entry (its heap allocation dies when the last reader does).
-    pub fn begin_timestep(&self) {
+    pub(crate) fn begin_timestep(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         // Any still-pending D2H handle is from a past epoch now; dropping it
         // discards the drain result without blocking (the engine finishes
@@ -166,7 +161,7 @@ impl DataWarehouse {
     }
 
     /// Publish a per-patch variable.
-    pub fn put_patch(&self, label: VarLabel, patch: PatchId, data: FieldData) {
+    pub(crate) fn put_patch(&self, label: VarLabel, patch: PatchId, data: FieldData) {
         self.patch_vars.write().insert((label, patch), self.stamped(data));
     }
 
@@ -270,17 +265,17 @@ impl DataWarehouse {
 
     /// Cumulative wall time consumers spent blocked on in-flight D2H
     /// transfers (the un-hidden part of the drains).
-    pub fn d2h_wait(&self) -> Duration {
+    pub(crate) fn d2h_wait(&self) -> Duration {
         Duration::from_nanos(self.d2h_wait_ns.load(Ordering::Relaxed))
     }
 
     /// Cumulative D2H drain wall time hidden behind compute.
-    pub fn d2h_overlap(&self) -> Duration {
+    pub(crate) fn d2h_overlap(&self) -> Duration {
         Duration::from_nanos(self.d2h_overlap_ns.load(Ordering::Relaxed))
     }
 
     /// Deposit a ghost window received from a remote patch for `dst_patch`.
-    pub fn deposit_foreign(&self, label: VarLabel, dst_patch: PatchId, region: Region, data: FieldData) {
+    pub(crate) fn deposit_foreign(&self, label: VarLabel, dst_patch: PatchId, region: Region, data: FieldData) {
         self.foreign
             .write()
             .entry((label, dst_patch))
@@ -317,11 +312,11 @@ impl DataWarehouse {
     }
 
     /// Assemble `label` over `patch + g` ghosts (clipped to the level).
-    pub fn assemble_ghosted_f64(&self, label: VarLabel, patch: &Patch, g: i32) -> CcVariable<f64> {
+    pub(crate) fn assemble_ghosted_f64(&self, label: VarLabel, patch: &Patch, g: i32) -> CcVariable<f64> {
         self.assemble(label, patch, g, |d| d.as_f64())
     }
 
-    pub fn assemble_ghosted_u8(&self, label: VarLabel, patch: &Patch, g: i32) -> CcVariable<u8> {
+    pub(crate) fn assemble_ghosted_u8(&self, label: VarLabel, patch: &Patch, g: i32) -> CcVariable<u8> {
         self.assemble(label, patch, g, |d| d.as_u8())
     }
 
@@ -329,7 +324,7 @@ impl DataWarehouse {
     /// sorted by label id (a deterministic wire order) — the sender side of
     /// an ownership migration. Stale-epoch entries under the patch are
     /// dropped instead of returned.
-    pub fn take_patch_entries(&self, patch: PatchId) -> Vec<(VarLabel, Arc<FieldData>)> {
+    pub(crate) fn take_patch_entries(&self, patch: PatchId) -> Vec<(VarLabel, Arc<FieldData>)> {
         let now = self.epoch();
         let mut vars = self.patch_vars.write();
         let keys: Vec<PatchKey> = vars
@@ -352,7 +347,7 @@ impl DataWarehouse {
     /// Deposit a restriction window into the whole-level accumulator for
     /// `(label, level)`. The accumulator is created on first deposit with
     /// the payload's element type.
-    pub fn deposit_level_window(&self, label: VarLabel, level: LevelIndex, window: Region, data: &FieldData) {
+    pub(crate) fn deposit_level_window(&self, label: VarLabel, level: LevelIndex, window: Region, data: &FieldData) {
         let level_region = self.grid.level(level).cell_region();
         debug_assert!(
             level_region.contains_region(&window),
@@ -377,7 +372,7 @@ impl DataWarehouse {
     /// Pack a window of the (possibly still accumulating) level replica for
     /// sending to another rank. The scheduler only packs windows this rank's
     /// own tasks deposited, so the data is complete.
-    pub fn pack_level_window(&self, label: VarLabel, level: LevelIndex, window: &Region) -> bytes::Bytes {
+    pub(crate) fn pack_level_window(&self, label: VarLabel, level: LevelIndex, window: &Region) -> bytes::Bytes {
         let accums = self.accums.lock();
         let accum = accums
             .get(&(label, level))
@@ -386,7 +381,7 @@ impl DataWarehouse {
     }
 
     /// Seal the accumulator: verify full coverage and publish it read-only.
-    pub fn seal_level(&self, label: VarLabel, level: LevelIndex) {
+    pub(crate) fn seal_level(&self, label: VarLabel, level: LevelIndex) {
         let accum = self
             .accums
             .lock()
@@ -402,7 +397,7 @@ impl DataWarehouse {
     }
 
     /// A sealed whole-level replica published this timestep.
-    pub fn get_sealed_level(&self, label: VarLabel, level: LevelIndex) -> Option<Arc<FieldData>> {
+    pub(crate) fn get_sealed_level(&self, label: VarLabel, level: LevelIndex) -> Option<Arc<FieldData>> {
         let now = self.epoch();
         self.sealed
             .read()
@@ -411,19 +406,8 @@ impl DataWarehouse {
             .map(|e| Arc::clone(&e.data))
     }
 
-    /// Directly publish a sealed level replica (single-rank convenience and
-    /// test hook).
-    pub fn put_sealed_level(&self, label: VarLabel, level: LevelIndex, data: FieldData) {
-        self.sealed.write().insert((label, level), self.stamped(data));
-    }
-
-    /// Bytes held in per-patch variables (nodal-footprint accounting).
-    pub fn patch_bytes(&self) -> usize {
-        self.patch_vars.read().values().map(|e| e.data.size_bytes()).sum()
-    }
-
     /// Drop everything without opening a new epoch (full reset).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.patch_vars.write().clear();
         self.pending_d2h.write().clear();
         self.foreign.write().clear();
@@ -436,6 +420,18 @@ impl DataWarehouse {
 mod tests {
     use super::*;
     use uintah_grid::{IntVector, Point};
+
+    impl DataWarehouse {
+        /// Bytes held in per-patch variables (nodal-footprint accounting).
+        fn patch_bytes(&self) -> usize {
+            self.patch_vars.read().values().map(|e| e.data.size_bytes()).sum()
+        }
+
+        /// Directly publish a sealed level replica.
+        fn put_sealed_level(&self, label: VarLabel, level: LevelIndex, data: FieldData) {
+            self.sealed.write().insert((label, level), self.stamped(data));
+        }
+    }
 
     const KAPPA: VarLabel = VarLabel::new("abskg", 0);
     const CELLTYPE: VarLabel = VarLabel::new("cellType", 2);

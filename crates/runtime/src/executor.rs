@@ -10,20 +10,19 @@
 //! scalability requirement at full-machine scale). [`PersistentExecutor`]
 //! owns the per-rank execution state across timesteps:
 //!
-//! * the compiled graph, cached under a [`graph_signature`] of everything
+//! * the compiled graph, cached under a `graph_signature` of everything
 //!   compilation reads (grid shape, declarations, distribution, rank). A
 //!   matching signature reuses the cached graph and
-//!   [`Scheduler::execute_phase`] re-stamps tags with the step's phase
+//!   `Scheduler::execute_phase` re-stamps tags with the step's phase
 //!   byte; a mismatch — regrid, rebalance, changed task list — recompiles.
-//!   [`PersistentExecutor::invalidate`] forces the same from outside (the
+//!   `PersistentExecutor::invalidate` forces the same from outside (the
 //!   hook an AMR regrid would call);
 //! * the host [`DataWarehouse`], whose step boundary bumps the epoch and
-//!   drops last step's contents ([`DataWarehouse::begin_timestep`]);
+//!   drops last step's contents (`DataWarehouse::begin_timestep`);
 //! * the GPU warehouse, whose level database persists device-resident
 //!   coarse replicas across steps and re-uploads only changed bytes
 //!   (`GpuDataWarehouse::begin_timestep` + `ensure_level_fresh`).
 //!
-//! [`graph_signature`]: crate::graph::graph_signature
 
 use crate::dw::DataWarehouse;
 use crate::graph::{self, CompiledGraph, GraphCache};
@@ -93,7 +92,7 @@ impl PersistentExecutor {
     /// Attach a cross-executor [`GraphCache`]: on a local signature miss
     /// the executor adopts a matching shared graph instead of compiling,
     /// and feeds the cache after every compile it does perform.
-    pub fn set_graph_cache(&mut self, cache: Arc<GraphCache>) {
+    pub(crate) fn set_graph_cache(&mut self, cache: Arc<GraphCache>) {
         self.shared_cache = Some(cache);
     }
 
@@ -104,19 +103,19 @@ impl PersistentExecutor {
     /// counts, thresholds, seeds — keeps the compiled graph, while any
     /// structural change perturbs the signature and recompiles on the
     /// next [`Self::step`].
-    pub fn set_decls(&mut self, decls: Arc<Vec<TaskDecl>>) {
+    pub(crate) fn set_decls(&mut self, decls: Arc<Vec<TaskDecl>>) {
         self.decls = decls;
     }
 
     /// Stamp subsequent steps' [`ExecStats`] with a job/run identifier
     /// (`None` clears it). Interleaved multi-job logs key lines by it.
-    pub fn set_run_id(&mut self, run_id: Option<Arc<str>>) {
+    pub(crate) fn set_run_id(&mut self, run_id: Option<Arc<str>>) {
         self.run_id = run_id;
     }
 
     /// Graphs adopted from the shared cache instead of compiled locally.
     #[inline]
-    pub fn shared_graph_hits(&self) -> u64 {
+    pub(crate) fn shared_graph_hits(&self) -> u64 {
         self.shared_graph_hits
     }
 
@@ -264,14 +263,8 @@ impl PersistentExecutor {
     /// a regrid/rebalance calls when invalidation must not wait for the
     /// signature check (or when task closures changed behind the same
     /// declaration shape).
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.cached = None;
-    }
-
-    /// Timesteps executed so far.
-    #[inline]
-    pub fn steps(&self) -> u64 {
-        self.step
     }
 
     /// Graph compilations performed so far (1 in steady state).
@@ -293,7 +286,7 @@ impl PersistentExecutor {
     }
 
     #[inline]
-    pub fn gpu(&self) -> Option<&Arc<GpuDataWarehouse>> {
+    pub(crate) fn gpu(&self) -> Option<&Arc<GpuDataWarehouse>> {
         self.gpu.as_ref()
     }
 }

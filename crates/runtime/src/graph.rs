@@ -461,7 +461,7 @@ impl SigHasher {
 /// Two calls with equal signatures compile identical graphs (up to phase),
 /// so a cached `CompiledGraph` may be reused; any regrid, rebalance or
 /// task-list change perturbs the signature and forces recompilation.
-pub fn graph_signature(
+pub(crate) fn graph_signature(
     grid: &Grid,
     dist: &PatchDistribution,
     decls: &[TaskDecl],
@@ -583,7 +583,7 @@ impl GraphCache {
     }
 
     /// Look up a compiled graph by signature, refreshing its LRU stamp.
-    pub fn lookup(&self, sig: u64) -> Option<Arc<CompiledGraph>> {
+    pub(crate) fn lookup(&self, sig: u64) -> Option<Arc<CompiledGraph>> {
         let mut guard = self.map.lock().expect("graph cache poisoned");
         let (map, clock) = &mut *guard;
         *clock += 1;
@@ -604,7 +604,7 @@ impl GraphCache {
     /// entry when the cap is exceeded. Racing inserts under one signature
     /// are benign (last writer wins; both graphs are identical by
     /// construction).
-    pub fn insert(&self, sig: u64, graph: Arc<CompiledGraph>) {
+    pub(crate) fn insert(&self, sig: u64, graph: Arc<CompiledGraph>) {
         let mut guard = self.map.lock().expect("graph cache poisoned");
         let (map, clock) = &mut *guard;
         *clock += 1;
@@ -619,15 +619,6 @@ impl GraphCache {
             map.remove(&victim);
             self.evictions.fetch_add(1, AtomicOrdering::Relaxed);
         }
-    }
-
-    /// Graphs currently cached.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("graph cache poisoned").0.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Counter snapshot (hits/misses/insertions/evictions).

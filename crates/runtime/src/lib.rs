@@ -53,7 +53,7 @@ pub use calibrate::{CalibrationSnapshot, DeviceCalibration};
 pub use driver::{run_world, World, WorldConfig, WorldResult};
 pub use dw::DataWarehouse;
 pub use executor::PersistentExecutor;
-pub use graph::{graph_signature, CompiledGraph, GraphCache, GraphCacheStats, GraphStats};
+pub use graph::{CompiledGraph, GraphCache, GraphCacheStats, GraphStats};
 pub use regrid::RegridEvent;
 pub use scheduler::{DeviceStepStats, ExecStats, Scheduler, StoreKind};
 pub use task::{Computes, Requirement, TaskContext, TaskDecl, TaskFn, TaskKind};

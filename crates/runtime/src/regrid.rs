@@ -4,7 +4,7 @@
 //! compares old and new ownership and moves the current-epoch warehouse
 //! contents of every patch it lost to the patch's new owner — Uintah's
 //! data-migration phase after `Regridder::regrid`. The wire protocol reuses
-//! the ghost-exchange codec: one [bundle](crate::codec::encode_bundle) per
+//! the ghost-exchange codec: one bundle per
 //! migrated patch carrying every per-patch variable, sent under a reserved
 //! tag namespace so migration traffic can never match graph receives.
 //!

@@ -15,7 +15,7 @@
 //! (the fabric notifies on `isend`) or by peers pushing ready work. Parked
 //! time and park counts are reported in [`ExecStats`].
 //!
-//! [`Scheduler::execute_phase`] executes a *cached* graph under any
+//! `Scheduler::execute_phase` executes a *cached* graph under any
 //! timestep phase: tags are re-stamped with the phase byte at post time
 //! ([`Tag::with_phase`]), which is what makes compiled graphs reusable
 //! across timesteps.
@@ -303,7 +303,7 @@ impl Scheduler {
     }
 
     #[inline]
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.comm.rank()
     }
 
@@ -323,7 +323,7 @@ impl Scheduler {
     ///
     /// A panicking task body ends the step: the other workers stop taking
     /// work, drains settle, and the first task's panic is re-raised here.
-    pub fn execute_phase(
+    pub(crate) fn execute_phase(
         &self,
         grid: &Arc<Grid>,
         decls: &[TaskDecl],
@@ -520,7 +520,6 @@ impl Scheduler {
                                     patch,
                                     dw,
                                     gpu,
-                                    rank: comm.rank(),
                                     space,
                                 };
                                 let t0 = Instant::now();

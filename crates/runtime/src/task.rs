@@ -30,7 +30,7 @@ pub enum Requirement {
 }
 
 impl Requirement {
-    pub fn label(&self) -> VarLabel {
+    pub(crate) fn label(&self) -> VarLabel {
         match *self {
             Requirement::OwnPatch(l) | Requirement::Ghost(l, _) | Requirement::WholeLevel(l, _) => l,
         }
@@ -111,7 +111,6 @@ pub struct TaskContext<'a> {
     pub(crate) patch: &'a Patch,
     pub(crate) dw: &'a DataWarehouse,
     pub(crate) gpu: Option<&'a GpuDataWarehouse>,
-    pub(crate) rank: usize,
     pub(crate) space: ExecSpace,
 }
 
@@ -124,11 +123,6 @@ impl<'a> TaskContext<'a> {
     #[inline]
     pub fn patch(&self) -> &Patch {
         self.patch
-    }
-
-    #[inline]
-    pub fn rank(&self) -> usize {
-        self.rank
     }
 
     /// The execution space the scheduler picked for this task (GPU tasks
@@ -152,13 +146,6 @@ impl<'a> TaskContext<'a> {
     #[inline]
     pub fn device_id(&self) -> usize {
         self.space.device_index().unwrap_or(0)
-    }
-
-    /// Own-patch variable (no ghosts).
-    pub fn get_f64(&self, label: VarLabel) -> Arc<FieldData> {
-        self.dw
-            .get_patch(label, self.patch.id())
-            .unwrap_or_else(|| panic!("task input {label} missing on {:?}", self.patch.id()))
     }
 
     /// Assemble the variable over `patch + g` ghosts from local patches and

@@ -41,7 +41,7 @@ const OUTPUT_BYTES_PER_CELL: u64 = 8;
 ///   output window.
 ///
 /// CPU-only jobs have zero device footprint.
-pub fn estimate_device_footprint(cfg: &RunConfig, grid: &Grid, ndevices: usize) -> u64 {
+pub(crate) fn estimate_device_footprint(cfg: &RunConfig, grid: &Grid, ndevices: usize) -> u64 {
     if !cfg.gpu {
         return 0;
     }
@@ -66,7 +66,7 @@ pub fn estimate_device_footprint(cfg: &RunConfig, grid: &Grid, ndevices: usize) 
 
 /// The controller's verdict for one job at one instant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// Run now: the footprint fits in what the meters say is free.
     Admit,
     /// Fits the fleet but not the current headroom — wait for a
@@ -88,7 +88,7 @@ pub enum Admission {
 ///   this job would itself reuse. Those bytes are *part of* the job's
 ///   footprint (inherited replicas), not competition for it, so they are
 ///   credited back.
-pub fn decide(
+pub(crate) fn decide(
     footprint: u64,
     total_capacity: u64,
     reserved: u64,

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use uintah_grid::Region;
 
 /// Server-assigned job identifier (monotonic per server instance).
-pub type JobId = u64;
+pub(crate) type JobId = u64;
 
 /// Counters accumulated over one job's execution on the server, summed
 /// across its ranks and timesteps. The serve-side analogue of folding a
@@ -121,13 +121,6 @@ pub enum JobOutcome {
 }
 
 impl JobOutcome {
-    /// The report, if the job completed.
-    pub fn report(&self) -> Option<&Arc<JobReport>> {
-        match self {
-            JobOutcome::Done(r) => Some(r),
-            _ => None,
-        }
-    }
 
     /// Unwrap a completed job's report; panics with the failure otherwise.
     pub fn expect_done(&self) -> &Arc<JobReport> {

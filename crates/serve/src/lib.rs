@@ -31,7 +31,7 @@ pub mod protocol;
 pub mod server;
 mod slot;
 
-pub use job::{DivqField, JobId, JobOutcome, JobReport, JobStats};
+pub use job::{DivqField, JobOutcome, JobReport, JobStats};
 pub use net::{serve_on, ClientError, ServeClient, ServerSocket};
-pub use protocol::{Request, Response, RejectCode};
+pub use protocol::{RejectCode, Response};
 pub use server::{JobHandle, RadiationServer, ServeConfig, ServerStats, SubmitError};

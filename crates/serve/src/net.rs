@@ -267,14 +267,6 @@ impl ServeClient {
         }
     }
 
-    /// Cancel a job; returns whether the server knew it.
-    pub fn cancel(&mut self, job_id: JobId) -> Result<bool, ClientError> {
-        match self.roundtrip(&Request::Cancel { job_id })? {
-            Response::CancelAck { found, .. } => Ok(found),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
-    }
-
     /// Fetch server-wide counters.
     pub fn stats(&mut self) -> Result<crate::server::ServerStats, ClientError> {
         match self.roundtrip(&Request::Stats)? {

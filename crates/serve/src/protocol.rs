@@ -22,11 +22,11 @@ use uintah_grid::{IntVector, Region};
 use uintah_runtime::GraphCacheStats;
 
 /// Protocol version stamped on every frame; mismatches are rejected.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub(crate) const PROTOCOL_VERSION: u8 = 1;
 
 /// Upper bound on a single frame's payload (a 256³ fine level of f64
 /// divQ is 128 MiB; anything bigger than this is a corrupt length).
-pub const MAX_FRAME: usize = 256 << 20;
+pub(crate) const MAX_FRAME: usize = 256 << 20;
 
 /// Why a submission was refused (typed — oversubscription must reject or
 /// queue, never panic).
@@ -63,7 +63,7 @@ impl RejectCode {
 
 /// Client → server.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Request {
+pub(crate) enum Request {
     /// Submit a job: the same `key = value` config text `rmcrt_app`
     /// consumes, parsed server-side (the `priority` key selects the
     /// queue tier).
@@ -114,7 +114,7 @@ impl std::error::Error for WireError {}
 // ---------------------------------------------------------------- framing
 
 /// Write one `[u32 LE length][payload]` frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
     w.write_all(&len.to_le_bytes())?;
@@ -123,7 +123,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Read one frame; `Ok(None)` on clean EOF before the length word.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     let mut got = 0;
     while got < 4 {
@@ -293,7 +293,7 @@ const OUTCOME_CANCELED: u8 = 1;
 const OUTCOME_FAILED: u8 = 2;
 
 /// Encode a request payload (framing is the transport's job).
-pub fn encode_request(req: &Request) -> Vec<u8> {
+pub(crate) fn encode_request(req: &Request) -> Vec<u8> {
     match req {
         Request::Submit { config_text } => {
             let mut e = Enc::new(REQ_SUBMIT);
@@ -316,7 +316,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 }
 
 /// Decode a request payload.
-pub fn decode_request(buf: &[u8]) -> Result<Request, WireError> {
+pub(crate) fn decode_request(buf: &[u8]) -> Result<Request, WireError> {
     let (kind, mut d) = Dec::new(buf)?;
     let req = match kind {
         REQ_SUBMIT => Request::Submit {
@@ -544,7 +544,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 }
 
 /// Decode a response payload.
-pub fn decode_response(buf: &[u8]) -> Result<Response, WireError> {
+pub(crate) fn decode_response(buf: &[u8]) -> Result<Response, WireError> {
     let (kind, mut d) = Dec::new(buf)?;
     let resp = match kind {
         RESP_ACCEPTED => Response::Accepted { job_id: d.u64()? },

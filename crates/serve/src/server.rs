@@ -58,8 +58,8 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Refuse a configuration the server cannot start with: no worker, an
-    /// empty fleet, or a device capacity of 0 MiB or of more bytes than a
-    /// `usize` holds. [`RadiationServer::start`] asserts through this, and
+    /// empty fleet, a graph cache of 0 entries, or a device capacity of
+    /// 0 MiB or of more bytes than a `usize` holds. [`RadiationServer::start`] asserts through this, and
     /// `rmcrt_serve` reports the same text as a usage error.
     pub fn validate(&self) -> Result<(), String> {
         if self.workers == 0 {
@@ -67,6 +67,9 @@ impl ServeConfig {
         }
         if self.gpus == 0 {
             return Err("gpus must be >= 1".into());
+        }
+        if self.graph_cache_cap == 0 {
+            return Err("graph_cache_cap must be >= 1".into());
         }
         if self.gpu_capacity_mb == 0 {
             return Err("gpu_capacity_mb must be >= 1".into());
@@ -261,7 +264,7 @@ impl RadiationServer {
             mib_to_bytes(cfg.gpu_capacity_mb).expect("validate() refuses an overflowing capacity");
         let fleet = DeviceFleet::with_capacity(cfg.gpus, "K20X-sim", capacity);
         let inner = Arc::new(ServerInner {
-            graph_cache: Arc::new(GraphCache::new(cfg.graph_cache_cap.max(1))),
+            graph_cache: Arc::new(GraphCache::new(cfg.graph_cache_cap)),
             fleet,
             state: Mutex::new(ServerState {
                 high: VecDeque::new(),
@@ -364,7 +367,7 @@ impl RadiationServer {
     }
 
     /// Cancel by id; returns whether the job exists.
-    pub fn cancel(&self, id: JobId) -> bool {
+    pub(crate) fn cancel(&self, id: JobId) -> bool {
         self.inner.cancel_job(id)
     }
 
@@ -653,6 +656,7 @@ mod tests {
         for (field, cfg) in [
             ("workers", with(|c| c.workers = 0)),
             ("gpus", with(|c| c.gpus = 0)),
+            ("graph_cache_cap", with(|c| c.graph_cache_cap = 0)),
             ("gpu_capacity_mb", with(|c| c.gpu_capacity_mb = 0)),
             // 2^44 MiB is 2^64 bytes: unchecked, it wraps to a 0-byte device.
             ("gpu_capacity_mb", with(|c| c.gpu_capacity_mb = 1 << 44)),

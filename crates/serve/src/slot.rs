@@ -53,7 +53,7 @@ impl Slot {
     /// build for `cfg.world_config()`, except that GPU warehouses attach
     /// to the *server's* fleet — every tenant meters against the same
     /// devices.
-    pub fn new(
+    pub(crate) fn new(
         cfg: &RunConfig,
         grid: Arc<Grid>,
         decls: Arc<Vec<TaskDecl>>,
@@ -74,12 +74,12 @@ impl Slot {
 
     /// Device bytes this slot still holds while idle (level replicas kept
     /// warm for the next same-shape tenant). Dropping the slot frees them.
-    pub fn resident_bytes(&self) -> u64 {
+    pub(crate) fn resident_bytes(&self) -> u64 {
         self.world.gpus().map(|g| g.resident_bytes() as u64).sum()
     }
 
     /// Device-resident level-replica entries across the slot's ranks.
-    pub fn level_entries(&self) -> u64 {
+    pub(crate) fn level_entries(&self) -> u64 {
         self.world.gpus().map(|g| g.level_entries() as u64).sum()
     }
 
@@ -89,7 +89,7 @@ impl Slot {
     /// level replicas stay resident — they are the cross-job sharing the
     /// next same-shape tenant inherits (its first `ensure_level_fresh`
     /// revalidates them against its own sealed data before serving).
-    pub fn run_job(
+    pub(crate) fn run_job(
         &mut self,
         job: &JobSpec,
         cancel: &AtomicBool,

@@ -112,7 +112,7 @@ pub fn rank_census(grid: &Grid, dist: &PatchDistribution, rank: usize, halo: i32
 
 /// Max census over a sample of ranks (the critical path at scale is set by
 /// the most loaded rank; sampling keeps 16k-rank sweeps fast).
-pub fn max_census(grid: &Grid, dist: &PatchDistribution, halo: i32, sample: usize) -> RankCensus {
+pub(crate) fn max_census(grid: &Grid, dist: &PatchDistribution, halo: i32, sample: usize) -> RankCensus {
     let nranks = dist.nranks();
     let stride = (nranks / sample.max(1)).max(1);
     let mut best = RankCensus::default();

@@ -101,7 +101,7 @@ impl MachineParams {
 
     /// GPU throughput for a kernel over `cells` cells: saturating
     /// utilization curve `peak · cells / (cells + halfsat)`.
-    pub fn gpu_throughput(&self, cells: f64) -> f64 {
+    pub(crate) fn gpu_throughput(&self, cells: f64) -> f64 {
         self.gpu_cellsteps_per_s * cells / (cells + self.gpu_halfsat_cells)
     }
 
@@ -207,16 +207,6 @@ pub struct CalibrationScale {
 }
 
 impl CalibrationScale {
-    /// Take the snapshot's rates as-is — the stats came from the target
-    /// machine itself.
-    pub fn identity(cellsteps_per_invocation: f64) -> Self {
-        Self {
-            cellsteps_per_invocation,
-            device_multiplier: 1.0,
-            pcie_multiplier: 1.0,
-            msg_cost_multiplier: 1.0,
-        }
-    }
 
     /// Host measurement → modeled Titan node (K20X ≈ 30× one host core on
     /// the march; PCIe gen2 well below a host memcpy).
@@ -245,6 +235,19 @@ impl CalibrationScale {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CalibrationScale {
+        /// Take the snapshot's rates as-is — the stats came from the target
+        /// machine itself.
+        fn identity(cellsteps_per_invocation: f64) -> Self {
+            Self {
+                cellsteps_per_invocation,
+                device_multiplier: 1.0,
+                pcie_multiplier: 1.0,
+                msg_cost_multiplier: 1.0,
+            }
+        }
+    }
 
     #[test]
     fn throughput_increases_with_patch_size() {

@@ -39,12 +39,12 @@ pub struct Breakdown {
 /// variance measured on the real executor shapes the modeled critical
 /// path instead of every kernel costing the analytic uniform amount.
 ///
-/// An empty profile ([`CostProfile::uniform`]) reproduces the uniform
+/// An empty profile (`CostProfile::uniform`) reproduces the uniform
 /// analytic model exactly. Weights are stored sorted descending so the
 /// profile is a deterministic function of the measured cost *multiset*
 /// (scheduler interleaving cannot reorder it). The simulation samples a
 /// rank's kernels from the distribution's *quantiles*
-/// ([`CostProfile::quantile_weight`]): the SFC load balancer spreads hot
+/// (`CostProfile::quantile_weight`): the SFC load balancer spreads hot
 /// spots across ranks, so a GPU holding `n` patches holds a representative
 /// sample of the global cost spread, not its head — a rank with many
 /// patches reproduces the full multiset, a rank with few gets its
@@ -56,14 +56,14 @@ pub struct CostProfile {
 
 impl CostProfile {
     /// The uniform analytic profile: every kernel costs the same.
-    pub fn uniform() -> Self {
+    pub(crate) fn uniform() -> Self {
         Self::default()
     }
 
     /// Build from raw per-patch costs (any unit; only ratios matter).
     /// Degenerate inputs — empty, or a zero/non-finite total — fall back
     /// to the uniform profile.
-    pub fn from_costs(costs: impl IntoIterator<Item = f64>) -> Self {
+    pub(crate) fn from_costs(costs: impl IntoIterator<Item = f64>) -> Self {
         let mut w: Vec<f64> = costs.into_iter().filter(|c| c.is_finite() && *c > 0.0).collect();
         let total: f64 = w.iter().sum();
         if w.is_empty() || total <= 0.0 {
@@ -87,18 +87,6 @@ impl CostProfile {
         self.weights.is_empty()
     }
 
-    /// Relative cost weight of kernel `k` (mean 1.0), cycling through the
-    /// sorted multiset. Use [`CostProfile::quantile_weight`] when the
-    /// total kernel count of the rank is known.
-    #[inline]
-    pub fn weight(&self, k: usize) -> f64 {
-        if self.weights.is_empty() {
-            1.0
-        } else {
-            self.weights[k % self.weights.len()]
-        }
-    }
-
     /// Weight of kernel `k` out of `n` on one rank: the mean of the
     /// measured distribution's `k`-th of `n` equal quantile bands. The
     /// band means always average to exactly 1, so a rank's total march
@@ -107,7 +95,7 @@ impl CostProfile {
     /// total work (the SFC load balancer spreads hot spots across ranks;
     /// what one rank keeps is a representative slice, not the heaviest
     /// patches).
-    pub fn quantile_weight(&self, k: usize, n: usize) -> f64 {
+    pub(crate) fn quantile_weight(&self, k: usize, n: usize) -> f64 {
         if self.weights.is_empty() || n == 0 {
             return 1.0;
         }
@@ -172,7 +160,7 @@ const MUTEX_LOCK_FRACTION: f64 = 0.15;
 
 /// Simulate one radiation timestep of the 2-level benchmark on `nranks`
 /// nodes (1 GPU each) with the uniform analytic cost model. Campaign
-/// callers with a measured [`CostProfile`] use [`simulate_timestep_with`].
+/// callers with a measured [`CostProfile`] use [`scaling_curve_with`].
 pub fn simulate_timestep(
     grid: &Grid,
     nranks: usize,
@@ -189,7 +177,7 @@ pub fn simulate_timestep(
 /// uniform model and only the *distribution* across the pipeline
 /// changes). [`CostProfile::uniform`] reproduces [`simulate_timestep`]
 /// exactly.
-pub fn simulate_timestep_with(
+pub(crate) fn simulate_timestep_with(
     grid: &Grid,
     nranks: usize,
     halo: i32,
@@ -349,7 +337,7 @@ pub fn simulate_timestep_cpu(
 }
 
 /// Sweep a strong-scaling curve over `gpu_counts` with a measured
-/// per-patch cost distribution (see [`simulate_timestep_with`]).
+/// per-patch cost distribution.
 pub fn scaling_curve_with(
     grid: &Grid,
     gpu_counts: &[usize],
@@ -374,6 +362,19 @@ pub fn efficiency(a: &ScalingPoint, b: &ScalingPoint) -> f64 {
 mod tests {
     use super::*;
     use uintah_grid::IntVector;
+
+    impl CostProfile {
+        /// Relative cost weight of kernel `k` (mean 1.0), cycling through the
+        /// sorted multiset. Use `CostProfile::quantile_weight` when the
+        /// total kernel count of the rank is known.
+        fn weight(&self, k: usize) -> f64 {
+            if self.weights.is_empty() {
+                1.0
+            } else {
+                self.weights[k % self.weights.len()]
+            }
+        }
+    }
 
     fn grid(fine: i32, patch: i32) -> Grid {
         Grid::builder()

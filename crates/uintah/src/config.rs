@@ -173,6 +173,12 @@ pub struct Key {
 /// value is the one `show` prints, later ones are aliases.
 type Choices<T> = &'static [(&'static str, T)];
 
+/// Most worker threads (`ranks × threads`) one run may start. Config text
+/// comes from outside (files, the serve wire), and every rank is a thread
+/// with its own mailbox, so an unbounded count would let one submitted job
+/// spawn threads until the host gives out.
+const MAX_WORLD_THREADS: usize = 256;
+
 const PROBLEMS: Choices<Problem> = &[("benchmark", Problem::Benchmark)];
 const STORES: Choices<StoreKind> = &[
     ("waitfree", StoreKind::WaitFree),
@@ -403,6 +409,12 @@ impl RunConfig {
         if self.ranks == 0 || self.threads == 0 {
             return Err("ranks and threads must be >= 1".into());
         }
+        if self.ranks.checked_mul(self.threads).is_none_or(|n| n > MAX_WORLD_THREADS) {
+            return Err(format!(
+                "ranks {} x threads {} is above the bound of {MAX_WORLD_THREADS} worker threads a run may start",
+                self.ranks, self.threads
+            ));
+        }
         if self.gpus_per_rank == 0 {
             return Err("gpus_per_rank must be >= 1".into());
         }
@@ -507,7 +519,7 @@ impl RunConfig {
     }
 
     /// The ray-count policy this configuration selects.
-    pub fn ray_count(&self) -> rmcrt_core::RayCountMode {
+    pub(crate) fn ray_count(&self) -> rmcrt_core::RayCountMode {
         if self.adaptive_rays {
             rmcrt_core::RayCountMode::Adaptive {
                 min: self.rays_min,
@@ -684,6 +696,24 @@ mod tests {
         assert_eq!(wc.gpu_capacity, None, "gpu off by default");
         let gcfg = RunConfig::parse("gpu = true\ngpu_capacity_mb = 64").unwrap();
         assert_eq!(gcfg.world_config().gpu_capacity, Some(64 << 20));
+    }
+
+    #[test]
+    fn world_size_above_the_bound_is_refused() {
+        let cfg = |ranks, threads| RunConfig {
+            ranks,
+            threads,
+            ..RunConfig::default()
+        };
+        assert!(cfg(MAX_WORLD_THREADS, 1).validate().is_ok());
+        assert!(cfg(16, 16).validate().is_ok());
+        for (ranks, threads) in [(100_000, 1), (1, MAX_WORLD_THREADS + 1), (17, 16), (usize::MAX, 2)] {
+            let err = cfg(ranks, threads).validate().unwrap_err();
+            assert!(err.contains("ranks") && err.contains("threads"), "{err}");
+            assert!(err.contains(&format!("bound of {MAX_WORLD_THREADS}")), "{err}");
+        }
+        let err = RunConfig::parse("ranks = 100000").unwrap_err();
+        assert!(err.message.contains("bound"), "{}", err.message);
     }
 
     #[test]

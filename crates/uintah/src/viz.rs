@@ -10,7 +10,7 @@ use uintah_grid::{CcVariable, IntVector};
 /// Extract the 2-D slice of `var` at `index` along `axis`
 /// (0 = x, 1 = y, 2 = z). Returns `(rows, cols, values)` with values in
 /// row-major order; the two remaining axes keep their natural order.
-pub fn slice(var: &CcVariable<f64>, axis: usize, index: i32) -> (usize, usize, Vec<f64>) {
+pub(crate) fn slice(var: &CcVariable<f64>, axis: usize, index: i32) -> (usize, usize, Vec<f64>) {
     assert!(axis < 3, "axis must be 0..3");
     let r = var.region();
     assert!(

@@ -17,6 +17,8 @@
 //!   disconnect cancels the jobs it submitted and abandoned;
 //! * malformed config text over the wire is a typed rejection on a
 //!   connection that stays usable, never a dead connection thread;
+//! * config text asking for more rank threads than a run may start is a
+//!   typed rejection at submit, before any rank exists;
 //! * the server forgets a finished job once 64 later ones have finished,
 //!   while a handle taken earlier keeps its outcome;
 //! * a served GPU job that regrids mid-run is bit-identical to the same
@@ -619,6 +621,30 @@ fn wire_malformed_config_is_rejected_and_connection_survives() {
     drop(client);
     socket.close();
     server.drain();
+    server.shutdown();
+}
+
+/// `ranks × threads` above the bound used to reach `World::new` and spawn
+/// one thread per rank inside the server. It is now refused by `validate`
+/// at submit, with both keys named: the job is never accepted, so no rank
+/// thread starts (the server's one pool worker is the only thread).
+#[test]
+fn oversized_world_config_text_is_refused_at_submit() {
+    let server = RadiationServer::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    for text in ["ranks = 100000", "ranks = 16\nthreads = 17"] {
+        match server.submit_text(text) {
+            Err(SubmitError::BadConfig(why)) => {
+                assert!(why.contains("ranks") && why.contains("threads"), "'{text}': {why}");
+            }
+            Err(other) => panic!("'{text}': expected BadConfig, got {other}"),
+            Ok(handle) => panic!("'{text}': accepted as job {}", handle.id()),
+        }
+    }
+    let stats = server.stats();
+    assert_eq!((stats.accepted, stats.active_jobs, stats.queued_jobs), (0, 0, 0));
     server.shutdown();
 }
 

@@ -59,6 +59,9 @@ trap - EXIT
 status=0
 ./target/release/rmcrt_serve target/x.sock --workers 0 || status=$?
 [ "$status" -eq 2 ]
+status=0
+./target/release/rmcrt_serve target/x.sock --graph-cache 0 || status=$?
+[ "$status" -eq 2 ]
 # E12 scaling-campaign regression gate, LARGE 16³-patch curve, two halves.
 # Model-limited: calibrated from the checked-in CALIBRATION.snapshot, the
 # Eq.-3 efficiencies must match the checked-in BENCH_scaling.json
