@@ -55,9 +55,6 @@ pub struct Message {
 pub(crate) struct RecvState {
     pub(crate) done: AtomicBool,
     pub(crate) payload: Mutex<Option<Message>>,
-    /// Buffer tracker to credit when the payload is consumed (set at
-    /// delivery time by the fabric).
-    pub(crate) tracker: Mutex<Option<uintah_mem::AllocTracker>>,
 }
 
 /// A non-blocking receive handle.
@@ -84,15 +81,7 @@ impl RecvRequest {
         if !self.test() {
             return None;
         }
-        let msg = self.state.payload.lock().take();
-        if let Some(m) = &msg {
-            // Credit the fabric's buffer accounting: the receive buffer is
-            // released exactly once, by the consuming thread.
-            if let Some(tracker) = self.state.tracker.lock().take() {
-                tracker.on_free(uintah_mem::AllocCategory::MpiBuffer, m.payload.len() as u64);
-            }
-        }
-        msg
+        self.state.payload.lock().take()
     }
 }
 

@@ -12,9 +12,8 @@ use crate::signal::WorkSignal;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use uintah_mem::{AllocCategory, AllocTracker};
 
 /// A rank id within a [`CommWorld`].
 pub(crate) type Rank = usize;
@@ -27,26 +26,11 @@ struct Mailbox {
     pending: HashMap<(Rank, Tag), VecDeque<Arc<RecvState>>>,
 }
 
-/// Per-world communication statistics (the "local communication" the paper's
-/// Figure 1 measures is the time spent posting/processing these).
-#[derive(Debug, Default)]
-pub(crate) struct CommStats {
-    pub sends: AtomicU64,
-    pub recvs_posted: AtomicU64,
-    pub bytes_sent: AtomicU64,
-    pub unexpected_hits: AtomicU64,
-}
-
 struct WorldInner {
     mailboxes: Vec<Mutex<Mailbox>>,
     /// One work-arrival signal per rank; `isend` notifies the destination's
     /// signal so parked scheduler workers wake when a message lands.
     signals: Vec<Arc<WorkSignal>>,
-    stats: CommStats,
-    /// Tracks MPI-buffer bytes: allocated when a payload enters the fabric,
-    /// freed when the receiver consumes it (the accounting the paper's
-    /// trackers provide between scaling runs).
-    tracker: AllocTracker,
 }
 
 /// A set of communicating ranks sharing one address space.
@@ -62,8 +46,6 @@ impl CommWorld {
             inner: Arc::new(WorldInner {
                 mailboxes: (0..nranks).map(|_| Mutex::new(Mailbox::default())).collect(),
                 signals: (0..nranks).map(|_| Arc::new(WorkSignal::new())).collect(),
-                stats: CommStats::default(),
-                tracker: AllocTracker::new(),
             }),
         }
     }
@@ -113,15 +95,6 @@ impl Communicator {
     /// time, so the send is complete when `isend` returns and there is no
     /// request to test.
     pub fn isend(&self, dst: Rank, tag: Tag, payload: Bytes) {
-        let stats = &self.world.inner.stats;
-        stats.sends.fetch_add(1, Ordering::Relaxed);
-        stats.bytes_sent.fetch_add(payload.len() as u64, Ordering::Relaxed);
-        // The fabric now holds a buffer for this message until the
-        // receiver consumes it.
-        self.world
-            .inner
-            .tracker
-            .on_alloc(AllocCategory::MpiBuffer, payload.len() as u64);
         let msg = Message {
             src: self.rank,
             tag,
@@ -143,7 +116,6 @@ impl Communicator {
         match pending {
             Some(state) => {
                 *state.payload.lock() = Some(msg);
-                *state.tracker.lock() = Some(self.world.inner.tracker.clone());
                 state.done.store(true, Ordering::Release);
             }
             None => mbox.unexpected.entry(key).or_default().push_back(msg),
@@ -156,11 +128,6 @@ impl Communicator {
 
     /// Non-blocking receive matching `(src, tag)`.
     pub fn irecv(&self, src: Rank, tag: Tag) -> RecvRequest {
-        self.world
-            .inner
-            .stats
-            .recvs_posted
-            .fetch_add(1, Ordering::Relaxed);
         let state = Arc::new(RecvState::default());
         let key = (src, tag);
         let mut mbox = self.world.inner.mailboxes[self.rank].lock();
@@ -171,13 +138,7 @@ impl Communicator {
                     mbox.unexpected.remove(&key);
                 }
                 *state.payload.lock() = Some(msg);
-                *state.tracker.lock() = Some(self.world.inner.tracker.clone());
                 state.done.store(true, Ordering::Release);
-                self.world
-                    .inner
-                    .stats
-                    .unexpected_hits
-                    .fetch_add(1, Ordering::Relaxed);
                 matched = true;
             }
         }
@@ -192,12 +153,6 @@ impl Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl CommWorld {
-        fn stats(&self) -> &CommStats {
-            &self.inner.stats
-        }
-    }
 
     impl Communicator {
         /// Blocking receive (spin on `test`).
@@ -226,7 +181,6 @@ mod tests {
         let m = r.take().unwrap();
         assert_eq!(&m.payload[..], b"hello");
         assert_eq!(m.src, 0);
-        assert_eq!(w.stats().unexpected_hits.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -239,7 +193,6 @@ mod tests {
         c0.isend(1, Tag(9), Bytes::from_static(b"late"));
         assert!(r.test());
         assert_eq!(&r.take().unwrap().payload[..], b"late");
-        assert_eq!(w.stats().unexpected_hits.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -301,40 +254,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
-        let w = CommWorld::new(2);
-        let c0 = w.communicator(0);
-        c0.isend(1, Tag(0), Bytes::from_static(&[0; 64]));
-        c0.isend(1, Tag(1), Bytes::from_static(&[0; 36]));
-        assert_eq!(w.stats().sends.load(Ordering::Relaxed), 2);
-        assert_eq!(w.stats().bytes_sent.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn bad_rank_rejected() {
         CommWorld::new(2).communicator(2);
-    }
-
-    #[test]
-    fn buffer_tracker_balances_send_and_consume() {
-        use uintah_mem::AllocCategory;
-        let w = CommWorld::new(2);
-        let c0 = w.communicator(0);
-        let c1 = w.communicator(1);
-        c0.isend(1, Tag(1), Bytes::from_static(&[0u8; 100]));
-        c0.isend(1, Tag(2), Bytes::from_static(&[0u8; 50]));
-        let snap = w.inner.tracker.snapshot(AllocCategory::MpiBuffer);
-        assert_eq!(snap.live_bytes, 150, "in-flight buffers are live");
-        let _ = c1.recv_blocking(0, Tag(1));
-        assert_eq!(
-            w.inner.tracker.snapshot(AllocCategory::MpiBuffer).live_bytes,
-            50
-        );
-        let _ = c1.recv_blocking(0, Tag(2));
-        let snap = w.inner.tracker.snapshot(AllocCategory::MpiBuffer);
-        assert_eq!(snap.live_bytes, 0);
-        assert_eq!(snap.peak_bytes, 150);
-        assert_eq!(snap.total_count, 2);
     }
 }

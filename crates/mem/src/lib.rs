@@ -1,4 +1,4 @@
-//! Memory accounting for the RMCRT-AMR stack, and the paper's §IV-B
+//! Device-memory sub-allocation for the RMCRT-AMR stack, and the paper's §IV-B
 //! fragmentation result as a replay model.
 //!
 //! The paper found that persistent small allocations interleaved with
@@ -10,9 +10,7 @@
 //! * [`fragsim`] — a deterministic heap simulator replaying an RMCRT-like
 //!   trace against first-fit / best-fit / size-class / arena-segregated
 //!   policies (E5 `frag_ablation`, S3 `leak_model`);
-//! * [`SubAllocator`] — the free list under each simulated GPU's budget;
-//! * [`AllocTracker`] — per-category live/peak byte counters, with which
-//!   the comm layer meters message payloads.
+//! * [`SubAllocator`] — the free list under each simulated GPU's budget.
 //!
 //! There is no arena or pool: `frag_ablation` measures this process's
 //! resident set against its live heap, on the long-lived server and on a
@@ -23,7 +21,5 @@
 
 pub mod fragsim;
 pub mod suballoc;
-pub mod tracker;
 
 pub use suballoc::{FitPolicy, SubAllocError, SubAllocStats, SubAllocator};
-pub use tracker::{AllocCategory, AllocTracker, TrackerSnapshot};

@@ -11,9 +11,8 @@
 //! backing bytes live wherever the caller keeps them (for the simulated
 //! [`GpuDevice`](../../uintah_gpu/struct.GpuDevice.html), in host `Vec`s).
 //!
-//! It keeps cheap counters ([`SubAllocStats`], mirroring
-//! [`AllocTracker`](crate::AllocTracker)'s live/peak/total discipline)
-//! apart from structural state, and rounds every request up to an
+//! It keeps cheap live/peak/total counters ([`SubAllocStats`]) apart
+//! from structural state, and rounds every request up to an
 //! alignment the caller picks (`align = 1` keeps the meter bit-exact for
 //! tests; 256 matches `cudaMalloc`). An optional two-ended size-class split
 //! ([`SubAllocator::with_small_class`]) stacks small blocks top-down so

@@ -220,13 +220,6 @@ pub fn compile(
             let me = inst_of[&(di, pid)];
             for r in &d.requires {
                 match *r {
-                    Requirement::OwnPatch(l) => {
-                        let pd = *patch_producer
-                            .get(&l)
-                            .unwrap_or_else(|| panic!("no producer for {l}"));
-                        assert!(pd < di, "producer {l} declared after consumer {}", d.name);
-                        add_edge(&mut instances, inst_of[&(pd, pid)], me);
-                    }
                     Requirement::Ghost(l, _g) => {
                         let pd = *patch_producer
                             .get(&l)
@@ -492,10 +485,6 @@ pub(crate) fn graph_signature(
         h.u64(d.requires.len() as u64);
         for r in &d.requires {
             match *r {
-                Requirement::OwnPatch(l) => {
-                    h.u64(0);
-                    h.u64(l.id() as u64);
-                }
                 Requirement::Ghost(l, g) => {
                     h.u64(1);
                     h.u64(l.id() as u64);
@@ -777,7 +766,7 @@ mod tests {
     fn missing_producer_detected() {
         let g = grid();
         let dist = PatchDistribution::new(&g, 1, DistributionPolicy::MortonSfc);
-        let decls = vec![TaskDecl::new("consumer", 1, nop()).requires(Requirement::OwnPatch(DIVQ))];
+        let decls = vec![TaskDecl::new("consumer", 1, nop()).requires(Requirement::Ghost(DIVQ, 0))];
         compile(&g, &dist, &decls, 0, 0);
     }
 

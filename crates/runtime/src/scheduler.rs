@@ -26,7 +26,7 @@ use crate::task::{TaskContext, TaskDecl, TaskKind};
 use crossbeam::queue::SegQueue;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use uintah_comm::{
@@ -285,6 +285,59 @@ impl ExecStats {
     }
 }
 
+/// One worker's meters for one step. Only its worker writes it; the step
+/// sums the workers' tallies at join, so metering puts no shared cache
+/// line on the task or message path.
+#[derive(Default)]
+struct Tally {
+    tasks_executed: usize,
+    gathers_executed: usize,
+    messages_sent: usize,
+    bytes_sent: u64,
+    /// Handler calls of the request store's sweeps.
+    messages_received: usize,
+    local_comm: Duration,
+    task_time: Duration,
+    idle: Duration,
+    parks: usize,
+    /// Per declaration: (executions, time in body).
+    per_decl: Vec<(usize, Duration)>,
+    /// Time in task bodies, indexed by patch id: the measured cost vector
+    /// the load balancer exchanges before a rebalance.
+    per_patch: Vec<Duration>,
+}
+
+impl Tally {
+    fn new(ndecls: usize, npatches: usize) -> Self {
+        Self {
+            per_decl: vec![(0, Duration::ZERO); ndecls],
+            per_patch: vec![Duration::ZERO; npatches],
+            ..Self::default()
+        }
+    }
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, o: Self) {
+        self.tasks_executed += o.tasks_executed;
+        self.gathers_executed += o.gathers_executed;
+        self.messages_sent += o.messages_sent;
+        self.bytes_sent += o.bytes_sent;
+        self.messages_received += o.messages_received;
+        self.local_comm += o.local_comm;
+        self.task_time += o.task_time;
+        self.idle += o.idle;
+        self.parks += o.parks;
+        for (a, b) in self.per_decl.iter_mut().zip(o.per_decl) {
+            a.0 += b.0;
+            a.1 += b.1;
+        }
+        for (a, b) in self.per_patch.iter_mut().zip(o.per_patch) {
+            *a += b;
+        }
+    }
+}
+
 /// A per-rank scheduler bound to a communicator.
 pub struct Scheduler {
     comm: Communicator,
@@ -395,51 +448,16 @@ impl Scheduler {
             recv_map.insert((r.src_rank, tag), ri);
             store.add(self.comm.irecv(r.src_rank, tag));
         }
-        let recv_map = &recv_map;
 
-        // Aggregated counters (nanoseconds for the durations).
-        let tasks_executed = AtomicUsize::new(0);
-        let gathers_executed = AtomicUsize::new(0);
-        let messages_sent = AtomicUsize::new(0);
-        let bytes_sent = AtomicU64::new(0);
-        let messages_received = AtomicUsize::new(0);
-        let comm_ns = AtomicU64::new(0);
-        let task_ns = AtomicU64::new(0);
-        let idle_ns = AtomicU64::new(0);
-        let parks = AtomicUsize::new(0);
-        let per_decl_count: Vec<AtomicUsize> = decls.iter().map(|_| AtomicUsize::new(0)).collect();
-        let per_decl_ns: Vec<AtomicU64> = decls.iter().map(|_| AtomicU64::new(0)).collect();
-        // Per-patch task time: the measured cost vector the load balancer
-        // exchanges before a rebalance (Uintah's forecaster input).
-        let per_patch_ns: Vec<AtomicU64> =
-            (0..grid.num_patches()).map(|_| AtomicU64::new(0)).collect();
-
-        std::thread::scope(|scope| {
+        // Each worker meters into its own `Tally` and returns it at join,
+        // where the step sums them. Only `deps`, `remaining`, `failed` and
+        // the panic payload are shared: they synchronise the workers.
+        let npatches = grid.num_patches();
+        let tally = std::thread::scope(|scope| {
+            let mut workers = Vec::with_capacity(self.nthreads);
             for _ in 0..self.nthreads {
-                let store = Arc::clone(&store);
-                let ready = &ready;
-                let ready_gpu = &ready_gpu;
-                let push_ready = &push_ready;
-                let deps = &deps;
-                let remaining = &remaining;
-                let failed = &failed;
-                let panic_payload = &panic_payload;
-                let tasks_executed = &tasks_executed;
-                let gathers_executed = &gathers_executed;
-                let messages_sent = &messages_sent;
-                let bytes_sent = &bytes_sent;
-                let messages_received = &messages_received;
-                let comm_ns = &comm_ns;
-                let task_ns = &task_ns;
-                let idle_ns = &idle_ns;
-                let parks = &parks;
-                let signal = &signal;
-                let per_decl_count = &per_decl_count;
-                let per_decl_ns = &per_decl_ns;
-                let per_patch_ns = &per_patch_ns;
-                let device_spaces = &device_spaces;
-                let comm = self.comm.clone();
-                scope.spawn(move || {
+                workers.push(scope.spawn(|| {
+                    let mut tally = Tally::new(decls.len(), npatches);
                     let notify = |ids: &[usize]| {
                         for &j in ids {
                             if deps[j].fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -447,7 +465,7 @@ impl Scheduler {
                             }
                         }
                     };
-                    let mut handle_msg = |msg: Message| {
+                    let handle_msg = |msg: Message| {
                         let ri = *recv_map.get(&(msg.src, msg.tag)).unwrap_or_else(|| {
                             panic!(
                                 "misrouted message: no posted receive matches src rank {} \
@@ -469,7 +487,6 @@ impl Scheduler {
                                 dw.deposit_level_window(label, level, region, &data);
                             }
                         }
-                        messages_received.fetch_add(1, Ordering::Relaxed);
                         notify(&entry.dependents);
                     };
 
@@ -495,7 +512,7 @@ impl Scheduler {
                             let inst = &graph.instances[i];
                             if let Some((label, level)) = inst.gather {
                                 dw.seal_level(label, level);
-                                gathers_executed.fetch_add(1, Ordering::Relaxed);
+                                tally.gathers_executed += 1;
                             } else {
                                 let di = inst.decl.expect("non-gather instance has a decl");
                                 let decl = &decls[di];
@@ -535,12 +552,12 @@ impl Scheduler {
                                     signal.notify();
                                     break;
                                 }
-                                let ns = t0.elapsed().as_nanos() as u64;
-                                task_ns.fetch_add(ns, Ordering::Relaxed);
-                                per_decl_ns[di].fetch_add(ns, Ordering::Relaxed);
-                                per_decl_count[di].fetch_add(1, Ordering::Relaxed);
-                                per_patch_ns[patch.id().index()].fetch_add(ns, Ordering::Relaxed);
-                                tasks_executed.fetch_add(1, Ordering::Relaxed);
+                                let dt = t0.elapsed();
+                                tally.task_time += dt;
+                                tally.per_decl[di].0 += 1;
+                                tally.per_decl[di].1 += dt;
+                                tally.per_patch[patch.id().index()] += dt;
+                                tally.tasks_executed += 1;
                             }
                             // Post this instance's sends ourselves (the
                             // MPI_THREAD_MULTIPLE pattern).
@@ -558,11 +575,11 @@ impl Scheduler {
                                             dw.pack_level_window(s.label, *li, &s.window)
                                         }
                                     };
-                                    bytes_sent.fetch_add(payload.len() as u64, Ordering::Relaxed);
-                                    messages_sent.fetch_add(1, Ordering::Relaxed);
-                                    comm.isend(s.dst_rank, s.tag.with_phase(phase), payload);
+                                    tally.bytes_sent += payload.len() as u64;
+                                    tally.messages_sent += 1;
+                                    self.comm.isend(s.dst_rank, s.tag.with_phase(phase), payload);
                                 }
-                                comm_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                                tally.local_comm += t0.elapsed();
                             }
                             notify(&inst.deps_out);
                             if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -572,8 +589,11 @@ impl Scheduler {
                             }
                         } else {
                             let t0 = Instant::now();
-                            let n = store.process_completed(&mut handle_msg);
-                            comm_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                            let n = store.process_completed(&mut |msg| {
+                                handle_msg(msg);
+                                tally.messages_received += 1;
+                            });
+                            tally.local_comm += t0.elapsed();
                             if n > 0 {
                                 empty_polls = 0;
                                 park_for = PARK_MIN;
@@ -583,16 +603,22 @@ impl Scheduler {
                             if empty_polls <= SPIN_POLLS {
                                 std::thread::yield_now();
                             } else {
-                                parks.fetch_add(1, Ordering::Relaxed);
+                                tally.parks += 1;
                                 let t0 = Instant::now();
                                 signal.wait_until_changed(seen, park_for);
-                                idle_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                                tally.idle += t0.elapsed();
                                 park_for = (park_for * 2).min(PARK_MAX);
                             }
                         }
                     }
-                });
+                    tally
+                }));
             }
+            let mut sum = Tally::new(decls.len(), npatches);
+            for w in workers {
+                sum += w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            }
+            sum
         });
 
         // End-of-step device synchronization (the `cudaDeviceSynchronize`
@@ -631,16 +657,16 @@ impl Scheduler {
 
         ExecStats {
             run_id: None,
-            tasks_executed: tasks_executed.load(Ordering::Relaxed),
-            gathers_executed: gathers_executed.load(Ordering::Relaxed),
-            messages_sent: messages_sent.load(Ordering::Relaxed),
-            bytes_sent: bytes_sent.load(Ordering::Relaxed),
-            messages_received: messages_received.load(Ordering::Relaxed),
-            local_comm: Duration::from_nanos(comm_ns.load(Ordering::Relaxed)),
-            task_time: Duration::from_nanos(task_ns.load(Ordering::Relaxed)),
+            tasks_executed: tally.tasks_executed,
+            gathers_executed: tally.gathers_executed,
+            messages_sent: tally.messages_sent,
+            bytes_sent: tally.bytes_sent,
+            messages_received: tally.messages_received,
+            local_comm: tally.local_comm,
+            task_time: tally.task_time,
             wall: t_start.elapsed(),
-            idle: Duration::from_nanos(idle_ns.load(Ordering::Relaxed)),
-            parks: parks.load(Ordering::Relaxed),
+            idle: tally.idle,
+            parks: tally.parks,
             graph_compile: Duration::ZERO,
             gpu_h2d_bytes: per_device.iter().map(|d| d.h2d_bytes).sum(),
             gpu_d2h_bytes: per_device.iter().map(|d| d.d2h_bytes).sum(),
@@ -657,27 +683,17 @@ impl Scheduler {
             regrid_compile: Duration::ZERO,
             migrated_bytes: 0,
             migrate_wall: Duration::ZERO,
-            per_patch: per_patch_ns
+            per_patch: tally
+                .per_patch
                 .iter()
                 .enumerate()
-                .filter(|(_, ns)| ns.load(Ordering::Relaxed) > 0)
-                .map(|(i, ns)| {
-                    (
-                        uintah_grid::PatchId(i as u32),
-                        Duration::from_nanos(ns.load(Ordering::Relaxed)),
-                    )
-                })
+                .filter(|(_, t)| !t.is_zero())
+                .map(|(i, &t)| (uintah_grid::PatchId(i as u32), t))
                 .collect(),
             per_task: decls
                 .iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    (
-                        d.name,
-                        per_decl_count[i].load(Ordering::Relaxed),
-                        Duration::from_nanos(per_decl_ns[i].load(Ordering::Relaxed)),
-                    )
-                })
+                .zip(&tally.per_decl)
+                .map(|(d, &(count, time))| (d.name, count, time))
                 .collect(),
         }
     }

@@ -18,10 +18,9 @@ pub enum TaskKind {
 /// A data requirement of a task instance.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Requirement {
-    /// The variable computed on the task's own patch by an earlier task.
-    OwnPatch(VarLabel),
     /// The variable on the task's own level within `g` ghost cells of the
-    /// patch — satisfied by neighbouring patches (possibly remote).
+    /// patch — satisfied by neighbouring patches (possibly remote). With
+    /// `g = 0` it is the variable on the task's own patch.
     Ghost(VarLabel, i32),
     /// The whole-level replica of `label` on level `li` — Uintah's
     /// "infinite ghost cells" / global halo, the all-to-all requirement of
@@ -32,7 +31,7 @@ pub enum Requirement {
 impl Requirement {
     pub(crate) fn label(&self) -> VarLabel {
         match *self {
-            Requirement::OwnPatch(l) | Requirement::Ghost(l, _) | Requirement::WholeLevel(l, _) => l,
+            Requirement::Ghost(l, _) | Requirement::WholeLevel(l, _) => l,
         }
     }
 }

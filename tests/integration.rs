@@ -3,6 +3,7 @@
 //! serial reference solvers.
 
 use std::sync::Arc;
+use std::time::Duration;
 use uintah::prelude::*;
 
 fn pipeline() -> RmcrtPipeline {
@@ -349,6 +350,60 @@ fn all_request_stores_agree_through_full_pipeline() {
     for c in results[0].region().cells() {
         assert_eq!(results[0][c], results[1][c]);
         assert_eq!(results[0][c], results[2][c]);
+    }
+}
+
+/// The step meters add up: every step's messages are received in that
+/// step, per-task counts and times sum to the step totals, and the
+/// per-patch costs the load balancer reads cover every owned fine patch
+/// and sum to the same task time, to the nanosecond.
+#[test]
+fn step_meters_are_conserved() {
+    let grid = Arc::new(BurnsChriston::small_grid(16, 4));
+    let p = pipeline();
+    for gpu in [false, true] {
+        let decls = Arc::new(multilevel_decls(&grid, p, gpu));
+        for (nranks, nthreads) in [(2usize, 2usize), (3, 1)] {
+            for store in [StoreKind::WaitFree, StoreKind::Mutex] {
+                let run = format!("gpu {gpu}, {nranks}x{nthreads}, {store:?}");
+                let result = run_world(
+                    Arc::clone(&grid),
+                    Arc::clone(&decls),
+                    WorldConfig {
+                        nranks,
+                        nthreads,
+                        store,
+                        timesteps: 2,
+                        gpu_capacity: gpu.then_some(512 << 20),
+                        ..Default::default()
+                    },
+                );
+                for step in 0..2 {
+                    let steps: Vec<_> = result.ranks.iter().map(|rr| &rr.stats[step]).collect();
+                    let sent: usize = steps.iter().map(|s| s.messages_sent).sum();
+                    let received: usize = steps.iter().map(|s| s.messages_received).sum();
+                    assert!(sent > 0, "{run}, step {step}: no messages");
+                    assert_eq!(sent, received, "{run}, step {step}: sent vs received");
+                    for (rr, s) in result.ranks.iter().zip(&steps) {
+                        let at = format!("{run}, step {step}, rank {}", rr.rank);
+                        let count: usize = s.per_task.iter().map(|t| t.1).sum();
+                        assert_eq!(count, s.tasks_executed, "{at}: per-task counts");
+                        let task_time: Duration = s.per_task.iter().map(|t| t.2).sum();
+                        assert_eq!(task_time, s.task_time, "{at}: per-task time");
+                        let patch_time: Duration = s.per_patch.iter().map(|p| p.1).sum();
+                        assert_eq!(patch_time, s.task_time, "{at}: per-patch time");
+                        for &pid in rr.dist.owned_by(rr.rank) {
+                            if grid.patch(pid).level_index() == grid.fine_level_index() {
+                                assert!(
+                                    s.per_patch.iter().any(|&(q, _)| q == pid),
+                                    "{at}: fine patch {pid:?} has no cost"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
