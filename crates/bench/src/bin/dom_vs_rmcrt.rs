@@ -43,7 +43,7 @@ fn main() {
     );
     for order in [SnOrder::S2, SnOrder::S4, SnOrder::S6, SnOrder::S8] {
         let t0 = Instant::now();
-        let sol = dom_solve(&props, order);
+        let sol = dom_solve(&props, order, &ExecSpace::Serial);
         let dt = t0.elapsed().as_secs_f64();
         let d = sol.div_q[IntVector::splat(mid)];
         println!(

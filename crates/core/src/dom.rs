@@ -127,17 +127,12 @@ pub struct DomSolution {
 /// Solve the non-scattering grey RTE on a single level with first-order
 /// upwind sweeps. Boundary condition: cold black walls (incoming I = 0),
 /// plus any interior wall cells in `props` (treated as cold here).
-/// Equivalent to [`solve_exec`] on [`ExecSpace::Serial`].
-pub fn solve(props: &LevelProps, order: SnOrder) -> DomSolution {
-    solve_exec(props, order, &ExecSpace::Serial)
-}
-
-/// [`solve`] dispatched on an execution space. Each ordinate's upwind
-/// sweep is an independent recurrence, so the fan-out is per ordinate
-/// ([`parallel_map`]); the incident radiation `G` is then accumulated in
-/// canonical ordinate order, making the result bit-identical to the serial
-/// solve on every space.
-pub fn solve_exec(props: &LevelProps, order: SnOrder, space: &ExecSpace) -> DomSolution {
+///
+/// Each ordinate's upwind sweep is an independent recurrence, so the
+/// fan-out on `space` is per ordinate ([`parallel_map`]); the incident
+/// radiation `G` is then accumulated in canonical ordinate order, making
+/// the result bit-identical on every space.
+pub fn solve(props: &LevelProps, order: SnOrder, space: &ExecSpace) -> DomSolution {
     props.validate();
     let region = props.region;
     let ords = ordinates(order);
@@ -233,6 +228,7 @@ fn sweep(props: &LevelProps, o: &Ordinate, intensity: &mut CcVariable<f64>) {
 /// [`crate::scatter`]).
 ///
 /// Returns the solution and the number of source iterations performed.
+/// Runs on the calling thread.
 pub fn solve_with_scattering(
     props: &LevelProps,
     order: SnOrder,
@@ -240,21 +236,7 @@ pub fn solve_with_scattering(
     tol: f64,
     max_iters: usize,
 ) -> (DomSolution, usize) {
-    solve_with_scattering_exec(props, order, sigma_s, tol, max_iters, &ExecSpace::Serial)
-}
-
-/// [`solve_with_scattering`] dispatched on an execution space. Within one
-/// source iteration every ordinate sweeps against the *previous* `G`, so
-/// the per-iteration fan-out is per ordinate, followed by a canonical-order
-/// accumulation — bit-identical to the serial source iteration.
-pub(crate) fn solve_with_scattering_exec(
-    props: &LevelProps,
-    order: SnOrder,
-    sigma_s: f64,
-    tol: f64,
-    max_iters: usize,
-    space: &ExecSpace,
-) -> (DomSolution, usize) {
+    let space = &ExecSpace::Serial;
     props.validate();
     assert!(sigma_s >= 0.0);
     let region = props.region;
@@ -385,7 +367,7 @@ pub fn beam_spread_dom(n: i32, order: SnOrder) -> f64 {
             props.sigma_t4_over_pi[c] = if in_strip { 1.0 } else { 0.0 };
         }
     }
-    let sol = solve(&props, order);
+    let sol = solve(&props, order, &ExecSpace::Serial);
     // Energy on the exit face (x = n-1) inside vs outside the strip shadow.
     let mut inside = 0.0;
     let mut outside = 0.0;
@@ -452,7 +434,7 @@ mod tests {
                 props.abskg[c] = 1.0;
             }
         }
-        let sol = solve(&props, SnOrder::S4);
+        let sol = solve(&props, SnOrder::S4, &ExecSpace::Serial);
         let c = IntVector::splat(n / 2);
         assert!(
             sol.div_q[c].abs() < 1e-9,
@@ -466,7 +448,7 @@ mod tests {
     fn cold_walls_net_emission_positive() {
         let n = 16;
         let props = LevelProps::uniform(Region::cube(n), Vector::splat(1.0 / n as f64), 1.0, 1.0);
-        let sol = solve(&props, SnOrder::S4);
+        let sol = solve(&props, SnOrder::S4, &ExecSpace::Serial);
         let dq = sol.div_q[IntVector::splat(n / 2)];
         assert!(dq > 0.0, "hot medium between cold walls must emit: {dq}");
     }
@@ -477,7 +459,7 @@ mod tests {
         // within a few percent at the domain centre.
         let n = 16;
         let props = LevelProps::uniform(Region::cube(n), Vector::splat(1.0 / n as f64), 1.0, 1.0);
-        let dom_dq = solve(&props, SnOrder::S8).div_q[IntVector::splat(n / 2)];
+        let dom_dq = solve(&props, SnOrder::S8, &ExecSpace::Serial).div_q[IntVector::splat(n / 2)];
         let stack = [crate::trace::TraceLevel {
             props: &props,
             roi: props.region,
@@ -506,7 +488,7 @@ mod tests {
     #[test]
     fn zero_scattering_reduces_to_plain_solve() {
         let props = LevelProps::uniform(Region::cube(8), Vector::splat(0.125), 1.0, 0.7);
-        let plain = solve(&props, SnOrder::S4);
+        let plain = solve(&props, SnOrder::S4, &ExecSpace::Serial);
         let (scat, iters) = solve_with_scattering(&props, SnOrder::S4, 0.0, 1e-10, 50);
         // σ_s = 0 decouples the ordinates: converged after the 2nd sweep
         // confirms nothing changed.
@@ -566,8 +548,8 @@ mod tests {
     #[test]
     fn sweep_cost_scales_with_ordinates() {
         let props = LevelProps::uniform(Region::cube(8), Vector::splat(0.125), 1.0, 1.0);
-        let a = solve(&props, SnOrder::S2).cell_ordinate_updates;
-        let b = solve(&props, SnOrder::S4).cell_ordinate_updates;
+        let a = solve(&props, SnOrder::S2, &ExecSpace::Serial).cell_ordinate_updates;
+        let b = solve(&props, SnOrder::S4, &ExecSpace::Serial).cell_ordinate_updates;
         assert_eq!(b / a, 3, "S4 has 3x the ordinates of S2");
     }
 }

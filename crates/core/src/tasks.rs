@@ -11,6 +11,9 @@
 //!   traces rays on (fine ROI + coarse replicas).
 //! * [`single_level_decls`] — the original single fine mesh algorithm whose
 //!   `O(N²)` replication motivates the multi-level scheme.
+//!
+//! Both pipelines build their trace task from one `trace_decl`: the same
+//! rays over a different level stack, with one GPU branch.
 
 use crate::benchmark::BurnsChriston;
 use crate::labels::{ABSKG, CELLTYPE, DIVQ, SIGMA_T4_OVER_PI};
@@ -19,7 +22,7 @@ use crate::solver::{solve_region, solve_region_exec, RmcrtParams};
 use crate::trace::TraceLevel;
 use std::sync::Arc;
 use uintah_exec::ops;
-use uintah_grid::{CcVariable, FieldData, Grid, LevelIndex, Region, VarLabel};
+use uintah_grid::{CcVariable, FieldData, Grid, LevelIndex, Patch, Region, VarLabel};
 use uintah_runtime::graph::ratio_between;
 use uintah_runtime::{Computes, Requirement, TaskContext, TaskDecl};
 
@@ -45,10 +48,11 @@ impl Default for RmcrtPipeline {
 const PROP_LABELS: [VarLabel; 3] = [ABSKG, SIGMA_T4_OVER_PI, CELLTYPE];
 
 /// Build the "initProperties" task: evaluate the benchmark's radiative
-/// properties on each fine patch and deposit restriction windows for every
-/// coarse level in `coarse_levels`.
-fn init_props_decl(problem: BurnsChriston, fine_li: LevelIndex, coarse_levels: Vec<LevelIndex>) -> TaskDecl {
-    let levels_for_windows = coarse_levels.clone();
+/// properties on each fine patch and deposit a restriction window onto
+/// every level in `window_levels`. In single-level mode that is the fine
+/// level itself, whose window at ratio 1 is the patch.
+fn init_props_decl(problem: BurnsChriston, fine_li: LevelIndex, window_levels: Vec<LevelIndex>) -> TaskDecl {
+    let levels_for_windows = window_levels.clone();
     let mut decl = TaskDecl::new(
         "RMCRT::initProperties",
         fine_li,
@@ -56,46 +60,33 @@ fn init_props_decl(problem: BurnsChriston, fine_li: LevelIndex, coarse_levels: V
             let level = ctx.grid().level(ctx.patch().level_index());
             let region = ctx.patch().interior();
             let props = problem.props_for_region(level, region);
-            // Restriction windows onto every coarse level.
             for &li in &levels_for_windows {
-                if li == ctx.patch().level_index() {
-                    // Single-level mode: the "window" is the patch itself.
-                    ctx.put_level_window(ABSKG, li, region, FieldData::F64(props.abskg.clone()));
-                    ctx.put_level_window(
-                        SIGMA_T4_OVER_PI,
-                        li,
-                        region,
-                        FieldData::F64(props.sigma_t4_over_pi.clone()),
-                    );
-                    ctx.put_level_window(CELLTYPE, li, region, FieldData::U8(props.cell_type.clone()));
-                } else {
-                    let rr = ratio_between(ctx.grid(), ctx.patch().level_index(), li);
-                    let window = region.coarsened(rr);
-                    let space = ctx.exec_space();
-                    ctx.put_level_window(
-                        ABSKG,
-                        li,
+                let rr = ratio_between(ctx.grid(), ctx.patch().level_index(), li);
+                let window = region.coarsened(rr);
+                let space = ctx.exec_space();
+                ctx.put_level_window(
+                    ABSKG,
+                    li,
+                    window,
+                    FieldData::F64(ops::restrict_average(space, &props.abskg, rr, window)),
+                );
+                ctx.put_level_window(
+                    SIGMA_T4_OVER_PI,
+                    li,
+                    window,
+                    FieldData::F64(ops::restrict_average(
+                        space,
+                        &props.sigma_t4_over_pi,
+                        rr,
                         window,
-                        FieldData::F64(ops::restrict_average(space, &props.abskg, rr, window)),
-                    );
-                    ctx.put_level_window(
-                        SIGMA_T4_OVER_PI,
-                        li,
-                        window,
-                        FieldData::F64(ops::restrict_average(
-                            space,
-                            &props.sigma_t4_over_pi,
-                            rr,
-                            window,
-                        )),
-                    );
-                    ctx.put_level_window(
-                        CELLTYPE,
-                        li,
-                        window,
-                        FieldData::U8(ops::restrict_cell_type(space, &props.cell_type, rr, window)),
-                    );
-                }
+                    )),
+                );
+                ctx.put_level_window(
+                    CELLTYPE,
+                    li,
+                    window,
+                    FieldData::U8(ops::restrict_cell_type(space, &props.cell_type, rr, window)),
+                );
             }
             ctx.put(ABSKG, FieldData::F64(props.abskg));
             ctx.put(SIGMA_T4_OVER_PI, FieldData::F64(props.sigma_t4_over_pi));
@@ -105,7 +96,7 @@ fn init_props_decl(problem: BurnsChriston, fine_li: LevelIndex, coarse_levels: V
     .computes(Computes::PatchVar(ABSKG))
     .computes(Computes::PatchVar(SIGMA_T4_OVER_PI))
     .computes(Computes::PatchVar(CELLTYPE));
-    for &li in &coarse_levels {
+    for &li in &window_levels {
         for l in PROP_LABELS {
             decl = decl.computes(Computes::LevelWindow(l, li));
         }
@@ -128,8 +119,8 @@ fn fine_roi_props(ctx: &TaskContext, halo: i32) -> LevelProps {
     }
 }
 
-/// Assemble a coarse level's props from the sealed whole-level replicas.
-fn coarse_level_props(ctx: &TaskContext, li: LevelIndex) -> LevelProps {
+/// Assemble a level's props from its sealed whole-level replicas.
+fn whole_level_props(ctx: &TaskContext, li: LevelIndex) -> LevelProps {
     let level = ctx.grid().level(li);
     LevelProps {
         region: level.cell_region(),
@@ -141,58 +132,75 @@ fn coarse_level_props(ctx: &TaskContext, li: LevelIndex) -> LevelProps {
     }
 }
 
-/// The ray-trace body shared by the CPU and GPU task variants. `fine` is
-/// the task's one [`fine_roi_props`] assembly: the GPU variant stages the
-/// same arrays onto the device before it gets here.
-fn trace_patch(
-    ctx: &TaskContext,
-    pipeline: &RmcrtPipeline,
-    coarse_levels: &[LevelIndex],
-    fine: &LevelProps,
-) -> CcVariable<f64> {
-    let coarse: Vec<LevelProps> = coarse_levels.iter().map(|&li| coarse_level_props(ctx, li)).collect();
-    let grid = ctx.grid();
-    let fine_li = ctx.patch().level_index();
-    // Stack: coarsest .. finest. Intermediate levels use a coarsened-ROI
-    // plus halo; the coarsest uses its whole region.
-    let mut stack: Vec<TraceLevel> = Vec::with_capacity(coarse.len() + 1);
-    for (k, props) in coarse.iter().enumerate() {
-        let li = coarse_levels[k];
-        let roi = if li == coarse_levels[0] {
+/// The trace stack of one fine patch, coarsest level first: the coarsest
+/// level whole, each intermediate level as the patch's coarsened ROI plus
+/// `halo` cells, and the fine ROI, if any, last. `whole[k]` holds level
+/// `levels[k]`. The trace task and [`reference_multilevel`] both build
+/// their stacks here.
+fn onion_stack<'a>(
+    grid: &Grid,
+    patch: &Patch,
+    halo: i32,
+    levels: &[LevelIndex],
+    whole: &'a [LevelProps],
+    fine: Option<&'a LevelProps>,
+) -> Vec<TraceLevel<'a>> {
+    let mut stack = Vec::with_capacity(whole.len() + 1);
+    for (k, (&li, props)) in levels.iter().zip(whole).enumerate() {
+        let roi = if k == 0 {
             props.region
         } else {
-            let rr = ratio_between(grid, fine_li, li);
-            ctx.patch()
+            let rr = ratio_between(grid, patch.level_index(), li);
+            patch
                 .interior()
                 .coarsened(rr)
-                .grown(pipeline.halo)
+                .grown(halo)
                 .intersect(&props.region)
         };
         stack.push(TraceLevel { props, roi });
     }
-    stack.push(TraceLevel {
-        props: fine,
-        roi: fine.region,
-    });
-    // Dispatch on the scheduler-picked space: the metered Device space for
-    // GPU tasks (one kernel launch per patch), a host space otherwise.
+    if let Some(props) = fine {
+        stack.push(TraceLevel {
+            props,
+            roi: props.region,
+        });
+    }
+    stack
+}
+
+/// The ray-trace body shared by the CPU and GPU task variants, dispatched
+/// on the scheduler-picked space: the metered Device space for GPU tasks
+/// (one kernel launch per patch), a host space otherwise.
+fn trace_patch(
+    ctx: &TaskContext,
+    pipeline: &RmcrtPipeline,
+    levels: &[LevelIndex],
+    fine: Option<&LevelProps>,
+) -> CcVariable<f64> {
+    let whole: Vec<LevelProps> = levels.iter().map(|&li| whole_level_props(ctx, li)).collect();
+    let stack = onion_stack(ctx.grid(), ctx.patch(), pipeline.halo, levels, &whole, fine);
     solve_region_exec(&stack, ctx.patch().interior(), &pipeline.params, ctx.exec_space())
 }
 
-/// The trace task: CPU variant computes directly; GPU variant stages fine
-/// inputs into the patch DB and coarse replicas through the *level
-/// database* (one shared copy per level — contribution ii), runs the
-/// "kernel", and brings `divQ` back over the metered PCIe path.
-fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, coarse_levels: Vec<LevelIndex>, gpu: bool) -> TaskDecl {
-    let cl = coarse_levels.clone();
+/// The trace task of both pipelines. It traces over the whole-level
+/// replicas of `levels` (coarsest first) and, with `fine_roi`, over the
+/// patch's ghosted fine ROI on top: `0..fine_li` plus the fine ROI is the
+/// data onion, `[fine_li]` alone the single-level algorithm.
+///
+/// The CPU variant computes directly. The GPU variant stages the replicas
+/// through the *level database* (one shared copy per level per device —
+/// contribution ii) and the fine ROI into the patch database, holds them
+/// across the "kernel", and brings `divQ` back over the metered D2H path.
+fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, levels: Vec<LevelIndex>, fine_roi: bool, gpu: bool) -> TaskDecl {
+    let traced = levels.clone();
     let body: uintah_runtime::TaskFn = Arc::new(move |ctx: &mut TaskContext| {
-        let fine = fine_roi_props(ctx, pipeline.halo);
+        let fine = fine_roi.then(|| fine_roi_props(ctx, pipeline.halo));
         if let (true, Some(gdw)) = (gpu, ctx.gpu()) {
-            // Stage coarse replicas via the level DB (uploaded at most once
-            // per level per timestep, shared by all patch tasks). The
-            // handles stay alive until the kernel completes — without the
-            // level DB this is what multiplies device memory by the number
-            // of resident patch tasks. The epoch-aware variant keeps the
+            // Stage replicas via the level DB (uploaded at most once per
+            // level per timestep, shared by all patch tasks). The handles
+            // stay alive until the kernel completes — without the level DB
+            // this is what multiplies device memory by the number of
+            // resident patch tasks. The epoch-aware variant keeps the
             // replica device-resident across timesteps, re-uploading only
             // bytes that actually changed since the last radiation solve.
             // Replicas land on the device this task's kernels dispatch to
@@ -200,7 +208,7 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, coarse_levels: Vec<L
             // level per *device*, never one per patch task.
             let dev = ctx.device_id();
             let mut staged = Vec::new();
-            for &li in &cl {
+            for &li in &traced {
                 for l in PROP_LABELS {
                     let host = ctx.get_level(l, li);
                     staged.push(
@@ -211,15 +219,17 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, coarse_levels: Vec<L
             }
             // Stage fine ROI inputs per patch.
             let pid = ctx.patch().id();
-            gdw.put_patch(ABSKG, pid, FieldData::F64(fine.abskg.clone()))
-                .expect("device OOM staging abskg");
-            gdw.put_patch(SIGMA_T4_OVER_PI, pid, FieldData::F64(fine.sigma_t4_over_pi.clone()))
-                .expect("device OOM staging sigmaT4");
-            gdw.put_patch(CELLTYPE, pid, FieldData::U8(fine.cell_type.clone()))
-                .expect("device OOM staging cellType");
+            if let Some(fine) = &fine {
+                gdw.put_patch(ABSKG, pid, FieldData::F64(fine.abskg.clone()))
+                    .expect("device OOM staging abskg");
+                gdw.put_patch(SIGMA_T4_OVER_PI, pid, FieldData::F64(fine.sigma_t4_over_pi.clone()))
+                    .expect("device OOM staging sigmaT4");
+                gdw.put_patch(CELLTYPE, pid, FieldData::U8(fine.cell_type.clone()))
+                    .expect("device OOM staging cellType");
+            }
             // Kernel: same slab-ordered math, dispatched on the Device
             // space — one metered launch per patch task.
-            let div_q = trace_patch(ctx, &pipeline, &cl, &fine);
+            let div_q = trace_patch(ctx, &pipeline, &traced, fine.as_ref());
             gdw.alloc_patch_output(DIVQ, pid, FieldData::F64(div_q))
                 .expect("device OOM for divQ");
             // Output crosses PCIe back on the D2H copy engine: the drain is
@@ -231,29 +241,35 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, coarse_levels: Vec<L
             let out = gdw
                 .take_patch_to_host_async(DIVQ, pid)
                 .expect("divQ staged above");
-            for l in PROP_LABELS {
-                gdw.drop_patch(l, pid);
+            if fine.is_some() {
+                for l in PROP_LABELS {
+                    gdw.drop_patch(l, pid);
+                }
             }
             drop(staged); // release this task's claim on the replicas
             ctx.put_pending(DIVQ, out);
         } else {
-            let div_q = trace_patch(ctx, &pipeline, &cl, &fine);
+            let div_q = trace_patch(ctx, &pipeline, &traced, fine.as_ref());
             ctx.put(DIVQ, FieldData::F64(div_q));
         }
     });
-    let mut decl = TaskDecl::new(
-        if gpu { "RMCRT::rayTraceGPU" } else { "RMCRT::rayTrace" },
-        fine_li,
-        body,
-    )
-    .requires(Requirement::Ghost(ABSKG, pipeline.halo))
-    .requires(Requirement::Ghost(SIGMA_T4_OVER_PI, pipeline.halo))
-    .requires(Requirement::Ghost(CELLTYPE, pipeline.halo))
-    .computes(Computes::PatchVar(DIVQ));
+    let name = match (fine_roi, gpu) {
+        (true, false) => "RMCRT::rayTrace",
+        (true, true) => "RMCRT::rayTraceGPU",
+        (false, false) => "RMCRT::rayTrace1L",
+        (false, true) => "RMCRT::rayTrace1LGPU",
+    };
+    let mut decl = TaskDecl::new(name, fine_li, body);
+    if fine_roi {
+        for l in PROP_LABELS {
+            decl = decl.requires(Requirement::Ghost(l, pipeline.halo));
+        }
+    }
+    decl = decl.computes(Computes::PatchVar(DIVQ));
     if gpu {
         decl = decl.on_gpu();
     }
-    for &li in &coarse_levels {
+    for &li in &levels {
         for l in PROP_LABELS {
             decl = decl.requires(Requirement::WholeLevel(l, li));
         }
@@ -285,7 +301,7 @@ pub fn multilevel_decls(grid: &Grid, pipeline: RmcrtPipeline, gpu: bool) -> Vec<
     let coarse: Vec<LevelIndex> = (0..fine_li).collect();
     vec![
         init_props_decl(pipeline.problem, fine_li, coarse.clone()),
-        trace_decl(pipeline, fine_li, coarse, gpu),
+        trace_decl(pipeline, fine_li, coarse, true, gpu),
     ]
 }
 
@@ -295,53 +311,8 @@ pub fn single_level_decls(grid: &Grid, pipeline: RmcrtPipeline, gpu: bool) -> Ve
     let fine_li = grid.fine_level_index();
     vec![
         init_props_decl(pipeline.problem, fine_li, vec![fine_li]),
-        single_level_trace_decl(pipeline, fine_li, gpu),
+        trace_decl(pipeline, fine_li, vec![fine_li], false, gpu),
     ]
-}
-
-fn single_level_trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, gpu: bool) -> TaskDecl {
-    let body: uintah_runtime::TaskFn = Arc::new(move |ctx: &mut TaskContext| {
-        let level = ctx.grid().level(fine_li);
-        if let (true, Some(gdw)) = (gpu, ctx.gpu()) {
-            let dev = ctx.device_id();
-            for l in PROP_LABELS {
-                let host = ctx.get_level(l, fine_li);
-                gdw.ensure_level_fresh_on(dev, l, fine_li, || (*host).clone())
-                    .expect("device OOM staging fine replica");
-            }
-        }
-        let props = LevelProps {
-            region: level.cell_region(),
-            anchor: level.anchor(),
-            dx: level.dx(),
-            abskg: ctx.get_level(ABSKG, fine_li).as_f64().clone(),
-            sigma_t4_over_pi: ctx.get_level(SIGMA_T4_OVER_PI, fine_li).as_f64().clone(),
-            cell_type: ctx.get_level(CELLTYPE, fine_li).as_u8().clone(),
-        };
-        let stack = [TraceLevel {
-            props: &props,
-            roi: props.region,
-        }];
-        let div_q = solve_region_exec(&stack, ctx.patch().interior(), &pipeline.params, ctx.exec_space());
-        ctx.put(DIVQ, FieldData::F64(div_q));
-    });
-    let mut decl = TaskDecl::new(
-        if gpu {
-            "RMCRT::rayTrace1LGPU"
-        } else {
-            "RMCRT::rayTrace1L"
-        },
-        fine_li,
-        body,
-    )
-    .computes(Computes::PatchVar(DIVQ));
-    if gpu {
-        decl = decl.on_gpu();
-    }
-    for l in PROP_LABELS {
-        decl = decl.requires(Requirement::WholeLevel(l, fine_li));
-    }
-    decl
 }
 
 /// Reference solve: single-level RMCRT over the whole fine mesh, serial,
@@ -363,47 +334,30 @@ pub fn reference_multilevel(grid: &Grid, pipeline: &RmcrtPipeline) -> CcVariable
     let fine_li = grid.fine_level_index();
     let fine_props_all = pipeline.problem.props_for_level(fine_level);
     let serial = uintah_exec::ExecSpace::Serial;
-    let mut coarse_props: Vec<LevelProps> = Vec::new();
-    for li in 0..fine_li {
-        let level = grid.level(li);
-        let rr = ratio_between(grid, fine_li, li);
-        let region = level.cell_region();
-        coarse_props.push(LevelProps {
-            region,
-            anchor: level.anchor(),
-            dx: level.dx(),
-            abskg: ops::restrict_average(&serial, &fine_props_all.abskg, rr, region),
-            sigma_t4_over_pi: ops::restrict_average(&serial, &fine_props_all.sigma_t4_over_pi, rr, region),
-            cell_type: ops::restrict_cell_type(&serial, &fine_props_all.cell_type, rr, region),
-        });
-    }
+    let coarse: Vec<LevelIndex> = (0..fine_li).collect();
+    let coarse_props: Vec<LevelProps> = coarse
+        .iter()
+        .map(|&li| {
+            let level = grid.level(li);
+            let rr = ratio_between(grid, fine_li, li);
+            let region = level.cell_region();
+            LevelProps {
+                region,
+                anchor: level.anchor(),
+                dx: level.dx(),
+                abskg: ops::restrict_average(&serial, &fine_props_all.abskg, rr, region),
+                sigma_t4_over_pi: ops::restrict_average(&serial, &fine_props_all.sigma_t4_over_pi, rr, region),
+                cell_type: ops::restrict_cell_type(&serial, &fine_props_all.cell_type, rr, region),
+            }
+        })
+        .collect();
     let mut out = CcVariable::new(fine_level.cell_region());
     for patch in fine_level.patches() {
         let roi: Region = patch
             .with_ghosts(pipeline.halo)
             .intersect(&fine_level.cell_region());
         let fine_roi = pipeline.problem.props_for_region(fine_level, roi);
-        let mut stack: Vec<TraceLevel> = Vec::new();
-        for (k, props) in coarse_props.iter().enumerate() {
-            let roi_k = if k == 0 {
-                props.region
-            } else {
-                let rr = ratio_between(grid, fine_li, k as LevelIndex);
-                patch
-                    .interior()
-                    .coarsened(rr)
-                    .grown(pipeline.halo)
-                    .intersect(&props.region)
-            };
-            stack.push(TraceLevel {
-                props,
-                roi: roi_k,
-            });
-        }
-        stack.push(TraceLevel {
-            props: &fine_roi,
-            roi,
-        });
+        let stack = onion_stack(grid, patch, pipeline.halo, &coarse, &coarse_props, Some(&fine_roi));
         let part = solve_region(&stack, patch.interior(), &pipeline.params);
         out.copy_window(&part, &part.region());
     }

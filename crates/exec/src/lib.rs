@@ -14,10 +14,9 @@
 //!
 //! * [`ExecSpace`] — `Serial`, `Threads(n)`, or `Device` (the simulated
 //!   GPU: same slab-ordered kernels, one metered kernel launch per
-//!   dispatch on the device's stream queues);
-//! * [`parallel_for`] — apply a kernel to every cell of a region;
+//!   dispatch);
 //! * [`parallel_reduce`] — map-reduce over a region with a deterministic
-//!   combination order (slab-ordered, so floating-point results are
+//!   combination order (plane-ordered, so floating-point results are
 //!   identical for any thread count);
 //! * [`parallel_fill`] — produce a [`CcVariable`] by evaluating a kernel
 //!   per cell (the common "compute a field" pattern);
@@ -28,6 +27,14 @@
 //!   non-cell fan-out such as the DOM ordinate sweeps;
 //! * [`ops`] — exec-dispatched AMR operators (restriction / prolongation)
 //!   over the per-cell kernels exported by `uintah-grid`.
+//!
+//! Each entry point only cuts its work into its canonical partition —
+//! z-slabs of runs, z-slabs of planes, index chunks — and hands the parts
+//! to one private dispatch loop. That loop is the only place a space is
+//! told apart and the only thread fan-out: one part on the calling thread
+//! (`Serial`), one part inside one metered launch (`Device`), or one
+//! scoped thread per part (`Threads`), whose kernel panic reaches the
+//! caller with its own payload.
 //!
 //! Determinism is a hard requirement inherited from the RMCRT solvers:
 //! every entry point yields results that are bit-identical across
@@ -128,10 +135,7 @@ impl KernelStatsAccum {
 /// index within the rank's device fleet, plus a shared [`KernelStats`]
 /// accumulator. Cheap to clone — clones share the device and the stats, so
 /// a scheduler can hand one space per device to the GPU tasks of a
-/// timestep and read one per-device snapshot afterwards. Stream
-/// round-robin state lives on the *device* (its `next_stream` counter), so
-/// clones of one space share a stream sequence while spaces over different
-/// devices advance independently — exactly the CUDA queue model.
+/// timestep and read one per-device snapshot afterwards.
 #[derive(Clone, Debug)]
 pub struct DeviceSpace {
     device: GpuDevice,
@@ -167,18 +171,16 @@ impl DeviceSpace {
         self.stats.snapshot()
     }
 
-    /// Execute one kernel launch: record it on the device (consuming a
-    /// stream slot, as one CUDA kernel launches on one stream), run the
-    /// body on the calling thread — the simulated device executes kernels
+    /// Execute one kernel launch: count it on the device, run the body on
+    /// the calling thread — the simulated device executes kernels
     /// host-side; concurrency comes from concurrent patch tasks — and
     /// meter the dispatch.
-    fn launch<R>(&self, invocations: u64, bytes: u64, body: impl FnOnce() -> R) -> R {
-        let _stream = self.device.launch_kernel();
+    fn launch(&self, invocations: u64, bytes: u64, body: impl FnOnce()) {
+        self.device.launch_kernel();
         let t0 = Instant::now();
-        let out = body();
+        body();
         self.stats
             .record(invocations, bytes, t0.elapsed().as_nanos() as u64);
-        out
     }
 }
 
@@ -236,26 +238,65 @@ impl ExecSpace {
 /// A degenerate region (zero or negative extent on any axis) yields **no**
 /// slabs: every entry point dispatches zero kernel invocations for it, on
 /// every space — callers never rely on downstream clamping.
-fn slabs(region: Region, n: usize) -> Vec<Region> {
-    if region.is_empty() {
-        return Vec::new();
-    }
-    let nz = region.extent().z as usize;
-    let n = n.clamp(1, nz);
-    (0..n)
-        .map(|i| {
-            let z0 = region.lo().z + (nz * i / n) as i32;
-            let z1 = region.lo().z + (nz * (i + 1) / n) as i32;
-            Region::new(
-                IntVector::new(region.lo().x, region.lo().y, z0),
-                IntVector::new(region.hi().x, region.hi().y, z1),
-            )
-        })
-        .filter(|r| !r.is_empty())
-        .collect()
+fn slabs(region: Region, n: usize) -> impl Iterator<Item = Region> {
+    let nz = if region.is_empty() { 0 } else { region.extent().z as usize };
+    let n = n.clamp(1, nz.max(1)).min(nz);
+    let (lo, hi) = (region.lo(), region.hi());
+    (0..n).map(move |i| {
+        let z0 = lo.z + (nz * i / n) as i32;
+        let z1 = lo.z + (nz * (i + 1) / n) as i32;
+        Region::new(IntVector::new(lo.x, lo.y, z0), IntVector::new(hi.x, hi.y, z1))
+    })
 }
 
-/// Run `kernel` for every cell of `region`.
+/// The one dispatch loop under every entry point, and the only place a
+/// space is told apart. `parts(workers)` cuts the work into the entry
+/// point's canonical partition for that many workers — one on `Serial` and
+/// on `Device`, `n` on `Threads(n)`; `work` runs one part and hands each
+/// result to its `emit` in order; `sink` gets every result in part order,
+/// on the calling thread, whatever the space. A `Device` dispatch is one
+/// metered launch of `invocations` kernel invocations writing `bytes`. On
+/// `Threads`, a part whose kernel panics re-raises that panic's own
+/// payload in the caller.
+fn dispatch<P, R, I>(
+    space: &ExecSpace,
+    (invocations, bytes): (u64, u64),
+    parts: impl FnOnce(usize) -> I,
+    work: impl Fn(P, &mut dyn FnMut(R)) + Sync,
+    mut sink: impl FnMut(R),
+) where
+    I: Iterator<Item = P>,
+    P: Send,
+    R: Send,
+{
+    match space {
+        ExecSpace::Serial => parts(1).for_each(|p| work(p, &mut sink)),
+        ExecSpace::Device(d) => d.launch(invocations, bytes, || parts(1).for_each(|p| work(p, &mut sink))),
+        ExecSpace::Threads(n) => std::thread::scope(|s| {
+            let work = &work;
+            let workers: Vec<_> = parts((*n).max(1))
+                .map(|p| {
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        work(p, &mut |r| out.push(r));
+                        out
+                    })
+                })
+                .collect();
+            for w in workers {
+                let out = w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                out.into_iter().for_each(&mut sink);
+            }
+        }),
+    }
+}
+
+/// Map-reduce over `region` with a *canonical fold structure*: a partial
+/// accumulator is computed per z-plane (cell order within a plane is fixed)
+/// and the plane partials are folded left-to-right. Because the structure
+/// does not depend on the execution space, results are **bit-identical**
+/// for any thread count — and on the device — even for non-associative
+/// combines (floating-point sums), the property the RMCRT solvers require.
 ///
 /// ```
 /// use uintah_exec::{parallel_reduce, ExecSpace};
@@ -268,47 +309,6 @@ fn slabs(region: Region, n: usize) -> Vec<Region> {
 ///     |c| (c.x + c.y + c.z) as f64 * 0.1, |a, b| a + b);
 /// assert_eq!(serial.to_bits(), threaded.to_bits()); // bit-identical
 /// ```
-pub fn parallel_for<F>(space: &ExecSpace, region: Region, kernel: F)
-where
-    F: Fn(IntVector) + Sync,
-{
-    if region.is_empty() {
-        return;
-    }
-    match space {
-        ExecSpace::Serial => {
-            for c in region.cells() {
-                kernel(c);
-            }
-        }
-        ExecSpace::Threads(n) => {
-            let kernel = &kernel;
-            std::thread::scope(|s| {
-                for slab in slabs(region, (*n).max(1)) {
-                    s.spawn(move || {
-                        for c in slab.cells() {
-                            kernel(c);
-                        }
-                    });
-                }
-            });
-        }
-        ExecSpace::Device(d) => d.launch(region.volume() as u64, 0, || {
-            // Slab-ordered on-device execution: ascending z-slabs are the
-            // kernel's thread blocks, visited in canonical order.
-            for c in region.cells() {
-                kernel(c);
-            }
-        }),
-    }
-}
-
-/// Map-reduce over `region` with a *canonical fold structure*: a partial
-/// accumulator is computed per z-plane (cell order within a plane is fixed)
-/// and the plane partials are folded left-to-right. Because the structure
-/// does not depend on the execution space, results are **bit-identical**
-/// for any thread count — and on the device — even for non-associative
-/// combines (floating-point sums), the property the RMCRT solvers require.
 pub fn parallel_reduce<T, M, C>(
     space: &ExecSpace,
     region: Region,
@@ -324,48 +324,29 @@ where
     if region.is_empty() {
         return identity;
     }
-    let planes: Vec<Region> = (region.lo().z..region.hi().z)
-        .map(|z| {
-            Region::new(
-                IntVector::new(region.lo().x, region.lo().y, z),
-                IntVector::new(region.hi().x, region.hi().y, z + 1),
-            )
-        })
-        .collect();
-    let plane_partial = |plane: &Region| -> T {
-        let mut acc = identity.clone();
-        for c in plane.cells() {
-            acc = combine(acc, map(c));
-        }
-        acc
-    };
-    let partials: Vec<T> = match space {
-        ExecSpace::Serial => planes.iter().map(plane_partial).collect(),
-        ExecSpace::Threads(n) => {
-            let mut out: Vec<Option<T>> = (0..planes.len()).map(|_| None).collect();
-            let chunk = planes.len().div_ceil((*n).max(1));
-            let plane_partial = &plane_partial;
-            std::thread::scope(|s| {
-                for (planes_chunk, out_chunk) in planes.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    s.spawn(move || {
-                        for (p, slot) in planes_chunk.iter().zip(out_chunk.iter_mut()) {
-                            *slot = Some(plane_partial(p));
-                        }
-                    });
+    let mut acc = Some(identity.clone());
+    dispatch(
+        space,
+        (region.volume() as u64, 0),
+        // Whole z-planes, a slab of them per worker.
+        |workers| slabs(region, workers),
+        |slab, emit| {
+            for z in slab.lo().z..slab.hi().z {
+                let plane = Region::new(
+                    IntVector::new(slab.lo().x, slab.lo().y, z),
+                    IntVector::new(slab.hi().x, slab.hi().y, z + 1),
+                );
+                let mut partial = identity.clone();
+                for c in plane.cells() {
+                    partial = combine(partial, map(c));
                 }
-            });
-            out.into_iter().map(|p| p.expect("plane computed")).collect()
-        }
-        ExecSpace::Device(d) => d.launch(region.volume() as u64, 0, || {
-            planes.iter().map(plane_partial).collect()
-        }),
-    };
-    // Canonical left-to-right fold over plane partials.
-    let mut acc = identity;
-    for p in partials {
-        acc = combine(acc, p);
-    }
-    acc
+                emit(partial);
+            }
+        },
+        // Canonical left-to-right fold over plane partials.
+        |partial| acc = acc.take().map(|a| combine(a, partial)),
+    );
+    acc.expect("the fold holds a value between partials")
 }
 
 /// Evaluate `kernel` at every cell of `region` into a new variable: the
@@ -472,44 +453,31 @@ where
         return (out, Vec::new());
     }
     let run = run.max(1);
-    // One block of consecutive cells — the whole region or one z-slab — cut
-    // into runs, each handed its cells and its part of the output.
-    let fill = |block: Region, slots: &mut [T]| -> Vec<S> {
-        slots
-            .chunks_mut(run)
-            .enumerate()
-            .map(|(i, part)| kernel(RunCells::new(block, i * run, part.len()), part))
-            .collect()
-    };
-    let per_run = match space {
-        ExecSpace::Serial => fill(region, out.as_mut_slice()),
-        ExecSpace::Threads(n) => {
-            // A z-slab is a contiguous block of the region's x-fastest
-            // order, so each thread writes its own part of the output.
-            let fill = &fill;
-            std::thread::scope(|s| {
-                let mut rest = out.as_mut_slice();
-                let threads: Vec<_> = slabs(region, (*n).max(1))
-                    .into_iter()
-                    .map(|slab| {
-                        let (slots, tail) = std::mem::take(&mut rest).split_at_mut(slab.volume());
-                        rest = tail;
-                        s.spawn(move || fill(slab, slots))
-                    })
-                    .collect();
-                threads
-                    .into_iter()
-                    .flat_map(|t| t.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                    .collect()
+    let cells = region.volume() as u64;
+    let mut per_run = Vec::with_capacity(region.volume().div_ceil(run));
+    let slots = out.as_mut_slice();
+    dispatch(
+        space,
+        (cells, cells * std::mem::size_of::<T>() as u64),
+        // A z-slab is a contiguous block of the region's x-fastest order,
+        // so each part gets its own part of the output.
+        |workers| {
+            let mut rest = slots;
+            slabs(region, workers).map(move |slab| {
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(slab.volume());
+                rest = tail;
+                (slab, mine)
             })
-        }
-        ExecSpace::Device(d) => {
-            let cells = region.volume() as u64;
-            d.launch(cells, cells * std::mem::size_of::<T>() as u64, || {
-                fill(region, out.as_mut_slice())
-            })
-        }
-    };
+        },
+        // One block of consecutive cells cut into runs, each handed its
+        // cells and its part of the output.
+        |(block, slots): (Region, &mut [T]), emit| {
+            for (i, part) in slots.chunks_mut(run).enumerate() {
+                emit(kernel(RunCells::new(block, i * run, part.len()), part));
+            }
+        },
+        |s| per_run.push(s),
+    );
     (out, per_run)
 }
 
@@ -525,48 +493,25 @@ where
     if n == 0 {
         return Vec::new();
     }
-    match space {
-        ExecSpace::Serial => (0..n).map(f).collect(),
-        ExecSpace::Threads(t) => {
-            let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-            let chunk = n.div_ceil((*t).max(1));
-            let f = &f;
-            std::thread::scope(|s| {
-                for (start, out_chunk) in (0..n).step_by(chunk).zip(out.chunks_mut(chunk)) {
-                    s.spawn(move || {
-                        for (k, slot) in out_chunk.iter_mut().enumerate() {
-                            *slot = Some(f(start + k));
-                        }
-                    });
-                }
-            });
-            out.into_iter().map(|v| v.expect("index computed")).collect()
-        }
-        ExecSpace::Device(d) => d.launch(n as u64, 0, || (0..n).map(f).collect()),
-    }
+    let mut out = Vec::with_capacity(n);
+    dispatch(
+        space,
+        (n as u64, 0),
+        // Contiguous index chunks, one per worker.
+        |workers| {
+            let chunk = n.div_ceil(workers);
+            (0..n).step_by(chunk).map(move |start| start..n.min(start + chunk))
+        },
+        |chunk, emit| chunk.for_each(|i| emit(f(i))),
+        |v| out.push(v),
+    );
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    impl DeviceSpace {
-        pub(crate) fn device(&self) -> &GpuDevice {
-            &self.device
-        }
-    }
-
-    impl ExecSpace {
-        /// Effective worker count (streams for the device space).
-        fn concurrency(&self) -> usize {
-            match self {
-                ExecSpace::Serial => 1,
-                ExecSpace::Threads(n) => (*n).max(1),
-                ExecSpace::Device(d) => d.device().num_streams() as usize,
-            }
-        }
-    }
 
     fn all_spaces() -> Vec<ExecSpace> {
         vec![
@@ -578,13 +523,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_visits_every_cell_once() {
+    fn fill_visits_every_cell_once() {
         for space in all_spaces() {
             let region = Region::cube(8);
             let counts: Vec<AtomicUsize> =
                 (0..region.volume()).map(|_| AtomicUsize::new(0)).collect();
-            parallel_for(&space, region, |c| {
+            let _ = parallel_fill(&space, region, |c| {
                 counts[region.linear_index(c)].fetch_add(1, Ordering::Relaxed);
+                0u8
             });
             assert!(
                 counts.iter().all(|c| c.load(Ordering::Relaxed) == 1),
@@ -703,8 +649,9 @@ mod tests {
         let sum = parallel_reduce(&ExecSpace::Threads(16), thin, 0usize, |_| 1usize, |a, b| a + b);
         assert_eq!(sum, 16);
         let count = std::sync::atomic::AtomicUsize::new(0);
-        parallel_for(&ExecSpace::Threads(9), thin, |_| {
+        let _ = parallel_fill(&ExecSpace::Threads(9), thin, |_| {
             count.fetch_add(1, Ordering::Relaxed);
+            0u8
         });
         assert_eq!(count.load(Ordering::Relaxed), 16);
     }
@@ -723,7 +670,7 @@ mod tests {
             Region::new(IntVector::new(0, 0, 5), IntVector::new(8, 8, 2)),
         ];
         for region in degenerate {
-            assert!(slabs(region, 8).is_empty(), "{region:?} produced slabs");
+            assert!(slabs(region, 8).next().is_none(), "{region:?} produced slabs");
             let device = GpuDevice::with_capacity("test", 1 << 20);
             let spaces = [
                 ExecSpace::Serial,
@@ -732,9 +679,7 @@ mod tests {
             ];
             for space in &spaces {
                 let count = AtomicUsize::new(0);
-                parallel_for(space, region, |_| {
-                    count.fetch_add(1, Ordering::Relaxed);
-                });
+                let _ = parallel_map(space, 0, |_| count.fetch_add(1, Ordering::Relaxed));
                 assert_eq!(count.load(Ordering::Relaxed), 0, "{space:?} {region:?}");
                 let sum = parallel_reduce(space, region, 0usize, |_| 1usize, |a, b| a + b);
                 assert_eq!(sum, 0);
@@ -757,7 +702,7 @@ mod tests {
         let space = ExecSpace::device(device.clone());
         let region = Region::cube(4);
         let _ = parallel_fill(&space, region, |c| (c.x + c.y + c.z) as f64);
-        parallel_for(&space, region, |_| {});
+        let _ = parallel_reduce(&space, region, 0u8, |_| 0, |a, _| a);
         let _ = parallel_reduce(&space, region, 0.0f64, |_| 1.0, |a, b| a + b);
         let _ = parallel_map(&space, 10, |i| i);
         let ks = space.kernel_stats().expect("device space has stats");
@@ -781,12 +726,11 @@ mod tests {
     }
 
     #[test]
-    fn stream_round_robin_is_per_device_not_per_space() {
-        // Regression (satellite audit): stream assignment state lives on
-        // the device, not the space. Clones of one space — and *distinct*
-        // spaces over the same device — must share one round-robin
-        // sequence, while spaces over different devices each start at
-        // stream 0 and advance independently.
+    fn kernel_launches_are_per_device_not_per_space() {
+        // Launches are counted on the device, kernel stats on the space:
+        // clones of one space — and distinct spaces over the same device —
+        // add to one device count, while spaces over different devices
+        // count independently.
         let dev_a = GpuDevice::with_capacity("a", 1 << 20);
         let dev_b = GpuDevice::with_capacity("b", 1 << 20);
         let space_a = DeviceSpace::with_index(dev_a.clone(), 0);
@@ -795,18 +739,18 @@ mod tests {
         assert_eq!(space_a.index(), 0);
         assert_eq!(space_a2.index(), 0, "clone keeps its device index");
         assert_eq!(space_b.index(), 1);
-        // Three launches on device A (two via the clone) consume streams
-        // 0, 1, 2 of A's queue — the clone does not restart the sequence.
+        // Three launches on device A, two of them via the clone.
         let exec_a = ExecSpace::Device(space_a);
         let exec_a2 = ExecSpace::Device(space_a2);
-        parallel_for(&exec_a, Region::cube(2), |_| {});
-        parallel_for(&exec_a2, Region::cube(2), |_| {});
-        parallel_for(&exec_a2, Region::cube(2), |_| {});
-        assert_eq!(dev_a.next_stream().0, 3, "device A consumed streams 0..3");
-        // Device B's sequence is untouched by A's launches.
+        let fill = |space: &ExecSpace| parallel_fill(space, Region::cube(2), |_| 0u8);
+        fill(&exec_a);
+        fill(&exec_a2);
+        fill(&exec_a2);
+        assert_eq!(dev_a.counters().kernels, 3, "device A counted every launch");
+        // Device B's count is untouched by A's launches.
         let exec_b = ExecSpace::Device(space_b.clone());
-        parallel_for(&exec_b, Region::cube(2), |_| {});
-        assert_eq!(dev_b.next_stream().0, 1, "device B advanced independently");
+        fill(&exec_b);
+        assert_eq!(dev_b.counters().kernels, 1, "device B counted independently");
         assert_eq!(exec_b.device_index(), Some(1));
         assert_eq!(ExecSpace::Serial.device_index(), None);
         assert_eq!(ExecSpace::Threads(4).device_index(), None);
@@ -841,13 +785,44 @@ mod tests {
 
     #[test]
     fn concurrency_reporting() {
-        assert_eq!(ExecSpace::Serial.concurrency(), 1);
-        assert_eq!(ExecSpace::Threads(8).concurrency(), 8);
-        assert_eq!(ExecSpace::Threads(0).concurrency(), 1);
-        assert_eq!(ExecSpace::host(1).concurrency(), 1);
+        assert!(matches!(ExecSpace::host(0), ExecSpace::Serial));
         assert!(matches!(ExecSpace::host(1), ExecSpace::Serial));
         assert!(matches!(ExecSpace::host(6), ExecSpace::Threads(6)));
-        let d = ExecSpace::device(GpuDevice::with_capacity("test", 1024));
-        assert_eq!(d.concurrency(), 16); // one lane per device stream
+    }
+
+    /// A kernel's panic reaches the caller with its own message, from every
+    /// entry point on every space. Without the re-raise, `Threads` would
+    /// hand back `std::thread::scope`'s "a scoped thread panicked".
+    #[test]
+    fn kernel_panic_keeps_its_message() {
+        let message = |call: &dyn Fn()| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).expect_err("the kernel panics");
+            let text = payload.downcast_ref::<&str>().copied();
+            text.or_else(|| payload.downcast_ref::<String>().map(String::as_str)).map(str::to_owned)
+        };
+        let boom = Some("kernel boom".to_owned());
+        let region = Region::cube(4);
+        for space in [
+            ExecSpace::Serial,
+            ExecSpace::Threads(3),
+            ExecSpace::device(GpuDevice::with_capacity("test", 1 << 20)),
+        ] {
+            let fill = message(&|| {
+                let _ = parallel_fill(&space, region, |_| -> u8 { panic!("kernel boom") });
+            });
+            assert_eq!(fill, boom, "parallel_fill on {space:?}");
+            let runs = message(&|| {
+                let _ = parallel_fill_runs(&space, region, 8, |_, _: &mut [u8]| -> u8 { panic!("kernel boom") });
+            });
+            assert_eq!(runs, boom, "parallel_fill_runs on {space:?}");
+            let reduce = message(&|| {
+                let _ = parallel_reduce(&space, region, 0u8, |_| -> u8 { panic!("kernel boom") }, |a, _| a);
+            });
+            assert_eq!(reduce, boom, "parallel_reduce on {space:?}");
+            let map = message(&|| {
+                let _ = parallel_map(&space, 9, |_| -> u8 { panic!("kernel boom") });
+            });
+            assert_eq!(map, boom, "parallel_map on {space:?}");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! The simulated GPU device: memory capacity, transfer meters, streams.
+//! The simulated GPU device: memory capacity, transfer meters, kernel-launch counts.
 //!
 //! The K20X has one copy engine per PCIe direction, which is what lets a
 //! device→host drain of one patch overlap the kernels of others. Here only
@@ -145,12 +145,6 @@ impl CopyEngine {
     }
 }
 
-/// A CUDA-stream-like handle. Operations issued on different streams may
-/// interleave; the Uintah infrastructure assigns each GPU patch task its own
-/// stream (round-robin here via [`GpuDevice::next_stream`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub struct Stream(pub u32);
-
 /// One coherent snapshot of a device's counters, taken with
 /// [`GpuDevice::counters`] — the one-stop replacement for the former
 /// per-counter getters. Harness binaries print these tables directly.
@@ -227,8 +221,6 @@ struct DeviceInner {
     /// The posted device→host copy engine.
     d2h: CopyEngine,
     kernels: AtomicU64,
-    num_streams: u32,
-    next_stream: AtomicU64,
     alloc_failures: AtomicU64,
     frag_failures: AtomicU64,
     release_underflows: AtomicU64,
@@ -283,7 +275,7 @@ impl Drop for DeviceBlock {
 }
 
 impl GpuDevice {
-    /// A Titan-node K20X: 6 GB GDDR5, 16 streams.
+    /// A Titan-node K20X: 6 GB GDDR5.
     pub fn k20x() -> Self {
         Self::with_capacity("Tesla K20X", 6 * 1024 * 1024 * 1024)
     }
@@ -312,8 +304,6 @@ impl GpuDevice {
                 h2d: Meter::default(),
                 d2h: CopyEngine::default(),
                 kernels: AtomicU64::new(0),
-                num_streams: 16,
-                next_stream: AtomicU64::new(0),
                 alloc_failures: AtomicU64::new(0),
                 frag_failures: AtomicU64::new(0),
                 release_underflows: AtomicU64::new(0),
@@ -469,23 +459,10 @@ impl GpuDevice {
         }
     }
 
-    /// Record a kernel launch and return its stream. The actual work runs on
-    /// the calling host thread (concurrent kernels = concurrent patch tasks).
-    pub fn launch_kernel(&self) -> Stream {
+    /// Count a kernel launch. The actual work runs on the calling host
+    /// thread (concurrent kernels = concurrent patch tasks).
+    pub fn launch_kernel(&self) {
         self.inner.kernels.fetch_add(1, Ordering::Relaxed);
-        self.next_stream()
-    }
-
-    /// Round-robin stream assignment (one stream per in-flight patch task).
-    pub fn next_stream(&self) -> Stream {
-        let s = self.inner.next_stream.fetch_add(1, Ordering::Relaxed);
-        Stream((s % self.inner.num_streams as u64) as u32)
-    }
-
-    /// Number of hardware stream queues.
-    #[inline]
-    pub fn num_streams(&self) -> u32 {
-        self.inner.num_streams
     }
 
     /// Structural self-check: the free list's invariants hold and the
@@ -812,19 +789,6 @@ mod tests {
         let c = d.counters();
         assert_eq!(c.h2d_busy_ns, 12_000);
         assert_eq!(c.d2h_busy_ns, 3_000);
-    }
-
-    #[test]
-    fn streams_round_robin() {
-        let d = GpuDevice::k20x();
-        let s0 = d.next_stream();
-        let s1 = d.next_stream();
-        assert_ne!(s0, s1);
-        // 16 streams wrap around.
-        for _ in 0..14 {
-            d.next_stream();
-        }
-        assert_eq!(d.next_stream(), s0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   transfer/byte/occupancy meters per PCIe direction (`Dir`), one
 //!   device→host copy engine whose real worker thread drains posted
 //!   transfers asynchronously (uploads run synchronously in the task),
-//!   kernel-launch counters and stream handles;
+//!   and kernel-launch counters;
 //! * [`GpuDataWarehouse`] — the per-device variable store with a *patch
 //!   database* and the paper's new *level database*, which keeps exactly one
 //!   shared copy of each per-level variable that all concurrent patch tasks
@@ -32,6 +32,6 @@ pub mod device;
 pub mod dw;
 pub mod fleet;
 
-pub use device::{DeviceCounters, GpuDevice, GpuError, Stream};
+pub use device::{DeviceCounters, GpuDevice, GpuError};
 pub use dw::{DeviceVar, GpuDataWarehouse, PendingD2H};
 pub use fleet::DeviceFleet;

@@ -31,7 +31,7 @@ pub mod prelude {
     pub use rmcrt_core::{div_q_for_cell, solve_region, solve_region_exec, solve_region_with_stats, trace_ray, BurnsChriston, CellRng, LevelProps, PacketTracer, RayCountMode, RayPacket, RmcrtParams, SolveStats, TraceLevel};
     pub use titan_sim::{simulate_timestep, CalibrationScale, CostProfile, MachineParams, StoreModel};
     pub use uintah_comm::{CommWorld, Communicator, Tag, WaitFreePool};
-    pub use uintah_exec::{ops, parallel_fill, parallel_for, parallel_map, parallel_reduce, DeviceSpace, ExecSpace, KernelStats};
+    pub use uintah_exec::{ops, parallel_fill, parallel_map, parallel_reduce, DeviceSpace, ExecSpace, KernelStats};
     pub use uintah_gpu::{DeviceCounters, DeviceFleet, GpuDataWarehouse, GpuDevice};
     pub use uintah_grid::{CcVariable, DistributionPolicy, FieldData, Grid, IntVector, PatchCosts, PatchDistribution, Point, RebalancePolicy, Region, Regridder, VarLabel, Vector};
     pub use uintah_runtime::{run_world, CalibrationSnapshot, DeviceStepStats, RegridEvent, StoreKind, WorldConfig, WorldResult};

@@ -46,9 +46,9 @@ fn multilevel_trace_is_bit_identical_on_every_space() {
 fn dom_sweeps_are_bit_identical_on_every_space() {
     let grid = BurnsChriston::small_grid(16, 8);
     let props = BurnsChriston::default().props_for_level(grid.fine_level());
-    let reference = dom::solve(&props, SnOrder::S4);
+    let reference = dom::solve(&props, SnOrder::S4, &ExecSpace::Serial);
     for (name, space) in spaces() {
-        let got = dom::solve_exec(&props, SnOrder::S4, &space);
+        let got = dom::solve(&props, SnOrder::S4, &space);
         assert_eq!(got.g, reference.g, "DOM G differs on {name}");
         assert_eq!(got.div_q, reference.div_q, "DOM divQ differs on {name}");
     }

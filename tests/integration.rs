@@ -2,6 +2,9 @@
 //! distributed runtime, on CPU and on the simulated GPU, against the
 //! serial reference solvers.
 
+#[path = "support/meters.rs"]
+mod meters;
+
 use std::sync::Arc;
 use std::time::Duration;
 use uintah::prelude::*;
@@ -173,25 +176,45 @@ fn level_db_reduces_pcie_traffic_end_to_end() {
     );
 }
 
+/// The single-level pipeline reproduces its serial reference on CPU and on
+/// a 2-device GPU fleet per rank. On the GPU, each patch's divQ crosses D2H
+/// once — the fine level's divQ bytes a step over all ranks — and every
+/// fleet drains to 0 B afterwards.
 #[test]
 fn single_level_pipeline_matches_its_reference() {
     let grid = Arc::new(BurnsChriston::small_grid(16, 8));
     let p = pipeline();
     let reference = uintah::rmcrt::tasks::reference_single_level(&grid, &p);
-    let decls = Arc::new(single_level_decls(&grid, p, false));
-    for nranks in [1usize, 3] {
-        let result = run_world(
-            Arc::clone(&grid),
-            Arc::clone(&decls),
-            WorldConfig {
-                nranks,
-                nthreads: 2,
-                ..Default::default()
-            },
-        );
-        let got = result.fine_field(&grid, DIVQ);
-        for c in reference.region().cells() {
-            assert_eq!(got[c], reference[c], "nranks {nranks} cell {c:?}");
+    let divq_bytes = (reference.len() * std::mem::size_of::<f64>()) as u64;
+    for gpu in [false, true] {
+        let decls = Arc::new(single_level_decls(&grid, p, gpu));
+        for nranks in [1usize, 3] {
+            let result = run_world(
+                Arc::clone(&grid),
+                Arc::clone(&decls),
+                WorldConfig {
+                    nranks,
+                    nthreads: 2,
+                    gpu_capacity: gpu.then_some(64 << 20),
+                    gpus_per_rank: if gpu { 2 } else { 1 },
+                    ..Default::default()
+                },
+            );
+            let got = result.fine_field(&grid, DIVQ);
+            for c in reference.region().cells() {
+                assert_eq!(got[c].to_bits(), reference[c].to_bits(), "nranks {nranks} gpu {gpu} cell {c:?}");
+            }
+            if gpu {
+                let run = format!("single-level gpu, {nranks} ranks");
+                let d2h: u64 = result.ranks.iter().map(|rr| rr.stats[0].gpu_d2h_bytes).sum();
+                assert_eq!(d2h, divq_bytes, "{run}: divQ must cross D2H once per cell");
+                for rr in &result.ranks {
+                    for c in rr.gpu.as_ref().expect("gpu attached").counters_per_device() {
+                        assert_eq!(c.release_underflows, 0, "{run}: rank {}", rr.rank);
+                    }
+                }
+                meters::assert_meters_drain(&result, &run);
+            }
         }
     }
 }

@@ -73,7 +73,7 @@ fn dom_and_rmcrt_centerline_profiles_agree() {
     use uintah::rmcrt::dom::{solve as dom_solve, SnOrder};
     let n = 16;
     let props = bc_props(n);
-    let dom = dom_solve(&props, SnOrder::S8);
+    let dom = dom_solve(&props, SnOrder::S8, &ExecSpace::Serial);
     let st = stack(&props);
     let params = RmcrtParams {
         nrays: 1024,

@@ -80,10 +80,14 @@ cargo run --release -q -p rmcrt-bench --bin scaling_gate
 # than 10% below the checked-in BENCH_ray_march.json pair (model-limited:
 # the frozen scalar is timed beside the packet engine, so the ratio does
 # not move with the host; cells/s is host-limited and only printed).
-# Measured false-failure rate: 0 of 50 runs since the trace >= trace_one
-# lane floor gates the median of 25 paired per-repetition ratios (it read
-# 1.07-1.21x); 3 of 50 failed on that floor under the old best-of-each-side
-# estimator (EXPERIMENTS E25 and its addendum).
+# Measured false-failure rate (EXPERIMENTS E25 and its addenda): the
+# trace >= trace_one lane floor gates the median of 25 paired
+# per-repetition ratios (it read 1.07-1.21x) and failed 0 of 50 runs; 3 of
+# 50 failed on it under the old best-of-each-side estimator. The fixed
+# speedup, still best of 25 per side, failed 2 of 113 recorded runs on
+# engine code that did not change its speed, at 1.70x and 1.68x, both in
+# verify.sh runs; two censuses of 50 and 30 runs read 1.71-2.33x and never
+# failed. A red run on an untouched packet engine is most likely this.
 # Regenerate after intentional engine changes with:
 #   cargo run --release -p rmcrt-bench --bin ray_march_gate -- --update
 cargo run --release -q -p rmcrt-bench --bin ray_march_gate
