@@ -1,15 +1,10 @@
-//! The one collective in-process ranks share: an element-wise all-reduce,
-//! which the driver uses for the per-patch cost exchange before a rebalance
-//! and for the ranks' agreement on a stop between timesteps.
+//! The one collective in-process ranks share, an element-wise all-reduce.
+//! Each [`CommWorld`](crate::CommWorld) owns one, so its halt can wake a
+//! rank waiting here for a peer that will never contribute.
 
 use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-struct VecReduceInner {
-    lock: Mutex<VecReduceState>,
-    cvar: Condvar,
-    nranks: usize,
-}
 
 struct VecReduceState {
     acc: Vec<f64>,
@@ -25,32 +20,32 @@ struct VecReduceState {
 /// measured per-patch costs (zeros for patches it does not own) and reads
 /// back the global dense cost vector — identical on every rank, so each can
 /// run the regridder independently and all agree on the new distribution.
-#[derive(Clone)]
-pub struct AllReduceVec {
-    inner: Arc<VecReduceInner>,
+pub(crate) struct AllReduceVec {
+    lock: Mutex<VecReduceState>,
+    cvar: Condvar,
+    nranks: usize,
 }
 
 impl AllReduceVec {
-    pub fn new(nranks: usize) -> Self {
+    pub(crate) fn new(nranks: usize) -> Self {
         assert!(nranks > 0);
         Self {
-            inner: Arc::new(VecReduceInner {
-                lock: Mutex::new(VecReduceState {
-                    acc: Vec::new(),
-                    count: 0,
-                    result: Arc::new(Vec::new()),
-                    generation: 0,
-                }),
-                cvar: Condvar::new(),
-                nranks,
+            lock: Mutex::new(VecReduceState {
+                acc: Vec::new(),
+                count: 0,
+                result: Arc::new(Vec::new()),
+                generation: 0,
             }),
+            cvar: Condvar::new(),
+            nranks,
         }
     }
 
-    /// Contribute `values`; blocks until all ranks contribute; returns the
-    /// element-wise sum. All ranks must pass equal-length vectors.
-    pub fn sum(&self, values: &[f64]) -> Arc<Vec<f64>> {
-        let mut state = self.inner.lock.lock();
+    /// Contribute `values`; blocks until all ranks contribute and returns
+    /// the element-wise sum, or `None` once `halted` is set first. All
+    /// ranks must pass equal-length vectors.
+    pub(crate) fn sum(&self, values: &[f64], halted: &AtomicBool) -> Option<Arc<Vec<f64>>> {
+        let mut state = self.lock.lock();
         let gen = state.generation;
         if state.count == 0 {
             state.acc = vec![0.0; values.len()];
@@ -64,18 +59,28 @@ impl AllReduceVec {
             *a += x;
         }
         state.count += 1;
-        if state.count == self.inner.nranks {
+        if state.count == self.nranks {
             state.result = Arc::new(std::mem::take(&mut state.acc));
             state.count = 0;
             state.generation += 1;
-            self.inner.cvar.notify_all();
-            Arc::clone(&state.result)
-        } else {
-            while state.generation == gen {
-                self.inner.cvar.wait(&mut state);
-            }
-            Arc::clone(&state.result)
+            self.cvar.notify_all();
         }
+        while state.generation == gen {
+            // Read under the lock that `wake` takes after setting the flag:
+            // a halt cannot slip between this check and the wait.
+            if halted.load(Ordering::Acquire) {
+                return None;
+            }
+            self.cvar.wait(&mut state);
+        }
+        Some(Arc::clone(&state.result))
+    }
+
+    /// Wake every waiter so it re-reads its halt flag. Call after setting
+    /// the flag.
+    pub(crate) fn wake(&self) {
+        let _state = self.lock.lock();
+        self.cvar.notify_all();
     }
 }
 
@@ -86,15 +91,17 @@ mod tests {
     #[test]
     fn single_rank_collectives_trivial() {
         let rv = AllReduceVec::new(1);
-        assert_eq!(*rv.sum(&[1.0, 2.0]), vec![1.0, 2.0]);
+        let halted = AtomicBool::new(false);
+        assert_eq!(*rv.sum(&[1.0, 2.0], &halted).unwrap(), vec![1.0, 2.0]);
     }
 
     #[test]
     fn allreduce_vec_sums_elementwise_and_reuses() {
-        let r = AllReduceVec::new(3);
+        let r = Arc::new(AllReduceVec::new(3));
+        let halted = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         for rank in 0..3usize {
-            let r = r.clone();
+            let (r, halted) = (Arc::clone(&r), Arc::clone(&halted));
             handles.push(std::thread::spawn(move || {
                 let mut rounds = Vec::new();
                 for round in 0..5 {
@@ -102,7 +109,7 @@ mod tests {
                     // per-patch cost exchange pattern).
                     let mut v = vec![0.0; 3];
                     v[rank] = (rank * 100 + round) as f64;
-                    rounds.push(r.sum(&v));
+                    rounds.push(r.sum(&v, &halted).unwrap());
                 }
                 rounds
             }));

@@ -15,24 +15,24 @@
 //! * [`message`] — tags, envelopes and request completion state,
 //! * [`world`] — the in-process fabric: [`CommWorld`] and per-rank
 //!   [`Communicator`]s with non-blocking send/recv (eager delivery,
-//!   MPI-style (source, tag) matching with an unexpected-message queue),
+//!   MPI-style (source, tag) matching with an unexpected-message queue)
+//!   and the world's one stop, [`CommWorld::halt`],
 //! * [`pool`] — the wait-free request pool (Algorithm 1),
 //! * [`signal`] — per-rank work-arrival signal: lets idle scheduler workers
 //!   park instead of busy-spinning, woken by inbound sends,
 //! * [`store`] — the [`RequestStore`] abstraction over the pool, the
 //!   mutex-vector baseline ("before"), and a deliberately racy variant that
 //!   reproduces the paper's leak for demonstration,
-//! * [`collective`] — the element-wise all-reduce the driver uses for the
-//!   cost exchange before a rebalance and the stop agreement between steps.
+//! * `collective` — the element-wise all-reduce behind
+//!   [`CommWorld::all_reduce_sum`], the cost exchange before a rebalance.
 
-pub mod collective;
+mod collective;
 pub mod message;
 pub mod pool;
 pub mod signal;
 pub mod store;
 pub mod world;
 
-pub use collective::AllReduceVec;
 pub use message::{Message, RecvRequest, Tag};
 pub use pool::{PoolIterator, WaitFreePool};
 pub use signal::WorkSignal;

@@ -6,13 +6,17 @@
 //! exactly MPI's envelope-matching model); `irecv` matches an unexpected
 //! message or registers a pending receive. All operations are callable from
 //! any number of threads concurrently (`MPI_THREAD_MULTIPLE`).
+//!
+//! A world stops one way, [`CommWorld::halt`] (the `MPI_Abort` analogue),
+//! which ends every wait a peer could be stuck in.
 
+use crate::collective::AllReduceVec;
 use crate::message::{Message, RecvRequest, RecvState, Tag};
 use crate::signal::WorkSignal;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A rank id within a [`CommWorld`].
@@ -31,6 +35,10 @@ struct WorldInner {
     /// One work-arrival signal per rank; `isend` notifies the destination's
     /// signal so parked scheduler workers wake when a message lands.
     signals: Vec<Arc<WorkSignal>>,
+    /// Set once by [`CommWorld::halt`], never cleared; it publishes no
+    /// other data.
+    halted: AtomicBool,
+    reduce: AllReduceVec,
 }
 
 /// A set of communicating ranks sharing one address space.
@@ -46,8 +54,33 @@ impl CommWorld {
             inner: Arc::new(WorldInner {
                 mailboxes: (0..nranks).map(|_| Mutex::new(Mailbox::default())).collect(),
                 signals: (0..nranks).map(|_| Arc::new(WorkSignal::new())).collect(),
+                halted: AtomicBool::new(false),
+                reduce: AllReduceVec::new(nranks),
             }),
         }
+    }
+
+    /// Stop every rank: set the halt flag, then wake every rank's work
+    /// signal and every rank waiting in the all-reduce so each sees it.
+    pub fn halt(&self) {
+        self.inner.halted.store(true, Ordering::Release);
+        for signal in &self.inner.signals {
+            signal.notify();
+        }
+        self.inner.reduce.wake();
+    }
+
+    /// Whether [`Self::halt`] has been called.
+    #[inline]
+    pub fn halted(&self) -> bool {
+        self.inner.halted.load(Ordering::Acquire)
+    }
+
+    /// Element-wise all-reduce (sum): every rank calls it once per round
+    /// with an equal-length vector and gets the same summed vector back,
+    /// or `None` when the world halts before every rank has contributed.
+    pub fn all_reduce_sum(&self, values: &[f64]) -> Option<Arc<Vec<f64>>> {
+        self.inner.reduce.sum(values, &self.inner.halted)
     }
 
     #[inline]
@@ -251,6 +284,35 @@ mod tests {
             c0.isend(1, Tag(i), Bytes::copy_from_slice(&[i as u8]));
         }
         assert_eq!(t.join().unwrap(), (0..100u64).map(|i| i & 0xff).sum());
+    }
+
+    /// A halt reaches every rank: a worker parked on its signal wakes
+    /// long before its timeout, and a rank in the all-reduce whose peer
+    /// never contributes returns `None`.
+    #[test]
+    fn halt_wakes_parked_signals_and_the_all_reduce() {
+        let w = CommWorld::new(3);
+        let parked = {
+            let signal = Arc::clone(w.communicator(1).signal());
+            let seen = signal.generation();
+            std::thread::spawn(move || {
+                signal.wait_until_changed(seen, std::time::Duration::from_secs(60))
+            })
+        };
+        let reducers: Vec<_> = (0..2)
+            .map(|_| {
+                let w = w.clone();
+                std::thread::spawn(move || w.all_reduce_sum(&[1.0]))
+            })
+            .collect();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!w.halted());
+        w.halt();
+        assert!(w.halted());
+        assert!(parked.join().unwrap(), "the halt must notify the signal");
+        for r in reducers {
+            assert!(r.join().unwrap().is_none());
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! Kokkos' core idea is that a kernel is written once against an abstract
 //! *execution space* and dispatched to serial, multi-threaded or device
 //! back-ends. This crate is the **mandatory kernel-dispatch layer** of the
-//! stack: every cell-region hot loop (ray trace, DOM sweeps, restriction /
-//! prolongation, boundary-flux maps, the arches-lite energy RHS) runs
+//! stack: every cell-region hot loop (ray trace, DOM sweeps, restriction,
+//! boundary-flux maps, the arches-lite energy RHS) runs
 //! through these entry points:
 //!
 //! * [`ExecSpace`] — `Serial`, `Threads(n)`, or `Device` (the simulated
@@ -25,8 +25,8 @@
 //!   marches one ray packet per run);
 //! * [`parallel_map`] — a 1-D index range (Kokkos `RangePolicy`), used for
 //!   non-cell fan-out such as the DOM ordinate sweeps;
-//! * [`ops`] — exec-dispatched AMR operators (restriction / prolongation)
-//!   over the per-cell kernels exported by `uintah-grid`.
+//! * [`ops`] — exec-dispatched AMR restriction operators over the
+//!   per-cell kernels exported by `uintah-grid`.
 //!
 //! Each entry point only cuts its work into its canonical partition —
 //! z-slabs of runs, z-slabs of planes, index chunks — and hands the parts

@@ -39,33 +39,6 @@ pub fn restrict_cell_type(
 mod tests {
     use super::*;
     use uintah_gpu::GpuDevice;
-    use uintah_grid::prolongation;
-
-    /// Trilinear coarse→fine prolongation over `fine_window`, dispatched on
-    /// `space`. See [`prolongation::prolong_linear`].
-    fn prolong_linear(
-        space: &ExecSpace,
-        coarse: &CcVariable<f64>,
-        rr: IntVector,
-        fine_window: Region,
-    ) -> CcVariable<f64> {
-        parallel_fill(space, fine_window, |fc| {
-            prolongation::prolong_linear_cell(coarse, rr, fc)
-        })
-    }
-
-    /// Piecewise-constant coarse→fine prolongation over `fine_window`,
-    /// dispatched on `space`. See [`prolongation::prolong_constant`].
-    fn prolong_constant(
-        space: &ExecSpace,
-        coarse: &CcVariable<f64>,
-        rr: IntVector,
-        fine_window: Region,
-    ) -> CcVariable<f64> {
-        parallel_fill(space, fine_window, |fc| {
-            prolongation::prolong_constant_cell(coarse, rr, fc)
-        })
-    }
 
     fn spaces() -> Vec<ExecSpace> {
         vec![
@@ -84,18 +57,12 @@ mod tests {
         let mut types = CcVariable::<u8>::new(fine_r);
         types.fill_with(|c| u8::from(c.x == 0 || c.y == 7));
         let coarse_r = Region::cube(4);
-        let mut coarse = CcVariable::<f64>::new(coarse_r);
-        coarse.fill_with(|c| (c.x - c.y + 2 * c.z) as f64 * 0.25);
 
         let avg_ref = restriction::restrict_average(&fine, rr, coarse_r);
         let ty_ref = restriction::restrict_cell_type(&types, rr, coarse_r);
-        let pc_ref = prolongation::prolong_constant(&coarse, rr, fine_r);
-        let pl_ref = prolongation::prolong_linear(&coarse, rr, fine_r);
         for space in spaces() {
             assert_eq!(restrict_average(&space, &fine, rr, coarse_r), avg_ref);
             assert_eq!(restrict_cell_type(&space, &types, rr, coarse_r), ty_ref);
-            assert_eq!(prolong_constant(&space, &coarse, rr, fine_r), pc_ref);
-            assert_eq!(prolong_linear(&space, &coarse, rr, fine_r), pl_ref);
         }
     }
 }

@@ -28,7 +28,6 @@ pub mod index;
 pub mod label;
 pub mod level;
 pub mod patch;
-pub mod prolongation;
 pub mod regrid;
 pub mod region;
 pub mod restriction;

@@ -7,9 +7,10 @@ use crate::executor::PersistentExecutor;
 use crate::graph::GraphCache;
 use crate::scheduler::{ExecStats, Scheduler, StoreKind};
 use crate::task::TaskDecl;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use uintah_comm::{AllReduceVec, CommWorld};
+use uintah_comm::CommWorld;
 use uintah_gpu::{DeviceFleet, GpuDataWarehouse};
 use uintah_grid::{
     CcVariable, DistributionPolicy, Grid, PatchCosts, PatchDistribution, RebalancePolicy,
@@ -119,12 +120,12 @@ impl WorldResult {
 }
 
 /// The ranks of one job, built once and stepped together: one
-/// [`PersistentExecutor`] per rank on a shared [`CommWorld`], the canonical
-/// initial distribution every run starts from, and the world's two
-/// collectives. [`run_world`] builds one per call; the radiation server
-/// keeps one warm per slot and runs job after job on it. It is the only
-/// code that builds, steps, joins and gathers ranks, so a runtime option
-/// reaches every caller by being a [`WorldConfig`] field and nowhere else.
+/// [`PersistentExecutor`] per rank on a shared [`CommWorld`] and the
+/// canonical initial distribution every run starts from. [`run_world`]
+/// builds one per call; the radiation server keeps one warm per slot and
+/// runs job after job on it. It is the only code that builds, steps, joins
+/// and gathers ranks, so a runtime option reaches every caller by being a
+/// [`WorldConfig`] field and nowhere else.
 pub struct World {
     grid: Arc<Grid>,
     /// Morton SFC ownership (Uintah's space-filling-curve load balancer).
@@ -133,15 +134,13 @@ pub struct World {
     /// across runs.
     initial: Arc<PatchDistribution>,
     execs: Vec<PersistentExecutor>,
-    /// The pre-rebalance cost exchange: each rank contributes measured
-    /// per-patch task time (zeros for patches it does not own) and reads
-    /// back the identical global vector, so every rank runs the
-    /// deterministic regridder on the same input and all agree on the new
-    /// ownership.
-    cost_reduce: AllReduceVec,
-    /// The per-step stop agreement: all ranks stop at the same step
-    /// boundary or none do (a lone stop would strand its peers' receives).
-    stop_reduce: AllReduceVec,
+    /// The ranks' fabric. Its all-reduce is the pre-rebalance cost
+    /// exchange: each rank contributes measured per-patch task time (zeros
+    /// for patches it does not own) and reads back the identical global
+    /// vector, so every rank runs the deterministic regridder on the same
+    /// input and all agree on the new ownership. Its halt is the one way a
+    /// run stops early.
+    comm: CommWorld,
 }
 
 impl World {
@@ -186,8 +185,7 @@ impl World {
             grid,
             initial,
             execs,
-            cost_reduce: AllReduceVec::new(cfg.nranks),
-            stop_reduce: AllReduceVec::new(cfg.nranks),
+            comm,
         }
     }
 
@@ -205,19 +203,19 @@ impl World {
     /// measured per-patch costs into the next rebalance's input. Steps are
     /// stamped `<cfg.run_id>/r<rank>`.
     ///
-    /// With `stop`, the ranks agree before every step whether any of them
-    /// saw the flag set and, if so, all stop there: a stopped run returns
-    /// fewer than `cfg.timesteps` steps. A rank's panic is re-raised here
-    /// with its own payload.
+    /// A run stops early one way, by halting the world's [`CommWorld`],
+    /// which ends every wait on every rank: a rank that panics halts it,
+    /// and so does a rank that sees `stop` set at a step boundary. After
+    /// every rank has returned, the lowest failing rank's panic is
+    /// re-raised with its own payload; a run that `stop` halted returns
+    /// `None`. A halted world is not run again.
     pub fn run(
         &mut self,
         decls: &Arc<Vec<TaskDecl>>,
         cfg: &WorldConfig,
         stop: Option<&AtomicBool>,
-    ) -> Vec<Vec<ExecStats>> {
-        let nranks = self.execs.len();
-        let (grid, initial) = (&self.grid, &self.initial);
-        let (cost_reduce, stop_reduce) = (&self.cost_reduce, &self.stop_reduce);
+    ) -> Option<Vec<Vec<ExecStats>>> {
+        let (grid, initial, comm) = (&self.grid, &self.initial, &self.comm);
         let run_rank = |rank: usize, exec: &mut PersistentExecutor| {
             exec.set_decls(Arc::clone(decls));
             exec.set_run_id(
@@ -235,22 +233,19 @@ impl World {
             let mut step_cost = vec![0.0; grid.num_patches()];
             let mut stats = Vec::with_capacity(cfg.timesteps);
             for ts in 0..cfg.timesteps {
-                if let Some(stop) = stop {
-                    let want = stop.load(Ordering::Relaxed);
-                    let agreed = if nranks > 1 {
-                        stop_reduce.sum(&[if want { 1.0 } else { 0.0 }])[0] > 0.0
-                    } else {
-                        want
-                    };
-                    if agreed {
-                        break;
-                    }
+                if stop.is_some_and(|stop| stop.load(Ordering::Relaxed)) {
+                    comm.halt();
+                }
+                if comm.halted() {
+                    break;
                 }
                 if cfg
                     .regrid_interval
                     .is_some_and(|k| ts > 0 && ts.is_multiple_of(k))
                 {
-                    let global = cost_reduce.sum(&step_cost);
+                    let Some(global) = comm.all_reduce_sum(&step_cost) else {
+                        break;
+                    };
                     let costs = if global.iter().sum::<f64>() > 0.0 {
                         PatchCosts::from_values((*global).clone())
                     } else {
@@ -271,21 +266,28 @@ impl World {
             }
             stats
         };
-        std::thread::scope(|scope| {
+        let ranks = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .execs
                 .iter_mut()
                 .enumerate()
-                .map(|(rank, exec)| scope.spawn(move || run_rank(rank, exec)))
+                .map(|(rank, exec)| {
+                    scope.spawn(move || {
+                        std::panic::catch_unwind(AssertUnwindSafe(|| run_rank(rank, exec)))
+                            .inspect_err(|_| comm.halt())
+                    })
+                })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        })
+                .map(|h| h.join().expect("a rank catches its own panic"))
+                .collect::<Vec<_>>()
+        });
+        let stats = ranks
+            .into_iter()
+            .map(|rank| rank.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect();
+        (!comm.halted()).then_some(stats)
     }
 
     /// The distribution the last step ran under (identical across ranks:
@@ -355,7 +357,9 @@ pub fn run_world(grid: Arc<Grid>, decls: Arc<Vec<TaskDecl>>, cfg: WorldConfig) -
         cfg.gpu_capacity
             .map(|cap| DeviceFleet::with_capacity(cfg.gpus_per_rank.max(1), "K20X-sim", cap))
     });
-    let stats = world.run(&decls, &cfg, None);
+    let stats = world
+        .run(&decls, &cfg, None)
+        .expect("without a stop flag only a panic halts a world, and that is re-raised");
     WorldResult {
         dist: Arc::clone(world.dist()),
         ranks: world
@@ -378,6 +382,7 @@ pub fn run_world(grid: Arc<Grid>, decls: Arc<Vec<TaskDecl>>, cfg: WorldConfig) -
 mod tests {
     use super::*;
     use crate::task::{Computes, Requirement, TaskContext};
+    use std::time::Duration;
     use uintah_grid::{CcVariable, FieldData, IntVector, VarLabel};
 
     const SRC: VarLabel = VarLabel::new("src", 0);
@@ -471,12 +476,26 @@ mod tests {
         }
     }
 
-    /// The stencil pipeline whose producer panics on one patch.
-    fn panicking_decls() -> Arc<Vec<TaskDecl>> {
-        let mut decls = (*stencil_decls()).clone();
+    /// A row of four 8³ patches along x. Under the Morton SFC with 2 or 3
+    /// ranks, patch 3 is owned by the last rank, and rank 0 needs a ghost
+    /// window from rank 1 every step.
+    fn strip_grid() -> Arc<Grid> {
+        Arc::new(
+            Grid::builder()
+                .fine_cells(IntVector::new(32, 8, 8))
+                .num_levels(1)
+                .fine_patch_size(IntVector::splat(8))
+                .build(),
+        )
+    }
+
+    /// `decls` with the producer panicking on patch 3, after `delay`.
+    fn panicking(decls: Arc<Vec<TaskDecl>>, delay: std::time::Duration) -> Arc<Vec<TaskDecl>> {
+        let mut decls = (*decls).clone();
         let produce = Arc::clone(&decls[0].func);
         decls[0].func = Arc::new(move |ctx: &mut TaskContext| {
             if ctx.patch().id().index() == 3 {
+                std::thread::sleep(delay);
                 panic!("produce failed on patch 3");
             }
             produce(ctx)
@@ -484,34 +503,90 @@ mod tests {
         Arc::new(decls)
     }
 
-    /// One rank whose task panics ends `run_world` with that task's own
-    /// message, on one worker thread or several (the siblings must not
-    /// wait for the failed instance). Fails instead of hanging when a call
-    /// has not ended within 30 s.
+    /// The message `run_world` unwinds with. Fails instead of hanging when
+    /// the call has not ended within 30 s, and if it returns.
+    fn failure_message(decls: Arc<Vec<TaskDecl>>, cfg: WorldConfig) -> Option<String> {
+        let what = format!("{} ranks x {} threads", cfg.nranks, cfg.nthreads);
+        if cfg.nranks > 1 {
+            let dist =
+                PatchDistribution::new(&strip_grid(), cfg.nranks, DistributionPolicy::MortonSfc);
+            assert_ne!(dist.rank_of(uintah_grid::PatchId(3)), 0, "{what}: a peer must fail");
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_world(strip_grid(), decls, cfg)
+            }));
+            let payload = run.err().expect("run_world returned despite a failed task");
+            let _ = tx.send(payload.downcast_ref::<&str>().map(|s| s.to_string()));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("run_world hung on a failed task, {what}"))
+    }
+
+    /// A task that panics on one rank ends `run_world` with that task's own
+    /// message on any world shape: the failing rank's sibling workers must
+    /// not wait for the failed instance, and its peers, owning patches
+    /// 0..3, must not wait for the ghost windows it will never send (in
+    /// this step or the next).
     #[test]
     fn failed_task_unwinds_with_its_own_message() {
-        for nthreads in [1, 2, 3] {
-            let cfg = WorldConfig {
-                nthreads,
-                ..WorldConfig::default()
-            };
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_world(grid1(16, 8), panicking_decls(), cfg)
-                }));
-                let payload = run.err().expect("run_world returned despite a failed task");
-                let _ = tx.send(payload.downcast_ref::<&str>().map(|s| s.to_string()));
-            });
-            let msg = rx
-                .recv_timeout(std::time::Duration::from_secs(30))
-                .expect("run_world hung on a failed task");
-            assert_eq!(
-                msg.as_deref(),
-                Some("produce failed on patch 3"),
-                "{nthreads} threads"
-            );
+        for nranks in [1, 2, 3] {
+            for nthreads in [1, 2, 3] {
+                let cfg = WorldConfig {
+                    nranks,
+                    nthreads,
+                    timesteps: 2,
+                    ..WorldConfig::default()
+                };
+                assert_eq!(
+                    failure_message(panicking(stencil_decls(), Duration::ZERO), cfg).as_deref(),
+                    Some("produce failed on patch 3"),
+                    "{nranks} ranks x {nthreads} threads"
+                );
+            }
         }
+    }
+
+    /// A peer parked in the pre-rebalance all-reduce is released by the
+    /// failing rank's halt: the producer alone has no cross-rank
+    /// dependency, so rank 0 finishes step 0 and waits in the cost
+    /// exchange while rank 1's delayed task fails.
+    #[test]
+    fn failed_task_releases_a_peer_in_the_cost_all_reduce() {
+        let cfg = WorldConfig {
+            nranks: 2,
+            nthreads: 2,
+            timesteps: 2,
+            regrid_interval: Some(1),
+            ..WorldConfig::default()
+        };
+        let produce = Arc::new(vec![stencil_decls()[0].clone()]);
+        let decls = panicking(produce, Duration::from_millis(200));
+        assert_eq!(
+            failure_message(decls, cfg).as_deref(),
+            Some("produce failed on patch 3")
+        );
+    }
+
+    /// The same on GPU tasks over a 2-device fleet per rank, 2 ranks x 2
+    /// threads: the end-of-step device syncs run on every rank, and the
+    /// failing rank's message still comes out.
+    #[test]
+    fn failed_gpu_task_unwinds_with_its_own_message() {
+        let cfg = WorldConfig {
+            nranks: 2,
+            nthreads: 2,
+            timesteps: 2,
+            gpu_capacity: Some(1 << 20),
+            gpus_per_rank: 2,
+            ..WorldConfig::default()
+        };
+        let gpu: Vec<TaskDecl> = stencil_decls().iter().map(|d| d.clone().on_gpu()).collect();
+        assert_eq!(
+            failure_message(panicking(Arc::new(gpu), Duration::ZERO), cfg).as_deref(),
+            Some("produce failed on patch 3")
+        );
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! The protocol is deadlock-free on the eager fabric: every rank posts all
 //! of its sends first (`isend` completes at post time; unexpected messages
-//! queue at the receiver), then polls its receives.
+//! queue at the receiver), then polls its receives — until they all land
+//! or the world halts, since a failed peer may never reach its sends.
 
 use crate::dw::DataWarehouse;
 use crate::task::TaskDecl;
@@ -85,7 +86,8 @@ pub(crate) fn label_map(decls: &[TaskDecl]) -> HashMap<u8, VarLabel> {
 /// Move the current-epoch per-patch contents of every patch whose owner
 /// changed between `old` and `new`. Symmetric: every rank of the world must
 /// call this with the same `(old, new, generation)`. Returns
-/// `(patches_out, patches_in, bytes_sent)`.
+/// `(patches_out, patches_in, bytes_sent)`, early (with gained patches
+/// missing) if the world halts.
 pub(crate) fn migrate_patch_vars(
     comm: &Communicator,
     dw: &DataWarehouse,
@@ -128,7 +130,7 @@ pub(crate) fn migrate_patch_vars(
         .map(|&pid| (pid, comm.irecv(old.rank_of(pid), migrate_tag(pid, generation))))
         .collect();
     let patches_in = gained.len();
-    while !gained.is_empty() {
+    while !gained.is_empty() && !comm.world().halted() {
         let before = gained.len();
         gained.retain(|(pid, req)| {
             let Some(msg) = req.take() else { return true };

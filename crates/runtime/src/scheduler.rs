@@ -26,8 +26,8 @@ use crate::task::{TaskContext, TaskDecl, TaskKind};
 use crossbeam::queue::SegQueue;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uintah_comm::{
     Communicator, Message, MutexRequestVec, RacyRequestVec, RequestStore, Tag, WaitFreeRequestStore,
@@ -374,8 +374,11 @@ impl Scheduler {
     /// bytes keep concurrent/adjacent timesteps' messages from matching
     /// each other, exactly as with per-step recompilation.
     ///
-    /// A panicking task body ends the step: the other workers stop taking
-    /// work, drains settle, and the first task's panic is re-raised here.
+    /// A panic on a worker — in a task body, a gather's seal or message
+    /// handling — halts the world: every worker of every rank stops taking
+    /// work, drains settle, and the panic is re-raised here with its own
+    /// payload. A rank whose world a peer halted returns the step's
+    /// partial stats instead.
     pub(crate) fn execute_phase(
         &self,
         grid: &Arc<Grid>,
@@ -432,12 +435,9 @@ impl Scheduler {
             push_ready(i);
         }
         let remaining = AtomicUsize::new(n);
-        // A panicking task body never decrements `remaining`: its payload
-        // is kept here and `failed` stops the siblings' loops, so the step
-        // ends with the task's own panic instead of hanging its rank.
-        // `failed` publishes nothing (the payload goes through the mutex).
-        let failed = AtomicBool::new(false);
-        let panic_payload = Mutex::new(None);
+        // A worker that panics halts the world: its instance never
+        // decrements `remaining`, and peers may wait for its sends.
+        let world = self.comm.world();
 
         // Post every expected receive up front and index them by (src, tag),
         // re-stamped with the executing phase.
@@ -450,175 +450,176 @@ impl Scheduler {
         }
 
         // Each worker meters into its own `Tally` and returns it at join,
-        // where the step sums them. Only `deps`, `remaining`, `failed` and
-        // the panic payload are shared: they synchronise the workers.
+        // where the step sums them. Only `deps`, `remaining` and the world's
+        // halt are shared: they synchronise the workers.
         let npatches = grid.num_patches();
-        let tally = std::thread::scope(|scope| {
+        let (tally, panic) = std::thread::scope(|scope| {
             let mut workers = Vec::with_capacity(self.nthreads);
             for _ in 0..self.nthreads {
                 workers.push(scope.spawn(|| {
                     let mut tally = Tally::new(decls.len(), npatches);
-                    let notify = |ids: &[usize]| {
-                        for &j in ids {
-                            if deps[j].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                push_ready(j);
-                            }
-                        }
-                    };
-                    let handle_msg = |msg: Message| {
-                        let ri = *recv_map.get(&(msg.src, msg.tag)).unwrap_or_else(|| {
-                            panic!(
-                                "misrouted message: no posted receive matches src rank {} \
-                                 tag {:?} in phase {} ({} receives posted)",
-                                msg.src,
-                                msg.tag,
-                                phase,
-                                recv_map.len(),
-                            )
-                        });
-                        let entry = &graph.recvs[ri];
-                        match entry.action {
-                            RecvAction::Foreign { label, dst_patch } => {
-                                let (region, data) = crate::codec::decode_window(&msg.payload);
-                                dw.deposit_foreign(label, dst_patch, region, data);
-                            }
-                            RecvAction::Level { label, level } => {
-                                let (region, data) = crate::codec::decode_window(&msg.payload);
-                                dw.deposit_level_window(label, level, region, &data);
-                            }
-                        }
-                        notify(&entry.dependents);
-                    };
-
-                    // Idle policy: poll-and-yield for a bounded number of
-                    // empty rounds (covers the common a-message-is-about-
-                    // to-land case cheaply), then park on the work signal
-                    // with exponentially growing timed waits. The
-                    // generation snapshot is taken *before* checking the
-                    // queues/store, so any notify racing with those checks
-                    // makes the park return immediately — no lost wakeups.
-                    const SPIN_POLLS: u32 = 64;
-                    const PARK_MIN: Duration = Duration::from_micros(50);
-                    const PARK_MAX: Duration = Duration::from_millis(2);
-                    let mut empty_polls: u32 = 0;
-                    let mut park_for = PARK_MIN;
-                    while remaining.load(Ordering::Acquire) > 0 && !failed.load(Ordering::Relaxed) {
-                        let seen = signal.generation();
-                        // Device-feeding first: drain the GPU queue before
-                        // the general queue.
-                        if let Some(i) = ready_gpu.pop().or_else(|| ready.pop()) {
-                            empty_polls = 0;
-                            park_for = PARK_MIN;
-                            let inst = &graph.instances[i];
-                            if let Some((label, level)) = inst.gather {
-                                dw.seal_level(label, level);
-                                tally.gathers_executed += 1;
-                            } else {
-                                let di = inst.decl.expect("non-gather instance has a decl");
-                                let decl = &decls[di];
-                                let patch = grid.patch(inst.patch.expect("patch instance"));
-                                // One code path picks the space per task:
-                                // a GPU task dispatches its kernels on the
-                                // metered Device space of its patch's home
-                                // device (the same device the warehouse
-                                // routes that patch's variables to),
-                                // everything else on the host (each worker
-                                // already owns a whole patch task, so
-                                // intra-task host dispatch is serial).
-                                let space = match (decl.kind, gpu) {
-                                    (TaskKind::Gpu, Some(g)) => {
-                                        let dev = g.device_for_patch(patch.id());
-                                        ExecSpace::Device(device_spaces[dev].clone())
-                                    }
-                                    _ => ExecSpace::host(1),
-                                };
-                                let mut ctx = TaskContext {
-                                    grid,
-                                    patch,
-                                    dw,
-                                    gpu,
-                                    space,
-                                };
-                                let t0 = Instant::now();
-                                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    (decl.func)(&mut ctx)
-                                }));
-                                if let Err(payload) = run {
-                                    panic_payload
-                                        .lock()
-                                        .expect("nothing panics while holding the payload lock")
-                                        .get_or_insert(payload);
-                                    failed.store(true, Ordering::Relaxed);
-                                    signal.notify();
-                                    break;
+                    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        let notify = |ids: &[usize]| {
+                            for &j in ids {
+                                if deps[j].fetch_sub(1, Ordering::AcqRel) == 1 {
+                                    push_ready(j);
                                 }
-                                let dt = t0.elapsed();
-                                tally.task_time += dt;
-                                tally.per_decl[di].0 += 1;
-                                tally.per_decl[di].1 += dt;
-                                tally.per_patch[patch.id().index()] += dt;
-                                tally.tasks_executed += 1;
                             }
-                            // Post this instance's sends ourselves (the
-                            // MPI_THREAD_MULTIPLE pattern).
-                            if !inst.sends.is_empty() {
-                                let t0 = Instant::now();
-                                for s in &inst.sends {
-                                    let payload = match &s.payload {
-                                        SendPayload::PatchWindow => {
-                                            let var = dw
-                                                .get_patch(s.label, s.src_patch)
-                                                .expect("send before compute");
-                                            crate::codec::encode_window(&var, &s.window)
-                                        }
-                                        SendPayload::LevelWindow(li) => {
-                                            dw.pack_level_window(s.label, *li, &s.window)
-                                        }
-                                    };
-                                    tally.bytes_sent += payload.len() as u64;
-                                    tally.messages_sent += 1;
-                                    self.comm.isend(s.dst_rank, s.tag.with_phase(phase), payload);
-                                }
-                                tally.local_comm += t0.elapsed();
-                            }
-                            notify(&inst.deps_out);
-                            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                // Graph drained: wake every parked peer so
-                                // they observe completion promptly.
-                                signal.notify();
-                            }
-                        } else {
-                            let t0 = Instant::now();
-                            let n = store.process_completed(&mut |msg| {
-                                handle_msg(msg);
-                                tally.messages_received += 1;
+                        };
+                        let handle_msg = |msg: Message| {
+                            let ri = *recv_map.get(&(msg.src, msg.tag)).unwrap_or_else(|| {
+                                panic!(
+                                    "misrouted message: no posted receive matches src rank {} \
+                                     tag {:?} in phase {} ({} receives posted)",
+                                    msg.src,
+                                    msg.tag,
+                                    phase,
+                                    recv_map.len(),
+                                )
                             });
-                            tally.local_comm += t0.elapsed();
-                            if n > 0 {
+                            let entry = &graph.recvs[ri];
+                            match entry.action {
+                                RecvAction::Foreign { label, dst_patch } => {
+                                    let (region, data) = crate::codec::decode_window(&msg.payload);
+                                    dw.deposit_foreign(label, dst_patch, region, data);
+                                }
+                                RecvAction::Level { label, level } => {
+                                    let (region, data) = crate::codec::decode_window(&msg.payload);
+                                    dw.deposit_level_window(label, level, region, &data);
+                                }
+                            }
+                            notify(&entry.dependents);
+                        };
+
+                        // Idle policy: poll-and-yield for a bounded number of
+                        // empty rounds (covers the common a-message-is-about-
+                        // to-land case cheaply), then park on the work signal
+                        // with exponentially growing timed waits. The
+                        // generation snapshot is taken *before* checking the
+                        // queues/store, so any notify racing with those checks
+                        // makes the park return immediately — no lost wakeups.
+                        const SPIN_POLLS: u32 = 64;
+                        const PARK_MIN: Duration = Duration::from_micros(50);
+                        const PARK_MAX: Duration = Duration::from_millis(2);
+                        let mut empty_polls: u32 = 0;
+                        let mut park_for = PARK_MIN;
+                        while remaining.load(Ordering::Acquire) > 0 && !world.halted() {
+                            let seen = signal.generation();
+                            // Device-feeding first: drain the GPU queue before
+                            // the general queue.
+                            if let Some(i) = ready_gpu.pop().or_else(|| ready.pop()) {
                                 empty_polls = 0;
                                 park_for = PARK_MIN;
-                                continue;
-                            }
-                            empty_polls += 1;
-                            if empty_polls <= SPIN_POLLS {
-                                std::thread::yield_now();
+                                let inst = &graph.instances[i];
+                                if let Some((label, level)) = inst.gather {
+                                    dw.seal_level(label, level);
+                                    tally.gathers_executed += 1;
+                                } else {
+                                    let di = inst.decl.expect("non-gather instance has a decl");
+                                    let decl = &decls[di];
+                                    let patch = grid.patch(inst.patch.expect("patch instance"));
+                                    // One code path picks the space per task:
+                                    // a GPU task dispatches its kernels on the
+                                    // metered Device space of its patch's home
+                                    // device (the same device the warehouse
+                                    // routes that patch's variables to),
+                                    // everything else on the host (each worker
+                                    // already owns a whole patch task, so
+                                    // intra-task host dispatch is serial).
+                                    let space = match (decl.kind, gpu) {
+                                        (TaskKind::Gpu, Some(g)) => {
+                                            let dev = g.device_for_patch(patch.id());
+                                            ExecSpace::Device(device_spaces[dev].clone())
+                                        }
+                                        _ => ExecSpace::host(1),
+                                    };
+                                    let mut ctx = TaskContext {
+                                        grid,
+                                        patch,
+                                        dw,
+                                        gpu,
+                                        space,
+                                    };
+                                    let t0 = Instant::now();
+                                    (decl.func)(&mut ctx);
+                                    let dt = t0.elapsed();
+                                    tally.task_time += dt;
+                                    tally.per_decl[di].0 += 1;
+                                    tally.per_decl[di].1 += dt;
+                                    tally.per_patch[patch.id().index()] += dt;
+                                    tally.tasks_executed += 1;
+                                }
+                                // Post this instance's sends ourselves (the
+                                // MPI_THREAD_MULTIPLE pattern).
+                                if !inst.sends.is_empty() {
+                                    let t0 = Instant::now();
+                                    for s in &inst.sends {
+                                        let payload = match &s.payload {
+                                            SendPayload::PatchWindow => {
+                                                let var = dw
+                                                    .get_patch(s.label, s.src_patch)
+                                                    .expect("send before compute");
+                                                crate::codec::encode_window(&var, &s.window)
+                                            }
+                                            SendPayload::LevelWindow(li) => {
+                                                dw.pack_level_window(s.label, *li, &s.window)
+                                            }
+                                        };
+                                        tally.bytes_sent += payload.len() as u64;
+                                        tally.messages_sent += 1;
+                                        self.comm.isend(
+                                            s.dst_rank,
+                                            s.tag.with_phase(phase),
+                                            payload,
+                                        );
+                                    }
+                                    tally.local_comm += t0.elapsed();
+                                }
+                                notify(&inst.deps_out);
+                                if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                                    // Graph drained: wake every parked peer so
+                                    // they observe completion promptly.
+                                    signal.notify();
+                                }
                             } else {
-                                tally.parks += 1;
                                 let t0 = Instant::now();
-                                signal.wait_until_changed(seen, park_for);
-                                tally.idle += t0.elapsed();
-                                park_for = (park_for * 2).min(PARK_MAX);
+                                let n = store.process_completed(&mut |msg| {
+                                    handle_msg(msg);
+                                    tally.messages_received += 1;
+                                });
+                                tally.local_comm += t0.elapsed();
+                                if n > 0 {
+                                    empty_polls = 0;
+                                    park_for = PARK_MIN;
+                                    continue;
+                                }
+                                empty_polls += 1;
+                                if empty_polls <= SPIN_POLLS {
+                                    std::thread::yield_now();
+                                } else {
+                                    tally.parks += 1;
+                                    let t0 = Instant::now();
+                                    signal.wait_until_changed(seen, park_for);
+                                    tally.idle += t0.elapsed();
+                                    park_for = (park_for * 2).min(PARK_MAX);
+                                }
                             }
                         }
-                    }
-                    tally
+                    }));
+                    run.inspect_err(|_| world.halt()).map(|()| tally)
                 }));
             }
             let mut sum = Tally::new(decls.len(), npatches);
+            let mut panic = None;
             for w in workers {
-                sum += w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                match w.join().expect("a worker catches its own panic") {
+                    Ok(tally) => sum += tally,
+                    Err(payload) => {
+                        panic.get_or_insert(payload);
+                    }
+                }
             }
-            sum
+            (sum, panic)
         });
 
         // End-of-step device synchronization (the `cudaDeviceSynchronize`
@@ -630,8 +631,7 @@ impl Scheduler {
         if let Some(g) = gpu {
             g.sync_d2h_all();
         }
-        let payload = panic_payload.into_inner();
-        if let Some(payload) = payload.expect("nothing panics while holding the payload lock") {
+        if let Some(payload) = panic {
             std::panic::resume_unwind(payload);
         }
 

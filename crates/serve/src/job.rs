@@ -12,7 +12,7 @@ pub(crate) type JobId = u64;
 /// graph adoptions, slot reuse) that only exist on the server.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JobStats {
-    /// Timesteps actually executed (less than requested when canceled).
+    /// Timesteps executed (a canceled job has no report).
     pub steps: u64,
     /// Task bodies executed across ranks and steps.
     pub tasks: u64,
@@ -121,6 +121,12 @@ pub enum JobOutcome {
 }
 
 impl JobOutcome {
+    /// `Failed` with a panicked run's own message.
+    pub(crate) fn from_panic(payload: &(dyn std::any::Any + Send)) -> Self {
+        let msg = payload.downcast_ref::<String>().cloned();
+        let msg = msg.or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+        JobOutcome::Failed(msg.unwrap_or_else(|| "job panicked".into()))
+    }
 
     /// Unwrap a completed job's report; panics with the failure otherwise.
     pub fn expect_done(&self) -> &Arc<JobReport> {

@@ -130,7 +130,8 @@ pub struct ServerStats {
     pub slot_hits: u64,
     /// Slots built cold.
     pub slot_builds: u64,
-    /// Slots dropped (idle-pool overflow, admission reclaim, failure).
+    /// Slots dropped (idle-pool overflow, admission reclaim, a canceled or
+    /// failed job).
     pub slot_retired: u64,
     /// Sum of per-job shared-graph adoptions.
     pub shared_graph_hits: u64,
@@ -239,8 +240,9 @@ impl JobHandle {
     }
 
     /// Request cancellation: a queued job is withdrawn immediately; a
-    /// running job aborts at its next step boundary (collectively, across
-    /// its ranks). Idempotent; a finished job is unaffected.
+    /// running job halts its world at the next step boundary any of its
+    /// ranks reaches, which ends every rank's waits, and its slot is
+    /// retired. Idempotent; a finished job is unaffected.
     pub fn cancel(&self) {
         self.inner.cancel_job(self.entry.id);
     }
@@ -582,8 +584,7 @@ impl ServerInner {
             {
                 st.idle_slots.push(slot)
             }
-            Some(_) => st.stats.slot_retired += 1,
-            None => st.stats.slot_retired += 1,
+            _ => st.stats.slot_retired += 1,
         }
         entry.finish(outcome);
         drop(st);
@@ -619,23 +620,21 @@ fn worker_loop(inner: &Arc<ServerInner>) {
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
             slot.run_job(&spec, &entry.cancel, queued_ns)
         }));
+        // A canceled or panicked job halted its slot's world, leaving its
+        // schedulers and warehouses mid-step: drop the slot (and its device
+        // memory) before the job's reservation is released, rather than
+        // recycle it.
         match run {
-            Ok(None) => {
-                inner.finish_job(&entry, Some(slot), JobOutcome::Canceled);
-            }
             Ok(Some(report)) => {
                 inner.finish_job(&entry, Some(slot), JobOutcome::Done(Arc::new(report)));
             }
+            Ok(None) => {
+                drop(slot);
+                inner.finish_job(&entry, None, JobOutcome::Canceled);
+            }
             Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "job panicked".into());
-                // A panicked job leaves its slot's schedulers and
-                // warehouses in an unknown state: drop the slot rather
-                // than recycle it.
-                inner.finish_job(&entry, None, JobOutcome::Failed(msg));
+                drop(slot);
+                inner.finish_job(&entry, None, JobOutcome::from_panic(&*panic));
             }
         }
     }

@@ -84,11 +84,13 @@ impl Slot {
     }
 
     /// Run one job on this slot's world and report it; `None` when
-    /// `cancel` stopped it before its last step. On return the slot is
-    /// clean for the next tenant: per-patch device staging is cleared, and
-    /// level replicas stay resident — they are the cross-job sharing the
-    /// next same-shape tenant inherits (its first `ensure_level_fresh`
-    /// revalidates them against its own sealed data before serving).
+    /// `cancel` halted it before its last step. A halted world (canceled,
+    /// or a panic re-raised from here) is never run again: the caller
+    /// drops the slot. On a report the slot is clean for the next tenant:
+    /// per-patch device staging is cleared, and level replicas stay
+    /// resident — they are the cross-job sharing the next same-shape
+    /// tenant inherits (its first `ensure_level_fresh` revalidates them
+    /// against its own sealed data before serving).
     pub(crate) fn run_job(
         &mut self,
         job: &JobSpec,
@@ -103,13 +105,10 @@ impl Slot {
             run_id: Some(job.run_id.clone()),
             ..job.cfg.world_config()
         };
-        let per_rank = self.world.run(&job.decls, &wc, Some(cancel));
+        let per_rank = self.world.run(&job.decls, &wc, Some(cancel))?;
         self.jobs_served += 1;
         for g in self.world.gpus() {
             g.clear_patch_db();
-        }
-        if per_rank.iter().any(|steps| steps.len() < wc.timesteps) {
-            return None;
         }
         let divq = self.world.fine_field(rmcrt_core::labels::DIVQ).into_vec();
         let stats = JobStats {
@@ -149,39 +148,45 @@ impl Slot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobOutcome;
     use uintah::config::KEYS;
-    use uintah_runtime::TaskContext;
+    use uintah_grid::{DistributionPolicy, PatchDistribution};
+    use uintah_runtime::{TaskContext, TaskKind};
 
-    /// A 1-rank x 2-thread job whose only task panics on one patch ends
-    /// `run_job` with that task's message. Fails instead of hanging when
-    /// `run_job` has not ended within 30 s.
-    #[test]
-    fn panicking_task_fails_a_multi_threaded_job() {
-        let cfg = RunConfig {
-            ranks: 1,
-            threads: 2,
-            ..RunConfig::default()
-        };
-        let (grid, _) = cfg.build_problem();
-        let boom = TaskDecl::new(
-            "boom",
-            grid.fine_level_index(),
-            Arc::new(|ctx: &mut TaskContext| {
-                if ctx.patch().id().index() == 3 {
-                    panic!("boom on patch 3");
-                }
-            }),
-        );
+    /// Run `cfg`'s problem on a slot of `fleet` with its first task of
+    /// `kind` wrapped to panic, after its own body, on the last fine patch
+    /// the last rank owns; return the job's outcome and the panic message
+    /// it must carry. Fails instead of hanging when `run_job` has not ended
+    /// within 30 s. The slot is dropped before this returns.
+    fn fail_a_job(cfg: RunConfig, kind: TaskKind, fleet: &DeviceFleet) -> (JobOutcome, String) {
+        let (grid, decls) = cfg.build_problem();
+        let dist = PatchDistribution::new(&grid, cfg.ranks, DistributionPolicy::MortonSfc);
+        let victim = *dist
+            .owned_by(cfg.ranks - 1)
+            .iter()
+            .rev()
+            .find(|&&p| grid.patch(p).level_index() == grid.fine_level_index())
+            .expect("the last rank owns a fine patch");
+        let want = format!("boom on patch {}", victim.index());
+        let mut decls = (*decls).clone();
+        let decl = decls.iter_mut().find(|d| d.kind == kind).expect("a task of that kind");
+        let (body, msg) = (Arc::clone(&decl.func), want.clone());
+        decl.func = Arc::new(move |ctx: &mut TaskContext| {
+            body(ctx);
+            if ctx.patch().id() == victim {
+                panic!("{msg}");
+            }
+        });
         let job = JobSpec {
             id: 1,
             run_id: "job-1".into(),
             cfg,
             grid,
-            decls: Arc::new(vec![boom]),
+            decls: Arc::new(decls),
         };
         let (tx, rx) = std::sync::mpsc::channel();
+        let fleet = fleet.clone();
         std::thread::spawn(move || {
-            let fleet = DeviceFleet::with_capacity(1, "K20X-sim", 1 << 30);
             let cache = Arc::new(GraphCache::new(4));
             let mut slot = Slot::new(
                 &job.cfg,
@@ -193,13 +198,64 @@ mod tests {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 slot.run_job(&job, &AtomicBool::new(false), 0)
             }));
+            drop(slot);
             let payload = run.expect_err("run_job returned despite a failed task");
-            let _ = tx.send(payload.downcast_ref::<&str>().map(|s| s.to_string()));
+            let _ = tx.send(JobOutcome::from_panic(&*payload));
         });
-        let msg = rx
+        let outcome = rx
             .recv_timeout(std::time::Duration::from_secs(30))
             .expect("run_job hung on a failed task");
-        assert_eq!(msg.as_deref(), Some("boom on patch 3"));
+        (outcome, want)
+    }
+
+    fn small_job() -> RunConfig {
+        RunConfig {
+            fine_cells: 16,
+            patch_size: 4,
+            nrays: 4,
+            halo: 2,
+            ranks: 2,
+            threads: 2,
+            timesteps: 2,
+            ..RunConfig::default()
+        }
+    }
+
+    fn assert_drained(fleet: &DeviceFleet) {
+        assert_eq!(fleet.total_used(), 0, "the dropped slot must free its device memory");
+        for (d, c) in fleet.counters_per_device().iter().enumerate() {
+            assert_eq!(c.release_underflows, 0, "device {d} meter drift");
+        }
+    }
+
+    /// A 2-rank x 2-thread job whose task panics on a patch of rank 1
+    /// fails with that task's message: rank 0 stops waiting for it.
+    #[test]
+    fn panicking_task_fails_a_multi_threaded_job() {
+        let fleet = DeviceFleet::with_capacity(1, "K20X-sim", 1 << 30);
+        match fail_a_job(small_job(), TaskKind::Cpu, &fleet) {
+            (JobOutcome::Failed(msg), want) => assert_eq!(msg, want),
+            (other, _) => panic!("expected Failed, got {other:?}"),
+        }
+        assert_drained(&fleet);
+    }
+
+    /// The same with the failing task on the GPU, both ranks on one shared
+    /// 2-device fleet: once the slot drops, the fleet reads 0 B.
+    #[test]
+    fn panicking_gpu_task_fails_a_job_and_the_fleet_drains() {
+        let fleet = DeviceFleet::with_capacity(2, "K20X-sim", 1 << 30);
+        let cfg = RunConfig {
+            gpu: true,
+            ..small_job()
+        };
+        match fail_a_job(cfg, TaskKind::Gpu, &fleet) {
+            (JobOutcome::Failed(msg), want) => assert_eq!(msg, want),
+            (other, _) => panic!("expected Failed, got {other:?}"),
+        }
+        let peaks: Vec<u64> = fleet.counters_per_device().iter().map(|c| c.peak).collect();
+        assert!(peaks.iter().all(|&p| p > 0), "both devices held data: {peaks:?}");
+        assert_drained(&fleet);
     }
 
     /// One row per key of the table: setting a `shape` key to a second

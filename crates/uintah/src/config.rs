@@ -179,6 +179,13 @@ type Choices<T> = &'static [(&'static str, T)];
 /// spawn threads until the host gives out.
 const MAX_WORLD_THREADS: usize = 256;
 
+/// Largest fine mesh one run may build, in cells a side and in fine
+/// patches a side: the paper's LARGE problem (512³ cells in 16³ patches,
+/// 32³ patches). A run builds its whole grid inside the process that
+/// accepts it, so a larger request could end that process on allocation.
+const MAX_FINE_CELLS: i32 = 512;
+const MAX_FINE_PATCHES: i32 = 32;
+
 const PROBLEMS: Choices<Problem> = &[("benchmark", Problem::Benchmark)];
 const STORES: Choices<StoreKind> = &[
     ("waitfree", StoreKind::WaitFree),
@@ -370,6 +377,12 @@ impl RunConfig {
             return Err(format!(
                 "patch_size {} does not divide fine_cells {}",
                 self.patch_size, self.fine_cells
+            ));
+        }
+        if self.fine_cells > MAX_FINE_CELLS || self.fine_cells / self.patch_size > MAX_FINE_PATCHES {
+            return Err(format!(
+                "fine_cells {} in patch_size {} patches is above the bound of {MAX_FINE_CELLS} cells and {MAX_FINE_PATCHES} patches a side a run may build",
+                self.fine_cells, self.patch_size
             ));
         }
         if self.levels == 0 || self.levels > 4 {
@@ -714,6 +727,25 @@ mod tests {
         }
         let err = RunConfig::parse("ranks = 100000").unwrap_err();
         assert!(err.message.contains("bound"), "{}", err.message);
+    }
+
+    #[test]
+    fn fine_mesh_above_the_paper_large_problem_is_refused() {
+        let cfg = |fine_cells, patch_size| RunConfig {
+            fine_cells,
+            patch_size,
+            ..RunConfig::default()
+        };
+        // The paper's LARGE problem itself is accepted.
+        assert!(cfg(MAX_FINE_CELLS, 16).validate().is_ok());
+        // Too many cells a side, and too many patches a side.
+        for (fine_cells, patch_size) in [(2 * MAX_FINE_CELLS, 16), (MAX_FINE_CELLS, 8)] {
+            let err = cfg(fine_cells, patch_size).validate().unwrap_err();
+            assert!(err.starts_with("fine_cells") && err.contains("patch_size"), "{err}");
+            assert!(err.contains("bound of 512 cells and 32 patches"), "{err}");
+        }
+        let err = RunConfig::parse("fine_cells = 1024").unwrap_err();
+        assert!(err.message.contains("fine_cells"), "{}", err.message);
     }
 
     #[test]

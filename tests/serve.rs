@@ -17,8 +17,11 @@
 //!   disconnect cancels the jobs it submitted and abandoned;
 //! * malformed config text over the wire is a typed rejection on a
 //!   connection that stays usable, never a dead connection thread;
-//! * config text asking for more rank threads than a run may start is a
-//!   typed rejection at submit, before any rank exists;
+//! * config text asking for more rank threads than a run may start, or a
+//!   finer mesh than the paper's LARGE problem, is a typed rejection at
+//!   submit, before any rank or grid exists;
+//! * a multi-rank job canceled mid-run ends `Canceled` and retires its
+//!   slot, and the next job is bit-identical to a solo run;
 //! * the server forgets a finished job once 64 later ones have finished,
 //!   while a handle taken earlier keeps its outcome;
 //! * a served GPU job that regrids mid-run is bit-identical to the same
@@ -646,6 +649,65 @@ fn oversized_world_config_text_is_refused_at_submit() {
     let stats = server.stats();
     assert_eq!((stats.accepted, stats.active_jobs, stats.queued_jobs), (0, 0, 0));
     server.shutdown();
+}
+
+/// A fine mesh above the paper's LARGE problem used to be built whole
+/// inside the server at submit. It is now refused by `validate` first,
+/// naming the key: no grid is built and no job accepted.
+#[test]
+fn oversized_grid_config_text_is_refused_at_submit() {
+    let server = RadiationServer::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    for (text, keys) in [
+        ("fine_cells = 4096", &["fine_cells"][..]),
+        ("fine_cells = 512\npatch_size = 8", &["fine_cells", "patch_size"][..]),
+    ] {
+        match server.submit_text(text) {
+            Err(SubmitError::BadConfig(why)) => {
+                assert!(keys.iter().all(|k| why.contains(k)), "'{text}': {why}");
+            }
+            Err(other) => panic!("'{text}': expected BadConfig, got {other}"),
+            Ok(handle) => panic!("'{text}': accepted as job {}", handle.id()),
+        }
+    }
+    let stats = server.stats();
+    assert_eq!((stats.accepted, stats.active_jobs, stats.queued_jobs), (0, 0, 0));
+    server.shutdown();
+}
+
+/// A 2-rank job canceled while it runs halts its world: it ends
+/// `Canceled` and its slot is retired, not recycled, so the next job of the
+/// same shape runs on a fresh slot and is bit-identical to a solo run.
+#[test]
+fn canceled_multi_rank_job_retires_its_slot() {
+    let cfg = small_cfg();
+    let server = RadiationServer::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let long = server
+        .submit(RunConfig {
+            timesteps: 1_000_000,
+            ..cfg.clone()
+        })
+        .unwrap();
+    wait_until("the long job runs", || server.stats().active_jobs == 1);
+    long.cancel();
+    assert!(matches!(long.wait(), JobOutcome::Canceled));
+    let stats = server.stats();
+    assert_eq!((stats.canceled, stats.slot_builds, stats.slot_retired), (1, 1, 1));
+
+    let outcome = server.submit(cfg.clone()).unwrap().wait();
+    let next = outcome.expect_done();
+    assert!(!next.stats.slot_reused, "a halted world is never run again");
+    assert_bits_equal(&next.divq.data, &solo_divq(&cfg), "the job after a cancel");
+    let stats = server.stats();
+    assert_eq!((stats.completed, stats.slot_builds), (1, 2));
+    server.drain();
+    server.shutdown();
+    assert_eq!(server.fleet().total_used(), 0);
 }
 
 /// A served GPU job on a 2-device fleet that rebalances ownership mid-run
