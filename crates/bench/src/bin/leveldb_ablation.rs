@@ -7,6 +7,12 @@
 //! resident patch task carries its own copy — the behaviour that blew the
 //! K20X's 6 GB at scale.
 //!
+//! The H2D columns and kernel counts are exact. The peak columns vary a
+//! little from run to run: a divQ drain is posted to the D2H copy engine
+//! and its device block is released when that copy lands, so how many
+//! drains are still in flight at the high-water mark depends on thread
+//! timing (EXPERIMENTS E4 gives the spread over repeated runs).
+//!
 //! ```text
 //! cargo run -p rmcrt-bench --release --bin leveldb_ablation
 //! ```
@@ -49,13 +55,6 @@ fn main() {
                     nthreads: 4,
                     gpu_capacity: Some(4 << 30),
                     gpu_level_db: level_db,
-                    // Synchronous drains: async D2H releases device memory
-                    // when the engine thread finishes, so the peak column
-                    // would vary run to run. The ablation isolates the
-                    // level DB; the drain policy is covered by
-                    // tests/multi_timestep.rs::async_d2h_divq_bit_identical_to_sync_across_thread_counts
-                    // and the benchmark's `gpu.d2h_*` metrics.
-                    gpu_async_d2h: false,
                     ..Default::default()
                 },
             );
@@ -113,7 +112,6 @@ fn main() {
             nthreads: 4,
             timesteps: 4,
             gpu_capacity: Some(4 << 30),
-            gpu_async_d2h: false,
             ..Default::default()
         },
     );
@@ -161,7 +159,6 @@ fn main() {
                     gpu_capacity: Some(4 << 30),
                     gpus_per_rank: devices,
                     gpu_level_db: level_db,
-                    gpu_async_d2h: false,
                     ..Default::default()
                 },
             );

@@ -71,58 +71,15 @@ pub fn trace_ray_collision(
     rng: &mut CellRng,
     threshold: f64,
 ) -> f64 {
-    let tracer = CollisionTracer::new(props);
-    trace_one_collision(&tracer, medium, origin, dir, rng, threshold)
+    let mut packet = RayPacket::with_capacity(1);
+    packet.push(origin, dir);
+    trace_packet_collision(props, medium, &mut packet, std::slice::from_mut(rng), threshold);
+    packet.sum_i[0]
 }
 
-/// One ray against a prepared [`CollisionTracer`]: the flight loop (free
-/// paths sampled from β, albedo weighting, roulette, phase sampling). The
-/// cell marching itself is the packet engine's [`CollisionTracer::fly`].
-fn trace_one_collision(
-    tracer: &CollisionTracer<'_>,
-    medium: &ScatteringMedium,
-    origin: Point,
-    dir: Vector,
-    rng: &mut CellRng,
-    threshold: f64,
-) -> f64 {
-    let mut pos = origin;
-    let mut dir = dir;
-    let mut weight = 1.0f64;
-    let mut sum_i = 0.0;
-    loop {
-        // Sample the optical distance to the next collision.
-        let tau_target = -(1.0 - rng.next_f64()).max(f64::MIN_POSITIVE).ln();
-        match tracer.fly(pos, dir, tau_target, medium.sigma_s) {
-            FlightEnd::Escaped => return sum_i, // cold black enclosure
-            FlightEnd::Wall { emissivity, s } => {
-                sum_i += weight * emissivity * s;
-                return sum_i; // black/gray wall terminal (no reflections here)
-            }
-            FlightEnd::Collision { pos: p, beta, s } => {
-                pos = p;
-                let omega = medium.sigma_s / beta;
-                // Absorption/emission branch.
-                sum_i += weight * (1.0 - omega) * s;
-                // Scattering branch.
-                weight *= omega;
-                if weight <= 0.0 {
-                    return sum_i;
-                }
-                if weight < threshold {
-                    // Russian roulette.
-                    if rng.next_f64() < 0.5 {
-                        return sum_i;
-                    }
-                    weight *= 2.0;
-                }
-                dir = medium.phase.sample(dir, rng);
-            }
-        }
-    }
-}
-
-/// March a whole packet of scattering rays, each with its own RNG stream.
+/// March a whole packet of scattering rays, each with its own RNG stream:
+/// the flight loop (free paths sampled from β, albedo weighting, roulette,
+/// phase sampling) around the packet engine's [`CollisionTracer::fly`].
 /// Per-ray results land in `packet.sum_i` in ray order; the active mask is
 /// compacted as rays terminate. One flight leg advances per round, so the
 /// packet stays cache-resident across the batch.

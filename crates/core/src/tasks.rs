@@ -189,8 +189,12 @@ fn trace_patch(
 ///
 /// The CPU variant computes directly. The GPU variant stages the replicas
 /// through the *level database* (one shared copy per level per device —
-/// contribution ii) and the fine ROI into the patch database, holds them
-/// across the "kernel", and brings `divQ` back over the metered D2H path.
+/// contribution ii) and holds those handles until the task ends. It also
+/// stages the fine ROI into the patch database, but holds no handle to
+/// it: each `put_patch` handle drops at the end of its statement, so LRU
+/// eviction may spill the ROI inputs from the moment they are staged
+/// (ROADMAP 6). The "kernel" itself reads the host copies, not the device
+/// ones (ROADMAP 5). `divQ` comes back over the metered D2H path.
 fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, levels: Vec<LevelIndex>, fine_roi: bool, gpu: bool) -> TaskDecl {
     let traced = levels.clone();
     let body: uintah_runtime::TaskFn = Arc::new(move |ctx: &mut TaskContext| {
@@ -198,9 +202,9 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, levels: Vec<LevelInd
         if let (true, Some(gdw)) = (gpu, ctx.gpu()) {
             // Stage replicas via the level DB (uploaded at most once per
             // level per timestep, shared by all patch tasks). The handles
-            // stay alive until the kernel completes — without the level DB
-            // this is what multiplies device memory by the number of
-            // resident patch tasks. The epoch-aware variant keeps the
+            // in `staged` stay alive until the task ends — without the
+            // level DB this is what multiplies device memory by the number
+            // of resident patch tasks. The epoch-aware variant keeps the
             // replica device-resident across timesteps, re-uploading only
             // bytes that actually changed since the last radiation solve.
             // Replicas land on the device this task's kernels dispatch to
@@ -217,7 +221,8 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, levels: Vec<LevelInd
                     );
                 }
             }
-            // Stage fine ROI inputs per patch.
+            // Stage fine ROI inputs per patch. The returned handles drop
+            // here, so these entries are eviction candidates at once.
             let pid = ctx.patch().id();
             if let Some(fine) = &fine {
                 gdw.put_patch(ABSKG, pid, FieldData::F64(fine.abskg.clone()))
@@ -228,16 +233,16 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, levels: Vec<LevelInd
                     .expect("device OOM staging cellType");
             }
             // Kernel: same slab-ordered math, dispatched on the Device
-            // space — one metered launch per patch task.
+            // space — one metered launch per patch task. It reads the host
+            // data in `ctx` and `fine`, not the entries staged above.
             let div_q = trace_patch(ctx, &pipeline, &traced, fine.as_ref());
             gdw.alloc_patch_output(DIVQ, pid, FieldData::F64(div_q))
                 .expect("device OOM for divQ");
             // Output crosses PCIe back on the D2H copy engine: the drain is
-            // posted asynchronously (or completed inline in the synchronous
-            // ablation) and the task returns without blocking — the first
-            // downstream consumer materializes the host data, paying only
-            // the part of the drain compute didn't hide. Inputs are dropped
-            // in place.
+            // posted asynchronously and the task returns without blocking —
+            // the first downstream consumer materializes the host data,
+            // paying only the part of the drain compute didn't hide. Inputs
+            // are dropped in place.
             let out = gdw
                 .take_patch_to_host_async(DIVQ, pid)
                 .expect("divQ staged above");

@@ -5,9 +5,8 @@
 //! the drain direction is ever posted: [`GpuDevice`] keeps one `CopyEngine`
 //! for D2H — a FIFO of transfers with measured occupancy (`busy_ns`), an
 //! in-flight count, and a real worker thread that drains posted transfers
-//! asynchronously — driven through `GpuDevice::submit`, which either
-//! posts a drain to the engine thread or runs it inline with identical
-//! bookkeeping (`Mode`). Uploads run synchronously inside the task that
+//! asynchronously — driven through `GpuDevice::submit`, which posts a
+//! drain to the engine thread. Uploads run synchronously inside the task that
 //! needs them, so host→device is a plain meter (transfers, bytes, busy
 //! time) fed through `GpuDevice::record_transfer` /
 //! `GpuDevice::record_busy`.
@@ -66,17 +65,6 @@ pub(crate) enum Dir {
     H2D,
     /// Device→host: the posted copy engine.
     D2H,
-}
-
-/// How [`GpuDevice::submit`] executes a drain.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Mode {
-    /// Queue the drain on the copy engine's worker thread and return at
-    /// once.
-    Posted,
-    /// Run the drain on the caller's thread before returning — the
-    /// synchronous fallback, with the posted path's exact bookkeeping.
-    Inline,
 }
 
 /// A drain executed on the copy engine: the memcpy plus completion
@@ -431,22 +419,17 @@ impl GpuDevice {
     }
 
     /// Submit a device→host drain of `bytes` to the copy engine. `job` is
-    /// the memcpy plus completion signalling. In [`Mode::Posted`] the
-    /// engine worker (a real thread) executes it in FIFO order and the
-    /// caller returns immediately — the overlap the K20X's copy engine
-    /// provides: the scheduler keeps launching kernels while a drain
-    /// proceeds. In [`Mode::Inline`] the same timeline step runs on the
-    /// calling thread before returning. Either way the transfer is metered,
-    /// counted in flight and timed into `busy_ns`, so [`sync`](Self::sync)
-    /// accounting is mode-independent.
-    pub(crate) fn submit(&self, bytes: usize, mode: Mode, job: impl FnOnce() + Send + 'static) {
+    /// the memcpy plus completion signalling; the engine worker (a real
+    /// thread) executes it in FIFO order and the caller returns
+    /// immediately — the overlap the K20X's copy engine provides: the
+    /// scheduler keeps launching kernels while a drain proceeds. The
+    /// transfer is metered, counted in flight until it retires and timed
+    /// into `busy_ns`.
+    pub(crate) fn submit(&self, bytes: usize, job: impl FnOnce() + Send + 'static) {
         self.record_transfer(Dir::D2H, bytes);
         let engine = &self.inner.d2h;
         engine.line.inflight.fetch_add(1, Ordering::Relaxed);
-        match mode {
-            Mode::Posted => engine.post(Box::new(job)),
-            Mode::Inline => engine.line.run(job),
-        }
+        engine.post(Box::new(job));
     }
 
     /// Block until the copy engine has retired every submitted drain — the
@@ -697,32 +680,27 @@ mod tests {
     }
 
     #[test]
-    fn inline_submit_matches_posted_bookkeeping() {
-        // Regression: the sync-fallback path used to skip the in-flight
-        // count, so inflight accounting depended on the async mode. Inline
-        // must mirror the posted path exactly.
-        for mode in [Mode::Inline, Mode::Posted] {
-            let d = GpuDevice::k20x();
-            let (tx, rx) = mpsc::channel();
-            let seen = d.clone();
-            d.submit(4096, mode, move || {
-                std::thread::sleep(Duration::from_millis(1));
-                tx.send(engine_counters(&seen).3).unwrap();
-            });
-            // While the job runs the transfer is counted in flight.
-            assert_eq!(rx.recv().unwrap(), 1, "{mode:?}");
-            d.sync(); // must not hang: inline transfers fully retire
-            let (transfers, bytes, busy_ns, inflight) = engine_counters(&d);
-            assert_eq!((transfers, bytes, inflight), (1, 4096, 0), "{mode:?}");
-            assert!(busy_ns >= 1_000_000, "busy_ns {busy_ns} too small");
-        }
+    fn posted_submit_counts_in_flight_until_it_retires() {
+        let d = GpuDevice::k20x();
+        let (tx, rx) = mpsc::channel();
+        let seen = d.clone();
+        d.submit(4096, move || {
+            std::thread::sleep(Duration::from_millis(1));
+            tx.send(engine_counters(&seen).3).unwrap();
+        });
+        // While the job runs the transfer is counted in flight.
+        assert_eq!(rx.recv().unwrap(), 1);
+        d.sync();
+        let (transfers, bytes, busy_ns, inflight) = engine_counters(&d);
+        assert_eq!((transfers, bytes, inflight), (1, 4096, 0));
+        assert!(busy_ns >= 1_000_000, "busy_ns {busy_ns} too small");
     }
 
     #[test]
     fn posted_transfer_drains_on_the_engine_thread() {
         let d = GpuDevice::k20x();
         let (tx, rx) = mpsc::channel();
-        d.submit(4096, Mode::Posted, move || {
+        d.submit(4096, move || {
             tx.send(std::thread::current().name().map(String::from)).unwrap();
         });
         assert_eq!(rx.recv().unwrap().as_deref(), Some("d2h-copy-engine"));
@@ -739,7 +717,7 @@ mod tests {
         for i in 0..3 {
             let gate = Arc::clone(&gate);
             let order = Arc::clone(&order);
-            d.submit(100, Mode::Posted, move || {
+            d.submit(100, move || {
                 if i == 0 {
                     drop(gate.lock().unwrap());
                 }
@@ -761,7 +739,7 @@ mod tests {
     fn engine_worker_exits_when_last_device_handle_drops() {
         let d = GpuDevice::with_capacity("test", 1000);
         let (tx, rx) = mpsc::channel();
-        d.submit(10, Mode::Posted, move || {
+        d.submit(10, move || {
             tx.send(std::thread::current().id()).unwrap();
         });
         let tid = rx.recv().unwrap();
@@ -773,7 +751,7 @@ mod tests {
         // different thread id.
         let d2 = GpuDevice::with_capacity("test2", 1000);
         let (tx2, rx2) = mpsc::channel();
-        d2.submit(10, Mode::Posted, move || {
+        d2.submit(10, move || {
             tx2.send(std::thread::current().id()).unwrap();
         });
         assert_ne!(rx2.recv().unwrap(), tid);

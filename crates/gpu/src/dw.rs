@@ -46,12 +46,9 @@
 //! [`GpuDataWarehouse::take_patch_to_host_async`] submits the drain to the
 //! device's D2H copy engine (`GpuDevice::submit`) and returns a
 //! [`PendingD2H`] completion handle; the drain keeps its device block
-//! reserved until the copy lands. `async_d2h == false` selects the
-//! bit-identical synchronous fallback: the same job runs inline at submit
-//! with the same engine bookkeeping (`Mode::Inline`), zero overlap by
-//! construction.
+//! reserved until the copy lands.
 
-use crate::device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError, Mode};
+use crate::device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError};
 use crate::fleet::{DeviceFleet, DeviceId};
 use parking_lot::Mutex as StateMutex;
 use std::collections::HashMap;
@@ -126,17 +123,12 @@ impl Completion {
 pub struct PendingD2H {
     shared: Arc<Completion>,
     bytes: usize,
-    /// True when the transfer completed inline at submit time (synchronous
-    /// fallback, or served from the spill map): the full transfer wall was
-    /// paid by the poster, so overlap is zero by construction.
-    inline: bool,
 }
 
 impl std::fmt::Debug for PendingD2H {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PendingD2H")
             .field("bytes", &self.bytes)
-            .field("inline", &self.inline)
             .field("complete", &self.is_complete())
             .finish()
     }
@@ -159,12 +151,13 @@ impl PendingD2H {
     /// bytes and `blocked` is how long *this call* stalled the consumer.
     /// A transfer that finished before first use reports `blocked ≈ 0`, so
     /// `busy - blocked` is the wall time hidden behind other work — the
-    /// overlap the copy engine exists to win.
+    /// overlap the copy engine exists to win. A handle served from the
+    /// spill map reports `busy == 0`: its bytes crossed at eviction time,
+    /// so it hides nothing.
     pub fn wait_timed(self) -> (DeviceData, Duration, Duration) {
         let t0 = Instant::now();
         let (data, busy) = self.shared.wait();
-        let blocked = if self.inline { busy } else { t0.elapsed() };
-        (data, busy, blocked)
+        (data, busy, t0.elapsed())
     }
 }
 
@@ -249,11 +242,6 @@ pub struct GpuDataWarehouse {
     /// at the same index.
     stores: Vec<StateMutex<StoreState>>,
     level_db_enabled: bool,
-    /// When true (the default), [`Self::take_patch_to_host_async`] posts the
-    /// drain to the D2H copy engine and returns immediately; when false it
-    /// completes inline — same handle API, same bytes, zero overlap — so the
-    /// synchronous baseline runs the identical task-body code.
-    async_d2h: bool,
     /// Timestep epoch: bumped by [`Self::begin_timestep`]. Level-DB entries
     /// stamped with an older epoch are *stale* — still device-resident, but
     /// requiring revalidation (diff + incremental re-upload) before reuse
@@ -269,18 +257,17 @@ impl GpuDataWarehouse {
         Self::with_fleet_full(DeviceFleet::single(device), true, true, true, true)
     }
 
-    /// Fleet construction, every flag explicit: one patch DB + one level DB
-    /// per device. `level_db_enabled: false` is the E4 ablation;
-    /// `async_d2h: false` selects the bit-identical synchronous drain
-    /// (completes inline with the same engine bookkeeping). `_async_h2d`
-    /// and `_eviction` are accepted and select nothing: uploads have one
+    /// Fleet construction: one patch DB + one level DB per device.
+    /// `level_db_enabled: false` is the E4 ablation. `_async_d2h`,
+    /// `_async_h2d` and `_eviction` are accepted and select nothing: drains
+    /// are always posted to the D2H copy engine, uploads have one
     /// synchronous path, memory pressure always evicts LRU entries, and
     /// the arguments stay only because the benchmark (`perf_report/`,
     /// frozen by the benchmark contract) passes five arguments.
     pub fn with_fleet_full(
         fleet: DeviceFleet,
         level_db_enabled: bool,
-        async_d2h: bool,
+        _async_d2h: bool,
         _async_h2d: bool,
         _eviction: bool,
     ) -> Self {
@@ -289,7 +276,6 @@ impl GpuDataWarehouse {
             fleet,
             stores,
             level_db_enabled,
-            async_d2h,
             epoch: AtomicU64::new(0),
         }
     }
@@ -537,13 +523,9 @@ impl GpuDataWarehouse {
     /// consumer to `wait()` blocks only for the part of the drain not
     /// already hidden.
     ///
-    /// In synchronous-fallback mode (`async_d2h == false`) the drain
-    /// completes inline before returning — identical data, identical
-    /// transfer/in-flight bookkeeping (`Mode::Inline`),
-    /// `blocked == drain` so the reported overlap is zero. A variable
-    /// already evicted to the spill map returns an already-complete handle
-    /// with no new transfer in either mode — its bytes crossed PCIe at
-    /// eviction time.
+    /// A variable already evicted to the spill map returns an
+    /// already-complete handle with no new transfer — its bytes crossed
+    /// PCIe at eviction time.
     pub fn take_patch_to_host_async(&self, label: VarLabel, patch: PatchId) -> Option<PendingD2H> {
         let dev = self.device_for_patch(patch);
         let device = self.fleet.device(dev);
@@ -553,15 +535,13 @@ impl GpuDataWarehouse {
         let Some(e) = st.patch_db.remove(&key) else {
             // Nothing in flight: the "drain" happened at eviction time.
             shared.fill(st.spill.remove(&key)?, Duration::ZERO);
-            return Some(PendingD2H { shared, bytes: 0, inline: true });
+            return Some(PendingD2H { shared, bytes: 0 });
         };
         drop(st);
         let var = e.var;
         let bytes = var.size_bytes();
         let slot = Arc::clone(&shared);
-        let inline = !self.async_d2h;
-        let mode = if inline { Mode::Inline } else { Mode::Posted };
-        device.submit(bytes, mode, move || {
+        device.submit(bytes, move || {
             let t0 = Instant::now();
             let data = var.data().clone();
             let drain = t0.elapsed();
@@ -570,7 +550,7 @@ impl GpuDataWarehouse {
             drop(var);
             slot.fill(data, drain);
         });
-        Some(PendingD2H { shared, bytes, inline })
+        Some(PendingD2H { shared, bytes })
     }
 
     /// Drop a per-patch input without a device→host transfer (inputs are
@@ -795,13 +775,6 @@ mod tests {
     use super::*;
     use uintah_grid::{CcVariable, Region};
 
-    impl GpuDataWarehouse {
-        /// Whether D2H drains are posted asynchronously to the copy engine.
-        fn async_d2h(&self) -> bool {
-            self.async_d2h
-        }
-    }
-
     impl PendingD2H {
         /// Transfer size in bytes.
         pub(crate) fn bytes(&self) -> usize {
@@ -823,9 +796,9 @@ mod tests {
         DeviceData::F64(CcVariable::filled(Region::cube(n), value))
     }
 
-    /// A one-device warehouse with eviction on and the given feature flags.
-    fn dw_flags(device: GpuDevice, level_db: bool, async_d2h: bool) -> GpuDataWarehouse {
-        GpuDataWarehouse::with_fleet_full(DeviceFleet::single(device), level_db, async_d2h, true, true)
+    /// A one-device warehouse without the level database (the E4 ablation).
+    fn dw_without_level_db(device: GpuDevice) -> GpuDataWarehouse {
+        GpuDataWarehouse::with_fleet_full(DeviceFleet::single(device), false, true, true, true)
     }
 
     #[test]
@@ -867,7 +840,7 @@ mod tests {
 
     #[test]
     fn disabled_level_db_duplicates_copies() {
-        let dw = dw_flags(GpuDevice::k20x(), false, true);
+        let dw = dw_without_level_db(GpuDevice::k20x());
         let a = dw
             .ensure_level_fresh_on(0, ABSKG, 0, || field(16, 0.9))
             .unwrap();
@@ -911,7 +884,7 @@ mod tests {
         // with N — the paper's core argument.
         let field_bytes = 16usize.pow(3) * 8;
         let with = GpuDataWarehouse::new(GpuDevice::k20x());
-        let without = dw_flags(GpuDevice::k20x(), false, true);
+        let without = dw_without_level_db(GpuDevice::k20x());
         let mut with_handles = Vec::new();
         let mut without_handles = Vec::new();
         for _task in 0..32 {
@@ -1100,47 +1073,8 @@ mod tests {
     }
 
     #[test]
-    fn sync_fallback_reports_blocked_equals_drain() {
-        let dw = dw_flags(GpuDevice::k20x(), true, false);
-        assert!(!dw.async_d2h());
-        let p = PatchId(1);
-        dw.put_patch(DIVQ, p, field(8, 1.0)).unwrap();
-        let pending = dw.take_patch_to_host_async(DIVQ, p).unwrap();
-        assert!(pending.is_complete(), "inline drain completes at post time");
-        assert_eq!(dw.device().used(), 0, "inline drain releases immediately");
-        let (data, drain, blocked) = pending.wait_timed();
-        assert_eq!(data.as_f64()[uintah_grid::IntVector::ZERO], 1.0);
-        assert_eq!(blocked, drain, "no overlap in synchronous mode");
-        assert_eq!(dw.device().counters().d2h_inflight, 0);
-    }
-
-    #[test]
-    fn inline_take_matches_async_counters_exactly() {
-        // Regression: the inline fallback used to skip the in-flight
-        // bookkeeping, so the counters depended on the async mode. Every counter
-        // except engine occupancy (busy_ns is wall-time measured) must now
-        // be identical across modes for the same operation sequence.
-        let run = |async_d2h: bool| {
-            let device = GpuDevice::with_capacity("mode-test", 1 << 20);
-            let dw = dw_flags(device.clone(), true, async_d2h);
-            for p in 0..4u32 {
-                dw.put_patch(DIVQ, PatchId(p), field(8, p as f64)).unwrap();
-                let pending = dw.take_patch_to_host_async(DIVQ, PatchId(p)).unwrap();
-                let got = pending.wait();
-                assert_eq!(got.as_f64()[uintah_grid::IntVector::ZERO], p as f64);
-            }
-            dw.sync_d2h_all();
-            let mut c = device.counters();
-            c.h2d_busy_ns = 0;
-            c.d2h_busy_ns = 0;
-            c
-        };
-        assert_eq!(run(true), run(false), "counters must be mode-independent");
-    }
-
-    #[test]
     fn disabled_level_db_pays_full_upload_every_step() {
-        let dw = dw_flags(GpuDevice::k20x(), false, true);
+        let dw = dw_without_level_db(GpuDevice::k20x());
         let a = dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).unwrap();
         dw.begin_timestep();
         let b = dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).unwrap();
@@ -1250,7 +1184,7 @@ mod tests {
         let (data, drain, blocked) = pending.wait_timed();
         assert_eq!(data.as_f64()[uintah_grid::IntVector::ZERO], 6.0);
         assert_eq!(drain, Duration::ZERO);
-        assert_eq!(blocked, Duration::ZERO);
+        assert_eq!(drain.saturating_sub(blocked), Duration::ZERO, "nothing hidden");
         device.validate_allocator().unwrap();
     }
 

@@ -34,11 +34,6 @@ pub struct WorldConfig {
     pub gpus_per_rank: usize,
     /// Keep one shared per-level copy on the GPU (the paper's level DB).
     pub gpu_level_db: bool,
-    /// Post device→host drains to the copy engine asynchronously so the
-    /// scheduler overlaps them with remaining compute (the paper's
-    /// transfer/kernel pipelining). `false` drains inline inside task
-    /// bodies — the synchronous baseline; results are bit-identical.
-    pub gpu_async_d2h: bool,
     /// Rebalance ownership every `k` timesteps from measured per-patch
     /// costs: all ranks exchange their cost vectors (an all-reduce), run
     /// the deterministic [`Regridder`] and adopt the agreed distribution —
@@ -63,7 +58,6 @@ impl Default for WorldConfig {
             gpu_capacity: None,
             gpus_per_rank: 1,
             gpu_level_db: true,
-            gpu_async_d2h: true,
             regrid_interval: None,
             regrid_policy: RebalancePolicy::CostedSfc,
             run_id: None,
@@ -166,8 +160,8 @@ impl World {
                     Arc::new(GpuDataWarehouse::with_fleet_full(
                         fleet,
                         cfg.gpu_level_db,
-                        cfg.gpu_async_d2h,
-                        true, // unused `_async_h2d`: signature pinned by perf_report
+                        true, // unused `_async_d2h`: signature pinned by perf_report
+                        true, // unused `_async_h2d`: likewise
                         true, // unused `_eviction`: likewise
                     ))
                 });
@@ -615,7 +609,7 @@ mod tests {
     #[test]
     fn all_store_kinds_give_identical_results() {
         let grid = grid1(16, 4);
-        for store in [StoreKind::WaitFree, StoreKind::Mutex, StoreKind::Racy] {
+        for store in [StoreKind::WaitFree, StoreKind::Mutex] {
             let cfg = WorldConfig {
                 nranks: 3,
                 nthreads: 2,

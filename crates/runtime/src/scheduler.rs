@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uintah_comm::{
-    Communicator, Message, MutexRequestVec, RacyRequestVec, RequestStore, Tag, WaitFreeRequestStore,
+    Communicator, Message, MutexRequestVec, RequestStore, Tag, WaitFreeRequestStore,
 };
 use uintah_exec::{DeviceSpace, ExecSpace, KernelStats};
 use uintah_gpu::GpuDataWarehouse;
@@ -43,8 +43,6 @@ pub enum StoreKind {
     WaitFree,
     /// Lock-protected vector with Testsome-style sweeps. The "before".
     Mutex,
-    /// The racy read-lock variant that reproduces the §IV-A leak.
-    Racy,
 }
 
 impl StoreKind {
@@ -52,7 +50,6 @@ impl StoreKind {
         match self {
             StoreKind::WaitFree => Arc::new(WaitFreeRequestStore::new()),
             StoreKind::Mutex => Arc::new(MutexRequestVec::new()),
-            StoreKind::Racy => Arc::new(RacyRequestVec::new()),
         }
     }
 }

@@ -166,6 +166,46 @@ mod tests {
     }
 
     #[test]
+    fn footprint_bounds_every_served_gpu_shape() {
+        // The same bound on the server's shared fleet, where every rank's
+        // warehouse stages onto the same devices. Each shape runs alone on
+        // a fresh server, so the fleet's high-water marks are that one
+        // job's residency.
+        for ranks in [1, 2] {
+            for gpus in [1, 2] {
+                for levels in [2, 3] {
+                    let cfg = RunConfig {
+                        gpu: true,
+                        fine_cells: 16,
+                        patch_size: 4,
+                        levels,
+                        refinement_ratio: 2,
+                        ranks,
+                        threads: 2,
+                        nrays: 1,
+                        ..RunConfig::default()
+                    };
+                    let (grid, _) = cfg.build_problem();
+                    let bound = estimate_device_footprint(&cfg, &grid, gpus);
+                    let server = crate::RadiationServer::start(crate::ServeConfig {
+                        workers: 1,
+                        gpus,
+                        ..crate::ServeConfig::default()
+                    });
+                    server.submit(cfg).unwrap().wait().expect_done();
+                    server.shutdown();
+                    let peak: usize = server.fleet().devices().iter().map(|d| d.peak()).sum();
+                    assert!(
+                        bound >= peak as u64,
+                        "{ranks} ranks x {gpus} devices x {levels} levels: \
+                         estimate {bound} must bound measured peak {peak}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn decision_tiers() {
         // Fits free space outright.
         assert_eq!(decide(100, 1000, 0, 0, 0), Admission::Admit);

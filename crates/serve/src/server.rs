@@ -3,15 +3,15 @@
 //! [`RadiationServer`] owns one shared [`DeviceFleet`] (every tenant
 //! meters against the same devices), one shared [`GraphCache`] (compiled
 //! task graphs adopted across jobs), and a pool of warm executor
-//! `Slot`s. Submitted jobs land in one of two queue tiers — `high`
-//! drains before `normal`, FIFO within each — and a fixed pool of worker
-//! threads pulls the first *admissible* job: one whose estimated device
-//! footprint fits what the capacity meters say is free (see
-//! [`crate::admission`]). Jobs that fit the fleet but not the current
-//! headroom stay queued; jobs larger than the whole fleet are rejected
-//! with a typed error at submission.
+//! `Slot`s. Submitted jobs land in one queue kept in tier order — every
+//! `high` job ahead of every `normal` one, FIFO within each — and a fixed
+//! pool of worker threads pulls the first *admissible* job: one whose
+//! estimated device footprint fits what the capacity meters say is free
+//! (see [`crate::admission`]). Jobs that fit the fleet but not the
+//! current headroom stay queued; jobs larger than the whole fleet are
+//! rejected with a typed error at submission.
 //!
-//! Drain/shutdown ordering: stop admitting → run the queues dry → each
+//! Drain/shutdown ordering: stop admitting → run the queue dry → each
 //! finishing job clears per-patch staging (every step already settled its
 //! D2H drains) → workers exit → idle slots drop (freeing the retained
 //! level replicas) → the fleet meters read zero.
@@ -157,6 +157,7 @@ struct JobEntry {
     state: Mutex<JobState>,
     cv: Condvar,
     submitted_at: Instant,
+    priority: JobPriority,
     /// Set while queued; taken by the worker that admits the job.
     spec: Mutex<Option<JobSpec>>,
     footprint: u64,
@@ -175,8 +176,9 @@ impl JobEntry {
 const FINISHED_JOBS_KEPT: usize = 64;
 
 struct ServerState {
-    high: VecDeque<Arc<JobEntry>>,
-    normal: VecDeque<Arc<JobEntry>>,
+    /// Queued jobs in tier order: high-priority jobs first, then normal
+    /// ones, each tier FIFO.
+    queue: VecDeque<Arc<JobEntry>>,
     /// Queued and running jobs plus the last [`FINISHED_JOBS_KEPT`]
     /// terminal ones (wire `Wait` looks ids up here).
     jobs: HashMap<JobId, Arc<JobEntry>>,
@@ -269,8 +271,7 @@ impl RadiationServer {
             graph_cache: Arc::new(GraphCache::new(cfg.graph_cache_cap)),
             fleet,
             state: Mutex::new(ServerState {
-                high: VecDeque::new(),
-                normal: VecDeque::new(),
+                queue: VecDeque::new(),
                 jobs: HashMap::new(),
                 finished: VecDeque::new(),
                 active: 0,
@@ -327,6 +328,7 @@ impl RadiationServer {
             state: Mutex::new(JobState::Queued),
             cv: Condvar::new(),
             submitted_at: Instant::now(),
+            priority: cfg.priority,
             spec: Mutex::new(Some(JobSpec {
                 id,
                 run_id,
@@ -337,10 +339,14 @@ impl RadiationServer {
             footprint,
         });
         st.jobs.insert(id, Arc::clone(&entry));
-        match cfg.priority {
-            JobPriority::High => st.high.push_back(Arc::clone(&entry)),
-            JobPriority::Normal => st.normal.push_back(Arc::clone(&entry)),
-        }
+        // A high job goes behind the last queued high one, ahead of every
+        // normal one; a normal job goes last.
+        let at = match cfg.priority {
+            JobPriority::High => st.queue.iter().position(|e| e.priority == JobPriority::Normal),
+            JobPriority::Normal => None,
+        };
+        let at = at.unwrap_or(st.queue.len());
+        st.queue.insert(at, Arc::clone(&entry));
         st.stats.accepted += 1;
         drop(st);
         self.inner.work_cv.notify_all();
@@ -380,7 +386,7 @@ impl RadiationServer {
         s.graph_cache = self.inner.graph_cache.stats();
         s.reserved_bytes = st.reserved_bytes;
         s.active_jobs = st.active;
-        s.queued_jobs = st.high.len() + st.normal.len();
+        s.queued_jobs = st.queue.len();
         s.idle_slots = st.idle_slots.len();
         s.fleet_used = self.inner.fleet.total_used() as u64;
         s.fleet_capacity = self.inner.fleet.total_capacity() as u64;
@@ -395,7 +401,7 @@ impl RadiationServer {
     /// Block until no job is queued or running.
     pub fn drain(&self) {
         let mut st = self.inner.state.lock().unwrap();
-        while st.active > 0 || !st.high.is_empty() || !st.normal.is_empty() {
+        while st.active > 0 || !st.queue.is_empty() {
             st = self.inner.done_cv.wait(st).unwrap();
         }
     }
@@ -434,20 +440,8 @@ impl ServerInner {
         };
         entry.cancel.store(true, Ordering::Relaxed);
         // Withdraw from the queue immediately if still queued.
-        let was_queued = {
-            let in_high = st.high.iter().position(|e| e.id == id);
-            let in_normal = st.normal.iter().position(|e| e.id == id);
-            if let Some(i) = in_high {
-                st.high.remove(i);
-                true
-            } else if let Some(i) = in_normal {
-                st.normal.remove(i);
-                true
-            } else {
-                false
-            }
-        };
-        if was_queued {
+        if let Some(i) = st.queue.iter().position(|e| e.id == id) {
+            st.queue.remove(i);
             st.deferred.remove(&id);
             st.stats.canceled += 1;
             st.note_finished(id);
@@ -457,108 +451,96 @@ impl ServerInner {
         true
     }
 
-    /// Under the state lock: find the first admissible queued job (high
-    /// tier first, FIFO within each) and the slot it will run on. Idle
-    /// slots of other shapes are reclaimed (dropped) when that is what it
-    /// takes to fit the job.
+    /// Under the state lock: find the first admissible queued job in queue
+    /// order (high tier first, FIFO within each) and the slot it will run
+    /// on. Idle slots of other shapes are reclaimed (dropped) when that is
+    /// what it takes to fit the job.
     fn take_runnable(&self, st: &mut ServerState) -> Option<(Arc<JobEntry>, Slot)> {
         let capacity = self.fleet.total_capacity() as u64;
-        let tiers: [usize; 2] = [0, 1];
-        for tier in tiers {
-            let queue_len = if tier == 0 { st.high.len() } else { st.normal.len() };
-            for idx in 0..queue_len {
-                let entry = if tier == 0 {
-                    Arc::clone(&st.high[idx])
-                } else {
-                    Arc::clone(&st.normal[idx])
-                };
-                let key = {
-                    let spec = entry.spec.lock().unwrap();
-                    let Some(spec) = spec.as_ref() else { continue };
-                    spec.cfg.shape_signature()
-                };
-                let reusable: u64 = st
+        for idx in 0..st.queue.len() {
+            let entry = Arc::clone(&st.queue[idx]);
+            let key = {
+                let spec = entry.spec.lock().unwrap();
+                let Some(spec) = spec.as_ref() else { continue };
+                spec.cfg.shape_signature()
+            };
+            let reusable: u64 = st
+                .idle_slots
+                .iter()
+                .find(|s| s.key == key)
+                .map(|s| s.resident_bytes())
+                .unwrap_or(0);
+            let idle_resident: u64 =
+                st.idle_slots.iter().map(|s| s.resident_bytes()).sum();
+            let mut decision = admission::decide(
+                entry.footprint,
+                capacity,
+                st.reserved_bytes,
+                idle_resident,
+                reusable,
+            );
+            // Deferred for capacity, but idle slots of other shapes
+            // hold reclaimable bytes: drop them (oldest first) until
+            // the job fits or none remain.
+            if decision == Admission::Defer {
+                let mut idle_resident = idle_resident;
+                while let Some(pos) = st
                     .idle_slots
                     .iter()
-                    .find(|s| s.key == key)
-                    .map(|s| s.resident_bytes())
-                    .unwrap_or(0);
-                let idle_resident: u64 =
-                    st.idle_slots.iter().map(|s| s.resident_bytes()).sum();
-                let mut decision = admission::decide(
-                    entry.footprint,
-                    capacity,
-                    st.reserved_bytes,
-                    idle_resident,
-                    reusable,
-                );
-                // Deferred for capacity, but idle slots of other shapes
-                // hold reclaimable bytes: drop them (oldest first) until
-                // the job fits or none remain.
-                if decision == Admission::Defer {
-                    let mut idle_resident = idle_resident;
-                    while let Some(pos) = st
-                        .idle_slots
-                        .iter()
-                        .position(|s| s.key != key && s.resident_bytes() > 0)
-                    {
-                        let freed = st.idle_slots[pos].resident_bytes();
-                        st.idle_slots.remove(pos);
-                        st.stats.slot_retired += 1;
-                        idle_resident -= freed.min(idle_resident);
-                        decision = admission::decide(
-                            entry.footprint,
-                            capacity,
-                            st.reserved_bytes,
-                            idle_resident,
-                            reusable,
-                        );
-                        if decision != Admission::Defer {
-                            break;
-                        }
+                    .position(|s| s.key != key && s.resident_bytes() > 0)
+                {
+                    let freed = st.idle_slots[pos].resident_bytes();
+                    st.idle_slots.remove(pos);
+                    st.stats.slot_retired += 1;
+                    idle_resident -= freed.min(idle_resident);
+                    decision = admission::decide(
+                        entry.footprint,
+                        capacity,
+                        st.reserved_bytes,
+                        idle_resident,
+                        reusable,
+                    );
+                    if decision != Admission::Defer {
+                        break;
                     }
                 }
-                match decision {
-                    Admission::Admit => {
-                        if tier == 0 {
-                            st.high.remove(idx);
-                        } else {
-                            st.normal.remove(idx);
+            }
+            match decision {
+                Admission::Admit => {
+                    st.queue.remove(idx);
+                    st.deferred.remove(&entry.id);
+                    let slot = match st.idle_slots.iter().position(|s| s.key == key) {
+                        Some(pos) => {
+                            st.stats.slot_hits += 1;
+                            st.idle_slots.remove(pos)
                         }
-                        st.deferred.remove(&entry.id);
-                        let slot = match st.idle_slots.iter().position(|s| s.key == key) {
-                            Some(pos) => {
-                                st.stats.slot_hits += 1;
-                                st.idle_slots.remove(pos)
-                            }
-                            None => {
-                                st.stats.slot_builds += 1;
-                                let spec = entry.spec.lock().unwrap();
-                                let spec = spec.as_ref().expect("spec present while queued");
-                                Slot::new(
-                                    &spec.cfg,
-                                    Arc::clone(&spec.grid),
-                                    Arc::clone(&spec.decls),
-                                    &self.fleet,
-                                    &self.graph_cache,
-                                )
-                            }
-                        };
-                        st.reserved_bytes += entry.footprint;
-                        st.active += 1;
-                        *entry.state.lock().unwrap() = JobState::Running;
-                        return Some((entry, slot));
-                    }
-                    Admission::Defer => {
-                        if st.deferred.insert(entry.id) {
-                            st.stats.queued_for_capacity += 1;
+                        None => {
+                            st.stats.slot_builds += 1;
+                            let spec = entry.spec.lock().unwrap();
+                            let spec = spec.as_ref().expect("spec present while queued");
+                            Slot::new(
+                                &spec.cfg,
+                                Arc::clone(&spec.grid),
+                                Arc::clone(&spec.decls),
+                                &self.fleet,
+                                &self.graph_cache,
+                            )
                         }
-                        // Try the next job in FIFO order (first-fit): a
-                        // smaller job behind may run meanwhile.
+                    };
+                    st.reserved_bytes += entry.footprint;
+                    st.active += 1;
+                    *entry.state.lock().unwrap() = JobState::Running;
+                    return Some((entry, slot));
+                }
+                Admission::Defer => {
+                    if st.deferred.insert(entry.id) {
+                        st.stats.queued_for_capacity += 1;
                     }
-                    Admission::TooLarge => {
-                        unreachable!("TooLarge rejected at submission")
-                    }
+                    // Try the next job in FIFO order (first-fit): a
+                    // smaller job behind may run meanwhile.
+                }
+                Admission::TooLarge => {
+                    unreachable!("TooLarge rejected at submission")
                 }
             }
         }
@@ -603,7 +585,7 @@ fn worker_loop(inner: &Arc<ServerInner>) {
                 if let Some(found) = inner.take_runnable(&mut st) {
                     break found;
                 }
-                if st.shutting_down && st.high.is_empty() && st.normal.is_empty() {
+                if st.shutting_down && st.queue.is_empty() {
                     inner.done_cv.notify_all();
                     return;
                 }

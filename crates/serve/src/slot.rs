@@ -266,7 +266,6 @@ mod tests {
     #[test]
     fn shape_signature_ignores_per_job_parameters() {
         let second_value = |key: &str| match key {
-            "problem" => "benchmark",
             "fine_cells" => "64",
             "patch_size" => "16",
             "levels" => "1",

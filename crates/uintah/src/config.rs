@@ -7,7 +7,6 @@
 //! ```
 //! let cfg = uintah::config::RunConfig::parse(
 //!     "# RMCRT benchmark run
-//!      problem    = benchmark
 //!      fine_cells = 64
 //!      patch_size = 16
 //!      levels     = 2
@@ -42,7 +41,6 @@ use uintah_runtime::StoreKind;
 /// A parsed run specification.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunConfig {
-    pub problem: Problem,
     pub fine_cells: i32,
     pub patch_size: i32,
     pub levels: usize,
@@ -82,12 +80,6 @@ pub struct RunConfig {
     pub output: Option<PathBuf>,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Problem {
-    /// The Burns & Christon benchmark (the paper's workload).
-    Benchmark,
-}
-
 /// Scheduling tier of a job submitted to the radiation server
 /// (`uintah-serve`). High-priority jobs drain before any normal-tier job,
 /// FIFO within each tier; a single-run `rmcrt_app` ignores it.
@@ -101,7 +93,6 @@ pub enum JobPriority {
 impl Default for RunConfig {
     fn default() -> Self {
         Self {
-            problem: Problem::Benchmark,
             fine_cells: 32,
             patch_size: 8,
             levels: 2,
@@ -186,12 +177,7 @@ const MAX_WORLD_THREADS: usize = 256;
 const MAX_FINE_CELLS: i32 = 512;
 const MAX_FINE_PATCHES: i32 = 32;
 
-const PROBLEMS: Choices<Problem> = &[("benchmark", Problem::Benchmark)];
-const STORES: Choices<StoreKind> = &[
-    ("waitfree", StoreKind::WaitFree),
-    ("mutex", StoreKind::Mutex),
-    ("racy", StoreKind::Racy),
-];
+const STORES: Choices<StoreKind> = &[("waitfree", StoreKind::WaitFree), ("mutex", StoreKind::Mutex)];
 const REGRID_POLICIES: Choices<RebalancePolicy> = &[
     ("sfc", RebalancePolicy::CostedSfc),
     ("rotate", RebalancePolicy::Rotate(1)),
@@ -265,7 +251,6 @@ macro_rules! choice {
 /// Every configuration key, in the order `to_text` prints them.
 #[rustfmt::skip]
 pub const KEYS: &[Key] = &[
-    choice!("problem", PER_JOB, problem, PROBLEMS, "benchmark (Burns & Christon)"),
     scalar!("fine_cells", SHAPE, fine_cells, num, "fine-level cells per side"),
     scalar!("patch_size", SHAPE, patch_size, num, "fine patch cells per side; must divide fine_cells"),
     scalar!("levels", SHAPE, levels, num, "AMR levels, 1..=4"),
@@ -275,7 +260,7 @@ pub const KEYS: &[Key] = &[
     scalar!("halo", PER_JOB, halo, num, "fine-level ghost cells around each patch's region of interest"),
     scalar!("ranks", SHAPE, ranks, num, "simulated MPI ranks"),
     scalar!("threads", SHAPE, threads, num, "worker threads per rank"),
-    choice!("store", SHAPE, store, STORES, "request store: waitfree | mutex | racy"),
+    choice!("store", SHAPE, store, STORES, "request store: waitfree | mutex"),
     scalar!("gpu", SHAPE, gpu, boolean, "run the ray trace as GPU tasks"),
     scalar!("gpus_per_rank", PER_JOB, gpus_per_rank, num, "simulated GPUs per rank (6 = Summit-style)"),
     scalar!("gpu_capacity_mb", PER_JOB, gpu_capacity_mb, num, "per-device memory budget (6144 = K20X 6 GB)"),
@@ -472,8 +457,9 @@ impl RunConfig {
         Ok(())
     }
 
-    /// Materialize the configured problem: the AMR grid and the task
-    /// declarations of the selected pipeline. The one construction path
+    /// Materialize the Burns & Christon benchmark this configuration
+    /// describes: the AMR grid and the task declarations of the selected
+    /// pipeline. The one construction path
     /// shared by `rmcrt_app` (single run) and `uintah-serve` (per job), so
     /// a job served over the wire is guaranteed to solve exactly what a
     /// standalone run of the same config would.
@@ -484,7 +470,6 @@ impl RunConfig {
         std::sync::Arc<Vec<uintah_runtime::TaskDecl>>,
     ) {
         use std::sync::Arc;
-        let Problem::Benchmark = self.problem;
         let grid = Arc::new(
             uintah_grid::Grid::builder()
                 .fine_cells(uintah_grid::IntVector::splat(self.fine_cells))
@@ -553,7 +538,6 @@ mod tests {
     fn parses_full_config() {
         let text = "
             # a comment
-            problem = benchmark
             fine_cells = 64   # trailing comment
             patch_size = 16
             levels = 2
@@ -588,13 +572,14 @@ mod tests {
     #[test]
     fn unknown_key_rejected_with_line() {
         // Retired keys (`gpu_h2d`, `aggregate`, `gpu_eviction`,
-        // `gpu_affinity`) are unknown keys like any other.
+        // `gpu_affinity`, `problem`) are unknown keys like any other.
         for (text, line) in [
             ("nrayz = 8", 1),
             ("nrays = 8\ngpu_h2d = async", 2),
             ("aggregate = true", 1),
             ("gpu_eviction = off", 1),
             ("gpus_per_rank = 2\n\ngpu_affinity = cost", 3),
+            ("problem = benchmark", 1),
         ] {
             let err = RunConfig::parse(text).unwrap_err();
             assert_eq!(err.line, line, "{text}");

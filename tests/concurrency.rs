@@ -176,7 +176,7 @@ fn runtime_schedule_fuzzing() {
         (5, 2, StoreKind::WaitFree),
         (3, 2, StoreKind::Mutex),
         (4, 1, StoreKind::Mutex),
-        (2, 4, StoreKind::Racy),
+        (2, 4, StoreKind::Mutex),
         (7, 2, StoreKind::WaitFree),
     ] {
         let result = run_world(

@@ -357,7 +357,7 @@ fn all_request_stores_agree_through_full_pipeline() {
     let p = pipeline();
     let decls = Arc::new(multilevel_decls(&grid, p, false));
     let mut results = Vec::new();
-    for store in [StoreKind::WaitFree, StoreKind::Mutex, StoreKind::Racy] {
+    for store in [StoreKind::WaitFree, StoreKind::Mutex] {
         let r = run_world(
             Arc::clone(&grid),
             Arc::clone(&decls),
@@ -372,7 +372,6 @@ fn all_request_stores_agree_through_full_pipeline() {
     }
     for c in results[0].region().cells() {
         assert_eq!(results[0][c], results[1][c]);
-        assert_eq!(results[0][c], results[2][c]);
     }
 }
 

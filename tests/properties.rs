@@ -338,7 +338,6 @@ proptest! {
         // patch size is a multiple of the cumulative ratio.
         let patch_size = patch_size * refinement_ratio.pow(levels as u32 - 1);
         let cfg = RunConfig {
-            problem: uintah::config::Problem::Benchmark,
             fine_cells: patch_size * coarse,
             patch_size,
             levels,
@@ -348,7 +347,7 @@ proptest! {
             halo,
             ranks,
             threads,
-            store: [StoreKind::WaitFree, StoreKind::Mutex, StoreKind::Racy][pick(8)],
+            store: [StoreKind::WaitFree, StoreKind::Mutex][bit(8) as usize],
             gpu: bit(0),
             gpus_per_rank,
             gpu_capacity_mb,
@@ -622,5 +621,5 @@ fn printed_default_config_parses_to_the_defaults() {
     for key in uintah::config::KEYS {
         assert!(text.contains(&format!("{} = ", key.name)), "'{}' missing:\n{text}", key.name);
     }
-    assert_eq!(uintah::config::KEYS.len(), 24);
+    assert_eq!(uintah::config::KEYS.len(), 23);
 }

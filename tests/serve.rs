@@ -423,9 +423,10 @@ fn fresh_slot_tenant_adopts_shared_graphs() {
     assert_eq!(server.fleet().total_used(), 0);
 }
 
-/// The high tier drains before the normal tier: with one worker pinned by
-/// a long job, a high-priority job submitted *after* a normal one starts
-/// (and therefore stops queueing) first.
+/// The high tier drains before the normal tier, and each tier is FIFO:
+/// with one worker pinned by a long job, two high-priority jobs submitted
+/// *after* a normal one start (and therefore stop queueing) first, in the
+/// order they were submitted.
 #[test]
 fn high_priority_jobs_overtake_the_normal_queue() {
     let server = RadiationServer::start(ServeConfig {
@@ -449,27 +450,38 @@ fn high_priority_jobs_overtake_the_normal_queue() {
         timesteps: 1,
         ..small_cfg()
     };
-    let normal = server.submit(quick.clone()).unwrap();
-    let high = server
-        .submit(RunConfig {
-            priority: JobPriority::High,
-            ..quick
-        })
-        .unwrap();
-    wait_until("both tenants queued", || server.stats().queued_jobs == 2);
+    // The high jobs run several steps each, so the first one's run is far
+    // longer than the gap between the two high submissions.
+    let urgent = RunConfig {
+        priority: JobPriority::High,
+        timesteps: 4,
+        ..quick.clone()
+    };
+    let normal = server.submit(quick).unwrap();
+    let high = server.submit(urgent.clone()).unwrap();
+    let high2 = server.submit(urgent).unwrap();
+    wait_until("all three tenants queued", || server.stats().queued_jobs == 3);
     blocker.cancel();
 
-    let high_outcome = high.wait();
-    let normal_outcome = normal.wait();
-    let (h, n) = (high_outcome.expect_done(), normal_outcome.expect_done());
+    let outcomes = [high.wait(), high2.wait(), normal.wait()];
+    let [h, h2, n] = outcomes.each_ref().map(JobOutcome::expect_done);
     // The normal job was submitted first, so if it also *ran* first its
-    // queue time would be the shorter one. High running first means the
-    // later-submitted job spent strictly less time queued.
+    // queue time would be the shortest. High running first means the
+    // later-submitted jobs spent strictly less time queued.
+    for (which, hq) in [("first", h.stats.queued_ns), ("second", h2.stats.queued_ns)] {
+        assert!(
+            n.stats.queued_ns > hq,
+            "high tier did not overtake: normal queued {} ns, {which} high queued {hq} ns",
+            n.stats.queued_ns,
+        );
+    }
+    // Had the second high job run first, it would have queued for less
+    // time than the first, which was submitted before it.
     assert!(
-        n.stats.queued_ns > h.stats.queued_ns,
-        "high tier did not overtake: normal queued {} ns, high queued {} ns",
-        n.stats.queued_ns,
-        h.stats.queued_ns
+        h2.stats.queued_ns > h.stats.queued_ns,
+        "high tier is not FIFO: first queued {} ns, second queued {} ns",
+        h.stats.queued_ns,
+        h2.stats.queued_ns
     );
     server.drain();
     server.shutdown();

@@ -28,8 +28,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 cargo run --release --offline --quiet --manifest-path perf_report/Cargo.toml -- --smoke --seconds 1
 # The harness's own unit tests, its metric-catalogue-vs-BENCHMARK.json
 # check among them: an API change that breaks only perf_report's test
-# code fails tier-1 too.
-cargo test --offline -q --manifest-path perf_report/Cargo.toml
+# code fails tier-1 too. One at a time: the host-speed factor test samples
+# the host's speed, and siblings running beside it on the same cores
+# skew that sample.
+cargo test --offline -q --manifest-path perf_report/Cargo.toml -- --test-threads=1
 # rmcrt_app on its own advertised defaults: what --print-default-config
 # prints must parse, build, run and report divQ.
 cargo run --release -q --bin rmcrt_app -- --print-default-config > target/default.cfg
