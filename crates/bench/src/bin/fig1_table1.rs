@@ -31,13 +31,11 @@
 use rmcrt_bench::{drive_store, median_time, secs};
 use std::sync::Arc;
 use titan_sim::rank_census;
+use titan_sim::sim::MUTEX_LOCK_FRACTION;
 use uintah::comm::{MutexRequestVec, WaitFreeRequestStore};
 use uintah::prelude::*;
 
 const THREADS: usize = 16;
-/// Lock-held fraction of per-message work in the mutex design (matches
-/// `titan-sim`'s calibration).
-const LOCK_FRACTION: f64 = 0.15;
 /// Modeled per-message CPU cost (posting or processing), seconds.
 const MSG_COST: f64 = 2.0e-6;
 
@@ -80,7 +78,7 @@ fn main() {
         let floor_ops = (n - 1) / 16 + census.level_msgs_recv / 512;
         loads.push(per_patch_ops + floor_ops);
     }
-    let mutex_factor = LOCK_FRACTION + (1.0 - LOCK_FRACTION) / THREADS as f64;
+    let mutex_factor = MUTEX_LOCK_FRACTION + (1.0 - MUTEX_LOCK_FRACTION) / THREADS as f64;
     // Normalize the model to the paper's 512-node "before" point; the
     // *shape* (trend + speedup band) is the reproduction target, not
     // absolute Gemini-era seconds.

@@ -9,9 +9,9 @@
 //! patch set itself never changes; a refinement proposal would need a
 //! caller that applies it.
 //!
-//! Applying a changed distribution mid-run (graph invalidation, ownership
-//! migration, GPU eviction) is the runtime's job — see
-//! `uintah_runtime::regrid`.
+//! Applying a changed distribution mid-run (graph invalidation, GPU
+//! eviction) is the runtime's job — see `PersistentExecutor::regrid` in
+//! `uintah-runtime`.
 
 use crate::distribute::{morton3, PatchDistribution};
 use crate::grid::Grid;
@@ -25,7 +25,7 @@ pub enum RebalancePolicy {
     /// weighted by measured time instead of patch count).
     CostedSfc,
     /// `rank(p) := (rank(p) + k) mod nranks` — a forced ownership flip that
-    /// moves every patch. Not a balancer; the migration tests and the
+    /// moves every patch. Not a balancer; the regrid tests and the
     /// benchmark's GPU workload use it to exercise the worst-case
     /// "everything moves" regrid on every run.
     Rotate(usize),

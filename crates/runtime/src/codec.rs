@@ -73,53 +73,6 @@ pub(crate) fn decode_window(payload: &[u8]) -> (Region, FieldData) {
     }
 }
 
-/// Magic byte distinguishing bundle payloads from single windows (whose
-/// first byte is a kind in {0, 1}).
-const BUNDLE_MAGIC: u8 = 0xB7;
-
-/// Encode several already-encoded windows into one payload (the regrid
-/// migration's wire format: every variable of a moving patch in one
-/// message). Entries are `(var_id, level, window payload)` where each
-/// payload comes from [`encode_window`].
-pub(crate) fn encode_bundle(entries: &[(u8, u8, Bytes)]) -> Bytes {
-    assert!(entries.len() <= u16::MAX as usize, "bundle too large");
-    let mut out = BytesMut::new();
-    out.put_u8(BUNDLE_MAGIC);
-    out.put_u16_le(entries.len() as u16);
-    for (var_id, level, payload) in entries {
-        out.put_u8(*var_id);
-        out.put_u8(*level);
-        out.put_u32_le(payload.len() as u32);
-        out.put_slice(payload);
-    }
-    out.freeze()
-}
-
-/// True if `payload` is a bundle (vs a single window).
-pub(crate) fn is_bundle(payload: &[u8]) -> bool {
-    payload.first() == Some(&BUNDLE_MAGIC)
-}
-
-/// Decode a payload produced by [`encode_bundle`]:
-/// `(var_id, level, region, data)` per entry.
-pub(crate) fn decode_bundle(payload: &[u8]) -> Vec<(u8, u8, Region, FieldData)> {
-    assert!(is_bundle(payload), "not a bundle payload");
-    let count = u16::from_le_bytes(payload[1..3].try_into().unwrap()) as usize;
-    let mut out = Vec::with_capacity(count);
-    let mut at = 3usize;
-    for _ in 0..count {
-        let var_id = payload[at];
-        let level = payload[at + 1];
-        let len = u32::from_le_bytes(payload[at + 2..at + 6].try_into().unwrap()) as usize;
-        at += 6;
-        let (region, data) = decode_window(&payload[at..at + len]);
-        at += len;
-        out.push((var_id, level, region, data));
-    }
-    assert_eq!(at, payload.len(), "trailing bytes in bundle");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,47 +118,5 @@ mod tests {
     #[should_panic(expected = "short window payload")]
     fn truncated_payload_rejected() {
         decode_window(&[0u8; 10]);
-    }
-
-    #[test]
-    fn bundle_roundtrip_mixed_types() {
-        let mut a = CcVariable::<f64>::new(Region::cube(4));
-        a.fill_with(|c| c.x as f64 + 0.5 * c.z as f64);
-        let b = CcVariable::<u8>::filled(Region::cube(4), 3u8);
-        let fa = FieldData::F64(a.clone());
-        let fb = FieldData::U8(b.clone());
-        let w1 = Region::new(IntVector::ZERO, IntVector::new(2, 4, 4));
-        let w2 = Region::cube(4);
-        let bytes = encode_bundle(&[
-            (1, 0, encode_window(&fa, &w1)),
-            (3, 1, encode_window(&fb, &w2)),
-        ]);
-        assert!(is_bundle(&bytes));
-        let entries = decode_bundle(&bytes);
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].0, 1);
-        assert_eq!(entries[0].1, 0);
-        assert_eq!(entries[0].2, w1);
-        for c in w1.cells() {
-            assert_eq!(entries[0].3.as_f64()[c], a[c]);
-        }
-        assert_eq!(entries[1].0, 3);
-        assert_eq!(entries[1].1, 1);
-        assert_eq!(entries[1].3.as_u8()[IntVector::ZERO], 3);
-    }
-
-    #[test]
-    fn single_window_is_not_a_bundle() {
-        let v = FieldData::F64(CcVariable::filled(Region::cube(2), 1.0));
-        let bytes = encode_window(&v, &Region::cube(2));
-        assert!(!is_bundle(&bytes));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a bundle")]
-    fn decode_bundle_rejects_single() {
-        let v = FieldData::F64(CcVariable::filled(Region::cube(2), 1.0));
-        let bytes = encode_window(&v, &Region::cube(2));
-        decode_bundle(&bytes);
     }
 }

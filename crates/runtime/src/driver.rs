@@ -37,7 +37,8 @@ pub struct WorldConfig {
     /// Rebalance ownership every `k` timesteps from measured per-patch
     /// costs: all ranks exchange their cost vectors (an all-reduce), run
     /// the deterministic [`Regridder`] and adopt the agreed distribution —
-    /// migrating warehouse contents and recompiling the graph.
+    /// recompiling the graph; no warehouse data moves, since the next step
+    /// recomputes every variable.
     /// `None` keeps the initial distribution for the whole run.
     pub regrid_interval: Option<usize>,
     /// Which rebalance policy the regridder applies at each interval.
@@ -217,8 +218,8 @@ impl World {
                     .as_ref()
                     .map(|id| Arc::from(format!("{id}/r{rank}"))),
             );
-            // Collective: every rank compares the same maps, so all reset
-            // or none do. A no-op on a fresh world.
+            // Every rank compares the same maps, so all reset or none do.
+            // A no-op on a fresh world.
             if exec.dist().rank_map() != initial.rank_map() {
                 exec.regrid(Arc::clone(initial));
             }

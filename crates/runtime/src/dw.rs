@@ -320,30 +320,6 @@ impl DataWarehouse {
         self.assemble(label, patch, g, |d| d.as_u8())
     }
 
-    /// Remove and return every current-epoch per-patch entry for `patch`,
-    /// sorted by label id (a deterministic wire order) — the sender side of
-    /// an ownership migration. Stale-epoch entries under the patch are
-    /// dropped instead of returned.
-    pub(crate) fn take_patch_entries(&self, patch: PatchId) -> Vec<(VarLabel, Arc<FieldData>)> {
-        let now = self.epoch();
-        let mut vars = self.patch_vars.write();
-        let keys: Vec<PatchKey> = vars
-            .keys()
-            .filter(|&&(_, p)| p == patch)
-            .copied()
-            .collect();
-        let mut out = Vec::with_capacity(keys.len());
-        for k in keys {
-            let e = vars.remove(&k).expect("key listed above");
-            if e.epoch == now {
-                out.push((k.0, e.data));
-            }
-        }
-        drop(vars);
-        out.sort_by_key(|(l, _)| l.id());
-        out
-    }
-
     /// Deposit a restriction window into the whole-level accumulator for
     /// `(label, level)`. The accumulator is created on first deposit with
     /// the payload's element type.
@@ -624,24 +600,6 @@ mod tests {
         dw.put_patch(CELLTYPE, p, FieldData::U8(CcVariable::filled(Region::cube(8), 1)));
         assert!(dw.get_patch(KAPPA, p).is_none());
         assert!(dw.get_patch(CELLTYPE, p).is_some(), "current-epoch value visible");
-    }
-
-    #[test]
-    fn take_patch_entries_moves_current_epoch_data() {
-        let g = grid2();
-        let dw = DataWarehouse::new(g.clone());
-        let fine = g.fine_level();
-        let p = fine.patches()[0].id();
-        let q = fine.patches()[1].id();
-        dw.put_patch(KAPPA, p, FieldData::F64(CcVariable::filled(Region::cube(8), 0.5)));
-        dw.put_patch(CELLTYPE, p, FieldData::U8(CcVariable::filled(Region::cube(8), 2)));
-        dw.put_patch(KAPPA, q, FieldData::F64(CcVariable::filled(Region::cube(8), 1.5)));
-        let entries = dw.take_patch_entries(p);
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].0, KAPPA, "sorted by label id");
-        assert_eq!(entries[1].0, CELLTYPE);
-        assert!(dw.get_patch(KAPPA, p).is_none(), "entries moved out");
-        assert!(dw.get_patch(KAPPA, q).is_some(), "other patches untouched");
     }
 
     #[test]

@@ -26,7 +26,6 @@
 
 use crate::dw::DataWarehouse;
 use crate::graph::{self, CompiledGraph, GraphCache};
-use crate::regrid::{self, RegridEvent};
 use crate::scheduler::{ExecStats, Scheduler};
 use crate::task::TaskDecl;
 use std::sync::Arc;
@@ -57,10 +56,10 @@ pub struct PersistentExecutor {
     run_id: Option<Arc<str>>,
     step: u64,
     compiles: usize,
-    /// Regrid cost accumulated since the last step, folded into the next
-    /// step's stats (a regrid between steps N and N+1 is charged to N+1,
-    /// the first step that runs under the new distribution).
-    pending_regrid: Option<RegridEvent>,
+    /// Wall of the regrid since the last step, folded into the next step's
+    /// stats (a regrid between steps N and N+1 is charged to N+1, the first
+    /// step that runs under the new distribution).
+    pending_regrid: Option<Duration>,
 }
 
 impl PersistentExecutor {
@@ -164,26 +163,27 @@ impl PersistentExecutor {
                 .execute_phase(&self.grid, &self.decls, cg, &self.dw, self.gpu.as_deref(), phase);
         stats.graph_compile = compile_time;
         stats.run_id = self.run_id.clone();
-        if let Some(ev) = self.pending_regrid.take() {
+        if let Some(wall) = self.pending_regrid.take() {
             stats.regrids = 1;
             stats.regrid_compile = compile_time;
-            stats.migrated_bytes = ev.migrated_bytes;
-            stats.migrate_wall = ev.migrate_wall;
+            stats.migrate_wall = wall;
         }
         self.step += 1;
         stats
     }
 
-    /// Adopt a new patch distribution between timesteps: settle in-flight
-    /// D2H traffic, migrate the warehouse contents of every patch whose
-    /// owner changed (symmetric — every rank of the world must call this
-    /// with the same distribution), evict GPU state whose residency keying
-    /// assumed the old ownership, and invalidate the cached graph. Returns
-    /// `None` (and does nothing) when ownership is unchanged.
+    /// Adopt a new patch distribution between timesteps. No data moves:
+    /// every step recomputes every variable and the next [`Self::step`]
+    /// clears the warehouse, so a patch this rank gained is produced by
+    /// its own tasks. The regrid settles in-flight D2H traffic, opens a new
+    /// distribution generation, evicts GPU state homed on patches whose
+    /// owner changed and forces a recompile. Returns whether ownership
+    /// changed; `false` means it did nothing.
     ///
-    /// Must be called between [`Self::step`]s, in lockstep across ranks.
-    /// The regrid's cost is folded into the next step's stats.
-    pub fn regrid(&mut self, new: Arc<PatchDistribution>) -> Option<RegridEvent> {
+    /// Must be called between [`Self::step`]s. It posts no message, so it
+    /// is rank-local, but every rank must adopt the same distribution
+    /// before its next step. Its wall is folded into the next step's stats.
+    pub fn regrid(&mut self, new: Arc<PatchDistribution>) -> bool {
         assert_eq!(new.nranks(), self.dist.nranks(), "regrid cannot change the world size");
         assert_eq!(
             new.rank_map().len(),
@@ -191,72 +191,39 @@ impl PersistentExecutor {
             "distribution does not cover the grid"
         );
         if new.rank_map() == self.dist.rank_map() {
-            return None;
+            return false;
         }
         let t0 = Instant::now();
         // 1. Settle the copy engines (every fleet device): every parked D2H
         //    handle materializes (or is retired) before ownership moves, so
-        //    migration reads complete host data and no drain lands under a
-        //    recycled id.
-        let drained_d2h = self.dw.drain_pending_d2h();
+        //    no drain lands under a recycled id.
+        self.dw.drain_pending_d2h();
         if let Some(g) = &self.gpu {
             g.sync_d2h_all();
         }
         // 2. Open the new distribution generation: pending slots from the
         //    old ownership can no longer satisfy requests.
-        let generation = self.dw.begin_regrid();
-        // 3. Move lost patches' data to their new owners (collective).
-        let labels = regrid::label_map(&self.decls);
-        let (patches_out, patches_in, migrated_bytes) = regrid::migrate_patch_vars(
-            self.sched.comm(),
-            &self.dw,
-            &self.dist,
-            &new,
-            &labels,
-            generation,
-        );
-        // 4. Evict device state — but only on the fleet devices that are
+        self.dw.begin_regrid();
+        // 3. Evict device state — but only on the fleet devices that are
         //    home to a patch whose owner changed: per-patch staging and
         //    level replicas on those devices keyed freshness by content
         //    under the old ownership, while untouched devices keep their
         //    resident replicas (revalidated by epoch + diff on first
         //    post-regrid use anyway).
-        let affected_devices: Vec<usize> = self
-            .gpu
-            .as_ref()
-            .map(|g| {
-                let mut devs = std::collections::BTreeSet::new();
-                for (i, (old_r, new_r)) in
-                    self.dist.rank_map().iter().zip(new.rank_map()).enumerate()
-                {
-                    if old_r != new_r {
-                        devs.insert(g.device_for_patch(PatchId(i as u32)));
-                    }
+        if let Some(g) = &self.gpu {
+            let mut devs = std::collections::BTreeSet::new();
+            for (i, (old_r, new_r)) in self.dist.rank_map().iter().zip(new.rank_map()).enumerate() {
+                if old_r != new_r {
+                    devs.insert(g.device_for_patch(PatchId(i as u32)));
                 }
-                devs.into_iter().collect()
-            })
-            .unwrap_or_default();
-        let (gpu_patch_evicted, gpu_level_evicted) = self
-            .gpu
-            .as_ref()
-            .map(|g| g.invalidate_for_regrid_on(&affected_devices))
-            .unwrap_or((0, 0));
-        // 5. Adopt the distribution and force a recompile.
+            }
+            g.invalidate_for_regrid_on(&devs.into_iter().collect::<Vec<_>>());
+        }
+        // 4. Adopt the distribution and force a recompile.
         self.dist = new;
         self.invalidate();
-        let ev = RegridEvent {
-            generation,
-            patches_out,
-            patches_in,
-            migrated_bytes,
-            migrate_wall: t0.elapsed(),
-            drained_d2h,
-            gpu_patch_evicted,
-            gpu_level_evicted,
-            gpu_devices_evicted: affected_devices.len(),
-        };
-        self.pending_regrid = Some(ev.clone());
-        Some(ev)
+        self.pending_regrid = Some(t0.elapsed());
+        true
     }
 
     /// Drop the cached graph; the next [`Self::step`] recompiles. The hook

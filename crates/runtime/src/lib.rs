@@ -21,11 +21,11 @@
 //!   (`MPI_THREAD_MULTIPLE` style) against a pluggable [`RequestStore`],
 //!   and execute out of order as dependencies resolve;
 //! * [`executor`] — the persistent timestep executor: caches the compiled
-//!   graph across timesteps (phase re-stamped at post time) and keeps GPU
-//!   level replicas device-resident between steps;
-//! * [`regrid`] — ownership migration after a load-balancer regrid: lost
-//!   patches' warehouse contents move to their new owners over the fabric
-//!   under a reserved tag namespace ([`PersistentExecutor::regrid`]);
+//!   graph across timesteps (phase re-stamped at post time), keeps GPU
+//!   level replicas device-resident between steps, and adopts a
+//!   load-balancer regrid ([`PersistentExecutor::regrid`]) rank-locally:
+//!   ownership moves, data does not, since every step recomputes every
+//!   variable;
 //! * [`driver`] — the one multi-rank [`World`] that builds, steps, joins
 //!   and gathers a job's ranks, for [`run_world`] (one fresh world per
 //!   call) and the radiation server's slots (one warm world per shape);
@@ -44,7 +44,6 @@ pub mod driver;
 pub mod dw;
 pub mod executor;
 pub mod graph;
-pub mod regrid;
 pub mod scheduler;
 pub mod task;
 
@@ -54,6 +53,5 @@ pub use driver::{run_world, World, WorldConfig, WorldResult};
 pub use dw::DataWarehouse;
 pub use executor::PersistentExecutor;
 pub use graph::{CompiledGraph, GraphCache, GraphCacheStats, GraphStats};
-pub use regrid::RegridEvent;
 pub use scheduler::{DeviceStepStats, ExecStats, Scheduler, StoreKind};
 pub use task::{Computes, Requirement, TaskContext, TaskDecl, TaskFn, TaskKind};

@@ -28,14 +28,6 @@ pub enum Requirement {
     WholeLevel(VarLabel, LevelIndex),
 }
 
-impl Requirement {
-    pub(crate) fn label(&self) -> VarLabel {
-        match *self {
-            Requirement::Ghost(l, _) | Requirement::WholeLevel(l, _) => l,
-        }
-    }
-}
-
 /// A product of a task instance.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Computes {
@@ -209,7 +201,7 @@ mod tests {
             .computes(Computes::PatchVar(B));
         assert_eq!(t.kind, TaskKind::Gpu);
         assert_eq!(t.requires.len(), 2);
-        assert_eq!(t.requires[0].label(), A);
+        assert_eq!(t.requires[0], Requirement::Ghost(A, 2));
         assert_eq!(t.computes, vec![Computes::PatchVar(B)]);
         assert_eq!(t.level, 1);
     }

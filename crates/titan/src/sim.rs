@@ -155,8 +155,9 @@ const PROP_BYTES_PER_CELL: f64 = 17.0 / 3.0;
 /// lock in the mutex-vector design (test-and-dequeue under the lock;
 /// packing/unpacking outside). This is the serialized share; the wait-free
 /// pool has none. Calibrated so the modeled before/after speedups land in
-/// the paper's 2.3–4.4× band (Table I) with 16 worker threads.
-const MUTEX_LOCK_FRACTION: f64 = 0.15;
+/// the paper's 2.3–4.4× band (Table I) with 16 worker threads;
+/// `fig1_table1`'s modeled Table I column reads the same constant.
+pub const MUTEX_LOCK_FRACTION: f64 = 0.15;
 
 /// Simulate one radiation timestep of the 2-level benchmark on `nranks`
 /// nodes (1 GPU each) with the uniform analytic cost model. Campaign

@@ -34,7 +34,7 @@ pub mod prelude {
     pub use uintah_exec::{ops, parallel_fill, parallel_map, parallel_reduce, DeviceSpace, ExecSpace, KernelStats};
     pub use uintah_gpu::{DeviceCounters, DeviceFleet, GpuDataWarehouse, GpuDevice};
     pub use uintah_grid::{CcVariable, DistributionPolicy, FieldData, Grid, IntVector, PatchCosts, PatchDistribution, Point, RebalancePolicy, Region, Regridder, VarLabel, Vector};
-    pub use uintah_runtime::{run_world, CalibrationSnapshot, DeviceStepStats, RegridEvent, StoreKind, WorldConfig, WorldResult};
+    pub use uintah_runtime::{run_world, CalibrationSnapshot, DeviceStepStats, StoreKind, WorldConfig, WorldResult};
 }
 
 #[cfg(test)]
