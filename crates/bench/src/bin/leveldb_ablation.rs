@@ -2,16 +2,18 @@
 //!
 //! Runs the real GPU pipeline (simulated device) on a 2-level benchmark
 //! with the level DB enabled vs disabled, sweeping patches per GPU, and
-//! reports PCIe traffic and peak device memory. With the level DB each
-//! coarse replica crosses PCIe once and is shared; without it, every
-//! resident patch task carries its own copy — the behaviour that blew the
-//! K20X's 6 GB at scale.
+//! reports PCIe traffic and device memory. With the level DB each coarse
+//! replica crosses PCIe once and is shared; without it, every resident
+//! patch task carries its own copy — the behaviour that blew the K20X's
+//! 6 GB at scale.
 //!
-//! The H2D columns and kernel counts are exact. The peak columns vary a
-//! little from run to run: a divQ drain is posted to the D2H copy engine
-//! and its device block is released when that copy lands, so how many
-//! drains are still in flight at the high-water mark depends on thread
-//! timing (EXPERIMENTS E4 gives the spread over repeated runs).
+//! The H2D columns, kernel counts and the level DB's resident bytes (what
+//! stays on the device once the run's per-patch staging is cleared: one
+//! copy of each coarse replica per device) are exact. The peak column of
+//! the run without the level DB is the device high-water mark: it counts
+//! every resident task's private copies and also drains still in flight
+//! on the D2H copy engine, so it varies a little from run to run
+//! (EXPERIMENTS E4 gives the spread over repeated runs).
 //!
 //! ```text
 //! cargo run -p rmcrt-bench --release --bin leveldb_ablation
@@ -25,7 +27,7 @@ fn main() {
     println!("GPU pipeline on the simulated device, 4 concurrent worker threads\n");
     println!(
         "{:>11} | {:>14} {:>14} {:>8} | {:>14} {:>14}",
-        "patch size", "H2D w/ LDB", "H2D w/o LDB", "ratio", "peak w/ LDB", "peak w/o LDB"
+        "patch size", "H2D w/ LDB", "H2D w/o LDB", "ratio", "LDB resident", "peak w/o LDB"
     );
 
     for patch in [4i32, 8, 16] {
@@ -58,18 +60,22 @@ fn main() {
                     ..Default::default()
                 },
             );
-            // One coherent counter snapshot (kernels, PCIe traffic, peak).
-            result.ranks[0].gpu.as_ref().unwrap().device().counters()
+            // One coherent counter snapshot (kernels, PCIe traffic, peak),
+            // then the bytes the level DB keeps resident.
+            let gpu = result.ranks[0].gpu.as_ref().unwrap();
+            let counters = gpu.device().counters();
+            gpu.clear_patch_db();
+            (counters, gpu.resident_bytes())
         };
-        let with_ldb = run(true);
-        let without = run(false);
+        let (with_ldb, resident) = run(true);
+        let (without, _) = run(false);
         println!(
             "{:>9}³ | {:>12} B {:>12} B {:>7.2}x | {:>12} B {:>12} B",
             patch,
             with_ldb.h2d_bytes,
             without.h2d_bytes,
             without.h2d_bytes as f64 / with_ldb.h2d_bytes as f64,
-            with_ldb.peak,
+            resident,
             without.peak
         );
         assert_eq!(
@@ -142,11 +148,12 @@ fn main() {
     // §V at fleet scale: with N devices per rank the level DB keeps one
     // replica per level per *device* (N uploads total), while without it
     // every patch task still stages a private copy — the saving per GPU is
-    // unchanged, and the per-device peak shrinks as patches spread.
+    // unchanged. With it each device keeps one replica set resident; the
+    // per-device peak without it shrinks as patches spread.
     println!("\n[device-count sweep, 8^3 patches: per-GPU level-DB saving per fleet size]");
     println!(
         "{:>8} | {:>14} {:>14} {:>8} | {:>14} {:>14}",
-        "devices", "H2D w/ LDB", "H2D w/o LDB", "ratio", "max peak w/", "max peak w/o"
+        "devices", "H2D w/ LDB", "H2D w/o LDB", "ratio", "LDB res./dev", "max peak w/o"
     );
     for devices in [1usize, 2, 4, 6] {
         let run = |level_db: bool| {
@@ -162,10 +169,14 @@ fn main() {
                     ..Default::default()
                 },
             );
-            result.ranks[0].gpu.as_ref().unwrap().counters_per_device()
+            let gpu = result.ranks[0].gpu.as_ref().unwrap();
+            let counters = gpu.counters_per_device();
+            gpu.clear_patch_db();
+            let resident = (0..devices).map(|d| gpu.resident_bytes_on(d)).max().unwrap_or(0);
+            (counters, resident)
         };
-        let with_ldb = run(true);
-        let without = run(false);
+        let (with_ldb, resident) = run(true);
+        let (without, _) = run(false);
         let h2d = |cs: &[DeviceCounters]| cs.iter().map(|c| c.h2d_bytes).sum::<u64>();
         let peak = |cs: &[DeviceCounters]| cs.iter().map(|c| c.peak).max().unwrap_or(0);
         println!(
@@ -174,7 +185,7 @@ fn main() {
             h2d(&with_ldb),
             h2d(&without),
             h2d(&without) as f64 / h2d(&with_ldb) as f64,
-            peak(&with_ldb),
+            resident,
             peak(&without)
         );
     }

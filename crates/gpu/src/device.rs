@@ -434,8 +434,9 @@ impl GpuDevice {
 
     /// Block until the copy engine has retired every submitted drain — the
     /// `cudaDeviceSynchronize` analogue. The scheduler syncs at the end of
-    /// a timestep so counters are coherent at step boundaries, and a regrid
-    /// syncs before it evicts so in-flight drains release their blocks.
+    /// a timestep so counters are coherent at step boundaries, and an
+    /// allocation with nothing left to evict syncs so in-flight drains
+    /// release their blocks.
     pub(crate) fn sync(&self) {
         while self.inner.d2h.line.inflight.load(Ordering::Acquire) != 0 {
             std::thread::yield_now();

@@ -681,32 +681,6 @@ impl GpuDataWarehouse {
         }
     }
 
-    /// Evict the named devices for a regrid: wait for each device's D2H
-    /// copy engine to drain (releasing in-flight device memory),
-    /// then drop its per-patch and per-level entries — and any host-spilled
-    /// copies, which describe pre-regrid patches — so
-    /// `ensure_level_fresh_on` repopulates from the post-regrid host data
-    /// instead of trusting a poisoned cache. Devices *not* named keep their
-    /// resident replicas — a regrid that only migrates patches homed on
-    /// device 2 must not force devices 0/1/3 to re-upload their level DBs.
-    /// Returns total `(patch_entries, level_entries)` evicted. Entries
-    /// whose `Arc<DeviceVar>` is still held by a task release their device
-    /// memory when that last handle drops.
-    pub fn invalidate_for_regrid_on(&self, devices: &[DeviceId]) -> (usize, usize) {
-        let mut patches = 0;
-        let mut levels = 0;
-        for &dev in devices {
-            self.fleet.device(dev).sync();
-            let mut st = self.stores[dev].lock();
-            patches += st.patch_db.len();
-            st.patch_db.clear();
-            st.spill.clear();
-            levels += st.level_db.len();
-            st.level_db.clear();
-        }
-        (patches, levels)
-    }
-
     /// Block until every device's D2H copy engine is empty.
     pub fn sync_d2h_all(&self) {
         self.fleet.sync_all();
@@ -1028,30 +1002,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_for_regrid_evicts_and_releases() {
-        let device = GpuDevice::k20x();
-        let dw = GpuDataWarehouse::new(device.clone());
-        dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).unwrap();
-        dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).unwrap();
-        let lvl = dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).unwrap();
-        drop(lvl);
-        // An in-flight async drain must be synced before eviction counts.
-        let pending = dw.take_patch_to_host_async(DIVQ, PatchId(0)).unwrap();
-        let (patches, levels) = dw.invalidate_for_regrid_on(&[0]);
-        assert_eq!((patches, levels), (1, 1));
-        assert!(pending.is_complete(), "drain synced by invalidate");
-        drop(pending.wait());
-        assert_eq!(dw.patch_entries_on(0), 0);
-        assert_eq!(dw.level_entries(), 0);
-        assert_eq!(device.used(), 0, "all device memory released");
-        assert_eq!(device.counters().d2h_inflight, 0);
-        // The next ensure pays a fresh upload — no poisoned cache.
-        let before = device.counters().h2d_transfers;
-        let _ = dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).unwrap();
-        assert_eq!(device.counters().h2d_transfers, before + 1);
-    }
-
-    #[test]
     fn async_take_matches_sync_take_and_releases_on_drain() {
         let device = GpuDevice::k20x();
         let dw = GpuDataWarehouse::new(device.clone());
@@ -1202,16 +1152,17 @@ mod tests {
     }
 
     #[test]
-    fn regrid_invalidate_clears_spill_map() {
+    fn clear_patch_db_clears_spill_map() {
         let patch_bytes = 8usize.pow(3) * 8;
         let device = GpuDevice::with_capacity("small", patch_bytes + 100);
         let dw = GpuDataWarehouse::new(device.clone());
         dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).map(drop).unwrap();
         dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).map(drop).unwrap(); // spills 0
         assert_eq!(dw.spill_entries(), 1);
-        let (patches, _levels) = dw.invalidate_for_regrid_on(&[0]);
-        assert_eq!(patches, 1, "one resident entry evicted");
-        assert_eq!(dw.spill_entries(), 0, "pre-regrid spill data is poison");
+        dw.clear_patch_db();
+        assert_eq!(dw.patch_entries_on(0), 0);
+        assert_eq!(dw.spill_entries(), 0, "last step's spill data is dropped");
+        assert!(dw.get_patch(DIVQ, PatchId(0)).is_none(), "cleared, not resurrected");
         assert_eq!(device.used(), 0);
         device.validate_allocator().unwrap();
     }
@@ -1267,22 +1218,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a0, &c0));
         assert_eq!(dw.level_entry_epoch_on(0, ABSKG, 0), Some(1));
         assert_eq!(dw.level_entry_epoch_on(1, ABSKG, 0), Some(0), "device 1 not yet revalidated");
-    }
-
-    #[test]
-    fn fleet_targeted_regrid_eviction_spares_other_devices() {
-        let fleet = DeviceFleet::with_capacity(3, "test", 1 << 30);
-        let dw = GpuDataWarehouse::with_fleet_full(fleet, true, true, true, true);
-        for d in 0..3 {
-            dw.ensure_level_fresh_on(d, ABSKG, 0, || field(8, 0.5)).map(drop).unwrap();
-        }
-        let (p, l) = dw.invalidate_for_regrid_on(&[1]);
-        assert_eq!((p, l), (0, 1));
-        assert_eq!(dw.level_entries_on(0), 1, "device 0 replica survives");
-        assert_eq!(dw.level_entries_on(1), 0, "device 1 evicted");
-        assert_eq!(dw.level_entries_on(2), 1, "device 2 replica survives");
-        assert_eq!(dw.device_at(1).used(), 0);
-        assert!(dw.device_at(0).used() > 0);
     }
 
     #[test]

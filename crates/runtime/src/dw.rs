@@ -28,11 +28,6 @@ type LevelKey = (VarLabel, LevelIndex);
 /// promoted entry.
 struct PendingSlot {
     epoch: u64,
-    /// Distribution generation at park time. A regrid bumps the warehouse
-    /// generation, so a slot parked under the old ownership can never
-    /// satisfy a request for a recycled patch id afterwards — the slots are
-    /// keyed by patch id alone, which is not unique across regrids.
-    generation: u64,
     handle: Mutex<Option<PendingD2H>>,
 }
 
@@ -60,11 +55,9 @@ pub struct DataWarehouse {
     grid: Arc<Grid>,
     /// Timestep epoch; bumped by [`Self::begin_timestep`].
     epoch: AtomicU64,
-    /// Patch-distribution generation; bumped by [`Self::begin_regrid`].
-    generation: AtomicU64,
     /// Gets that found an entry present under the right key but stamped
-    /// with a stale epoch or generation. Tests assert this stays zero in
-    /// correct runs ("no stale-epoch DW hits").
+    /// with a stale epoch. Tests assert this stays zero in correct runs
+    /// ("no stale-epoch DW hits").
     stale_hits: AtomicU64,
     patch_vars: RwLock<HashMap<PatchKey, Stamped>>,
     /// Per-patch variables whose host data is still in flight on the GPU's
@@ -89,7 +82,6 @@ impl DataWarehouse {
         Self {
             grid,
             epoch: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
             stale_hits: AtomicU64::new(0),
             patch_vars: RwLock::new(HashMap::new()),
             pending_d2h: RwLock::new(HashMap::new()),
@@ -107,26 +99,12 @@ impl DataWarehouse {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Current patch-distribution generation.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-
-    /// Gets that found a stale-stamped entry (wrong epoch or generation).
+    /// Gets that found a stale-stamped entry (wrong epoch).
     /// Zero in a correct run: a stale hit means some path almost served
     /// old data and only the stamp check stopped it.
     #[inline]
     pub fn stale_hits(&self) -> u64 {
         self.stale_hits.load(Ordering::Relaxed)
-    }
-
-    /// Open a new distribution generation (a regrid): pending-D2H slots
-    /// parked under the old ownership can no longer satisfy requests —
-    /// patch ids are recycled by the regrid and no longer mean what they
-    /// did. Returns the new generation.
-    pub fn begin_regrid(&self) -> u64 {
-        self.generation.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// Always 0: the step-boundary recyclers are gone (EXPERIMENTS E17).
@@ -176,7 +154,6 @@ impl DataWarehouse {
             (label, patch),
             Arc::new(PendingSlot {
                 epoch: self.epoch(),
-                generation: self.generation(),
                 handle: Mutex::new(Some(pending)),
             }),
         );
@@ -209,16 +186,14 @@ impl DataWarehouse {
         patch: PatchId,
         now: u64,
     ) -> Option<Arc<FieldData>> {
-        let gen = self.generation();
         let slot = self.pending_d2h.read().get(&(label, patch)).map(Arc::clone);
         if let Some(slot) = slot {
-            if slot.epoch == now && slot.generation == gen {
+            if slot.epoch == now {
                 if let Some(p) = slot.handle.lock().take() {
                     self.settle_pending(label, patch, p);
                 }
             } else {
-                // A slot parked before a regrid (or a missed drain) under a
-                // patch id that now means something else: never serve it.
+                // A slot from an earlier step (a missed drain): never serve it.
                 self.stale_hits.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -243,24 +218,25 @@ impl DataWarehouse {
     /// Materialize every still-pending D2H transfer of the current epoch —
     /// the scheduler's end-of-step synchronization point (the
     /// `cudaDeviceSynchronize` analogue), so step stats are coherent and no
-    /// completion handle leaks across a step boundary. Returns how many
-    /// transfers had not yet been consumed.
-    pub fn drain_pending_d2h(&self) -> usize {
+    /// completion handle leaks across a step boundary.
+    pub fn drain_pending_d2h(&self) {
         let now = self.epoch();
-        let gen = self.generation();
         let slots: Vec<(PatchKey, Arc<PendingSlot>)> =
             self.pending_d2h.write().drain().collect();
-        let mut drained = 0;
         for ((label, patch), slot) in slots {
-            if slot.epoch != now || slot.generation != gen {
+            if slot.epoch != now {
                 continue;
             }
             if let Some(p) = slot.handle.lock().take() {
                 self.settle_pending(label, patch, p);
-                drained += 1;
             }
         }
-        drained
+    }
+
+    /// D2H slots still parked (none between steps: the end-of-step settle
+    /// empties the map).
+    pub(crate) fn parked_d2h(&self) -> usize {
+        self.pending_d2h.read().len()
     }
 
     /// Cumulative wall time consumers spent blocked on in-flight D2H
@@ -603,7 +579,7 @@ mod tests {
     }
 
     #[test]
-    fn regrid_generation_blocks_stale_pending_slots() {
+    fn stale_epoch_pending_slot_never_serves() {
         let g = grid2();
         let dw = DataWarehouse::new(g.clone());
         let p = g.fine_level().patches()[0].id();
@@ -612,16 +588,21 @@ mod tests {
         gpu.put_patch(KAPPA, p, FieldData::F64(CcVariable::filled(Region::cube(8), 0.5)))
             .unwrap();
         dw.put_patch_pending(KAPPA, p, gpu.take_patch_to_host_async(KAPPA, p).unwrap());
+        assert_eq!(dw.parked_d2h(), 1);
         assert_eq!(dw.stale_hits(), 0);
 
-        assert_eq!(dw.begin_regrid(), 1);
-        assert_eq!(dw.generation(), 1);
-        // The slot predates the regrid: the same patch id may now name a
-        // different patch, so the get must miss — and be counted.
+        // A path that forgot the step boundary's clear: the slot is from
+        // the previous epoch, so the get must miss — and be counted.
+        dw.epoch.fetch_add(1, Ordering::SeqCst);
         assert!(dw.get_patch(KAPPA, p).is_none());
         assert!(dw.stale_hits() > 0, "blocked stale slot must be counted");
-        assert_eq!(dw.drain_pending_d2h(), 0, "stale slot not drained as current");
+        // The drain retires the stale slot without promoting it, and the
+        // discarded transfer still releases its device bytes.
+        dw.drain_pending_d2h();
+        assert_eq!(dw.parked_d2h(), 0);
+        assert!(dw.get_patch(KAPPA, p).is_none(), "stale slot not drained as current");
         gpu.sync_d2h_all();
+        assert_eq!(gpu.device().used(), 0, "discarded drain still releases device bytes");
     }
 
     #[test]

@@ -14,14 +14,12 @@
 //!   compilation reads (grid shape, declarations, distribution, rank). A
 //!   matching signature reuses the cached graph and
 //!   `Scheduler::execute_phase` re-stamps tags with the step's phase
-//!   byte; a mismatch — regrid, rebalance, changed task list — recompiles.
-//!   `PersistentExecutor::invalidate` forces the same from outside (the
-//!   hook an AMR regrid would call);
+//!   byte; a mismatch — regrid, rebalance, changed task list — recompiles;
 //! * the host [`DataWarehouse`], whose step boundary bumps the epoch and
 //!   drops last step's contents (`DataWarehouse::begin_timestep`);
 //! * the GPU warehouse, whose level database persists device-resident
-//!   coarse replicas across steps and re-uploads only changed bytes
-//!   (`GpuDataWarehouse::begin_timestep` + `ensure_level_fresh`).
+//!   coarse replicas across steps and regrids and re-uploads only changed
+//!   bytes (`GpuDataWarehouse::begin_timestep` + `ensure_level_fresh`).
 //!
 
 use crate::dw::DataWarehouse;
@@ -31,7 +29,7 @@ use crate::task::TaskDecl;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uintah_gpu::GpuDataWarehouse;
-use uintah_grid::{Grid, PatchDistribution, PatchId};
+use uintah_grid::{Grid, PatchDistribution};
 
 /// Per-rank executor that persists graphs, the warehouse and GPU
 /// residency across timesteps. One instance per rank, stepped in lockstep
@@ -172,17 +170,19 @@ impl PersistentExecutor {
         stats
     }
 
-    /// Adopt a new patch distribution between timesteps. No data moves:
-    /// every step recomputes every variable and the next [`Self::step`]
-    /// clears the warehouse, so a patch this rank gained is produced by
-    /// its own tasks. The regrid settles in-flight D2H traffic, opens a new
-    /// distribution generation, evicts GPU state homed on patches whose
-    /// owner changed and forces a recompile. Returns whether ownership
-    /// changed; `false` means it did nothing.
+    /// Adopt a new patch distribution between timesteps. No data moves and
+    /// nothing is evicted: every step recomputes every variable, the next
+    /// [`Self::step`] opens a new epoch on host and device, and the changed
+    /// rank map changes the graph signature, so that step compiles once (or
+    /// adopts the graph from the shared cache). Level replicas stay
+    /// device-resident: their bytes do not depend on ownership, and their
+    /// first use revalidates them by epoch and diff. Returns whether
+    /// ownership changed; `false` means it did nothing.
     ///
-    /// Must be called between [`Self::step`]s. It posts no message, so it
-    /// is rank-local, but every rank must adopt the same distribution
-    /// before its next step. Its wall is folded into the next step's stats.
+    /// Must be called between [`Self::step`]s, whose end-of-step settle has
+    /// already retired this rank's D2H drains. It posts no message, so it is
+    /// rank-local, but every rank must adopt the same distribution before
+    /// its next step. Its wall is folded into the next step's stats.
     pub fn regrid(&mut self, new: Arc<PatchDistribution>) -> bool {
         assert_eq!(new.nranks(), self.dist.nranks(), "regrid cannot change the world size");
         assert_eq!(
@@ -190,48 +190,17 @@ impl PersistentExecutor {
             self.grid.num_patches(),
             "distribution does not cover the grid"
         );
+        // The end-of-step settle retired this rank's drains. The devices'
+        // `d2h_inflight` is not asserted: a server's fleet is shared, and
+        // another tenant's drains may be in flight on it right now.
+        debug_assert_eq!(self.dw.parked_d2h(), 0, "regrid inside a step: a D2H slot is parked");
         if new.rank_map() == self.dist.rank_map() {
             return false;
         }
         let t0 = Instant::now();
-        // 1. Settle the copy engines (every fleet device): every parked D2H
-        //    handle materializes (or is retired) before ownership moves, so
-        //    no drain lands under a recycled id.
-        self.dw.drain_pending_d2h();
-        if let Some(g) = &self.gpu {
-            g.sync_d2h_all();
-        }
-        // 2. Open the new distribution generation: pending slots from the
-        //    old ownership can no longer satisfy requests.
-        self.dw.begin_regrid();
-        // 3. Evict device state — but only on the fleet devices that are
-        //    home to a patch whose owner changed: per-patch staging and
-        //    level replicas on those devices keyed freshness by content
-        //    under the old ownership, while untouched devices keep their
-        //    resident replicas (revalidated by epoch + diff on first
-        //    post-regrid use anyway).
-        if let Some(g) = &self.gpu {
-            let mut devs = std::collections::BTreeSet::new();
-            for (i, (old_r, new_r)) in self.dist.rank_map().iter().zip(new.rank_map()).enumerate() {
-                if old_r != new_r {
-                    devs.insert(g.device_for_patch(PatchId(i as u32)));
-                }
-            }
-            g.invalidate_for_regrid_on(&devs.into_iter().collect::<Vec<_>>());
-        }
-        // 4. Adopt the distribution and force a recompile.
         self.dist = new;
-        self.invalidate();
         self.pending_regrid = Some(t0.elapsed());
         true
-    }
-
-    /// Drop the cached graph; the next [`Self::step`] recompiles. The hook
-    /// a regrid/rebalance calls when invalidation must not wait for the
-    /// signature check (or when task closures changed behind the same
-    /// declaration shape).
-    pub(crate) fn invalidate(&mut self) {
-        self.cached = None;
     }
 
     /// Graph compilations performed so far (1 in steady state).

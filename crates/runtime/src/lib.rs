@@ -25,7 +25,7 @@
 //!   level replicas device-resident between steps, and adopts a
 //!   load-balancer regrid ([`PersistentExecutor::regrid`]) rank-locally:
 //!   ownership moves, data does not, since every step recomputes every
-//!   variable;
+//!   variable, and the level replicas stay where they are;
 //! * [`driver`] — the one multi-rank [`World`] that builds, steps, joins
 //!   and gathers a job's ranks, for [`run_world`] (one fresh world per
 //!   call) and the radiation server's slots (one warm world per shape);

@@ -248,96 +248,19 @@ mod parking_lot_handles {
     }
 }
 
-/// Regrid racing async D2H: PendingD2H handles are parked in the runtime
-/// warehouse while reader threads hammer `get_patch` and a regrid thread
-/// runs the executor's pre-migration sequence (drain parked slots → device
-/// sync → generation bump → GPU eviction). The run must complete without
-/// deadlock, readers must only ever observe correct data, and no device
-/// bytes may stay resident or in flight afterwards.
+/// Readers racing the end-of-step settle, on 1 and 4 devices: a
+/// warehouse stages a level replica on every device and parks one async
+/// D2H drain per patch on its home device's copy engine, then reader
+/// threads hammer `get_patch` while a settler thread runs the scheduler's
+/// end-of-step sequence (drain parked slots → sync every copy engine).
+/// The run must complete without deadlock, readers must only ever observe
+/// correct data, every copy engine ends idle, the replicas stay resident
+/// and revalidate the next epoch with no PCIe traffic, and clearing the
+/// databases returns every device to 0 B.
 #[test]
-fn regrid_racing_async_d2h_drains_without_deadlock_or_leaks() {
-    use uintah::runtime::DataWarehouse;
-    let grid = Arc::new(
-        Grid::builder()
-            .fine_cells(IntVector::splat(16))
-            .num_levels(1)
-            .fine_patch_size(IntVector::splat(8))
-            .build(),
-    );
-    let patches: Vec<_> = grid.fine_level().patches().iter().map(|p| p.id()).collect();
-    for _round in 0..10 {
-        let dw = Arc::new(DataWarehouse::new(Arc::clone(&grid)));
-        let gpu = Arc::new(GpuDataWarehouse::new(GpuDevice::k20x()));
-        for &p in &patches {
-            gpu.put_patch(DIVQ, p, FieldData::F64(CcVariable::filled(Region::cube(8), p.0 as f64)))
-                .unwrap();
-            dw.put_patch_pending(DIVQ, p, gpu.take_patch_to_host_async(DIVQ, p).unwrap());
-        }
-        std::thread::scope(|s| {
-            let patches = &patches;
-            for t in 0..3usize {
-                let dw = Arc::clone(&dw);
-                s.spawn(move || {
-                    for i in 0..400usize {
-                        let p = patches[(i + t) % patches.len()];
-                        // Either this get materializes the drain itself or
-                        // it sees the promoted entry; a miss is legal only
-                        // once the generation bump has landed.
-                        if let Some(v) = dw.get_patch(DIVQ, p) {
-                            assert_eq!(v.as_f64().as_slice()[0], p.0 as f64);
-                        }
-                    }
-                });
-            }
-            let dw = Arc::clone(&dw);
-            let gpu = Arc::clone(&gpu);
-            s.spawn(move || {
-                // The executor's regrid prologue, verbatim order.
-                dw.drain_pending_d2h();
-                gpu.sync_d2h_all();
-                dw.begin_regrid();
-                gpu.invalidate_for_regrid_on(&[0]);
-            });
-        });
-        // Every parked field was drained before the bump and survives it.
-        for &p in &patches {
-            let v = dw.get_patch(DIVQ, p).expect("drained before generation bump");
-            assert_eq!(v.as_f64().as_slice()[0], p.0 as f64);
-        }
-        assert_eq!(dw.drain_pending_d2h(), 0, "nothing left parked");
-        assert_eq!(gpu.device().counters().d2h_inflight, 0, "copy engine idle");
-        assert_eq!(gpu.device().used(), 0, "no leaked device bytes");
-    }
-
-    // The missed-drain race: a handle parked and NOT drained before the
-    // generation bump must never satisfy a get — and must not leak device
-    // memory when the discarded drain completes.
-    let dw = DataWarehouse::new(Arc::clone(&grid));
-    let gpu = GpuDataWarehouse::new(GpuDevice::k20x());
-    let p = patches[0];
-    gpu.put_patch(CELLTYPE, p, FieldData::U8(CcVariable::filled(Region::cube(8), 7)))
-        .unwrap();
-    dw.put_patch_pending(CELLTYPE, p, gpu.take_patch_to_host_async(CELLTYPE, p).unwrap());
-    dw.begin_regrid();
-    assert!(dw.get_patch(CELLTYPE, p).is_none(), "stale slot must not serve");
-    assert!(dw.stale_hits() > 0, "blocked stale slot is counted");
-    assert_eq!(dw.drain_pending_d2h(), 0, "stale slot not drained as current");
-    gpu.sync_d2h_all();
-    assert_eq!(gpu.device().used(), 0, "discarded drain still releases device bytes");
-}
-
-/// Fleet vs. regrid: a 4-device warehouse parks async D2H drains on every
-/// device's copy engine while reader threads hammer `get_patch` and a
-/// regrid thread evicts only the devices whose patches changed owner.
-/// The run must complete without deadlock; afterwards the evicted devices
-/// hold zero resident bytes, the untouched devices keep their level
-/// replicas (revalidated next epoch with no re-upload), and no device's
-/// copy engine is left in flight.
-#[test]
-fn fleet_regrid_race_evicts_only_affected_devices_without_leaks() {
+fn step_settle_racing_async_d2h_reads_without_deadlock_or_leaks() {
     use uintah::gpu::GpuDataWarehouse;
     use uintah::runtime::DataWarehouse;
-    const NDEV: usize = 4;
     let grid = Arc::new(
         Grid::builder()
             .fine_cells(IntVector::splat(16))
@@ -346,101 +269,84 @@ fn fleet_regrid_race_evicts_only_affected_devices_without_leaks() {
             .build(),
     );
     let patches: Vec<_> = grid.fine_level().patches().iter().map(|p| p.id()).collect();
-    for _round in 0..10 {
-        let dw = Arc::new(DataWarehouse::new(Arc::clone(&grid)));
-        let gpu = Arc::new(GpuDataWarehouse::with_fleet_full(DeviceFleet::k20x(NDEV), true, true, true, true));
-        // Stage a level replica on every device, then park one async drain
-        // per patch on its sticky home device's engine.
-        for dev in 0..NDEV {
-            gpu.ensure_level_fresh_on(dev, ABSKG, 0, || {
-                FieldData::F64(CcVariable::filled(Region::cube(8), 1.0))
-            })
-            .unwrap();
-        }
-        for &p in &patches {
-            gpu.put_patch(DIVQ, p, FieldData::F64(CcVariable::filled(Region::cube(8), p.0 as f64)))
-                .unwrap();
-            dw.put_patch_pending(DIVQ, p, gpu.take_patch_to_host_async(DIVQ, p).unwrap());
-        }
-        // The regrid moves the first half of the patch list to other ranks;
-        // only their home devices need eviction.
-        let affected: Vec<usize> = {
-            let mut s = std::collections::BTreeSet::new();
-            for &p in &patches[..patches.len() / 2] {
-                s.insert(gpu.device_for_patch(p));
+    let replica = || FieldData::F64(CcVariable::filled(Region::cube(8), 1.0));
+    for ndev in [1usize, 4] {
+        for _round in 0..10 {
+            let dw = Arc::new(DataWarehouse::new(Arc::clone(&grid)));
+            let gpu = Arc::new(GpuDataWarehouse::with_fleet_full(DeviceFleet::k20x(ndev), true, true, true, true));
+            for dev in 0..ndev {
+                gpu.ensure_level_fresh_on(dev, ABSKG, 0, replica).unwrap();
             }
-            s.into_iter().collect()
-        };
-        std::thread::scope(|s| {
-            let patches = &patches;
-            for t in 0..3usize {
-                let dw = Arc::clone(&dw);
-                s.spawn(move || {
-                    for i in 0..400usize {
-                        let p = patches[(i + t) % patches.len()];
-                        if let Some(v) = dw.get_patch(DIVQ, p) {
-                            assert_eq!(v.as_f64().as_slice()[0], p.0 as f64);
+            for &p in &patches {
+                gpu.put_patch(DIVQ, p, FieldData::F64(CcVariable::filled(Region::cube(8), p.0 as f64)))
+                    .unwrap();
+                dw.put_patch_pending(DIVQ, p, gpu.take_patch_to_host_async(DIVQ, p).unwrap());
+            }
+            std::thread::scope(|s| {
+                let patches = &patches;
+                for t in 0..3usize {
+                    let dw = Arc::clone(&dw);
+                    s.spawn(move || {
+                        for i in 0..400usize {
+                            let p = patches[(i + t) % patches.len()];
+                            // Either this get materializes the drain itself
+                            // or it sees the promoted entry; it misses only
+                            // while the settle holds a slot it has taken out
+                            // of the map but not yet promoted.
+                            if let Some(v) = dw.get_patch(DIVQ, p) {
+                                assert_eq!(v.as_f64().as_slice()[0], p.0 as f64);
+                            }
                         }
-                    }
+                    });
+                }
+                let dw = Arc::clone(&dw);
+                let gpu = Arc::clone(&gpu);
+                s.spawn(move || {
+                    // The scheduler's end-of-step settle, verbatim order.
+                    dw.drain_pending_d2h();
+                    gpu.sync_d2h_all();
                 });
-            }
-            let dw = Arc::clone(&dw);
-            let gpu = Arc::clone(&gpu);
-            let affected = affected.clone();
-            s.spawn(move || {
-                // The executor's fleet regrid prologue, verbatim order.
-                dw.drain_pending_d2h();
-                gpu.sync_d2h_all();
-                dw.begin_regrid();
-                gpu.invalidate_for_regrid_on(&affected);
             });
-        });
-        // Every parked field was drained before the generation bump.
-        for &p in &patches {
-            let v = dw.get_patch(DIVQ, p).expect("drained before generation bump");
-            assert_eq!(v.as_f64().as_slice()[0], p.0 as f64);
-        }
-        assert_eq!(dw.drain_pending_d2h(), 0, "nothing left parked");
-        let counters = gpu.counters_per_device();
-        for (d, c) in counters.iter().enumerate() {
-            assert_eq!(c.d2h_inflight, 0, "device {d} copy engine idle");
-        }
-        // The drains really were spread across the fleet, not serialized
-        // through one engine.
-        assert_eq!(
-            counters.iter().map(|c| c.d2h_transfers).sum::<u64>(),
-            patches.len() as u64
-        );
-        assert!(
-            counters.iter().filter(|c| c.d2h_transfers > 0).count() >= 2,
-            "sticky affinity should use more than one device's engine"
-        );
-        // Eviction was per-device: affected devices end empty...
-        for &d in &affected {
-            assert!(gpu.get_level_on(d, ABSKG, 0).is_none(), "stale replica on device {d}");
-            assert_eq!(gpu.patch_entries_on(d), 0);
-            assert_eq!(gpu.device_at(d).used(), 0, "device {d} not evicted clean");
-        }
-        // ...while untouched devices keep their replicas resident and
-        // revalidate them the next epoch with zero PCIe traffic.
-        gpu.begin_timestep();
-        for d in (0..NDEV).filter(|d| !affected.contains(d)) {
-            assert_eq!(gpu.level_entries_on(d), 1, "device {d} replica evicted needlessly");
-            let before = gpu.device_at(d).counters().h2d_bytes;
-            gpu.ensure_level_fresh_on(d, ABSKG, 0, || {
-                FieldData::F64(CcVariable::filled(Region::cube(8), 1.0))
-            })
-            .unwrap();
+            // Every parked field was promoted by the settle or a reader.
+            for &p in &patches {
+                let v = dw.get_patch(DIVQ, p).expect("settled");
+                assert_eq!(v.as_f64().as_slice()[0], p.0 as f64);
+            }
+            let counters = gpu.counters_per_device();
+            for (d, c) in counters.iter().enumerate() {
+                assert_eq!(c.d2h_inflight, 0, "{ndev} dev: device {d} copy engine idle");
+            }
             assert_eq!(
-                gpu.device_at(d).counters().h2d_bytes,
-                before,
-                "unchanged replica re-uploaded on device {d}"
+                counters.iter().map(|c| c.d2h_transfers).sum::<u64>(),
+                patches.len() as u64
             );
-        }
-        // Full invalidation returns every device in the fleet to zero.
-        gpu.invalidate_for_regrid_on(&(0..NDEV).collect::<Vec<_>>());
-        for (d, c) in gpu.counters_per_device().iter().enumerate() {
-            assert_eq!(c.used, 0, "device {d} leaked bytes");
+            if ndev > 1 {
+                // The drains really were spread across the fleet, not
+                // serialized through one engine.
+                assert!(
+                    counters.iter().filter(|c| c.d2h_transfers > 0).count() >= 2,
+                    "sticky affinity should use more than one device's engine"
+                );
+            }
+            // Every device keeps its replica and revalidates it the next
+            // epoch with zero PCIe traffic.
+            gpu.begin_timestep();
+            for d in 0..ndev {
+                assert_eq!(gpu.patch_entries_on(d), 0, "{ndev} dev: device {d} kept a drained patch");
+                assert_eq!(gpu.level_entries_on(d), 1, "{ndev} dev: device {d} lost its replica");
+                let before = gpu.device_at(d).counters().h2d_bytes;
+                gpu.ensure_level_fresh_on(d, ABSKG, 0, replica).unwrap();
+                assert_eq!(
+                    gpu.device_at(d).counters().h2d_bytes,
+                    before,
+                    "{ndev} dev: unchanged replica re-uploaded on device {d}"
+                );
+            }
+            gpu.clear_patch_db();
+            gpu.clear_level_db();
+            for (d, c) in gpu.counters_per_device().iter().enumerate() {
+                assert_eq!(c.used, 0, "{ndev} dev: device {d} leaked bytes");
+            }
         }
     }
 }
@@ -486,9 +392,9 @@ fn radiation_server_submit_cancel_storm_drains_clean() {
         match i % 4 {
             0 => {} // plain GPU tenant
             1 => {
-                // Regridding tenant: rotates ownership every step, so every
-                // regrid migrates and cancels race the executor's migration
-                // machinery.
+                // Regridding tenant: rotates ownership every step, so cancels
+                // race regrids, and its steps share the fleet's copy engines
+                // and level replicas with the other tenants'.
                 cfg.regrid_interval = 1;
                 cfg.regrid_policy = RebalancePolicy::Rotate(1);
                 cfg.timesteps = 5;
@@ -556,17 +462,18 @@ fn radiation_server_submit_cancel_storm_drains_clean() {
     }
 }
 
-/// LRU eviction racing a regrid: writer threads hammer an oversubscribed
-/// device (12 patches cycling through room for ~6, forcing constant
-/// eviction, host spill, and transparent re-upload) while a regrid thread
-/// repeatedly invalidates the warehouse mid-storm. Invariants under the
+/// LRU eviction racing the step boundary's patch-database clear: writer
+/// threads hammer an oversubscribed device (12 patches cycling through
+/// room for ~6, forcing constant eviction, host spill, and transparent
+/// re-upload) while a clearing thread repeatedly empties the patch
+/// database and its spill map mid-storm. Invariants under the
 /// race: no stale serves (every successful get returns the patch's one
 /// true value), no leaked device bytes, no meter drift (the allocator's
 /// free list stays coherent and `release_underflows == 0`), and the
 /// eviction/spill counters reconcile exactly — every evicted byte of patch
 /// data was spilled, and every re-upload round-tripped the same bytes.
 #[test]
-fn lru_eviction_racing_regrid_no_stale_serves_no_leaks() {
+fn lru_eviction_racing_patch_db_clear_no_stale_serves_no_leaks() {
     use uintah::gpu::GpuDataWarehouse;
     let patch_bytes = 8usize.pow(3) * 8;
     // Room for six patches (plus slack); twelve in play → constant
@@ -586,7 +493,7 @@ fn lru_eviction_racing_regrid_no_stale_serves_no_leaks() {
                         .expect("a victim always exists");
                     assert_eq!(put.data().as_f64().as_slice()[0], want);
                     drop(put);
-                    // A get may miss (another thread's regrid or drop), but
+                    // A get may miss (another thread's clear or drop), but
                     // a hit — resident or re-uploaded from spill — must
                     // carry the patch's one true value.
                     if let Some(v) = dw.get_patch(DIVQ, p) {
@@ -609,7 +516,7 @@ fn lru_eviction_racing_regrid_no_stale_serves_no_leaks() {
         let dw = Arc::clone(&dw);
         s.spawn(move || {
             for _ in 0..20 {
-                dw.invalidate_for_regrid_on(&[0]);
+                dw.clear_patch_db();
                 std::thread::yield_now();
             }
         });

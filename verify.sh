@@ -39,8 +39,9 @@ cargo run --release -q --bin rmcrt_app -- target/default.cfg
 # rmcrt_app through its one step loop end to end: GPU tasks on a 2-device
 # fleet per rank, 2 ranks x 2 threads, 3 timesteps with an ownership
 # rotation before every step after the first — the persistent executor,
-# GPU staging, LRU-capable allocation and the regrid's drain, device
-# eviction and recompile, all through the shipped binary.
+# GPU staging, LRU-capable allocation, and the regrid's adopted
+# distribution with the recompile it triggers and the level replicas it
+# keeps, all through the shipped binary.
 printf '%s\n' 'gpu = true' 'gpus_per_rank = 2' 'ranks = 2' 'threads = 2' \
     'timesteps = 3' 'regrid_interval = 1' 'regrid_policy = rotate' > target/gpu_regrid.cfg
 cargo run --release -q --bin rmcrt_app -- target/gpu_regrid.cfg
