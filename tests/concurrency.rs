@@ -248,17 +248,29 @@ mod parking_lot_handles {
     }
 }
 
-/// Readers racing the end-of-step settle, on 1 and 4 devices: a
-/// warehouse stages a level replica on every device and parks one async
-/// D2H drain per patch on its home device's copy engine, then reader
-/// threads hammer `get_patch` while a settler thread runs the scheduler's
-/// end-of-step sequence (drain parked slots → sync every copy engine).
-/// The run must complete without deadlock, readers must only ever observe
-/// correct data, every copy engine ends idle, the replicas stay resident
-/// and revalidate the next epoch with no PCIe traffic, and clearing the
-/// databases returns every device to 0 B.
+/// Readers racing the end-of-step settle on one device: see
+/// [`settle_race`].
 #[test]
 fn step_settle_racing_async_d2h_reads_without_deadlock_or_leaks() {
+    settle_race(1);
+}
+
+/// Readers racing the end-of-step settle on a 4-device fleet: see
+/// [`settle_race`]; the drains must also spread across the engines.
+#[test]
+fn fleet_step_settle_race_keeps_replicas_without_leaks() {
+    settle_race(4);
+}
+
+/// A warehouse over `ndev` devices stages a level replica on every device
+/// and parks one async D2H drain per patch on its home device's copy
+/// engine, then reader threads hammer `get_patch` while a settler thread
+/// runs the scheduler's end-of-step sequence (drain parked slots → sync
+/// every copy engine). The run must complete without deadlock, readers
+/// must only ever observe correct data, every copy engine ends idle, the
+/// replicas stay resident and revalidate the next epoch with no PCIe
+/// traffic, and clearing the databases returns every device to 0 B.
+fn settle_race(ndev: usize) {
     use uintah::gpu::GpuDataWarehouse;
     use uintah::runtime::DataWarehouse;
     let grid = Arc::new(
@@ -270,83 +282,81 @@ fn step_settle_racing_async_d2h_reads_without_deadlock_or_leaks() {
     );
     let patches: Vec<_> = grid.fine_level().patches().iter().map(|p| p.id()).collect();
     let replica = || FieldData::F64(CcVariable::filled(Region::cube(8), 1.0));
-    for ndev in [1usize, 4] {
-        for _round in 0..10 {
-            let dw = Arc::new(DataWarehouse::new(Arc::clone(&grid)));
-            let gpu = Arc::new(GpuDataWarehouse::with_fleet_full(DeviceFleet::k20x(ndev), true, true, true, true));
-            for dev in 0..ndev {
-                gpu.ensure_level_fresh_on(dev, ABSKG, 0, replica).unwrap();
-            }
-            for &p in &patches {
-                gpu.put_patch(DIVQ, p, FieldData::F64(CcVariable::filled(Region::cube(8), p.0 as f64)))
-                    .unwrap();
-                dw.put_patch_pending(DIVQ, p, gpu.take_patch_to_host_async(DIVQ, p).unwrap());
-            }
-            std::thread::scope(|s| {
-                let patches = &patches;
-                for t in 0..3usize {
-                    let dw = Arc::clone(&dw);
-                    s.spawn(move || {
-                        for i in 0..400usize {
-                            let p = patches[(i + t) % patches.len()];
-                            // Either this get materializes the drain itself
-                            // or it sees the promoted entry; it misses only
-                            // while the settle holds a slot it has taken out
-                            // of the map but not yet promoted.
-                            if let Some(v) = dw.get_patch(DIVQ, p) {
-                                assert_eq!(v.as_f64().as_slice()[0], p.0 as f64);
-                            }
-                        }
-                    });
-                }
+    for _round in 0..10 {
+        let dw = Arc::new(DataWarehouse::new(Arc::clone(&grid)));
+        let gpu = Arc::new(GpuDataWarehouse::with_fleet_full(DeviceFleet::k20x(ndev), true, true, true, true));
+        for dev in 0..ndev {
+            gpu.ensure_level_fresh_on(dev, ABSKG, 0, replica).unwrap();
+        }
+        for &p in &patches {
+            gpu.put_patch(DIVQ, p, FieldData::F64(CcVariable::filled(Region::cube(8), p.0 as f64)))
+                .unwrap();
+            dw.put_patch_pending(DIVQ, p, gpu.take_patch_to_host_async(DIVQ, p).unwrap());
+        }
+        std::thread::scope(|s| {
+            let patches = &patches;
+            for t in 0..3usize {
                 let dw = Arc::clone(&dw);
-                let gpu = Arc::clone(&gpu);
                 s.spawn(move || {
-                    // The scheduler's end-of-step settle, verbatim order.
-                    dw.drain_pending_d2h();
-                    gpu.sync_d2h_all();
+                    for i in 0..400usize {
+                        let p = patches[(i + t) % patches.len()];
+                        // Either this get materializes the drain itself
+                        // or it sees the promoted entry; it misses only
+                        // while the settle holds a slot it has taken out
+                        // of the map but not yet promoted.
+                        if let Some(v) = dw.get_patch(DIVQ, p) {
+                            assert_eq!(v.as_f64().as_slice()[0], p.0 as f64);
+                        }
+                    }
                 });
+            }
+            let dw = Arc::clone(&dw);
+            let gpu = Arc::clone(&gpu);
+            s.spawn(move || {
+                // The scheduler's end-of-step settle, verbatim order.
+                dw.drain_pending_d2h();
+                gpu.sync_d2h_all();
             });
-            // Every parked field was promoted by the settle or a reader.
-            for &p in &patches {
-                let v = dw.get_patch(DIVQ, p).expect("settled");
-                assert_eq!(v.as_f64().as_slice()[0], p.0 as f64);
-            }
-            let counters = gpu.counters_per_device();
-            for (d, c) in counters.iter().enumerate() {
-                assert_eq!(c.d2h_inflight, 0, "{ndev} dev: device {d} copy engine idle");
-            }
-            assert_eq!(
-                counters.iter().map(|c| c.d2h_transfers).sum::<u64>(),
-                patches.len() as u64
+        });
+        // Every parked field was promoted by the settle or a reader.
+        for &p in &patches {
+            let v = dw.get_patch(DIVQ, p).expect("settled");
+            assert_eq!(v.as_f64().as_slice()[0], p.0 as f64);
+        }
+        let counters = gpu.counters_per_device();
+        for (d, c) in counters.iter().enumerate() {
+            assert_eq!(c.d2h_inflight, 0, "{ndev} dev: device {d} copy engine idle");
+        }
+        assert_eq!(
+            counters.iter().map(|c| c.d2h_transfers).sum::<u64>(),
+            patches.len() as u64
+        );
+        if ndev > 1 {
+            // The drains really were spread across the fleet, not
+            // serialized through one engine.
+            assert!(
+                counters.iter().filter(|c| c.d2h_transfers > 0).count() >= 2,
+                "sticky affinity should use more than one device's engine"
             );
-            if ndev > 1 {
-                // The drains really were spread across the fleet, not
-                // serialized through one engine.
-                assert!(
-                    counters.iter().filter(|c| c.d2h_transfers > 0).count() >= 2,
-                    "sticky affinity should use more than one device's engine"
-                );
-            }
-            // Every device keeps its replica and revalidates it the next
-            // epoch with zero PCIe traffic.
-            gpu.begin_timestep();
-            for d in 0..ndev {
-                assert_eq!(gpu.patch_entries_on(d), 0, "{ndev} dev: device {d} kept a drained patch");
-                assert_eq!(gpu.level_entries_on(d), 1, "{ndev} dev: device {d} lost its replica");
-                let before = gpu.device_at(d).counters().h2d_bytes;
-                gpu.ensure_level_fresh_on(d, ABSKG, 0, replica).unwrap();
-                assert_eq!(
-                    gpu.device_at(d).counters().h2d_bytes,
-                    before,
-                    "{ndev} dev: unchanged replica re-uploaded on device {d}"
-                );
-            }
-            gpu.clear_patch_db();
-            gpu.clear_level_db();
-            for (d, c) in gpu.counters_per_device().iter().enumerate() {
-                assert_eq!(c.used, 0, "{ndev} dev: device {d} leaked bytes");
-            }
+        }
+        // Every device keeps its replica and revalidates it the next
+        // epoch with zero PCIe traffic.
+        gpu.begin_timestep();
+        for d in 0..ndev {
+            assert_eq!(gpu.patch_entries_on(d), 0, "{ndev} dev: device {d} kept a drained patch");
+            assert_eq!(gpu.level_entries_on(d), 1, "{ndev} dev: device {d} lost its replica");
+            let before = gpu.device_at(d).counters().h2d_bytes;
+            gpu.ensure_level_fresh_on(d, ABSKG, 0, replica).unwrap();
+            assert_eq!(
+                gpu.device_at(d).counters().h2d_bytes,
+                before,
+                "{ndev} dev: unchanged replica re-uploaded on device {d}"
+            );
+        }
+        gpu.clear_patch_db();
+        gpu.clear_level_db();
+        for (d, c) in gpu.counters_per_device().iter().enumerate() {
+            assert_eq!(c.used, 0, "{ndev} dev: device {d} leaked bytes");
         }
     }
 }
