@@ -236,7 +236,10 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, levels: Vec<LevelInd
             // space — one metered launch per patch task. It reads the host
             // data in `ctx` and `fine`, not the entries staged above.
             let div_q = trace_patch(ctx, &pipeline, &traced, fine.as_ref());
-            gdw.alloc_patch_output(DIVQ, pid, FieldData::F64(div_q))
+            // The output's handle is held until its drain is posted, so LRU
+            // eviction can never spill it in between.
+            let output = gdw
+                .alloc_patch_output(DIVQ, pid, FieldData::F64(div_q))
                 .expect("device OOM for divQ");
             // Output crosses PCIe back on the D2H copy engine: the drain is
             // posted asynchronously and the task returns without blocking —
@@ -245,7 +248,8 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, levels: Vec<LevelInd
             // are dropped in place.
             let out = gdw
                 .take_patch_to_host_async(DIVQ, pid)
-                .expect("divQ staged above");
+                .expect("divQ resident: its handle is held");
+            drop(output);
             if fine.is_some() {
                 for l in PROP_LABELS {
                     gdw.drop_patch(l, pid);

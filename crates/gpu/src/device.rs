@@ -6,7 +6,9 @@
 //! for D2H — a FIFO of transfers with measured occupancy (`busy_ns`), an
 //! in-flight count, and a real worker thread that drains posted transfers
 //! asynchronously — driven through `GpuDevice::submit`, which posts a
-//! drain to the engine thread. Uploads run synchronously inside the task that
+//! drain to the engine thread and returns its completion. The engine
+//! retires a transfer before it signals the completion, so a waited drain
+//! is a metered, retired one. Uploads run synchronously inside the task that
 //! needs them, so host→device is a plain meter (transfers, bytes, busy
 //! time) fed through `GpuDevice::record_transfer` /
 //! `GpuDevice::record_busy`.
@@ -23,9 +25,10 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use uintah_grid::FieldData;
 use uintah_mem::{FitPolicy, SubAllocError, SubAllocator};
 
 /// Errors from device operations.
@@ -67,9 +70,38 @@ pub(crate) enum Dir {
     D2H,
 }
 
-/// A drain executed on the copy engine: the memcpy plus completion
-/// signalling, boxed by [`GpuDevice::submit`].
-type TransferJob = Box<dyn FnOnce() + Send + 'static>;
+/// The memcpy of one drain, boxed by [`GpuDevice::submit`]. It drops
+/// its handle on the source block when it returns.
+type DrainCopy = Box<dyn FnOnce() -> FieldData + Send + 'static>;
+
+/// A posted drain: its copy and the completion the engine fills.
+type TransferJob = (DrainCopy, Arc<Completion>);
+
+/// A drain's completion slot: the host data plus the engine time the copy
+/// took, filled once by the copy engine and announced on the condvar.
+#[derive(Default)]
+pub(crate) struct Completion {
+    slot: Mutex<Option<(FieldData, Duration)>>,
+    done: Condvar,
+}
+
+impl Completion {
+    fn fill(&self, data: FieldData, busy: Duration) {
+        *self.slot.lock().unwrap() = Some((data, busy));
+        self.done.notify_all();
+    }
+
+    /// Block until the transfer has retired, then move the payload out —
+    /// the waiter is the drain's only consumer, and a clone would be a
+    /// second memcpy.
+    pub(crate) fn wait(&self) -> (FieldData, Duration) {
+        let mut slot = self.slot.lock().unwrap();
+        while slot.is_none() {
+            slot = self.done.wait(slot).unwrap();
+        }
+        slot.take().expect("slot filled above")
+    }
+}
 
 /// Transfer count, bytes and occupancy of one PCIe direction. `busy_ns`
 /// is wall time spent actually moving bytes (the drain memcpy for D2H,
@@ -91,13 +123,17 @@ struct Timeline {
 }
 
 impl Timeline {
-    /// Execute one transfer and retire it: occupancy metered around `job`,
-    /// then the in-flight count.
-    fn run(&self, job: impl FnOnce()) {
+    /// Execute one transfer, retire it, then signal it: time the copy,
+    /// meter that time into `busy_ns`, leave the in-flight count, and only
+    /// then hand the data and the same measured time to `done`. A waiter
+    /// that returns therefore sees its transfer metered and retired.
+    fn run(&self, (copy, done): TransferJob) {
         let t0 = Instant::now();
-        job();
-        self.meter.busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let data = copy();
+        let busy = t0.elapsed();
+        self.meter.busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
         self.inflight.fetch_sub(1, Ordering::Release);
+        done.fill(data, busy);
     }
 }
 
@@ -418,25 +454,31 @@ impl GpuDevice {
         count_bytes(&self.inner.reuploads, &self.inner.reuploads_bytes, bytes);
     }
 
-    /// Submit a device→host drain of `bytes` to the copy engine. `job` is
-    /// the memcpy plus completion signalling; the engine worker (a real
+    /// Submit a device→host drain of `bytes` to the copy engine and return
+    /// its completion. `copy` is the memcpy; the engine worker (a real
     /// thread) executes it in FIFO order and the caller returns
     /// immediately — the overlap the K20X's copy engine provides: the
     /// scheduler keeps launching kernels while a drain proceeds. The
     /// transfer is metered, counted in flight until it retires and timed
-    /// into `busy_ns`.
-    pub(crate) fn submit(&self, bytes: usize, job: impl FnOnce() + Send + 'static) {
+    /// into `busy_ns`, all before the completion is filled.
+    pub(crate) fn submit(
+        &self,
+        bytes: usize,
+        copy: impl FnOnce() -> FieldData + Send + 'static,
+    ) -> Arc<Completion> {
         self.record_transfer(Dir::D2H, bytes);
         let engine = &self.inner.d2h;
         engine.line.inflight.fetch_add(1, Ordering::Relaxed);
-        engine.post(Box::new(job));
+        let done = Arc::new(Completion::default());
+        engine.post((Box::new(copy), Arc::clone(&done)));
+        done
     }
 
-    /// Block until the copy engine has retired every submitted drain — the
-    /// `cudaDeviceSynchronize` analogue. The scheduler syncs at the end of
-    /// a timestep so counters are coherent at step boundaries, and an
+    /// Block until the copy engine has retired every submitted drain,
+    /// whoever posted it — the `cudaDeviceSynchronize` analogue. An
     /// allocation with nothing left to evict syncs so in-flight drains
-    /// release their blocks.
+    /// release their blocks. A step boundary needs no sync: each drain it
+    /// waited has already retired.
     pub(crate) fn sync(&self) {
         while self.inner.d2h.line.inflight.load(Ordering::Acquire) != 0 {
             std::thread::yield_now();
@@ -680,20 +722,29 @@ mod tests {
         (c.d2h_transfers, c.d2h_bytes, c.d2h_busy_ns, c.d2h_inflight)
     }
 
+    /// A one-cell drain payload.
+    fn payload() -> FieldData {
+        FieldData::F64(uintah_grid::CcVariable::filled(uintah_grid::Region::cube(1), 1.0))
+    }
+
     #[test]
     fn posted_submit_counts_in_flight_until_it_retires() {
         let d = GpuDevice::k20x();
         let (tx, rx) = mpsc::channel();
         let seen = d.clone();
-        d.submit(4096, move || {
+        let done = d.submit(4096, move || {
             std::thread::sleep(Duration::from_millis(1));
             tx.send(engine_counters(&seen).3).unwrap();
+            payload()
         });
-        // While the job runs the transfer is counted in flight.
+        // While the copy runs the transfer is counted in flight.
         assert_eq!(rx.recv().unwrap(), 1);
-        d.sync();
+        // Waiting the completion is enough: the engine retired and metered
+        // the transfer before it signalled, with the one time it reports.
+        let (_, busy) = done.wait();
         let (transfers, bytes, busy_ns, inflight) = engine_counters(&d);
         assert_eq!((transfers, bytes, inflight), (1, 4096, 0));
+        assert_eq!(busy_ns, busy.as_nanos() as u64, "one measured time");
         assert!(busy_ns >= 1_000_000, "busy_ns {busy_ns} too small");
     }
 
@@ -701,11 +752,12 @@ mod tests {
     fn posted_transfer_drains_on_the_engine_thread() {
         let d = GpuDevice::k20x();
         let (tx, rx) = mpsc::channel();
-        d.submit(4096, move || {
+        let done = d.submit(4096, move || {
             tx.send(std::thread::current().name().map(String::from)).unwrap();
+            payload()
         });
         assert_eq!(rx.recv().unwrap().as_deref(), Some("d2h-copy-engine"));
-        d.sync();
+        done.wait();
     }
 
     #[test]
@@ -723,6 +775,7 @@ mod tests {
                     drop(gate.lock().unwrap());
                 }
                 order.lock().unwrap().push(i);
+                payload()
             });
         }
         // All three posted transfers are in flight while the engine is
@@ -742,6 +795,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         d.submit(10, move || {
             tx.send(std::thread::current().id()).unwrap();
+            payload()
         });
         let tid = rx.recv().unwrap();
         d.sync();
@@ -754,6 +808,7 @@ mod tests {
         let (tx2, rx2) = mpsc::channel();
         d2.submit(10, move || {
             tx2.send(std::thread::current().id()).unwrap();
+            payload()
         });
         assert_ne!(rx2.recv().unwrap(), tid);
         d2.sync();

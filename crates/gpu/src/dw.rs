@@ -46,14 +46,15 @@
 //! [`GpuDataWarehouse::take_patch_to_host_async`] submits the drain to the
 //! device's D2H copy engine (`GpuDevice::submit`) and returns a
 //! [`PendingD2H`] completion handle; the drain keeps its device block
-//! reserved until the copy lands.
+//! reserved until the copy lands, and the engine retires the transfer
+//! before it signals the handle.
 
-use crate::device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError};
+use crate::device::{Completion, DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError};
 use crate::fleet::{DeviceFleet, DeviceId};
 use parking_lot::Mutex as StateMutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uintah_grid::{LevelIndex, PatchId, VarLabel};
 
@@ -84,33 +85,6 @@ impl DeviceVar {
 type PatchKey = (VarLabel, PatchId);
 type LevelKey = (VarLabel, LevelIndex);
 
-/// Completion slot shared between a [`PendingD2H`] handle and the engine
-/// job filling it: the drained host data plus the engine wall time the
-/// transfer took, posted under the mutex and announced on the condvar.
-#[derive(Default)]
-struct Completion {
-    slot: Mutex<Option<(DeviceData, Duration)>>,
-    done: Condvar,
-}
-
-impl Completion {
-    fn fill(&self, data: DeviceData, busy: Duration) {
-        *self.slot.lock().unwrap() = Some((data, busy));
-        self.done.notify_all();
-    }
-
-    /// Block until the transfer lands, then move the payload out — the
-    /// handle is the drain's only consumer, and a clone would be a second
-    /// memcpy.
-    fn wait(&self) -> (DeviceData, Duration) {
-        let mut slot = self.slot.lock().unwrap();
-        while slot.is_none() {
-            slot = self.done.wait(slot).unwrap();
-        }
-        slot.take().expect("slot filled above")
-    }
-}
-
 /// Completion handle for an asynchronous device→host drain posted by
 /// [`GpuDataWarehouse::take_patch_to_host_async`].
 ///
@@ -119,28 +93,19 @@ impl Completion {
 /// data materializes on first use via [`Self::wait`] /
 /// [`Self::wait_timed`]. Device memory for the variable is released when
 /// the drain completes, not when the handle is created — exactly the
-/// lifetime a `cudaMemcpyAsync` imposes.
+/// lifetime a `cudaMemcpyAsync` imposes. A wait returns only once the
+/// engine has metered the transfer and dropped it from `d2h_inflight`.
 pub struct PendingD2H {
     shared: Arc<Completion>,
-    bytes: usize,
 }
 
 impl std::fmt::Debug for PendingD2H {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingD2H")
-            .field("bytes", &self.bytes)
-            .field("complete", &self.is_complete())
-            .finish()
+        f.debug_struct("PendingD2H").finish_non_exhaustive()
     }
 }
 
 impl PendingD2H {
-
-    /// Whether the transfer has already landed (non-blocking).
-    pub(crate) fn is_complete(&self) -> bool {
-        self.shared.slot.lock().unwrap().is_some()
-    }
-
     /// Block until the transfer lands and return the host data.
     pub fn wait(self) -> DeviceData {
         self.wait_timed().0
@@ -148,12 +113,11 @@ impl PendingD2H {
 
     /// Block until the transfer lands; returns `(data, busy, blocked)`
     /// where `busy` is the wall time the copy engine spent moving the
-    /// bytes and `blocked` is how long *this call* stalled the consumer.
-    /// A transfer that finished before first use reports `blocked ≈ 0`, so
-    /// `busy - blocked` is the wall time hidden behind other work — the
-    /// overlap the copy engine exists to win. A handle served from the
-    /// spill map reports `busy == 0`: its bytes crossed at eviction time,
-    /// so it hides nothing.
+    /// bytes (the time it metered into `d2h_busy_ns`) and `blocked` is how
+    /// long *this call* stalled the consumer. A transfer that finished
+    /// before first use reports `blocked ≈ 0`, so `busy - blocked` is the
+    /// wall time hidden behind other work — the overlap the copy engine
+    /// exists to win.
     pub fn wait_timed(self) -> (DeviceData, Duration, Duration) {
         let t0 = Instant::now();
         let (data, busy) = self.shared.wait();
@@ -383,8 +347,9 @@ impl GpuDataWarehouse {
     /// retrying on failure. Each eviction frees
     /// a nonzero extent, so the loop terminates: either the allocation
     /// succeeds or nothing evictable remains. Before surfacing that error,
-    /// one escalation: drain the D2H engine and retry — posted drains pin
-    /// their source blocks until the copy lands, and under oversubscription
+    /// one escalation: drain the D2H engine and retry — posted drains, this
+    /// warehouse's or another tenant's on a shared fleet, pin their source
+    /// blocks until the copy lands, and under oversubscription
     /// those transients are routinely the mid-arena blocks whose release
     /// re-coalesces a hole big enough for the request (the simulated
     /// equivalent of the sync-then-retry dance real CUDA apps do on OOM).
@@ -523,34 +488,20 @@ impl GpuDataWarehouse {
     /// consumer to `wait()` blocks only for the part of the drain not
     /// already hidden.
     ///
-    /// A variable already evicted to the spill map returns an
-    /// already-complete handle with no new transfer — its bytes crossed
-    /// PCIe at eviction time.
+    /// `None` when the variable is not resident. A task that holds its
+    /// output's handle until the drain is posted never hits that: a held
+    /// entry is never an LRU victim.
     pub fn take_patch_to_host_async(&self, label: VarLabel, patch: PatchId) -> Option<PendingD2H> {
         let dev = self.device_for_patch(patch);
-        let device = self.fleet.device(dev);
-        let key = (label, patch);
-        let mut st = self.stores[dev].lock();
-        let shared = Arc::new(Completion::default());
-        let Some(e) = st.patch_db.remove(&key) else {
-            // Nothing in flight: the "drain" happened at eviction time.
-            shared.fill(st.spill.remove(&key)?, Duration::ZERO);
-            return Some(PendingD2H { shared, bytes: 0 });
-        };
-        drop(st);
-        let var = e.var;
-        let bytes = var.size_bytes();
-        let slot = Arc::clone(&shared);
-        device.submit(bytes, move || {
-            let t0 = Instant::now();
+        let var = self.stores[dev].lock().patch_db.remove(&(label, patch))?.var;
+        let shared = self.fleet.device(dev).submit(var.size_bytes(), move || {
             let data = var.data().clone();
-            let drain = t0.elapsed();
-            // Device memory is released here, when the drain finishes — not
+            // Device memory is released here, when the copy finishes — not
             // at post time.
             drop(var);
-            slot.fill(data, drain);
+            data
         });
-        Some(PendingD2H { shared, bytes })
+        Some(PendingD2H { shared })
     }
 
     /// Drop a per-patch input without a device→host transfer (inputs are
@@ -681,7 +632,9 @@ impl GpuDataWarehouse {
         }
     }
 
-    /// Block until every device's D2H copy engine is empty.
+    /// Block until every device's D2H copy engine is empty, including
+    /// drains other warehouses on the same fleet posted. A step does not
+    /// call it: each drain it waits has already retired.
     pub fn sync_d2h_all(&self) {
         self.fleet.sync_all();
     }
@@ -748,13 +701,6 @@ impl GpuDataWarehouse {
 mod tests {
     use super::*;
     use uintah_grid::{CcVariable, Region};
-
-    impl PendingD2H {
-        /// Transfer size in bytes.
-        pub(crate) fn bytes(&self) -> usize {
-            self.bytes
-        }
-    }
 
     impl GpuDataWarehouse {
         /// The epoch a level entry was last validated at on a device.
@@ -1009,11 +955,9 @@ mod tests {
         dw.put_patch(DIVQ, p, field(8, 2.5)).unwrap();
         let pending = dw.take_patch_to_host_async(DIVQ, p).unwrap();
         assert_eq!(dw.patch_entries_on(0), 0, "entry removed at post time");
-        assert_eq!(pending.bytes(), 8usize.pow(3) * 8);
         let (data, drain, _blocked) = pending.wait_timed();
         assert_eq!(data.as_f64()[uintah_grid::IntVector::ZERO], 2.5);
         assert!(drain > Duration::ZERO);
-        device.sync();
         assert_eq!(device.used(), 0, "device memory released when drain completes");
         let c = device.counters();
         assert_eq!(c.d2h_transfers, 1);
@@ -1110,32 +1054,44 @@ mod tests {
     }
 
     #[test]
-    fn spilled_patch_served_by_take_without_new_transfer() {
+    fn non_resident_output_takes_as_none() {
         let patch_bytes = 8usize.pow(3) * 8;
         let device = GpuDevice::with_capacity("small", patch_bytes + 100);
         let dw = GpuDataWarehouse::new(device.clone());
         dw.put_patch(DIVQ, PatchId(0), field(8, 5.0)).map(drop).unwrap();
         dw.put_patch(DIVQ, PatchId(1), field(8, 6.0)).map(drop).unwrap(); // evicts 0
-        let d2h_after_spill = device.counters().d2h_transfers;
         assert_eq!(device.counters().spills, 1);
-        // Synchronous take: served straight from the spill map.
-        let data = dw.take_patch_to_host_async(DIVQ, PatchId(0)).map(PendingD2H::wait).expect("spilled data served");
-        assert_eq!(data.as_f64()[uintah_grid::IntVector::ZERO], 5.0);
-        assert_eq!(
-            device.counters().d2h_transfers,
-            d2h_after_spill,
-            "bytes already crossed PCIe at eviction time"
-        );
-        assert_eq!(dw.spill_entries(), 0);
-        // Async take of a spilled variable: an already-complete handle.
-        dw.put_patch(DIVQ, PatchId(2), field(8, 7.0)).map(drop).unwrap(); // evicts 1
-        let pending = dw.take_patch_to_host_async(DIVQ, PatchId(1)).expect("spilled");
-        assert!(pending.is_complete());
-        let (data, drain, blocked) = pending.wait_timed();
-        assert_eq!(data.as_f64()[uintah_grid::IntVector::ZERO], 6.0);
-        assert_eq!(drain, Duration::ZERO);
-        assert_eq!(drain.saturating_sub(blocked), Duration::ZERO, "nothing hidden");
+        let d2h = device.counters().d2h_transfers;
+        assert!(dw.take_patch_to_host_async(DIVQ, PatchId(0)).is_none(), "spilled, not resident");
+        assert_eq!(device.counters().d2h_transfers, d2h, "no transfer posted");
+        // A held handle pins the output: the next put cannot evict it, and
+        // the take drains it.
+        let held = dw.alloc_patch_output(DIVQ, PatchId(2), field(4, 7.0)).unwrap();
+        let err = dw.put_patch(DIVQ, PatchId(3), field(8, 8.0)).unwrap_err();
+        assert!(matches!(err, GpuError::OutOfMemory { .. }));
+        let out = dw.take_patch_to_host_async(DIVQ, PatchId(2)).expect("held output stays resident");
+        drop(held);
+        assert_eq!(out.wait().as_f64()[uintah_grid::IntVector::ZERO], 7.0);
         device.validate_allocator().unwrap();
+    }
+
+    #[test]
+    fn waited_take_has_retired_and_metered_its_transfer() {
+        // A waited handle implies a retired transfer: no sync between the
+        // wait and the counters. The engine meters the same time it reports.
+        let device = GpuDevice::k20x();
+        let dw = GpuDataWarehouse::new(device.clone());
+        let mut busy_sum = Duration::ZERO;
+        for i in 0..200u32 {
+            dw.alloc_patch_output(DIVQ, PatchId(i), field(16, i as f64)).map(drop).unwrap();
+            let (data, busy, _) = dw.take_patch_to_host_async(DIVQ, PatchId(i)).unwrap().wait_timed();
+            busy_sum += busy;
+            assert_eq!(data.as_f64()[uintah_grid::IntVector::ZERO], i as f64);
+            let c = device.counters();
+            assert_eq!(c.d2h_inflight, 0, "take {i}: signalled before it retired");
+            assert_eq!(c.used, 0, "take {i}: signalled before it released its block");
+            assert_eq!(c.d2h_busy_ns, busy_sum.as_nanos() as u64, "take {i}: two timers");
+        }
     }
 
     #[test]
@@ -1232,7 +1188,7 @@ mod tests {
         let h1 = dw.take_patch_to_host_async(DIVQ, p1).unwrap();
         assert_eq!(h0.wait().as_f64()[uintah_grid::IntVector::ZERO], 1.0);
         assert_eq!(h1.wait().as_f64()[uintah_grid::IntVector::ZERO], 2.0);
-        dw.sync_d2h_all();
+        // No sync: each waited drain has retired on its own engine.
         let c = dw.counters_per_device();
         assert_eq!(c[0].d2h_transfers, 1, "patch 0 drained on device 0's engine");
         assert_eq!(c[1].d2h_transfers, 1, "patch 1 drained on device 1's engine");

@@ -73,8 +73,8 @@ impl DeviceFleet {
     }
 
     /// Block until every device's copy engine is empty (the fleet-wide
-    /// `cudaDeviceSynchronize` analogue at step boundaries): every posted
-    /// drain has landed, not necessarily been consumed.
+    /// `cudaDeviceSynchronize` analogue): every posted drain, whoever
+    /// posted it, has landed, not necessarily been consumed.
     pub(crate) fn sync_all(&self) {
         for d in &self.devices {
             d.sync();

@@ -216,9 +216,10 @@ impl DataWarehouse {
     }
 
     /// Materialize every still-pending D2H transfer of the current epoch —
-    /// the scheduler's end-of-step synchronization point (the
-    /// `cudaDeviceSynchronize` analogue), so step stats are coherent and no
-    /// completion handle leaks across a step boundary.
+    /// the scheduler's end-of-step settle, so no completion handle leaks
+    /// across a step boundary. Each wait returns after its copy engine has
+    /// metered and retired the transfer, so the step's stats are coherent
+    /// and none of its drains is left in flight.
     pub fn drain_pending_d2h(&self) {
         let now = self.epoch();
         let slots: Vec<(PatchKey, Arc<PendingSlot>)> =

@@ -190,9 +190,10 @@ impl PersistentExecutor {
             self.grid.num_patches(),
             "distribution does not cover the grid"
         );
-        // The end-of-step settle retired this rank's drains. The devices'
-        // `d2h_inflight` is not asserted: a server's fleet is shared, and
-        // another tenant's drains may be in flight on it right now.
+        // The end-of-step settle waited every drain this rank parked, and a
+        // waited drain has retired. The devices' `d2h_inflight` is not
+        // asserted: a server's fleet is shared, and another tenant's drains
+        // may be in flight on it right now.
         debug_assert_eq!(self.dw.parked_d2h(), 0, "regrid inside a step: a D2H slot is parked");
         if new.rank_map() == self.dist.rank_map() {
             return false;

@@ -89,8 +89,6 @@ pub struct GraphStats {
 /// A rank's executable graph for one timestep phase.
 #[derive(Debug)]
 pub struct CompiledGraph {
-    pub rank: usize,
-    pub phase: u8,
     pub instances: Vec<TaskInstance>,
     pub recvs: Vec<RecvEntry>,
     pub initial_ready: Vec<usize>,
@@ -399,8 +397,6 @@ pub fn compile(
     };
 
     CompiledGraph {
-        rank,
-        phase,
         instances,
         recvs,
         initial_ready,

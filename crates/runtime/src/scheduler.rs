@@ -402,24 +402,18 @@ impl Scheduler {
             .iter()
             .map(|t| AtomicUsize::new(t.num_deps_in))
             .collect();
-        // Multi-stage ready queues (the [6] design): GPU tasks drain from a
-        // dedicated high-priority queue so the device stays fed while CPU
-        // work and gathers fill the remaining lanes.
+        // One ready queue. [6] gives GPU tasks a queue of their own with
+        // priority, but in both RMCRT pipelines a trace task requires every
+        // whole-level gather and a gather waits on every rank's
+        // `initProperties`, so a GPU task is never ready while CPU work or
+        // a gather is queued: the priority would reorder nothing
+        // (EXPERIMENTS E31).
         let ready = SegQueue::<usize>::new();
-        let ready_gpu = SegQueue::<usize>::new();
         // The rank's work signal: notified by the fabric on inbound sends,
         // and by us whenever ready work appears, so parked peers wake.
         let signal = Arc::clone(self.comm.signal());
         let push_ready = |i: usize| {
-            let is_gpu = graph.instances[i]
-                .decl
-                .map(|d| decls[d].kind == TaskKind::Gpu)
-                .unwrap_or(false);
-            if is_gpu {
-                ready_gpu.push(i);
-            } else {
-                ready.push(i);
-            }
+            ready.push(i);
             signal.notify();
         };
         for &i in &graph.initial_ready {
@@ -496,9 +490,7 @@ impl Scheduler {
                         let mut park_for = PARK_MIN;
                         while remaining.load(Ordering::Acquire) > 0 && !world.halted() {
                             let seen = signal.generation();
-                            // Device-feeding first: drain the GPU queue before
-                            // the general queue.
-                            if let Some(i) = ready_gpu.pop().or_else(|| ready.pop()) {
+                            if let Some(i) = ready.pop() {
                                 empty_polls = 0;
                                 park_for = PARK_MIN;
                                 let inst = &graph.instances[i];
@@ -613,15 +605,14 @@ impl Scheduler {
             (sum, panic)
         });
 
-        // End-of-step device synchronization (the `cudaDeviceSynchronize`
-        // analogue, once per fleet device): settle every D2H drain no
-        // consumer touched and wait for every copy engine to empty, so
-        // the stats below are coherent and no completion handle leaks
-        // across the step boundary.
+        // End-of-step settle: wait every D2H drain this step parked that no
+        // consumer touched, so no completion handle leaks across the step
+        // boundary. A waited drain has already been metered and retired by
+        // its copy engine, so the counters below are coherent and nothing
+        // of this step is left in flight. The copy engines are not synced:
+        // a server's fleet is shared, and other tenants' drains on it are
+        // theirs to wait.
         dw.drain_pending_d2h();
-        if let Some(g) = gpu {
-            g.sync_d2h_all();
-        }
         if let Some(payload) = panic {
             std::panic::resume_unwind(payload);
         }

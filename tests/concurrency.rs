@@ -265,11 +265,13 @@ fn fleet_step_settle_race_keeps_replicas_without_leaks() {
 /// A warehouse over `ndev` devices stages a level replica on every device
 /// and parks one async D2H drain per patch on its home device's copy
 /// engine, then reader threads hammer `get_patch` while a settler thread
-/// runs the scheduler's end-of-step sequence (drain parked slots → sync
-/// every copy engine). The run must complete without deadlock, readers
-/// must only ever observe correct data, every copy engine ends idle, the
-/// replicas stay resident and revalidate the next epoch with no PCIe
-/// traffic, and clearing the databases returns every device to 0 B.
+/// runs the scheduler's end-of-step settle (`drain_pending_d2h`, which
+/// waits every parked slot; no copy engine is synced). The run must
+/// complete without deadlock, readers must only ever observe correct
+/// data, and every copy engine ends idle with no sync: a waited drain has
+/// retired. The replicas stay resident and revalidate the next epoch with
+/// no PCIe traffic, and clearing the databases returns every device to
+/// 0 B.
 fn settle_race(ndev: usize) {
     use uintah::gpu::GpuDataWarehouse;
     use uintah::runtime::DataWarehouse;
@@ -311,12 +313,8 @@ fn settle_race(ndev: usize) {
                 });
             }
             let dw = Arc::clone(&dw);
-            let gpu = Arc::clone(&gpu);
-            s.spawn(move || {
-                // The scheduler's end-of-step settle, verbatim order.
-                dw.drain_pending_d2h();
-                gpu.sync_d2h_all();
-            });
+            // The scheduler's end-of-step settle.
+            s.spawn(move || dw.drain_pending_d2h());
         });
         // Every parked field was promoted by the settle or a reader.
         for &p in &patches {
@@ -359,6 +357,92 @@ fn settle_race(ndev: usize) {
             assert_eq!(c.used, 0, "{ndev} dev: device {d} leaked bytes");
         }
     }
+}
+
+/// A step on a shared fleet waits only for its own drains. A foreign
+/// warehouse on the same one-device fleet keeps at least four 34 MB drains
+/// in flight on its copy engine (it posts a new one before it waits the
+/// oldest) while a `World` on that fleet runs 3 GPU steps. The world must
+/// finish within 30 s, and its divQ must be bit-identical to a solo
+/// `run_world`. A settle that waited for the whole engine to empty would
+/// spin until the poster stops; the poster stops when the world finishes,
+/// when the watchdog fires, or after 60 s.
+#[test]
+fn shared_fleet_step_does_not_wait_for_another_tenants_drains() {
+    use std::collections::VecDeque;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::time::{Duration, Instant};
+    use uintah::runtime::World;
+    use uintah_grid::PatchId;
+
+    let grid = Arc::new(BurnsChriston::small_grid(16, 4));
+    let pipeline = RmcrtPipeline {
+        params: RmcrtParams {
+            nrays: 4,
+            threshold: 1e-4,
+            seed: 0x5EED,
+            timestep: 0,
+            sampling: uintah::rmcrt::sampling::RaySampling::Independent,
+            ray_count: None,
+        },
+        halo: 2,
+        problem: BurnsChriston::default(),
+    };
+    let decls = Arc::new(multilevel_decls(&grid, pipeline, true));
+    let capacity = 1 << 30;
+    let cfg = WorldConfig {
+        nthreads: 2,
+        timesteps: 3,
+        gpu_capacity: Some(capacity),
+        ..WorldConfig::default()
+    };
+    let solo = run_world(Arc::clone(&grid), Arc::clone(&decls), cfg.clone()).fine_field(&grid, DIVQ);
+
+    let fleet = DeviceFleet::with_capacity(1, "K20X-sim", capacity);
+    let foreign = GpuDataWarehouse::with_fleet_full(fleet.clone(), true, true, true, true);
+    let stop = AtomicBool::new(false);
+    let (tx, rx) = channel();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let t0 = Instant::now();
+            let mut inflight = VecDeque::new();
+            let mut i = 0u32;
+            while !stop.load(Ordering::Relaxed) && t0.elapsed() < Duration::from_secs(60) {
+                // Zeroed pages above the allocator's mmap threshold cost the
+                // poster next to nothing; the engine's copy touches all
+                // 34 MB, so the poster stays ahead of the engine.
+                let big = FieldData::F64(CcVariable::new(Region::cube(162)));
+                let held = foreign.alloc_patch_output(DIVQ, PatchId(i), big).unwrap();
+                inflight.push_back(foreign.take_patch_to_host_async(DIVQ, PatchId(i)).unwrap());
+                drop(held);
+                if inflight.len() > 4 {
+                    inflight.pop_front().unwrap().wait();
+                }
+                i += 1;
+            }
+            inflight.into_iter().for_each(|p| drop(p.wait()));
+        });
+        s.spawn(|| {
+            let mut world = World::new(Arc::clone(&grid), &decls, &cfg, |_| Some(fleet.clone()));
+            world.run(&decls, &cfg, None).expect("not halted");
+            let _ = tx.send(world.fine_field(DIVQ));
+        });
+        let got = rx.recv_timeout(Duration::from_secs(30));
+        stop.store(true, Ordering::Relaxed);
+        match got {
+            Ok(divq) => {
+                for c in solo.region().cells() {
+                    assert_eq!(divq[c].to_bits(), solo[c].to_bits(), "cell {c:?}");
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("the world's steps waited for another tenant's drains for 30 s")
+            }
+            Err(RecvTimeoutError::Disconnected) => panic!("the world failed"),
+        }
+    });
+    assert_eq!(fleet.total_used(), 0, "every drain released its device block");
 }
 
 /// Submit/cancel storm against the multi-tenant radiation server: a mixed

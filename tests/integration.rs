@@ -456,3 +456,62 @@ fn rmcrt_app_reports_archive_write_failure() {
     assert_eq!(run.status.code(), Some(1), "stderr: {stderr}");
     assert!(stderr.contains("cannot archive divQ piece"), "stderr: {stderr}");
 }
+
+/// A device OOM inside a GPU task's `put_patch` ends the run with the
+/// task's own payload and leaves the fleet clean for the next job. The
+/// fleet's one device holds the 8 KiB of coarse replicas a 32³/8³ trace
+/// task stages, but not one more 8 KiB ghosted ROI field beside them, so
+/// the first trace task fails staging its `abskg` input. After the world
+/// drops, the fleet reads 0 B with a valid allocator and no release
+/// underflow, and a 16³/4³ job that fits on the same fleet is
+/// bit-identical to its solo `run_world`. Under a 30-s watchdog.
+#[test]
+fn put_patch_oom_fails_the_run_and_leaves_the_fleet_clean() {
+    use uintah::runtime::World;
+    let capacity = 12 << 10;
+    let fleet = DeviceFleet::with_capacity(1, "K20X-sim", capacity);
+    let pipeline = RmcrtPipeline { halo: 2, ..pipeline() };
+    let cfg = WorldConfig {
+        nthreads: 2,
+        gpu_capacity: Some(capacity),
+        ..WorldConfig::default()
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (fleet2, cfg2) = (fleet.clone(), cfg.clone());
+    std::thread::spawn(move || {
+        let (fleet, cfg) = (fleet2, cfg2);
+        let grid = Arc::new(BurnsChriston::small_grid(32, 8));
+        let decls = Arc::new(multilevel_decls(&grid, pipeline, true));
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            World::new(grid, &decls, &cfg, |_| Some(fleet.clone())).run(&decls, &cfg, None)
+        }));
+        let message = failed
+            .expect_err("the run must fail on device OOM")
+            .downcast_ref::<String>()
+            .cloned();
+        let grid = Arc::new(BurnsChriston::small_grid(16, 4));
+        let decls = Arc::new(multilevel_decls(&grid, pipeline, true));
+        let mut world = World::new(Arc::clone(&grid), &decls, &cfg, |_| Some(fleet.clone()));
+        let used_before_next = fleet.total_used();
+        for dev in fleet.devices() {
+            dev.validate_allocator().expect("allocator valid after the failed world");
+        }
+        world.run(&decls, &cfg, None).expect("not halted");
+        let next = world.fine_field(DIVQ);
+        let solo = run_world(Arc::clone(&grid), decls, cfg).fine_field(&grid, DIVQ);
+        let _ = tx.send((message, used_before_next, next, solo));
+    });
+    let (message, used_before_next, next, solo) = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the failed run or the next job hung, or the test thread panicked");
+    let message = message.expect("the task's own String payload");
+    assert!(message.starts_with("device OOM staging abskg"), "payload: {message}");
+    assert_eq!(used_before_next, 0, "the failed world left device bytes behind");
+    for (d, dev) in fleet.devices().iter().enumerate() {
+        dev.validate_allocator().unwrap_or_else(|e| panic!("device {d}: {e}"));
+        assert_eq!(dev.counters().release_underflows, 0, "device {d}");
+    }
+    for c in solo.region().cells() {
+        assert_eq!(next[c].to_bits(), solo[c].to_bits(), "cell {c:?}");
+    }
+}

@@ -46,15 +46,22 @@ printf '%s\n' 'gpu = true' 'gpus_per_rank = 2' 'ranks = 2' 'threads = 2' \
     'timesteps = 3' 'regrid_interval = 1' 'regrid_policy = rotate' > target/gpu_regrid.cfg
 cargo run --release -q --bin rmcrt_app -- target/gpu_regrid.cfg
 # The shipped server binaries end to end: rmcrt_serve on a 2-device fleet,
-# the same GPU + regrid job submitted over its Unix socket by rmcrt_submit,
-# then a drain and shutdown. The server exits 0 only when its fleet meters
-# read 0 B after the drain; the trap stops it if any step fails first.
+# the same GPU + regrid job submitted twice at once over its Unix socket by
+# two rmcrt_submit clients, so two tenants' drains share the fleet's copy
+# engines, then a drain and shutdown. Each client must exit 0. The server
+# exits 0 only when its fleet meters read 0 B after the drain; the trap
+# stops it if any step fails first.
 rm -f target/rmcrt.sock
 ./target/release/rmcrt_serve target/rmcrt.sock --gpus 2 &
 serve_pid=$!
 trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
 for _ in $(seq 100); do [ -S target/rmcrt.sock ] && break; sleep 0.1; done
-./target/release/rmcrt_submit target/rmcrt.sock target/gpu_regrid.cfg
+./target/release/rmcrt_submit target/rmcrt.sock target/gpu_regrid.cfg &
+first=$!
+./target/release/rmcrt_submit target/rmcrt.sock target/gpu_regrid.cfg &
+second=$!
+wait "$first"
+wait "$second"
 ./target/release/rmcrt_submit target/rmcrt.sock --shutdown
 wait "$serve_pid"
 trap - EXIT
