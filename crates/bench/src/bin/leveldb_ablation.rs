@@ -11,9 +11,9 @@
 //! stays on the device once the run's per-patch staging is cleared: one
 //! copy of each coarse replica per device) are exact. The peak column of
 //! the run without the level DB is the device high-water mark: it counts
-//! every resident task's private copies and also drains still in flight
-//! on the D2H copy engine, so it varies a little from run to run
-//! (EXPERIMENTS E4 gives the spread over repeated runs).
+//! the private copies of every task resident at that moment, and how many
+//! of the 4 worker threads' tasks overlap varies, so it varies from run to
+//! run (EXPERIMENTS E4 and E32 give the spread over repeated runs).
 //!
 //! ```text
 //! cargo run -p rmcrt-bench --release --bin leveldb_ablation

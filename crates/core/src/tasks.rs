@@ -236,19 +236,17 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, levels: Vec<LevelInd
             // space — one metered launch per patch task. It reads the host
             // data in `ctx` and `fine`, not the entries staged above.
             let div_q = trace_patch(ctx, &pipeline, &traced, fine.as_ref());
-            // The output's handle is held until its drain is posted, so LRU
+            // The output's handle is held until it is taken back, so LRU
             // eviction can never spill it in between.
             let output = gdw
                 .alloc_patch_output(DIVQ, pid, FieldData::F64(div_q))
                 .expect("device OOM for divQ");
-            // Output crosses PCIe back on the D2H copy engine: the drain is
-            // posted asynchronously and the task returns without blocking —
-            // the first downstream consumer materializes the host data,
-            // paying only the part of the drain compute didn't hide. Inputs
-            // are dropped in place.
-            let out = gdw
+            // Output crosses PCIe back on this thread, metered on the home
+            // device's D2H meter; inputs are dropped in place.
+            let div_q = gdw
                 .take_patch_to_host_async(DIVQ, pid)
-                .expect("divQ resident: its handle is held");
+                .expect("divQ resident: its handle is held")
+                .wait();
             drop(output);
             if fine.is_some() {
                 for l in PROP_LABELS {
@@ -256,7 +254,7 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, levels: Vec<LevelInd
                 }
             }
             drop(staged); // release this task's claim on the replicas
-            ctx.put_pending(DIVQ, out);
+            ctx.put(DIVQ, div_q);
         } else {
             let div_q = trace_patch(ctx, &pipeline, &traced, fine.as_ref());
             ctx.put(DIVQ, FieldData::F64(div_q));

@@ -1,17 +1,13 @@
 //! The simulated GPU device: memory capacity, transfer meters, kernel-launch counts.
 //!
 //! The K20X has one copy engine per PCIe direction, which is what lets a
-//! device→host drain of one patch overlap the kernels of others. Here only
-//! the drain direction is ever posted: [`GpuDevice`] keeps one `CopyEngine`
-//! for D2H — a FIFO of transfers with measured occupancy (`busy_ns`), an
-//! in-flight count, and a real worker thread that drains posted transfers
-//! asynchronously — driven through `GpuDevice::submit`, which posts a
-//! drain to the engine thread and returns its completion. The engine
-//! retires a transfer before it signals the completion, so a waited drain
-//! is a metered, retired one. Uploads run synchronously inside the task that
-//! needs them, so host→device is a plain meter (transfers, bytes, busy
-//! time) fed through `GpuDevice::record_transfer` /
-//! `GpuDevice::record_busy`.
+//! device→host drain of one patch overlap the kernels of others. On this
+//! host a copy is a memcpy on the same cores as the tasks, so nothing is
+//! posted: both directions run synchronously on the thread of the task
+//! that moves the bytes, and [`GpuDevice`] keeps one plain meter per
+//! direction (transfers, bytes, busy time) fed through
+//! `GpuDevice::record_transfer` / `GpuDevice::record_busy`. The K20X's
+//! overlap is modelled in `titan-sim`, not here (EXPERIMENTS E32).
 //!
 //! Device memory is no longer a bytes-only meter: every reservation is
 //! carved from a [`SubAllocator`] free list over `[0, capacity)`, so the
@@ -24,11 +20,9 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use uintah_grid::FieldData;
 use uintah_mem::{FitPolicy, SubAllocError, SubAllocator};
 
 /// Errors from device operations.
@@ -66,107 +60,19 @@ impl std::error::Error for GpuError {}
 pub(crate) enum Dir {
     /// Host→device: metered synchronously inside the uploading task.
     H2D,
-    /// Device→host: the posted copy engine.
+    /// Device→host: metered synchronously inside the task that takes
+    /// its output back (or the eviction that spills a victim).
     D2H,
 }
 
-/// The memcpy of one drain, boxed by [`GpuDevice::submit`]. It drops
-/// its handle on the source block when it returns.
-type DrainCopy = Box<dyn FnOnce() -> FieldData + Send + 'static>;
-
-/// A posted drain: its copy and the completion the engine fills.
-type TransferJob = (DrainCopy, Arc<Completion>);
-
-/// A drain's completion slot: the host data plus the engine time the copy
-/// took, filled once by the copy engine and announced on the condvar.
-#[derive(Default)]
-pub(crate) struct Completion {
-    slot: Mutex<Option<(FieldData, Duration)>>,
-    done: Condvar,
-}
-
-impl Completion {
-    fn fill(&self, data: FieldData, busy: Duration) {
-        *self.slot.lock().unwrap() = Some((data, busy));
-        self.done.notify_all();
-    }
-
-    /// Block until the transfer has retired, then move the payload out —
-    /// the waiter is the drain's only consumer, and a clone would be a
-    /// second memcpy.
-    pub(crate) fn wait(&self) -> (FieldData, Duration) {
-        let mut slot = self.slot.lock().unwrap();
-        while slot.is_none() {
-            slot = self.done.wait(slot).unwrap();
-        }
-        slot.take().expect("slot filled above")
-    }
-}
-
 /// Transfer count, bytes and occupancy of one PCIe direction. `busy_ns`
-/// is wall time spent actually moving bytes (the drain memcpy for D2H,
+/// is wall time spent actually moving bytes (the take or spill memcpy for D2H,
 /// the staging window for H2D).
 #[derive(Debug, Default)]
 struct Meter {
     transfers: AtomicU64,
     bytes: AtomicU64,
     busy_ns: AtomicU64,
-}
-
-/// The part of the copy engine its worker thread shares with the device:
-/// the D2H meter plus `inflight`, the transfers submitted but not yet
-/// retired.
-#[derive(Debug, Default)]
-struct Timeline {
-    meter: Meter,
-    inflight: AtomicU64,
-}
-
-impl Timeline {
-    /// Execute one transfer, retire it, then signal it: time the copy,
-    /// meter that time into `busy_ns`, leave the in-flight count, and only
-    /// then hand the data and the same measured time to `done`. A waiter
-    /// that returns therefore sees its transfer metered and retired.
-    fn run(&self, (copy, done): TransferJob) {
-        let t0 = Instant::now();
-        let data = copy();
-        let busy = t0.elapsed();
-        self.meter.busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-        self.inflight.fetch_sub(1, Ordering::Release);
-        done.fill(data, busy);
-    }
-}
-
-/// The D2H copy engine: a [`Timeline`] plus its FIFO worker thread,
-/// spawned lazily on the first posted drain. Jobs execute in post order
-/// (one engine serializes its transfers, exactly like the hardware). The
-/// worker holds only the timeline Arc — holding the device would keep the
-/// sender alive forever — so it exits when the last device handle drops
-/// and the channel closes.
-#[derive(Debug, Default)]
-struct CopyEngine {
-    line: Arc<Timeline>,
-    queue: Mutex<Option<mpsc::Sender<TransferJob>>>,
-}
-
-impl CopyEngine {
-    fn post(&self, job: TransferJob) {
-        let mut q = self.queue.lock().unwrap();
-        let tx = q.get_or_insert_with(|| {
-            let (tx, rx) = mpsc::channel::<TransferJob>();
-            let line = Arc::clone(&self.line);
-            std::thread::Builder::new()
-                .name("d2h-copy-engine".into())
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        line.run(job);
-                    }
-                })
-                .expect("spawn copy-engine worker");
-            tx
-        });
-        tx.send(job).expect("copy-engine worker alive while device handles exist");
-    }
 }
 
 /// One coherent snapshot of a device's counters, taken with
@@ -180,19 +86,16 @@ pub struct DeviceCounters {
     pub h2d_bytes: u64,
     /// Host→device transfer count.
     pub h2d_transfers: u64,
-    /// Device→host bytes through the copy engine.
+    /// Device→host bytes (output takes and spills).
     pub d2h_bytes: u64,
     /// Device→host transfer count.
     pub d2h_transfers: u64,
     /// Host→device occupancy: nanoseconds spent moving bytes up (the
     /// staging window metered by the data warehouse).
     pub h2d_busy_ns: u64,
-    /// Device→host engine occupancy: nanoseconds the copy engine spent
-    /// draining transfers (measured around the drain memcpy, on whichever
-    /// thread performed it).
+    /// Device→host occupancy: nanoseconds spent in the take and spill
+    /// memcpys, measured around each on the thread that performed it.
     pub d2h_busy_ns: u64,
-    /// D2H transfers posted but not yet drained at snapshot time.
-    pub d2h_inflight: u64,
     /// Allocations rejected (capacity *or* fragmentation; the latter is
     /// also counted in `frag_failures`).
     pub alloc_failures: u64,
@@ -240,10 +143,8 @@ struct DeviceInner {
     /// `align = 1` keeps `used` bit-exact with the sum of requested bytes,
     /// which the accounting tests and the divQ bit-identity gate rely on.
     suballoc: Mutex<SubAllocator>,
-    /// The host→device meter: uploads are synchronous, so no engine.
     h2d: Meter,
-    /// The posted device→host copy engine.
-    d2h: CopyEngine,
+    d2h: Meter,
     kernels: AtomicU64,
     alloc_failures: AtomicU64,
     frag_failures: AtomicU64,
@@ -326,7 +227,7 @@ impl GpuDevice {
                     SMALL_CLASS,
                 )),
                 h2d: Meter::default(),
-                d2h: CopyEngine::default(),
+                d2h: Meter::default(),
                 kernels: AtomicU64::new(0),
                 alloc_failures: AtomicU64::new(0),
                 frag_failures: AtomicU64::new(0),
@@ -419,7 +320,7 @@ impl GpuDevice {
     fn meter(&self, dir: Dir) -> &Meter {
         match dir {
             Dir::H2D => &self.inner.h2d,
-            Dir::D2H => &self.inner.d2h.line.meter,
+            Dir::D2H => &self.inner.d2h,
         }
     }
 
@@ -429,9 +330,8 @@ impl GpuDevice {
         count_bytes(&m.transfers, &m.bytes, bytes);
     }
 
-    /// Meter occupancy directly: wall time spent moving bytes in `dir`
-    /// outside [`submit`](Self::submit) (the host-side staging window, a
-    /// spill memcpy under the store lock).
+    /// Meter occupancy: wall time spent moving bytes in `dir` (the
+    /// host-side staging window, a take's or a spill's memcpy).
     pub(crate) fn record_busy(&self, dir: Dir, busy: Duration) {
         self.meter(dir).busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
     }
@@ -452,37 +352,6 @@ impl GpuDevice {
     /// Meter a transparent re-upload of a previously spilled variable.
     pub(crate) fn record_reupload(&self, bytes: usize) {
         count_bytes(&self.inner.reuploads, &self.inner.reuploads_bytes, bytes);
-    }
-
-    /// Submit a device→host drain of `bytes` to the copy engine and return
-    /// its completion. `copy` is the memcpy; the engine worker (a real
-    /// thread) executes it in FIFO order and the caller returns
-    /// immediately — the overlap the K20X's copy engine provides: the
-    /// scheduler keeps launching kernels while a drain proceeds. The
-    /// transfer is metered, counted in flight until it retires and timed
-    /// into `busy_ns`, all before the completion is filled.
-    pub(crate) fn submit(
-        &self,
-        bytes: usize,
-        copy: impl FnOnce() -> FieldData + Send + 'static,
-    ) -> Arc<Completion> {
-        self.record_transfer(Dir::D2H, bytes);
-        let engine = &self.inner.d2h;
-        engine.line.inflight.fetch_add(1, Ordering::Relaxed);
-        let done = Arc::new(Completion::default());
-        engine.post((Box::new(copy), Arc::clone(&done)));
-        done
-    }
-
-    /// Block until the copy engine has retired every submitted drain,
-    /// whoever posted it — the `cudaDeviceSynchronize` analogue. An
-    /// allocation with nothing left to evict syncs so in-flight drains
-    /// release their blocks. A step boundary needs no sync: each drain it
-    /// waited has already retired.
-    pub(crate) fn sync(&self) {
-        while self.inner.d2h.line.inflight.load(Ordering::Acquire) != 0 {
-            std::thread::yield_now();
-        }
     }
 
     /// Count a kernel launch. The actual work runs on the calling host
@@ -514,16 +383,15 @@ impl GpuDevice {
             let sa = self.inner.suballoc.lock().unwrap();
             (sa.free_blocks() as u64, sa.largest_free())
         };
-        let (h2d, d2h) = (&self.inner.h2d, &self.inner.d2h.line);
+        let (h2d, d2h) = (&self.inner.h2d, &self.inner.d2h);
         DeviceCounters {
             kernels: self.inner.kernels.load(Ordering::Relaxed),
             h2d_bytes: h2d.bytes.load(Ordering::Relaxed),
             h2d_transfers: h2d.transfers.load(Ordering::Relaxed),
-            d2h_bytes: d2h.meter.bytes.load(Ordering::Relaxed),
-            d2h_transfers: d2h.meter.transfers.load(Ordering::Relaxed),
+            d2h_bytes: d2h.bytes.load(Ordering::Relaxed),
+            d2h_transfers: d2h.transfers.load(Ordering::Relaxed),
             h2d_busy_ns: h2d.busy_ns.load(Ordering::Relaxed),
-            d2h_busy_ns: d2h.meter.busy_ns.load(Ordering::Relaxed),
-            d2h_inflight: d2h.inflight.load(Ordering::Relaxed),
+            d2h_busy_ns: d2h.busy_ns.load(Ordering::Relaxed),
             alloc_failures: self.inner.alloc_failures.load(Ordering::Relaxed),
             frag_failures: self.inner.frag_failures.load(Ordering::Relaxed),
             release_underflows: self.inner.release_underflows.load(Ordering::Relaxed),
@@ -681,7 +549,6 @@ mod tests {
                 d2h_transfers: 0,
                 h2d_busy_ns: 0,
                 d2h_busy_ns: 0,
-                d2h_inflight: 0,
                 alloc_failures: 0,
                 frag_failures: 0,
                 release_underflows: 0,
@@ -713,105 +580,6 @@ mod tests {
         assert_eq!(c.spilled_bytes, 128);
         assert_eq!(c.reuploads, 1);
         assert_eq!(c.reuploads_bytes, 128);
-    }
-
-    /// The copy engine's `(transfers, bytes, busy_ns, inflight)` out of the
-    /// flat snapshot.
-    fn engine_counters(d: &GpuDevice) -> (u64, u64, u64, u64) {
-        let c = d.counters();
-        (c.d2h_transfers, c.d2h_bytes, c.d2h_busy_ns, c.d2h_inflight)
-    }
-
-    /// A one-cell drain payload.
-    fn payload() -> FieldData {
-        FieldData::F64(uintah_grid::CcVariable::filled(uintah_grid::Region::cube(1), 1.0))
-    }
-
-    #[test]
-    fn posted_submit_counts_in_flight_until_it_retires() {
-        let d = GpuDevice::k20x();
-        let (tx, rx) = mpsc::channel();
-        let seen = d.clone();
-        let done = d.submit(4096, move || {
-            std::thread::sleep(Duration::from_millis(1));
-            tx.send(engine_counters(&seen).3).unwrap();
-            payload()
-        });
-        // While the copy runs the transfer is counted in flight.
-        assert_eq!(rx.recv().unwrap(), 1);
-        // Waiting the completion is enough: the engine retired and metered
-        // the transfer before it signalled, with the one time it reports.
-        let (_, busy) = done.wait();
-        let (transfers, bytes, busy_ns, inflight) = engine_counters(&d);
-        assert_eq!((transfers, bytes, inflight), (1, 4096, 0));
-        assert_eq!(busy_ns, busy.as_nanos() as u64, "one measured time");
-        assert!(busy_ns >= 1_000_000, "busy_ns {busy_ns} too small");
-    }
-
-    #[test]
-    fn posted_transfer_drains_on_the_engine_thread() {
-        let d = GpuDevice::k20x();
-        let (tx, rx) = mpsc::channel();
-        let done = d.submit(4096, move || {
-            tx.send(std::thread::current().name().map(String::from)).unwrap();
-            payload()
-        });
-        assert_eq!(rx.recv().unwrap().as_deref(), Some("d2h-copy-engine"));
-        done.wait();
-    }
-
-    #[test]
-    fn inflight_transfers_are_stream_tagged_and_fifo() {
-        let d = GpuDevice::k20x();
-        let gate = Arc::new(Mutex::new(()));
-        let hold = gate.lock().unwrap();
-        // First job blocks the engine; the rest queue behind it.
-        let order = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..3 {
-            let gate = Arc::clone(&gate);
-            let order = Arc::clone(&order);
-            d.submit(100, move || {
-                if i == 0 {
-                    drop(gate.lock().unwrap());
-                }
-                order.lock().unwrap().push(i);
-                payload()
-            });
-        }
-        // All three posted transfers are in flight while the engine is
-        // stalled on the first, and none has run past it.
-        assert_eq!(engine_counters(&d).3, 3);
-        assert!(order.lock().unwrap().is_empty());
-        drop(hold);
-        d.sync();
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2], "engine is FIFO");
-        let (transfers, bytes, _, inflight) = engine_counters(&d);
-        assert_eq!((transfers, bytes, inflight), (3, 300, 0));
-    }
-
-    #[test]
-    fn engine_worker_exits_when_last_device_handle_drops() {
-        let d = GpuDevice::with_capacity("test", 1000);
-        let (tx, rx) = mpsc::channel();
-        d.submit(10, move || {
-            tx.send(std::thread::current().id()).unwrap();
-            payload()
-        });
-        let tid = rx.recv().unwrap();
-        d.sync();
-        drop(d);
-        // The worker held only the timeline Arc; with the sender gone its
-        // recv errors and it exits. We can't join a detached thread, so
-        // assert indirectly: a fresh device spawns a fresh worker with a
-        // different thread id.
-        let d2 = GpuDevice::with_capacity("test2", 1000);
-        let (tx2, rx2) = mpsc::channel();
-        d2.submit(10, move || {
-            tx2.send(std::thread::current().id()).unwrap();
-            payload()
-        });
-        assert_ne!(rx2.recv().unwrap(), tid);
-        d2.sync();
     }
 
     #[test]

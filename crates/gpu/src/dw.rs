@@ -29,7 +29,7 @@
 //! the least-recently-used database entry with no outstanding task handle
 //! is dropped. Level replicas are regenerable from host data and are simply
 //! released (the next `ensure_level_fresh*` re-uploads); patch variables are
-//! *spilled* to a host-side map over the D2H engine and transparently
+//! *spilled* to a host-side map over the D2H meter and transparently
 //! re-uploaded on the next [`GpuDataWarehouse::get_patch`]. Entries whose
 //! `Arc<DeviceVar>` is held by a running kernel are never victims, so a
 //! task's staged replicas stay resident for exactly the kernel's lifetime —
@@ -42,20 +42,19 @@
 //! [`GpuDataWarehouse::alloc_patch_output`] /
 //! [`GpuDataWarehouse::ensure_level_fresh_on`] / the spill re-upload in
 //! [`GpuDataWarehouse::get_patch`], metered
-//! on the home device's H2D meter. The way back is *posted*:
-//! [`GpuDataWarehouse::take_patch_to_host_async`] submits the drain to the
-//! device's D2H copy engine (`GpuDevice::submit`) and returns a
-//! [`PendingD2H`] completion handle; the drain keeps its device block
-//! reserved until the copy lands, and the engine retires the transfer
-//! before it signals the handle.
+//! on the home device's H2D meter. The way back is one synchronous copy
+//! too: [`GpuDataWarehouse::take_patch_to_host_async`] copies the output
+//! to the host on the calling task's thread, meters it on the home
+//! device's D2H meter and frees its device block before it returns. No
+//! copy is ever in flight, so a block is pinned only by a task's handle.
 
-use crate::device::{Completion, DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError};
+use crate::device::{DeviceBlock, DeviceCounters, Dir, GpuDevice, GpuError};
 use crate::fleet::{DeviceFleet, DeviceId};
 use parking_lot::Mutex as StateMutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use uintah_grid::{LevelIndex, PatchId, VarLabel};
 
 /// Device-resident variable payload (same representation as host fields;
@@ -85,43 +84,17 @@ impl DeviceVar {
 type PatchKey = (VarLabel, PatchId);
 type LevelKey = (VarLabel, LevelIndex);
 
-/// Completion handle for an asynchronous device→host drain posted by
-/// [`GpuDataWarehouse::take_patch_to_host_async`].
-///
-/// The transfer (the PCIe memcpy — here a real `clone` of the bytes)
-/// proceeds on the engine thread while the poster keeps running; the host
-/// data materializes on first use via [`Self::wait`] /
-/// [`Self::wait_timed`]. Device memory for the variable is released when
-/// the drain completes, not when the handle is created — exactly the
-/// lifetime a `cudaMemcpyAsync` imposes. A wait returns only once the
-/// engine has metered the transfer and dropped it from `d2h_inflight`.
-pub struct PendingD2H {
-    shared: Arc<Completion>,
-}
-
-impl std::fmt::Debug for PendingD2H {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingD2H").finish_non_exhaustive()
-    }
-}
+/// The host data of a device→host take, returned by
+/// [`GpuDataWarehouse::take_patch_to_host_async`]. The copy has already
+/// happened and been metered when the take returns; [`Self::wait`] only
+/// hands the data over.
+#[derive(Debug)]
+pub struct PendingD2H(DeviceData);
 
 impl PendingD2H {
-    /// Block until the transfer lands and return the host data.
+    /// The host data.
     pub fn wait(self) -> DeviceData {
-        self.wait_timed().0
-    }
-
-    /// Block until the transfer lands; returns `(data, busy, blocked)`
-    /// where `busy` is the wall time the copy engine spent moving the
-    /// bytes (the time it metered into `d2h_busy_ns`) and `blocked` is how
-    /// long *this call* stalled the consumer. A transfer that finished
-    /// before first use reports `blocked ≈ 0`, so `busy - blocked` is the
-    /// wall time hidden behind other work — the overlap the copy engine
-    /// exists to win.
-    pub fn wait_timed(self) -> (DeviceData, Duration, Duration) {
-        let t0 = Instant::now();
-        let (data, busy) = self.shared.wait();
-        (data, busy, t0.elapsed())
+        self.0
     }
 }
 
@@ -214,20 +187,19 @@ pub struct GpuDataWarehouse {
 }
 
 impl GpuDataWarehouse {
-    /// A single-device warehouse with every feature on: level database,
-    /// the async D2H copy engine, LRU eviction (the paper's Titan
-    /// configuration).
+    /// A single-device warehouse with every feature on: level database and
+    /// LRU eviction (the paper's Titan configuration).
     pub fn new(device: GpuDevice) -> Self {
         Self::with_fleet_full(DeviceFleet::single(device), true, true, true, true)
     }
 
     /// Fleet construction: one patch DB + one level DB per device.
     /// `level_db_enabled: false` is the E4 ablation. `_async_d2h`,
-    /// `_async_h2d` and `_eviction` are accepted and select nothing: drains
-    /// are always posted to the D2H copy engine, uploads have one
-    /// synchronous path, memory pressure always evicts LRU entries, and
-    /// the arguments stay only because the benchmark (`perf_report/`,
-    /// frozen by the benchmark contract) passes five arguments.
+    /// `_async_h2d` and `_eviction` are accepted and select nothing: takes
+    /// and uploads each have one synchronous path, memory pressure always
+    /// evicts LRU entries, and the arguments stay only because the
+    /// benchmark (`perf_report/`, frozen by the benchmark contract) passes
+    /// five arguments.
     pub fn with_fleet_full(
         fleet: DeviceFleet,
         level_db_enabled: bool,
@@ -284,7 +256,7 @@ impl GpuDataWarehouse {
 
     /// The home device for a patch: the fleet's deterministic sticky
     /// hash. Every patch op on this warehouse routes through here, so
-    /// kernel-side puts and the D2H drain of the same patch always land on
+    /// kernel-side puts and the D2H take of the same patch always land on
     /// the same device.
     pub fn device_for_patch(&self, patch: PatchId) -> DeviceId {
         self.fleet.sticky_device(patch)
@@ -298,7 +270,7 @@ impl GpuDataWarehouse {
     /// patch round-trips its exact bytes; a dropped replica costs a full
     /// re-upload), then a deterministic key tiebreak so concurrent runs pick
     /// identical victims. Patch victims spill their bytes to the host map
-    /// over the D2H engine; level victims are dropped outright (regenerable
+    /// over the D2H meter; level victims are dropped outright (regenerable
     /// from host data at the next `ensure_level_fresh*`). Returns false when
     /// nothing is evictable.
     fn evict_one(device: &GpuDevice, st: &mut StoreState) -> bool {
@@ -330,7 +302,7 @@ impl GpuDataWarehouse {
     }
 
     /// Spill an evicted patch variable to the host map: the bytes cross
-    /// PCIe device→host on the D2H engine (the clone is the drain memcpy);
+    /// PCIe device→host on the D2H meter (the clone is the memcpy);
     /// the device copy drops with `var`'s last handle.
     fn spill_to_host(device: &GpuDevice, st: &mut StoreState, key: PatchKey, var: &DeviceVar) {
         let bytes = var.size_bytes();
@@ -344,15 +316,11 @@ impl GpuDataWarehouse {
     }
 
     /// Carve `bytes` from `dev`'s sub-allocator, evicting LRU entries and
-    /// retrying on failure. Each eviction frees
-    /// a nonzero extent, so the loop terminates: either the allocation
-    /// succeeds or nothing evictable remains. Before surfacing that error,
-    /// one escalation: drain the D2H engine and retry — posted drains, this
-    /// warehouse's or another tenant's on a shared fleet, pin their source
-    /// blocks until the copy lands, and under oversubscription
-    /// those transients are routinely the mid-arena blocks whose release
-    /// re-coalesces a hole big enough for the request (the simulated
-    /// equivalent of the sync-then-retry dance real CUDA apps do on OOM).
+    /// retrying on failure. Each eviction frees a nonzero extent, so the
+    /// loop terminates: either the allocation succeeds or nothing
+    /// evictable remains and the error surfaces. Every block outside the
+    /// databases is pinned by a running task's handle, which nothing here
+    /// can wait for (ROADMAP 18).
     fn alloc_with_evict(
         &self,
         dev: DeviceId,
@@ -360,24 +328,11 @@ impl GpuDataWarehouse {
         bytes: usize,
     ) -> Result<DeviceBlock, GpuError> {
         let device = self.fleet.device(dev);
-        let mut drained = false;
         loop {
             match device.alloc_block(bytes) {
                 Ok(b) => return Ok(b),
-                Err(e) => {
-                    if Self::evict_one(device, st) {
-                        continue;
-                    }
-                    if !drained && device.counters().d2h_inflight != 0 {
-                        // Safe under the store lock: drain jobs touch only
-                        // the allocator mutex and their own completion slots,
-                        // never this store's state.
-                        device.sync();
-                        drained = true;
-                        continue;
-                    }
-                    return Err(e);
-                }
+                Err(e) if !Self::evict_one(device, st) => return Err(e),
+                Err(_) => {}
             }
         }
     }
@@ -477,31 +432,25 @@ impl GpuDataWarehouse {
         Some(var)
     }
 
-    /// Post the device→host copy of a per-patch variable to its home
-    /// device's D2H copy engine and return a [`PendingD2H`] completion
-    /// handle (the task-output path: e.g. `divQ` after the RMCRT kernel);
-    /// the entry is removed from the patch DB immediately (the task is done
-    /// with it) but its device memory stays reserved until the drain
-    /// completes. The drain — the actual memcpy of the bytes — runs on that
-    /// device's engine thread, overlapping whatever the scheduler executes
-    /// next (including kernels and drains on *other* devices); the first
-    /// consumer to `wait()` blocks only for the part of the drain not
-    /// already hidden.
+    /// Copy a per-patch variable device→host and remove it from its home
+    /// device (the task-output path: e.g. `divQ` after the RMCRT kernel).
+    /// The copy runs on the calling thread and is metered on the home
+    /// device's D2H meter; the device block is freed before the call
+    /// returns, unless the caller still holds a handle to the variable.
     ///
     /// `None` when the variable is not resident. A task that holds its
-    /// output's handle until the drain is posted never hits that: a held
-    /// entry is never an LRU victim.
+    /// output's handle until the take never hits that: a held entry is
+    /// never an LRU victim.
     pub fn take_patch_to_host_async(&self, label: VarLabel, patch: PatchId) -> Option<PendingD2H> {
         let dev = self.device_for_patch(patch);
         let var = self.stores[dev].lock().patch_db.remove(&(label, patch))?.var;
-        let shared = self.fleet.device(dev).submit(var.size_bytes(), move || {
-            let data = var.data().clone();
-            // Device memory is released here, when the copy finishes — not
-            // at post time.
-            drop(var);
-            data
-        });
-        Some(PendingD2H { shared })
+        let device = self.fleet.device(dev);
+        device.record_transfer(Dir::D2H, var.size_bytes());
+        let t0 = Instant::now();
+        let data = var.data().clone();
+        drop(var);
+        device.record_busy(Dir::D2H, t0.elapsed());
+        Some(PendingD2H(data))
     }
 
     /// Drop a per-patch input without a device→host transfer (inputs are
@@ -632,16 +581,13 @@ impl GpuDataWarehouse {
         }
     }
 
-    /// Block until every device's D2H copy engine is empty, including
-    /// drains other warehouses on the same fleet posted. A step does not
-    /// call it: each drain it waits has already retired.
-    pub fn sync_d2h_all(&self) {
-        self.fleet.sync_all();
-    }
+    /// A no-op: every take is synchronous, so nothing device→host is ever
+    /// in flight. Kept only because the benchmark (`perf_report/`, frozen
+    /// by the benchmark contract) calls it.
+    pub fn sync_d2h_all(&self) {}
 
     /// A no-op: every upload is synchronous, so nothing host→device is
-    /// ever in flight. Kept only because the benchmark (`perf_report/`,
-    /// frozen by the benchmark contract) calls it.
+    /// ever in flight. Kept for the same caller.
     pub fn sync_h2d_all(&self) {}
 
     /// One counter snapshot per device, in device order.
@@ -665,7 +611,7 @@ impl GpuDataWarehouse {
     }
 
     /// Bytes registered in one device's databases (patch + level). Excludes
-    /// variables alive only through external handles (in-flight drains,
+    /// variables alive only through a task's handles (held outputs,
     /// disabled-level-DB uploads), which the device meter still counts —
     /// the two reconcile exactly at quiescent points.
     pub fn resident_bytes_on(&self, dev: DeviceId) -> usize {
@@ -949,20 +895,20 @@ mod tests {
 
     #[test]
     fn async_take_matches_sync_take_and_releases_on_drain() {
+        // There is one take, and it is synchronous: the entry, the block
+        // and the meters are settled by the time it returns.
         let device = GpuDevice::k20x();
         let dw = GpuDataWarehouse::new(device.clone());
         let p = PatchId(7);
         dw.put_patch(DIVQ, p, field(8, 2.5)).unwrap();
-        let pending = dw.take_patch_to_host_async(DIVQ, p).unwrap();
-        assert_eq!(dw.patch_entries_on(0), 0, "entry removed at post time");
-        let (data, drain, _blocked) = pending.wait_timed();
-        assert_eq!(data.as_f64()[uintah_grid::IntVector::ZERO], 2.5);
-        assert!(drain > Duration::ZERO);
-        assert_eq!(device.used(), 0, "device memory released when drain completes");
+        let taken = dw.take_patch_to_host_async(DIVQ, p).unwrap();
+        assert_eq!(dw.patch_entries_on(0), 0, "entry removed by the take");
+        assert_eq!(device.used(), 0, "device memory released by the take");
         let c = device.counters();
         assert_eq!(c.d2h_transfers, 1);
         assert_eq!(c.d2h_bytes, 8u64.pow(3) * 8);
-        assert!(c.d2h_busy_ns > 0, "engine occupancy metered");
+        assert!(c.d2h_busy_ns > 0, "copy time metered");
+        assert_eq!(taken.wait().as_f64()[uintah_grid::IntVector::ZERO], 2.5);
         assert!(dw.take_patch_to_host_async(DIVQ, p).is_none());
     }
 
@@ -1065,7 +1011,7 @@ mod tests {
         assert!(dw.take_patch_to_host_async(DIVQ, PatchId(0)).is_none(), "spilled, not resident");
         assert_eq!(device.counters().d2h_transfers, d2h, "no transfer posted");
         // A held handle pins the output: the next put cannot evict it, and
-        // the take drains it.
+        // the take still finds it.
         let held = dw.alloc_patch_output(DIVQ, PatchId(2), field(4, 7.0)).unwrap();
         let err = dw.put_patch(DIVQ, PatchId(3), field(8, 8.0)).unwrap_err();
         assert!(matches!(err, GpuError::OutOfMemory { .. }));
@@ -1077,20 +1023,24 @@ mod tests {
 
     #[test]
     fn waited_take_has_retired_and_metered_its_transfer() {
-        // A waited handle implies a retired transfer: no sync between the
-        // wait and the counters. The engine meters the same time it reports.
+        // Each take meters a nonzero copy time inside its own call, and
+        // the meter is exactly the sum of those times.
         let device = GpuDevice::k20x();
         let dw = GpuDataWarehouse::new(device.clone());
-        let mut busy_sum = Duration::ZERO;
+        let mut busy_sum = 0;
         for i in 0..200u32 {
             dw.alloc_patch_output(DIVQ, PatchId(i), field(16, i as f64)).map(drop).unwrap();
-            let (data, busy, _) = dw.take_patch_to_host_async(DIVQ, PatchId(i)).unwrap().wait_timed();
-            busy_sum += busy;
-            assert_eq!(data.as_f64()[uintah_grid::IntVector::ZERO], i as f64);
+            let before = device.counters().d2h_busy_ns;
+            let t0 = Instant::now();
+            let taken = dw.take_patch_to_host_async(DIVQ, PatchId(i)).unwrap();
+            let wall = t0.elapsed().as_nanos() as u64;
             let c = device.counters();
-            assert_eq!(c.d2h_inflight, 0, "take {i}: signalled before it retired");
-            assert_eq!(c.used, 0, "take {i}: signalled before it released its block");
-            assert_eq!(c.d2h_busy_ns, busy_sum.as_nanos() as u64, "take {i}: two timers");
+            assert_eq!(c.used, 0, "take {i}: returned before it released its block");
+            let busy = c.d2h_busy_ns - before;
+            assert!(busy > 0 && busy <= wall, "take {i}: metered {busy} ns in a {wall} ns call");
+            busy_sum += busy;
+            assert_eq!(c.d2h_busy_ns, busy_sum, "take {i}: the meter is the sum of the takes");
+            assert_eq!(taken.wait().as_f64()[uintah_grid::IntVector::ZERO], i as f64);
         }
     }
 
@@ -1188,12 +1138,9 @@ mod tests {
         let h1 = dw.take_patch_to_host_async(DIVQ, p1).unwrap();
         assert_eq!(h0.wait().as_f64()[uintah_grid::IntVector::ZERO], 1.0);
         assert_eq!(h1.wait().as_f64()[uintah_grid::IntVector::ZERO], 2.0);
-        // No sync: each waited drain has retired on its own engine.
         let c = dw.counters_per_device();
-        assert_eq!(c[0].d2h_transfers, 1, "patch 0 drained on device 0's engine");
-        assert_eq!(c[1].d2h_transfers, 1, "patch 1 drained on device 1's engine");
-        assert_eq!(c[0].d2h_inflight, 0);
-        assert_eq!(c[1].d2h_inflight, 0);
+        assert_eq!(c[0].d2h_transfers, 1, "patch 0 taken from device 0");
+        assert_eq!(c[1].d2h_transfers, 1, "patch 1 taken from device 1");
         assert_eq!(dw.fleet().total_used(), 0, "no leaked bytes on any device");
     }
 }

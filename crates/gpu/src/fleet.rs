@@ -4,10 +4,10 @@
 //! one shared per-level replica *per GPU* — was built to generalize to fat
 //! nodes (Summit packs 6 GPUs per rank). A [`DeviceFleet`] is the rank's
 //! set of [`GpuDevice`]s: each device keeps its own capacity meter, its own
-//! transfer meters and D2H copy engine and (in the data warehouse) its own patch
-//! and level databases, so kernel launches and D2H drains on different
-//! devices proceed concurrently — the same patch-level parallelism the
-//! paper wins across nodes, recovered inside one node.
+//! transfer meters and (in the data warehouse) its own patch and level
+//! databases, so patch tasks on different devices never contend for one
+//! store — the same patch-level parallelism the paper wins across nodes,
+//! recovered inside one node.
 //!
 //! Scheduling onto the fleet follows one rule: a deterministic
 //! multiplicative hash of the patch id (`sticky_device`) pins each patch
@@ -70,15 +70,6 @@ impl DeviceFleet {
     /// hash (Fibonacci hashing) of the patch id, identical on every rank.
     pub(crate) fn sticky_device(&self, patch: PatchId) -> DeviceId {
         sticky_device(patch, self.devices.len())
-    }
-
-    /// Block until every device's copy engine is empty (the fleet-wide
-    /// `cudaDeviceSynchronize` analogue): every posted drain, whoever
-    /// posted it, has landed, not necessarily been consumed.
-    pub(crate) fn sync_all(&self) {
-        for d in &self.devices {
-            d.sync();
-        }
     }
 
     /// One counter snapshot per device, in device order.

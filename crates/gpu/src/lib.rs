@@ -11,10 +11,9 @@
 //! device model for CUDA (see DESIGN.md §2):
 //!
 //! * [`GpuDevice`] — device-memory accounting against a byte capacity,
-//!   transfer/byte/occupancy meters per PCIe direction (`Dir`), one
-//!   device→host copy engine whose real worker thread drains posted
-//!   transfers asynchronously (uploads run synchronously in the task),
-//!   and kernel-launch counters;
+//!   transfer/byte/occupancy meters per PCIe direction (`Dir`; both
+//!   directions copy synchronously on the task's own thread), and
+//!   kernel-launch counters;
 //! * [`GpuDataWarehouse`] — the per-device variable store with a *patch
 //!   database* and the paper's new *level database*, which keeps exactly one
 //!   shared copy of each per-level variable that all concurrent patch tasks
@@ -22,7 +21,7 @@
 //!   task materialize its own copy, reproducing the "before" memory and PCIe
 //!   behaviour;
 //! * [`DeviceFleet`] — a rank's set of N devices (Summit-style fat nodes),
-//!   each with its own capacity meter, transfer meters, copy engine, and — inside
+//!   each with its own capacity meter, transfer meters, and — inside
 //!   the warehouse — its own patch and level databases; each patch is
 //!   homed by a sticky patch-id hash (`sticky_device`).
 

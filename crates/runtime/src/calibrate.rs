@@ -37,9 +37,9 @@ pub struct DeviceCalibration {
     pub h2d_bytes: u64,
     /// Upload occupancy, nanoseconds.
     pub h2d_busy_ns: u64,
-    /// Device→host bytes drained through the copy engine.
+    /// Device→host bytes taken back (synchronously, inside the tasks).
     pub d2h_bytes: u64,
-    /// Copy-engine occupancy, nanoseconds.
+    /// Take occupancy, nanoseconds.
     pub d2h_busy_ns: u64,
 }
 

@@ -565,8 +565,7 @@ mod tests {
     }
 
     /// The same on GPU tasks over a 2-device fleet per rank, 2 ranks x 2
-    /// threads: the end-of-step settle runs on every rank, and the
-    /// failing rank's message still comes out.
+    /// threads: the failing rank's message still comes out.
     #[test]
     fn failed_gpu_task_unwinds_with_its_own_message() {
         let cfg = WorldConfig {

@@ -14,22 +14,10 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-use uintah_gpu::PendingD2H;
 use uintah_grid::{CcVariable, FieldData, Grid, LevelIndex, Patch, PatchId, Region, VarLabel};
 
 type PatchKey = (VarLabel, PatchId);
 type LevelKey = (VarLabel, LevelIndex);
-
-/// A deferred per-patch slot: the D2H completion handle for a variable
-/// whose bytes are still draining on the GPU copy engine. The handle is
-/// consumed (and the data promoted into the ordinary patch store) by the
-/// first consumer under the slot mutex; losing racers fall through to the
-/// promoted entry.
-struct PendingSlot {
-    epoch: u64,
-    handle: Mutex<Option<PendingD2H>>,
-}
 
 struct LevelAccum {
     data: FieldData,
@@ -60,14 +48,6 @@ pub struct DataWarehouse {
     /// ("no stale-epoch DW hits").
     stale_hits: AtomicU64,
     patch_vars: RwLock<HashMap<PatchKey, Stamped>>,
-    /// Per-patch variables whose host data is still in flight on the GPU's
-    /// D2H copy engine; materialized into `patch_vars` on first use.
-    pending_d2h: RwLock<HashMap<PatchKey, Arc<PendingSlot>>>,
-    /// Wall time consumers spent blocked on in-flight D2H transfers.
-    d2h_wait_ns: AtomicU64,
-    /// D2H drain wall time hidden behind compute (drain − blocked, summed
-    /// per transfer).
-    d2h_overlap_ns: AtomicU64,
     /// Ghost windows received from remote patches, keyed by the *destination*
     /// patch (the local patch whose halo they fill).
     foreign: RwLock<HashMap<PatchKey, Vec<(Region, FieldData)>>>,
@@ -84,9 +64,6 @@ impl DataWarehouse {
             epoch: AtomicU64::new(0),
             stale_hits: AtomicU64::new(0),
             patch_vars: RwLock::new(HashMap::new()),
-            pending_d2h: RwLock::new(HashMap::new()),
-            d2h_wait_ns: AtomicU64::new(0),
-            d2h_overlap_ns: AtomicU64::new(0),
             foreign: RwLock::new(HashMap::new()),
             accums: Mutex::new(HashMap::new()),
             sealed: RwLock::new(HashMap::new()),
@@ -125,9 +102,6 @@ impl DataWarehouse {
     /// map entry (its heap allocation dies when the last reader does).
     pub(crate) fn begin_timestep(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        // Any still-pending D2H handle is from a past epoch now; dropping it
-        // discards the drain result without blocking (the engine finishes
-        // into the void).
         self.clear();
     }
 
@@ -139,116 +113,21 @@ impl DataWarehouse {
     }
 
     /// Publish a per-patch variable.
-    pub(crate) fn put_patch(&self, label: VarLabel, patch: PatchId, data: FieldData) {
+    pub fn put_patch(&self, label: VarLabel, patch: PatchId, data: FieldData) {
         self.patch_vars.write().insert((label, patch), self.stamped(data));
     }
 
-    /// Publish a per-patch variable whose bytes are still draining on the
-    /// GPU's D2H copy engine. The scheduler keeps executing ready tasks;
-    /// the first consumer (a downstream task's `get_patch` or the
-    /// send-posting path) blocks only for whatever part of the drain wasn't
-    /// already hidden behind compute, then promotes the data into the
-    /// ordinary patch store.
-    pub fn put_patch_pending(&self, label: VarLabel, patch: PatchId, pending: PendingD2H) {
-        self.pending_d2h.write().insert(
-            (label, patch),
-            Arc::new(PendingSlot {
-                epoch: self.epoch(),
-                handle: Mutex::new(Some(pending)),
-            }),
-        );
-    }
-
-    /// Fetch a per-patch variable published this timestep, materializing it
-    /// first if its D2H drain is still in flight. Entries from an earlier
-    /// epoch never match (and are counted as [`Self::stale_hits`]).
+    /// Fetch a per-patch variable published this timestep. Entries from an
+    /// earlier epoch never match (and are counted as [`Self::stale_hits`]).
     pub fn get_patch(&self, label: VarLabel, patch: PatchId) -> Option<Arc<FieldData>> {
         let now = self.epoch();
-        {
-            let vars = self.patch_vars.read();
-            if let Some(e) = vars.get(&(label, patch)) {
-                if e.epoch == now {
-                    return Some(Arc::clone(&e.data));
-                }
-                self.stale_hits.fetch_add(1, Ordering::Relaxed);
-            }
+        let vars = self.patch_vars.read();
+        let e = vars.get(&(label, patch))?;
+        if e.epoch != now {
+            self.stale_hits.fetch_add(1, Ordering::Relaxed);
+            return None;
         }
-        self.materialize_pending(label, patch, now)
-    }
-
-    /// Consume the pending D2H handle for `(label, patch)` if one exists,
-    /// metering blocked/overlap time and promoting the host data into
-    /// `patch_vars`; then re-read the patch store (covers racers that lost
-    /// the handle and drains that published concurrently).
-    fn materialize_pending(
-        &self,
-        label: VarLabel,
-        patch: PatchId,
-        now: u64,
-    ) -> Option<Arc<FieldData>> {
-        let slot = self.pending_d2h.read().get(&(label, patch)).map(Arc::clone);
-        if let Some(slot) = slot {
-            if slot.epoch == now {
-                if let Some(p) = slot.handle.lock().take() {
-                    self.settle_pending(label, patch, p);
-                }
-            } else {
-                // A slot from an earlier step (a missed drain): never serve it.
-                self.stale_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.patch_vars
-            .read()
-            .get(&(label, patch))
-            .filter(|e| e.epoch == now)
-            .map(|e| Arc::clone(&e.data))
-    }
-
-    fn settle_pending(&self, label: VarLabel, patch: PatchId, p: PendingD2H) {
-        let (data, drain, blocked) = p.wait_timed();
-        self.d2h_wait_ns
-            .fetch_add(blocked.as_nanos() as u64, Ordering::Relaxed);
-        self.d2h_overlap_ns.fetch_add(
-            drain.saturating_sub(blocked).as_nanos() as u64,
-            Ordering::Relaxed,
-        );
-        self.patch_vars.write().insert((label, patch), self.stamped(data));
-    }
-
-    /// Materialize every still-pending D2H transfer of the current epoch —
-    /// the scheduler's end-of-step settle, so no completion handle leaks
-    /// across a step boundary. Each wait returns after its copy engine has
-    /// metered and retired the transfer, so the step's stats are coherent
-    /// and none of its drains is left in flight.
-    pub fn drain_pending_d2h(&self) {
-        let now = self.epoch();
-        let slots: Vec<(PatchKey, Arc<PendingSlot>)> =
-            self.pending_d2h.write().drain().collect();
-        for ((label, patch), slot) in slots {
-            if slot.epoch != now {
-                continue;
-            }
-            if let Some(p) = slot.handle.lock().take() {
-                self.settle_pending(label, patch, p);
-            }
-        }
-    }
-
-    /// D2H slots still parked (none between steps: the end-of-step settle
-    /// empties the map).
-    pub(crate) fn parked_d2h(&self) -> usize {
-        self.pending_d2h.read().len()
-    }
-
-    /// Cumulative wall time consumers spent blocked on in-flight D2H
-    /// transfers (the un-hidden part of the drains).
-    pub(crate) fn d2h_wait(&self) -> Duration {
-        Duration::from_nanos(self.d2h_wait_ns.load(Ordering::Relaxed))
-    }
-
-    /// Cumulative D2H drain wall time hidden behind compute.
-    pub(crate) fn d2h_overlap(&self) -> Duration {
-        Duration::from_nanos(self.d2h_overlap_ns.load(Ordering::Relaxed))
+        Some(Arc::clone(&e.data))
     }
 
     /// Deposit a ghost window received from a remote patch for `dst_patch`.
@@ -362,7 +241,6 @@ impl DataWarehouse {
     /// Drop everything without opening a new epoch (full reset).
     pub(crate) fn clear(&self) {
         self.patch_vars.write().clear();
-        self.pending_d2h.write().clear();
         self.foreign.write().clear();
         self.accums.lock().clear();
         self.sealed.write().clear();
@@ -577,33 +455,6 @@ mod tests {
         dw.put_patch(CELLTYPE, p, FieldData::U8(CcVariable::filled(Region::cube(8), 1)));
         assert!(dw.get_patch(KAPPA, p).is_none());
         assert!(dw.get_patch(CELLTYPE, p).is_some(), "current-epoch value visible");
-    }
-
-    #[test]
-    fn stale_epoch_pending_slot_never_serves() {
-        let g = grid2();
-        let dw = DataWarehouse::new(g.clone());
-        let p = g.fine_level().patches()[0].id();
-        // Park an async D2H handle for the patch.
-        let gpu = uintah_gpu::GpuDataWarehouse::new(uintah_gpu::GpuDevice::k20x());
-        gpu.put_patch(KAPPA, p, FieldData::F64(CcVariable::filled(Region::cube(8), 0.5)))
-            .unwrap();
-        dw.put_patch_pending(KAPPA, p, gpu.take_patch_to_host_async(KAPPA, p).unwrap());
-        assert_eq!(dw.parked_d2h(), 1);
-        assert_eq!(dw.stale_hits(), 0);
-
-        // A path that forgot the step boundary's clear: the slot is from
-        // the previous epoch, so the get must miss — and be counted.
-        dw.epoch.fetch_add(1, Ordering::SeqCst);
-        assert!(dw.get_patch(KAPPA, p).is_none());
-        assert!(dw.stale_hits() > 0, "blocked stale slot must be counted");
-        // The drain retires the stale slot without promoting it, and the
-        // discarded transfer still releases its device bytes.
-        dw.drain_pending_d2h();
-        assert_eq!(dw.parked_d2h(), 0);
-        assert!(dw.get_patch(KAPPA, p).is_none(), "stale slot not drained as current");
-        gpu.sync_d2h_all();
-        assert_eq!(gpu.device().used(), 0, "discarded drain still releases device bytes");
     }
 
     #[test]

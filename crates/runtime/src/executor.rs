@@ -179,10 +179,9 @@ impl PersistentExecutor {
     /// first use revalidates them by epoch and diff. Returns whether
     /// ownership changed; `false` means it did nothing.
     ///
-    /// Must be called between [`Self::step`]s, whose end-of-step settle has
-    /// already retired this rank's D2H drains. It posts no message, so it is
-    /// rank-local, but every rank must adopt the same distribution before
-    /// its next step. Its wall is folded into the next step's stats.
+    /// Must be called between [`Self::step`]s. It posts no message, so it
+    /// is rank-local, but every rank must adopt the same distribution
+    /// before its next step. Its wall is folded into the next step's stats.
     pub fn regrid(&mut self, new: Arc<PatchDistribution>) -> bool {
         assert_eq!(new.nranks(), self.dist.nranks(), "regrid cannot change the world size");
         assert_eq!(
@@ -190,11 +189,6 @@ impl PersistentExecutor {
             self.grid.num_patches(),
             "distribution does not cover the grid"
         );
-        // The end-of-step settle waited every drain this rank parked, and a
-        // waited drain has retired. The devices' `d2h_inflight` is not
-        // asserted: a server's fleet is shared, and another tenant's drains
-        // may be in flight on it right now.
-        debug_assert_eq!(self.dw.parked_d2h(), 0, "regrid inside a step: a D2H slot is parked");
         if new.rank_map() == self.dist.rank_map() {
             return false;
         }

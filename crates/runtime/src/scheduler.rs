@@ -67,9 +67,9 @@ pub struct DeviceStepStats {
     pub h2d_bytes: u64,
     /// Device→host bytes this step.
     pub d2h_bytes: u64,
-    /// H2D engine occupancy this step, in nanoseconds.
+    /// H2D occupancy (staging time) this step, in nanoseconds.
     pub h2d_busy_ns: u64,
-    /// D2H engine occupancy this step, in nanoseconds.
+    /// D2H occupancy (take and spill memcpy time) this step, in nanoseconds.
     pub d2h_busy_ns: u64,
     /// The device's memory high-water mark (absolute, not a delta — the
     /// capacity-meter number that must stay under the 6 GB budget).
@@ -117,17 +117,15 @@ pub struct ExecStats {
     /// Device→host bytes transferred during this step (delta of the GPU
     /// device counter; 0 without a GPU warehouse).
     pub gpu_d2h_bytes: u64,
-    /// Wall time consumers spent blocked on in-flight D2H drains this step
-    /// (the un-hidden part of the copies).
-    pub gpu_d2h_wait: Duration,
-    /// D2H drain wall time hidden behind task execution this step — the
-    /// overlap won by posting drains to the copy engine instead of blocking
-    /// the worker inside the task body. Zero on the synchronous path.
-    pub gpu_d2h_overlap: Duration,
-    /// Always zero: every upload is synchronous inside the task that needs
-    /// it, so no consumer ever waits on one. Kept only because the
+    /// Always zero: every take is synchronous inside the task that owns
+    /// the output, so no consumer ever waits on one. Kept only because the
     /// benchmark (`perf_report/`, frozen by the benchmark contract) reads
     /// it.
+    pub gpu_d2h_wait: Duration,
+    /// Always zero, for the same reason and kept for the same reader.
+    pub gpu_d2h_overlap: Duration,
+    /// Always zero: every upload is synchronous inside the task that needs
+    /// it. Kept for the same reader.
     pub gpu_h2d_wait: Duration,
     /// Always zero, for the same reason and kept for the same reader.
     pub gpu_h2d_overlap: Duration,
@@ -144,7 +142,7 @@ pub struct ExecStats {
     /// titan-sim cost-model calibration.
     pub kernel_stats: KernelStats,
     /// Per-device breakdown of the fleet's step: one entry per device in
-    /// fleet order (kernel stats, copy-engine byte/busy deltas, peak
+    /// fleet order (kernel stats, PCIe byte/busy deltas, peak
     /// memory). Empty without a GPU warehouse; `kernel_stats` and the
     /// `gpu_*_bytes` fields are the sums of these entries.
     pub per_device: Vec<DeviceStepStats>,
@@ -210,7 +208,7 @@ impl ExecStats {
         );
         let _ = writeln!(
             out,
-            "tasks {} (+{} gathers) | msgs {} sent / {} recv, {} B | h2d {} B | d2h {} B (wait {:.3} ms, overlap {:.3} ms)",
+            "tasks {} (+{} gathers) | msgs {} sent / {} recv, {} B | h2d {} B | d2h {} B",
             self.tasks_executed,
             self.gathers_executed,
             self.messages_sent,
@@ -218,8 +216,6 @@ impl ExecStats {
             self.bytes_sent,
             self.gpu_h2d_bytes,
             self.gpu_d2h_bytes,
-            ms(self.gpu_d2h_wait),
-            ms(self.gpu_d2h_overlap),
         );
         if self.regrids > 0 {
             let _ = writeln!(
@@ -367,7 +363,7 @@ impl Scheduler {
     ///
     /// A panic on a worker — in a task body, a gather's seal or message
     /// handling — halts the world: every worker of every rank stops taking
-    /// work, drains settle, and the panic is re-raised here with its own
+    /// work, and the panic is re-raised here with its own
     /// payload. A rank whose world a peer halted returns the step's
     /// partial stats instead.
     pub(crate) fn execute_phase(
@@ -381,14 +377,12 @@ impl Scheduler {
     ) -> ExecStats {
         let t_start = Instant::now();
         let counters_before = gpu.map(|g| g.counters_per_device()).unwrap_or_default();
-        let d2h_wait_before = dw.d2h_wait();
-        let d2h_overlap_before = dw.d2h_overlap();
         // The step's execution spaces: one shared, metered Device space
         // *per fleet device* (kernel stats aggregate across workers but
         // stay per-device), and a host space for CPU tasks. Each GPU task
         // is dispatched on its patch's home device — the same device the
         // warehouse stages that patch's variables on — so kernel launches
-        // and copy-engine drains on different devices overlap freely.
+        // on different devices overlap freely.
         let device_spaces: Vec<DeviceSpace> = gpu
             .map(|g| {
                 (0..g.num_devices())
@@ -605,14 +599,6 @@ impl Scheduler {
             (sum, panic)
         });
 
-        // End-of-step settle: wait every D2H drain this step parked that no
-        // consumer touched, so no completion handle leaks across the step
-        // boundary. A waited drain has already been metered and retired by
-        // its copy engine, so the counters below are coherent and nothing
-        // of this step is left in flight. The copy engines are not synced:
-        // a server's fleet is shared, and other tenants' drains on it are
-        // theirs to wait.
-        dw.drain_pending_d2h();
         if let Some(payload) = panic {
             std::panic::resume_unwind(payload);
         }
@@ -652,8 +638,8 @@ impl Scheduler {
             graph_compile: Duration::ZERO,
             gpu_h2d_bytes: per_device.iter().map(|d| d.h2d_bytes).sum(),
             gpu_d2h_bytes: per_device.iter().map(|d| d.d2h_bytes).sum(),
-            gpu_d2h_wait: dw.d2h_wait().saturating_sub(d2h_wait_before),
-            gpu_d2h_overlap: dw.d2h_overlap().saturating_sub(d2h_overlap_before),
+            gpu_d2h_wait: Duration::ZERO,
+            gpu_d2h_overlap: Duration::ZERO,
             gpu_h2d_wait: Duration::ZERO,
             gpu_h2d_overlap: Duration::ZERO,
             gpu_evictions: per_device.iter().map(|d| d.evictions).sum(),

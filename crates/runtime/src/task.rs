@@ -4,7 +4,7 @@ use crate::dw::DataWarehouse;
 use std::sync::Arc;
 use uintah_exec::ExecSpace;
 use uintah_grid::{CcVariable, FieldData, Grid, LevelIndex, Patch, Region, VarLabel};
-use uintah_gpu::{GpuDataWarehouse, PendingD2H};
+use uintah_gpu::GpuDataWarehouse;
 
 /// Where a task's kernel runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -166,17 +166,6 @@ impl<'a> TaskContext<'a> {
             "{label}: computed region does not cover the patch interior"
         );
         self.dw.put_patch(label, self.patch.id(), data);
-    }
-
-    /// Publish a computed own-patch variable whose device→host drain is
-    /// still in flight on the GPU copy engine (the handle from
-    /// [`GpuDataWarehouse::take_patch_to_host_async`]). The task returns
-    /// immediately and the scheduler keeps executing ready work; the first
-    /// downstream consumer blocks only for the un-hidden remainder of the
-    /// drain. Region coverage is asserted by the GPU warehouse at staging
-    /// time, so no host-side check is possible (or needed) here.
-    pub fn put_pending(&self, label: VarLabel, pending: PendingD2H) {
-        self.dw.put_patch_pending(label, self.patch.id(), pending);
     }
 
     /// Deposit this patch's restriction window into the coarse level

@@ -248,31 +248,28 @@ mod parking_lot_handles {
     }
 }
 
-/// Readers racing the end-of-step settle on one device: see
-/// [`settle_race`].
+/// Readers racing D2H takes on one device: see [`take_race`].
 #[test]
 fn step_settle_racing_async_d2h_reads_without_deadlock_or_leaks() {
-    settle_race(1);
+    take_race(1);
 }
 
-/// Readers racing the end-of-step settle on a 4-device fleet: see
-/// [`settle_race`]; the drains must also spread across the engines.
+/// Readers racing D2H takes on a 4-device fleet: see [`take_race`]; the
+/// takes must also spread across the devices.
 #[test]
 fn fleet_step_settle_race_keeps_replicas_without_leaks() {
-    settle_race(4);
+    take_race(4);
 }
 
 /// A warehouse over `ndev` devices stages a level replica on every device
-/// and parks one async D2H drain per patch on its home device's copy
-/// engine, then reader threads hammer `get_patch` while a settler thread
-/// runs the scheduler's end-of-step settle (`drain_pending_d2h`, which
-/// waits every parked slot; no copy engine is synced). The run must
-/// complete without deadlock, readers must only ever observe correct
-/// data, and every copy engine ends idle with no sync: a waited drain has
-/// retired. The replicas stay resident and revalidate the next epoch with
-/// no PCIe traffic, and clearing the databases returns every device to
-/// 0 B.
-fn settle_race(ndev: usize) {
+/// and one output per patch on its home device. Two publisher threads
+/// take the outputs back and publish them to the host warehouse, the way
+/// a GPU trace task ends, while reader threads hammer `get_patch`. A read
+/// may miss a patch not yet published, but a hit must carry that patch's
+/// value, and every patch is readable once the publishers finish. The
+/// replicas stay resident and revalidate the next epoch with no PCIe
+/// traffic, and clearing the databases returns every device to 0 B.
+fn take_race(ndev: usize) {
     use uintah::gpu::GpuDataWarehouse;
     use uintah::runtime::DataWarehouse;
     let grid = Arc::new(
@@ -285,63 +282,62 @@ fn settle_race(ndev: usize) {
     let patches: Vec<_> = grid.fine_level().patches().iter().map(|p| p.id()).collect();
     let replica = || FieldData::F64(CcVariable::filled(Region::cube(8), 1.0));
     for _round in 0..10 {
-        let dw = Arc::new(DataWarehouse::new(Arc::clone(&grid)));
-        let gpu = Arc::new(GpuDataWarehouse::with_fleet_full(DeviceFleet::k20x(ndev), true, true, true, true));
+        let dw = DataWarehouse::new(Arc::clone(&grid));
+        let gpu = GpuDataWarehouse::with_fleet_full(DeviceFleet::k20x(ndev), true, true, true, true);
         for dev in 0..ndev {
             gpu.ensure_level_fresh_on(dev, ABSKG, 0, replica).unwrap();
         }
         for &p in &patches {
             gpu.put_patch(DIVQ, p, FieldData::F64(CcVariable::filled(Region::cube(8), p.0 as f64)))
                 .unwrap();
-            dw.put_patch_pending(DIVQ, p, gpu.take_patch_to_host_async(DIVQ, p).unwrap());
         }
         std::thread::scope(|s| {
-            let patches = &patches;
+            let (dw, gpu, patches) = (&dw, &gpu, &patches);
             for t in 0..3usize {
-                let dw = Arc::clone(&dw);
                 s.spawn(move || {
                     for i in 0..400usize {
                         let p = patches[(i + t) % patches.len()];
-                        // Either this get materializes the drain itself
-                        // or it sees the promoted entry; it misses only
-                        // while the settle holds a slot it has taken out
-                        // of the map but not yet promoted.
                         if let Some(v) = dw.get_patch(DIVQ, p) {
                             assert_eq!(v.as_f64().as_slice()[0], p.0 as f64);
                         }
                     }
                 });
             }
-            let dw = Arc::clone(&dw);
-            // The scheduler's end-of-step settle.
-            s.spawn(move || dw.drain_pending_d2h());
+            for half in 0..2usize {
+                s.spawn(move || {
+                    for &p in patches.iter().skip(half).step_by(2) {
+                        let taken = gpu.take_patch_to_host_async(DIVQ, p).expect("resident");
+                        dw.put_patch(DIVQ, p, taken.wait());
+                    }
+                });
+            }
         });
-        // Every parked field was promoted by the settle or a reader.
         for &p in &patches {
-            let v = dw.get_patch(DIVQ, p).expect("settled");
+            let v = dw.get_patch(DIVQ, p).expect("published");
             assert_eq!(v.as_f64().as_slice()[0], p.0 as f64);
         }
+        assert_eq!(dw.stale_hits(), 0);
         let counters = gpu.counters_per_device();
         for (d, c) in counters.iter().enumerate() {
-            assert_eq!(c.d2h_inflight, 0, "{ndev} dev: device {d} copy engine idle");
+            assert_eq!(c.used, 8 * 8 * 8 * 8, "{ndev} dev: device {d} holds more than its replica");
         }
         assert_eq!(
             counters.iter().map(|c| c.d2h_transfers).sum::<u64>(),
             patches.len() as u64
         );
         if ndev > 1 {
-            // The drains really were spread across the fleet, not
-            // serialized through one engine.
+            // The takes really were spread across the fleet, not
+            // serialized through one device.
             assert!(
                 counters.iter().filter(|c| c.d2h_transfers > 0).count() >= 2,
-                "sticky affinity should use more than one device's engine"
+                "sticky affinity should use more than one device"
             );
         }
         // Every device keeps its replica and revalidates it the next
         // epoch with zero PCIe traffic.
         gpu.begin_timestep();
         for d in 0..ndev {
-            assert_eq!(gpu.patch_entries_on(d), 0, "{ndev} dev: device {d} kept a drained patch");
+            assert_eq!(gpu.patch_entries_on(d), 0, "{ndev} dev: device {d} kept a taken patch");
             assert_eq!(gpu.level_entries_on(d), 1, "{ndev} dev: device {d} lost its replica");
             let before = gpu.device_at(d).counters().h2d_bytes;
             gpu.ensure_level_fresh_on(d, ABSKG, 0, replica).unwrap();
@@ -359,17 +355,14 @@ fn settle_race(ndev: usize) {
     }
 }
 
-/// A step on a shared fleet waits only for its own drains. A foreign
-/// warehouse on the same one-device fleet keeps at least four 34 MB drains
-/// in flight on its copy engine (it posts a new one before it waits the
-/// oldest) while a `World` on that fleet runs 3 GPU steps. The world must
-/// finish within 30 s, and its divQ must be bit-identical to a solo
-/// `run_world`. A settle that waited for the whole engine to empty would
-/// spin until the poster stops; the poster stops when the world finishes,
-/// when the watchdog fires, or after 60 s.
+/// A step on a shared fleet waits only for its own takes. A foreign
+/// warehouse on the same one-device fleet takes 34 MB outputs back in a
+/// loop on its own thread while a `World` on that fleet runs 3 GPU steps.
+/// The world must finish within 30 s, and its divQ must be bit-identical
+/// to a solo `run_world`. The poster stops when the world finishes, when
+/// the watchdog fires, or after 60 s.
 #[test]
 fn shared_fleet_step_does_not_wait_for_another_tenants_drains() {
-    use std::collections::VecDeque;
     use std::sync::atomic::AtomicBool;
     use std::sync::mpsc::{channel, RecvTimeoutError};
     use std::time::{Duration, Instant};
@@ -406,22 +399,15 @@ fn shared_fleet_step_does_not_wait_for_another_tenants_drains() {
     std::thread::scope(|s| {
         s.spawn(|| {
             let t0 = Instant::now();
-            let mut inflight = VecDeque::new();
             let mut i = 0u32;
             while !stop.load(Ordering::Relaxed) && t0.elapsed() < Duration::from_secs(60) {
-                // Zeroed pages above the allocator's mmap threshold cost the
-                // poster next to nothing; the engine's copy touches all
-                // 34 MB, so the poster stays ahead of the engine.
                 let big = FieldData::F64(CcVariable::new(Region::cube(162)));
                 let held = foreign.alloc_patch_output(DIVQ, PatchId(i), big).unwrap();
-                inflight.push_back(foreign.take_patch_to_host_async(DIVQ, PatchId(i)).unwrap());
+                let taken = foreign.take_patch_to_host_async(DIVQ, PatchId(i)).unwrap();
                 drop(held);
-                if inflight.len() > 4 {
-                    inflight.pop_front().unwrap().wait();
-                }
+                drop(taken.wait());
                 i += 1;
             }
-            inflight.into_iter().for_each(|p| drop(p.wait()));
         });
         s.spawn(|| {
             let mut world = World::new(Arc::clone(&grid), &decls, &cfg, |_| Some(fleet.clone()));
@@ -437,12 +423,12 @@ fn shared_fleet_step_does_not_wait_for_another_tenants_drains() {
                 }
             }
             Err(RecvTimeoutError::Timeout) => {
-                panic!("the world's steps waited for another tenant's drains for 30 s")
+                panic!("the world's steps waited for another tenant's takes for 30 s")
             }
             Err(RecvTimeoutError::Disconnected) => panic!("the world failed"),
         }
     });
-    assert_eq!(fleet.total_used(), 0, "every drain released its device block");
+    assert_eq!(fleet.total_used(), 0, "every take released its device block");
 }
 
 /// Submit/cancel storm against the multi-tenant radiation server: a mixed
@@ -451,8 +437,8 @@ fn shared_fleet_step_does_not_wait_for_another_tenants_drains() {
 /// by a cancel thread mid-run. Whatever the interleaving: no job may fail,
 /// the ledger must reconcile (done + canceled = submitted), and after
 /// drain + shutdown the shared device fleet must be bone dry — zero
-/// resident bytes, zero `release_underflows`, idle copy engines, and the
-/// sub-allocator's invariants intact on every device.
+/// resident bytes, zero `release_underflows`, and the sub-allocator's
+/// invariants intact on every device.
 #[test]
 fn radiation_server_submit_cancel_storm_drains_clean() {
     use std::time::Duration;
@@ -487,8 +473,8 @@ fn radiation_server_submit_cancel_storm_drains_clean() {
             0 => {} // plain GPU tenant
             1 => {
                 // Regridding tenant: rotates ownership every step, so cancels
-                // race regrids, and its steps share the fleet's copy engines
-                // and level replicas with the other tenants'.
+                // race regrids, and its steps share the fleet's devices and
+                // level replicas with the other tenants'.
                 cfg.regrid_interval = 1;
                 cfg.regrid_policy = RebalancePolicy::Rotate(1);
                 cfg.timesteps = 5;
@@ -549,7 +535,6 @@ fn radiation_server_submit_cancel_storm_drains_clean() {
     );
     for (d, c) in server.fleet().counters_per_device().iter().enumerate() {
         assert_eq!(c.release_underflows, 0, "device {d}: meter drift");
-        assert_eq!(c.d2h_inflight, 0, "device {d}: copy engine left in flight");
     }
     for d in server.fleet().devices() {
         d.validate_allocator().expect("sub-allocator invariants after the storm");

@@ -8,7 +8,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use uintah::prelude::*;
 use uintah::runtime::task::{Computes, Requirement, TaskContext};
 use uintah::runtime::TaskDecl;
@@ -226,11 +225,10 @@ fn gpu_level_db_reuploads_less_after_first_step() {
     }
 }
 
-/// (d) Posted D2H drains change timing only, never results: `divQ` on
-/// 2, 3 and 7 workers driving the Device path stays bit-identical to the
-/// one-worker run across 3 timesteps, the same bytes cross PCIe at every
-/// thread count, and the stats prove the copy engine hid drain time behind
-/// compute.
+/// (d) D2H takes change timing only, never results: `divQ` on 2, 3 and 7
+/// workers driving the Device path stays bit-identical to the one-worker
+/// run across 3 timesteps, and the same bytes cross PCIe at every thread
+/// count.
 #[test]
 fn d2h_drains_keep_divq_bit_identical_across_thread_counts() {
     let grid = Arc::new(BurnsChriston::small_grid(16, 4));
@@ -269,11 +267,6 @@ fn d2h_drains_keep_divq_bit_identical_across_thread_counts() {
             d2h_bytes(&result),
             reference_bytes,
             "every thread count moves identical bytes"
-        );
-        let overlap: Duration = result.ranks[0].stats.iter().map(|st| st.gpu_d2h_overlap).sum();
-        assert!(
-            overlap > Duration::ZERO,
-            "run with {nthreads} threads hid no drain time"
         );
     }
 }

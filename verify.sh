@@ -26,6 +26,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 # benchmark, or an engine change that would fail one of its correctness
 # checks, fails tier-1 instead of failing the benchmark.
 cargo run --release --offline --quiet --manifest-path perf_report/Cargo.toml -- --smoke --seconds 1
+# The paired A/B tool that compares a change with its parent, run once on
+# the just-built harness against itself (one pair of smoke runs), so a
+# change to perf_report's result line or to the tool cannot go unnoticed.
+cargo run --release -q -p rmcrt-bench --bin ab_pairs -- \
+    --parent perf_report/target/release/perf_report \
+    --workload step_gpu_oversub --pairs 1 --smoke --seconds 1
 # The harness's own unit tests, its metric-catalogue-vs-BENCHMARK.json
 # check among them: an API change that breaks only perf_report's test
 # code fails tier-1 too. One at a time: the host-speed factor test samples
@@ -47,8 +53,8 @@ printf '%s\n' 'gpu = true' 'gpus_per_rank = 2' 'ranks = 2' 'threads = 2' \
 cargo run --release -q --bin rmcrt_app -- target/gpu_regrid.cfg
 # The shipped server binaries end to end: rmcrt_serve on a 2-device fleet,
 # the same GPU + regrid job submitted twice at once over its Unix socket by
-# two rmcrt_submit clients, so two tenants' drains share the fleet's copy
-# engines, then a drain and shutdown. Each client must exit 0. The server
+# two rmcrt_submit clients, so two tenants' tasks share the fleet's devices
+# and level replicas, then a drain and shutdown. Each client must exit 0. The server
 # exits 0 only when its fleet meters read 0 B after the drain; the trap
 # stops it if any step fails first.
 rm -f target/rmcrt.sock
