@@ -169,7 +169,7 @@ fn tracer_at<'a>(stack: &'a [TraceLevel<'a>], threshold: f64) -> PacketTracer<'a
         stack,
         TraceOptions {
             threshold,
-            max_reflections: 0,
+            ..Default::default()
         },
     )
 }

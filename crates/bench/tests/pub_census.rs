@@ -4,7 +4,10 @@
 //! `#[cfg(test)]` code) must be named, as a whole word outside a `//`
 //! comment, by some file outside that library — another crate, a bin, a
 //! crate's `tests/`, the root `tests/` and `examples/`, or `perf_report/src`
-//! (so the benchmark keeps compiling). An item nobody outside names is made
+//! (so the benchmark keeps compiling). A file that declares a fn, struct,
+//! enum, trait, type, const or static of its own under the same name (any
+//! visibility, a method included) names that, not the library's item, so it
+//! does not count as a user. An item nobody outside names is made
 //! `pub(crate)` or private, after which rustc reports it if it is dead.
 //!
 //! The exceptions are `pub_census.allow`, one `crate::Name reason` per line
@@ -118,35 +121,48 @@ fn identifiers(text: &str) -> impl Iterator<Item = &str> {
         .filter(|w| !w.is_empty())
 }
 
-/// Names of the `pub` items declared in `src` (test code already removed).
-fn pub_items(src: &str) -> Vec<String> {
-    let mut names = Vec::new();
-    for line in src.lines() {
-        let Some(rest) = line.trim_start().strip_prefix("pub ") else {
-            continue;
-        };
-        let words: Vec<&str> = rest.split_whitespace().collect();
-        let mut i = 0;
-        // Skip qualifiers: `pub const fn` is a fn, `pub const NAME` a const.
-        while match words.get(i) {
-            Some(&("unsafe" | "async" | "extern" | "\"C\"")) => true,
-            Some(&"const") => matches!(words.get(i + 1), Some(&("fn" | "unsafe"))),
-            _ => false,
-        } {
-            i += 1;
-        }
-        if !words.get(i).is_some_and(|kind| ITEM_KINDS.contains(kind)) {
-            continue;
-        }
-        i += 1;
-        if words.get(i) == Some(&"mut") {
-            i += 1;
-        }
-        if let Some(name) = words.get(i).and_then(|w| identifiers(w).next()) {
-            names.push(name.to_string());
+/// The item a declaration line declares: whether it is plain `pub`, and
+/// its name. `None` for any other line.
+fn declared_item(line: &str) -> Option<(bool, String)> {
+    let mut rest = line.trim_start();
+    let mut public = false;
+    if let Some(after) = rest.strip_prefix("pub") {
+        if let Some(after) = after.strip_prefix(' ') {
+            public = true;
+            rest = after;
+        } else if after.starts_with('(') {
+            // `pub(crate)`, `pub(super)`, `pub(in path)`.
+            rest = &after[after.find(')')? + 1..];
         }
     }
-    names
+    let words: Vec<&str> = rest.split_whitespace().collect();
+    let mut i = 0;
+    // Skip qualifiers: `pub const fn` is a fn, `pub const NAME` a const.
+    while match words.get(i) {
+        Some(&("unsafe" | "async" | "extern" | "\"C\"")) => true,
+        Some(&"const") => matches!(words.get(i + 1), Some(&("fn" | "unsafe"))),
+        _ => false,
+    } {
+        i += 1;
+    }
+    if !words.get(i).is_some_and(|kind| ITEM_KINDS.contains(kind)) {
+        return None;
+    }
+    i += 1;
+    if words.get(i) == Some(&"mut") {
+        i += 1;
+    }
+    let name = words.get(i).and_then(|w| identifiers(w).next())?;
+    Some((public, name.to_string()))
+}
+
+/// Names of the `pub` items declared in `src` (test code already removed).
+fn pub_items(src: &str) -> Vec<String> {
+    src.lines()
+        .filter_map(declared_item)
+        .filter(|(public, _)| *public)
+        .map(|(_, name)| name)
+        .collect()
 }
 
 struct Census {
@@ -188,7 +204,14 @@ fn take_census(root: &Path) -> Census {
             let lib = crates_dir.join(c).join("src");
             file.starts_with(&lib) && !file.starts_with(lib.join("bin"))
         });
-        let words: BTreeSet<String> = identifiers(&without_comments(&src))
+        let code = without_comments(&src);
+        let own: BTreeSet<String> = code
+            .lines()
+            .filter_map(declared_item)
+            .map(|(_, name)| name)
+            .collect();
+        let words: BTreeSet<String> = identifiers(&code)
+            .filter(|w| !own.contains(*w))
             .map(str::to_string)
             .collect();
         for (krate, outside) in words_outside_of.iter_mut() {

@@ -134,11 +134,63 @@ pub struct DomSolution {
 /// the result bit-identical on every space.
 pub fn solve(props: &LevelProps, order: SnOrder, space: &ExecSpace) -> DomSolution {
     props.validate();
-    let region = props.region;
     let ords = ordinates(order);
+    let g = incident_radiation(props, &ords, 0.0, &CcVariable::new(props.region), space);
+    solution(props, g, ords.len(), space)
+}
+
+/// Solve the grey RTE *with isotropic scattering* by source iteration:
+/// the scattering source `σ_s/(4π)·G` couples all ordinates, so DOM must
+/// iterate sweeps until `G` converges — the cost structure the paper
+/// contrasts with RMCRT (where scattering is just a direction change, see
+/// [`crate::scatter`]).
+///
+/// Returns the solution and the number of source iterations performed.
+/// Runs on the calling thread.
+pub fn solve_with_scattering(
+    props: &LevelProps,
+    order: SnOrder,
+    sigma_s: f64,
+    tol: f64,
+    max_iters: usize,
+) -> (DomSolution, usize) {
+    let space = &ExecSpace::Serial;
+    props.validate();
+    assert!(sigma_s >= 0.0);
+    let ords = ordinates(order);
+    let mut g = CcVariable::<f64>::new(props.region);
+    let mut iters = 0;
+    loop {
+        iters += 1;
+        let g_new = incident_radiation(props, &ords, sigma_s, &g, space);
+        // Convergence on the incident radiation.
+        let mut max_diff = 0.0f64;
+        let mut max_g = 1e-300f64;
+        for (a, b) in g_new.as_slice().iter().zip(g.as_slice()) {
+            max_diff = max_diff.max((a - b).abs());
+            max_g = max_g.max(a.abs());
+        }
+        g = g_new;
+        if max_diff / max_g < tol || iters >= max_iters {
+            break;
+        }
+    }
+    (solution(props, g, ords.len() * iters, space), iters)
+}
+
+/// One sweep of every ordinate (fanned out on `space`), then
+/// `G = Σ_m w_m I_m` accumulated in canonical ordinate order.
+fn incident_radiation(
+    props: &LevelProps,
+    ords: &[Ordinate],
+    sigma_s: f64,
+    g_prev: &CcVariable<f64>,
+    space: &ExecSpace,
+) -> CcVariable<f64> {
+    let region = props.region;
     let intensities = parallel_map(space, ords.len(), |m| {
         let mut intensity = CcVariable::<f64>::new(region);
-        sweep(props, &ords[m], &mut intensity);
+        sweep(props, &ords[m], sigma_s, g_prev, &mut intensity);
         intensity
     });
     let mut g = CcVariable::<f64>::new(region);
@@ -147,26 +199,44 @@ pub fn solve(props: &LevelProps, order: SnOrder, space: &ExecSpace) -> DomSoluti
             *gi += o.weight * ii;
         }
     }
+    g
+}
 
-    let div_q = parallel_fill(space, region, |c| {
+/// `∇·q = 4π κ (σT⁴/π) − κ G` from the converged `G`; `sweeps` is the
+/// number of ordinate sweeps performed.
+fn solution(
+    props: &LevelProps,
+    g: CcVariable<f64>,
+    sweeps: usize,
+    space: &ExecSpace,
+) -> DomSolution {
+    let div_q = parallel_fill(space, props.region, |c| {
         let kappa = props.abskg[c];
         if props.is_wall(c) || kappa == 0.0 {
             0.0
         } else {
+            // Only absorption deposits energy.
             4.0 * PI * kappa * props.sigma_t4_over_pi[c] - kappa * g[c]
         }
     });
     DomSolution {
         g,
         div_q,
-        cell_ordinate_updates: region.volume() * ords.len(),
+        cell_ordinate_updates: props.region.volume() * sweeps,
     }
 }
 
-/// One upwind sweep for a single ordinate; writes I into `intensity`.
-fn sweep(props: &LevelProps, o: &Ordinate, intensity: &mut CcVariable<f64>) {
+/// One upwind sweep for a single ordinate with extinction `β = κ + σ_s`
+/// and source `κS + σ_s/(4π)·G_prev`; writes I into `intensity`. At
+/// `σ_s = 0` this is the non-scattering sweep to the bit.
+fn sweep(
+    props: &LevelProps,
+    o: &Ordinate,
+    sigma_s: f64,
+    g_prev: &CcVariable<f64>,
+    intensity: &mut CcVariable<f64>,
+) {
     let region = props.region;
-    let e = region.extent();
     let dx = props.dx;
     let ax = o.mu.abs() / dx.x;
     let ay = o.eta.abs() / dx.y;
@@ -191,8 +261,6 @@ fn sweep(props: &LevelProps, o: &Ordinate, intensity: &mut CcVariable<f64>) {
     let upx = if o.mu >= 0.0 { -1 } else { 1 };
     let upy = if o.eta >= 0.0 { -1 } else { 1 };
     let upz = if o.xi >= 0.0 { -1 } else { 1 };
-
-    let _ = e;
     for &z in &zs {
         for &y in &ys {
             for &x in &xs {
@@ -208,132 +276,6 @@ fn sweep(props: &LevelProps, o: &Ordinate, intensity: &mut CcVariable<f64>) {
                         intensity[u]
                     } else {
                         0.0 // cold black enclosure
-                    }
-                };
-                let kappa = props.abskg[c];
-                let num = kappa * props.sigma_t4_over_pi[c]
-                    + ax * up(IntVector::new(upx, 0, 0))
-                    + ay * up(IntVector::new(0, upy, 0))
-                    + az * up(IntVector::new(0, 0, upz));
-                intensity[c] = num / (kappa + ax + ay + az);
-            }
-        }
-    }
-}
-
-/// Solve the grey RTE *with isotropic scattering* by source iteration:
-/// the scattering source `σ_s/(4π)·G` couples all ordinates, so DOM must
-/// iterate sweeps until `G` converges — the cost structure the paper
-/// contrasts with RMCRT (where scattering is just a direction change, see
-/// [`crate::scatter`]).
-///
-/// Returns the solution and the number of source iterations performed.
-/// Runs on the calling thread.
-pub fn solve_with_scattering(
-    props: &LevelProps,
-    order: SnOrder,
-    sigma_s: f64,
-    tol: f64,
-    max_iters: usize,
-) -> (DomSolution, usize) {
-    let space = &ExecSpace::Serial;
-    props.validate();
-    assert!(sigma_s >= 0.0);
-    let region = props.region;
-    let ords = ordinates(order);
-    let mut g = CcVariable::<f64>::new(region);
-    let mut iters = 0;
-    loop {
-        iters += 1;
-        let intensities = parallel_map(space, ords.len(), |m| {
-            let mut intensity = CcVariable::<f64>::new(region);
-            sweep_scattering(props, &ords[m], sigma_s, &g, &mut intensity);
-            intensity
-        });
-        let mut g_new = CcVariable::<f64>::new(region);
-        for (o, intensity) in ords.iter().zip(&intensities) {
-            for (gi, ii) in g_new.as_mut_slice().iter_mut().zip(intensity.as_slice()) {
-                *gi += o.weight * ii;
-            }
-        }
-        // Convergence on the incident radiation.
-        let mut max_diff = 0.0f64;
-        let mut max_g = 1e-300f64;
-        for (a, b) in g_new.as_slice().iter().zip(g.as_slice()) {
-            max_diff = max_diff.max((a - b).abs());
-            max_g = max_g.max(a.abs());
-        }
-        g = g_new;
-        if max_diff / max_g < tol || iters >= max_iters {
-            break;
-        }
-    }
-    let div_q = parallel_fill(space, region, |c| {
-        let kappa = props.abskg[c];
-        if props.is_wall(c) || kappa == 0.0 {
-            0.0
-        } else {
-            // Only absorption deposits energy.
-            4.0 * PI * kappa * props.sigma_t4_over_pi[c] - kappa * g[c]
-        }
-    });
-    let updates = region.volume() * ords.len() * iters;
-    (
-        DomSolution {
-            g,
-            div_q,
-            cell_ordinate_updates: updates,
-        },
-        iters,
-    )
-}
-
-/// Upwind sweep with extinction β = κ + σ_s and source
-/// `κS + σ_s/(4π)·G_prev`.
-fn sweep_scattering(
-    props: &LevelProps,
-    o: &Ordinate,
-    sigma_s: f64,
-    g_prev: &CcVariable<f64>,
-    intensity: &mut CcVariable<f64>,
-) {
-    let region = props.region;
-    let dx = props.dx;
-    let ax = o.mu.abs() / dx.x;
-    let ay = o.eta.abs() / dx.y;
-    let az = o.xi.abs() / dx.z;
-    let xs: Vec<i32> = if o.mu >= 0.0 {
-        (region.lo().x..region.hi().x).collect()
-    } else {
-        (region.lo().x..region.hi().x).rev().collect()
-    };
-    let ys: Vec<i32> = if o.eta >= 0.0 {
-        (region.lo().y..region.hi().y).collect()
-    } else {
-        (region.lo().y..region.hi().y).rev().collect()
-    };
-    let zs: Vec<i32> = if o.xi >= 0.0 {
-        (region.lo().z..region.hi().z).collect()
-    } else {
-        (region.lo().z..region.hi().z).rev().collect()
-    };
-    let upx = if o.mu >= 0.0 { -1 } else { 1 };
-    let upy = if o.eta >= 0.0 { -1 } else { 1 };
-    let upz = if o.xi >= 0.0 { -1 } else { 1 };
-    for &z in &zs {
-        for &y in &ys {
-            for &x in &xs {
-                let c = IntVector::new(x, y, z);
-                if props.is_wall(c) {
-                    intensity[c] = props.abskg[c] * props.sigma_t4_over_pi[c];
-                    continue;
-                }
-                let up = |d: IntVector| -> f64 {
-                    let u = c + d;
-                    if region.contains(u) {
-                        intensity[u]
-                    } else {
-                        0.0
                     }
                 };
                 let kappa = props.abskg[c];
@@ -494,7 +436,7 @@ mod tests {
         // confirms nothing changed.
         assert!(iters <= 2, "needless iterations: {iters}");
         for c in props.region.cells() {
-            assert!((plain.div_q[c] - scat.div_q[c]).abs() < 1e-9);
+            assert_eq!(plain.div_q[c].to_bits(), scat.div_q[c].to_bits(), "{c:?}");
         }
     }
 
@@ -543,6 +485,40 @@ mod tests {
         let c = IntVector::splat(n / 2);
         let rel = (dom.div_q[c] - mc).abs() / mc.abs();
         assert!(rel < 0.1, "DOM {} vs MC {} (rel {rel})", dom.div_q[c], mc);
+    }
+
+    /// Wrapping sums of the bits of `G` and of `∇·q`.
+    fn bit_sums(sol: &DomSolution) -> (u64, u64) {
+        let sum = |v: &CcVariable<f64>| {
+            v.as_slice().iter().fold(0u64, |s, x| s.wrapping_add(x.to_bits()))
+        };
+        (sum(&sol.g), sum(&sol.div_q))
+    }
+
+    #[test]
+    fn solves_match_their_pinned_bits() {
+        // Varying κ and emission, a grey wall slab at x = 0 and a cold
+        // black enclosure on the other faces.
+        let n = 10;
+        let mut props = LevelProps::uniform(Region::cube(n), Vector::splat(1.0 / n as f64), 0.0, 0.0);
+        for c in props.region.cells() {
+            props.abskg[c] = 0.5 + 0.25 * ((c.x + 2 * c.y + 3 * c.z) % 7) as f64;
+            props.sigma_t4_over_pi[c] = 1.0 + 0.1 * (c.z - c.y) as f64;
+            if c.x == 0 {
+                props.cell_type[c] = crate::props::WALL_CELL;
+                props.abskg[c] = 0.7;
+            }
+        }
+        let s4 = solve(&props, SnOrder::S4, &ExecSpace::Serial);
+        assert_eq!(bit_sums(&s4), (0x57cad93ecd740b6c, 0xdb04ff4d2cb9904e), "S4");
+        let s8 = solve(&props, SnOrder::S8, &ExecSpace::Serial);
+        assert_eq!(bit_sums(&s8), (0x58aaff5abb06343f, 0xda81007d56433713), "S8");
+        let (scat, iters) = solve_with_scattering(&props, SnOrder::S4, 0.5, 1e-10, 200);
+        assert_eq!(
+            (bit_sums(&scat), iters),
+            ((0x58dafb2797e37333, 0x599ebb299ed9ecfe), 13),
+            "S4, σ_s = 0.5"
+        );
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub fn face_incident_flux(
         levels,
         TraceOptions {
             threshold: params.threshold,
-            max_reflections: 0,
+            ..Default::default()
         },
     );
     face_incident_flux_with(&tracer, flow_cell, face, params)

@@ -48,7 +48,7 @@ pub mod tasks;
 pub mod trace;
 
 pub use benchmark::BurnsChriston;
-pub use packet::{slabs, MarchStats, PacketTracer, RayEnds, RayPacket};
+pub use packet::{MarchStats, PacketTracer, RayEnds, RayPacket};
 pub use props::{LevelProps, FLOW_CELL, WALL_CELL};
 pub use rng::CellRng;
 pub use sampling::RaySampling;

@@ -6,15 +6,16 @@
 //! This module collapses them onto one engine:
 //!
 //! * [`RayPacket`] — a structure-of-arrays batch of rays: origins,
-//!   directions, per-ray weight/`sumI` and an active mask. One packet is
+//!   directions, per-ray `sumI` and an active mask. One packet is
 //!   the rays of a run of cells (at most `solver::RUN_RAYS` of them), of
 //!   one face or of one detector, dispatched as a unit through
 //!   `uintah-exec`.
 //! * [`PacketTracer`] — prepares each [`TraceLevel`] once per solve
 //!   (hoisted DDA constants, raw field slices, linear-index strides, ROI
 //!   slab planes) and then streams whole packets through its march lanes,
-//!   each ray marched to completion (across level transitions and wall
-//!   reflections) in the lane that took it.
+//!   each ray marched to completion (across level transitions) in the
+//!   lane that took it. A ray ends at a wall: it adds the wall's
+//!   `ε·σT⁴/π` and stops.
 //!
 //! ## Stepping
 //!
@@ -30,8 +31,7 @@
 //!   in index space: advancing along axis `a` can only cross the
 //!   precomputed exit plane of axis `a`, so exit is a single integer
 //!   compare, and the integer planes double as a step bound (a termination
-//!   guarantee for degenerate directions). The physical-space twin of the
-//!   same test, [`slabs`], serves box-entry queries.
+//!   guarantee for degenerate directions).
 //!
 //! A step is still a serial chain through memory — select the nearest axis
 //! → load `t_max[axis]` → add `t_delta[axis]` → store → reload on the next
@@ -76,14 +76,14 @@
 //!
 //! Before a ray has marched anywhere it has been fetched from its packet
 //! slot (`launch`), located on a level (`place`) and given its DDA state
-//! (`SegState::init`); a ray that crosses to a coarser level or reflects
-//! pays `resolve` + `place` + `init` again. On short rays that fixed cost
+//! (`SegState::init`); a ray that crosses to a coarser level pays
+//! `resolve` + `place` + `init` again. On short rays that fixed cost
 //! rivals the march (a launch, one step and the retire cost 3.2 cell steps
 //! on the `ray_march_gate` rays, 5.4 before this form), so the path is held
 //! to two rules.
 //!
 //! *Each lane field is written once, in place.* `launch` assigns `core`,
-//! `dir`, `li`, `reflections` and `ray`; `place` assigns `li` and `pos`;
+//! `dir`, `li` and `ray`; `place` assigns `li` and `pos`;
 //! `init` assigns every field of the lane's `SegState`, so a lane reused
 //! from ray to ray carries nothing over (the lane-count tests run one lane
 //! over a hundred rays to show it). There is no `SegState` or `Lane` built
@@ -141,32 +141,6 @@ use uintah_grid::{Point, Vector};
 /// Relative (cell-fraction) nudge used to place a ray just past a crossed
 /// face: scale-invariant, unlike an absolute epsilon.
 pub(crate) const FACE_NUDGE: f64 = 1e-9;
-
-/// Slab intersection of the ray `o + t·d` (given `inv_d = 1/d`) with the
-/// axis-aligned box `[p0, p1]`: returns `(t_near, t_far)`; the ray crosses
-/// the box iff `t_near <= t_far` (and `t_far >= 0` for the forward ray).
-///
-/// Degenerate components (`d[a] == 0` ⇒ `inv_d[a] = ±∞`) resolve correctly:
-/// an origin outside the slab yields an empty interval, inside yields a
-/// pass-through. An origin exactly *on* a slab plane of a degenerate axis
-/// (0·∞ = NaN) is treated as inside that slab.
-pub fn slabs(p0: Point, p1: Point, o: Point, inv_d: Vector) -> (f64, f64) {
-    let mut t_near = f64::NEG_INFINITY;
-    let mut t_far = f64::INFINITY;
-    for a in 0..3 {
-        let t0 = (p0[a] - o[a]) * inv_d[a];
-        let t1 = (p1[a] - o[a]) * inv_d[a];
-        let (lo, hi) = if t0 <= t1 { (t0, t1) } else { (t1, t0) };
-        // NaN (origin on the plane of a zero-direction axis): axis is a
-        // pass-through, skip it.
-        if lo.is_nan() || hi.is_nan() {
-            continue;
-        }
-        t_near = t_near.max(lo);
-        t_far = t_far.min(hi);
-    }
-    (t_near, t_far)
-}
 
 /// `x.floor() as i32` without the libm call: baseline x86-64 has no
 /// `roundsd`, so `f64::floor` goes through the PLT (3.3 ns a call, three
@@ -314,20 +288,19 @@ struct RayCore {
     tau: f64,
     exp_prev: f64,
     sum_i: f64,
-    weight: f64,
 }
 
 /// Why one level segment ended: the bare facts of the last step. The
-/// geometry that follows from them (face-snapped exit point, reflection
-/// restart) is rebuilt from the [`SegState`] in the cold
+/// geometry that follows from them (the face-snapped exit point) is
+/// rebuilt from the [`SegState`] in the cold
 /// [`PacketTracer::resolve`], so the hot step carries no level reference.
 enum SegEnd {
     /// Remaining transmissivity fell below the threshold.
     Extinguished,
     /// The defensive integer step guard tripped.
     StepBound,
-    /// Stepped along `axis` into a wall cell (emission already added).
-    HitWall { axis: usize, emissivity: f64 },
+    /// Stepped into a wall cell (emission already added).
+    HitWall,
     /// Stepped along `axis` onto the ROI's exit plane.
     Exited { axis: usize },
 }
@@ -471,9 +444,9 @@ impl<'t> SegState<'t> {
         let p = unsafe { self.pay.get_unchecked(self.idx) };
         st.tau += p.abskg * dis;
         let exp_cur = (-st.tau).exp();
-        st.sum_i += st.weight * p.sigma * (st.exp_prev - exp_cur);
+        st.sum_i += p.sigma * (st.exp_prev - exp_cur);
         st.exp_prev = exp_cur;
-        if st.weight * exp_cur < threshold {
+        if exp_cur < threshold {
             return Some(SegEnd::Extinguished);
         }
 
@@ -490,9 +463,8 @@ impl<'t> SegState<'t> {
         let p = unsafe { self.pay.get_unchecked(self.idx) };
         if p.wall {
             // Wall emission: emissivity stored in abskg for wall cells.
-            let emissivity = p.abskg;
-            st.sum_i += st.weight * emissivity * p.sigma * st.exp_prev;
-            return Some(SegEnd::HitWall { axis, emissivity });
+            st.sum_i += p.abskg * p.sigma * st.exp_prev;
+            return Some(SegEnd::HitWall);
         }
         self.guard -= 1;
         if self.guard < 0 {
@@ -508,7 +480,7 @@ impl<'t> SegState<'t> {
 /// per-ray intensity integrals are in `sum_i` (ray order is preserved, so
 /// folding `sum_i` left-to-right reproduces the historical sequential
 /// accumulation bit-for-bit). A ray's march state (`τ`, `e^{-τ_prev}`,
-/// level, reflection count) lives in the tracer's lanes, not here.
+/// level) lives in the tracer's lanes, not here.
 #[derive(Clone, Debug, Default)]
 pub struct RayPacket {
     pub ox: Vec<f64>,
@@ -517,8 +489,6 @@ pub struct RayPacket {
     pub dx: Vec<f64>,
     pub dy: Vec<f64>,
     pub dz: Vec<f64>,
-    /// Initial sensitivity of the ray (1 for a fresh ray).
-    pub weight: Vec<f64>,
     pub sum_i: Vec<f64>,
     pub active: Vec<bool>,
 }
@@ -537,7 +507,6 @@ impl RayPacket {
         self.dx.reserve(n);
         self.dy.reserve(n);
         self.dz.reserve(n);
-        self.weight.reserve(n);
         self.sum_i.reserve(n);
         self.active.reserve(n);
     }
@@ -550,12 +519,11 @@ impl RayPacket {
         self.dx.push(dir.x);
         self.dy.push(dir.y);
         self.dz.push(dir.z);
-        self.weight.push(1.0);
         self.sum_i.push(0.0);
         self.active.push(true);
     }
 
-    /// Reset to `n` fresh rays: `weight`, `sum_i` and `active` take their
+    /// Reset to `n` fresh rays: `sum_i` and `active` take their
     /// defaults; the origin and direction columns are only sized — what
     /// they hold is unspecified until the caller sets every ray
     /// ([`RayPacket::set_ray`], or the columns directly).
@@ -570,8 +538,6 @@ impl RayPacket {
         ] {
             column.resize(n, 0.0);
         }
-        self.weight.clear();
-        self.weight.resize(n, 1.0);
         self.sum_i.clear();
         self.sum_i.resize(n, 0.0);
         self.active.clear();
@@ -629,7 +595,6 @@ impl RayPacket {
             dx: &self.dx,
             dy: &self.dy,
             dz: &self.dz,
-            weight: &self.weight,
             sum_i: &mut self.sum_i,
             active: &mut self.active,
         }
@@ -645,7 +610,6 @@ struct Rays<'p> {
     dx: &'p [f64],
     dy: &'p [f64],
     dz: &'p [f64],
-    weight: &'p [f64],
     sum_i: &'p mut [f64],
     active: &'p mut [bool],
 }
@@ -670,7 +634,7 @@ pub struct RayEnds {
 pub struct MarchStats {
     /// Rays traced (active rays of the packets).
     pub rays: u64,
-    /// Level segments marched (1 + level crossings + reflections per ray).
+    /// Level segments marched (1 + level crossings per ray).
     pub segments: u64,
     /// Cell steps: cells integrated across, one `exp` each.
     pub cell_steps: u64,
@@ -707,7 +671,6 @@ struct Lane<'t> {
     dir: Vector,
     /// Level index of the current segment.
     li: usize,
-    reflections: u32,
     /// Index of the ray in the packet.
     ray: usize,
 }
@@ -743,8 +706,14 @@ pub struct PacketTracer<'a> {
 
 impl<'a> PacketTracer<'a> {
     /// Prepare a trace stack (coarsest first, finest last) for marching.
+    ///
+    /// Panics on a nonzero `opts.max_reflections`: a ray ends at a wall.
     pub fn new(levels: &'a [TraceLevel<'a>], opts: TraceOptions) -> Self {
         assert!(!levels.is_empty(), "empty level stack");
+        assert_eq!(
+            opts.max_reflections, 0,
+            "TraceOptions::max_reflections must be 0: wall reflections are not traced"
+        );
         let prepared: Vec<PreparedLevel<'a>> = levels.iter().map(PreparedLevel::new).collect();
         let pays: Vec<Vec<CellPay>> = prepared
             .iter()
@@ -791,8 +760,7 @@ impl<'a> PacketTracer<'a> {
     }
 
     /// Trace a single ray (allocation-free convenience used by
-    /// `crate::trace::trace_ray_with_options`): the lane engine with one
-    /// lane.
+    /// [`crate::trace::trace_ray`]): the lane engine with one lane.
     pub fn trace_one(&self, origin: Point, dir: Vector) -> f64 {
         debug_assert!((dir.length() - 1.0).abs() < 1e-9, "direction must be unit");
         let (mut sum_i, mut active) = ([0.0], [true]);
@@ -803,7 +771,6 @@ impl<'a> PacketTracer<'a> {
             dx: &[dir.x],
             dy: &[dir.y],
             dz: &[dir.z],
-            weight: &[1.0],
             sum_i: &mut sum_i,
             active: &mut active,
         });
@@ -874,11 +841,9 @@ impl<'a> PacketTracer<'a> {
                 tau: 0.0,
                 exp_prev: 1.0,
                 sum_i: rays.sum_i[i],
-                weight: rays.weight[i],
             };
             lane.dir = Vector::new(rays.dx[i], rays.dy[i], rays.dz[i]);
             lane.li = finest;
-            lane.reflections = 0;
             lane.ray = i;
             let origin = Point::new(rays.ox[i], rays.oy[i], rays.oz[i]);
             if self.place(lane, finest + 1, origin, &mut feed.stats) {
@@ -902,8 +867,8 @@ impl<'a> PacketTracer<'a> {
     }
 
     /// Wall/level-transition logic (the non-marching half of the
-    /// historical `trace_ray_with_options` loop); `true` when the ray goes
-    /// on with a new segment in `lane`.
+    /// historical scalar trace loop); `true` when the ray goes on with a
+    /// new segment in `lane`.
     fn resolve<'t>(&'t self, lane: &mut Lane<'t>, end: SegEnd, stats: &mut MarchStats) -> bool {
         let lvl = &self.prepared[lane.li];
         let seg = &lane.seg;
@@ -921,40 +886,9 @@ impl<'a> PacketTracer<'a> {
                 stats.ended.step_bound += 1;
                 false
             }
-            SegEnd::HitWall { axis, emissivity } => {
-                let st = &mut lane.core;
-                let reflectivity = 1.0 - emissivity;
-                if lane.reflections >= self.opts.max_reflections
-                    || reflectivity <= 0.0
-                    || st.weight * st.exp_prev * reflectivity < self.opts.threshold
-                {
-                    stats.ended.wall += 1;
-                    return false;
-                }
-                lane.reflections += 1;
-                st.weight *= reflectivity;
-                // Specular bounce off the axis-aligned face; restart on the
-                // face-snapped coordinate just inside the flow cell the ray
-                // came from.
-                let s = seg.step[axis];
-                let face = lvl.crossed_face(axis, seg.cells[axis], s);
-                let restart = face - (s as f64) * FACE_NUDGE * lvl.dx[axis];
-                let mut pos = lane.pos + lane.dir * seg.traveled;
-                match axis {
-                    0 => {
-                        lane.dir.x = -lane.dir.x;
-                        pos.x = restart;
-                    }
-                    1 => {
-                        lane.dir.y = -lane.dir.y;
-                        pos.y = restart;
-                    }
-                    _ => {
-                        lane.dir.z = -lane.dir.z;
-                        pos.z = restart;
-                    }
-                }
-                self.place(lane, lane.li + 1, pos, stats)
+            SegEnd::HitWall => {
+                stats.ended.wall += 1;
+                false
             }
             SegEnd::Exited { axis } => {
                 // Face-snapped exit point, just past the crossed slab plane.
@@ -993,7 +927,7 @@ impl<'a> PacketTracer<'a> {
                 let p = &lane.seg.pay[lane.seg.idx];
                 if p.wall {
                     let st = &mut lane.core;
-                    st.sum_i += st.weight * p.abskg * p.sigma * st.exp_prev;
+                    st.sum_i += p.abskg * p.sigma * st.exp_prev;
                     stats.ended.wall += 1;
                     return false;
                 }
@@ -1112,42 +1046,9 @@ mod tests {
             self.dx.clear();
             self.dy.clear();
             self.dz.clear();
-            self.weight.clear();
             self.sum_i.clear();
             self.active.clear();
         }
-    }
-
-    #[test]
-    fn slabs_hit_and_miss() {
-        let p0 = Point::new(0.0, 0.0, 0.0);
-        let p1 = Point::new(1.0, 1.0, 1.0);
-        let d = Vector::new(1.0, 0.0, 0.0);
-        let inv = Vector::new(1.0 / d.x, 1.0 / d.y, 1.0 / d.z);
-        // From inside: entry behind, exit ahead.
-        let (near, far) = slabs(p0, p1, Point::new(0.25, 0.5, 0.5), inv);
-        assert!(near <= 0.0 && (far - 0.75).abs() < 1e-12, "{near} {far}");
-        // Axis-aligned miss: y outside the slab, d.y == 0.
-        let (near, far) = slabs(p0, p1, Point::new(0.25, 1.5, 0.5), inv);
-        assert!(near > far, "must miss: {near} {far}");
-        // Oblique hit from outside.
-        let d = Vector::new(1.0, 1.0, 1.0).normalized();
-        let inv = Vector::new(1.0 / d.x, 1.0 / d.y, 1.0 / d.z);
-        let (near, far) = slabs(p0, p1, Point::new(-1.0, -1.0, -1.0), inv);
-        assert!(near < far && near > 0.0);
-    }
-
-    #[test]
-    fn slabs_origin_on_degenerate_plane_counts_as_inside() {
-        // Origin exactly on the y = 0 plane with d.y == 0: 0·∞ would be
-        // NaN; the axis must be treated as a pass-through, not a miss.
-        let p0 = Point::new(0.0, 0.0, 0.0);
-        let p1 = Point::new(1.0, 1.0, 1.0);
-        let d = Vector::new(1.0, 0.0, 0.0);
-        let inv = Vector::new(1.0 / d.x, 1.0 / d.y, 1.0 / d.z);
-        let (near, far) = slabs(p0, p1, Point::new(0.5, 0.0, 0.5), inv);
-        assert!(near <= far, "{near} {far}");
-        assert!((far - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1164,7 +1065,6 @@ mod tests {
         assert_eq!(p.len(), 3);
         assert_eq!(p.oy[1], 0.25);
         assert_eq!(p.dy[1], 1.0);
-        assert_eq!(p.weight[0], 1.0);
         assert_eq!(p.sum_i[1], 0.0);
         assert!(p.active.iter().all(|&a| a));
     }
@@ -1399,7 +1299,7 @@ mod tests {
         let stack = two_level_stack(&coarse, &fine, roi);
         let opts = TraceOptions {
             threshold: 1e-5,
-            max_reflections: 0,
+            ..Default::default()
         };
         let stats = assert_lane_invariant(&PacketTracer::new(&stack, opts), &fine, IntVector::splat(5));
         assert!(stats.level_crossings > 0 && stats.ended.left_domain > 0, "{stats:?}");
@@ -1446,7 +1346,7 @@ mod tests {
         ];
         let opts = TraceOptions {
             threshold: 0.05,
-            max_reflections: 0,
+            ..Default::default()
         };
         let tracer = PacketTracer::new(&stack, opts);
         let cell = IntVector::splat(8);
@@ -1469,28 +1369,19 @@ mod tests {
     }
 
     #[test]
-    fn lane_count_does_not_change_results_across_reflections() {
-        // Hot grey-wall enclosure (ε = 0.8): reflected rays restart in the
-        // lane they were in.
-        let n = 10;
-        let mut props = LevelProps::uniform(Region::cube(n), Vector::splat(1.0 / n as f64), 0.7, 0.9);
-        for c in props.region.cells() {
-            if (0..3).any(|a| c[a] == 0 || c[a] == n - 1) {
-                props.cell_type[c] = crate::props::WALL_CELL;
-                props.abskg[c] = 0.8;
-                props.sigma_t4_over_pi[c] = 1.7;
-            }
-        }
+    #[should_panic(expected = "TraceOptions::max_reflections must be 0")]
+    fn new_refuses_wall_reflections() {
+        let props = LevelProps::uniform(Region::cube(4), Vector::splat(0.25), 1.0, 1.0);
         let stack = [TraceLevel {
             props: &props,
             roi: props.region,
         }];
-        let opts = TraceOptions {
-            threshold: 1e-6,
-            max_reflections: 3,
-        };
-        let stats = assert_lane_invariant(&PacketTracer::new(&stack, opts), &props, IntVector::new(3, 4, 5));
-        assert_eq!(stats.ended.wall, stats.rays, "{stats:?}");
-        assert_eq!(stats.segments, 4 * stats.rays, "three reflections a ray: {stats:?}");
+        PacketTracer::new(
+            &stack,
+            TraceOptions {
+                max_reflections: 1,
+                ..Default::default()
+            },
+        );
     }
 }

@@ -37,7 +37,7 @@ impl Radiometer {
             levels,
             TraceOptions {
                 threshold,
-                max_reflections: 0,
+                ..Default::default()
             },
         );
         // The cone's rays are packed once and marched as a single packet.

@@ -92,6 +92,9 @@ pub(crate) fn trace_packet_collision(
 ) {
     assert_eq!(packet.len(), rngs.len(), "one RNG stream per packet ray");
     let tracer = CollisionTracer::new(props);
+    // Each ray's remaining sensitivity: 1 at launch, scaled by the albedo
+    // at every collision.
+    let mut weights = vec![1.0; packet.len()];
     let mut live: Vec<u32> = (0..packet.len() as u32)
         .filter(|&i| packet.active[i as usize])
         .collect();
@@ -99,6 +102,7 @@ pub(crate) fn trace_packet_collision(
         live.retain(|&i| {
             let i = i as usize;
             let rng = &mut rngs[i];
+            let weight = &mut weights[i];
             let tau_target = -(1.0 - rng.next_f64()).max(f64::MIN_POSITIVE).ln();
             let end = tracer.fly(packet.origin(i), packet.dir(i), tau_target, medium.sigma_s);
             match end {
@@ -107,25 +111,25 @@ pub(crate) fn trace_packet_collision(
                     false
                 }
                 FlightEnd::Wall { emissivity, s } => {
-                    packet.sum_i[i] += packet.weight[i] * emissivity * s;
+                    packet.sum_i[i] += *weight * emissivity * s;
                     packet.active[i] = false;
                     false
                 }
                 FlightEnd::Collision { pos, beta, s } => {
                     packet.set_origin(i, pos);
                     let omega = medium.sigma_s / beta;
-                    packet.sum_i[i] += packet.weight[i] * (1.0 - omega) * s;
-                    packet.weight[i] *= omega;
-                    if packet.weight[i] <= 0.0 {
+                    packet.sum_i[i] += *weight * (1.0 - omega) * s;
+                    *weight *= omega;
+                    if *weight <= 0.0 {
                         packet.active[i] = false;
                         return false;
                     }
-                    if packet.weight[i] < threshold {
+                    if *weight < threshold {
                         if rng.next_f64() < 0.5 {
                             packet.active[i] = false;
                             return false;
                         }
-                        packet.weight[i] *= 2.0;
+                        *weight *= 2.0;
                     }
                     let d = medium.phase.sample(packet.dir(i), rng);
                     packet.set_dir(i, d);

@@ -102,7 +102,7 @@ impl RmcrtParams {
     pub(crate) fn tracer<'a>(&self, levels: &'a [TraceLevel<'a>], region: Region) -> PacketTracer<'a> {
         let opts = TraceOptions {
             threshold: self.threshold,
-            max_reflections: 0,
+            ..Default::default()
         };
         let tracer = PacketTracer::new(levels, opts);
         self.check_solve(&tracer, region);
@@ -610,7 +610,7 @@ mod tests {
         ];
         for (params, want) in &zero_budgets {
             let serial = uintah_exec::ExecSpace::Serial;
-            let tracer = PacketTracer::new(&stack, TraceOptions { threshold: 0.05, max_reflections: 0 });
+            let tracer = PacketTracer::new(&stack, TraceOptions { threshold: 0.05, ..Default::default() });
             let entries: [(&str, &dyn Fn()); 4] = [
                 ("div_q_for_cell", &|| {
                     div_q_for_cell(&stack, IntVector::splat(2), params);
@@ -663,7 +663,7 @@ mod tests {
                 ..Default::default()
             };
             let serial = uintah_exec::ExecSpace::Serial;
-            let tracer = PacketTracer::new(&stack, TraceOptions { threshold: 0.05, max_reflections: 0 });
+            let tracer = PacketTracer::new(&stack, TraceOptions { threshold: 0.05, ..Default::default() });
             let entries: [(&str, &dyn Fn()); 4] = [
                 ("div_q_for_cell", &|| {
                     div_q_for_cell(&stack, IntVector::splat(2), &params);

@@ -11,8 +11,9 @@
 //! (the telescoping form of the formal solution of the RTE along the ray
 //! with no scattering, fs = 1). Marching stops when the remaining
 //! transmissivity drops below the intensity threshold, when the ray hits a
-//! wall cell (which contributes `ε·σT⁴/π·e^{-τ}`), or when it leaves the
-//! enclosure (cold black wall: no contribution).
+//! wall cell (which contributes `ε·σT⁴/π·e^{-τ}` and ends the ray: walls
+//! absorb, they do not reflect), or when it leaves the enclosure (cold
+//! black wall: no contribution).
 //!
 //! In multi-level mode the ray marches the finest level while inside its
 //! region of interest and transitions to the next-coarser whole-domain
@@ -22,7 +23,7 @@
 //! The marching itself lives in [`crate::packet`]: one SoA packet stepper
 //! serves the ∇·q solver, scattering, wall flux and the radiometer. This
 //! module keeps the level-stack types and the single-ray convenience
-//! wrappers.
+//! wrapper.
 
 use crate::props::LevelProps;
 use uintah_grid::{Point, Region, Vector};
@@ -36,13 +37,14 @@ pub struct TraceLevel<'a> {
     pub roi: Region,
 }
 
-/// Options for `trace_ray_with_options`.
+/// Options of a [`crate::packet::PacketTracer`].
 #[derive(Clone, Copy, Debug)]
 pub struct TraceOptions {
     /// Intensity threshold below which a ray is extinguished.
     pub threshold: f64,
-    /// Specular wall reflections for walls with emissivity < 1 (Uintah's
-    /// reflection support). `0` treats every wall hit as terminal.
+    /// A stub kept for source compatibility: it must be `0` (every wall
+    /// hit ends the ray), and [`crate::packet::PacketTracer::new`] panics
+    /// on any other value. Leave it to `..Default::default()`.
     pub max_reflections: u32,
 }
 
@@ -61,8 +63,8 @@ impl Default for TraceOptions {
 ///
 /// Leaving the coarsest level's ROI terminates the ray against a cold black
 /// enclosure (zero contribution), which is the Burns & Christon boundary
-/// condition; warm or reflective enclosures are modeled with explicit wall
-/// cells instead.
+/// condition; warm enclosures are modeled with explicit wall cells
+/// instead.
 ///
 /// One-off convenience over the packet engine: batched consumers should
 /// prepare a [`crate::packet::PacketTracer`] once and march whole
@@ -81,30 +83,10 @@ impl Default for TraceOptions {
 /// assert!((sum_i - expect).abs() < 1e-10);
 /// ```
 pub fn trace_ray(levels: &[TraceLevel<'_>], origin: Point, dir: Vector, threshold: f64) -> f64 {
-    trace_ray_with_options(
-        levels,
-        origin,
-        dir,
-        TraceOptions {
-            threshold,
-            max_reflections: 0,
-        },
-    )
-}
-
-/// [`trace_ray`] with specular wall reflections enabled.
-///
-/// A wall with emissivity `ε < 1` contributes `ε·σT⁴/π` of its emission and
-/// specularly reflects the remaining `1 − ε` of the ray's sensitivity, up
-/// to `opts.max_reflections` bounces or until the ray's remaining weight
-/// falls below the threshold.
-pub(crate) fn trace_ray_with_options(
-    levels: &[TraceLevel<'_>],
-    origin: Point,
-    dir: Vector,
-    opts: TraceOptions,
-) -> f64 {
-    debug_assert!(!levels.is_empty());
+    let opts = TraceOptions {
+        threshold,
+        ..Default::default()
+    };
     crate::packet::PacketTracer::new(levels, opts).trace_one(origin, dir)
 }
 
@@ -340,86 +322,6 @@ mod tests {
         let sum_i = trace_ray(&stack, origin, Vector::new(1.0, 0.0, 0.0), 1e-12);
         let expect = 1.0 - (-(0.5 / n as f64)).exp();
         assert!((sum_i - expect).abs() < 1e-9, "{sum_i} vs {expect}");
-    }
-
-    /// Gray walls: a ray bouncing between two ε=0.5 walls through vacuum
-    /// accumulates εS·(1 + r + r² + …) → S_w.
-    #[test]
-    fn gray_wall_reflections_geometric_series() {
-        let n = 8;
-        let s_wall = 2.0;
-        let eps_w = 0.5;
-        let mut props = LevelProps::uniform(Region::cube(n), Vector::splat(1.0 / n as f64), 0.0, 0.0);
-        for c in props.region.cells() {
-            if c.x == 0 || c.x == n - 1 {
-                props.cell_type[c] = WALL_CELL;
-                props.abskg[c] = eps_w;
-                props.sigma_t4_over_pi[c] = s_wall;
-            }
-        }
-        let stack = single(&props);
-        let origin = Point::new(0.5, 0.5, 0.5);
-        let dir = Vector::new(1.0, 0.0, 0.0);
-        // No reflections: only the first wall's ε·S.
-        let first = trace_ray(&stack, origin, dir, 1e-9);
-        assert!((first - eps_w * s_wall).abs() < 1e-12);
-        // Many reflections: geometric series to S_w.
-        let full = trace_ray_with_options(
-            &stack,
-            origin,
-            dir,
-            TraceOptions {
-                threshold: 1e-9,
-                max_reflections: 64,
-            },
-        );
-        assert!((full - s_wall).abs() < 1e-6, "series sum {full} vs {s_wall}");
-    }
-
-    /// Perfect mirrors (ε=0) around an absorbing hot medium: the ray keeps
-    /// bouncing until the medium extinguishes it, so sumI → S_medium.
-    #[test]
-    fn mirror_box_reaches_blackbody_limit() {
-        let n = 8;
-        let s = 0.7;
-        let mut props = LevelProps::uniform(Region::cube(n), Vector::splat(1.0 / n as f64), 2.0, s);
-        for c in props.region.cells() {
-            let e = props.region.extent();
-            if c.x == 0 || c.y == 0 || c.z == 0 || c.x == e.x - 1 || c.y == e.y - 1 || c.z == e.z - 1 {
-                props.cell_type[c] = WALL_CELL;
-                props.abskg[c] = 0.0; // emissivity 0 = perfect mirror
-                props.sigma_t4_over_pi[c] = 0.0;
-            }
-        }
-        let got = trace_ray_with_options(
-            &single(&props),
-            Point::new(0.5, 0.5, 0.5),
-            Vector::new(1.0, 0.0, 0.0).normalized(),
-            TraceOptions {
-                threshold: 1e-8,
-                max_reflections: 1000,
-            },
-        );
-        assert!((got - s).abs() < 1e-4, "mirror box sumI {got} vs S {s}");
-    }
-
-    #[test]
-    fn zero_reflections_matches_plain_trace() {
-        let n = 8;
-        let props = LevelProps::uniform(Region::cube(n), Vector::splat(1.0 / n as f64), 1.0, 0.4);
-        let origin = Point::new(0.3, 0.4, 0.5);
-        let dir = Vector::new(0.6, -0.5, 0.62).normalized();
-        let a = trace_ray(&single(&props), origin, dir, 1e-6);
-        let b = trace_ray_with_options(
-            &single(&props),
-            origin,
-            dir,
-            TraceOptions {
-                threshold: 1e-6,
-                max_reflections: 0,
-            },
-        );
-        assert_eq!(a, b);
     }
 
     #[test]

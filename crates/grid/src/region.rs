@@ -16,7 +16,7 @@ pub struct Region {
 
 impl Region {
     /// An empty region at the origin.
-    pub const EMPTY: Region = Region {
+    pub(crate) const EMPTY: Region = Region {
         lo: IntVector::ZERO,
         hi: IntVector::ZERO,
     };

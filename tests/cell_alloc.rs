@@ -78,7 +78,7 @@ fn latin_hypercube_solve_allocates_nothing_per_cell() {
             &stack,
             TraceOptions {
                 threshold: params.threshold,
-                max_reflections: 0,
+                ..Default::default()
             },
         );
         let pass = || {
@@ -167,7 +167,7 @@ fn warm_region_solve_allocates_only_its_tracer_and_output() {
     let region = Region::new(IntVector::splat(1), IntVector::splat(5));
     let opts = TraceOptions {
         threshold: 0.05,
-        max_reflections: 0,
+        ..Default::default()
     };
     let before = ALLOCATIONS.with(Cell::get);
     drop(PacketTracer::new(&stack, opts));

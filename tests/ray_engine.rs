@@ -309,7 +309,7 @@ fn origin_outside_the_roi_is_rehomed_or_contributes_nothing() {
     let dir = Vector::new(0.6, 0.0, 0.8);
     let opts = TraceOptions {
         threshold: 1e-9,
-        max_reflections: 0,
+        ..Default::default()
     };
 
     let in_high_half = Point::new(0.8, 0.5, 0.5);
@@ -507,7 +507,7 @@ fn run_solver_is_bit_identical_to_the_per_cell_loop() {
                         }
                         let tracer = PacketTracer::new(
                             stack,
-                            TraceOptions { threshold: params.threshold, max_reflections: 0 },
+                            TraceOptions { threshold: params.threshold, ..Default::default() },
                         );
                         let mut scratch = per_cell::CellScratch::default();
                         for c in region.cells() {

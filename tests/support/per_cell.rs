@@ -142,7 +142,7 @@ pub fn solve_region(
         levels,
         TraceOptions {
             threshold: params.threshold,
-            max_reflections: 0,
+            ..Default::default()
         },
     );
     let mut scratch = CellScratch::default();
