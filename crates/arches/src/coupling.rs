@@ -9,9 +9,8 @@
 use crate::energy::EnergySolver;
 use rmcrt_core::labels::sigma_t4_over_pi;
 use rmcrt_core::props::{LevelProps, FLOW_CELL};
-use rmcrt_core::solver::{solve_region_exec, RmcrtParams};
+use rmcrt_core::solver::{solve_region, RmcrtParams};
 use rmcrt_core::trace::TraceLevel;
-use uintah_exec::ExecSpace;
 use uintah_grid::{CcVariable, Point, Vector};
 
 /// Recomputes `∇·q_r` from the current temperature field every
@@ -23,8 +22,6 @@ pub struct RadiationCoupler {
     /// code would update it from species).
     pub abskg: CcVariable<f64>,
     pub params: RmcrtParams,
-    /// Host threads for the radiation solve.
-    pub nthreads: usize,
     steps_since_solve: usize,
     solves: usize,
 }
@@ -35,7 +32,6 @@ impl RadiationCoupler {
             interval: interval.max(1),
             abskg,
             params,
-            nthreads: 1,
             steps_since_solve: usize::MAX / 2, // force a solve on first step
             solves: 0,
         }
@@ -84,7 +80,7 @@ impl RadiationCoupler {
         }];
         let mut params = self.params;
         params.timestep = self.solves as u32;
-        solver.div_q = solve_region_exec(&stack, region, &params, &ExecSpace::host(self.nthreads));
+        solver.div_q = solve_region(&stack, region, &params);
         self.solves += 1;
     }
 }

@@ -190,11 +190,12 @@ fn trace_patch(
 /// The CPU variant computes directly. The GPU variant stages the replicas
 /// through the *level database* (one shared copy per level per device —
 /// contribution ii) and holds those handles until the task ends. It also
-/// stages the fine ROI into the patch database, but holds no handle to
-/// it: each `put_patch` handle drops at the end of its statement, so LRU
-/// eviction may spill the ROI inputs from the moment they are staged
-/// (ROADMAP 6). The "kernel" itself reads the host copies, not the device
-/// ones (ROADMAP 5). `divQ` comes back over the metered D2H path.
+/// stages the fine ROI into the patch database, which hands back no
+/// handle: the database is each ROI input's only holder, so LRU eviction
+/// may spill it from the moment it is staged (ROADMAP 6). The "kernel"
+/// itself reads the host copies, not the device ones (ROADMAP 5). `divQ`
+/// comes back over the metered D2H path. The task removes everything it
+/// stages: `drop_patch` for its inputs, the take for its output.
 fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, levels: Vec<LevelIndex>, fine_roi: bool, gpu: bool) -> TaskDecl {
     let traced = levels.clone();
     let body: uintah_runtime::TaskFn = Arc::new(move |ctx: &mut TaskContext| {
@@ -221,8 +222,8 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, levels: Vec<LevelInd
                     );
                 }
             }
-            // Stage fine ROI inputs per patch. The returned handles drop
-            // here, so these entries are eviction candidates at once.
+            // Stage fine ROI inputs per patch. No handle comes back, so
+            // these entries are eviction candidates at once.
             let pid = ctx.patch().id();
             if let Some(fine) = &fine {
                 gdw.put_patch(ABSKG, pid, FieldData::F64(fine.abskg.clone()))

@@ -35,7 +35,10 @@
 //! task's staged replicas stay resident for exactly the kernel's lifetime —
 //! which is why eviction is invisible to divQ (bit-identical to a
 //! non-evicting run) and only visible in the eviction/spill/re-upload
-//! counters and in wall time.
+//! counters and in wall time. A block is held by the database that owns
+//! it, or by the running task that is still reading it, and by nothing
+//! else: [`GpuDataWarehouse::put_patch`] hands back no handle, so a staged
+//! input is evictable from the moment it is installed.
 //!
 //! **Transfers.** A variable reaches a device in exactly one way:
 //! synchronously inside [`GpuDataWarehouse::put_patch`] /
@@ -141,9 +144,8 @@ impl StoreState {
     }
 
     /// Register `var` in the patch database, stamped most-recently-used.
-    fn install_patch(&mut self, key: PatchKey, var: &Arc<DeviceVar>) {
+    fn install_patch(&mut self, key: PatchKey, var: Arc<DeviceVar>) {
         let last_use = self.tick();
-        let var = Arc::clone(var);
         self.patch_db.insert(key, PatchEntry { var, last_use });
     }
 
@@ -181,7 +183,8 @@ pub struct GpuDataWarehouse {
     level_db_enabled: bool,
     /// Timestep epoch: bumped by [`Self::begin_timestep`]. Level-DB entries
     /// stamped with an older epoch are *stale* — still device-resident, but
-    /// requiring revalidation (diff + incremental re-upload) before reuse
+    /// requiring revalidation (a bitwise compare, and a whole re-upload if
+    /// the host data changed) before reuse
     /// via [`Self::ensure_level_fresh`]. One epoch governs every device.
     epoch: AtomicU64,
 }
@@ -379,25 +382,23 @@ impl GpuDataWarehouse {
         st.spill.remove(&(label, patch));
         let block = self.alloc_with_evict(dev, &mut st, data.size_bytes())?;
         let var = Arc::new(DeviceVar { data, block });
-        st.install_patch((label, patch), &var);
+        st.install_patch((label, patch), Arc::clone(&var));
         Ok(var)
     }
 
     /// Copy a per-patch variable host→device and register it on the
-    /// patch's home device.
-    pub fn put_patch(
-        &self,
-        label: VarLabel,
-        patch: PatchId,
-        data: DeviceData,
-    ) -> Result<Arc<DeviceVar>, GpuError> {
+    /// patch's home device. No handle comes back: the patch database is
+    /// the entry's only holder, so it is an LRU victim from the moment it
+    /// is installed. A caller that reads it takes a handle with
+    /// [`Self::get_patch`].
+    pub fn put_patch(&self, label: VarLabel, patch: PatchId, data: DeviceData) -> Result<(), GpuError> {
         let dev = self.device_for_patch(patch);
         let mut st = self.stores[dev].lock();
         // Fresh data supersedes any spilled copy of this variable.
         st.spill.remove(&(label, patch));
         let var = self.upload_locked(dev, &mut st, data)?;
-        st.install_patch((label, patch), &var);
-        Ok(var)
+        st.install_patch((label, patch), var);
+        Ok(())
     }
 
     /// Device-side handle for a per-patch variable. A variable evicted to
@@ -428,7 +429,7 @@ impl GpuDataWarehouse {
         device.record_transfer(Dir::H2D, bytes);
         device.record_reupload(bytes);
         let var = Arc::new(DeviceVar { data, block });
-        st.install_patch(key, &var);
+        st.install_patch(key, Arc::clone(&var));
         Some(var)
     }
 
@@ -482,12 +483,11 @@ impl GpuDataWarehouse {
     /// * Entry validated this epoch → share it, zero PCIe traffic, and the
     ///   producer is never invoked. The store mutex is held across the
     ///   check and the upload, so concurrent tasks pay one upload.
-    /// * Stale entry → invoke the producer and diff against the resident
-    ///   bytes ([`DeviceData::diff_bytes`](uintah_grid::FieldData::diff_bytes)).
-    ///   Unchanged data re-stamps the epoch with **no transfer**; changed
-    ///   data is re-uploaded metering only the changed bytes (the
-    ///   incremental-update model of §III-C: the coarse radiative properties
-    ///   barely move between radiation solves).
+    /// * Stale entry → invoke the producer and compare it with the resident
+    ///   bytes ([`DeviceData::bits_equal`](uintah_grid::FieldData::bits_equal)).
+    ///   Unchanged data re-stamps the epoch with **no transfer** (the
+    ///   coarse radiative properties do not move between radiation solves
+    ///   of a static problem); changed data is re-uploaded whole.
     /// * No entry (including one evicted under memory pressure) → full
     ///   upload.
     ///
@@ -507,7 +507,6 @@ impl GpuDataWarehouse {
         }
         let now = self.epoch();
         let key = (label, level);
-        let device = self.fleet.device(dev);
         let mut st = self.stores[dev].lock();
         let clock = st.tick();
         if let Some(e) = st.level_db.get_mut(&key).filter(|e| e.epoch == now) {
@@ -515,37 +514,19 @@ impl GpuDataWarehouse {
             return Ok(Arc::clone(&e.var));
         }
         let host = self.produce_timed_on(dev, producer);
-        if let Some(var) = st.level_db.get(&key).map(|e| Arc::clone(&e.var)) {
-            // Stale resident replica: revalidate against host data.
-            let changed = var.data().diff_bytes(&host);
-            let same_size = host.size_bytes() == var.size_bytes();
-            // Drop the probe handle so the DB entry can observe a unique
-            // Arc (the in-place condition) under the held lock.
-            drop(var);
-            let e = st.level_db.get_mut(&key).expect("entry present: lock held");
-            if changed == 0 {
-                e.epoch = now;
-                e.last_use = clock;
-                return Ok(Arc::clone(&e.var));
-            }
-            if let Some(v) = Arc::get_mut(&mut e.var).filter(|_| same_size) {
-                // Overwrite in place: this DB holds the only handle, so the
-                // update happens device-side and only the changed bytes
-                // cross PCIe.
-                device.record_transfer(Dir::H2D, changed);
-                v.data = host;
-                e.epoch = now;
-                e.last_use = clock;
-                return Ok(Arc::clone(&e.var));
-            }
-            // Replace: concurrent holders keep the old bytes alive until
-            // they drop, so the *whole* new buffer crosses PCIe into a fresh
-            // allocation. The upload reserves first — an OOM here must leave
-            // the counters and the stale epoch untouched — then meters the
-            // full replacement buffer, not just the diff. (Eviction may
-            // reclaim the unreferenced old entry itself, which is fine: it
-            // is superseded by the install below.)
+        // A stale replica whose bytes are unchanged re-stamps the epoch
+        // with no transfer.
+        if let Some(e) = st.level_db.get_mut(&key).filter(|e| e.var.data().bits_equal(&host)) {
+            e.epoch = now;
+            e.last_use = clock;
+            return Ok(Arc::clone(&e.var));
         }
+        // Changed or absent: the whole buffer crosses PCIe into a fresh
+        // allocation, and concurrent holders keep the old bytes alive
+        // until they drop. The upload reserves first — an OOM here must
+        // leave the counters and the stale epoch untouched. (Eviction may
+        // reclaim the unreferenced old entry itself, which is fine: it is
+        // superseded by the install below.)
         let var = self.upload_locked(dev, &mut st, host)?;
         st.install_level(key, &var, now, clock);
         Ok(var)
@@ -808,23 +789,27 @@ mod tests {
     }
 
     #[test]
-    fn changed_replica_reuploads_only_changed_bytes() {
+    fn changed_replica_reuploads_whole() {
         let dw = GpuDataWarehouse::new(GpuDevice::k20x());
         let full = 16usize.pow(3) * 8;
         let v = dw.ensure_level_fresh(ABSKG, 0, || field(16, 0.9)).unwrap();
         drop(v);
         dw.begin_timestep();
-        // One cell changed between steps.
-        let _ = dw
+        // One cell changed between steps: the whole buffer crosses PCIe
+        // into a fresh block, and the superseded one is released.
+        let changed = dw
             .ensure_level_fresh(ABSKG, 0, || {
                 let mut f = CcVariable::filled(Region::cube(16), 0.9);
                 f[uintah_grid::IntVector::ZERO] = 1.1;
                 DeviceData::F64(f)
             })
             .unwrap();
+        assert_eq!(changed.data().as_f64()[uintah_grid::IntVector::ZERO], 1.1);
         assert_eq!(dw.device().counters().h2d_transfers, 2);
-        assert_eq!(dw.device().counters().h2d_bytes, (full + 8) as u64, "8-byte diff upload");
-        assert_eq!(dw.device().used(), full, "in-place overwrite, no extra memory");
+        assert_eq!(dw.device().counters().h2d_bytes, 2 * full as u64, "whole re-upload");
+        assert_eq!(dw.device().used(), full, "the old replica is released");
+        assert_eq!(dw.level_entry_epoch_on(0, ABSKG, 0), Some(1));
+        dw.device().validate_allocator().unwrap();
     }
 
     #[test]
@@ -931,12 +916,12 @@ mod tests {
         // Room for two patches, not three.
         let device = GpuDevice::with_capacity("small", 2 * patch_bytes + 100);
         let dw = GpuDataWarehouse::new(device.clone());
-        dw.put_patch(DIVQ, PatchId(0), field(8, 10.0)).map(drop).unwrap();
-        dw.put_patch(DIVQ, PatchId(1), field(8, 11.0)).map(drop).unwrap();
+        dw.put_patch(DIVQ, PatchId(0), field(8, 10.0)).unwrap();
+        dw.put_patch(DIVQ, PatchId(1), field(8, 11.0)).unwrap();
         // Touch patch 0 so patch 1 is the LRU victim.
         dw.get_patch(DIVQ, PatchId(0)).map(drop).unwrap();
         // Third put forces one eviction.
-        dw.put_patch(DIVQ, PatchId(2), field(8, 12.0)).map(drop).unwrap();
+        dw.put_patch(DIVQ, PatchId(2), field(8, 12.0)).unwrap();
         let c = device.counters();
         assert_eq!(c.evictions, 1);
         assert_eq!(c.evicted_bytes, patch_bytes as u64);
@@ -965,7 +950,7 @@ mod tests {
         dw.ensure_level_fresh(ABSKG, 0, || field(8, 0.5)).map(drop).unwrap();
         // A patch put that doesn't fit evicts the replica — dropped, not
         // spilled: level data is regenerable from the host warehouse.
-        dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).map(drop).unwrap();
+        dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).unwrap();
         let c = device.counters();
         assert_eq!(c.evictions, 1);
         assert_eq!(c.spills, 0, "level replicas never spill");
@@ -986,7 +971,8 @@ mod tests {
         let patch_bytes = 8usize.pow(3) * 8;
         let device = GpuDevice::with_capacity("small", patch_bytes + 100);
         let dw = GpuDataWarehouse::new(device.clone());
-        let held = dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).unwrap();
+        dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).unwrap();
+        let held = dw.get_patch(DIVQ, PatchId(0)).unwrap();
         // The held Arc pins the only resident entry: OOM, not a stale serve.
         let err = dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).unwrap_err();
         assert!(matches!(err, GpuError::OutOfMemory { .. }));
@@ -994,8 +980,26 @@ mod tests {
         assert_eq!(held.data().as_f64()[uintah_grid::IntVector::ZERO], 1.0);
         drop(held);
         // Unpinned, the entry is a legal victim.
-        dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).map(drop).unwrap();
+        dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).unwrap();
         assert_eq!(device.counters().evictions, 1);
+        device.validate_allocator().unwrap();
+    }
+
+    #[test]
+    fn a_staged_input_is_evictable_while_its_put_is_bound() {
+        // Room for one 8³ field. The put's result stays bound across the
+        // next put, as a statement that stages an input keeps its value
+        // alive: no handle comes back, so the first input is still an LRU
+        // victim and the second put spills it instead of failing.
+        let patch_bytes = 8usize.pow(3) * 8;
+        let device = GpuDevice::with_capacity("small", patch_bytes + 100);
+        let dw = GpuDataWarehouse::new(device.clone());
+        #[allow(clippy::let_unit_value)]
+        let _staged = dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).unwrap();
+        dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).unwrap();
+        let c = device.counters();
+        assert_eq!((c.evictions, c.spills, c.alloc_failures), (1, 1, 1));
+        assert_eq!(dw.spill_entries(), 1);
         device.validate_allocator().unwrap();
     }
 
@@ -1004,8 +1008,8 @@ mod tests {
         let patch_bytes = 8usize.pow(3) * 8;
         let device = GpuDevice::with_capacity("small", patch_bytes + 100);
         let dw = GpuDataWarehouse::new(device.clone());
-        dw.put_patch(DIVQ, PatchId(0), field(8, 5.0)).map(drop).unwrap();
-        dw.put_patch(DIVQ, PatchId(1), field(8, 6.0)).map(drop).unwrap(); // evicts 0
+        dw.put_patch(DIVQ, PatchId(0), field(8, 5.0)).unwrap();
+        dw.put_patch(DIVQ, PatchId(1), field(8, 6.0)).unwrap(); // evicts 0
         assert_eq!(device.counters().spills, 1);
         let d2h = device.counters().d2h_transfers;
         assert!(dw.take_patch_to_host_async(DIVQ, PatchId(0)).is_none(), "spilled, not resident");
@@ -1049,8 +1053,8 @@ mod tests {
         let patch_bytes = 8usize.pow(3) * 8;
         let device = GpuDevice::with_capacity("small", patch_bytes + 100);
         let dw = GpuDataWarehouse::new(device.clone());
-        dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).map(drop).unwrap();
-        dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).map(drop).unwrap(); // spills 0
+        dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).unwrap();
+        dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).unwrap(); // spills 0
         assert_eq!(dw.spill_entries(), 1);
         dw.drop_patch(DIVQ, PatchId(0));
         assert_eq!(dw.spill_entries(), 0);
@@ -1062,8 +1066,8 @@ mod tests {
         let patch_bytes = 8usize.pow(3) * 8;
         let device = GpuDevice::with_capacity("small", patch_bytes + 100);
         let dw = GpuDataWarehouse::new(device.clone());
-        dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).map(drop).unwrap();
-        dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).map(drop).unwrap(); // spills 0
+        dw.put_patch(DIVQ, PatchId(0), field(8, 1.0)).unwrap();
+        dw.put_patch(DIVQ, PatchId(1), field(8, 2.0)).unwrap(); // spills 0
         assert_eq!(dw.spill_entries(), 1);
         dw.clear_patch_db();
         assert_eq!(dw.patch_entries_on(0), 0);

@@ -197,31 +197,19 @@ impl FieldData {
         }
     }
 
-    /// Bytes that differ between two fields of the same shape, counted in
-    /// whole elements (the granularity a real `cudaMemcpy` diff upload would
-    /// transfer). Fields of different type or region differ entirely:
-    /// returns `other.size_bytes()`.
+    /// Whether two fields hold the same type, region and bits. The compare
+    /// is bitwise, so equal NaNs are equal.
     ///
-    /// Drives incremental re-upload of persistent device-resident level
-    /// replicas: an unchanged replica diffs to 0 and costs no PCIe traffic.
-    pub fn diff_bytes(&self, other: &FieldData) -> usize {
+    /// Revalidates persistent device-resident level replicas: an unchanged
+    /// replica compares equal and costs no PCIe traffic.
+    pub fn bits_equal(&self, other: &FieldData) -> bool {
         match (self, other) {
-            (FieldData::F64(a), FieldData::F64(b)) if a.region() == b.region() => {
-                let n = a
-                    .as_slice()
-                    .iter()
-                    .zip(b.as_slice())
-                    .filter(|(x, y)| x.to_bits() != y.to_bits())
-                    .count();
-                n * std::mem::size_of::<f64>()
+            (FieldData::F64(a), FieldData::F64(b)) => {
+                a.region() == b.region()
+                    && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
             }
-            (FieldData::U8(a), FieldData::U8(b)) if a.region() == b.region() => a
-                .as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .filter(|(x, y)| x != y)
-                .count(),
-            _ => other.size_bytes(),
+            (FieldData::U8(a), FieldData::U8(b)) => a.region() == b.region() && a.as_slice() == b.as_slice(),
+            _ => false,
         }
     }
 }
@@ -324,25 +312,32 @@ mod tests {
     }
 
     #[test]
-    fn diff_bytes_counts_changed_elements() {
+    fn bits_equal_compares_type_region_and_bits() {
         let r = Region::cube(4);
         let mut a = CcVariable::<f64>::new(r);
         a.fill_with(|c| c.x as f64);
         let mut b = a.clone();
         let fa = FieldData::from(a.clone());
-        assert_eq!(fa.diff_bytes(&FieldData::from(b.clone())), 0);
-        b[IntVector::new(1, 1, 1)] += 1.0;
+        assert!(fa.bits_equal(&FieldData::from(b.clone())));
         b[IntVector::new(2, 0, 3)] += 1.0;
-        assert_eq!(fa.diff_bytes(&FieldData::from(b)), 2 * 8);
-        // Shape mismatch: everything differs.
-        let other = FieldData::from(CcVariable::<f64>::new(Region::cube(2)));
-        assert_eq!(fa.diff_bytes(&other), other.size_bytes());
+        assert!(!fa.bits_equal(&FieldData::from(b)));
+        // Shape mismatch: not equal.
+        assert!(!fa.bits_equal(&FieldData::from(CcVariable::<f64>::new(Region::cube(2)))));
         // Type mismatch likewise.
-        let u = FieldData::from(CcVariable::<u8>::new(r));
-        assert_eq!(fa.diff_bytes(&u), u.size_bytes());
-        // NaN-safe: bitwise comparison treats equal NaNs as unchanged.
+        let u = CcVariable::<u8>::new(r);
+        assert!(!fa.bits_equal(&FieldData::from(u.clone())));
+        let mut v = u.clone();
+        v[IntVector::ZERO] = 1;
+        assert!(FieldData::from(u.clone()).bits_equal(&FieldData::from(u.clone())));
+        assert!(!FieldData::from(u).bits_equal(&FieldData::from(v)));
+        // NaN-safe: bitwise comparison treats equal NaNs as unchanged,
+        // and +0.0 against -0.0 as changed.
         a[IntVector::ZERO] = f64::NAN;
         let fnan = FieldData::from(a.clone());
-        assert_eq!(fnan.diff_bytes(&FieldData::from(a)), 0);
+        assert!(fnan.bits_equal(&FieldData::from(a.clone())));
+        let mut z = a.clone();
+        a[IntVector::ZERO] = 0.0;
+        z[IntVector::ZERO] = -0.0;
+        assert!(!FieldData::from(a).bits_equal(&FieldData::from(z)));
     }
 }

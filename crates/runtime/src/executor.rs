@@ -18,8 +18,9 @@
 //! * the host [`DataWarehouse`], whose step boundary bumps the epoch and
 //!   drops last step's contents (`DataWarehouse::begin_timestep`);
 //! * the GPU warehouse, whose level database persists device-resident
-//!   coarse replicas across steps and regrids and re-uploads only changed
-//!   bytes (`GpuDataWarehouse::begin_timestep` + `ensure_level_fresh`).
+//!   coarse replicas across steps and regrids and re-uploads a replica
+//!   only when its host data changed (`GpuDataWarehouse::begin_timestep` +
+//!   `ensure_level_fresh`).
 //!
 
 use crate::dw::DataWarehouse;
@@ -125,9 +126,9 @@ impl PersistentExecutor {
             self.dw.begin_timestep();
             if let Some(g) = &self.gpu {
                 // Level replicas stay device-resident (stale, revalidated on
-                // first use); per-patch staging is transient by design.
+                // first use). Per-patch staging needs no sweep: every task
+                // removes what it stages before it ends.
                 g.begin_timestep();
-                g.clear_patch_db();
             }
         }
         let sig = graph::graph_signature(&self.grid, &self.dist, &self.decls, self.sched.rank());

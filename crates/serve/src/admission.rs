@@ -1,15 +1,15 @@
 //! Admission control: decide from the fleet's capacity meters whether a
-//! job may start now, must queue, or can never run.
+//! job may start now or must queue.
 //!
 //! The controller is deliberately conservative: it admits on an *upper
 //! bound* of the job's device residency (level replicas on every device of
 //! every rank's warehouse, plus fully ghosted per-patch staging on the
 //! fine level), so an admitted job can always complete without relying on
 //! LRU eviction. Jobs whose bound exceeds what
-//! is currently free are **queued**, not failed; jobs whose bound exceeds
-//! the fleet's *total* capacity are rejected up front with a typed error
-//! ([`RejectCode::TooLarge`]) — they could never run, and queuing them
-//! forever would wedge the tier behind them.
+//! is currently free are **queued**, not failed. Jobs whose bound exceeds
+//! the fleet's *total* capacity never reach this controller: submission
+//! rejects them with a typed error ([`RejectCode::TooLarge`]) — they could
+//! never run, and queuing them forever would wedge the tier behind them.
 //!
 //! [`RejectCode::TooLarge`]: crate::protocol::RejectCode::TooLarge
 
@@ -69,14 +69,13 @@ pub(crate) fn estimate_device_footprint(cfg: &RunConfig, grid: &Grid, ndevices: 
 pub(crate) enum Admission {
     /// Run now: the footprint fits in what the meters say is free.
     Admit,
-    /// Fits the fleet but not the current headroom — wait for a
-    /// completion (or an idle-slot reclaim) to free device bytes.
+    /// Does not fit the current headroom — wait for a completion (or an
+    /// idle-slot reclaim) to free device bytes.
     Defer,
-    /// Exceeds the fleet's total capacity; can never run.
-    TooLarge,
 }
 
-/// Decide admission for a job of `footprint` bytes.
+/// Decide admission for a job of `footprint` bytes, which submission has
+/// already checked against `total_capacity`.
 ///
 /// * `total_capacity` — the fleet's summed device capacity;
 /// * `reserved` — footprints of currently running jobs (the ledger of
@@ -95,9 +94,6 @@ pub(crate) fn decide(
     idle_resident: u64,
     reusable_resident: u64,
 ) -> Admission {
-    if footprint > total_capacity {
-        return Admission::TooLarge;
-    }
     let committed = reserved + idle_resident.saturating_sub(reusable_resident);
     if footprint <= total_capacity.saturating_sub(committed) {
         Admission::Admit
@@ -215,7 +211,8 @@ mod tests {
         assert_eq!(decide(600, 1000, 0, 500, 0), Admission::Defer);
         // ...unless it belongs to the slot the job reuses.
         assert_eq!(decide(600, 1000, 0, 500, 500), Admission::Admit);
-        // Bigger than the machine: typed rejection, never queued.
-        assert_eq!(decide(1001, 1000, 0, 0, 0), Admission::TooLarge);
+        // Bigger than the machine: never admitted (submission refuses it
+        // before it can queue).
+        assert_eq!(decide(1001, 1000, 0, 0, 0), Admission::Defer);
     }
 }

@@ -66,11 +66,20 @@ pub fn serve_on(server: Arc<RadiationServer>, path: &Path) -> io::Result<ServerS
                     break;
                 }
                 let Ok(stream) = stream else { break };
+                // Join the connections that have ended: an exited thread
+                // keeps its stack mapped until it is joined, so a
+                // long-running server must not hold one per connection it
+                // ever accepted.
+                for c in conns.extract_if(.., |c: &mut std::thread::JoinHandle<()>| c.is_finished()) {
+                    let _ = c.join();
+                }
                 let server = Arc::clone(&server);
                 let shutdown_requested = Arc::clone(&shutdown_requested);
                 conns.push(std::thread::spawn(move || {
                     handle_connection(&server, stream, &shutdown_requested)
                 }));
+                #[cfg(test)]
+                tests::RETAINED.store(conns.len(), Ordering::Relaxed);
             }
             for c in conns {
                 let _ = c.join();
@@ -281,5 +290,48 @@ impl ServeClient {
             Response::ShutdownAck => Ok(()),
             _ => Err(ClientError::UnexpectedResponse),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServeConfig;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::{Duration, Instant};
+
+    /// Connection threads the accept loop held unjoined after its last
+    /// accept.
+    pub(super) static RETAINED: AtomicUsize = AtomicUsize::new(0);
+
+    /// A server that has served many short connections holds no exited
+    /// connection thread: after 20 sequential connections have closed,
+    /// the next accept joins them all and retains only the connections
+    /// still open. Under a 10-s deadline.
+    #[test]
+    fn ended_connections_are_joined_as_new_ones_arrive() {
+        let server = Arc::new(RadiationServer::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        }));
+        let path = std::env::temp_dir().join(format!("rmcrt-net-test-{}.sock", std::process::id()));
+        let socket = serve_on(Arc::clone(&server), &path).unwrap();
+        for _ in 0..20 {
+            ServeClient::connect(&path).unwrap().stats().unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let mut probe = ServeClient::connect(&path).unwrap();
+            probe.stats().unwrap();
+            let retained = RETAINED.load(Ordering::Relaxed);
+            if retained <= 2 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{retained} connection threads retained after 20 closed");
+            drop(probe);
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        socket.close();
+        server.shutdown();
     }
 }

@@ -539,9 +539,6 @@ impl ServerInner {
                     // Try the next job in FIFO order (first-fit): a
                     // smaller job behind may run meanwhile.
                 }
-                Admission::TooLarge => {
-                    unreachable!("TooLarge rejected at submission")
-                }
             }
         }
         None

@@ -12,8 +12,9 @@
 //!
 //! * the compiled task graph (signature hashes declaration *shape*, not
 //!   captured parameters — a different ray count reuses the graph);
-//! * the device-resident level replicas (the diff-based
-//!   `ensure_level_fresh` re-uploads only changed bytes).
+//! * the device-resident level replicas (`ensure_level_fresh` compares
+//!   them bitwise with the tenant's data and re-uploads only a replica
+//!   that changed).
 //!
 //! Shape keying is strict on anything baked into the slot's structures
 //! and deliberately loose on per-job parameters (ray counts, thresholds,
@@ -87,10 +88,11 @@ impl Slot {
     /// `cancel` halted it before its last step. A halted world (canceled,
     /// or a panic re-raised from here) is never run again: the caller
     /// drops the slot. On a report the slot is clean for the next tenant:
-    /// per-patch device staging is cleared, and level replicas stay
-    /// resident — they are the cross-job sharing the next same-shape
-    /// tenant inherits (its first `ensure_level_fresh` revalidates them
-    /// against its own sealed data before serving).
+    /// it holds no per-patch device staging (every task removed what it
+    /// staged), and level replicas stay resident — they are the cross-job
+    /// sharing the next same-shape tenant inherits (its first
+    /// `ensure_level_fresh` revalidates them against its own sealed data
+    /// before serving).
     pub(crate) fn run_job(
         &mut self,
         job: &JobSpec,
@@ -107,9 +109,6 @@ impl Slot {
         };
         let per_rank = self.world.run(&job.decls, &wc, Some(cancel))?;
         self.jobs_served += 1;
-        for g in self.world.gpus() {
-            g.clear_patch_db();
-        }
         let divq = self.world.fine_field(rmcrt_core::labels::DIVQ).into_vec();
         let stats = JobStats {
             graph_compiles: self.world.compiles() - compiles0,

@@ -35,7 +35,6 @@ fn main() {
             ..Default::default()
         },
     );
-    coupler.nthreads = 2;
 
     let dx = setup.dx();
     let mut t = 0.0;

@@ -1,16 +1,24 @@
 //! The zero-drift audit of a finished GPU run's device meters: every
 //! device's `used` equals the bytes its warehouse databases hold, the
-//! sub-allocator's free list is coherent, nothing is stranded in host
-//! spill, and clearing the databases returns every device to 0 B.
+//! sub-allocator's free list is coherent, no per-patch entry outlived its
+//! task (every task removes what it stages, so the patch databases are
+//! empty and nothing is stranded in host spill), and clearing the level
+//! databases returns every device to 0 B.
 
 use uintah::runtime::WorldResult;
 
 /// Panic on the first meter that drifted in `result`; `label` names the
-/// run in the message. Clears every rank's device databases.
+/// run in the message. Clears every rank's level databases.
 pub fn assert_meters_drain(result: &WorldResult, label: &str) {
     for rr in &result.ranks {
         let g = rr.gpu.as_ref().expect("gpu attached");
         for d in 0..g.num_devices() {
+            assert_eq!(
+                g.patch_entries_on(d),
+                0,
+                "{label}: rank {} device {d}: per-patch entries outlived their tasks",
+                rr.rank
+            );
             let dev = g.device_at(d);
             if let Err(e) = dev.validate_allocator() {
                 panic!("{label}: rank {} device {d}: {e}", rr.rank);
@@ -23,7 +31,6 @@ pub fn assert_meters_drain(result: &WorldResult, label: &str) {
             );
         }
         assert_eq!(g.spill_entries(), 0, "{label}: rank {}: variables stranded in host spill", rr.rank);
-        g.clear_patch_db();
         g.clear_level_db();
         for d in 0..g.num_devices() {
             assert_eq!(

@@ -54,7 +54,9 @@ cargo run --release -q --bin rmcrt_app -- target/gpu_regrid.cfg
 # The shipped server binaries end to end: rmcrt_serve on a 2-device fleet,
 # the same GPU + regrid job submitted twice at once over its Unix socket by
 # two rmcrt_submit clients, so two tenants' tasks share the fleet's devices
-# and level replicas, then a drain and shutdown. Each client must exit 0. The server
+# and level replicas, then 20 sequential stats connections (the accept loop
+# joins each ended connection's thread as the next one arrives), then a
+# drain and shutdown. Each client must exit 0. The server
 # exits 0 only when its fleet meters read 0 B after the drain; the trap
 # stops it if any step fails first.
 rm -f target/rmcrt.sock
@@ -68,6 +70,9 @@ first=$!
 second=$!
 wait "$first"
 wait "$second"
+for _ in $(seq 20); do
+    ./target/release/rmcrt_submit target/rmcrt.sock --stats > /dev/null
+done
 ./target/release/rmcrt_submit target/rmcrt.sock --shutdown
 wait "$serve_pid"
 trap - EXIT
