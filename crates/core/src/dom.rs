@@ -129,7 +129,7 @@ pub struct DomSolution {
 /// plus any interior wall cells in `props` (treated as cold here).
 ///
 /// Each ordinate's upwind sweep is an independent recurrence, so the
-/// fan-out on `space` is per ordinate ([`parallel_map`]); the incident
+/// dispatch on `space` is per ordinate ([`parallel_map`]); the incident
 /// radiation `G` is then accumulated in canonical ordinate order, making
 /// the result bit-identical on every space.
 pub fn solve(props: &LevelProps, order: SnOrder, space: &ExecSpace) -> DomSolution {

@@ -69,8 +69,7 @@
 //! accumulation, telescoped emission, threshold compare, axis tie-breaking)
 //! is kept operation-for-operation identical to the historical scalar
 //! marcher, so solves in `Fixed` ray-count mode remain bit-identical across
-//! Serial/Threads/Device — the determinism contract `tests/exec_spaces.rs`
-//! pins.
+//! Serial/Device — the determinism contract `tests/exec_spaces.rs` pins.
 //!
 //! ## Launch
 //!

@@ -233,7 +233,7 @@ fn trace_decl(pipeline: RmcrtPipeline, fine_li: LevelIndex, levels: Vec<LevelInd
                 gdw.put_patch(CELLTYPE, pid, FieldData::U8(fine.cell_type.clone()))
                     .expect("device OOM staging cellType");
             }
-            // Kernel: same slab-ordered math, dispatched on the Device
+            // Kernel: the same math as on the host, dispatched on the Device
             // space — one metered launch per patch task. It reads the host
             // data in `ctx` and `fine`, not the entries staged above.
             let div_q = trace_patch(ctx, &pipeline, &traced, fine.as_ref());

@@ -6,46 +6,41 @@
 //! support multi-threaded task execution."
 //!
 //! Kokkos' core idea is that a kernel is written once against an abstract
-//! *execution space* and dispatched to serial, multi-threaded or device
-//! back-ends. This crate is the **mandatory kernel-dispatch layer** of the
-//! stack: every cell-region hot loop (ray trace, DOM sweeps, restriction,
-//! boundary-flux maps, the arches-lite energy RHS) runs
-//! through these entry points:
+//! *execution space* and dispatched to a host or a device back-end. This
+//! crate is the **mandatory kernel-dispatch layer** of the stack: every
+//! cell-region hot loop (ray trace, DOM sweeps, restriction, boundary-flux
+//! maps, the arches-lite energy RHS) runs through these entry points:
 //!
-//! * [`ExecSpace`] — `Serial`, `Threads(n)`, or `Device` (the simulated
-//!   GPU: same slab-ordered kernels, one metered kernel launch per
-//!   dispatch);
+//! * [`ExecSpace`] — `Serial` or `Device` (the simulated GPU: the same
+//!   kernels, one metered kernel launch per dispatch);
 //! * [`parallel_reduce`] — map-reduce over a region with a deterministic
-//!   combination order (plane-ordered, so floating-point results are
-//!   identical for any thread count);
+//!   combination order (per-z-plane partials folded left to right);
 //! * [`parallel_fill`] — produce a [`CcVariable`] by evaluating a kernel
 //!   per cell (the common "compute a field" pattern);
 //! * [`parallel_fill_runs`] — the same a run of consecutive cells at a
 //!   time, for kernels that batch work across cells (the ray-trace solve
 //!   marches one ray packet per run);
 //! * [`parallel_map`] — a 1-D index range (Kokkos `RangePolicy`), used for
-//!   non-cell fan-out such as the DOM ordinate sweeps;
+//!   work that is not cell-shaped, such as the DOM ordinate sweeps;
 //! * [`ops`] — exec-dispatched AMR restriction operators over the
 //!   per-cell kernels exported by `uintah-grid`.
 //!
-//! Each entry point only cuts its work into its canonical partition —
-//! z-slabs of runs, z-slabs of planes, index chunks — and hands the parts
-//! to one private dispatch loop. That loop is the only place a space is
-//! told apart and the only thread fan-out: one part on the calling thread
-//! (`Serial`), one part inside one metered launch (`Device`), or one
-//! scoped thread per part (`Threads`), whose kernel panic reaches the
-//! caller with its own payload.
+//! There is one level of host parallelism, as in the paper's Uintah: the
+//! scheduler runs one task per worker thread, and a task's kernels run on
+//! that worker. A dispatch therefore never fans out. It runs its body on
+//! the calling thread, bare (`Serial`) or inside one metered launch
+//! (`Device`), so a kernel's panic reaches the caller as it was raised.
 //!
 //! Determinism is a hard requirement inherited from the RMCRT solvers:
 //! every entry point yields results that are bit-identical across
 //! execution spaces. The `Device` back-end preserves this by executing the
-//! identical slab/plane-canonical code while metering kernel launches,
-//! invocation counts, logical bytes and wall time into [`KernelStats`] —
-//! the numbers that feed `ExecStats` and the `titan-sim` cost-model
-//! calibration. Device *input staging* (H2D) is the GPU DataWarehouse's
-//! job and is metered there; a dispatch itself never touches the PCIe
-//! counters, so byte-accounting experiments (E4) see exactly the traffic
-//! the staging layer creates.
+//! identical code while metering kernel launches, invocation counts,
+//! logical bytes and wall time into [`KernelStats`] — the numbers that
+//! feed `ExecStats` and the `titan-sim` cost-model calibration. Device
+//! *input staging* (H2D) is the GPU DataWarehouse's job and is metered
+//! there; a dispatch itself never touches the PCIe counters, so
+//! byte-accounting experiments (E4) see exactly the traffic the staging
+//! layer creates.
 
 #![forbid(unsafe_code)]
 
@@ -67,14 +62,13 @@ pub mod ops;
 /// (`MachineParams::from_snapshot`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Kernel launches (one per dispatch; slabs are thread blocks of one
-    /// launch, not separate launches).
+    /// Kernel launches (one per dispatch).
     pub launches: u64,
     /// Kernel invocations dispatched (cells for region entry points,
     /// indices for [`parallel_map`]).
     pub invocations: u64,
     /// Logical bytes written by fill kernels (output-field bytes; transfer
-    /// bytes live on the device's copy-engine counters, not here).
+    /// bytes live on the device's per-direction transfer meters, not here).
     pub bytes_moved: u64,
     /// Wall time spent inside device dispatches, in nanoseconds.
     pub wall_ns: u64,
@@ -175,12 +169,13 @@ impl DeviceSpace {
     /// the calling thread — the simulated device executes kernels
     /// host-side; concurrency comes from concurrent patch tasks — and
     /// meter the dispatch.
-    fn launch(&self, invocations: u64, bytes: u64, body: impl FnOnce()) {
+    fn launch<R>(&self, invocations: u64, bytes: u64, body: impl FnOnce() -> R) -> R {
         self.device.launch_kernel();
         let t0 = Instant::now();
-        body();
+        let out = body();
         self.stats
             .record(invocations, bytes, t0.elapsed().as_nanos() as u64);
+        out
     }
 }
 
@@ -190,23 +185,18 @@ pub enum ExecSpace {
     /// The calling thread.
     #[default]
     Serial,
-    /// A scoped pool of `n` host threads (z-slab decomposition).
-    Threads(usize),
-    /// The (simulated) GPU: identical slab-ordered kernels, one metered
-    /// launch per dispatch, stats recorded into the space's
-    /// [`KernelStats`].
+    /// The (simulated) GPU: the same kernels, one metered launch per
+    /// dispatch, stats recorded into the space's [`KernelStats`].
     Device(DeviceSpace),
 }
 
 impl ExecSpace {
-    /// The host space for `n` workers: `Serial` for `n <= 1`, otherwise
-    /// `Threads(n)`.
-    pub fn host(n: usize) -> Self {
-        if n <= 1 {
-            ExecSpace::Serial
-        } else {
-            ExecSpace::Threads(n)
-        }
+    /// The host space: `Serial` for every `n`. A task's host kernels run
+    /// on the scheduler worker that runs the task, so a worker count here
+    /// has nothing to choose; the constructor stays for callers that still
+    /// name one.
+    pub fn host(_n: usize) -> Self {
+        ExecSpace::Serial
     }
 
     /// A fresh device space over `device`.
@@ -214,100 +204,55 @@ impl ExecSpace {
         ExecSpace::Device(DeviceSpace::new(device))
     }
 
-    /// The fleet device index this space dispatches to; `None` for host
-    /// spaces.
+    /// The fleet device index this space dispatches to; `None` for the
+    /// host.
     pub fn device_index(&self) -> Option<usize> {
         match self {
+            ExecSpace::Serial => None,
             ExecSpace::Device(d) => Some(d.index()),
-            _ => None,
         }
     }
 
-    /// Kernel metering snapshot; `None` for host spaces (host dispatches
-    /// are not kernel launches).
+    /// Kernel metering snapshot; `None` for the host (a host dispatch is
+    /// not a kernel launch).
     pub fn kernel_stats(&self) -> Option<KernelStats> {
         match self {
+            ExecSpace::Serial => None,
             ExecSpace::Device(d) => Some(d.kernel_stats()),
-            _ => None,
         }
     }
 }
 
-/// Split `region` into at most `n` contiguous z-slabs.
-///
-/// A degenerate region (zero or negative extent on any axis) yields **no**
-/// slabs: every entry point dispatches zero kernel invocations for it, on
-/// every space — callers never rely on downstream clamping.
-fn slabs(region: Region, n: usize) -> impl Iterator<Item = Region> {
-    let nz = if region.is_empty() { 0 } else { region.extent().z as usize };
-    let n = n.clamp(1, nz.max(1)).min(nz);
-    let (lo, hi) = (region.lo(), region.hi());
-    (0..n).map(move |i| {
-        let z0 = lo.z + (nz * i / n) as i32;
-        let z1 = lo.z + (nz * (i + 1) / n) as i32;
-        Region::new(IntVector::new(lo.x, lo.y, z0), IntVector::new(hi.x, hi.y, z1))
-    })
-}
-
-/// The one dispatch loop under every entry point, and the only place a
-/// space is told apart. `parts(workers)` cuts the work into the entry
-/// point's canonical partition for that many workers — one on `Serial` and
-/// on `Device`, `n` on `Threads(n)`; `work` runs one part and hands each
-/// result to its `emit` in order; `sink` gets every result in part order,
-/// on the calling thread, whatever the space. A `Device` dispatch is one
-/// metered launch of `invocations` kernel invocations writing `bytes`. On
-/// `Threads`, a part whose kernel panics re-raises that panic's own
-/// payload in the caller.
-fn dispatch<P, R, I>(
-    space: &ExecSpace,
-    (invocations, bytes): (u64, u64),
-    parts: impl FnOnce(usize) -> I,
-    work: impl Fn(P, &mut dyn FnMut(R)) + Sync,
-    mut sink: impl FnMut(R),
-) where
-    I: Iterator<Item = P>,
-    P: Send,
-    R: Send,
-{
+/// The one dispatch under every entry point, and the only place a space is
+/// told apart: `body` runs on the calling thread, bare on `Serial` and
+/// inside one metered launch of `invocations` kernel invocations writing
+/// `bytes` on `Device`.
+fn dispatch<R>(space: &ExecSpace, (invocations, bytes): (u64, u64), body: impl FnOnce() -> R) -> R {
     match space {
-        ExecSpace::Serial => parts(1).for_each(|p| work(p, &mut sink)),
-        ExecSpace::Device(d) => d.launch(invocations, bytes, || parts(1).for_each(|p| work(p, &mut sink))),
-        ExecSpace::Threads(n) => std::thread::scope(|s| {
-            let work = &work;
-            let workers: Vec<_> = parts((*n).max(1))
-                .map(|p| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        work(p, &mut |r| out.push(r));
-                        out
-                    })
-                })
-                .collect();
-            for w in workers {
-                let out = w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                out.into_iter().for_each(&mut sink);
-            }
-        }),
+        ExecSpace::Serial => body(),
+        ExecSpace::Device(d) => d.launch(invocations, bytes, body),
     }
 }
 
 /// Map-reduce over `region` with a *canonical fold structure*: a partial
 /// accumulator is computed per z-plane (cell order within a plane is fixed)
-/// and the plane partials are folded left-to-right. Because the structure
-/// does not depend on the execution space, results are **bit-identical**
-/// for any thread count — and on the device — even for non-associative
-/// combines (floating-point sums), the property the RMCRT solvers require.
+/// and the plane partials are folded left-to-right. The structure does not
+/// depend on the execution space, so results are **bit-identical** on the
+/// host and on the device, even for non-associative combines
+/// (floating-point sums), the property the RMCRT solvers require.
 ///
 /// ```
 /// use uintah_exec::{parallel_reduce, ExecSpace};
+/// use uintah_gpu::GpuDevice;
 /// use uintah_grid::Region;
 ///
 /// let region = Region::cube(8);
-/// let serial = parallel_reduce(&ExecSpace::Serial, region, 0.0f64,
+/// let host = parallel_reduce(&ExecSpace::Serial, region, 0.0f64,
 ///     |c| (c.x + c.y + c.z) as f64 * 0.1, |a, b| a + b);
-/// let threaded = parallel_reduce(&ExecSpace::Threads(4), region, 0.0f64,
+/// let device = ExecSpace::device(GpuDevice::with_capacity("doc", 1 << 20));
+/// let dev = parallel_reduce(&device, region, 0.0f64,
 ///     |c| (c.x + c.y + c.z) as f64 * 0.1, |a, b| a + b);
-/// assert_eq!(serial.to_bits(), threaded.to_bits()); // bit-identical
+/// assert_eq!(host.to_bits(), dev.to_bits()); // bit-identical
 /// ```
 pub fn parallel_reduce<T, M, C>(
     space: &ExecSpace,
@@ -317,45 +262,35 @@ pub fn parallel_reduce<T, M, C>(
     combine: C,
 ) -> T
 where
-    T: Send + Sync + Clone,
-    M: Fn(IntVector) -> T + Sync,
-    C: Fn(T, T) -> T + Sync,
+    T: Clone,
+    M: Fn(IntVector) -> T,
+    C: Fn(T, T) -> T,
 {
     if region.is_empty() {
         return identity;
     }
-    let mut acc = Some(identity.clone());
-    dispatch(
-        space,
-        (region.volume() as u64, 0),
-        // Whole z-planes, a slab of them per worker.
-        |workers| slabs(region, workers),
-        |slab, emit| {
-            for z in slab.lo().z..slab.hi().z {
-                let plane = Region::new(
-                    IntVector::new(slab.lo().x, slab.lo().y, z),
-                    IntVector::new(slab.hi().x, slab.hi().y, z + 1),
-                );
-                let mut partial = identity.clone();
-                for c in plane.cells() {
-                    partial = combine(partial, map(c));
-                }
-                emit(partial);
+    let (lo, hi) = (region.lo(), region.hi());
+    dispatch(space, (region.volume() as u64, 0), || {
+        let mut acc = identity.clone();
+        for z in lo.z..hi.z {
+            let plane = Region::new(IntVector::new(lo.x, lo.y, z), IntVector::new(hi.x, hi.y, z + 1));
+            let mut partial = identity.clone();
+            for c in plane.cells() {
+                partial = combine(partial, map(c));
             }
-        },
-        // Canonical left-to-right fold over plane partials.
-        |partial| acc = acc.take().map(|a| combine(a, partial)),
-    );
-    acc.expect("the fold holds a value between partials")
+            acc = combine(acc, partial);
+        }
+        acc
+    })
 }
 
 /// Evaluate `kernel` at every cell of `region` into a new variable: the
 /// case of [`parallel_fill_runs`] whose kernel maps each cell on its own,
-/// so a run can be a whole block (the region, or one z-slab on `Threads`).
+/// so the one run is the whole region.
 pub fn parallel_fill<T, F>(space: &ExecSpace, region: Region, kernel: F) -> CcVariable<T>
 where
-    T: Copy + Default + Send + Sync,
-    F: Fn(IntVector) -> T + Sync,
+    T: Copy + Default,
+    F: Fn(IntVector) -> T,
 {
     parallel_fill_runs(space, region, region.volume(), |cells, out| {
         for (cell, slot) in cells.zip(out) {
@@ -425,14 +360,11 @@ impl Iterator for RunCells {
 impl ExactSizeIterator for RunCells {}
 
 /// Fill a new variable over `region` a *run* at a time: `kernel` gets up to
-/// `run` consecutive cells (x-fastest) and their output slots, and returns
-/// a per-run value; the values come back in canonical run order, whatever
-/// the space. A kernel that amortises set-up over several cells (one ray
-/// packet for a run of cells, say) sees the same runs on every space,
-/// except that `Threads(n)` first cuts the region into the z-slabs every
-/// other entry point uses and cuts runs within each slab, so a run never
-/// spans two slabs. A kernel whose per-cell result does not depend on the
-/// run it is in is therefore bit-identical across spaces.
+/// `run` consecutive cells of the whole region (x-fastest) and their output
+/// slots, and returns a per-run value; the values come back in run order.
+/// A kernel that amortises set-up over several cells (one ray packet for a
+/// run of cells, say) sees the same runs on every space, so its results are
+/// bit-identical across spaces.
 ///
 /// A `Device` dispatch is one launch metered as one invocation per *cell*
 /// and the output field's bytes, as [`parallel_fill`] is: the run length
@@ -444,9 +376,8 @@ pub fn parallel_fill_runs<T, S, F>(
     kernel: F,
 ) -> (CcVariable<T>, Vec<S>)
 where
-    T: Copy + Default + Send + Sync,
-    S: Send,
-    F: Fn(RunCells, &mut [T]) -> S + Sync,
+    T: Copy + Default,
+    F: Fn(RunCells, &mut [T]) -> S,
 {
     let mut out = CcVariable::new(region);
     if region.is_empty() {
@@ -454,58 +385,26 @@ where
     }
     let run = run.max(1);
     let cells = region.volume() as u64;
-    let mut per_run = Vec::with_capacity(region.volume().div_ceil(run));
     let slots = out.as_mut_slice();
-    dispatch(
-        space,
-        (cells, cells * std::mem::size_of::<T>() as u64),
-        // A z-slab is a contiguous block of the region's x-fastest order,
-        // so each part gets its own part of the output.
-        |workers| {
-            let mut rest = slots;
-            slabs(region, workers).map(move |slab| {
-                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(slab.volume());
-                rest = tail;
-                (slab, mine)
-            })
-        },
-        // One block of consecutive cells cut into runs, each handed its
-        // cells and its part of the output.
-        |(block, slots): (Region, &mut [T]), emit| {
-            for (i, part) in slots.chunks_mut(run).enumerate() {
-                emit(kernel(RunCells::new(block, i * run, part.len()), part));
-            }
-        },
-        |s| per_run.push(s),
-    );
+    let per_run = dispatch(space, (cells, cells * std::mem::size_of::<T>() as u64), || {
+        let runs = slots.chunks_mut(run).enumerate();
+        runs.map(|(i, part)| kernel(RunCells::new(region, i * run, part.len()), part)).collect()
+    });
     (out, per_run)
 }
 
 /// Map a 1-D index range through `f` (Kokkos `RangePolicy<0, n>`): the
-/// entry point for fan-out that is not cell-shaped, e.g. DOM ordinate
-/// sweeps. Results come back in index order, so any subsequent fold the
-/// caller does is canonical by construction.
+/// entry point for work that is not cell-shaped, e.g. DOM ordinate sweeps.
+/// Results come back in index order, so any subsequent fold the caller
+/// does is canonical by construction.
 pub fn parallel_map<T, F>(space: &ExecSpace, n: usize, f: F) -> Vec<T>
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(usize) -> T,
 {
     if n == 0 {
         return Vec::new();
     }
-    let mut out = Vec::with_capacity(n);
-    dispatch(
-        space,
-        (n as u64, 0),
-        // Contiguous index chunks, one per worker.
-        |workers| {
-            let chunk = n.div_ceil(workers);
-            (0..n).step_by(chunk).map(move |start| start..n.min(start + chunk))
-        },
-        |chunk, emit| chunk.for_each(|i| emit(f(i))),
-        |v| out.push(v),
-    );
-    out
+    dispatch(space, (n as u64, 0), || (0..n).map(f).collect())
 }
 
 #[cfg(test)]
@@ -516,8 +415,6 @@ mod tests {
     fn all_spaces() -> Vec<ExecSpace> {
         vec![
             ExecSpace::Serial,
-            ExecSpace::Threads(4),
-            ExecSpace::Threads(64),
             ExecSpace::device(GpuDevice::with_capacity("test", 1 << 30)),
         ]
     }
@@ -542,14 +439,10 @@ mod tests {
     #[test]
     fn reduce_is_bit_identical_across_spaces() {
         let region = Region::new(IntVector::new(-3, 0, 2), IntVector::new(5, 7, 11));
-        // A float map whose sum depends on association order if slabs were
-        // combined nondeterministically.
+        // A float map whose sum depends on association order if planes were
+        // combined in any other order.
         let map = |c: IntVector| ((c.x * 37 + c.y * 11 + c.z) as f64).sin() * 1e3;
         let serial = parallel_reduce(&ExecSpace::Serial, region, 0.0f64, map, |a, b| a + b);
-        for n in [2usize, 3, 8, 32] {
-            let par = parallel_reduce(&ExecSpace::Threads(n), region, 0.0f64, map, |a, b| a + b);
-            assert_eq!(serial.to_bits(), par.to_bits(), "Threads({n}) diverged");
-        }
         let dev = parallel_reduce(
             &ExecSpace::device(GpuDevice::with_capacity("test", 1 << 20)),
             region,
@@ -565,8 +458,6 @@ mod tests {
         let region = Region::cube(9);
         let f = |c: IntVector| (c.x + 100 * c.y + 10_000 * c.z) as f64 * 0.1;
         let serial = parallel_fill(&ExecSpace::Serial, region, f);
-        let par = parallel_fill(&ExecSpace::Threads(5), region, f);
-        assert_eq!(serial, par);
         let dev = parallel_fill(
             &ExecSpace::device(GpuDevice::with_capacity("test", 1 << 20)),
             region,
@@ -575,10 +466,9 @@ mod tests {
         assert_eq!(serial, dev);
     }
 
-    /// Runs cut the region (or, on `Threads`, each z-slab) into blocks of
-    /// consecutive cells: every cell once, in its own output slot, runs no
-    /// longer than asked and never across a slab, per-run values in run
-    /// order, and the device metered per cell, not per run.
+    /// Runs cut the region into blocks of consecutive cells: every cell
+    /// once, in its own output slot, runs no longer than asked, per-run
+    /// values in run order, and the device metered per cell, not per run.
     #[test]
     fn fill_runs_cover_every_cell_in_run_order() {
         let region = Region::new(IntVector::new(-2, 1, 0), IntVector::new(3, 4, 7));
@@ -588,26 +478,19 @@ mod tests {
                     let cells: Vec<IntVector> = cells.collect();
                     assert_eq!(cells.len(), out.len(), "{space:?} run {run}");
                     assert!(!out.is_empty() && out.len() <= run);
-                    let z = cells[0].z;
                     for (c, slot) in cells.iter().zip(out.iter_mut()) {
                         *slot = region.linear_index(*c);
                     }
-                    (region.linear_index(cells[0]), cells.len(), z, cells.last().unwrap().z)
+                    (region.linear_index(cells[0]), cells.len())
                 });
                 let want: Vec<usize> = (0..region.volume()).collect();
                 assert_eq!(out.as_slice(), &want[..], "{space:?} run {run}");
                 let mut next = 0;
-                for &(first, len, _, _) in &runs {
+                for &(first, len) in &runs {
                     assert_eq!(first, next, "{space:?} run {run}: runs out of order");
                     next += len;
                 }
                 assert_eq!(next, region.volume());
-                if let ExecSpace::Threads(n) = space {
-                    for slab in slabs(region, n) {
-                        let inside = |z: i32| z >= slab.lo().z && z < slab.hi().z;
-                        assert!(runs.iter().all(|&(_, _, z0, z1)| inside(z0) == inside(z1)), "a run spans two slabs");
-                    }
-                }
             }
         }
         let device = GpuDevice::with_capacity("test", 1 << 20);
@@ -623,7 +506,7 @@ mod tests {
     fn max_reduce() {
         let region = Region::cube(6);
         let m = parallel_reduce(
-            &ExecSpace::Threads(3),
+            &ExecSpace::Serial,
             region,
             i64::MIN,
             |c| (c.x * c.y * c.z) as i64,
@@ -644,16 +527,17 @@ mod tests {
 
     #[test]
     fn degenerate_and_thin_regions() {
-        // Fewer z-planes than threads, and a single-plane region.
         let thin = Region::new(IntVector::ZERO, IntVector::new(4, 4, 1));
-        let sum = parallel_reduce(&ExecSpace::Threads(16), thin, 0usize, |_| 1usize, |a, b| a + b);
-        assert_eq!(sum, 16);
-        let count = std::sync::atomic::AtomicUsize::new(0);
-        let _ = parallel_fill(&ExecSpace::Threads(9), thin, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-            0u8
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 16);
+        for space in all_spaces() {
+            let sum = parallel_reduce(&space, thin, 0usize, |_| 1usize, |a, b| a + b);
+            assert_eq!(sum, 16, "{space:?}");
+            let count = AtomicUsize::new(0);
+            let _ = parallel_fill(&space, thin, |_| {
+                count.fetch_add(1, Ordering::Relaxed);
+                0u8
+            });
+            assert_eq!(count.load(Ordering::Relaxed), 16, "{space:?}");
+        }
     }
 
     #[test]
@@ -670,13 +554,8 @@ mod tests {
             Region::new(IntVector::new(0, 0, 5), IntVector::new(8, 8, 2)),
         ];
         for region in degenerate {
-            assert!(slabs(region, 8).next().is_none(), "{region:?} produced slabs");
             let device = GpuDevice::with_capacity("test", 1 << 20);
-            let spaces = [
-                ExecSpace::Serial,
-                ExecSpace::Threads(7),
-                ExecSpace::device(device.clone()),
-            ];
+            let spaces = [ExecSpace::Serial, ExecSpace::device(device.clone())];
             for space in &spaces {
                 let count = AtomicUsize::new(0);
                 let _ = parallel_map(space, 0, |_| count.fetch_add(1, Ordering::Relaxed));
@@ -711,9 +590,8 @@ mod tests {
         assert_eq!(ks.bytes_moved, 64 * 8, "fill output bytes only");
         // One launch per dispatch is also what the device counted.
         assert_eq!(device.counters().kernels, 4);
-        // Host spaces have no kernel stats.
+        // The host space has no kernel stats.
         assert!(ExecSpace::Serial.kernel_stats().is_none());
-        assert!(ExecSpace::Threads(4).kernel_stats().is_none());
     }
 
     #[test]
@@ -753,7 +631,6 @@ mod tests {
         assert_eq!(dev_b.counters().kernels, 1, "device B counted independently");
         assert_eq!(exec_b.device_index(), Some(1));
         assert_eq!(ExecSpace::Serial.device_index(), None);
-        assert_eq!(ExecSpace::Threads(4).device_index(), None);
         // Stats stayed per-space: A's accumulator saw 3 launches, B's 1.
         assert_eq!(exec_a.kernel_stats().unwrap().launches, 3);
         assert_eq!(space_b.kernel_stats().launches, 1);
@@ -783,16 +660,8 @@ mod tests {
         assert_eq!(KernelStats::sum([]), KernelStats::default());
     }
 
-    #[test]
-    fn concurrency_reporting() {
-        assert!(matches!(ExecSpace::host(0), ExecSpace::Serial));
-        assert!(matches!(ExecSpace::host(1), ExecSpace::Serial));
-        assert!(matches!(ExecSpace::host(6), ExecSpace::Threads(6)));
-    }
-
     /// A kernel's panic reaches the caller with its own message, from every
-    /// entry point on every space. Without the re-raise, `Threads` would
-    /// hand back `std::thread::scope`'s "a scoped thread panicked".
+    /// entry point on every space.
     #[test]
     fn kernel_panic_keeps_its_message() {
         let message = |call: &dyn Fn()| {
@@ -802,11 +671,7 @@ mod tests {
         };
         let boom = Some("kernel boom".to_owned());
         let region = Region::cube(4);
-        for space in [
-            ExecSpace::Serial,
-            ExecSpace::Threads(3),
-            ExecSpace::device(GpuDevice::with_capacity("test", 1 << 20)),
-        ] {
+        for space in all_spaces() {
             let fill = message(&|| {
                 let _ = parallel_fill(&space, region, |_| -> u8 { panic!("kernel boom") });
             });

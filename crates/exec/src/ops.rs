@@ -43,7 +43,6 @@ mod tests {
     fn spaces() -> Vec<ExecSpace> {
         vec![
             ExecSpace::Serial,
-            ExecSpace::Threads(3),
             ExecSpace::device(GpuDevice::with_capacity("test", 1 << 20)),
         ]
     }

@@ -3,19 +3,19 @@
 //! Uintah's load balancer assigns Cartesian patches to MPI ranks; for the
 //! regular RMCRT benchmark grids it uses a space-filling-curve ordering so
 //! that consecutive ranks own spatially compact patch sets (minimizing halo
-//! traffic). We provide that (Morton order) plus plain round-robin, and the
-//! census queries the scheduler and the Titan model use to derive message
-//! volumes.
+//! traffic). We provide that (Morton order), an explicit map for a
+//! regridder's output, and the census queries the scheduler and the Titan
+//! model use to derive message volumes.
 
 use crate::grid::Grid;
 use crate::index::IntVector;
 use crate::patch::PatchId;
 
-/// How patches are laid out across ranks.
+/// How patches are laid out across ranks. There is one policy; the type
+/// stays so [`PatchDistribution::new`] keeps its signature, and a test that
+/// wants another layout builds it with [`PatchDistribution::from_rank_of`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DistributionPolicy {
-    /// Patch `i` goes to rank `i % nranks` (cyclic).
-    RoundRobin,
     /// Patches sorted along a Morton (Z-order) curve per level, then split
     /// into `nranks` contiguous chunks: spatially compact rank sets.
     MortonSfc,
@@ -43,37 +43,23 @@ impl Eq for PatchDistribution {}
 
 impl PatchDistribution {
     /// Distribute all patches of `grid` over `nranks` ranks.
-    pub fn new(grid: &Grid, nranks: usize, policy: DistributionPolicy) -> Self {
+    pub fn new(grid: &Grid, nranks: usize, _policy: DistributionPolicy) -> Self {
         assert!(nranks > 0, "need at least one rank");
         let mut rank_of = vec![0u32; grid.num_patches()];
         let mut owned = vec![Vec::new(); nranks];
-        match policy {
-            DistributionPolicy::RoundRobin => {
-                // Cycle per level so every rank gets patches from all levels.
-                for level in grid.levels() {
-                    for (i, p) in level.patches().iter().enumerate() {
-                        let r = i % nranks;
-                        rank_of[p.id().index()] = r as u32;
-                        owned[r].push(p.id());
-                    }
-                }
-            }
-            DistributionPolicy::MortonSfc => {
-                for level in grid.levels() {
-                    let mut order: Vec<(u64, PatchId)> = level
-                        .patches()
-                        .iter()
-                        .map(|p| (morton3(p.lattice_pos()), p.id()))
-                        .collect();
-                    order.sort_unstable_by_key(|&(m, _)| m);
-                    let n = order.len();
-                    for (i, &(_, id)) in order.iter().enumerate() {
-                        // Contiguous chunks of the curve, remainder spread evenly.
-                        let r = (i * nranks) / n;
-                        rank_of[id.index()] = r as u32;
-                        owned[r].push(id);
-                    }
-                }
+        for level in grid.levels() {
+            let mut order: Vec<(u64, PatchId)> = level
+                .patches()
+                .iter()
+                .map(|p| (morton3(p.lattice_pos()), p.id()))
+                .collect();
+            order.sort_unstable_by_key(|&(m, _)| m);
+            let n = order.len();
+            for (i, &(_, id)) in order.iter().enumerate() {
+                // Contiguous chunks of the curve, remainder spread evenly.
+                let r = (i * nranks) / n;
+                rank_of[id.index()] = r as u32;
+                owned[r].push(id);
             }
         }
         Self {
@@ -162,6 +148,18 @@ mod tests {
         }
     }
 
+    /// Patch `i` of each level on rank `i % nranks`: the cyclic layout the
+    /// Morton curve is compared with.
+    fn cyclic(grid: &Grid, nranks: usize) -> PatchDistribution {
+        let mut rank_of = vec![0u32; grid.num_patches()];
+        for level in grid.levels() {
+            for (i, p) in level.patches().iter().enumerate() {
+                rank_of[p.id().index()] = (i % nranks) as u32;
+            }
+        }
+        PatchDistribution::from_rank_of(nranks, rank_of)
+    }
+
     fn grid() -> Grid {
         Grid::builder()
             .fine_cells(IntVector::splat(64))
@@ -174,8 +172,7 @@ mod tests {
     #[test]
     fn every_patch_assigned_exactly_once() {
         let g = grid();
-        for policy in [DistributionPolicy::RoundRobin, DistributionPolicy::MortonSfc] {
-            let d = PatchDistribution::new(&g, 7, policy);
+        for d in [cyclic(&g, 7), PatchDistribution::new(&g, 7, DistributionPolicy::MortonSfc)] {
             let mut seen = vec![false; g.num_patches()];
             for r in 0..7 {
                 for &p in d.owned_by(r) {
@@ -184,17 +181,16 @@ mod tests {
                     assert_eq!(d.rank_of(p), r);
                 }
             }
-            assert!(seen.iter().all(|&s| s), "unassigned patch under {policy:?}");
+            assert!(seen.iter().all(|&s| s), "unassigned patch in {d:?}");
         }
     }
 
     #[test]
     fn balance_within_one_patch_per_level() {
         let g = grid();
-        for policy in [DistributionPolicy::RoundRobin, DistributionPolicy::MortonSfc] {
-            let d = PatchDistribution::new(&g, 6, policy);
+        for d in [cyclic(&g, 6), PatchDistribution::new(&g, 6, DistributionPolicy::MortonSfc)] {
             // 2 levels -> imbalance at most 1 per level.
-            assert!(d.max_load() - d.min_load() <= 2, "imbalance under {policy:?}");
+            assert!(d.max_load() - d.min_load() <= 2, "imbalance in {d:?}");
         }
     }
 
@@ -223,7 +219,7 @@ mod tests {
     #[test]
     fn sfc_ranks_are_spatially_compact() {
         // With the Morton curve, the average pairwise lattice distance within
-        // a rank should be lower than with round-robin for many ranks.
+        // a rank should be lower than with a cyclic layout for many ranks.
         let g = Grid::builder()
             .fine_cells(IntVector::splat(128))
             .num_levels(1)
@@ -249,12 +245,12 @@ mod tests {
             total / cnt as f64
         };
         let sfc = PatchDistribution::new(&g, 16, DistributionPolicy::MortonSfc);
-        let rr = PatchDistribution::new(&g, 16, DistributionPolicy::RoundRobin);
+        let cyc = cyclic(&g, 16);
         assert!(
-            spread(&sfc) < spread(&rr),
+            spread(&sfc) < spread(&cyc),
             "SFC should cluster patches: {} vs {}",
             spread(&sfc),
-            spread(&rr)
+            spread(&cyc)
         );
     }
 

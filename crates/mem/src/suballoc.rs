@@ -1,4 +1,4 @@
-//! Device-memory sub-allocator: a first-fit/best-fit free list.
+//! Device-memory sub-allocator: a first-fit free list.
 //!
 //! The paper's K20X has 6 GB and the GPU level database exists to fit the
 //! AMR hierarchy into that budget; what it does *not* give you is a real
@@ -29,16 +29,16 @@
 
 use std::collections::BTreeMap;
 
-/// Which free block a request is carved from.
+/// Which free block a request is carved from. There is one policy: the
+/// first block that fits, scanned from the bottom for a large request and
+/// from the top for a small-class one. Every device allocates this way; a
+/// smallest-fit scan was reached only by tests and is gone. The type stays
+/// so the constructors keep their signatures.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FitPolicy {
-    /// Lowest-offset block that fits (cheap, good enough when eviction
-    /// keeps holes coarse).
+    /// First block that fits.
     #[default]
     FirstFit,
-    /// Smallest block that fits, ties to the lowest offset (slower scans,
-    /// less fragmentation under mixed sizes).
-    BestFit,
 }
 
 /// Why an allocation was refused.
@@ -104,7 +104,6 @@ pub struct SubAllocStats {
 pub struct SubAllocator {
     capacity: u64,
     align: u64,
-    policy: FitPolicy,
     /// Two-ended size-class split: requests of rounded size `<= small_class`
     /// take the *highest*-offset fitting hole and carve from its *tail*,
     /// so small long-lived blocks (level replicas, scalar outputs) cluster
@@ -133,7 +132,7 @@ impl std::fmt::Debug for SubAllocator {
 
 impl SubAllocator {
     /// An empty allocator over `capacity` bytes, carving blocks rounded up
-    /// to `align` under `policy`.
+    /// to `align` first-fit.
     pub fn new(capacity: u64, align: u64, policy: FitPolicy) -> Self {
         Self::with_small_class(capacity, align, policy, 0)
     }
@@ -144,13 +143,12 @@ impl SubAllocator {
     /// bottom-up. Keeps small pinned blocks from fragmenting the
     /// contiguous runs that large patch windows need; `small_class = 0`
     /// disables the split.
-    pub fn with_small_class(capacity: u64, align: u64, policy: FitPolicy, small_class: u64) -> Self {
+    pub fn with_small_class(capacity: u64, align: u64, _policy: FitPolicy, small_class: u64) -> Self {
         assert!(align >= 1, "alignment must be at least 1");
         let free = if capacity > 0 { vec![(0, capacity)] } else { Vec::new() };
         Self {
             capacity,
             align,
-            policy,
             small_class,
             free,
             live: BTreeMap::new(),
@@ -220,18 +218,12 @@ impl SubAllocator {
             }
         };
         let small = self.small_class > 0 && size <= self.small_class;
-        let found = match (self.policy, small) {
+        let found = if small {
             // Small class: highest-offset hole, so the carve (from the
             // tail below) stacks small blocks against the top of the arena.
-            (FitPolicy::FirstFit, true) => self.free.iter().rposition(|&(_, len)| len >= size),
-            (FitPolicy::FirstFit, false) => self.free.iter().position(|&(_, len)| len >= size),
-            (FitPolicy::BestFit, small) => self
-                .free
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(_, len))| len >= size)
-                .min_by_key(|&(i, &(_, len))| (len, if small { usize::MAX - i } else { i }))
-                .map(|(i, _)| i),
+            self.free.iter().rposition(|&(_, len)| len >= size)
+        } else {
+            self.free.iter().position(|&(_, len)| len >= size)
         };
         let Some(i) = found else {
             // Free bytes suffice (checked above) but no contiguous hole.
@@ -432,22 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn best_fit_picks_the_smallest_hole() {
-        let mut a = SubAllocator::new(1000, 1, FitPolicy::BestFit);
-        let x = a.alloc(100).unwrap(); // [0,100)
-        let _y = a.alloc(300).unwrap(); // [100,400)
-        let z = a.alloc(150).unwrap(); // [400,550)
-        let _w = a.alloc(450).unwrap(); // [550,1000)
-        a.free(x).unwrap(); // hole: 100 B at 0
-        a.free(z).unwrap(); // hole: 150 B at 400
-        // First fit would take the 100 B hole... which doesn't fit; a
-        // 120 B request must land in the *smallest fitting* hole (150 B).
-        let got = a.alloc(120).unwrap();
-        assert_eq!(got, 400, "best fit lands in the 150 B hole");
-        a.check_invariants().unwrap();
-    }
-
-    #[test]
     fn double_free_is_rejected_and_counted() {
         let mut a = SubAllocator::new(1000, 1, FitPolicy::FirstFit);
         let x = a.alloc(100).unwrap();
@@ -493,7 +469,7 @@ mod tests {
         assert_eq!(l3, 0);
         a.check_invariants().unwrap();
         // Tail-carve when the small block exactly drains a hole.
-        let mut b = SubAllocator::with_small_class(4096, 1, FitPolicy::BestFit, 4096);
+        let mut b = SubAllocator::with_small_class(4096, 1, FitPolicy::FirstFit, 4096);
         let x = b.alloc(4096).unwrap();
         assert_eq!(x, 0);
         b.free(x).unwrap();

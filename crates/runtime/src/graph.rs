@@ -720,7 +720,7 @@ mod tests {
     fn level_windows_are_broadcast_to_all_other_ranks() {
         let g = grid();
         let nr = 4;
-        let dist = PatchDistribution::new(&g, nr, DistributionPolicy::RoundRobin);
+        let dist = PatchDistribution::new(&g, nr, DistributionPolicy::MortonSfc);
         let cg = compile(&g, &dist, &decls(), 0, 0);
         // Each local fine patch's level window goes to nr-1 ranks.
         let level_sends: usize = cg
@@ -734,6 +734,7 @@ mod tests {
             .iter()
             .filter(|&&p| g.patch(p).level_index() == 1)
             .count();
+        assert!(local_fine > 0, "rank 0 owns fine patches");
         assert_eq!(level_sends, local_fine * (nr - 1));
     }
 

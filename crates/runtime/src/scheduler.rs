@@ -500,15 +500,15 @@ impl Scheduler {
                                     // metered Device space of its patch's home
                                     // device (the same device the warehouse
                                     // routes that patch's variables to),
-                                    // everything else on the host (each worker
-                                    // already owns a whole patch task, so
-                                    // intra-task host dispatch is serial).
+                                    // everything else on the worker's own
+                                    // thread (the one level of host
+                                    // parallelism is one task per worker).
                                     let space = match (decl.kind, gpu) {
                                         (TaskKind::Gpu, Some(g)) => {
                                             let dev = g.device_for_patch(patch.id());
                                             ExecSpace::Device(device_spaces[dev].clone())
                                         }
-                                        _ => ExecSpace::host(1),
+                                        _ => ExecSpace::Serial,
                                     };
                                     let mut ctx = TaskContext {
                                         grid,

@@ -11,10 +11,10 @@
 //! current headroom stay queued; jobs larger than the whole fleet are
 //! rejected with a typed error at submission.
 //!
-//! Drain/shutdown ordering: stop admitting → run the queue dry → each
-//! finishing job clears per-patch staging (every step already settled its
-//! D2H drains) → workers exit → idle slots drop (freeing the retained
-//! level replicas) → the fleet meters read zero.
+//! Drain/shutdown ordering: stop admitting → run the queue dry (every task
+//! has already dropped the inputs it staged and taken its output back) →
+//! workers exit → idle slots drop (freeing the retained level replicas) →
+//! the fleet meters read zero.
 
 use crate::admission::{self, Admission};
 use crate::job::{JobId, JobOutcome};

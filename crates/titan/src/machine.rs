@@ -128,12 +128,13 @@ impl MachineParams {
     ///   `gpu_cellsteps_per_s`. Idle devices (zero invocations or wall)
     ///   are excluded rather than averaged in as zero.
     /// * **Bus bandwidth** — each PCIe direction is calibrated on its own
-    ///   copy-engine timeline (upload bytes over upload occupancy, drain
-    ///   bytes over drain occupancy) and the non-degenerate directions are
+    ///   transfer meter (upload bytes over upload busy time, drain bytes
+    ///   over drain busy time) and the non-degenerate directions are
     ///   averaged, `× pcie_multiplier` (a host memcpy is much faster than a
-    ///   PCIe gen2 link). Per-direction rates keep an upload-heavy prefetch
-    ///   run from drowning out the drain measurement and vice versa; an
-    ///   idle direction is excluded rather than averaged in as zero.
+    ///   PCIe gen2 link). Per-direction rates keep a run that uploads far
+    ///   more than it drains from drowning out the drain measurement and
+    ///   vice versa; an idle direction is excluded rather than averaged in
+    ///   as zero.
     /// * **Per-message CPU cost** — measured local-comm wall time divided
     ///   by messages posted + processed, `× msg_cost_multiplier`.
     pub fn from_snapshot(
@@ -198,8 +199,8 @@ pub struct CalibrationScale {
     /// sustains roughly 30× one host core on this memory-latency-bound
     /// kernel; a V100-class part roughly 6× that again.
     pub device_multiplier: f64,
-    /// Measured copy-engine (host memcpy) bandwidth × this = modeled bus
-    /// bandwidth.
+    /// Measured transfer-meter (host memcpy) bandwidth × this = modeled
+    /// bus bandwidth.
     pub pcie_multiplier: f64,
     /// Measured per-message local-comm cost × this = modeled per-message
     /// CPU cost.
@@ -352,7 +353,7 @@ mod tests {
 
     #[test]
     fn from_snapshot_pcie_averages_directions_not_pooled_bytes() {
-        // Asymmetric traffic: a prefetch-heavy run uploads 90 MB at
+        // Asymmetric traffic: an upload-heavy run uploads 90 MB at
         // 9 GB/s while draining only 1 MB at 1 GB/s. Pooling bytes over
         // occupancy would give ~8.26 GB/s — the drain measurement would
         // vanish; the per-direction mean is 5 GB/s.

@@ -1,8 +1,8 @@
 //! Cross-space equivalence: every hot kernel dispatched through
-//! `uintah-exec` is bit-identical on Serial, Threads(n) and the metered
-//! Device space. Determinism is the contract that makes GPU offload a
-//! pure performance decision (paper §III-B: the same slab-ordered math
-//! runs everywhere).
+//! `uintah-exec` is bit-identical on Serial and the metered Device space,
+//! and a host space never leaves the calling thread. Determinism is the
+//! contract that makes GPU offload a pure performance decision (paper
+//! §III-B: the same math runs everywhere).
 
 use std::sync::Arc;
 use uintah::prelude::*;
@@ -12,11 +12,27 @@ use uintah::rmcrt::solver::two_level_stack;
 fn spaces() -> Vec<(&'static str, ExecSpace)> {
     vec![
         ("serial", ExecSpace::Serial),
-        ("threads2", ExecSpace::Threads(2)),
-        ("threads3", ExecSpace::Threads(3)),
-        ("threads7", ExecSpace::Threads(7)),
         ("device", ExecSpace::device(GpuDevice::k20x())),
     ]
+}
+
+/// A host space runs every kernel on the thread that dispatched it,
+/// whatever worker count it was built with: a task's kernels run on the
+/// scheduler worker that runs the task, and nothing fans out further.
+#[test]
+fn host_spaces_run_kernels_on_the_calling_thread() {
+    use uintah::exec::parallel_fill_runs;
+    let caller = std::thread::current().id();
+    let here = || assert_eq!(std::thread::current().id(), caller, "a kernel left the calling thread");
+    let region = Region::cube(4);
+    for n in [0usize, 1, 2, 64] {
+        let space = ExecSpace::host(n);
+        assert!(matches!(space, ExecSpace::Serial), "host({n})");
+        let _ = parallel_fill(&space, region, |_| here());
+        let _ = parallel_fill_runs(&space, region, 3, |_, _: &mut [u8]| here());
+        parallel_reduce(&space, region, (), |_| here(), |_, _| here());
+        let _ = parallel_map(&space, 9, |_| here());
+    }
 }
 
 #[test]
@@ -121,7 +137,7 @@ fn device_space_meters_while_matching_serial() {
 #[test]
 fn divq_is_bit_identical_across_fleet_sizes_and_thread_counts() {
     // Device count is a placement decision, never a numerical one: the
-    // kernels are slab/plane-canonical, so spreading a rank's patches over
+    // kernels are plane-canonical, so spreading a rank's patches over
     // 1, 2, 4 or 6 simulated K20Xs (under any worker-thread count) must
     // reproduce the single-device divQ field bit-for-bit.
     let grid = Arc::new(BurnsChriston::small_grid(16, 8));

@@ -192,15 +192,13 @@ proptest! {
     #[test]
     fn suballoc_free_list_invariants(
         ops in proptest::collection::vec((1u64..9_000, any::<bool>()), 1..80),
-        best_fit in any::<bool>(),
         small_class in 0u64..8_192,
     ) {
         use uintah::mem::{FitPolicy, SubAllocator};
-        let policy = if best_fit { FitPolicy::BestFit } else { FitPolicy::FirstFit };
         // Small enough that some sequences hit capacity/fragmentation; the
         // two-ended small-class split (0 disables) must keep every
         // invariant regardless of which end a block was carved from.
-        let mut sa = SubAllocator::with_small_class(64 * 1024, 1, policy, small_class);
+        let mut sa = SubAllocator::with_small_class(64 * 1024, 1, FitPolicy::FirstFit, small_class);
         let mut live: Vec<(u64, u64)> = Vec::new();
         let mut expect = 0u64;
         for (size, do_free) in ops {

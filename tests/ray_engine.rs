@@ -471,7 +471,7 @@ fn run_solver_is_bit_identical_to_the_per_cell_loop() {
         RayCountMode::Adaptive { min: 16, max: 100, rel_var_target: 0.01 },
     ];
     let device = GpuDevice::with_capacity("test", 1 << 20);
-    let spaces = [ExecSpace::Serial, ExecSpace::Threads(3), ExecSpace::device(device)];
+    let spaces = [ExecSpace::Serial, ExecSpace::device(device)];
     for (name, stack, regions) in stacks {
         for region in regions {
             for ray_count in budgets {

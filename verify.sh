@@ -51,6 +51,13 @@ cargo run --release -q --bin rmcrt_app -- target/default.cfg
 printf '%s\n' 'gpu = true' 'gpus_per_rank = 2' 'ranks = 2' 'threads = 2' \
     'timesteps = 3' 'regrid_interval = 1' 'regrid_policy = rotate' > target/gpu_regrid.cfg
 cargo run --release -q --bin rmcrt_app -- target/gpu_regrid.cfg
+# The documented examples, once each in release: README's quickstart
+# (writes its divQ slice image to the OS temp dir) and the readers DESIGN
+# §3 names for arches-lite (boiler), the scattering path (scattering) and
+# the radiometer (radiometer). Each must exit 0; together about 1 s.
+for example in quickstart boiler scattering radiometer; do
+    cargo run --release -q --example "$example"
+done
 # The shipped server binaries end to end: rmcrt_serve on a 2-device fleet,
 # the same GPU + regrid job submitted twice at once over its Unix socket by
 # two rmcrt_submit clients, so two tenants' tasks share the fleet's devices
